@@ -7,10 +7,6 @@
 // percentage latency improvement over the default library (positive =
 // faster).  The default's recursive-doubling path includes MVAPICH's own
 // internal block->cyclic reorder, as described in §V-A1.
-//
-// With TARR_TRACE_OUT / TARR_TRACE_METRICS set, the slowest topology-aware
-// configuration of the whole sweep is re-run with tracing and its timeline /
-// metrics written there (see docs/OBSERVABILITY.md).
 
 #include <cstdio>
 
@@ -28,7 +24,6 @@ int main() {
   const int procs = bench_procs(nodes);
   BenchWorld world(nodes);
   const auto sizes = osu_message_sizes(1, bench_max_msg(256 * 1024));
-  SlowestConfigTrace slowest;
   SnapshotEmitter snapshot("fig3_nonhier");
   snapshot.set_meta("nodes", std::to_string(nodes));
   snapshot.set_meta("procs", std::to_string(procs));
@@ -47,14 +42,13 @@ int main() {
 
     struct Series {
       const char* name;
-      core::TopoAllgatherConfig cfg;
       core::TopoAllgather path;
     };
     auto variant = [&](const char* name, MapperKind kind, OrderFix fix) {
       core::TopoAllgatherConfig cfg;
       cfg.mapper = kind;
       cfg.fix = fix;
-      return Series{name, cfg, world.path(procs, spec, cfg)};
+      return Series{name, world.path(procs, spec, cfg)};
     };
     Series series[] = {
         variant("Hrstc+initComm", MapperKind::Heuristic, OrderFix::InitComm),
@@ -77,15 +71,6 @@ int main() {
         const double lat = s.path.latency(msg);
         row.push_back(TextTable::num(improvement_percent(d, lat), 1));
         if (&s == &series[0]) hrstc_impr_sum += improvement_percent(d, lat);
-        slowest.note(lat,
-                     std::string(simmpi::to_string(spec)) + " " + s.name +
-                         " msg=" + std::to_string(msg),
-                     [&world, spec, cfg = s.cfg, msg,
-                      procs](trace::TraceSink* sink) {
-                       auto path = world.path(procs, spec, cfg);
-                       path.set_trace_sink(sink);
-                       return path.latency(msg);
-                     });
       }
       t.add_row(std::move(row));
     }
@@ -99,7 +84,6 @@ int main() {
                 static_cast<char>(sub + fig++),
                 simmpi::to_string(spec).c_str(), t.render().c_str());
   }
-  slowest.dump();
   snapshot.dump();
   return 0;
 }

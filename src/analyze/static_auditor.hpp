@@ -31,7 +31,7 @@ template <typename Runner>
 report::ScheduleRecord record_schedule(simmpi::Engine& eng, Runner&& run) {
   report::ScheduleRecorder rec;
   trace::TraceSink* prev = eng.trace_sink();
-  trace::TeeSink tee(prev, &rec);
+  trace::TeeSink tee({prev, &rec});
   eng.set_trace_sink(&tee);
   run(eng);
   eng.set_trace_sink(prev);

@@ -4,33 +4,25 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
-#include <optional>
 #include <string>
 #include <utility>
 
 #include "core/topoallgather.hpp"
 #include "report/snapshot.hpp"
 #include "simmpi/layout.hpp"
-#include "tlog/writer.hpp"
-#include "trace/tracer.hpp"
 
 /// \file fixtures.hpp
 /// Shared setup for the figure-reproduction benchmarks: the paper-scale
 /// machine (GPC fat-tree, 512 nodes x 8 cores = 4096 processes for the
 /// micro-benchmarks; 128 nodes = 1024 processes for the application runs)
 /// and helpers to build communicators and topology-aware allgather paths.
-/// Also the observability escape hatches for figure harnesses:
-///   * SlowestConfigTrace, fed from the sweep loop, re-runs the slowest
-///     measured configuration under a tarr::trace::Tracer when
-///     TARR_TRACE_OUT / TARR_TRACE_METRICS are set, and/or under a
-///     streaming tarr::tlog::TlogSink when TARR_TRACE_TLOG names the
-///     output `.tlog` (inspect with tarr-log);
+/// Also the snapshot hooks of the perf gate:
 ///   * SnapshotEmitter writes a schema-versioned BENCH_<name>.json of the
 ///     harness's headline metrics when TARR_BENCH_SNAPSHOT_DIR is set —
-///     the input of the `tarr-report compare` perf gate;
+///     the input of the `tarr report compare` perf gate;
 ///   * TARR_BENCH_SMOKE shrinks the sweep (16 nodes, small messages) so CI
 ///     can regenerate snapshots in seconds (see docs/OBSERVABILITY.md).
+/// To trace one configuration, run it through `tarr map --trace/--tlog`.
 
 namespace tarr::bench {
 
@@ -129,72 +121,6 @@ struct BenchWorld {
                            const core::TopoAllgatherConfig& cfg) {
     return core::TopoAllgather(framework, comm(p, spec), cfg);
   }
-};
-
-/// Tracks the slowest configuration a figure harness measures and, on
-/// request, re-runs it with a Tracer (and/or a streaming TlogSink) attached
-/// so the timeline/metrics/.tlog of the worst case can be inspected in
-/// Perfetto or tarr-log.  Inert (no closure kept, no re-run, no files)
-/// unless TARR_TRACE_OUT, TARR_TRACE_METRICS or TARR_TRACE_TLOG is set, so
-/// harnesses can feed every measurement through note() unconditionally.
-class SlowestConfigTrace {
- public:
-  /// Re-executes the configuration against `sink` and returns its latency.
-  using Rerun = std::function<Usec(trace::TraceSink*)>;
-
-  /// True when any of the environment variables requests a dump.
-  static bool enabled() {
-    return std::getenv("TARR_TRACE_OUT") != nullptr ||
-           std::getenv("TARR_TRACE_METRICS") != nullptr ||
-           std::getenv("TARR_TRACE_TLOG") != nullptr;
-  }
-
-  /// Record one measured configuration.
-  void note(Usec latency, std::string label, Rerun rerun) {
-    if (!enabled()) return;
-    if (!rerun_ || latency > latency_) {
-      latency_ = latency;
-      label_ = std::move(label);
-      rerun_ = std::move(rerun);
-    }
-  }
-
-  /// Re-run the slowest configuration under a Tracer and write the
-  /// requested artifacts.  Returns true when something was written.
-  bool dump() const {
-    if (!rerun_) return false;
-    trace::Tracer tracer;
-    tlog::TlogSink* tsink = nullptr;
-    std::optional<tlog::TlogSink> tlog_sink;
-    if (const char* path = std::getenv("TARR_TRACE_TLOG")) {
-      tlog_sink.emplace(path);
-      tsink = &*tlog_sink;
-    }
-    trace::TeeSink tee(&tracer, tsink);
-    const Usec t = rerun_(&tee);
-    if (tlog_sink) {
-      tlog_sink->finish();
-      std::fprintf(stderr, "tlog   : slowest config \"%s\" -> %s (%llu bytes)\n",
-                   label_.c_str(), tlog_sink->path().c_str(),
-                   static_cast<unsigned long long>(tlog_sink->totals().bytes));
-    }
-    if (const char* path = std::getenv("TARR_TRACE_OUT")) {
-      tracer.write_timeline(path);
-      std::fprintf(stderr, "trace  : slowest config \"%s\" (%.1f us) -> %s\n",
-                   label_.c_str(), t, path);
-    }
-    if (const char* path = std::getenv("TARR_TRACE_METRICS")) {
-      tracer.write_metrics(path);
-      std::fprintf(stderr, "metrics: slowest config \"%s\" -> %s\n",
-                   label_.c_str(), path);
-    }
-    return true;
-  }
-
- private:
-  Usec latency_ = 0.0;
-  std::string label_;
-  Rerun rerun_;
 };
 
 }  // namespace tarr::bench

@@ -6,17 +6,16 @@
 #include "common/error.hpp"
 
 /// \file cli.hpp
-/// Shared argument-parsing helpers for the tarr-* CLIs.
+/// Strict argument parsing for the `tarr` driver.
 ///
-/// Every CLI follows the same contract: an unknown flag, a missing value,
-/// or a malformed/out-of-range numeric prints the tool's usage text and
-/// exits 2.  These helpers centralize the strict numeric parsing (full
-/// token consumed, errno checked, range enforced) that tarr-probe and
-/// fault_campaign used to hand-roll, so every tool rejects `--nodes 8x`
-/// or `--noise nan` the same way.
+/// Every subcommand follows the same contract: an unknown flag, a missing
+/// value, or a malformed/out-of-range numeric prints the subcommand's usage
+/// text and exits 2.  These helpers hold the strict numeric parsing (full
+/// token consumed, errno checked, range enforced), so every subcommand
+/// rejects `--nodes 8x` or `--noise nan` the same way.
 ///
-/// Parse failures throw cli::UsageError; each CLI's main() catches it,
-/// prints the message followed by its usage text to stderr, and exits 2.
+/// Parse failures throw cli::UsageError; the driver's dispatcher catches
+/// it, prints the message followed by the usage text to stderr, and exits 2.
 
 namespace tarr::cli {
 

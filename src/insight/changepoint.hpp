@@ -8,7 +8,7 @@
 /// \file changepoint.hpp
 /// Step-change detection over an ordered sequence of bench snapshot sets.
 ///
-/// The perf gate (tarr-report compare) answers "did THIS run regress against
+/// The perf gate (tarr report compare) answers "did THIS run regress against
 /// THE baseline?".  The trajectory question is different: given the ordered
 /// history of committed snapshot sets (one per landed change, labeled by
 /// tag/commit), *where* did each gated metric step — and did the step land

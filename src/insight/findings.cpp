@@ -143,9 +143,9 @@ void check_stragglers(const ImbalanceReport& imb,
     f.detail += "; all stragglers share node " + std::to_string(shared_node);
   f.knob = all_same_node && stragglers.size() > 1
                ? "candidate for hierarchical leader reassignment "
-                 "(hier collectives / tarrmap --mapper heuristic)"
+                 "(hier collectives / tarr map --mapper heuristic)"
                : "reorder ranks onto less-loaded cores "
-                 "(tarrmap --mapper heuristic|scotch|greedy)";
+                 "(tarr map --mapper heuristic|scotch|greedy)";
   f.evidence.push_back({"median.busy_usec", median});
   for (const Rank r : stragglers)
     f.evidence.push_back({"rank" + std::to_string(r) + ".busy_usec",
@@ -163,7 +163,7 @@ void check_imbalance(const ImbalanceReport& imb, const DiagnoseOptions& opts,
   f.title = "per-rank load imbalance " + fmt2(imb.imbalance);
   f.detail = "the busiest rank works " + fmt2(imb.imbalance) +
              "x the mean; a balanced schedule scores 1.0";
-  f.knob = "topology-aware reordering (tarrmap) or a schedule with "
+  f.knob = "topology-aware reordering (tarr map) or a schedule with "
            "evener per-rank work";
   f.evidence.push_back({"imbalance.max_over_mean", imb.imbalance});
   out.push_back(std::move(f));
@@ -179,7 +179,7 @@ void check_fairness(const ImbalanceReport& imb, const DiagnoseOptions& opts,
   f.detail = "a few directed cables carry most of the bytes; "
              "Jain fairness 1.0 is even, 1/n is one hot cable";
   f.knob = "a mapping that spreads leaf-uplink load "
-           "(tarrmap --mapper scotch) or the hierarchical path";
+           "(tarr map --mapper scotch) or the hierarchical path";
   f.evidence.push_back({"jain.links", imb.jain_links});
   for (const auto& h : imb.hot_resources) {
     if (h.qpi) continue;
@@ -203,7 +203,7 @@ void check_critical_path(const report::CriticalPath& path,
               fmt2(100.0 * contention_share) + "% stall)";
     f.detail = "resource-sharing stall, not serialization, determines "
                "completion time — the schedule oversubscribes cables or QPI";
-    f.knob = "topology-aware reordering (tarrmap), or fewer concurrent "
+    f.knob = "topology-aware reordering (tarr map), or fewer concurrent "
              "transfers per stage (hierarchical/pipelined collectives)";
     f.evidence.push_back({"critical.total_usec", path.total});
     f.evidence.push_back({"critical.contention_usec", path.contention});
@@ -270,7 +270,7 @@ void check_tails(const trace::MetricsRegistry& metrics,
                fmt(p50) + ", p99 " + fmt(p99) +
                "); under multi-tenant fabrics the tail decides whether "
                "reordering pays";
-    f.knob = "probe-and-remap (tarr-probe) if the fabric churns, else "
+    f.knob = "probe-and-remap (tarr probe) if the fabric churns, else "
              "reordering for the contended resource";
     f.evidence.push_back({name + ".p50", p50});
     f.evidence.push_back({name + ".p99", p99});

@@ -37,8 +37,8 @@
 ///    aborted — and tries probing again at the next trigger.
 ///
 /// Every decision is emitted through tarr::trace (probe.decision.keep /
-/// .remap / .fallback counters plus the probe's own spans), so tarr-report and
-/// tarr-viz can attribute where re-mapping paid off.  The controller is
+/// .remap / .fallback counters plus the probe's own spans), so `tarr report`
+/// and `tarr viz` can attribute where re-mapping paid off.  The controller is
 /// deterministic in its config seed: decisions depend only on (config,
 /// observed sequence, fabric sequence).
 

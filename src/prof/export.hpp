@@ -24,7 +24,7 @@ namespace tarr::prof {
 
 struct ExportOptions {
   /// Include wall_seconds rows/columns (nondeterministic; off by default,
-  /// mirroring --trace-wall).
+  /// mirroring `tarr map --wall`).
   bool include_wall = false;
 };
 

@@ -20,7 +20,7 @@
 ///    transfers priced, bytes allocated through the counting hook.  Same
 ///    seed, same counters, byte for byte; these ride the perf gate.
 ///  * wall-clock seconds — measured per scope but exported only on request
-///    (ExportOptions::include_wall), mirroring `--trace-wall`.
+///    (ExportOptions::include_wall), like `tarr map --wall`.
 ///
 /// Cost discipline mirrors trace's ambient-sink pattern: instrumented code
 /// consults a thread-local `Profiler*` that defaults to nullptr, so every

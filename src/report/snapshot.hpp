@@ -10,7 +10,7 @@
 /// A figure/ablation binary run with TARR_BENCH_SNAPSHOT_DIR set emits one
 /// `BENCH_<name>.json` per bench: a schema-versioned record of the bench's
 /// configuration plus its headline metrics (simulated completion costs,
-/// percentage improvements, wall time).  `tarr-report compare` then diffs a
+/// percentage improvements, wall time).  `tarr report compare` then diffs a
 /// current snapshot set against a committed baseline set with per-metric
 /// tolerances and exits nonzero on regression — the repo's first perf gate.
 ///

@@ -18,54 +18,49 @@ const char* to_string(Channel c) {
   return "?";
 }
 
+TeeSink::TeeSink(std::vector<TraceSink*> legs) {
+  for (TraceSink* leg : legs)
+    if (leg != nullptr) legs_.push_back(leg);
+}
+
 void TeeSink::on_stage(const StageEvent& e) {
-  if (a_) a_->on_stage(e);
-  if (b_) b_->on_stage(e);
+  for (TraceSink* leg : legs_) leg->on_stage(e);
 }
 
 void TeeSink::on_transfer(const TransferEvent& e) {
-  if (a_) a_->on_transfer(e);
-  if (b_) b_->on_transfer(e);
+  for (TraceSink* leg : legs_) leg->on_transfer(e);
 }
 
 void TeeSink::on_copy(const CopyEvent& e) {
-  if (a_) a_->on_copy(e);
-  if (b_) b_->on_copy(e);
+  for (TraceSink* leg : legs_) leg->on_copy(e);
 }
 
 void TeeSink::on_permute(const PermuteEvent& e) {
-  if (a_) a_->on_permute(e);
-  if (b_) b_->on_permute(e);
+  for (TraceSink* leg : legs_) leg->on_permute(e);
 }
 
 void TeeSink::on_phase(const PhaseEvent& e) {
-  if (a_) a_->on_phase(e);
-  if (b_) b_->on_phase(e);
+  for (TraceSink* leg : legs_) leg->on_phase(e);
 }
 
 void TeeSink::on_counter(const CounterSample& s) {
-  if (a_) a_->on_counter(s);
-  if (b_) b_->on_counter(s);
+  for (TraceSink* leg : legs_) leg->on_counter(s);
 }
 
 void TeeSink::on_wall_span(const WallSpan& s) {
-  if (a_) a_->on_wall_span(s);
-  if (b_) b_->on_wall_span(s);
+  for (TraceSink* leg : legs_) leg->on_wall_span(s);
 }
 
 void TeeSink::on_time(const TimeEvent& e) {
-  if (a_) a_->on_time(e);
-  if (b_) b_->on_time(e);
+  for (TraceSink* leg : legs_) leg->on_time(e);
 }
 
 void TeeSink::add_count(const std::string& name, double delta) {
-  if (a_) a_->add_count(name, delta);
-  if (b_) b_->add_count(name, delta);
+  for (TraceSink* leg : legs_) leg->add_count(name, delta);
 }
 
 void TeeSink::observe(const std::string& name, double value) {
-  if (a_) a_->observe(name, value);
-  if (b_) b_->observe(name, value);
+  for (TraceSink* leg : legs_) leg->observe(name, value);
 }
 
 namespace {

@@ -180,13 +180,16 @@ class TraceSink {
 /// A sink that observes nothing (identical to having no sink installed).
 class NullSink final : public TraceSink {};
 
-/// Forwards every event to two downstream sinks (either may be null), so a
-/// single emission point — the engine holds exactly one sink pointer — can
-/// feed e.g. a Tracer and a report::ScheduleRecorder at once.  Events reach
-/// `first` before `second`; both must outlive the tee.
+/// Forwards every event to each downstream leg in order, so a single
+/// emission point — the engine holds exactly one sink pointer — can feed
+/// e.g. a Tracer, a tlog capture and a report::ScheduleRecorder at once.
+/// Null legs are dropped at construction; every leg must outlive the tee.
 class TeeSink final : public TraceSink {
  public:
-  TeeSink(TraceSink* first, TraceSink* second) : a_(first), b_(second) {}
+  explicit TeeSink(std::vector<TraceSink*> legs);
+
+  /// True when every leg passed in was null.
+  bool empty() const { return legs_.empty(); }
 
   void on_stage(const StageEvent& e) override;
   void on_transfer(const TransferEvent& e) override;
@@ -200,8 +203,7 @@ class TeeSink final : public TraceSink {
   void observe(const std::string& name, double value) override;
 
  private:
-  TraceSink* a_;
-  TraceSink* b_;
+  std::vector<TraceSink*> legs_;
 };
 
 /// Ambient per-thread sink for layers whose interfaces are pure functions

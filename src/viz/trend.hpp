@@ -25,7 +25,7 @@ struct TrendSet {
 };
 
 /// Render the trajectory HTML fragment.  `opts` supplies the gate
-/// tolerances used for flagging (the same ones `tarr-report compare`
+/// tolerances used for flagging (the same ones `tarr report compare`
 /// gates with).
 std::string render_trend(const std::vector<TrendSet>& sets,
                          const report::CompareOptions& opts = {});

@@ -1,7 +1,7 @@
-// tarr::cli: the shared strict argument parsers behind every tarr-* CLI.
-// One contract everywhere: the full token must parse, the value must land
-// in range, and any violation throws UsageError (surfaced by the CLIs as
-// usage text + exit 2).
+// tarr::cli: the shared strict argument parsers behind every `tarr`
+// subcommand.  One contract everywhere: the full token must parse, the value
+// must land in range, and any violation throws UsageError (surfaced by the
+// driver as usage text + exit 2).
 
 #include "common/cli.hpp"
 

@@ -217,7 +217,7 @@ TEST(Metrics, StageDurationQuantilesMatchBruteForceOnTracedRun) {
   const Communicator comm(m, make_layout(m, 16, {}));
   trace::Tracer tracer;
   report::ScheduleRecorder recorder;
-  trace::TeeSink tee(&tracer, &recorder);
+  trace::TeeSink tee({&tracer, &recorder});
   Engine eng(comm, CostConfig{}, ExecMode::Timed, 256, 16);
   eng.set_trace_sink(&tee);
   collectives::run_allgather(
@@ -336,7 +336,7 @@ CongestedRun congested_run() {
   trace::TracerOptions topts;
   topts.timeline = false;
   trace::Tracer tracer(topts);
-  trace::TeeSink tee(&tracer, &recorder);
+  trace::TeeSink tee({&tracer, &recorder});
   Engine eng(comm, CostConfig{}, ExecMode::Timed, 16 * 1024, 64);
   eng.set_trace_sink(&tee);
   collectives::run_allgather(

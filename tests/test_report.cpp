@@ -594,7 +594,7 @@ TEST(Plumbing, TeeSinkFeedsTracerAndRecorderIdentically) {
   const Communicator comm(m, make_layout(m, 16, {}));
   trace::Tracer tracer;
   ScheduleRecorder rec;
-  trace::TeeSink tee(&tracer, &rec);
+  trace::TeeSink tee({&tracer, &rec});
   Engine eng(comm, CostConfig{}, ExecMode::Timed, 256, 16);
   eng.set_trace_sink(&tee);
   collectives::run_allgather(
@@ -613,9 +613,9 @@ TEST(Plumbing, TeeSinkFeedsTracerAndRecorderIdentically) {
   EXPECT_EQ(plain.total(), eng.total());
 
   // Null branches are simply skipped.
-  trace::TeeSink half(nullptr, &rec);
+  trace::TeeSink half({nullptr, &rec});
   half.on_time(trace::TimeEvent{"x", 0.0, 1.0});
-  trace::TeeSink none(nullptr, nullptr);
+  trace::TeeSink none({nullptr, nullptr});
   none.on_time(trace::TimeEvent{"x", 0.0, 1.0});
 }
 

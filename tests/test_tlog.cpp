@@ -281,7 +281,7 @@ TEST(Roundtrip, TracerReplayReproducesTimelineAndMetrics) {
   const std::string path = tmp_path("tracer.tlog");
   {
     TlogSink sink(path);
-    trace::TeeSink tee(&live, &sink);
+    trace::TeeSink tee({&live, &sink});
     run_hierarchical(&tee);
     sink.finish();
   }

@@ -476,7 +476,7 @@ TEST(Trace, DefaultSinkHandlersAreNoOps) {
 TEST(Trace, TeeSinkForwardsEveryKindFirstThenSecond) {
   std::vector<std::string> journal;
   JournalSink first("a", &journal), second("b", &journal);
-  TeeSink tee(&first, &second);
+  TeeSink tee({&first, &second});
   emit_one_of_each(tee);
   const std::vector<std::string> expected = {
       "a:stage",   "b:stage",   "a:transfer", "b:transfer", "a:copy",
@@ -489,15 +489,30 @@ TEST(Trace, TeeSinkForwardsEveryKindFirstThenSecond) {
 TEST(Trace, TeeSinkToleratesNullLegs) {
   std::vector<std::string> journal;
   JournalSink only("x", &journal);
-  TeeSink first_null(nullptr, &only);
+  TeeSink first_null({nullptr, &only});
   emit_one_of_each(first_null);
   EXPECT_EQ(journal.size(), 10u);
   journal.clear();
-  TeeSink second_null(&only, nullptr);
+  TeeSink second_null({&only, nullptr});
   emit_one_of_each(second_null);
   EXPECT_EQ(journal.size(), 10u);
-  TeeSink both_null(nullptr, nullptr);
+  TeeSink both_null({nullptr, nullptr});
+  EXPECT_TRUE(both_null.empty());
   emit_one_of_each(both_null);  // must not crash
+}
+
+TEST(Trace, TeeSinkFeedsAnyNumberOfLegsInOrder) {
+  // One flat stack replaces nested pairs: three legs hear each event in
+  // construction order, and a null leg anywhere is skipped.
+  std::vector<std::string> journal;
+  JournalSink a("a", &journal), b("b", &journal), c("c", &journal);
+  TeeSink tee({&a, nullptr, &b, &c});
+  EXPECT_FALSE(tee.empty());
+  tee.on_stage(StageEvent{});
+  tee.add_count("n", 1.0);
+  const std::vector<std::string> expected = {"a:stage", "b:stage", "c:stage",
+                                             "a:count", "b:count", "c:count"};
+  EXPECT_EQ(journal, expected);
 }
 
 TEST(Trace, StageRepeatCompressionScalesMetrics) {
