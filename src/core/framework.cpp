@@ -117,13 +117,8 @@ ReorderedComm ReorderFramework::reorder_hierarchical(
   const auto& m = *machine_;
   const int cpn = m.cores_per_node();
   const int nodes = comm.size() / cpn;
-
-  if (!node_dist_)
-    node_dist_.emplace(
-        topology::extract_node_distances(m, opts_.distances));
-  if (!intra_dist_)
-    intra_dist_.emplace(
-        topology::extract_intranode_distances(m, opts_.distances));
+  const topology::DistanceMatrix node_dist = distances().node_level();
+  const topology::DistanceMatrix intra_dist = distances().intra_level();
 
   WallTimer t;
   Rng rng(opts_.seed);
@@ -135,7 +130,7 @@ ReorderedComm ReorderFramework::reorder_hierarchical(
   std::vector<int> block_to_node(nodes);
   for (int b = 0; b < nodes; ++b) block_to_node[b] = comm.node_of(b * cpn);
   const std::vector<int> new_block_to_node =
-      leader_mapper.checked_map(block_to_node, *node_dist_, rng);
+      leader_mapper.checked_map(block_to_node, node_dist, rng);
 
   // Original block index for each node (to find that node's rank group).
   std::vector<int> block_of_node(m.num_nodes(), -1);
@@ -152,7 +147,7 @@ ReorderedComm ReorderFramework::reorder_hierarchical(
       local_slots[k] = m.local_core(comm.core_of(ob * cpn + k));
     std::vector<int> new_local = local_slots;
     if (intra_mapper != nullptr)
-      new_local = intra_mapper->checked_map(local_slots, *intra_dist_, rng);
+      new_local = intra_mapper->checked_map(local_slots, intra_dist, rng);
     for (int k = 0; k < cpn; ++k)
       new_rank_to_core[nb * cpn + k] = m.core_id(node, new_local[k]);
   }

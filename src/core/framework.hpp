@@ -49,7 +49,8 @@ class ReorderFramework {
   const topology::Machine& machine() const { return *machine_; }
   const Options& options() const { return opts_; }
 
-  /// Core-level distance matrix; extracted lazily once, then cached.
+  /// Core-level distance matrix; extracted lazily once, then cached.  The
+  /// hierarchical reorders read its node level and intra level.
   const topology::DistanceMatrix& distances();
 
   /// Wall-clock seconds the one-time distance extraction took (0 until the
@@ -119,8 +120,6 @@ class ReorderFramework {
   const topology::Machine* machine_;
   Options opts_;
   std::optional<topology::DistanceMatrix> dist_;
-  std::optional<topology::DistanceMatrix> node_dist_;
-  std::optional<topology::DistanceMatrix> intra_dist_;
   double extract_seconds_ = 0.0;
   trace::TraceSink* sink_ = nullptr;
 };

@@ -42,17 +42,12 @@ class DegradedTopology {
   /// Nodes not explicitly failed, ascending.
   std::vector<NodeId> alive_nodes() const;
 
-  /// Core-level distance matrix over the degraded router (split pairs at
-  /// +infinity) — drop-in input for every Mapper.
+  /// Distance matrix over the degraded router (split node pairs at
+  /// +infinity) — drop-in input for every Mapper; its node_level() is the
+  /// node-to-node matrix.
   topology::DistanceMatrix distances(
       const topology::DistanceConfig& cfg = {}) const {
     return topology::extract_distances(machine_, cfg);
-  }
-
-  /// Node-level distance matrix over the degraded router.
-  topology::DistanceMatrix node_distances(
-      const topology::DistanceConfig& cfg = {}) const {
-    return topology::extract_node_distances(machine_, cfg);
   }
 
  private:

@@ -44,7 +44,7 @@ int MappingState::slot_of(Rank rank) const {
 int MappingState::find_closest_to(Rank ref_rank) {
   TARR_REQUIRE(!free_slots_.empty(), "find_closest_to: no free slots");
   const int ref_slot = slot_of(ref_rank);
-  const float* row = d_->row(ref_slot);
+  const topology::DistanceMatrix::Row row = d_->from(ref_slot);
   float best = row[free_slots_[0]];
   int ties = 1;
   int chosen = free_slots_[0];

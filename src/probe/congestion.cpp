@@ -4,7 +4,6 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "topology/intranode.hpp"
 #include "topology/routing.hpp"
 
 namespace tarr::probe {
@@ -86,31 +85,6 @@ topology::DistanceMatrix effective_node_distances(
       double hops = 0.0;
       for (LinkId l : router.path(a, b)) hops += w[static_cast<std::size_t>(l)];
       d.set(a, b, cfg.inter_node_base + cfg.per_hop * static_cast<float>(hops));
-    }
-  }
-  return d;
-}
-
-topology::DistanceMatrix effective_core_distances(
-    const fault::DegradedTopology& topo, const topology::DistanceConfig& cfg) {
-  const topology::Machine& m = topo.machine();
-  const topology::DistanceMatrix node = effective_node_distances(topo, cfg);
-  const int cpn = m.cores_per_node();
-  topology::DistanceMatrix d(m.total_cores());
-  for (NodeId a = 0; a < m.num_nodes(); ++a) {
-    for (NodeId b = a; b < m.num_nodes(); ++b) {
-      if (a == b) {
-        for (int x = 0; x < cpn; ++x)
-          for (int y = 0; y < cpn; ++y)
-            d.set(m.core_id(a, x), m.core_id(a, y),
-                  topology::intra_level_weight(
-                      cfg, topology::intranode_level(m.shape(), x, y)));
-      } else {
-        const float dist = node.at(a, b);
-        for (int x = 0; x < cpn; ++x)
-          for (int y = 0; y < cpn; ++y)
-            d.set(m.core_id(a, x), m.core_id(b, y), dist);
-      }
     }
   }
   return d;

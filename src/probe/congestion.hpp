@@ -63,14 +63,10 @@ fault::FaultMask congestion_mask(const topology::SwitchGraph& g,
 /// inter_node_base + per_hop * sum over routed hops of
 /// (pristine capacity / surviving capacity).  Requires a mask with no hard
 /// failures (link ids must be preserved 1:1); with an empty mask this
-/// reproduces extract_node_distances exactly.
+/// reproduces extract_node_distances exactly.  Composed with
+/// extract_intranode_distances it is the oracle Mapper input under
+/// congestion.
 topology::DistanceMatrix effective_node_distances(
-    const fault::DegradedTopology& topo,
-    const topology::DistanceConfig& cfg = {});
-
-/// Core-level counterpart (exact intra-node block + effective inter-node
-/// entries) — the oracle Mapper input under congestion.
-topology::DistanceMatrix effective_core_distances(
     const fault::DegradedTopology& topo,
     const topology::DistanceConfig& cfg = {});
 

@@ -120,7 +120,7 @@ bool AdaptiveController::reprobe_and_map(
     return false;
   }
   Rng rng(mix_seed(pc.seed, 0x6d6170ull, 0));
-  mapping_ = mapper_->checked_map(slots_, probed.core, rng);
+  mapping_ = mapper_->checked_map(slots_, probed.distances, rng);
   fallback_ = false;
   ++remaps_;
   rebuild_oldrank();

@@ -9,7 +9,6 @@
 #include "common/error.hpp"
 #include "common/timer.hpp"
 #include "prof/profiler.hpp"
-#include "topology/intranode.hpp"
 
 namespace tarr::probe {
 
@@ -88,9 +87,7 @@ ProbedDistances probe_distances(const topology::Machine& m,
   WallTimer wall;
 
   const int nodes = m.num_nodes();
-  const int cpn = m.cores_per_node();
-  ProbedDistances out(m.total_cores(), nodes);
-  ProbeReport& rep = out.report;
+  ProbeReport rep;
   rep.nodes = nodes;
   rep.pairs = nodes * (nodes - 1) / 2;
   rep.pair_stats.reserve(static_cast<std::size_t>(rep.pairs));
@@ -170,30 +167,11 @@ ProbedDistances probe_distances(const topology::Machine& m,
           ? max_estimate * static_cast<float>(cfg.worst_case_margin)
           : cfg.distances.inter_node_base + cfg.distances.per_hop * 16.0f;
 
-  // Pass 2: assemble the matrices.  Intra-node blocks are exact (hwloc is
-  // local); inter-node entries replicate the pair estimate over all core
-  // pairs, mirroring extract_distances' structure.
-  std::vector<float> intra(static_cast<std::size_t>(cpn) * cpn);
-  for (int x = 0; x < cpn; ++x)
-    for (int y = 0; y < cpn; ++y)
-      intra[static_cast<std::size_t>(x) * cpn + y] = topology::intra_level_weight(
-          cfg.distances, topology::intranode_level(m.shape(), x, y));
-
-  std::size_t pair_idx = 0;
-  for (NodeId a = 0; a < nodes; ++a) {
-    for (int x = 0; x < cpn; ++x)
-      for (int y = 0; y < cpn; ++y)
-        out.core.set(m.core_id(a, x), m.core_id(a, y),
-                     intra[static_cast<std::size_t>(x) * cpn + y]);
-    for (NodeId b = a + 1; b < nodes; ++b, ++pair_idx) {
-      const PairProbe& pp = rep.pair_stats[pair_idx];
-      const float d = pp.resolved ? pp.estimate : rep.worst_case_distance;
-      out.node.set(a, b, d);
-      for (int x = 0; x < cpn; ++x)
-        for (int y = 0; y < cpn; ++y)
-          out.core.set(m.core_id(a, x), m.core_id(b, y), d);
-    }
-  }
+  // Pass 2: the node matrix holds the pair estimates; the intra-node
+  // template stays exact (hwloc is local).
+  topology::DistanceMatrix node(nodes);
+  for (const PairProbe& pp : rep.pair_stats)
+    node.set(pp.a, pp.b, pp.resolved ? pp.estimate : rep.worst_case_distance);
 
   if (sink != nullptr) {
     sink->add_count("probe.measurements",
@@ -221,7 +199,10 @@ ProbedDistances probe_distances(const topology::Machine& m,
     p->count("probe.measurements", static_cast<double>(rep.measurements));
     p->count("probe.retries", static_cast<double>(rep.retries));
   }
-  return out;
+  return ProbedDistances{
+      topology::DistanceMatrix(
+          node, topology::extract_intranode_distances(m, cfg.distances)),
+      std::move(rep)};
 }
 
 }  // namespace tarr::probe

@@ -121,15 +121,13 @@ struct ProbeReport {
   std::string summary() const;
 };
 
-/// Probing output: the inferred matrices plus the report.  `core` is the
-/// drop-in Mapper input (exact intra-node block + probed inter-node
-/// estimates); `node` is the leader-level matrix for hierarchical use.
+/// Probing output: the inferred matrix plus the report.  `distances` is the
+/// drop-in Mapper input: probed node-to-node estimates over the exact
+/// intra-node template.  Its node_level() is the leader-level matrix for
+/// hierarchical use.
 struct ProbedDistances {
-  topology::DistanceMatrix core;
-  topology::DistanceMatrix node;
+  topology::DistanceMatrix distances;
   ProbeReport report;
-
-  ProbedDistances(int cores, int nodes) : core(cores), node(nodes) {}
 };
 
 /// Simulate probing `m`'s network against the ground-truth node-level

@@ -141,7 +141,11 @@ ScenarioResult run_probed_scenario(const ScenarioConfig& cfg,
       Rng oracle_rng(mix_seed(ctl.probe.seed, 0x6f7261ull,
                               static_cast<std::uint64_t>(epoch)));
       const std::vector<int> oracle_map = mapper->checked_map(
-          slots, effective_core_distances(topo, ctl.probe.distances),
+          slots,
+          topology::DistanceMatrix(
+              effective_node_distances(topo, ctl.probe.distances),
+              topology::extract_intranode_distances(topo.machine(),
+                                                    ctl.probe.distances)),
           oracle_rng);
       row.oracle_usec = price_run(cfg, topo, pat, oracle_map,
                                   oldrank_of(slots, oracle_map, total), sink);

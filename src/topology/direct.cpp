@@ -4,10 +4,12 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "prof/profiler.hpp"
 
 namespace tarr::topology {
 
 SwitchGraph build_torus_network(int x, int y, int z) {
+  prof::ProfScope pscope("network-build");
   TARR_REQUIRE(x >= 1 && y >= 1 && z >= 1,
                "build_torus_network: dimensions must be >= 1");
   SwitchGraph g;
@@ -60,6 +62,7 @@ SwitchGraph build_torus_network(int x, int y, int z) {
 
 SwitchGraph build_dragonfly_network(int num_nodes,
                                     const DragonflyConfig& cfg) {
+  prof::ProfScope pscope("network-build");
   const int capacity =
       cfg.groups * cfg.routers_per_group * cfg.hosts_per_router;
   TARR_REQUIRE(num_nodes >= 1 && num_nodes <= capacity,

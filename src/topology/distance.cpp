@@ -1,5 +1,7 @@
 #include "topology/distance.hpp"
 
+#include <algorithm>
+#include <climits>
 #include <cstdint>
 #include <fstream>
 #include <limits>
@@ -13,7 +15,9 @@ namespace {
 
 /// Magic header of the on-disk distance-matrix format.
 constexpr std::uint32_t kDistanceFileMagic = 0x74615244u;  // "DRat"
-constexpr std::uint32_t kDistanceFileVersion = 1;
+/// v1: magic, version, n, then the dense n x n matrix.
+/// v2: magic, version, nodes, cores per node, node matrix, template.
+constexpr std::uint32_t kDistanceFileVersion = 2;
 
 }  // namespace
 
@@ -31,82 +35,101 @@ float intra_level_weight(const DistanceConfig& cfg, IntraLevel level) {
   return cfg.cross_socket;
 }
 
+DistanceMatrix::DistanceMatrix(int nodes, int cpn, std::vector<float> cells)
+    : nodes_(nodes), cpn_(cpn), cells_(std::move(cells)) {
+  TARR_REQUIRE(nodes >= 1 && cpn >= 1 && nodes <= INT_MAX / cpn,
+               "DistanceMatrix: size must be >= 1 and fit an int");
+  node_of_.reserve(static_cast<std::size_t>(nodes) * cpn);
+  for (NodeId n = 0; n < nodes; ++n) node_of_.insert(node_of_.end(), cpn, n);
+}
+
 DistanceMatrix::DistanceMatrix(int n, float fill)
-    : n_(n), d_(static_cast<std::size_t>(n) * n, fill) {
-  TARR_REQUIRE(n >= 1, "DistanceMatrix: size must be >= 1");
+    : DistanceMatrix(1, n,
+                     std::vector<float>(
+                         n >= 1 ? 1 + static_cast<std::size_t>(n) * n : 1,
+                         fill)) {}
+
+DistanceMatrix::DistanceMatrix(const DistanceMatrix& nodes,
+                               const DistanceMatrix& intra)
+    : DistanceMatrix(nodes.size(), intra.size(), nodes.cells_) {
+  TARR_REQUIRE(nodes.nodes_ == 1 && intra.nodes_ == 1,
+               "DistanceMatrix: levels must be one-level matrices");
+  cells_.erase(cells_.begin());  // the one-level node cell
+  cells_.insert(cells_.end(), intra.cells_.begin() + 1, intra.cells_.end());
+}
+
+void DistanceMatrix::set(CoreId a, CoreId b, float v) {
+  TARR_REQUIRE(nodes_ == 1, "DistanceMatrix::set: not a one-level matrix");
+  float* t = cells_.data() + 1;  // the template, after the one node cell
+  t[static_cast<std::size_t>(a) * cpn_ + b] = v;
+  t[static_cast<std::size_t>(b) * cpn_ + a] = v;
+}
+
+DistanceMatrix DistanceMatrix::node_level() const {
+  DistanceMatrix d(nodes_);
+  std::copy(node_row(0), intra_row(0), d.cells_.begin() + 1);
+  return d;
+}
+
+DistanceMatrix DistanceMatrix::intra_level() const {
+  DistanceMatrix d(cpn_);
+  std::copy(intra_row(0), cells_.data() + cells_.size(), d.cells_.begin() + 1);
+  return d;
 }
 
 void DistanceMatrix::save(const std::string& path) const {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   TARR_REQUIRE(out.good(), "DistanceMatrix::save: cannot open " + path);
-  const std::uint32_t header[3] = {kDistanceFileMagic, kDistanceFileVersion,
-                                   static_cast<std::uint32_t>(n_)};
+  const std::uint32_t header[4] = {kDistanceFileMagic, kDistanceFileVersion,
+                                   static_cast<std::uint32_t>(nodes_),
+                                   static_cast<std::uint32_t>(cpn_)};
   out.write(reinterpret_cast<const char*>(header), sizeof(header));
-  out.write(reinterpret_cast<const char*>(d_.data()),
-            static_cast<std::streamsize>(d_.size() * sizeof(float)));
+  out.write(reinterpret_cast<const char*>(cells_.data()),
+            static_cast<std::streamsize>(cells_.size() * sizeof(float)));
   TARR_REQUIRE(out.good(), "DistanceMatrix::save: write failed for " + path);
 }
 
 DistanceMatrix DistanceMatrix::load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  TARR_REQUIRE(in.good(), "DistanceMatrix::load: cannot open " + path);
-  std::uint32_t header[3] = {};
-  in.read(reinterpret_cast<char*>(header), sizeof(header));
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  const std::streamoff file_size = in.tellg();
+  TARR_REQUIRE(in.good() && file_size >= 0,
+               "DistanceMatrix::load: cannot open " + path);
+  in.seekg(0);
+  std::uint32_t header[4] = {};
+  in.read(reinterpret_cast<char*>(header), 3 * sizeof(std::uint32_t));
   TARR_REQUIRE(in.good() && header[0] == kDistanceFileMagic,
                "DistanceMatrix::load: not a distance-matrix file: " + path);
-  TARR_REQUIRE(header[1] == kDistanceFileVersion,
+  const bool v1 = header[1] == 1;
+  TARR_REQUIRE(v1 || header[1] == kDistanceFileVersion,
                "DistanceMatrix::load: unsupported version in " + path);
-  const int n = static_cast<int>(header[2]);
-  TARR_REQUIRE(n >= 1, "DistanceMatrix::load: corrupt size in " + path);
-  DistanceMatrix d(n);
-  in.read(reinterpret_cast<char*>(d.d_.data()),
-          static_cast<std::streamsize>(d.d_.size() * sizeof(float)));
-  TARR_REQUIRE(in.gcount() ==
-                   static_cast<std::streamsize>(d.d_.size() * sizeof(float)),
+  if (!v1) in.read(reinterpret_cast<char*>(&header[3]), sizeof(header[3]));
+  // A v1 file is one node of n cores; v2 names both levels.
+  const std::uint64_t nodes = v1 ? 1 : header[2];
+  const std::uint64_t cpn = v1 ? header[2] : header[3];
+  TARR_REQUIRE(in.good() && nodes >= 1 && cpn >= 1 && nodes * cpn <= INT_MAX,
+               "DistanceMatrix::load: corrupt header in " + path);
+  // The cells must fill the rest of the file exactly; nothing is allocated
+  // before that holds.  nodes * cpn <= INT_MAX bounds nodes^2 + cpn^2 by
+  // INT_MAX^2 + 1, so the byte count cannot overflow.  A v1 file stores no
+  // node matrix: its one node cell is not in the file.
+  const std::uint64_t stored = (v1 ? 0 : nodes * nodes) + cpn * cpn;
+  const std::uint64_t header_bytes = (v1 ? 3 : 4) * sizeof(std::uint32_t);
+  TARR_REQUIRE(stored * sizeof(float) ==
+                   static_cast<std::uint64_t>(file_size) - header_bytes,
+               "DistanceMatrix::load: size does not match header in " + path);
+  const auto bytes = static_cast<std::streamsize>(stored * sizeof(float));
+  std::vector<float> cells(v1 + stored);
+  in.read(reinterpret_cast<char*>(cells.data() + v1), bytes);
+  TARR_REQUIRE(in.gcount() == bytes,
                "DistanceMatrix::load: truncated file " + path);
-  return d;
+  return DistanceMatrix(static_cast<int>(nodes), static_cast<int>(cpn),
+                        std::move(cells));
 }
 
 DistanceMatrix extract_distances(const Machine& m, const DistanceConfig& cfg) {
-  const int total = m.total_cores();
-  const int cpn = m.cores_per_node();
   prof::ProfScope pscope("distance-extraction");
-  prof::count("distance.cells", static_cast<double>(total) * total);
-  DistanceMatrix d(total);
-
-  // Intra-node block template: identical for every node, computed once.
-  std::vector<float> intra(static_cast<std::size_t>(cpn) * cpn);
-  for (int a = 0; a < cpn; ++a) {
-    for (int b = 0; b < cpn; ++b) {
-      intra[static_cast<std::size_t>(a) * cpn + b] =
-          intra_level_weight(cfg, intranode_level(m.shape(), a, b));
-    }
-  }
-
-  const Router& router = m.router();
-  for (NodeId na = 0; na < m.num_nodes(); ++na) {
-    for (NodeId nb = na; nb < m.num_nodes(); ++nb) {
-      if (na == nb) {
-        for (int a = 0; a < cpn; ++a)
-          for (int b = 0; b < cpn; ++b)
-            d.set(m.core_id(na, a), m.core_id(na, b),
-                  intra[static_cast<std::size_t>(a) * cpn + b]);
-      } else {
-        // On a degraded fabric (AllowUnreachable router) a split pair is
-        // "infinitely far": mappers naturally avoid it, and any schedule that
-        // would actually route across the cut fails structurally instead.
-        const float dist =
-            router.reachable(na, nb)
-                ? cfg.inter_node_base +
-                      cfg.per_hop * static_cast<float>(router.hops(na, nb))
-                : std::numeric_limits<float>::infinity();
-        for (int a = 0; a < cpn; ++a)
-          for (int b = 0; b < cpn; ++b)
-            d.set(m.core_id(na, a), m.core_id(nb, b), dist);
-      }
-    }
-  }
-  return d;
+  return DistanceMatrix(extract_node_distances(m, cfg),
+                        extract_intranode_distances(m, cfg));
 }
 
 DistanceMatrix extract_node_distances(const Machine& m,
@@ -115,6 +138,9 @@ DistanceMatrix extract_node_distances(const Machine& m,
   prof::count("distance.cells",
               static_cast<double>(m.num_nodes()) * m.num_nodes());
   DistanceMatrix d(m.num_nodes());
+  // On a degraded fabric (AllowUnreachable router) a split pair is
+  // "infinitely far": mappers naturally avoid it, and any schedule that
+  // would actually route across the cut fails structurally instead.
   const Router& router = m.router();
   for (NodeId a = 0; a < m.num_nodes(); ++a)
     for (NodeId b = a + 1; b < m.num_nodes(); ++b)
@@ -132,11 +158,9 @@ DistanceMatrix extract_intranode_distances(const Machine& m,
   prof::ProfScope pscope("distance-extraction:intra");
   prof::count("distance.cells", static_cast<double>(cpn) * cpn);
   DistanceMatrix d(cpn);
-  for (int a = 0; a < cpn; ++a) {
-    for (int b = a + 1; b < cpn; ++b) {
+  for (int a = 0; a < cpn; ++a)
+    for (int b = a; b < cpn; ++b)
       d.set(a, b, intra_level_weight(cfg, intranode_level(m.shape(), a, b)));
-    }
-  }
   return d;
 }
 

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "prof/profiler.hpp"
 
 namespace tarr::topology {
 
@@ -32,6 +33,7 @@ void validate(const GpcTreeConfig& cfg) {
 }
 
 SwitchGraph build_gpc_network(int num_nodes, const GpcTreeConfig& cfg) {
+  prof::ProfScope pscope("network-build");
   validate(cfg);
   TARR_REQUIRE(num_nodes >= 1, "build_gpc_network: need at least one node");
   TARR_REQUIRE(num_nodes <= cfg.num_leaves * cfg.nodes_per_leaf,
@@ -87,6 +89,7 @@ SwitchGraph build_gpc_network(int num_nodes, const GpcTreeConfig& cfg) {
 }
 
 SwitchGraph build_single_switch_network(int num_nodes) {
+  prof::ProfScope pscope("network-build");
   TARR_REQUIRE(num_nodes >= 1, "build_single_switch_network: need >= 1 node");
   SwitchGraph g;
   const NetVertexId sw = g.add_vertex(VertexKind::Switch, "xbar");
@@ -100,6 +103,7 @@ SwitchGraph build_single_switch_network(int num_nodes) {
 
 SwitchGraph build_two_level_fattree(int num_nodes, int nodes_per_leaf,
                                     int num_spines, int up_capacity) {
+  prof::ProfScope pscope("network-build");
   TARR_REQUIRE(num_nodes >= 1, "build_two_level_fattree: num_nodes must be >= 1");
   TARR_REQUIRE(nodes_per_leaf >= 1,
                "build_two_level_fattree: nodes_per_leaf must be >= 1");

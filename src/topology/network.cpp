@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "prof/profiler.hpp"
 
 namespace tarr::topology {
 
@@ -85,6 +86,7 @@ NetVertexId SwitchGraph::host_vertex(NodeId node) const {
 
 SwitchGraph SwitchGraph::with_failed_links(
     const std::vector<LinkId>& failed) const {
+  prof::ProfScope pscope("network-build");
   std::vector<char> dead(links_.size(), 0);
   for (LinkId l : failed) {
     TARR_REQUIRE(l >= 0 && l < num_links(),

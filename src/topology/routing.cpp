@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "prof/profiler.hpp"
 
 namespace tarr::topology {
 
@@ -84,6 +85,7 @@ Partitioned host_components(const SwitchGraph& g) {
 
 Router::Router(const SwitchGraph& g, HostPolicy policy)
     : graph_(&g), num_hosts_(g.num_hosts()) {
+  prof::ProfScope pscope("router-build");
   components_ = host_components(g);
   if (policy == HostPolicy::RequireAll && components_.components.size() > 1)
     throw PartitionedError(components_);

@@ -5,8 +5,20 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
+
+#include "prof/profiler.hpp"
+#include "trace/sink.hpp"
 
 namespace {
+
+/// Records the wall spans the library emits through the thread sink.
+struct WallSpans : tarr::trace::TraceSink {
+  std::vector<tarr::trace::WallSpan> spans;
+  void on_wall_span(const tarr::trace::WallSpan& s) override {
+    spans.push_back(s);
+  }
+};
 
 struct Handles {
   tarr_machine_t machine = nullptr;
@@ -40,12 +52,31 @@ TEST(CApi, FullLifecycle) {
                                   &h.allgather),
             TARR_OK);
 
+  // The first latency query extracts distances and reorders, once each,
+  // and the two timing accessors return the seconds measured for those
+  // runs: the same values the framework emits as wall spans.
   double latency = 0.0;
-  ASSERT_EQ(tarr_allgather_latency(h.allgather, 64 * 1024, &latency),
-            TARR_OK);
+  tarr::prof::Profiler profiler;
+  WallSpans wall;
+  {
+    tarr::prof::ScopedThreadProfiler guard(&profiler);
+    tarr::trace::ScopedThreadSink sink(&wall);
+    ASSERT_EQ(tarr_allgather_latency(h.allgather, 64 * 1024, &latency),
+              TARR_OK);
+  }
   EXPECT_GT(latency, 0.0);
-  EXPECT_GT(tarr_allgather_mapping_seconds(h.allgather), 0.0);
-  EXPECT_GT(tarr_framework_extraction_seconds(h.framework), 0.0);
+  const tarr::prof::Profile p = profiler.snapshot();
+  for (const char* scope : {"reorder", "reorder/distance-extraction"}) {
+    ASSERT_NE(p.find(scope), nullptr) << scope;
+    EXPECT_EQ(p.find(scope)->calls, 1) << scope;
+  }
+  ASSERT_EQ(wall.spans.size(), 2u);
+  EXPECT_EQ(wall.spans[0].name, "distance-extraction");
+  EXPECT_EQ(tarr_framework_extraction_seconds(h.framework),
+            wall.spans[0].seconds);
+  EXPECT_EQ(wall.spans[1].name.rfind("map:", 0), 0u) << wall.spans[1].name;
+  EXPECT_EQ(tarr_allgather_mapping_seconds(h.allgather),
+            wall.spans[1].seconds);
 
   // Payload-verified execution through the C surface.
   EXPECT_EQ(tarr_allgather_verify(h.allgather, 512), TARR_OK);

@@ -5,8 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "mapping/comparators.hpp"
@@ -102,16 +107,91 @@ TEST(DeepNode, BgmhPacksHeavyEdgesIntoComplexes) {
             mapping::mapping_cost(g, initial, d));
 }
 
+using FileBytes = std::vector<char>;
+
+FileBytes read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return FileBytes(std::istreambuf_iterator<char>(in), {});
+}
+
+void write_bytes(const std::string& path, const FileBytes& b) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(b.data(), static_cast<std::streamsize>(b.size()));
+}
+
+void append_u32(FileBytes& b, std::uint32_t v) {
+  const char* p = reinterpret_cast<const char*>(&v);
+  b.insert(b.end(), p, p + sizeof(v));
+}
+
+/// A file header: magic, version, then n (v1) or nodes and cores per node.
+FileBytes header(std::uint32_t version, std::uint32_t a, std::uint32_t b) {
+  FileBytes h;
+  append_u32(h, 0x74615244u);
+  append_u32(h, version);
+  append_u32(h, a);
+  if (version == 2) append_u32(h, b);
+  return h;
+}
+
+/// A v1 file as the one-level format wrote it: the header, then the dense
+/// n x n matrix.
+FileBytes v1_file(const DistanceMatrix& d) {
+  FileBytes b = header(1, static_cast<std::uint32_t>(d.size()), 0);
+  for (CoreId x = 0; x < d.size(); ++x)
+    for (CoreId y = 0; y < d.size(); ++y)
+      append_u32(b, std::bit_cast<std::uint32_t>(d.at(x, y)));
+  return b;
+}
+
+/// Load `bytes` from disk: true if it loaded, false if it threw
+/// tarr::Error.  Any other exception fails the test.
+bool loads(const FileBytes& bytes) {
+  const std::string path = ::testing::TempDir() + "/tarr_fuzz.bin";
+  write_bytes(path, bytes);
+  try {
+    (void)DistanceMatrix::load(path);
+    return true;
+  } catch (const Error&) {
+    return false;
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "non-tarr exception: " << e.what();
+    return false;
+  }
+}
+
+void expect_same(const DistanceMatrix& got, const DistanceMatrix& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (CoreId a = 0; a < want.size(); ++a)
+    for (CoreId b = 0; b < want.size(); ++b)
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(got.at(a, b)),
+                std::bit_cast<std::uint32_t>(want.at(a, b)))
+          << a << "," << b;
+}
+
 TEST(DistanceIo, SaveLoadRoundtrip) {
   const Machine m = Machine::gpc(4);
   const DistanceMatrix d = extract_distances(m);
   const std::string path = ::testing::TempDir() + "/tarr_dist.bin";
   d.save(path);
+  // v2: magic, version, nodes, cores per node, 4 x 4 nodes, 8 x 8 template.
+  EXPECT_EQ(read_bytes(path).size(), 4u * (4 + 16 + 64));
   const DistanceMatrix loaded = DistanceMatrix::load(path);
   ASSERT_EQ(loaded.size(), d.size());
-  for (CoreId a = 0; a < d.size(); a += 3)
-    for (CoreId b = 0; b < d.size(); b += 5)
-      EXPECT_EQ(loaded.at(a, b), d.at(a, b));
+  EXPECT_EQ(loaded.num_nodes(), 4);
+  EXPECT_EQ(loaded.cores_per_node(), 8);
+  expect_same(loaded, d);
+  std::remove(path.c_str());
+}
+
+TEST(DistanceIo, LoadsV1AsOneLevelMatrix) {
+  const DistanceMatrix d = extract_distances(Machine::gpc(2));
+  const std::string path = ::testing::TempDir() + "/tarr_v1.bin";
+  write_bytes(path, v1_file(d));
+  const DistanceMatrix loaded = DistanceMatrix::load(path);
+  EXPECT_EQ(loaded.num_nodes(), 1);
+  EXPECT_EQ(loaded.cores_per_node(), 16);
+  expect_same(loaded, d);
   std::remove(path.c_str());
 }
 
@@ -126,6 +206,27 @@ TEST(DistanceIo, LoadRejectsGarbage) {
   EXPECT_THROW(DistanceMatrix::load(path), Error);
   EXPECT_THROW(DistanceMatrix::load("/nonexistent/dir/x.bin"), Error);
   std::remove(path.c_str());
+  // Headers whose n^2 floats exceed memory or size_t arithmetic, and a v2
+  // header with no nodes.
+  for (std::uint32_t n : {30000u, 2000000000u})
+    EXPECT_FALSE(loads(header(1, n, 0))) << n;
+  EXPECT_FALSE(loads(header(2, 0xFFFFFFFFu, 0xFFFFFFFFu)));
+  EXPECT_FALSE(loads(header(2, 0, 8)));
+  // Every header bit flip of a v1 and a v2 file: either outcome, but only
+  // a tarr::Error may escape.
+  const DistanceMatrix d = extract_distances(Machine::gpc(2));
+  d.save(path);
+  const FileBytes v2 = read_bytes(path);
+  std::remove(path.c_str());
+  for (const FileBytes& file : {v1_file(d), v2}) {
+    EXPECT_TRUE(loads(file));
+    const std::size_t header_bytes = file == v2 ? 16 : 12;
+    for (std::size_t bit = 0; bit < 8 * header_bytes; ++bit) {
+      FileBytes flipped = file;
+      flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << bit % 8));
+      loads(flipped);
+    }
+  }
 }
 
 TEST(DistanceIo, LoadRejectsTruncated) {
@@ -133,6 +234,7 @@ TEST(DistanceIo, LoadRejectsTruncated) {
   const DistanceMatrix d = extract_distances(m);
   const std::string path = ::testing::TempDir() + "/tarr_trunc.bin";
   d.save(path);
+  const FileBytes v2 = read_bytes(path);
   // Truncate the payload.
   {
     std::FILE* f = std::fopen(path.c_str(), "rb+");
@@ -142,6 +244,11 @@ TEST(DistanceIo, LoadRejectsTruncated) {
   }
   EXPECT_THROW(DistanceMatrix::load(path), Error);
   std::remove(path.c_str());
+  // Every cut of a v1 and a v2 file.
+  for (const FileBytes& file : {v1_file(d), v2})
+    for (std::size_t cut = 0; cut < file.size(); ++cut)
+      EXPECT_FALSE(loads(FileBytes(file.begin(), file.begin() + cut)))
+          << "cut at " << cut << " of " << file.size();
 }
 
 }  // namespace

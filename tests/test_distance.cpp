@@ -86,7 +86,7 @@ TEST(Distance, MatrixSetAndRow) {
   d.set(0, 2, 5.0f);
   EXPECT_EQ(d.at(0, 2), 5.0f);
   EXPECT_EQ(d.at(2, 0), 5.0f);
-  const float* row = d.row(0);
+  const DistanceMatrix::Row row = d.from(0);
   EXPECT_EQ(row[2], 5.0f);
   EXPECT_EQ(row[1], 1.0f);
 }

@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/error.hpp"
 #include "common/permutation.hpp"
 #include "mapping/comparators.hpp"
 #include "mapping/heuristics.hpp"
+#include "prof/profiler.hpp"
 #include "simmpi/layout.hpp"
+#include "trace/sink.hpp"
 
 namespace tarr::core {
 namespace {
@@ -16,16 +20,37 @@ using simmpi::LayoutSpec;
 using simmpi::make_layout;
 using topology::Machine;
 
+/// Records the wall spans the framework emits.
+struct WallSpans : trace::TraceSink {
+  std::vector<trace::WallSpan> spans;
+  void on_wall_span(const trace::WallSpan& s) override { spans.push_back(s); }
+};
+
 TEST(Framework, DistanceExtractionIsCachedAndTimed) {
   const Machine m = Machine::gpc(4);
   ReorderFramework fw(m);
   EXPECT_EQ(fw.distance_extraction_seconds(), 0.0);
+  prof::Profiler profiler;
+  prof::ScopedThreadProfiler guard(&profiler);
+  auto extractions = [&] {
+    const prof::Profile p = profiler.snapshot();
+    const prof::ProfileEntry* e = p.find("distance-extraction");
+    return e == nullptr ? 0LL : e->calls;
+  };
+  WallSpans wall;
+  fw.set_trace_sink(&wall);
   const auto& d1 = fw.distances();
   const double t = fw.distance_extraction_seconds();
-  EXPECT_GT(t, 0.0);
+  EXPECT_EQ(extractions(), 1);
+  // The accessor returns the measured time, emitted as the wall span.
+  ASSERT_EQ(wall.spans.size(), 1u);
+  EXPECT_EQ(wall.spans[0].name, "distance-extraction");
+  EXPECT_EQ(t, wall.spans[0].seconds);
   const auto& d2 = fw.distances();
   EXPECT_EQ(&d1, &d2);  // cached
   EXPECT_EQ(fw.distance_extraction_seconds(), t);  // not re-extracted
+  EXPECT_EQ(extractions(), 1);
+  EXPECT_EQ(wall.spans.size(), 1u);
 }
 
 TEST(Framework, ReorderInvariants) {

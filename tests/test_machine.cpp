@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "prof/profiler.hpp"
 
 namespace tarr::topology {
 namespace {
@@ -68,6 +69,22 @@ TEST(Machine, DescribeMentionsScale) {
   const std::string d = m.describe();
   EXPECT_NE(d.find("3 nodes"), std::string::npos);
   EXPECT_NE(d.find("24 cores"), std::string::npos);
+}
+
+TEST(Machine, ConstructionIsProfiledAsNetworkAndRouterBuild) {
+  // Set-up is nearly all machine construction once distances are cheap; a
+  // profiled run must show where it went.
+  prof::Profiler profiler;
+  {
+    prof::ScopedThreadProfiler guard(&profiler);
+    const Machine m = Machine::gpc(8);
+  }
+  const prof::Profile p = profiler.snapshot();
+  for (const char* scope : {"network-build", "router-build"}) {
+    const prof::ProfileEntry* e = p.find(scope);
+    ASSERT_NE(e, nullptr) << scope;
+    EXPECT_EQ(e->calls, 1) << scope;
+  }
 }
 
 }  // namespace

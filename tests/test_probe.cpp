@@ -109,9 +109,10 @@ TEST(Probe, ZeroNoiseRecoversTruthExactly) {
   EXPECT_EQ(out.report.pairs, 8 * 7 / 2);
   EXPECT_DOUBLE_EQ(out.report.rms_rel_error, 0.0);
   EXPECT_DOUBLE_EQ(out.report.max_rel_error, 0.0);
+  const DistanceMatrix node = out.distances.node_level();
   for (NodeId a = 0; a < 8; ++a)
     for (NodeId b = 0; b < 8; ++b)
-      EXPECT_FLOAT_EQ(out.node.at(a, b), truth.at(a, b)) << a << "," << b;
+      EXPECT_FLOAT_EQ(node.at(a, b), truth.at(a, b)) << a << "," << b;
 }
 
 TEST(Probe, IntraNodeBlockIsNeverNoisy) {
@@ -125,10 +126,10 @@ TEST(Probe, IntraNodeBlockIsNeverNoisy) {
   const DistanceMatrix exact =
       topology::extract_distances(m, cfg.distances);
   for (int c = 0; c < m.total_cores(); ++c) {
-    EXPECT_FLOAT_EQ(out.core.at(c, c), exact.at(c, c));
+    EXPECT_FLOAT_EQ(out.distances.at(c, c), exact.at(c, c));
     // Same-node, different-core entries are the exact local distances.
     const int peer = (c % 2 == 0) ? c + 1 : c - 1;
-    EXPECT_FLOAT_EQ(out.core.at(c, peer), exact.at(c, peer));
+    EXPECT_FLOAT_EQ(out.distances.at(c, peer), exact.at(c, peer));
   }
 }
 
@@ -205,9 +206,10 @@ TEST(Probe, TotalLossFillsWorstCaseAndFails) {
   // and the matrix stayed finite.
   const float wc = out.report.worst_case_distance;
   EXPECT_TRUE(std::isfinite(wc));
+  const DistanceMatrix node = out.distances.node_level();
   for (NodeId a = 0; a < 8; ++a)
     for (NodeId b = a + 1; b < 8; ++b)
-      EXPECT_FLOAT_EQ(out.node.at(a, b), wc);
+      EXPECT_FLOAT_EQ(node.at(a, b), wc);
 }
 
 TEST(Probe, WorstCaseFillExceedsEveryResolvedEstimate) {
@@ -225,9 +227,11 @@ TEST(Probe, WorstCaseFillExceedsEveryResolvedEstimate) {
   for (const PairProbe& p : out.report.pair_stats)
     if (p.resolved) max_resolved = std::max(max_resolved, p.estimate);
   EXPECT_GE(out.report.worst_case_distance, max_resolved);
+  const DistanceMatrix node = out.distances.node_level();
   for (const PairProbe& p : out.report.pair_stats)
-    if (!p.resolved)
-      EXPECT_FLOAT_EQ(out.node.at(p.a, p.b), out.report.worst_case_distance);
+    if (!p.resolved) {
+      EXPECT_FLOAT_EQ(node.at(p.a, p.b), out.report.worst_case_distance);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -248,12 +252,14 @@ TEST(Probe, SameSeedIsByteIdenticalIncludingTrace) {
   EXPECT_EQ(a.report.csv(), b.report.csv());
   EXPECT_EQ(a.report.summary(), b.report.summary());
   EXPECT_EQ(sans_wall(t1.metrics().csv()), sans_wall(t2.metrics().csv()));
+  const DistanceMatrix a_node = a.distances.node_level();
+  const DistanceMatrix b_node = b.distances.node_level();
   for (NodeId x = 0; x < 8; ++x)
     for (NodeId y = 0; y < 8; ++y)
-      EXPECT_FLOAT_EQ(a.node.at(x, y), b.node.at(x, y));
+      EXPECT_FLOAT_EQ(a_node.at(x, y), b_node.at(x, y));
   for (int x = 0; x < m.total_cores(); ++x)
     for (int y = 0; y < m.total_cores(); ++y)
-      EXPECT_FLOAT_EQ(a.core.at(x, y), b.core.at(x, y));
+      EXPECT_FLOAT_EQ(a.distances.at(x, y), b.distances.at(x, y));
 
   ProbeConfig other = cfg;
   other.seed = 43;

@@ -7,6 +7,7 @@
 
 #include "bench/sweep.hpp"
 #include "core/topoallgather.hpp"
+#include "prof/profiler.hpp"
 #include "simmpi/layout.hpp"
 
 namespace tarr {
@@ -133,13 +134,28 @@ TEST_F(Shapes, Fig4_HierGainsLowerThanFlatForSmall) {
 }
 
 TEST_F(Shapes, Fig7_HeuristicsNotSlowerThanScotchLike) {
-  auto h = path(kBlockBunch, MapperKind::Heuristic);
-  auto s = path(kBlockBunch, MapperKind::ScotchLike);
-  h.latency(kSmall);
-  s.latency(kSmall);
-  // Same order of magnitude at worst; the graph mapper must not be cheaper
-  // by more than ~2x (it has to build and partition the pattern graph).
-  EXPECT_LT(h.mapping_seconds(), 2.0 * s.mapping_seconds() + 1e-3);
+  // Mapping work in deterministic counters: the heuristic's free-slot scan
+  // steps against the graph mapper's bisection swap evaluations.
+  auto work = [this](MapperKind kind, const char* counter) {
+    auto p = path(kBlockBunch, kind);
+    prof::Profiler profiler;
+    {
+      prof::ScopedThreadProfiler guard(&profiler);
+      p.latency(kSmall);
+    }
+    return profiler.snapshot().counter_total(counter);
+  };
+  const double h = work(MapperKind::Heuristic, "mapping.scan_steps");
+  const double s = work(MapperKind::ScotchLike, "bisection.swap_evals");
+  EXPECT_GT(h, 0.0);
+  // A scan step is one distance load and compare; a swap evaluation prices
+  // a vertex pair against its adjacency.  At this size on an x86-64 host
+  // (RelWithDebInfo) RDMH spends ~4 ns per scan step and the graph mapper
+  // ~54 ns per swap evaluation, graph build included.  Pricing a swap
+  // evaluation at a conservative 5 scan steps: same order of magnitude at
+  // worst, the graph mapper must not be cheaper by more than ~2x.
+  constexpr double kScanStepsPerSwapEval = 5.0;
+  EXPECT_LT(h, 2.0 * kScanStepsPerSwapEval * s);
 }
 
 }  // namespace

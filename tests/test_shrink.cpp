@@ -193,7 +193,7 @@ TEST(DegradedTopology, SplitPairsPricedAtInfinity) {
     if (g.vertex(v).kind == topology::VertexKind::SpineSwitch)
       mask.fail_switch(v);
   const DegradedTopology topo(base, std::move(mask));
-  const topology::DistanceMatrix d = topo.node_distances();
+  const topology::DistanceMatrix d = topo.distances().node_level();
   const float inf = std::numeric_limits<float>::infinity();
   EXPECT_EQ(d.at(0, 4), inf);  // across the cut
   EXPECT_LT(d.at(0, 3), inf);  // same island

@@ -5,6 +5,7 @@
 #include <tuple>
 
 #include "common/error.hpp"
+#include "prof/profiler.hpp"
 #include "simmpi/layout.hpp"
 
 namespace tarr::core {
@@ -109,14 +110,22 @@ TEST(TopoAllgather, ReorderHappensOncePerAlgorithm) {
   TopoAllgatherConfig cfg;
   cfg.mapper = MapperKind::Heuristic;
   TopoAllgather ta(w.framework, w.comm(32), cfg);
+  prof::Profiler profiler;
+  prof::ScopedThreadProfiler guard(&profiler);
+  auto reorders = [&] {
+    const prof::Profile p = profiler.snapshot();
+    const prof::ProfileEntry* e = p.find("reorder");
+    return e == nullptr ? 0LL : e->calls;
+  };
   ta.latency(1024);  // recursive doubling regime
   const double after_first = ta.mapping_seconds();
-  EXPECT_GT(after_first, 0.0);
+  EXPECT_EQ(reorders(), 1);
   ta.latency(2048);
   ta.latency(4096);
+  EXPECT_EQ(reorders(), 1);
   EXPECT_EQ(ta.mapping_seconds(), after_first);  // cached reorder
   ta.latency(256 * 1024);  // ring regime -> one more reorder
-  EXPECT_GT(ta.mapping_seconds(), after_first);
+  EXPECT_EQ(reorders(), 2);
 }
 
 TEST(TopoAllgather, ReorderedForSelectsByRegime) {

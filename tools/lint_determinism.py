@@ -17,6 +17,12 @@ This lint bans the C++ constructs that silently break that promise:
                         iteration order is the allocator's
   locale                setlocale / std::locale / imbue — number formatting
                         becomes environment-dependent
+  wallclock-assert      an ordering assertion (EXPECT_/ASSERT_ LT, LE, GT,
+                        GE, NEAR) on a seconds or millis value, or on a
+                        variable assigned from one — its outcome depends on
+                        host speed; assert a tarr::prof counter or scope
+                        call count instead.  GE(x, 0) is exempt: no clock
+                        can fail a non-negativity check.
 
 Suppressions, either of:
   * inline, on the offending line:  // lint:allow(determinism): <why>
@@ -24,7 +30,8 @@ Suppressions, either of:
         <path-relative-to-repo>:<rule>  # <why>
 
 Usage: tools/lint_determinism.py [--root DIR] [FILE...]
-Lints src/ by default; exits 1 if any unsuppressed finding remains.
+Lints src/, bench/, examples/ and tests/ by default; exits 1 if any
+unsuppressed finding remains.
 """
 
 import argparse
@@ -41,6 +48,8 @@ RULES = {
     "explicit seed",
     "pointer-keyed": "pointer-keyed ordering depends on the allocator",
     "locale": "locale-dependent formatting varies with the environment",
+    "wallclock-assert": "wall-clock ordering depends on host speed; assert "
+    "a prof counter or scope call count",
 }
 
 INLINE_ALLOW = re.compile(r"//\s*lint:allow\(determinism\)")
@@ -55,6 +64,10 @@ STD_RAND = re.compile(r"\b(?:std::)?s?rand\s*\(")
 POINTER_KEYED = re.compile(r"\bstd::(?:map|set|multimap|multiset)\s*<\s*"
                            r"(?:const\s+)?[\w:]+(?:\s*<[^<>]*>)?\s*\*")
 LOCALE = re.compile(r"\bsetlocale\s*\(|\bstd::locale\b|\.\s*imbue\s*\(")
+WALL_NAME = re.compile(r"\w*(?:seconds|millis)\w*")
+WALL_ASSIGN = re.compile(r"\b(\w+)\s*=(?!=)[^;]*?\b\w*(?:seconds|millis)")
+ORDER_ASSERT = re.compile(r"\b(?:EXPECT|ASSERT)_(LT|LE|GT|GE|NEAR)\s*\((.*)")
+NON_NEGATIVE = re.compile(r"[^,]*,\s*0(?:\.0*)?\s*\)")
 
 
 def strip_comments_and_strings(line: str) -> str:
@@ -90,6 +103,7 @@ def lint_file(path: Path):
     unordered_vars = set()
     for m in UNORDERED_DECL.finditer(text):
         unordered_vars.add(m.group(1))
+    wall_vars = {m.group(1) for m in WALL_ASSIGN.finditer(text)}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if INLINE_ALLOW.search(raw):
             continue
@@ -108,6 +122,14 @@ def lint_file(path: Path):
             yield lineno, "pointer-keyed", line.strip()
         if LOCALE.search(line):
             yield lineno, "locale", line.strip()
+        m = ORDER_ASSERT.search(line)
+        if m:
+            kind, args = m.groups()
+            names = set(re.findall(r"\w+", args))
+            on_wall = (any(WALL_NAME.fullmatch(n) for n in names)
+                       or names & wall_vars)
+            if on_wall and not (kind == "GE" and NON_NEGATIVE.match(args)):
+                yield lineno, "wallclock-assert", line.strip()
 
 
 def load_allowlist(repo_root: Path):
@@ -130,17 +152,18 @@ def main() -> int:
                     help="files to lint (default: all of --root)")
     ap.add_argument("--root", type=Path, default=None,
                     help="directory to lint recursively "
-                         "(default: src/, bench/ and examples/)")
+                         "(default: src/, bench/, examples/ and tests/)")
     args = ap.parse_args()
 
     repo_root = Path(__file__).resolve().parent.parent
     files = args.files
     if not files:
         # Default scope covers everything that feeds byte-identity-gated
-        # artifacts: the library, the bench snapshot writers, and the CLIs.
+        # artifacts (the library, the bench snapshot writers, the CLIs) and
+        # the tests, which must pass on any host.
         roots = ([args.root] if args.root is not None else
                  [repo_root / "src", repo_root / "bench",
-                  repo_root / "examples"])
+                  repo_root / "examples", repo_root / "tests"])
         files = []
         for root in roots:
             files += sorted(root.rglob("*.cpp")) + sorted(root.rglob("*.hpp"))
