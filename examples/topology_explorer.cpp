@@ -17,11 +17,11 @@ void show_route(const Machine& m, NodeId a, NodeId b) {
   const auto& net = m.network();
   std::printf("  node%-4d -> node%-4d (%d hops): node%d", a, b,
               m.router().hops(a, b), a);
-  NetVertexId at = net.host_vertex(a);
-  for (LinkId l : m.router().path(a, b)) {
-    at = net.other_end(l, at);
-    std::printf(" -> %s", net.vertex(at).name.c_str());
-  }
+  m.router().walk(a, b, [&](Hop h) {
+    const NetLink& link = net.link(h.link);
+    const NetVertexId entered = h.dir == 0 ? link.b : link.a;
+    std::printf(" -> %s", net.vertex(entered).name.c_str());
+  });
   std::printf("\n");
 }
 

@@ -568,15 +568,11 @@ std::vector<report::RecordedLoad> static_stage_loads(
         qpi_bytes[idx] += b;
         continue;
       }
-      NetVertexId at = net.host_vertex(na);
-      for (LinkId l : m.router().path(na, nb)) {
-        const int dir = net.link(l).a == at ? 0 : 1;
-        const std::size_t idx = static_cast<std::size_t>(l) * 2 + dir;
-        if (link_bytes[idx] == 0.0)
-          touched_links.push_back(static_cast<int>(idx));
+      m.router().walk(na, nb, [&](topology::Hop h) {
+        const int idx = 2 * h.link + h.dir;
+        if (link_bytes[idx] == 0.0) touched_links.push_back(idx);
         link_bytes[idx] += b;
-        at = net.other_end(l, at);
-      }
+      });
     }
   }
   std::vector<report::RecordedLoad> out;

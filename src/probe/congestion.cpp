@@ -83,7 +83,9 @@ topology::DistanceMatrix effective_node_distances(
   for (NodeId a = 0; a < m.num_nodes(); ++a) {
     for (NodeId b = a + 1; b < m.num_nodes(); ++b) {
       double hops = 0.0;
-      for (LinkId l : router.path(a, b)) hops += w[static_cast<std::size_t>(l)];
+      router.walk(a, b, [&](topology::Hop h) {
+        hops += w[static_cast<std::size_t>(h.link)];
+      });
       d.set(a, b, cfg.inter_node_base + cfg.per_hop * static_cast<float>(hops));
     }
   }

@@ -21,10 +21,6 @@ void CostModel::begin_stage() {
   stage_open_ = true;
 }
 
-double& CostModel::link_load(LinkId l, int dir) {
-  return link_bytes_[static_cast<std::size_t>(l) * 2 + dir];
-}
-
 double& CostModel::qpi_load(NodeId n, int dir) {
   return qpi_bytes_[static_cast<std::size_t>(n) * 2 + dir];
 }
@@ -66,14 +62,11 @@ void CostModel::add_transfer(CoreId src, CoreId dst, Bytes bytes) {
     }
     return;
   }
-  const auto& net = m.network();
-  NetVertexId at = net.host_vertex(na);
-  for (LinkId l : m.router().path(na, nb)) {
-    const int dir = net.link(l).a == at ? 0 : 1;
-    if (link_load(l, dir) == 0.0) touched_links_.push_back(l * 2 + dir);
-    link_load(l, dir) += b;
-    at = net.other_end(l, at);
-  }
+  m.router().walk(na, nb, [&](topology::Hop h) {
+    const int idx = 2 * h.link + h.dir;
+    if (link_bytes_[idx] == 0.0) touched_links_.push_back(idx);
+    link_bytes_[idx] += b;
+  });
 }
 
 Usec CostModel::finish_stage() {
@@ -138,20 +131,16 @@ Usec CostModel::finish_stage() {
         cost = cfg_.alpha_shm_cross + bw_time;
       }
     } else {
-      const auto path = m.router().path(na, nb);
       double bottleneck = own;
-      if (cfg_.model_contention) {
-        NetVertexId at = net.host_vertex(na);
-        for (LinkId l : path) {
-          const int dir = net.link(l).a == at ? 0 : 1;
-          bottleneck = std::max(
-              bottleneck, link_load(l, dir) / net.link(l).capacity);
-          at = net.other_end(l, at);
-        }
-      }
+      const int hops = m.router().walk(na, nb, [&](topology::Hop h) {
+        if (cfg_.model_contention)
+          bottleneck = std::max(bottleneck,
+                                link_bytes_[2 * h.link + h.dir] /
+                                    net.link(h.link).capacity);
+      });
       if (own > 0.0) contention = bottleneck / own;
-      const Usec alpha = cfg_.alpha_net +
-                         cfg_.alpha_hop * static_cast<double>(path.size());
+      const Usec alpha =
+          cfg_.alpha_net + cfg_.alpha_hop * static_cast<double>(hops);
       uncontended = alpha + own * cfg_.beta_net;
       cost = alpha + bottleneck * cfg_.beta_net;
     }

@@ -141,14 +141,13 @@ class CostModel {
     Bytes bytes;
   };
 
-  double& link_load(LinkId l, int dir);
   double& qpi_load(NodeId n, int dir);
   double& socket_load(NodeId n, SocketId s);
 
   const topology::Machine* machine_;
   CostConfig cfg_;
   std::vector<Pending> pending_;
-  /// Directed per-link byte loads (2 slots per link), per-direction QPI
+  /// Directed per-link byte loads (slot 2 * link + dir), per-direction QPI
   /// loads, per-socket memory loads, and their touched sets for O(stage)
   /// clearing.
   std::vector<double> link_bytes_;

@@ -84,38 +84,40 @@ Partitioned host_components(const SwitchGraph& g) {
 }
 
 Router::Router(const SwitchGraph& g, HostPolicy policy)
-    : graph_(&g), num_hosts_(g.num_hosts()) {
+    : num_vertices_(g.num_vertices()) {
   prof::ProfScope pscope("router-build");
   components_ = host_components(g);
   if (policy == HostPolicy::RequireAll && components_.components.size() > 1)
     throw PartitionedError(components_);
-  component_of_.assign(num_hosts_, 0);
+  const int H = g.num_hosts();
+  component_of_.assign(H, 0);
   for (std::size_t c = 0; c < components_.components.size(); ++c)
     for (NodeId n : components_.components[c])
       component_of_[n] = static_cast<int>(c);
+  host_vertex_.resize(H);
+  for (NodeId n = 0; n < H; ++n) host_vertex_[n] = g.host_vertex(n);
+  enters_.resize(static_cast<std::size_t>(g.num_links()) * 2);
+  for (LinkId l = 0; l < g.num_links(); ++l) {
+    enters_[static_cast<std::size_t>(l) * 2] = g.link(l).b;
+    enters_[static_cast<std::size_t>(l) * 2 + 1] = g.link(l).a;
+  }
 
-  const int V = g.num_vertices();
-  const int H = num_hosts_;
-  offset_.assign(static_cast<std::size_t>(H) * H + 1, 0);
-
+  const int V = num_vertices_;
+  next_.assign(static_cast<std::size_t>(H) * V, -1);
   constexpr int kUnreached = std::numeric_limits<int>::max();
   std::vector<int> level(V);
-  std::deque<NetVertexId> queue;
+  std::vector<NetVertexId> queue;  // BFS visit order; queue[0] is the target
+  queue.reserve(V);
 
-  // First pass per destination: BFS levels; then for every source walk the
-  // level gradient picking the hashed candidate.  Two passes over (src,dst)
-  // fill offsets then links.
-  std::vector<std::vector<LinkId>> tmp(static_cast<std::size_t>(H) * H);
-
+  // Per destination: BFS levels, then at every vertex that reaches the
+  // destination the hashed pick among its downhill links.
   for (NodeId dst = 0; dst < H; ++dst) {
     std::fill(level.begin(), level.end(), kUnreached);
-    const NetVertexId target = g.host_vertex(dst);
+    const NetVertexId target = host_vertex_[dst];
     level[target] = 0;
-    queue.clear();
-    queue.push_back(target);
-    while (!queue.empty()) {
-      const NetVertexId u = queue.front();
-      queue.pop_front();
+    queue.assign(1, target);
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const NetVertexId u = queue[head];
       for (LinkId l : g.incident(u)) {
         const NetVertexId w = g.other_end(l, u);
         if (level[w] == kUnreached) {
@@ -124,63 +126,34 @@ Router::Router(const SwitchGraph& g, HostPolicy policy)
         }
       }
     }
-    for (NodeId src = 0; src < H; ++src) {
-      if (src == dst) continue;
-      if (component_of_[src] != component_of_[dst]) continue;  // unroutable
-      NetVertexId at = g.host_vertex(src);
-      TARR_REQUIRE(level[at] != kUnreached,
-                   "Router: component map disagrees with BFS");
-      auto& path = tmp[static_cast<std::size_t>(src) * H + dst];
-      path.reserve(level[at]);
-      while (at != target) {
-        // Collect the downhill candidates, then pick deterministically.
-        int candidates = 0;
-        for (LinkId l : g.incident(at)) {
-          if (level[g.other_end(l, at)] == level[at] - 1) ++candidates;
+    int* next = next_.data() + static_cast<std::size_t>(dst) * V;
+    for (std::size_t i = 1; i < queue.size(); ++i) {
+      const NetVertexId at = queue[i];
+      // Count the downhill candidates, then pick deterministically.
+      int candidates = 0;
+      for (LinkId l : g.incident(at)) {
+        if (level[g.other_end(l, at)] == level[at] - 1) ++candidates;
+      }
+      TARR_REQUIRE(candidates > 0, "Router: BFS gradient broken");
+      int pick = static_cast<int>(route_hash(dst, at) %
+                                  static_cast<std::uint32_t>(candidates));
+      for (LinkId l : g.incident(at)) {
+        if (level[g.other_end(l, at)] == level[at] - 1 && pick-- == 0) {
+          next[at] = 2 * l + (g.link(l).a == at ? 0 : 1);
+          break;
         }
-        TARR_REQUIRE(candidates > 0, "Router: BFS gradient broken");
-        int pick = static_cast<int>(route_hash(dst, at) %
-                                    static_cast<std::uint32_t>(candidates));
-        LinkId chosen = -1;
-        for (LinkId l : g.incident(at)) {
-          if (level[g.other_end(l, at)] == level[at] - 1 && pick-- == 0) {
-            chosen = l;
-            break;
-          }
-        }
-        path.push_back(chosen);
-        at = g.other_end(chosen, at);
       }
     }
+    for (NodeId src : components_.components[component_of_[dst]])
+      TARR_REQUIRE(src == dst || next[host_vertex_[src]] != -1,
+                   "Router: component map disagrees with BFS");
   }
-
-  std::size_t total = 0;
-  for (const auto& p : tmp) total += p.size();
-  links_.reserve(total);
-  for (std::size_t i = 0; i < tmp.size(); ++i) {
-    offset_[i] = static_cast<int>(links_.size());
-    links_.insert(links_.end(), tmp[i].begin(), tmp[i].end());
-  }
-  offset_.back() = static_cast<int>(links_.size());
-}
-
-std::span<const LinkId> Router::path(NodeId src, NodeId dst) const {
-  TARR_REQUIRE(src >= 0 && src < num_hosts_ && dst >= 0 && dst < num_hosts_,
-               "Router::path: node out of range");
-  if (src != dst && component_of_[src] != component_of_[dst])
-    throw PartitionedError(components_);
-  const std::size_t idx = static_cast<std::size_t>(src) * num_hosts_ + dst;
-  return std::span<const LinkId>(links_.data() + offset_[idx],
-                                 links_.data() + offset_[idx + 1]);
-}
-
-int Router::hops(NodeId src, NodeId dst) const {
-  return static_cast<int>(path(src, dst).size());
 }
 
 bool Router::reachable(NodeId src, NodeId dst) const {
-  TARR_REQUIRE(src >= 0 && src < num_hosts_ && dst >= 0 && dst < num_hosts_,
-               "Router::reachable: node out of range");
+  const auto hosts = static_cast<NodeId>(host_vertex_.size());
+  TARR_REQUIRE(src >= 0 && src < hosts && dst >= 0 && dst < hosts,
+               "Router: node out of range");
   return src == dst || component_of_[src] == component_of_[dst];
 }
 

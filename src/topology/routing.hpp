@@ -1,6 +1,5 @@
 #pragma once
 
-#include <span>
 #include <string>
 #include <vector>
 
@@ -8,16 +7,18 @@
 #include "topology/network.hpp"
 
 /// \file routing.hpp
-/// Deterministic destination-based routing over a SwitchGraph, modeling the
-/// static LFT routing of InfiniBand fabrics.
+/// Deterministic destination-based routing over a SwitchGraph: the static
+/// linear forwarding tables (LFTs) of an InfiniBand fabric.
 ///
-/// For every (src node, dst node) pair the router selects one shortest path.
-/// At each hop, the outgoing link is chosen among the shortest-path
-/// candidates by a deterministic function of (destination, current switch) —
-/// the same flavor of spreading as D-mod-K / ftree routing: traffic to
-/// different destinations fans out across parallel uplinks, while all traffic
-/// to one destination follows a fixed path (so two flows to the same place
-/// genuinely contend, which is what produces the paper's congestion effects).
+/// For every destination host the router keeps one forwarding entry per
+/// vertex: the link that leaves that vertex on a shortest path toward the
+/// destination.  Among the shortest-path candidates the entry is chosen by a
+/// deterministic function of (destination, current vertex) — the same flavor
+/// of spreading as D-mod-K / ftree routing: traffic to different
+/// destinations fans out across parallel uplinks, while all traffic to one
+/// destination follows a fixed path (so two flows to the same place
+/// genuinely contend, which is what produces the paper's congestion
+/// effects).  A route is read by walking the tables from the source host.
 ///
 /// Failover: constructing a Router over a degraded graph (links or switches
 /// removed, see fault::FaultMask) automatically reroutes every pair onto the
@@ -57,31 +58,41 @@ class PartitionedError : public Error {
 /// surviving link forms a singleton component.
 Partitioned host_components(const SwitchGraph& g);
 
-/// Precomputed all-pairs single-path routes between host endpoints.
+/// One hop of a route: the link taken and the direction it is crossed in
+/// (0: from link.a to link.b, 1: from link.b to link.a).  2 * link + dir
+/// indexes per-direction link state.
+struct Hop {
+  LinkId link = -1;
+  int dir = 0;
+};
+
+/// Per-destination forwarding tables between host endpoints.  Self-contained:
+/// it keeps no reference to the graph it was built from.
 class Router {
  public:
   /// What to do when the graph's hosts are not mutually connected.
   enum class HostPolicy {
     RequireAll,        ///< throw PartitionedError at construction
-    AllowUnreachable,  ///< build; path()/hops() on a split pair throw
+    AllowUnreachable,  ///< build; walk()/hops() on a split pair throw
   };
 
-  /// Builds routes for every ordered pair of hosts in `g`.  With the default
+  /// Builds the forwarding tables of every host in `g`.  With the default
   /// policy the graph must be connected across all hosts or construction
   /// throws PartitionedError; with AllowUnreachable the router is built for
   /// whatever connectivity survives (degraded-fabric routing) and
-  /// reachable() reports per-pair status.  The referenced graph must outlive
-  /// the router.
+  /// reachable() reports per-pair status.
   explicit Router(const SwitchGraph& g,
                   HostPolicy policy = HostPolicy::RequireAll);
 
-  /// The sequence of links from host(src) to host(dst); empty iff src == dst.
-  /// Throws PartitionedError if the pair is not reachable.
-  std::span<const LinkId> path(NodeId src, NodeId dst) const;
+  /// Calls visit(Hop) for each link from host(src) to host(dst), in route
+  /// order, and returns the number of hops (0 iff src == dst).  Throws
+  /// PartitionedError if the pair is not reachable.
+  template <class Visit>
+  int walk(NodeId src, NodeId dst, Visit&& visit) const;
 
   /// Number of links on the route (0 iff src == dst).  Throws
   /// PartitionedError if the pair is not reachable.
-  int hops(NodeId src, NodeId dst) const;
+  int hops(NodeId src, NodeId dst) const { return walk(src, dst, [](Hop) {}); }
 
   /// True iff src and dst lie in the same surviving component (always true
   /// for src == dst).
@@ -93,17 +104,31 @@ class Router {
   /// The host component decomposition this router was built over.
   const Partitioned& partition() const { return components_; }
 
-  /// The network this router was built for.
-  const SwitchGraph& graph() const { return *graph_; }
-
  private:
-  const SwitchGraph* graph_;
-  int num_hosts_;
-  /// Flattened storage: paths_[offset_[src*H+dst] .. offset_[src*H+dst+1]).
-  std::vector<int> offset_;
-  std::vector<LinkId> links_;
+  int num_vertices_;
+  std::vector<NetVertexId> host_vertex_;  ///< node -> its host vertex
+  /// Directed link 2 * l + dir -> the vertex it enters.
+  std::vector<NetVertexId> enters_;
+  /// next_[dst * num_vertices_ + v]: the directed link that leaves v toward
+  /// host(dst); -1 at host(dst) itself and where host(dst) is unreachable.
+  std::vector<int> next_;
   Partitioned components_;
   std::vector<int> component_of_;  // host node -> component index
 };
+
+template <class Visit>
+int Router::walk(NodeId src, NodeId dst, Visit&& visit) const {
+  if (!reachable(src, dst)) throw PartitionedError(components_);
+  const int* next =
+      next_.data() + static_cast<std::size_t>(dst) * num_vertices_;
+  const NetVertexId target = host_vertex_[dst];
+  int n = 0;
+  for (NetVertexId at = host_vertex_[src]; at != target; ++n) {
+    const int d = next[at];
+    visit(Hop{d / 2, d % 2});
+    at = enters_[d];
+  }
+  return n;
+}
 
 }  // namespace tarr::topology

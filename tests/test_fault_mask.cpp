@@ -4,6 +4,7 @@
 
 #include <limits>
 #include <set>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -13,12 +14,20 @@
 namespace tarr::fault {
 namespace {
 
+using topology::Hop;
 using topology::Router;
 using topology::SwitchGraph;
 using topology::VertexKind;
 using topology::build_gpc_network;
 using topology::build_single_switch_network;
 using topology::build_two_level_fattree;
+
+/// The route's links in order.
+std::vector<LinkId> links_of(const Router& r, NodeId src, NodeId dst) {
+  std::vector<LinkId> links;
+  r.walk(src, dst, [&](Hop h) { links.push_back(h.link); });
+  return links;
+}
 
 TEST(FaultMask, EmptyMaskReproducesGraphExactly) {
   const SwitchGraph g = build_gpc_network(60);
@@ -42,8 +51,8 @@ TEST(FaultMask, EmptyMaskYieldsIdenticalRoutes) {
   const Router r1(g), r2(d);
   for (NodeId a = 0; a < 90; a += 7) {
     for (NodeId b = 0; b < 90; b += 11) {
-      const auto p1 = r1.path(a, b);
-      const auto p2 = r2.path(a, b);
+      const auto p1 = links_of(r1, a, b);
+      const auto p2 = links_of(r2, a, b);
       ASSERT_EQ(p1.size(), p2.size());
       for (std::size_t i = 0; i < p1.size(); ++i) EXPECT_EQ(p1[i], p2[i]);
     }
@@ -80,7 +89,7 @@ TEST(FaultMask, FailoverReroutesOntoSurvivingShortestPath) {
   // the other spine at the same length.
   const SwitchGraph g = build_two_level_fattree(8, 4, 2);
   const Router before(g);
-  const auto path = before.path(0, 7);  // crosses leaves
+  const auto path = links_of(before, 0, 7);  // crosses leaves
   ASSERT_EQ(path.size(), 4u);
   // path[1] is the leaf->spine uplink chosen for this destination.
   const SwitchGraph d = FaultMask{}.fail_link(path[1]).apply(g);
@@ -89,7 +98,7 @@ TEST(FaultMask, FailoverReroutesOntoSurvivingShortestPath) {
   EXPECT_EQ(after.hops(0, 7), 4);
   // The degraded route is valid hop by hop.
   NetVertexId at = d.host_vertex(0);
-  for (LinkId l : after.path(0, 7)) at = d.other_end(l, at);
+  after.walk(0, 7, [&](Hop h) { at = d.other_end(h.link, at); });
   EXPECT_EQ(at, d.host_vertex(7));
 }
 

@@ -396,6 +396,26 @@ TEST(Memhook, AllocationCountersAreDeterministic) {
   EXPECT_EQ(csv[0], csv[1]);
 }
 
+TEST(Memhook, RouterBuildAllocatesPerDestinationNotPerPair) {
+  // The forwarding tables cost O(hosts x vertices) in a handful of blocks;
+  // a route stored per host pair would need H^2 vector headers alone.
+  ASSERT_TRUE(link_memhook());
+  constexpr int kHosts = 512;
+  Profiler profiler;
+  {
+    ScopedThreadProfiler guard(&profiler);
+    const topology::Machine m = topology::Machine::gpc(kHosts);
+    ASSERT_EQ(m.num_nodes(), kHosts);
+  }
+  const Profile s = profiler.snapshot();
+  const ProfileEntry* e = s.find("router-build");
+  ASSERT_NE(e, nullptr);
+  EXPECT_LT(e->mem_allocs_total, 8 * kHosts);
+  EXPECT_LT(e->mem_bytes_total,
+            static_cast<long long>(kHosts) * kHosts *
+                static_cast<long long>(sizeof(std::vector<LinkId>)));
+}
+
 // ---------------------------------------------------------------------------
 // Exporters.
 

@@ -422,6 +422,27 @@ TEST(Snapshot, ParserRejectsMalformedInput) {
                               "\"config\": \"y\", \"metrics\": []}"),
                Error);  // unsupported schema
   EXPECT_THROW(parse_snapshot(sample_snapshot().json() + "garbage"), Error);
+
+  // Every cut and every single-bit flip of a valid snapshot either parses
+  // or throws tarr::Error — never another exception or a crash.
+  const std::string text = sample_snapshot().json();
+  const auto parses_or_throws_error = [](const std::string& input) {
+    try {
+      (void)parse_snapshot(input);
+    } catch (const Error&) {
+    } catch (...) {
+      ADD_FAILURE() << "non-tarr exception on input:\n" << input;
+    }
+  };
+  for (std::size_t cut = 0; cut < text.size(); ++cut)
+    parses_or_throws_error(text.substr(0, cut));
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = text;
+      flipped[i] = static_cast<char>(flipped[i] ^ (1 << bit));
+      parses_or_throws_error(flipped);
+    }
+  }
 }
 
 TEST(Snapshot, IdenticalSnapshotsPassTheGate) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "common/error.hpp"
 #include "topology/fattree.hpp"
@@ -10,11 +11,18 @@
 namespace tarr::topology {
 namespace {
 
-/// Walks the path and checks every hop is a valid traversal.
+/// The route's links in order.
+std::vector<LinkId> links_of(const Router& r, NodeId src, NodeId dst) {
+  std::vector<LinkId> links;
+  r.walk(src, dst, [&](Hop h) { links.push_back(h.link); });
+  return links;
+}
+
+/// Walks the route and checks every hop is a valid traversal.
 void expect_valid_path(const SwitchGraph& g, const Router& r, NodeId src,
                        NodeId dst) {
   NetVertexId at = g.host_vertex(src);
-  for (LinkId l : r.path(src, dst)) at = g.other_end(l, at);
+  r.walk(src, dst, [&](Hop h) { at = g.other_end(h.link, at); });
   EXPECT_EQ(at, g.host_vertex(dst));
 }
 
@@ -22,7 +30,7 @@ TEST(Router, EmptyPathForSelf) {
   const SwitchGraph g = build_single_switch_network(3);
   const Router r(g);
   EXPECT_EQ(r.hops(1, 1), 0);
-  EXPECT_TRUE(r.path(2, 2).empty());
+  EXPECT_TRUE(links_of(r, 2, 2).empty());
 }
 
 TEST(Router, SingleSwitchTwoHops) {
@@ -73,8 +81,8 @@ TEST(Router, DeterministicAcrossInstances) {
   for (NodeId a = 0; a < 120; a += 10) {
     for (NodeId b = 0; b < 120; b += 9) {
       if (a == b) continue;
-      const auto p1 = r1.path(a, b);
-      const auto p2 = r2.path(a, b);
+      const auto p1 = links_of(r1, a, b);
+      const auto p2 = links_of(r2, a, b);
       ASSERT_EQ(p1.size(), p2.size());
       for (std::size_t i = 0; i < p1.size(); ++i) EXPECT_EQ(p1[i], p2[i]);
     }
@@ -88,7 +96,7 @@ TEST(Router, SpreadsTrafficAcrossUplinks) {
   const Router r(g);
   std::set<LinkId> first_uplinks;
   for (NodeId dst = 300; dst < 960; dst += 30) {
-    const auto p = r.path(0, dst);
+    const auto p = links_of(r, 0, dst);
     ASSERT_GE(p.size(), 2u);
     first_uplinks.insert(p[1]);  // p[0] is the host link
   }
@@ -110,8 +118,8 @@ TEST(Router, PathUsesShortestRoute) {
 TEST(Router, OutOfRangeThrows) {
   const SwitchGraph g = build_single_switch_network(2);
   const Router r(g);
-  EXPECT_THROW(r.path(0, 2), Error);
-  EXPECT_THROW(r.path(-1, 0), Error);
+  EXPECT_THROW(r.walk(0, 2, [](Hop) {}), Error);
+  EXPECT_THROW(r.walk(-1, 0, [](Hop) {}), Error);
 }
 
 TEST(Router, SingleHostGraphIsTriviallyConnected) {
@@ -173,10 +181,10 @@ TEST(Router, MultiLinkRemovalPartitionsFatTree) {
   EXPECT_EQ(r.hops(0, 3), 2);
   expect_valid_path(cut, r, 5, 7);
   EXPECT_FALSE(r.reachable(0, 4));
-  EXPECT_THROW(r.path(0, 4), PartitionedError);
+  EXPECT_THROW(r.walk(0, 4, [](Hop) {}), PartitionedError);
   EXPECT_THROW(r.hops(4, 0), PartitionedError);
   try {
-    r.path(0, 4);
+    r.walk(0, 4, [](Hop) {});
   } catch (const PartitionedError& e) {
     EXPECT_EQ(e.info().components.size(), 2u);
   }
@@ -187,7 +195,7 @@ TEST(Router, SingleLinkFailureFailsOverAtEqualLength) {
   // one uplink dies.
   const SwitchGraph g = build_two_level_fattree(8, 4, 2);
   const Router before(g);
-  const auto first_uplink = before.path(0, 4)[1];
+  const auto first_uplink = links_of(before, 0, 4)[1];
   const SwitchGraph cut = g.with_failed_links({first_uplink});
   const Router after(cut);
   EXPECT_TRUE(after.fully_connected());
