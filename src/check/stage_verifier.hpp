@@ -29,7 +29,7 @@
 ///                   remote message for what is physically a local copy);
 ///  * progress     — a closed stage must have carried at least one transfer
 ///                   (an empty stage is a schedule bug: it costs nothing but
-///                   skews stage counts and observer streams).
+///                   skews stage counts and trace streams).
 ///
 /// The verifier is independent of the Engine so it can be unit-tested
 /// directly and linked anywhere; the Engine instantiates one per run when

@@ -1,17 +1,16 @@
 #include "collectives/selector.hpp"
 
 #include "common/bits.hpp"
-#include "trace/sink.hpp"
+#include "prof/obs.hpp"
 
 namespace tarr::collectives {
 
 namespace {
 
 /// The selector is a pure function, so its decision counters go to the
-/// ambient thread sink (one thread-local load when tracing is off).
-AllgatherAlgo count_pick(AllgatherAlgo algo, const char* name) {
-  if (trace::TraceSink* sink = trace::thread_sink())
-    sink->add_count(std::string("selector.") + name, 1.0);
+/// ambient channel (one thread-local load when nothing is installed).
+AllgatherAlgo count_pick(AllgatherAlgo algo, const char* counter) {
+  obs::count(counter);
   return algo;
 }
 
@@ -21,10 +20,10 @@ AllgatherAlgo select_allgather_algo(int p, Bytes msg_bytes,
                                     const SelectorConfig& cfg) {
   if (msg_bytes < cfg.rd_max_msg) {
     return is_pow2(p)
-               ? count_pick(AllgatherAlgo::RecursiveDoubling, "rd")
-               : count_pick(AllgatherAlgo::Bruck, "bruck");
+               ? count_pick(AllgatherAlgo::RecursiveDoubling, "selector.rd")
+               : count_pick(AllgatherAlgo::Bruck, "selector.bruck");
   }
-  return count_pick(AllgatherAlgo::Ring, "ring");
+  return count_pick(AllgatherAlgo::Ring, "selector.ring");
 }
 
 }  // namespace tarr::collectives

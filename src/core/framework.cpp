@@ -6,6 +6,7 @@
 #include "common/timer.hpp"
 #include "mapping/comparators.hpp"
 #include "mapping/heuristics.hpp"
+#include "prof/obs.hpp"
 #include "prof/profiler.hpp"
 
 namespace tarr::core {
@@ -18,16 +19,11 @@ ReorderFramework::ReorderFramework(const topology::Machine& m, Options opts)
 
 const topology::DistanceMatrix& ReorderFramework::distances() {
   if (!dist_) {
+    obs::Install ambient(sink_);
     WallTimer t;
     dist_.emplace(topology::extract_distances(*machine_, opts_.distances));
     extract_seconds_ = t.seconds();
-    // Wall spans follow the same fallback as decision counters: the
-    // framework's own sink, else whatever ambient sink the caller (e.g. a
-    // traced TopoAllgather) installed.
-    if (trace::TraceSink* out =
-            sink_ != nullptr ? sink_ : trace::thread_sink())
-      out->on_wall_span(
-          trace::WallSpan{"distance-extraction", extract_seconds_});
+    obs::wall_span("distance-extraction", extract_seconds_);
   }
   return *dist_;
 }
@@ -47,22 +43,18 @@ ReorderedComm ReorderFramework::reorder_with(const simmpi::Communicator& comm,
                                              const mapping::Mapper& mapper) {
   if (!opts_.enabled) return identity_reorder(comm);
   prof::ProfScope pscope("reorder");
+  // Heuristics have pure signatures; their decision counters reach the sink
+  // through the ambient channel.  A null framework sink keeps whatever sink
+  // an outer scope installed.
+  obs::Install ambient(sink_);
   const topology::DistanceMatrix& d = distances();
 
   WallTimer t;
   Rng rng(opts_.seed);
-  std::vector<int> new_rank_to_core;
-  {
-    // Heuristics have pure signatures; their decision counters reach the
-    // sink through the ambient thread sink.  A null framework sink keeps
-    // whatever ambient sink an outer scope installed.
-    trace::ScopedThreadSink ambient(sink_ != nullptr ? sink_
-                                                     : trace::thread_sink());
-    new_rank_to_core = mapper.checked_map(comm.rank_to_core(), d, rng);
-  }
+  std::vector<int> new_rank_to_core =
+      mapper.checked_map(comm.rank_to_core(), d, rng);
   const double map_seconds = t.seconds();
-  if (trace::TraceSink* out = sink_ != nullptr ? sink_ : trace::thread_sink())
-    out->on_wall_span(trace::WallSpan{"map:" + mapper.name(), map_seconds});
+  obs::wall_span("map:" + mapper.name(), map_seconds);
 
   simmpi::Communicator reordered = comm.reordered(std::move(new_rank_to_core));
   // oldrank[new] = original rank of the process acting as new rank `new`.
@@ -78,28 +70,22 @@ ReorderedComm ReorderFramework::reorder_for_graph(
   prof::ProfScope pscope("reorder");
   TARR_REQUIRE(pattern.num_vertices() == comm.size(),
                "reorder_for_graph: pattern size != communicator size");
+  obs::Install ambient(sink_);
   const topology::DistanceMatrix& d = distances();
 
   WallTimer t;
   Rng rng(opts_.seed);
-  std::vector<int> new_rank_to_core;
-  {
-    trace::ScopedThreadSink ambient(sink_ != nullptr ? sink_
-                                                     : trace::thread_sink());
-    new_rank_to_core =
-        kind == GraphMapperKind::Greedy
-            ? mapping::greedy_graph_map(pattern, comm.rank_to_core(), d, rng)
-            : mapping::scotch_like_map(pattern, comm.rank_to_core(), rng);
-  }
+  std::vector<int> new_rank_to_core =
+      kind == GraphMapperKind::Greedy
+          ? mapping::greedy_graph_map(pattern, comm.rank_to_core(), d, rng)
+          : mapping::scotch_like_map(pattern, comm.rank_to_core(), rng);
   check::verify_mapping(kind == GraphMapperKind::Greedy ? "greedy-graph"
                                                         : "scotch-like",
                         comm.rank_to_core(), new_rank_to_core);
   const double map_seconds = t.seconds();
-  if (trace::TraceSink* out = sink_ != nullptr ? sink_ : trace::thread_sink())
-    out->on_wall_span(trace::WallSpan{
-        kind == GraphMapperKind::Greedy ? "map:greedy-graph"
-                                        : "map:scotch-like",
-        map_seconds});
+  obs::wall_span(kind == GraphMapperKind::Greedy ? "map:greedy-graph"
+                                                 : "map:scotch-like",
+                 map_seconds);
 
   simmpi::Communicator reordered = comm.reordered(std::move(new_rank_to_core));
   const std::vector<Rank> old_to_new = comm.permutation_to(reordered);
@@ -114,6 +100,7 @@ ReorderedComm ReorderFramework::reorder_hierarchical(
   prof::ProfScope pscope("reorder");
   TARR_REQUIRE(comm.node_contiguous(),
                "reorder_hierarchical: communicator must be node-contiguous");
+  obs::Install ambient(sink_);
   const auto& m = *machine_;
   const int cpn = m.cores_per_node();
   const int nodes = comm.size() / cpn;
@@ -122,8 +109,6 @@ ReorderedComm ReorderFramework::reorder_hierarchical(
 
   WallTimer t;
   Rng rng(opts_.seed);
-  trace::ScopedThreadSink ambient(sink_ != nullptr ? sink_
-                                                   : trace::thread_sink());
 
   // Leader level: "ranks" are node blocks in original order, slots are the
   // NodeIds hosting them.
@@ -157,9 +142,7 @@ ReorderedComm ReorderFramework::reorder_hierarchical(
   check::verify_hierarchical_composition(comm.rank_to_core(),
                                          new_rank_to_core);
   const double map_seconds = t.seconds();
-  if (trace::TraceSink* out = sink_ != nullptr ? sink_ : trace::thread_sink())
-    out->on_wall_span(trace::WallSpan{
-        "map:hierarchical:" + leader_mapper.name(), map_seconds});
+  obs::wall_span("map:hierarchical:" + leader_mapper.name(), map_seconds);
 
   simmpi::Communicator reordered = comm.reordered(std::move(new_rank_to_core));
   const std::vector<Rank> old_to_new = comm.permutation_to(reordered);

@@ -59,12 +59,12 @@ class ReorderFramework {
 
   /// Install a trace sink (tarr::trace): the framework then emits the Fig 7
   /// overhead decomposition as wall-clock spans ("distance-extraction",
-  /// "map:<mapper>") and installs the sink as the ambient thread sink
-  /// around each mapping run, so the heuristics' decision counters
-  /// (placements, tie-breaks, bisection levels, refinement swaps) are
-  /// collected too.  nullptr (the default) disables all of it.
+  /// "map:<mapper>") and installs the sink on the ambient channel
+  /// (prof/obs.hpp) around each mapping run, so the heuristics' decision
+  /// counters (placements, tie-breaks, bisection levels, refinement swaps)
+  /// are collected too.  nullptr (the default) keeps whatever sink the
+  /// caller installed there.
   void set_trace_sink(trace::TraceSink* sink) { sink_ = sink; }
-  trace::TraceSink* trace_sink() const { return sink_; }
 
   /// Reorder `comm` for `pattern` with the paper's fine-tuned heuristic.
   /// When the framework is disabled this returns the identity reorder with

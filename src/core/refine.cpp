@@ -9,7 +9,6 @@
 #include "common/timer.hpp"
 #include "prof/profiler.hpp"
 #include "simmpi/engine.hpp"
-#include "trace/sink.hpp"
 
 namespace tarr::core {
 
@@ -54,15 +53,10 @@ RefineResult refine_by_simulation(const simmpi::Communicator& original,
   }
 
   const double seconds = timer.seconds();
-  if (trace::TraceSink* sink = trace::thread_sink()) {
-    sink->add_count("refine.swaps_accepted", accepted);
-    sink->add_count("refine.swaps_rejected", evaluations - 1 - accepted);
-    sink->on_wall_span(trace::WallSpan{"refine", seconds});
-  }
-  if (prof::Profiler* prof = prof::thread_profiler()) {
-    prof->count("refine.evaluations", evaluations);
-    prof->count("refine.swaps_accepted", accepted);
-  }
+  obs::count("refine.swaps_accepted", accepted);
+  obs::count("refine.swaps_rejected", evaluations - 1 - accepted);
+  obs::wall_span("refine", seconds);
+  prof::count("refine.evaluations", evaluations);
   return RefineResult{
       ReorderedComm{original.reordered(cores), std::move(oldrank),
                     start.mapping_seconds + seconds},

@@ -4,6 +4,7 @@
 #include "common/error.hpp"
 #include "common/permutation.hpp"
 #include "mapping/comparators.hpp"
+#include "prof/obs.hpp"
 
 namespace tarr::core {
 
@@ -114,11 +115,10 @@ const ReorderedComm* TopoAllgather::baseline_internal_reorder() {
 }
 
 Usec TopoAllgather::execute(simmpi::ExecMode mode, Bytes msg) {
-  // The ambient thread sink carries the trace into reorders performed on
-  // first use (ReorderFramework falls back to it when its own sink is
-  // unset); the engine below gets the sink directly.
-  trace::ScopedThreadSink ambient(sink_ != nullptr ? sink_
-                                                   : trace::thread_sink());
+  // The ambient channel carries the trace into reorders performed on first
+  // use (a framework without a sink of its own keeps it); the engine below
+  // gets the sink directly.
+  obs::Install ambient(sink_);
   const int p = comm_.size();
   AllgatherAlgo algo;
   if (cfg_.hierarchical) {

@@ -77,12 +77,11 @@ class TopoAllgather {
 
   /// Observability (tarr::trace): every engine that latency()/run_and_check()
   /// creates emits stages, transfers and link/QPI load through `sink`, and
-  /// the sink is installed as the ambient thread sink around the body so
-  /// reorders triggered on first use emit their Fig 7 wall spans and mapping
-  /// decision counters too.  Pass nullptr to stop tracing.  `sink` must
-  /// outlive the traced calls.
+  /// the sink is installed on the ambient channel (prof/obs.hpp) around the
+  /// body so reorders triggered on first use emit their Fig 7 wall spans and
+  /// mapping decision counters too.  Pass nullptr to stop tracing.  `sink`
+  /// must outlive the traced calls.
   void set_trace_sink(trace::TraceSink* sink) { sink_ = sink; }
-  trace::TraceSink* trace_sink() const { return sink_; }
 
  private:
   /// Key of the reorder cache: the algorithm (leader algorithm when

@@ -5,7 +5,6 @@
 
 #include "common/error.hpp"
 #include "prof/profiler.hpp"
-#include "trace/sink.hpp"
 
 namespace tarr::graph {
 
@@ -184,15 +183,9 @@ BisectionResult bisect_subset(const WeightedGraph& g,
     }
   }
   res.cut = cut;
-  if (trace::TraceSink* sink = trace::thread_sink()) {
-    sink->add_count("bisection.calls", 1.0);
-    sink->add_count("bisection.refine_swaps", static_cast<double>(swaps));
-  }
-  if (prof::Profiler* p = prof::thread_profiler()) {
-    p->count("bisection.calls", 1.0);
-    p->count("bisection.refine_swaps", static_cast<double>(swaps));
-    p->count("bisection.swap_evals", static_cast<double>(swap_evals));
-  }
+  obs::count("bisection.calls");
+  obs::count("bisection.refine_swaps", static_cast<double>(swaps));
+  prof::count("bisection.swap_evals", static_cast<double>(swap_evals));
   return res;
 }
 

@@ -9,7 +9,7 @@
 #include "graph/bisection.hpp"
 #include "graph/pattern.hpp"
 #include "mapping/scheme.hpp"
-#include "trace/sink.hpp"
+#include "prof/obs.hpp"
 
 namespace tarr::mapping {
 
@@ -159,12 +159,10 @@ std::vector<int> scotch_like_map(const graph::WeightedGraph& g,
   std::vector<int> vertices(p);
   for (int i = 0; i < p; ++i) vertices[i] = i;
   std::vector<int> result(p, -1);
-  if (trace::TraceSink* sink = trace::thread_sink()) {
-    // Depth of the dual recursive bipartitioning (Fig 7 overhead driver).
-    int levels = 0;
-    for (int n = p; n > 1; n = (n + 1) / 2) ++levels;
-    sink->add_count("bisection.levels", static_cast<double>(levels));
-  }
+  // Depth of the dual recursive bipartitioning (Fig 7 overhead driver).
+  int levels = 0;
+  for (int n = p; n > 1; n = (n + 1) / 2) ++levels;
+  obs::count("bisection.levels", static_cast<double>(levels));
   scotch_recurse(g, std::move(vertices), slots, 0, p, rng, result);
   if constexpr (kSlowChecksEnabled)
     check::verify_mapping("scotch-like", rank_to_slot, result);

@@ -5,7 +5,6 @@
 #include "check/mapping_verifier.hpp"
 #include "common/error.hpp"
 #include "prof/profiler.hpp"
-#include "trace/sink.hpp"
 
 namespace tarr::mapping {
 
@@ -62,14 +61,8 @@ int MappingState::find_closest_to(Rank ref_rank) {
       if (rng_->next_below(static_cast<std::uint64_t>(ties)) == 0) chosen = s;
     }
   }
-  if (ties > 1) {
-    if (trace::TraceSink* sink = trace::thread_sink())
-      sink->add_count("mapping.tie_breaks", 1.0);
-  }
-  if (prof::Profiler* p = prof::thread_profiler()) {
-    p->count("mapping.scan_steps", static_cast<double>(free_slots_.size()));
-    if (ties > 1) p->count("mapping.tie_breaks", 1.0);
-  }
+  prof::count("mapping.scan_steps", static_cast<double>(free_slots_.size()));
+  if (ties > 1) obs::count("mapping.tie_breaks");
   return chosen;
 }
 
@@ -88,9 +81,7 @@ void MappingState::assign(Rank rank, int slot) {
   free_index_[slot] = -1;
   assignment_[rank] = slot;
   ++mapped_;
-  if (trace::TraceSink* sink = trace::thread_sink())
-    sink->add_count("mapping.placements", 1.0);
-  prof::count("mapping.placements");
+  obs::count("mapping.placements");
   // The swap-remove pool and its index must stay mutually consistent; a
   // bookkeeping slip here surfaces far away as a duplicate assignment.
   // O(p) per placement, so only in TARR_SLOW_CHECKS builds.

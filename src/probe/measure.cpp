@@ -194,7 +194,7 @@ ProbedDistances probe_distances(const topology::Machine& m,
     }
     sink->on_wall_span(trace::WallSpan{"probe", wall.seconds()});
   }
-  if (prof::Profiler* p = prof::thread_profiler()) {
+  if (prof::Profiler* p = obs::ambient().prof) {
     p->count("probe.pairs", static_cast<double>(rep.pairs));
     p->count("probe.measurements", static_cast<double>(rep.measurements));
     p->count("probe.retries", static_cast<double>(rep.retries));

@@ -20,17 +20,7 @@ MemCounters mem_now() {
   return fn != nullptr ? fn() : MemCounters{};
 }
 
-thread_local Profiler* t_profiler = nullptr;
-
 }  // namespace
-
-Profiler* thread_profiler() { return t_profiler; }
-void set_thread_profiler(Profiler* p) { t_profiler = p; }
-
-ScopedThreadProfiler::ScopedThreadProfiler(Profiler* p) : prev_(t_profiler) {
-  t_profiler = p;
-}
-ScopedThreadProfiler::~ScopedThreadProfiler() { t_profiler = prev_; }
 
 Profiler::Profiler() {
   Node root;
@@ -40,7 +30,7 @@ Profiler::Profiler() {
   nodes_.push_back(std::move(root));
 }
 
-void Profiler::enter(const std::string& name) {
+void Profiler::enter(std::string_view name) {
   const int parent = stack_.empty() ? 0 : stack_.back().node;
   int idx = -1;
   auto it = nodes_[parent].by_name.find(name);
@@ -53,7 +43,7 @@ void Profiler::enter(const std::string& name) {
     n.parent = parent;
     nodes_.push_back(std::move(n));
     nodes_[parent].children.push_back(idx);
-    nodes_[parent].by_name.emplace(name, idx);
+    nodes_[parent].by_name.emplace(std::string(name), idx);
   }
   nodes_[idx].calls += 1;
   Open open;
@@ -75,44 +65,12 @@ void Profiler::exit_scope() {
   n.mem_allocs_total += static_cast<long long>(m1.allocs - open.mem0.allocs);
 }
 
-void Profiler::count(const std::string& name, double delta) {
+void Profiler::count(std::string_view name, double delta) {
   Node& n = nodes_[stack_.empty() ? 0 : stack_.back().node];
-  n.counts[name] += delta;
+  auto it = n.counts.find(name);
+  if (it == n.counts.end()) it = n.counts.emplace(std::string(name), 0.0).first;
+  it->second += delta;
   n.work_self += delta;
-}
-
-void Profiler::merge(const Profiler& other) {
-  TARR_REQUIRE(stack_.empty() && other.stack_.empty(),
-               "Profiler::merge requires both profilers at rest");
-  merge_node(0, other, 0);
-}
-
-void Profiler::merge_node(int dst, const Profiler& other, int src) {
-  const Node& s = other.nodes_[src];
-  Node& d0 = nodes_[dst];
-  if (dst != 0) d0.calls += s.calls;  // both roots carry the implicit call
-  d0.wall_total += s.wall_total;
-  d0.mem_bytes_total += s.mem_bytes_total;
-  d0.mem_allocs_total += s.mem_allocs_total;
-  d0.work_self += s.work_self;
-  for (const auto& [name, value] : s.counts) nodes_[dst].counts[name] += value;
-  for (int child : s.children) {
-    const std::string& name = other.nodes_[child].name;
-    int didx = -1;
-    auto it = nodes_[dst].by_name.find(name);
-    if (it != nodes_[dst].by_name.end()) {
-      didx = it->second;
-    } else {
-      didx = static_cast<int>(nodes_.size());
-      Node n;
-      n.name = name;
-      n.parent = dst;
-      nodes_.push_back(std::move(n));
-      nodes_[dst].children.push_back(didx);
-      nodes_[dst].by_name.emplace(name, didx);
-    }
-    merge_node(didx, other, child);
-  }
 }
 
 Profile Profiler::snapshot() const {

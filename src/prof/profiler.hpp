@@ -3,7 +3,10 @@
 #include <chrono>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "prof/obs.hpp"
 
 /// \file profiler.hpp
 /// tarr::prof — deterministic self-profiling of the reproduction itself
@@ -22,8 +25,8 @@
 ///  * wall-clock seconds — measured per scope but exported only on request
 ///    (ExportOptions::include_wall), like `tarr map --wall`.
 ///
-/// Cost discipline mirrors trace's ambient-sink pattern: instrumented code
-/// consults a thread-local `Profiler*` that defaults to nullptr, so every
+/// Cost discipline: instrumented code consults the profiler leg of the
+/// ambient channel (prof/obs.hpp), which defaults to nullptr, so every
 /// disabled site is one thread-local load and a branch.  Profiling observes
 /// the computation without participating in it — enabling it must not
 /// change any simulated cost (asserted by tests/test_prof.cpp).
@@ -80,29 +83,23 @@ struct Profile {
 /// same node rather than growing the tree, so profiles stay small and
 /// deterministic regardless of call counts.  Recursive re-entry of a name
 /// nests (a "bisect" child under "bisect") instead of double-counting
-/// inclusive time.  Not thread-safe; one Profiler per thread, merged with
-/// merge() afterwards.
+/// inclusive time.  Not thread-safe; one Profiler per thread.
 class Profiler {
  public:
   Profiler();
 
   /// Open a child scope of the current scope (creating the node on first
   /// entry, in first-entry order — deterministic for deterministic code).
-  void enter(const std::string& name);
+  void enter(std::string_view name);
   /// Close the innermost open scope, charging wall time and allocator
   /// deltas to it.
   void exit_scope();
   /// Charge a named counter delta (and the aggregate "work" metric) to the
   /// innermost open scope, or to the root when no scope is open.
-  void count(const std::string& name, double delta);
+  void count(std::string_view name, double delta);
 
-  /// Open scopes right now (0 at rest; snapshot/merge require 0).
+  /// Open scopes right now (0 at rest; snapshot requires 0).
   int open_scopes() const { return static_cast<int>(stack_.size()); }
-
-  /// Fold another profiler's tree into this one, matching scopes by path.
-  /// Both profilers must be at rest.  Used to combine per-thread ambient
-  /// profiles.
-  void merge(const Profiler& other);
 
   /// Aggregate the tree into its export form.  Totals are computed so that
   /// total == self + sum(child totals) holds exactly (EXPECT_EQ-exact) for
@@ -114,13 +111,13 @@ class Profiler {
     std::string name;
     int parent = -1;
     std::vector<int> children;             // first-entry order
-    std::map<std::string, int> by_name;    // child name -> node index
+    std::map<std::string, int, std::less<>> by_name;  // child -> node index
     long long calls = 0;
     double wall_total = 0.0;               // inclusive seconds
     long long mem_bytes_total = 0;         // inclusive, via memhook
     long long mem_allocs_total = 0;
     double work_self = 0.0;
-    std::map<std::string, double> counts;  // self values
+    std::map<std::string, double, std::less<>> counts;  // self values
   };
   struct Open {
     int node = 0;
@@ -128,38 +125,19 @@ class Profiler {
     MemCounters mem0;
   };
 
-  void merge_node(int dst, const Profiler& other, int src);
-
   std::vector<Node> nodes_;  // nodes_[0] = implicit root
   std::vector<Open> stack_;
 };
 
-/// Ambient per-thread profiler, mirroring trace::thread_sink(): the mapping
-/// heuristics, bisection, and cost model are pure functions of their inputs
-/// and cannot carry a profiler pointer without polluting their signatures.
-/// nullptr (the default) disables profiling.
-Profiler* thread_profiler();
-void set_thread_profiler(Profiler* p);
-
-/// RAII installer for the thread profiler; restores the previous one so
-/// nested installations compose.
-class ScopedThreadProfiler {
- public:
-  explicit ScopedThreadProfiler(Profiler* p);
-  ~ScopedThreadProfiler();
-  ScopedThreadProfiler(const ScopedThreadProfiler&) = delete;
-  ScopedThreadProfiler& operator=(const ScopedThreadProfiler&) = delete;
-
- private:
-  Profiler* prev_;
-};
+/// Installs a profiler as the ambient channel's profiler leg.
+using ScopedThreadProfiler = obs::Install;
 
 /// RAII scope against the *ambient* profiler.  The profiler pointer is
-/// captured at construction, so installing/removing the thread profiler
+/// captured at construction, so installing/removing the ambient profiler
 /// mid-scope cannot unbalance the stack.
 class ProfScope {
  public:
-  explicit ProfScope(const std::string& name) : prof_(thread_profiler()) {
+  explicit ProfScope(std::string_view name) : prof_(obs::ambient().prof) {
     if (prof_ != nullptr) prof_->enter(name);
   }
   ~ProfScope() {
@@ -172,10 +150,11 @@ class ProfScope {
   Profiler* prof_;
 };
 
-/// Charge a counter against the ambient profiler (no-op when disabled;
-/// one thread-local load + branch).
-inline void count(const std::string& name, double delta = 1.0) {
-  if (Profiler* p = thread_profiler()) p->count(name, delta);
+/// Charge a work counter against the ambient profiler (no-op when disabled;
+/// one thread-local load + branch).  Decision counters, which the sink reads
+/// too, go through obs::count.
+inline void count(std::string_view name, double delta = 1.0) {
+  if (Profiler* p = obs::ambient().prof) p->count(name, delta);
 }
 
 namespace detail {

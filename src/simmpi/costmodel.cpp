@@ -151,7 +151,7 @@ Usec CostModel::finish_stage() {
     stage = std::max(stage, cost);
   }
 
-  if (prof::Profiler* p = prof::thread_profiler()) {
+  if (prof::Profiler* p = obs::ambient().prof) {
     p->count("cost.stages_priced", 1.0);
     p->count("cost.transfers_priced", static_cast<double>(pending_.size()));
     p->count("cost.bytes_priced", priced_bytes);

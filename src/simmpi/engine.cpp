@@ -165,9 +165,6 @@ void Engine::enqueue(Rank src, int src_off, Rank dst, int dst_off,
     }
     for (int a = 0; a < attempts; ++a)
       cost_.add_transfer(comm_->core_of(src), comm_->core_of(dst), bytes);
-    // Observers see the logical transfer once, independent of retries.
-    if (transfer_observer_)
-      transfer_observer_(comm_->core_of(src), comm_->core_of(dst), bytes);
   }
 
   PendingCopy pc{src, dst, src_off, dst_off, nblocks, combining, {}};
@@ -228,8 +225,7 @@ Usec Engine::end_stage() {
   peak_link_bytes_ =
       std::max(peak_link_bytes_, cost_.last_stage_stats().max_link_bytes);
   if (sink_ != nullptr) emit_stage_trace(stage_start, stage, retry_wait);
-  if (observer_) observer_(stages_executed_, transfers, stage);
-  if (prof::Profiler* p = prof::thread_profiler()) {
+  if (prof::Profiler* p = obs::ambient().prof) {
     p->count("engine.stages", 1.0);
     p->count("engine.transfers", static_cast<double>(transfers));
   }

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -122,15 +121,6 @@ class Engine {
   /// Peak per-cable network link load (bytes) seen in any stage so far.
   double peak_link_bytes() const { return peak_link_bytes_; }
 
-  /// Schedule introspection: invoked after every end_stage() with the
-  /// 0-based stage index, the number of transfers the stage carried, and
-  /// its cost.  Used by tests and tools to inspect the schedules the
-  /// collective algorithms emit.
-  using StageObserver = std::function<void(int stage, int transfers, Usec cost)>;
-  void set_stage_observer(StageObserver observer) {
-    observer_ = std::move(observer);
-  }
-
   /// Number of stages executed so far.
   int stages_executed() const { return stages_executed_; }
 
@@ -162,16 +152,6 @@ class Engine {
    private:
     Engine* eng_;
   };
-
-  /// Transfer introspection: invoked for every copy()/combine() between
-  /// distinct ranks, with the endpoint cores and the byte count.  Local
-  /// copies (src == dst) are not reported.  Used by property tests (e.g.
-  /// data-conservation invariants) and analysis tools.
-  using TransferObserver =
-      std::function<void(CoreId src, CoreId dst, Bytes bytes)>;
-  void set_transfer_observer(TransferObserver observer) {
-    transfer_observer_ = std::move(observer);
-  }
 
  private:
   struct PendingCopy {
@@ -221,8 +201,6 @@ class Engine {
   double peak_link_bytes_ = 0.0;
   int stages_executed_ = 0;
   int last_stage_transfers_ = 0;
-  StageObserver observer_;
-  TransferObserver transfer_observer_;
   // Trace emission (tarr::trace); all fields idle when sink_ is null.
   trace::TraceSink* sink_ = nullptr;
   std::vector<TraceXfer> stage_xfers_;

@@ -63,18 +63,4 @@ void TeeSink::observe(const std::string& name, double value) {
   for (TraceSink* leg : legs_) leg->observe(name, value);
 }
 
-namespace {
-thread_local TraceSink* g_thread_sink = nullptr;
-}  // namespace
-
-TraceSink* thread_sink() { return g_thread_sink; }
-
-void set_thread_sink(TraceSink* sink) { g_thread_sink = sink; }
-
-ScopedThreadSink::ScopedThreadSink(TraceSink* sink) : prev_(g_thread_sink) {
-  g_thread_sink = sink;
-}
-
-ScopedThreadSink::~ScopedThreadSink() { g_thread_sink = prev_; }
-
 }  // namespace tarr::trace

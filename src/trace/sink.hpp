@@ -19,12 +19,12 @@
 /// (Perfetto-loadable) plus a metrics registry snapshot.
 ///
 /// Cost discipline: every instrumented component holds a plain
-/// `TraceSink*` that defaults to nullptr, and each emission site is exactly
-/// one pointer check.  With no sink installed the instrumented code paths
-/// are bit-identical to a build that never heard of this header — tracing
-/// never perturbs the simulated costs or the payload movement it observes.
-/// NullSink exists for callers that want a non-null sink object with the
-/// same "observe nothing" semantics.
+/// `TraceSink*` that defaults to nullptr (pure-function layers read the
+/// ambient channel of prof/obs.hpp instead), and each emission site is
+/// exactly one pointer check.  With no sink installed the instrumented code
+/// paths are bit-identical to a build that never heard of this header —
+/// tracing never perturbs the simulated costs or the payload movement it
+/// observes.  A plain TraceSink observes nothing.
 ///
 /// Two clocks appear in the taxonomy and are never mixed on one track:
 ///  * simulated microseconds (Usec) — stages, transfers, collective phases,
@@ -177,9 +177,6 @@ class TraceSink {
   }
 };
 
-/// A sink that observes nothing (identical to having no sink installed).
-class NullSink final : public TraceSink {};
-
 /// Forwards every event to each downstream leg in order, so a single
 /// emission point — the engine holds exactly one sink pointer — can feed
 /// e.g. a Tracer, a tlog capture and a report::ScheduleRecorder at once.
@@ -204,27 +201,6 @@ class TeeSink final : public TraceSink {
 
  private:
   std::vector<TraceSink*> legs_;
-};
-
-/// Ambient per-thread sink for layers whose interfaces are pure functions
-/// of their inputs (the mapping heuristics, the bisection engine, the
-/// algorithm selector): they cannot carry a sink pointer without polluting
-/// their signatures, so they consult the thread sink instead.  nullptr
-/// (the default) disables emission; reading it is one thread-local load.
-TraceSink* thread_sink();
-void set_thread_sink(TraceSink* sink);
-
-/// RAII installer for the thread sink; restores the previous sink (so
-/// nested scopes compose, e.g. a traced CLI run around a traced mapping).
-class ScopedThreadSink {
- public:
-  explicit ScopedThreadSink(TraceSink* sink);
-  ~ScopedThreadSink();
-  ScopedThreadSink(const ScopedThreadSink&) = delete;
-  ScopedThreadSink& operator=(const ScopedThreadSink&) = delete;
-
- private:
-  TraceSink* prev_;
 };
 
 }  // namespace tarr::trace

@@ -83,16 +83,14 @@ void Tracer::on_stage(const StageEvent& e) {
     spans_.push_back({kPidSim, kTidStages, "stage " + std::to_string(e.stage),
                       e.start, e.duration, std::move(args)});
   }
-  if (opts_.metrics) {
-    metrics_.add_count("engine.stages", e.repeats);
-    metrics_.add_count("engine.transfers",
-                       static_cast<double>(e.transfers) * e.repeats);
-    // StageEvent.duration for a repeat-compressed event is the TOTAL across
-    // repeats; the distribution wants the per-execution cost, weighted by
-    // how many executions it stands for.
-    metrics_.observe_n("stage.duration",
-                       e.duration / static_cast<double>(e.repeats), e.repeats);
-  }
+  metrics_.add_count("engine.stages", e.repeats);
+  metrics_.add_count("engine.transfers",
+                     static_cast<double>(e.transfers) * e.repeats);
+  // StageEvent.duration for a repeat-compressed event is the TOTAL across
+  // repeats; the distribution wants the per-execution cost, weighted by how
+  // many executions it stands for.
+  metrics_.observe_n("stage.duration",
+                     e.duration / static_cast<double>(e.repeats), e.repeats);
 }
 
 void Tracer::on_transfer(const TransferEvent& e) {
@@ -115,26 +113,24 @@ void Tracer::on_transfer(const TransferEvent& e) {
     spans_.push_back({kPidSim, kTidRank0 + static_cast<int>(e.src_rank), name,
                       e.start, e.duration, std::move(args)});
   }
-  if (opts_.metrics) {
-    metrics_.observe_transfer(e);
-    // Split each priced transfer the way tarr::report's critical-path
-    // attribution does: the uncontended floor is serialization; whatever
-    // contention (and retransmission reloads) added on top is stall.
-    metrics_.observe("transfer.duration", e.duration);
-    const double serial = std::min(e.uncontended, e.duration);
-    const double residual = e.duration - serial;
-    metrics_.observe("transfer.serialization", serial);
-    if (e.attempts > 1)
-      metrics_.observe("transfer.retransmission", residual);
-    else
-      metrics_.observe("transfer.stall", residual);
-  }
+  metrics_.observe_transfer(e);
+  // Split each priced transfer the way tarr::report's critical-path
+  // attribution does: the uncontended floor is serialization; whatever
+  // contention (and retransmission reloads) added on top is stall.
+  metrics_.observe("transfer.duration", e.duration);
+  const double serial = std::min(e.uncontended, e.duration);
+  const double residual = e.duration - serial;
+  metrics_.observe("transfer.serialization", serial);
+  if (e.attempts > 1)
+    metrics_.observe("transfer.retransmission", residual);
+  else
+    metrics_.observe("transfer.stall", residual);
 }
 
 void Tracer::on_phase(const PhaseEvent& e) {
   if (opts_.timeline)
     spans_.push_back({kPidSim, kTidPhases, e.name, e.start, e.duration, "{}"});
-  if (opts_.metrics) metrics_.add_count("phase." + e.name, 1.0);
+  metrics_.add_count("phase." + e.name, 1.0);
 }
 
 void Tracer::on_time(const TimeEvent& e) {
@@ -143,7 +139,7 @@ void Tracer::on_time(const TimeEvent& e) {
   // simulated microseconds, not occurrences.
   if (opts_.timeline)
     spans_.push_back({kPidSim, kTidPhases, e.what, e.start, e.duration, "{}"});
-  if (opts_.metrics) metrics_.add_count("time." + e.what, e.duration);
+  metrics_.add_count("time." + e.what, e.duration);
 }
 
 void Tracer::on_counter(const CounterSample& s) {
@@ -153,14 +149,14 @@ void Tracer::on_counter(const CounterSample& s) {
                              std::to_string(s.dir),
                          s.ts, s.value});
   }
-  if (opts_.metrics) metrics_.observe_load(s);
+  metrics_.observe_load(s);
 }
 
 void Tracer::on_wall_span(const WallSpan& s) {
   // The real seconds always reach the metrics CSV; the *timeline* placement
   // is deterministic-ordinal unless real_wall_time was requested (see
   // file comment of tracer.hpp).
-  if (opts_.metrics) metrics_.add_count("wall." + s.name, s.seconds);
+  metrics_.add_count("wall." + s.name, s.seconds);
   if (!opts_.timeline) return;
   if (opts_.real_wall_time) {
     const double us = s.seconds * 1.0e6;
@@ -174,11 +170,11 @@ void Tracer::on_wall_span(const WallSpan& s) {
 }
 
 void Tracer::add_count(const std::string& name, double delta) {
-  if (opts_.metrics) metrics_.add_count(name, delta);
+  metrics_.add_count(name, delta);
 }
 
 void Tracer::observe(const std::string& name, double value) {
-  if (opts_.metrics) metrics_.observe(name, value);
+  metrics_.observe(name, value);
 }
 
 std::string Tracer::timeline_json() const {

@@ -39,7 +39,6 @@ namespace tarr::trace {
 /// Behavior knobs of a Tracer.
 struct TracerOptions {
   bool timeline = true;      ///< collect timeline events
-  bool metrics = true;       ///< aggregate the metrics registry
   bool real_wall_time = false;  ///< see file comment (breaks byte identity)
 };
 

@@ -3,7 +3,8 @@
 #
 # usage: cli_smoke.sh TARR SOURCE_DIR
 #
-# Asserts, in a temporary directory: same-seed runs are byte-identical (cmp);
+# Asserts, in a temporary directory: same-seed runs are byte-identical (cmp;
+# --metrics CSVs once their wall-clock rows are dropped);
 # live and --from-tlog renders are byte-identical; JSON artifacts parse; a
 # .tlog stays within 25 % of the equivalent Chrome-trace JSON; truncated and
 # bit-flipped .tlog files are rejected; the expected strings appear; exit
@@ -31,6 +32,12 @@ expect_rc() {
   [ "$rc" -eq "$want" ] || fail "tarr $* exited $rc, expected $want"
 }
 
+# cmp_metrics A B: two --metrics CSVs agree byte for byte once their real
+# wall-clock rows are dropped.
+cmp_metrics() {
+  cmp <(grep -v '^counter,wall\.' "$1") <(grep -v '^counter,wall\.' "$2")
+}
+
 RUN=(--nodes 4 --procs 32 --layout cyclic-bunch --pattern ring --seed 3)
 
 # Fault campaign.
@@ -49,9 +56,10 @@ expect_rc 2 probe --noise 1.5
 # Trace: well-formed, byte-identical across same-seed runs.
 "$TARR" map "${RUN[@]}" --quiet --trace trace-a.json --metrics metrics-a.csv
 python3 -m json.tool trace-a.json > /dev/null
-"$TARR" map "${RUN[@]}" --quiet --trace trace-b.json
+"$TARR" map "${RUN[@]}" --quiet --trace trace-b.json --metrics metrics-b.csv
 cmp trace-a.json trace-b.json
 [ -s metrics-a.csv ] || fail "empty metrics CSV"
+cmp_metrics metrics-a.csv metrics-b.csv
 
 # Tlog: engine captures are byte-identical, replays print the live bytes,
 # the capture stays within the size budget, corruption is rejected.
@@ -106,14 +114,23 @@ cmp prof-a.folded prof-b.folded
 cmp prof-a.ss.json prof-b.ss.json
 python3 -m json.tool prof-a.ss.json > /dev/null
 grep -q '^counter,prof\.' prof-metrics-a.csv
+cmp_metrics prof-metrics-a.csv prof-metrics-b.csv
 "$TARR" map "${RUN[@]}" --quiet --prof prof-c.csv \
   --html prof-dash.html > /dev/null
 grep -q 'Overheads' prof-dash.html
-"$TARR" campaign --smoke --prof fault-prof.csv > /dev/null
-[ "$(head -n 3 fault-prof.csv | wc -l)" -eq 3 ] || fail "short fault profile"
-"$TARR" probe --smoke --prof probe-prof.csv \
-  --metrics probe-prof-metrics.csv > /dev/null
-grep -q '^counter,prof\.' probe-prof-metrics.csv
+for run in a b; do
+  "$TARR" campaign --smoke --prof fault-prof-$run.csv > /dev/null
+  "$TARR" probe --smoke --prof probe-prof-$run.csv \
+    --metrics probe-prof-metrics-$run.csv > /dev/null
+done
+[ "$(head -n 3 fault-prof-a.csv | wc -l)" -eq 3 ] || fail "short fault profile"
+cmp fault-prof-a.csv fault-prof-b.csv
+cmp probe-prof-a.csv probe-prof-b.csv
+grep -q '^counter,prof\.' probe-prof-metrics-a.csv
+cmp_metrics probe-prof-metrics-a.csv probe-prof-metrics-b.csv
+"$TARR" probe --smoke --metrics probe-metrics-a.csv > /dev/null
+"$TARR" probe --smoke --metrics probe-metrics-b.csv > /dev/null
+cmp_metrics probe-metrics-a.csv probe-metrics-b.csv
 expect_rc 1 map --nodes 4 --procs 32 --prof /nonexistent-dir/p.csv
 expect_rc 1 campaign --smoke --prof /nonexistent-dir/p.csv
 expect_rc 2 probe --smoke --prof

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "prof/obs.hpp"
 #include "prof/profiler.hpp"
 #include "trace/sink.hpp"
 
@@ -60,7 +61,7 @@ TEST(CApi, FullLifecycle) {
   WallSpans wall;
   {
     tarr::prof::ScopedThreadProfiler guard(&profiler);
-    tarr::trace::ScopedThreadSink sink(&wall);
+    tarr::obs::Install sink(&wall);
     ASSERT_EQ(tarr_allgather_latency(h.allgather, 64 * 1024, &latency),
               TARR_OK);
   }

@@ -1,14 +1,20 @@
-// Tests for the §IV info-key configuration interface, link-failure
+// Tests for the §IV info-key configuration interface (parsed and fuzzed,
+// directly and through the C API), layout-spec fuzzing, link-failure
 // injection in the network substrate, and trace-file loading.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "bench/appmodel.hpp"
+#include "capi/tarr.h"
 #include "common/error.hpp"
 #include "core/info.hpp"
+#include "simmpi/layout.hpp"
 #include "topology/fattree.hpp"
 #include "topology/routing.hpp"
 
@@ -68,6 +74,92 @@ TEST(InfoKeys, StringFormParses) {
       "tarr_mapper=mvapich-cyclic; tarr_order_fix=initcomm;;");
   EXPECT_EQ(info.config.mapper, MapperKind::MvapichCyclic);
   EXPECT_THROW(parse_info_string("tarr_mapper"), Error);  // no '='
+}
+
+/// Every cut of `text` (the empty string and `text` itself included) and
+/// every single-bit flip of it.
+std::vector<std::string> cuts_and_flips(const std::string& text) {
+  std::vector<std::string> out;
+  for (std::size_t cut = 0; cut <= text.size(); ++cut)
+    out.push_back(text.substr(0, cut));
+  for (std::size_t i = 0; i < text.size(); ++i)
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = text;
+      flipped[i] = static_cast<char>(flipped[i] ^ (1 << bit));
+      out.push_back(std::move(flipped));
+    }
+  return out;
+}
+
+/// True when `parse(input)` returns, false when it throws tarr::Error; any
+/// other exception fails the test.
+template <class Parse>
+bool parses_or_throws_error(const std::string& input, Parse parse) {
+  try {
+    parse(input);
+    return true;
+  } catch (const Error&) {
+    return false;
+  } catch (...) {
+    ADD_FAILURE() << "non-tarr exception on input: " << input;
+    return false;
+  }
+}
+
+constexpr const char* kEveryKey =
+    "tarr_reorder=enabled;tarr_mapper=scotch;tarr_order_fix=endshfl;"
+    "tarr_hierarchical=true;tarr_intra=linear";
+
+TEST(InfoFuzz, EveryCutAndBitFlipParsesOrThrowsError) {
+  const std::vector<std::string> inputs = cuts_and_flips(kEveryKey);
+  int parsed = 0;
+  for (const std::string& input : inputs)
+    parsed += parses_or_throws_error(
+        input, [](const std::string& s) { (void)parse_info_string(s); });
+  EXPECT_EQ(inputs.size(), 928u);
+  EXPECT_EQ(parsed, 98);  // case flips and whitespace still parse
+}
+
+TEST(InfoFuzz, CApiReturnsOkOrAnErrorMessage) {
+  tarr_machine_t machine = nullptr;
+  tarr_comm_t comm = nullptr;
+  tarr_framework_t framework = nullptr;
+  ASSERT_EQ(tarr_machine_create_gpc(2, &machine), TARR_OK);
+  ASSERT_EQ(tarr_comm_create(machine, 16, "block:block", &comm), TARR_OK);
+  ASSERT_EQ(tarr_framework_create(machine, 1, &framework), TARR_OK);
+  int created = 0;
+  for (const std::string& input : cuts_and_flips(kEveryKey)) {
+    tarr_allgather_t allgather = nullptr;
+    const int rc =
+        tarr_allgather_create(framework, comm, input.c_str(), &allgather);
+    if (rc == TARR_OK) {
+      ++created;
+      tarr_allgather_destroy(allgather);
+      continue;
+    }
+    EXPECT_EQ(rc, TARR_ERROR) << input;
+    const char* message = tarr_last_error();
+    EXPECT_TRUE(message != nullptr && message[0] != '\0') << input;
+  }
+  EXPECT_EQ(created, 98);
+  tarr_framework_destroy(framework);
+  tarr_comm_destroy(comm);
+  tarr_machine_destroy(machine);
+}
+
+TEST(LayoutFuzz, EveryCutAndBitFlipParsesOrThrowsError) {
+  std::size_t inputs = 0;
+  int parsed = 0;
+  for (const char* spec :
+       {"block:block", "cyclic:cyclic", "cyclic-bunch", "block-scatter"})
+    for (const std::string& input : cuts_and_flips(spec)) {
+      ++inputs;
+      parsed += parses_or_throws_error(input, [](const std::string& s) {
+        (void)simmpi::parse_layout_spec(s);
+      });
+    }
+  EXPECT_EQ(inputs, 445u);
+  EXPECT_EQ(parsed, 4);  // only the four unflipped, uncut specs
 }
 
 TEST(LinkFailure, RoutesAroundDeadUplink) {

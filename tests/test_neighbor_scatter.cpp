@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <utility>
+
 #include "check/audit_engine.hpp"
 #include "collectives/allgather.hpp"
 #include "collectives/gather_bcast.hpp"
@@ -24,6 +27,17 @@ using simmpi::ExecMode;
 using simmpi::LayoutSpec;
 using simmpi::make_layout;
 using topology::Machine;
+
+/// Hands every stage the engine it is attached to ends to
+/// `fn(stage, transfers, cost)`.
+struct StageSink final : trace::TraceSink {
+  explicit StageSink(std::function<void(int, int, Usec)> f)
+      : fn(std::move(f)) {}
+  void on_stage(const trace::StageEvent& e) override {
+    fn(e.stage, e.transfers, e.duration);
+  }
+  std::function<void(int, int, Usec)> fn;
+};
 
 class NeighborAllgather
     : public ::testing::TestWithParam<std::tuple<int, bool>> {};
@@ -118,12 +132,13 @@ TEST(StageObserver, CountsAlgorithmStages) {
     Usec total_cost = 0.0;
   } rec;
   Engine eng(comm, simmpi::CostConfig{}, ExecMode::Data, 32, 32);
-  eng.set_stage_observer([&rec](int stage, int transfers, Usec cost) {
+  StageSink sink([&rec](int stage, int transfers, Usec cost) {
     EXPECT_EQ(stage, rec.stages);
     rec.stages++;
     rec.total_transfers += transfers;
     rec.total_cost += cost;
   });
+  eng.set_trace_sink(&sink);
   run_allgather(eng, AllgatherOptions{AllgatherAlgo::RecursiveDoubling,
                                       OrderFix::None});
   EXPECT_EQ(rec.stages, 5);  // log2(32)
@@ -137,7 +152,8 @@ TEST(StageObserver, RingStageCountInDataMode) {
   const Communicator comm(m, make_layout(m, 16, LayoutSpec{}));
   Engine eng(comm, simmpi::CostConfig{}, ExecMode::Data, 32, 16);
   int stages = 0;
-  eng.set_stage_observer([&](int, int, Usec) { ++stages; });
+  StageSink sink([&](int, int, Usec) { ++stages; });
+  eng.set_trace_sink(&sink);
   run_allgather(eng, AllgatherOptions{AllgatherAlgo::Ring, OrderFix::None});
   EXPECT_EQ(stages, 15);  // p-1
 }

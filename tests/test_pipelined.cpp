@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <tuple>
+#include <utility>
 
 #include "collectives/allgather.hpp"
 #include "collectives/hierarchical.hpp"
@@ -92,6 +94,17 @@ TEST(PipelinedHierShape, RejectsCyclicAndOddCores) {
 namespace tarr::simmpi {
 namespace {
 
+/// Hands every logical transfer between distinct ranks of the engine it is
+/// attached to to `fn(src_core, dst_core, bytes)`.
+struct TransferSink final : trace::TraceSink {
+  explicit TransferSink(std::function<void(CoreId, CoreId, Bytes)> f)
+      : fn(std::move(f)) {}
+  void on_transfer(const trace::TransferEvent& e) override {
+    if (e.src_rank != e.dst_rank) fn(e.src_core, e.dst_core, e.bytes);
+  }
+  std::function<void(CoreId, CoreId, Bytes)> fn;
+};
+
 TEST(ParseLayoutSpec, LibraryNames) {
   EXPECT_EQ(parse_layout_spec("block-bunch").node, NodeOrder::Block);
   EXPECT_EQ(parse_layout_spec("cyclic-scatter").socket,
@@ -130,11 +143,12 @@ TEST(TransferObserver, ConservationLawForAllgather) {
                       collectives::AllgatherAlgo::Bruck}) {
       Engine eng(comm, CostConfig{}, ExecMode::Data, msg, p);
       std::vector<double> inbound(m.num_nodes(), 0.0);
-      eng.set_transfer_observer([&](CoreId src, CoreId dst, Bytes bytes) {
+      TransferSink sink([&](CoreId src, CoreId dst, Bytes bytes) {
         const NodeId a = m.node_of_core(src);
         const NodeId b = m.node_of_core(dst);
         if (a != b) inbound[b] += static_cast<double>(bytes);
       });
+      eng.set_trace_sink(&sink);
       collectives::run_allgather(
           eng, collectives::AllgatherOptions{algo,
                                              collectives::OrderFix::None});
@@ -165,10 +179,11 @@ TEST(TransferObserver, CyclicMakesRecursiveDoublingTrafficMinimal) {
     const Communicator comm(m, make_layout(m, p, spec));
     Engine eng(comm, CostConfig{}, ExecMode::Data, msg, p);
     std::vector<double> inbound(m.num_nodes(), 0.0);
-    eng.set_transfer_observer([&](CoreId src, CoreId dst, Bytes bytes) {
+    TransferSink sink([&](CoreId src, CoreId dst, Bytes bytes) {
       if (m.node_of_core(src) != m.node_of_core(dst))
         inbound[m.node_of_core(dst)] += static_cast<double>(bytes);
     });
+    eng.set_trace_sink(&sink);
     collectives::run_allgather(
         eng,
         collectives::AllgatherOptions{

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <numeric>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -16,7 +18,9 @@
 #include "common/permutation.hpp"
 #include "core/refine.hpp"
 #include "fault/campaign.hpp"
+#include "mapping/mapper.hpp"
 #include "simmpi/layout.hpp"
+#include "topology/distance.hpp"
 #include "topology/machine.hpp"
 #include "trace/tracer.hpp"
 
@@ -224,66 +228,53 @@ TEST(Profiler, RecursionNestsInsteadOfDoubleCounting) {
   EXPECT_EQ(inner->work_total, 1.0);
 }
 
-TEST(Profiler, MergeFoldsTreesByPath) {
-  Profiler p1;
-  p1.enter("a");
-  p1.count("x", 1);
-  p1.exit_scope();
-
-  Profiler p2;
-  p2.enter("a");
-  p2.count("x", 2);
-  p2.exit_scope();
-  p2.enter("b");
-  p2.count("y", 3);
-  p2.exit_scope();
-
-  p1.merge(p2);
-  const Profile s = p1.snapshot();
-  const ProfileEntry* a = s.find("a");
-  const ProfileEntry* b = s.find("b");
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  EXPECT_EQ(a->calls, 2);  // one call from each thread's profiler
-  EXPECT_EQ(a->counters.at("x").self, 3.0);
-  EXPECT_EQ(b->counters.at("y").self, 3.0);
-  EXPECT_EQ(s.counter_total("x"), 3.0);
-}
-
 // ---------------------------------------------------------------------------
 // Ambient (thread-local) plumbing.
 
 TEST(Ambient, DisabledByDefaultAndNoOp) {
-  ASSERT_EQ(thread_profiler(), nullptr);
+  ASSERT_EQ(obs::ambient().prof, nullptr);
   {
     ProfScope scope("ignored");  // must be a no-op, not a crash
     prof::count("ignored", 42.0);
   }
-  EXPECT_EQ(thread_profiler(), nullptr);
+  EXPECT_EQ(obs::ambient().prof, nullptr);
 }
 
 TEST(Ambient, ScopedInstallerRestoresPrevious) {
   Profiler outer_prof;
   ScopedThreadProfiler outer(&outer_prof);
-  EXPECT_EQ(thread_profiler(), &outer_prof);
+  EXPECT_EQ(obs::ambient().prof, &outer_prof);
   {
     Profiler inner_prof;
     ScopedThreadProfiler inner(&inner_prof);
-    EXPECT_EQ(thread_profiler(), &inner_prof);
+    EXPECT_EQ(obs::ambient().prof, &inner_prof);
     ProfScope scope("s");
     prof::count("c", 2.0);
   }
-  EXPECT_EQ(thread_profiler(), &outer_prof);
+  EXPECT_EQ(obs::ambient().prof, &outer_prof);
   EXPECT_EQ(outer_prof.snapshot().counter_total("c"), 0.0);
+}
+
+TEST(Ambient, NullInstallKeepsTheEnclosingLeg) {
+  Profiler p;
+  trace::TraceSink sink;
+  obs::Install prof_leg(&p);
+  obs::Install sink_leg(&sink);
+  {
+    obs::Install keep(static_cast<trace::TraceSink*>(nullptr));
+    EXPECT_EQ(obs::ambient().sink, &sink);
+    EXPECT_EQ(obs::ambient().prof, &p);
+  }
+  EXPECT_EQ(obs::ambient().sink, &sink);
 }
 
 TEST(Ambient, ProfScopeCapturesProfilerAtConstruction) {
   Profiler p;
-  set_thread_profiler(&p);
+  std::optional<obs::Install> installed(std::in_place, &p);
   {
     ProfScope scope("s");
-    set_thread_profiler(nullptr);  // removed mid-scope: must still balance
-    prof::count("after", 1.0);     // goes nowhere (ambient is now null)
+    installed.reset();          // removed mid-scope: must still balance
+    prof::count("after", 1.0);  // goes nowhere (ambient is now null)
   }
   EXPECT_EQ(p.open_scopes(), 0);
   const Profile s = p.snapshot();
@@ -394,6 +385,27 @@ TEST(Memhook, AllocationCountersAreDeterministic) {
     csv[run] = flat_csv(profiler.snapshot());
   }
   EXPECT_EQ(csv[0], csv[1]);
+}
+
+TEST(Memhook, DisabledInstrumentationDoesNotAllocate) {
+  // With no sink and no profiler installed, the decision and work counters
+  // of a mapping run cost no allocation: RDMH places 512 ranks here, and a
+  // counter name built per placement would show as 512 allocations.
+  ASSERT_TRUE(link_memhook());
+  ASSERT_EQ(obs::ambient().sink, nullptr);
+  ASSERT_EQ(obs::ambient().prof, nullptr);
+  const topology::Machine m = topology::Machine::gpc(64);
+  const topology::DistanceMatrix d = topology::extract_distances(m);
+  std::vector<int> slots(m.total_cores());
+  std::iota(slots.begin(), slots.end(), 0);
+  const auto mapper =
+      mapping::make_heuristic(mapping::Pattern::RecursiveDoubling);
+  Rng rng(1);
+  const MemCounters before = detail::mem_source()();
+  const std::vector<int> mapped = mapper->map(slots, d, rng);
+  const MemCounters after = detail::mem_source()();
+  ASSERT_EQ(mapped.size(), 512u);
+  EXPECT_LT(after.allocs - before.allocs, 16u);
 }
 
 TEST(Memhook, RouterBuildAllocatesPerDestinationNotPerPair) {

@@ -454,7 +454,7 @@ TEST(Index, KindMaskSkipsBlocksWithoutDecodingThem) {
   (void)live;
   ReplayOptions ropts;
   ropts.filter.kinds = 1u << static_cast<int>(EventKind::WallSpan);
-  trace::NullSink null_sink;
+  trace::TraceSink null_sink;
   const ReplayStats stats = replay(path, null_sink, ropts);
   EXPECT_GT(stats.blocks_total, 1);
   EXPECT_EQ(stats.blocks_decoded, 0);
@@ -475,7 +475,7 @@ TEST(Index, StageWindowSkipsDisjointBlocks) {
                        (1u << static_cast<int>(EventKind::Transfer)) |
                        (1u << static_cast<int>(EventKind::Copy));
   ropts.filter.max_stage = 0;
-  trace::NullSink null_sink;
+  trace::TraceSink null_sink;
   const ReplayStats stats = replay(path, null_sink, ropts);
   EXPECT_EQ(stats.blocks_total, static_cast<long long>(info.blocks.size()));
   EXPECT_GT(stats.blocks_skipped, 0);
@@ -521,7 +521,7 @@ TEST(Writer, EmptyRunStillProducesAReadableFile) {
   const FileInfo info = read_info(path);
   EXPECT_EQ(info.stored_events(), 0);
   EXPECT_TRUE(info.blocks.empty());
-  trace::NullSink null_sink;
+  trace::TraceSink null_sink;
   const ReplayStats stats = replay(path, null_sink);
   EXPECT_EQ(stats.delivered_events(), 0);
 }
@@ -553,7 +553,7 @@ TEST(Fuzz, EveryTruncationIsRejectedOrDecodesCleanly) {
   for (std::size_t len = 0; len < whole.size(); len += 1 + len / 16) {
     spit(cut, whole.substr(0, len));
     try {
-      trace::NullSink null_sink;
+      trace::TraceSink null_sink;
       replay(cut, null_sink);
       FAIL() << "truncation to " << len << " bytes was not detected";
     } catch (const Error&) {

@@ -280,7 +280,7 @@ TEST(Trace, SinkDoesNotPerturbSimulatedCost) {
   };
 
   const Usec plain = run(nullptr);
-  NullSink null_sink;
+  TraceSink null_sink;
   Tracer tracer;
   EXPECT_EQ(plain, run(&null_sink));  // exact, not approximate
   EXPECT_EQ(plain, run(&tracer));
@@ -469,8 +469,8 @@ TEST(Trace, DefaultSinkHandlersAreNoOps) {
   class MinimalSink final : public TraceSink {};
   MinimalSink minimal;
   emit_one_of_each(minimal);
-  NullSink null_sink;
-  emit_one_of_each(null_sink);  // same contract, the named variant
+  TraceSink null_sink;
+  emit_one_of_each(null_sink);  // same contract, the base class itself
 }
 
 TEST(Trace, TeeSinkForwardsEveryKindFirstThenSecond) {
