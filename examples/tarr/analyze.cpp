@@ -218,10 +218,10 @@ analyze::Certificate certify_spec(const Spec& spec, const Audit& a,
   const int buf_blocks = spec.buf_mul == 0 ? 1 : spec.buf_mul * p;
   simmpi::Engine eng(rc.comm, simmpi::CostConfig{}, simmpi::ExecMode::Data,
                      a.run.msg_bytes, buf_blocks);
-  report::ScheduleRecorder recorder;
+  trace::ScheduleRecorder recorder;
   eng.set_trace_sink(&recorder);
   spec.run(eng, rc.oldrank);
-  report::ScheduleRecord rec = recorder.take();
+  trace::ScheduleRecord rec = recorder.take();
   if (a.mutate)
     std::printf("mutated schedule: %s\n",
                 analyze::apply_mutation(rec, *a.mutate, a.mutate_seed).c_str());

@@ -105,9 +105,9 @@ std::string campaign_html(const fault::CampaignResult& result) {
     rows.push_back({std::to_string(row.failures), std::to_string(row.trial),
                     row.pattern, row.mapper, std::to_string(row.ranks),
                     row.partitioned ? "yes" : "no",
-                    row.partitioned ? "-" : viz::fmt(row.baseline_usec),
-                    row.partitioned ? "-" : viz::fmt(row.stale_usec),
-                    row.partitioned ? "-" : viz::fmt(row.remap_usec)});
+                    row.partitioned ? "-" : format_number(row.baseline_usec),
+                    row.partitioned ? "-" : format_number(row.stale_usec),
+                    row.partitioned ? "-" : format_number(row.remap_usec)});
   body += viz::collapsible(
       "All rows (" + std::to_string(rows.size()) + ")",
       viz::data_table({"failures", "trial", "pattern", "mapper", "ranks",

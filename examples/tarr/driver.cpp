@@ -184,21 +184,14 @@ Usec simulate(const simmpi::Communicator& comm, mapping::Pattern pattern,
   return eng.total();
 }
 
-report::ScheduleRecord record(const simmpi::Communicator& comm,
-                              mapping::Pattern pattern,
-                              const std::vector<Rank>& oldrank,
-                              long long msg_bytes, trace::TraceSink* also) {
-  report::ScheduleRecorder recorder;
+trace::ScheduleRecord record(const simmpi::Communicator& comm,
+                             mapping::Pattern pattern,
+                             const std::vector<Rank>& oldrank,
+                             long long msg_bytes, trace::TraceSink* also) {
+  trace::ScheduleRecorder recorder;
   trace::TeeSink tee({&recorder, also});
   simulate(comm, pattern, oldrank, msg_bytes, &tee);
   return recorder.take();
-}
-
-void write_file(const std::string& path, const std::string& body) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) throw Error("cannot write " + path);
-  const bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  if (std::fclose(f) != 0 || !ok) throw Error("failed writing " + path);
 }
 
 void Capture::finish() {
@@ -206,8 +199,7 @@ void Capture::finish() {
   if (!error_.empty()) throw Error(error_);
 }
 
-Obs::Obs(const Flags& f, std::optional<trace::TracerOptions> tracer_opts,
-         std::vector<trace::TraceSink*> extra)
+Obs::Obs(const Flags& f, std::optional<trace::TracerOptions> tracer_opts)
     : wall_(f.has("--wall")) {
   for (const char* flag :
        {"--trace", "--metrics", "--tlog", "--tlog-baseline", "--html",
@@ -231,7 +223,7 @@ Obs::Obs(const Flags& f, std::optional<trace::TracerOptions> tracer_opts,
   // Fail fast: the run below can take minutes at scale, and a typo'd path
   // discovered only afterwards throws that work away.  "-" is stdout.
   for (const auto& [flag, path] : paths_)
-    if (path != "-") trace::Tracer::ensure_writable(path);
+    if (path != "-") ensure_writable(path);
 
   for (const char* flag : {"--tlog", "--tlog-baseline"})
     if (paths_.contains(flag)) tlogs_.try_emplace(flag, paths_[flag]);
@@ -244,8 +236,8 @@ Obs::Obs(const Flags& f, std::optional<trace::TracerOptions> tracer_opts,
     tracer_opts->real_wall_time = wall_;
     tracer.emplace(*tracer_opts);
   }
-  extra.insert(extra.begin(), {tracer ? &*tracer : nullptr, tlog()});
-  tee_.emplace(std::move(extra));
+  tee_.emplace(std::vector<trace::TraceSink*>{tracer ? &*tracer : nullptr,
+                                              tlog()});
 }
 
 std::string Obs::path(const std::string& flag) const {

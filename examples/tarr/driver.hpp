@@ -8,12 +8,13 @@
 #include <utility>
 #include <vector>
 
+#include "common/serialize.hpp"
 #include "core/framework.hpp"
 #include "prof/profiler.hpp"
-#include "report/record.hpp"
 #include "simmpi/engine.hpp"
 #include "simmpi/layout.hpp"
 #include "tlog/writer.hpp"
+#include "trace/record.hpp"
 #include "trace/tracer.hpp"
 
 /// \file driver.hpp
@@ -103,15 +104,11 @@ Usec simulate(const simmpi::Communicator& comm, mapping::Pattern pattern,
 
 /// simulate() into a fresh ScheduleRecorder (and `also`, when non-null);
 /// returns the record.
-report::ScheduleRecord record(const simmpi::Communicator& comm,
-                              mapping::Pattern pattern,
-                              const std::vector<Rank>& oldrank,
-                              long long msg_bytes,
-                              trace::TraceSink* also = nullptr);
-
-/// Writes `body` to `path`; open, write and close are each checked and a
-/// failure throws tarr::Error.
-void write_file(const std::string& path, const std::string& body);
+trace::ScheduleRecord record(const simmpi::Communicator& comm,
+                             mapping::Pattern pattern,
+                             const std::vector<Rank>& oldrank,
+                             long long msg_bytes,
+                             trace::TraceSink* also = nullptr);
 
 /// A `.tlog` capture whose write failures surface at finish() rather than
 /// mid-run: the engine's phase scopes emit from destructors, so a throw
@@ -175,13 +172,12 @@ class Capture final : public trace::TraceSink {
 /// artifact path (with map's --out-dir deriving the missing ones), checks
 /// each is writable before anything runs, opens the --tlog captures,
 /// builds the Tracer when asked, installs the ambient profiler when a
-/// --prof* flag is given, and stacks all present sinks plus `extra` into
-/// one flat TeeSink.
+/// --prof* flag is given, and stacks the present sinks into one flat
+/// TeeSink.
 class Obs {
  public:
   explicit Obs(const Flags& f,
-               std::optional<trace::TracerOptions> tracer = std::nullopt,
-               std::vector<trace::TraceSink*> extra = {});
+               std::optional<trace::TracerOptions> tracer = std::nullopt);
   Obs(const Obs&) = delete;
   Obs& operator=(const Obs&) = delete;
 
@@ -189,8 +185,8 @@ class Obs {
   std::string path(const std::string& flag) const;
   /// The open capture of `flag` (--tlog or --tlog-baseline), or nullptr.
   Capture* tlog(const std::string& flag = "--tlog");
-  /// The flat stack: tracer, --tlog capture, then `extra`; nullptr when
-  /// every leg is absent.
+  /// The flat stack: tracer, then the --tlog capture; nullptr when both
+  /// are absent.
   trace::TraceSink* sink() { return tee_->empty() ? nullptr : &*tee_; }
   bool profiling() const { return ambient_.has_value(); }
   prof::Profile profile() const { return profiler_.snapshot(); }

@@ -42,13 +42,10 @@ int cmd_insight_diagnose(const Flags& f) {
   // A typo'd gate severity fails before the run, like a bad output path.
   std::optional<insight::Severity> gate;
   if (f.has("--fail-on")) gate = insight::parse_severity(f.str("--fail-on"));
-  // One run feeds both the recorder (imbalance analytics) and the tracer's
+  // One run feeds the tracer's record (imbalance analytics) and its
   // registry (tail findings); a `.tlog` replay delivers the identical
   // event stream to the same stack, so both rebuild byte-exactly.
-  report::ScheduleRecorder recorder;
-  trace::TracerOptions topts;
-  topts.timeline = false;
-  Obs obs(f, topts, {&recorder});
+  Obs obs(f, trace::TracerOptions{});
 
   // --congested right-sizes the fabric (two nodes per leaf, wide host
   // links, capacity-2 leaf uplinks) so tenant traffic lands on links the
@@ -87,7 +84,7 @@ int cmd_insight_diagnose(const Flags& f) {
     obs.finish_tlog();
   }
   const insight::Diagnosis d = insight::diagnose(
-      recorder.record(), machine, dopts, &obs.tracer->metrics());
+      obs.tracer->record(), machine, dopts, &obs.tracer->metrics());
 
   std::printf("%s over %d ranks on %d nodes (%s mapping%s, %lld B blocks)\n",
               run.pattern.c_str(), rc.comm.size(), run.nodes,

@@ -84,9 +84,13 @@ class StatsSink final : public trace::TraceSink {
     std::string out = "key,transfers,bytes,duration_us,stall_us\n";
     char buf[160];
     for (const auto& [key, r] : rows_) {
-      std::snprintf(buf, sizeof buf, "%s,%lld,%lld,%.17g,%.17g\n",
-                    key.c_str(), r.transfers, r.bytes, r.duration, r.stall);
+      std::snprintf(buf, sizeof buf, "%s,%lld,%lld,", key.c_str(),
+                    r.transfers, r.bytes);
       out += buf;
+      append_number(out, r.duration);
+      out += ',';
+      append_number(out, r.stall);
+      out += '\n';
     }
     return out;
   }

@@ -29,20 +29,22 @@ int cmd_map(const Flags& f) {
   const RunSpec run = parse_run(f);
   const bool out_dir = f.has("--out-dir");
   const bool report = f.has("--report") || out_dir;
-  const bool record = report || f.has("--html") || f.has("--insight");
-  report::ScheduleRecorder recorder;
+  // --trace and --metrics export the tracer; --report, --html and --insight
+  // read the run it records.
+  const bool exported = f.has("--trace") || f.has("--metrics") || out_dir;
   std::optional<trace::TracerOptions> topts;
-  if (f.has("--trace") || f.has("--metrics") || out_dir) topts.emplace();
-  Obs obs(f, topts, {record ? &recorder : nullptr});
+  if (exported || report || f.has("--html") || f.has("--insight"))
+    topts.emplace();
+  Obs obs(f, topts);
 
   const topology::Machine machine = topology::Machine::gpc(run.nodes);
   const mapping::Pattern pattern = run.collective();
   const simmpi::Communicator comm = run.comm(machine);
   core::ReorderFramework framework = run.framework(machine);
   // The framework's Fig 7 wall spans and mapping decision counters go to
-  // the tracer and the capture; the recorder needs only the collective.
-  if (obs.tracer || obs.tlog() != nullptr)
-    framework.set_trace_sink(obs.sink());
+  // an exported tracer and the capture; the record needs only the
+  // collective.
+  if (exported || obs.tlog() != nullptr) framework.set_trace_sink(obs.sink());
   const core::ReorderedComm rc = reorder(framework, comm, pattern, run.mapper);
 
   const auto g = mapping::build_pattern_graph(pattern, run.procs);
@@ -73,7 +75,7 @@ int cmd_map(const Flags& f) {
     obs.finish_tlog(/*print=*/true);
     if (report) {
       const std::string rendered = report::render_critical_path(
-          report::analyze_critical_path(recorder.record(), machine));
+          report::analyze_critical_path(obs.tracer->record(), machine));
       std::fputs(rendered.c_str(), stdout);
       if (const std::string p = obs.path("--report"); !p.empty()) {
         write_file(p, rendered);
@@ -82,27 +84,28 @@ int cmd_map(const Flags& f) {
     }
     if (const std::string p = obs.path("--insight"); !p.empty()) {
       // Diagnose the reordered run just traced; the tracer's metrics (when
-      // present) contribute distribution-tail findings.
+      // exported) contribute distribution-tail findings.
       write_file(p, insight::render_findings(insight::diagnose(
-                        recorder.record(), machine, insight::DiagnoseOptions{},
-                        obs.tracer ? &obs.tracer->metrics() : nullptr)));
+                        obs.tracer->record(), machine,
+                        insight::DiagnoseOptions{},
+                        exported ? &obs.tracer->metrics() : nullptr)));
       std::printf("insight : %s\n", p.c_str());
     }
     if (const std::string p = obs.path("--html"); !p.empty()) {
       // A baseline run over the *unreordered* communicator gives the
       // dashboard its before/after story; its diagnosis says what is wrong
       // with the initial layout.
-      report::ScheduleRecorder base_recorder;
+      trace::ScheduleRecorder base_recorder;
       simulate(comm, pattern, identity_permutation(comm.size()),
                run.msg_bytes, &base_recorder, "simulate:baseline");
-      const report::ScheduleRecord base_record = base_recorder.take();
+      const trace::ScheduleRecord base_record = base_recorder.take();
       viz::DashboardInputs in;
       in.title = "tarr map dashboard";
       in.subtitle = run.describe(rc.comm.size());
       in.machine = &machine;
       in.baseline = &base_record;
       in.baseline_label = run.layout;
-      in.candidate = &recorder.record();
+      in.candidate = &obs.tracer->record();
       in.candidate_label = run.mapper;
       prof::Profile profile;
       if (obs.profiling()) {

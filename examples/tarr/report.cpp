@@ -40,7 +40,7 @@ int cmd_report_critical_path(const Flags& f) {
   const topology::Machine machine = topology::Machine::gpc(run.nodes);
   const mapping::Pattern pattern = run.collective();
   const simmpi::Communicator comm = run.comm(machine);
-  report::ScheduleRecord rec;
+  trace::ScheduleRecord rec;
   if (!from.empty()) {
     rec = tlog::read_record(from);
   } else {

@@ -31,8 +31,8 @@ namespace {
 /// Baseline + reordered records of one configured run.
 struct Runs {
   topology::Machine machine;
-  report::ScheduleRecord baseline;
-  report::ScheduleRecord candidate;
+  trace::ScheduleRecord baseline;
+  trace::ScheduleRecord candidate;
   std::string subtitle;
 };
 
@@ -49,7 +49,7 @@ Runs run_pair(const Flags& f, const RunSpec& run) {
   topology::Machine machine = topology::Machine::gpc(run.nodes);
   const mapping::Pattern pattern = run.collective();
   const simmpi::Communicator comm = run.comm(machine);
-  report::ScheduleRecord baseline, candidate;
+  trace::ScheduleRecord baseline, candidate;
   if (replay) {
     baseline = tlog::read_record(from_base);
     candidate = tlog::read_record(from);

@@ -9,11 +9,11 @@
 namespace tarr::analyze {
 namespace {
 
-using report::RecordedCopy;
-using report::RecordedLoad;
-using report::RecordedStage;
-using report::RecordedTransfer;
-using report::ScheduleRecord;
+using trace::RecordedCopy;
+using trace::RecordedLoad;
+using trace::RecordedStage;
+using trace::RecordedTransfer;
+using trace::ScheduleRecord;
 
 /// Deterministic byte-count rendering: loads are doubles but always hold
 /// whole byte counts, so print them as integers when they are.
@@ -153,7 +153,7 @@ void check_stage_order(const ScheduleRecord& rec, Emitter& em) {
                     std::to_string(clock));
       clock += s.duration;
     } else {
-      const report::RecordedExtra& e = rec.extras[ev.index];
+      const trace::RecordedExtra& e = rec.extras[ev.index];
       if (e.start != clock)
         em.emit(Property::StageOrder, Severity::Error, -1,
                 "extra '" + e.what + "' starts at t=" +
@@ -306,7 +306,7 @@ void check_dataflow(const ScheduleRecord& rec, const Contract& c,
 
   for (const auto& ev : rec.events) {
     if (ev.kind == ScheduleRecord::EventRef::Kind::Extra) {
-      const report::RecordedExtra& e = rec.extras[ev.index];
+      const trace::RecordedExtra& e = rec.extras[ev.index];
       if (e.dst_of_block.empty()) continue;
       if (static_cast<int>(e.dst_of_block.size()) != c.buf_blocks ||
           !is_permutation_of_iota(e.dst_of_block)) {
@@ -538,7 +538,7 @@ std::string Certificate::format() const {
   return out;
 }
 
-std::vector<report::RecordedLoad> static_stage_loads(
+std::vector<trace::RecordedLoad> static_stage_loads(
     const ScheduleRecord& rec, const RecordedStage& stage,
     const topology::Machine& m) {
   const auto& net = m.network();
@@ -575,14 +575,14 @@ std::vector<report::RecordedLoad> static_stage_loads(
       });
     }
   }
-  std::vector<report::RecordedLoad> out;
+  std::vector<trace::RecordedLoad> out;
   out.reserve(touched_links.size() + touched_qpi.size());
   for (int idx : touched_links)
-    out.push_back(report::RecordedLoad{false, idx / 2, idx % 2,
+    out.push_back(trace::RecordedLoad{false, idx / 2, idx % 2,
                                        link_bytes[idx]});
   for (int idx : touched_qpi)
     out.push_back(
-        report::RecordedLoad{true, idx / 2, idx % 2, qpi_bytes[idx]});
+        trace::RecordedLoad{true, idx / 2, idx % 2, qpi_bytes[idx]});
   return out;
 }
 

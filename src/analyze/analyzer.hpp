@@ -4,13 +4,13 @@
 #include <vector>
 
 #include "analyze/contract.hpp"
-#include "report/record.hpp"
 #include "topology/machine.hpp"
+#include "trace/record.hpp"
 
 /// \file analyzer.hpp
 /// The static schedule certifier of tarr::analyze.
 ///
-/// Input: a recorded schedule (report::ScheduleRecord — the IR
+/// Input: a recorded schedule (trace::ScheduleRecord — the IR
 /// ScheduleRecorder rebuilds from the engine's trace stream) plus the
 /// collective's Contract.  Output: a Certificate — either a clean bill
 /// ("this schedule provably computes the contract on this machine") or a
@@ -124,7 +124,7 @@ struct Certificate {
 /// Statically certify `rec` against `contract` on machine `m`.  Never
 /// executes the schedule; never throws on a bad schedule (bad *inputs* —
 /// an ill-formed contract — still throw tarr::Error).
-Certificate analyze(const report::ScheduleRecord& rec,
+Certificate analyze(const trace::ScheduleRecord& rec,
                     const topology::Machine& m, const Contract& contract,
                     const AnalyzeOptions& opts = {});
 
@@ -134,8 +134,8 @@ Certificate analyze(const report::ScheduleRecord& rec,
 /// the engine's counter stream records them (cable links first, then QPI,
 /// each in first-touch order).  Bit-exact with respect to the dynamic
 /// counters by construction.
-std::vector<report::RecordedLoad> static_stage_loads(
-    const report::ScheduleRecord& rec, const report::RecordedStage& stage,
+std::vector<trace::RecordedLoad> static_stage_loads(
+    const trace::ScheduleRecord& rec, const trace::RecordedStage& stage,
     const topology::Machine& m);
 
 }  // namespace tarr::analyze

@@ -8,10 +8,10 @@
 namespace tarr::analyze {
 namespace {
 
-using report::RecordedCopy;
-using report::RecordedStage;
-using report::RecordedTransfer;
-using report::ScheduleRecord;
+using trace::RecordedCopy;
+using trace::RecordedStage;
+using trace::RecordedTransfer;
+using trace::ScheduleRecord;
 
 /// Re-derive every start time (and the total) from the event order, the
 /// same replay the analyzer's StageOrder pass performs — so a mutation
@@ -25,7 +25,7 @@ void recompute_clock(ScheduleRecord& rec) {
       s.start = clock;
       clock += s.duration;
     } else {
-      report::RecordedExtra& e = rec.extras[ev.index];
+      trace::RecordedExtra& e = rec.extras[ev.index];
       e.start = clock;
       clock += e.duration;
     }

@@ -3,7 +3,7 @@
 #include <cstdint>
 #include <string>
 
-#include "report/record.hpp"
+#include "trace/record.hpp"
 
 /// \file mutate.hpp
 /// Seeded schedule mutations — the analyzer's adversary.
@@ -43,7 +43,7 @@ const char* to_string(Mutation m);
 /// records.  Throws tarr::Error if the record offers no viable victim
 /// (e.g. fewer than two stages for SwapStages).  Returns a one-line
 /// description of the edit.
-std::string apply_mutation(report::ScheduleRecord& rec, Mutation m,
+std::string apply_mutation(trace::ScheduleRecord& rec, Mutation m,
                            std::uint64_t seed);
 
 }  // namespace tarr::analyze

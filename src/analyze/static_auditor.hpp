@@ -5,8 +5,8 @@
 
 #include "analyze/analyzer.hpp"
 #include "common/error.hpp"
-#include "report/record.hpp"
 #include "simmpi/engine.hpp"
+#include "trace/record.hpp"
 #include "trace/sink.hpp"
 
 /// \file static_auditor.hpp
@@ -28,8 +28,8 @@ namespace tarr::analyze {
 /// stream and return the recorded schedule.  The engine's previous sink is
 /// kept in the loop during the run and restored afterwards.
 template <typename Runner>
-report::ScheduleRecord record_schedule(simmpi::Engine& eng, Runner&& run) {
-  report::ScheduleRecorder rec;
+trace::ScheduleRecord record_schedule(simmpi::Engine& eng, Runner&& run) {
+  trace::ScheduleRecorder rec;
   trace::TraceSink* prev = eng.trace_sink();
   trace::TeeSink tee({prev, &rec});
   eng.set_trace_sink(&tee);
@@ -47,7 +47,7 @@ class StaticAuditor {
   template <typename Runner>
   Certificate certify(simmpi::Engine& eng, const Contract& contract,
                       Runner&& run) const {
-    const report::ScheduleRecord rec =
+    const trace::ScheduleRecord rec =
         record_schedule(eng, std::forward<Runner>(run));
     return analyze(rec, eng.comm().machine(), contract, opts_);
   }

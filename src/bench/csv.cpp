@@ -1,9 +1,8 @@
 #include "bench/csv.hpp"
 
-#include <fstream>
 #include <sstream>
 
-#include "common/error.hpp"
+#include "common/serialize.hpp"
 
 namespace tarr::bench {
 
@@ -44,10 +43,7 @@ std::string CsvWriter::to_string() const {
 }
 
 void CsvWriter::write(const std::string& path) const {
-  std::ofstream out(path, std::ios::trunc);
-  TARR_REQUIRE(out.good(), "CsvWriter::write: cannot open " + path);
-  out << to_string();
-  TARR_REQUIRE(out.good(), "CsvWriter::write: write failed for " + path);
+  write_file(path, to_string());
 }
 
 }  // namespace tarr::bench

@@ -5,6 +5,8 @@
 #include <map>
 #include <utility>
 
+#include "common/serialize.hpp"
+
 namespace tarr::insight {
 
 namespace {
@@ -19,18 +21,6 @@ struct Series {
   bool higher_is_better = false;
   std::vector<SeriesPoint> points;
 };
-
-std::string fmt(double v) {
-  if (v == static_cast<double>(static_cast<long long>(v)) &&
-      std::fabs(v) < 9.0e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-    return buf;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 std::string fmt_percent(double v) {
   char buf[40];
@@ -111,7 +101,7 @@ std::string render_change_points(const std::vector<ChangePoint>& points) {
     out += "\n" + cp.bench + " / " + cp.metric + " (" + cp.unit + ")\n";
     out += "  stepped " + fmt_percent(cp.change_percent) + " between '" +
            cp.before_label + "' and '" + cp.after_label + "': " +
-           fmt(cp.before) + " -> " + fmt(cp.after) + "\n";
+           format_number(cp.before) + " -> " + format_number(cp.after) + "\n";
     out += cp.regression ? "  direction: REGRESSION\n"
                          : "  direction: improvement\n";
   }

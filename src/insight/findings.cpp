@@ -1,10 +1,10 @@
 #include "insight/findings.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 
 #include "common/error.hpp"
+#include "common/serialize.hpp"
 
 namespace tarr::insight {
 
@@ -63,20 +63,6 @@ bool Diagnosis::has_severity_at_least(Severity s) const {
 }
 
 namespace {
-
-/// Deterministic number formatting (same contract as the trace exporters):
-/// exact integers bare, everything else %.17g.
-std::string fmt(double v) {
-  if (v == static_cast<double>(static_cast<long long>(v)) &&
-      std::fabs(v) < 9.0e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-    return buf;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 /// Fixed two-decimal display formatting (ratios, shares); locale-free.
 std::string fmt2(double v) {
@@ -138,7 +124,7 @@ void check_stragglers(const ImbalanceReport& imb,
                                                          : Severity::Warning;
   f.title = "straggler ranks: " + rank_list(stragglers);
   f.detail = "slowest rank carries " + fmt2(worst_ratio) +
-             "x the median busy time (" + fmt(median) + " us median)";
+             "x the median busy time (" + format_number(median) + " us median)";
   if (all_same_node && stragglers.size() > 1 && shared_node >= 0)
     f.detail += "; all stragglers share node " + std::to_string(shared_node);
   f.knob = all_same_node && stragglers.size() > 1
@@ -228,7 +214,7 @@ void check_critical_path(const report::CriticalPath& path,
   }
 }
 
-void check_qpi_share(const report::ScheduleRecord& record,
+void check_qpi_share(const trace::ScheduleRecord& record,
                      const topology::Machine& machine,
                      const DiagnoseOptions& opts, std::vector<Finding>& out) {
   const auto flows = report::channel_flows(record, machine);
@@ -267,7 +253,7 @@ void check_tails(const trace::MetricsRegistry& metrics,
     f.severity = Severity::Warning;
     f.title = name + " p99 is " + fmt2(p99 / p50) + "x the median";
     f.detail = "the " + name + " distribution has a heavy tail (p50 " +
-               fmt(p50) + ", p99 " + fmt(p99) +
+               format_number(p50) + ", p99 " + format_number(p99) +
                "); under multi-tenant fabrics the tail decides whether "
                "reordering pays";
     f.knob = "probe-and-remap (tarr probe) if the fabric churns, else "
@@ -306,7 +292,7 @@ void check_hot_scope(const prof::Profile& profile, const DiagnoseOptions& opts,
 
 }  // namespace
 
-Diagnosis diagnose(const report::ScheduleRecord& record,
+Diagnosis diagnose(const trace::ScheduleRecord& record,
                    const topology::Machine& machine,
                    const DiagnoseOptions& opts,
                    const trace::MetricsRegistry* metrics,
@@ -344,8 +330,8 @@ std::string render_findings(const Diagnosis& d, report::RenderFormat format) {
   if (!d.findings.empty())
     out += ", max severity " + std::string(to_string(d.max_severity()));
   out += "\n";
-  out += "run: total " + fmt(d.critical_path.total) + " us, imbalance " +
-         fmt2(d.imbalance.imbalance) + ", Jain(links) " +
+  out += "run: total " + format_number(d.critical_path.total) +
+         " us, imbalance " + fmt2(d.imbalance.imbalance) + ", Jain(links) " +
          fmt2(d.imbalance.jain_links) + ", Jain(qpi) " +
          fmt2(d.imbalance.jain_qpi) + "\n";
   if (md) out += "\n";
@@ -360,7 +346,7 @@ std::string render_findings(const Diagnosis& d, report::RenderFormat format) {
       std::string ev;
       for (const auto& e : f.evidence) {
         if (!ev.empty()) ev += "; ";
-        ev += e.name + "=" + fmt(e.value);
+        ev += e.name + "=" + format_number(e.value);
       }
       if (!ev.empty()) out += "  - evidence: " + ev + "\n";
     } else {
@@ -370,7 +356,7 @@ std::string render_findings(const Diagnosis& d, report::RenderFormat format) {
       std::string ev;
       for (const auto& e : f.evidence) {
         if (!ev.empty()) ev += "; ";
-        ev += e.name + "=" + fmt(e.value);
+        ev += e.name + "=" + format_number(e.value);
       }
       if (!ev.empty()) out += "  evidence: " + ev + "\n";
     }

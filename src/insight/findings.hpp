@@ -6,10 +6,10 @@
 #include "insight/imbalance.hpp"
 #include "prof/profiler.hpp"
 #include "report/critical_path.hpp"
-#include "report/record.hpp"
 #include "report/render.hpp"
 #include "topology/machine.hpp"
 #include "trace/metrics.hpp"
+#include "trace/record.hpp"
 
 /// \file findings.hpp
 /// The run-diagnosis engine: turns a recorded schedule (plus optional
@@ -104,7 +104,7 @@ struct Diagnosis {
 /// Diagnose one recorded run.  `metrics` (optional) contributes
 /// distribution tails (stage durations, transfer stalls); `profile`
 /// (optional) contributes reproduction hot-scope findings.
-Diagnosis diagnose(const report::ScheduleRecord& record,
+Diagnosis diagnose(const trace::ScheduleRecord& record,
                    const topology::Machine& machine,
                    const DiagnoseOptions& opts = {},
                    const trace::MetricsRegistry* metrics = nullptr,

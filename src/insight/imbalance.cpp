@@ -18,7 +18,7 @@ double jain_index(const std::vector<double>& values) {
   return (sum * sum) / (static_cast<double>(values.size()) * sum_sq);
 }
 
-ImbalanceReport analyze_imbalance(const report::ScheduleRecord& record,
+ImbalanceReport analyze_imbalance(const trace::ScheduleRecord& record,
                                   int top_k) {
   TARR_REQUIRE(top_k >= 1, "analyze_imbalance: top_k must be >= 1");
   ImbalanceReport rep;
@@ -38,8 +38,8 @@ ImbalanceReport analyze_imbalance(const report::ScheduleRecord& record,
   std::vector<Rank> touched;
   rep.stages.reserve(record.stages.size());
   for (const auto& ev : record.events) {
-    if (ev.kind != report::ScheduleRecord::EventRef::Kind::Stage) continue;
-    const report::RecordedStage& s = record.stages[ev.index];
+    if (ev.kind != trace::ScheduleRecord::EventRef::Kind::Stage) continue;
+    const trace::RecordedStage& s = record.stages[ev.index];
     const double reps = static_cast<double>(s.repeats);
     const Usec per_exec = s.duration / reps;
     touched.clear();

@@ -3,7 +3,7 @@
 #include <vector>
 
 #include "insight/histogram.hpp"
-#include "report/record.hpp"
+#include "trace/record.hpp"
 
 /// \file imbalance.hpp
 /// Per-rank load-imbalance analytics over a recorded engine run.
@@ -88,7 +88,7 @@ struct ImbalanceReport {
 double jain_index(const std::vector<double>& values);
 
 /// Analyze `record` (top_k bounds the straggler / hot-resource lists).
-ImbalanceReport analyze_imbalance(const report::ScheduleRecord& record,
+ImbalanceReport analyze_imbalance(const trace::ScheduleRecord& record,
                                   int top_k = 8);
 
 }  // namespace tarr::insight

@@ -1,45 +1,11 @@
 #include "prof/export.hpp"
 
-#include <cmath>
-#include <cstdio>
-
 #include "bench/csv.hpp"
+#include "common/serialize.hpp"
 
 namespace tarr::prof {
 
 namespace {
-
-/// Deterministic number formatting (same convention as the Tracer and the
-/// snapshot writer): exact integers bare, everything else %.17g.
-std::string fmt(double v) {
-  if (v == static_cast<double>(static_cast<long long>(v)) &&
-      std::fabs(v) < 9.0e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-    return buf;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
 
 std::string display_path(const ProfileEntry& e) {
   return e.parent < 0 ? "(root)" : e.path;
@@ -69,10 +35,11 @@ std::string flat_csv(const Profile& p, const ExportOptions& opts) {
   w.set_header({"path", "depth", "calls", "metric", "self", "total"});
   for (const ProfileEntry& e : p.entries) {
     const std::string path = display_path(e);
-    const std::string depth = fmt(static_cast<double>(e.depth));
-    const std::string calls = fmt(static_cast<double>(e.calls));
+    const std::string depth = format_number(static_cast<double>(e.depth));
+    const std::string calls = format_number(static_cast<double>(e.calls));
     auto row = [&](const std::string& metric, const ProfileMetric& m) {
-      w.add_row({path, depth, calls, metric, fmt(m.self), fmt(m.total)});
+      w.add_row({path, depth, calls, metric, format_number(m.self),
+                 format_number(m.total)});
     };
     row("work", ProfileMetric{e.work_self, e.work_total});
     for (const auto& [name, m] : e.counters) row(name, m);
@@ -99,7 +66,7 @@ std::string collapsed_stacks(const Profile& p, const std::string& metric) {
         if (c == '/') c = ';';
       stack += ";" + frames;
     }
-    out += stack + " " + fmt(self) + "\n";
+    out += stack + " " + format_number(self) + "\n";
   }
   return out;
 }
@@ -133,7 +100,8 @@ std::string speedscope_json(const Profile& p, const std::string& metric,
       const ProfileEntry& e = p->entries[static_cast<std::size_t>(idx)];
       const double total = metric_of(e, *metric).total;
       *events += std::string(events->empty() ? "" : ",") + "{\"type\": \"O\"" +
-                 ", \"frame\": " + fmt(idx) + ", \"at\": " + fmt(at) + "}";
+                 ", \"frame\": " + format_number(idx) +
+                 ", \"at\": " + format_number(at) + "}";
       double cursor = at;
       for (int c : (*children)[static_cast<std::size_t>(idx)]) {
         double child_end = cursor;
@@ -141,8 +109,8 @@ std::string speedscope_json(const Profile& p, const std::string& metric,
         cursor = child_end;
       }
       const double close_at = at + total > cursor ? at + total : cursor;
-      *events += ",{\"type\": \"C\", \"frame\": " + fmt(idx) +
-                 ", \"at\": " + fmt(close_at) + "}";
+      *events += ",{\"type\": \"C\", \"frame\": " + format_number(idx) +
+                 ", \"at\": " + format_number(close_at) + "}";
       *end = close_at;
     }
   };
@@ -163,7 +131,7 @@ std::string speedscope_json(const Profile& p, const std::string& metric,
   out += "    \"name\": \"" + json_escape(metric) + "\",\n";
   out += "    \"unit\": \"" + unit + "\",\n";
   out += "    \"startValue\": 0,\n";
-  out += "    \"endValue\": " + fmt(end_value) + ",\n";
+  out += "    \"endValue\": " + format_number(end_value) + ",\n";
   out += "    \"events\": [" + events + "]\n";
   out += "  }]\n";
   out += "}\n";

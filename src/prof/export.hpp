@@ -15,7 +15,7 @@
 ///                      inside their parent's span.
 ///
 /// All exporters are deterministic for deterministic inputs: fixed field
-/// order, locale-independent %.17g number formatting (exact integers bare).
+/// order, locale-independent number formatting (tarr::format_number).
 /// Wall-clock columns are opt-in (ExportOptions::include_wall), so the
 /// default CSV of a same-seed run is byte-identical across runs — the
 /// contract CI's prof smoke pins with `cmp`.

@@ -23,7 +23,7 @@ const char* to_string(PathChannel c) {
 }
 
 PathChannel classify_channel(const topology::Machine& m,
-                             const RecordedTransfer& t) {
+                             const trace::RecordedTransfer& t) {
   switch (t.channel) {
     case trace::Channel::SameComplex:
     case trace::Channel::SameSocket:
@@ -45,11 +45,11 @@ namespace {
 /// The completion-time-determining transfer of a stage: max priced cost,
 /// first on ties (a deterministic choice; ties are common in symmetric
 /// schedules and any tied element is equally critical).
-const RecordedTransfer* critical_transfer(const ScheduleRecord& rec,
-                                          const RecordedStage& s) {
-  const RecordedTransfer* best = nullptr;
+const trace::RecordedTransfer* critical_transfer(
+    const trace::ScheduleRecord& rec, const trace::RecordedStage& s) {
+  const trace::RecordedTransfer* best = nullptr;
   for (int i = 0; i < s.num_transfers; ++i) {
-    const RecordedTransfer& t = rec.transfers[s.first_transfer + i];
+    const trace::RecordedTransfer& t = rec.transfers[s.first_transfer + i];
     if (best == nullptr || t.duration > best->duration) best = &t;
   }
   return best;
@@ -82,20 +82,20 @@ void split_costs(PathSegment& seg, Usec retry_wait) {
 
 }  // namespace
 
-CriticalPath analyze_critical_path(const ScheduleRecord& record,
+CriticalPath analyze_critical_path(const trace::ScheduleRecord& record,
                                    const topology::Machine& machine) {
   CriticalPath path;
   path.segments.reserve(record.events.size());
   for (const auto& ev : record.events) {
     PathSegment seg;
-    if (ev.kind == ScheduleRecord::EventRef::Kind::Stage) {
-      const RecordedStage& s = record.stages[ev.index];
+    if (ev.kind == trace::ScheduleRecord::EventRef::Kind::Stage) {
+      const trace::RecordedStage& s = record.stages[ev.index];
       seg.stage = s.stage;
       seg.repeats = s.repeats;
       seg.start = s.start;
       seg.duration = s.duration;
       seg.stage_transfers = s.num_transfers;
-      const RecordedTransfer* crit = critical_transfer(record, s);
+      const trace::RecordedTransfer* crit = critical_transfer(record, s);
       if (crit != nullptr) {
         seg.channel = classify_channel(machine, *crit);
         seg.src = crit->src;
@@ -113,7 +113,7 @@ CriticalPath analyze_critical_path(const ScheduleRecord& record,
       }
       split_costs(seg, s.retry_wait);
     } else {
-      const RecordedExtra& x = record.extras[ev.index];
+      const trace::RecordedExtra& x = record.extras[ev.index];
       seg.start = x.start;
       seg.duration = x.duration;
       seg.what = x.what;
@@ -142,14 +142,14 @@ CriticalPath analyze_critical_path(const ScheduleRecord& record,
 }
 
 std::map<PathChannel, ChannelFlow> channel_flows(
-    const ScheduleRecord& record, const topology::Machine& machine) {
+    const trace::ScheduleRecord& record, const topology::Machine& machine) {
   std::map<PathChannel, ChannelFlow> flows;
   for (const auto& ev : record.events) {
-    if (ev.kind != ScheduleRecord::EventRef::Kind::Stage) continue;
-    const RecordedStage& s = record.stages[ev.index];
+    if (ev.kind != trace::ScheduleRecord::EventRef::Kind::Stage) continue;
+    const trace::RecordedStage& s = record.stages[ev.index];
     const double reps = static_cast<double>(s.repeats);
     for (int i = 0; i < s.num_transfers; ++i) {
-      const RecordedTransfer& t = record.transfers[s.first_transfer + i];
+      const trace::RecordedTransfer& t = record.transfers[s.first_transfer + i];
       auto& f = flows[classify_channel(machine, t)];
       f.transfers += s.repeats;
       f.bytes += static_cast<double>(t.bytes) * reps;

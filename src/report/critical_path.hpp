@@ -4,8 +4,8 @@
 #include <string>
 #include <vector>
 
-#include "report/record.hpp"
 #include "topology/machine.hpp"
+#include "trace/record.hpp"
 
 /// \file critical_path.hpp
 /// Critical-path extraction over a recorded engine run.
@@ -87,12 +87,12 @@ struct CriticalPath {
 /// a 2-hop route never leaves the leaf switch; anything longer traverses
 /// core (line/spine) switches.
 PathChannel classify_channel(const topology::Machine& m,
-                             const RecordedTransfer& t);
+                             const trace::RecordedTransfer& t);
 
 /// Extract the critical path of `record` over `machine` (the machine the
 /// run's communicator lived on; a degraded machine works — only routes the
 /// schedule actually used are queried).
-CriticalPath analyze_critical_path(const ScheduleRecord& record,
+CriticalPath analyze_critical_path(const trace::ScheduleRecord& record,
                                    const topology::Machine& machine);
 
 /// Per-channel totals over *all* transfers of the run (not only critical
@@ -104,6 +104,6 @@ struct ChannelFlow {
   Usec transfer_time = 0.0; ///< summed priced transfer costs
 };
 std::map<PathChannel, ChannelFlow> channel_flows(
-    const ScheduleRecord& record, const topology::Machine& machine);
+    const trace::ScheduleRecord& record, const topology::Machine& machine);
 
 }  // namespace tarr::report

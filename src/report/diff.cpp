@@ -47,7 +47,8 @@ void collect_resources(const std::map<std::pair<int, int>, double>& a,
 
 }  // namespace
 
-MappingDiff diff_runs(const ScheduleRecord& a, const ScheduleRecord& b,
+MappingDiff diff_runs(const trace::ScheduleRecord& a,
+                      const trace::ScheduleRecord& b,
                       const topology::Machine& machine, int top_k) {
   MappingDiff diff;
   diff.path_a = analyze_critical_path(a, machine);

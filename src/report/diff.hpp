@@ -5,8 +5,8 @@
 #include <vector>
 
 #include "report/critical_path.hpp"
-#include "report/record.hpp"
 #include "topology/machine.hpp"
+#include "trace/record.hpp"
 
 /// \file diff.hpp
 /// Mapping-attribution diff: given two recorded runs of the *same*
@@ -58,7 +58,8 @@ struct MappingDiff {
 
 /// Diff run `a` (baseline) against run `b` (candidate) over `machine`.
 /// `top_k` bounds both resource lists.
-MappingDiff diff_runs(const ScheduleRecord& a, const ScheduleRecord& b,
+MappingDiff diff_runs(const trace::ScheduleRecord& a,
+                      const trace::ScheduleRecord& b,
                       const topology::Machine& machine, int top_k = 8);
 
 }  // namespace tarr::report

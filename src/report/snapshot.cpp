@@ -8,43 +8,11 @@
 #include <filesystem>
 
 #include "common/error.hpp"
+#include "common/serialize.hpp"
 
 namespace tarr::report {
 
 namespace {
-
-/// Same deterministic number formatting the Tracer uses: exact integers
-/// bare, everything else %.17g (round-trips doubles), so re-emitted
-/// snapshots are byte-stable.
-std::string fmt(double v) {
-  if (v == static_cast<double>(static_cast<long long>(v)) &&
-      std::fabs(v) < 9.0e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-    return buf;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
 
 // ---------------------------------------------------------------------------
 // Minimal JSON reader: just enough for schema v1 (objects, arrays, strings,
@@ -233,6 +201,9 @@ class JsonParser {
     char* end = nullptr;
     const double v = std::strtod(tok.c_str(), &end);
     if (end == nullptr || *end != '\0') fail("bad number '" + tok + "'");
+    // strtod overflows a literal like 1e999 to infinity; every consumer of
+    // a snapshot value assumes a finite one.
+    if (!std::isfinite(v)) fail("non-finite number '" + tok + "'");
     JsonValue out;
     out.kind = JsonValue::Kind::Number;
     out.number = v;
@@ -279,13 +250,13 @@ const BenchMetric* BenchSnapshot::find(const std::string& name) const {
 std::string BenchSnapshot::json() const {
   std::string out = "{\n";
   out += "  \"schema\": " + std::to_string(schema) + ",\n";
-  out += "  \"bench\": \"" + escape(bench) + "\",\n";
-  out += "  \"config\": \"" + escape(config) + "\",\n";
+  out += "  \"bench\": \"" + json_escape(bench) + "\",\n";
+  out += "  \"config\": \"" + json_escape(config) + "\",\n";
   out += "  \"meta\": {";
   bool first = true;
   for (const auto& [k, v] : meta) {
     out += first ? "\n" : ",\n";
-    out += "    \"" + escape(k) + "\": \"" + escape(v) + "\"";
+    out += "    \"" + json_escape(k) + "\": \"" + json_escape(v) + "\"";
     first = false;
   }
   out += first ? "},\n" : "\n  },\n";
@@ -293,8 +264,8 @@ std::string BenchSnapshot::json() const {
   first = true;
   for (const auto& m : metrics) {
     out += first ? "\n" : ",\n";
-    out += "    {\"name\": \"" + escape(m.name) + "\", \"value\": " +
-           fmt(m.value) + ", \"unit\": \"" + escape(m.unit) +
+    out += "    {\"name\": \"" + json_escape(m.name) + "\", \"value\": " +
+           format_number(m.value) + ", \"unit\": \"" + json_escape(m.unit) +
            "\", \"higher_is_better\": " +
            (m.higher_is_better ? "true" : "false") +
            ", \"gate\": " + (m.gate ? "true" : "false") + "}";
@@ -306,12 +277,7 @@ std::string BenchSnapshot::json() const {
 }
 
 void BenchSnapshot::write(const std::string& path) const {
-  const std::string body = json();
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) throw Error("snapshot: cannot write " + path);
-  const std::size_t n = std::fwrite(body.data(), 1, body.size(), f);
-  const bool ok = n == body.size() && std::fclose(f) == 0;
-  if (!ok) throw Error("snapshot: short write to " + path);
+  write_file(path, json());
 }
 
 BenchSnapshot parse_snapshot(const std::string& text) {
@@ -319,7 +285,11 @@ BenchSnapshot parse_snapshot(const std::string& text) {
   if (root.kind != JsonValue::Kind::Object)
     throw Error("snapshot JSON: top level is not an object");
   BenchSnapshot s;
-  s.schema = static_cast<int>(require_number(root, "schema"));
+  const double schema = require_number(root, "schema");
+  if (schema != std::trunc(schema) || std::fabs(schema) > 1.0e9)
+    throw Error("snapshot JSON: schema " + format_number(schema) +
+                " is not an integer version");
+  s.schema = static_cast<int>(schema);
   if (s.schema != kSnapshotSchema)
     throw Error("snapshot JSON: unsupported schema version " +
                 std::to_string(s.schema));

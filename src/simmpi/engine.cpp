@@ -307,7 +307,7 @@ void Engine::local_permute_all(const std::vector<int>& dst_of_block) {
       cost_.local_copy_cost(static_cast<Bytes>(moved) * block_bytes_);
   if (sink_ != nullptr) {
     // The permutation itself precedes the TimeEvent that prices it, so a
-    // recorder can pair the two (see report::ScheduleRecorder).
+    // recorder can pair the two (see trace::ScheduleRecorder).
     sink_->on_permute(trace::PermuteEvent{dst_of_block, total_, cost});
     sink_->on_time(trace::TimeEvent{"local-shuffle", total_, cost});
   }

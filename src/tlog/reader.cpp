@@ -415,8 +415,8 @@ ReplayStats replay(const std::string& path, trace::TraceSink& sink,
   return stats;
 }
 
-report::ScheduleRecord read_record(const std::string& path) {
-  report::ScheduleRecorder recorder;
+trace::ScheduleRecord read_record(const std::string& path) {
+  trace::ScheduleRecorder recorder;
   replay(path, recorder);
   return recorder.take();
 }

@@ -5,8 +5,8 @@
 #include <string>
 #include <vector>
 
-#include "report/record.hpp"
 #include "tlog/format.hpp"
+#include "trace/record.hpp"
 #include "trace/sink.hpp"
 
 /// \file reader.hpp
@@ -16,7 +16,7 @@
 ///
 /// Replay decodes blocks in file order and re-delivers each stored event to
 /// the given sink in its original emission order, so every existing
-/// consumer — report::ScheduleRecorder, trace::Tracer, insight — works on a
+/// consumer — trace::ScheduleRecorder, trace::Tracer, insight — works on a
 /// `.tlog` unchanged.  A reader-side EventFilter skips whole blocks when
 /// the footer index proves no stored event can pass (kind mask, or a stage
 /// window disjoint from the block's stage range); rank windows decode the
@@ -92,8 +92,8 @@ ReplayStats replay(const std::string& path, trace::TraceSink& sink,
                    const ReplayOptions& opts = ReplayOptions{});
 
 /// Rebuild the ScheduleRecord of the recorded run by replaying the full
-/// event stream into a fresh report::ScheduleRecorder.  On an unfiltered,
+/// event stream into a fresh trace::ScheduleRecorder.  On an unfiltered,
 /// unsampled `.tlog` the result is byte-identical to live recording.
-report::ScheduleRecord read_record(const std::string& path);
+trace::ScheduleRecord read_record(const std::string& path);
 
 }  // namespace tarr::tlog

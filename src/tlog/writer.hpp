@@ -32,7 +32,7 @@
 ///
 /// With the default options (no filter, no sampling) a `.tlog` is a
 /// lossless capture: replaying it (tlog/reader.hpp) into a
-/// report::ScheduleRecorder rebuilds a ScheduleRecord byte-identical to
+/// trace::ScheduleRecorder rebuilds a ScheduleRecord byte-identical to
 /// live recording, and replaying into a trace::Tracer reproduces its JSON
 /// timeline and metrics CSV byte-for-byte.
 ///

@@ -1,28 +1,22 @@
 #include "trace/metrics.hpp"
 
 #include <cmath>
-#include <cstdio>
 
 #include "bench/csv.hpp"
 #include "common/error.hpp"
+#include "common/serialize.hpp"
 
 namespace tarr::trace {
 
 namespace {
 
-/// Deterministic number formatting: exact integers print without a decimal
-/// point, everything else as shortest round-trip-ish %.17g.  Formatting must
-/// be locale-independent and stable — metric CSVs are diffed across runs.
-std::string fmt(double v) {
-  if (v == static_cast<double>(static_cast<long long>(v)) &&
-      std::fabs(v) < 9.0e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-    return buf;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+/// The entry `name` of `map`, value-initialized on first use: the lookup
+/// goes by view, so only a new name builds its key string.
+template <class Map>
+typename Map::mapped_type& slot(Map& map, std::string_view name) {
+  auto it = map.find(name);
+  if (it == map.end()) it = map.try_emplace(std::string(name)).first;
+  return it->second;
 }
 
 }  // namespace
@@ -43,40 +37,40 @@ void MetricsRegistry::observe_transfer(const TransferEvent& e) {
   c.bytes += b;
   if (b > c.peak_bytes) c.peak_bytes = b;
   if (e.attempts > 1)
-    counters_["fault.retransmissions"] += e.attempts - 1;
+    slot(counters_, "fault.retransmissions") += e.attempts - 1;
 }
 
-void MetricsRegistry::add_count(const std::string& name, double delta) {
+void MetricsRegistry::add_count(std::string_view name, double delta) {
   if (!std::isfinite(delta))
-    throw Error("MetricsRegistry::add_count('" + name +
+    throw Error("MetricsRegistry::add_count('" + std::string(name) +
                 "'): non-finite delta rejected (a NaN/Inf folded into a "
                 "counter would poison every later delta)");
-  counters_[name] += delta;
+  slot(counters_, name) += delta;
 }
 
-void MetricsRegistry::observe(const std::string& name, double value) {
+void MetricsRegistry::observe(std::string_view name, double value) {
   observe_n(name, value, 1);
 }
 
-void MetricsRegistry::observe_n(const std::string& name, double value,
+void MetricsRegistry::observe_n(std::string_view name, double value,
                                 long long n) {
   if (!std::isfinite(value))
-    throw Error("MetricsRegistry::observe('" + name +
+    throw Error("MetricsRegistry::observe('" + std::string(name) +
                 "'): non-finite sample rejected");
   if (value < 0.0)
-    throw Error("MetricsRegistry::observe('" + name +
+    throw Error("MetricsRegistry::observe('" + std::string(name) +
                 "'): negative sample rejected (distributions hold "
                 "durations, bytes and residuals, all >= 0)");
-  dists_[name].record_n(value, n);
+  slot(dists_, name).record_n(value, n);
 }
 
-double MetricsRegistry::count(const std::string& name) const {
+double MetricsRegistry::count(std::string_view name) const {
   const auto it = counters_.find(name);
   return it == counters_.end() ? 0.0 : it->second;
 }
 
 const insight::Histogram* MetricsRegistry::distribution(
-    const std::string& name) const {
+    std::string_view name) const {
   const auto it = dists_.find(name);
   return it == dists_.end() ? nullptr : &it->second;
 }
@@ -87,64 +81,54 @@ bool MetricsRegistry::empty() const {
 }
 
 std::string MetricsRegistry::csv() const {
+  const auto num = [](double v) { return format_number(v); };
   bench::CsvWriter w;
   w.set_header({"category", "key", "count", "total", "peak"});
   for (const auto& [key, h] : link_heat_) {
     w.add_row({"link",
                "cable " + std::to_string(key.first) + " d" +
                    std::to_string(key.second),
-               fmt(static_cast<double>(h.stages)), fmt(h.total),
-               fmt(h.peak)});
+               num(static_cast<double>(h.stages)), num(h.total),
+               num(h.peak)});
   }
   for (const auto& [key, h] : qpi_heat_) {
     w.add_row({"qpi",
                "node " + std::to_string(key.first) + " d" +
                    std::to_string(key.second),
-               fmt(static_cast<double>(h.stages)), fmt(h.total),
-               fmt(h.peak)});
+               num(static_cast<double>(h.stages)), num(h.total),
+               num(h.peak)});
   }
   for (const auto& [ch, c] : channels_) {
     w.add_row({"channel", to_string(static_cast<Channel>(ch)),
-               fmt(static_cast<double>(c.transfers)), fmt(c.bytes),
-               fmt(c.peak_bytes)});
+               num(static_cast<double>(c.transfers)), num(c.bytes),
+               num(c.peak_bytes)});
   }
   for (const auto& [name, value] : counters_) {
-    w.add_row({"counter", name, "", fmt(value), ""});
+    w.add_row({"counter", name, "", num(value), ""});
   }
   // Distribution rows append strictly after the legacy categories so a
   // registry without distributions serializes byte-identically to before.
   for (const auto& [name, h] : dists_) {
-    w.add_row({"dist", name, fmt(static_cast<double>(h.count())),
-               fmt(h.approx_sum()), fmt(h.max())});
-    w.add_row({"dist", name + " min", "", fmt(h.min()), ""});
+    w.add_row({"dist", name, num(static_cast<double>(h.count())),
+               num(h.approx_sum()), num(h.max())});
+    w.add_row({"dist", name + " min", "", num(h.min()), ""});
     for (const auto& spec : insight::kStandardQuantiles) {
-      w.add_row({"dist", name + " " + spec.label, "", fmt(h.quantile(spec.q)),
+      w.add_row({"dist", name + " " + spec.label, "", num(h.quantile(spec.q)),
                  ""});
     }
   }
   for (const auto& [name, h] : dists_) {
     if (h.zero_count() > 0) {
       w.add_row({"distbucket", name + " zero",
-                 fmt(static_cast<double>(h.zero_count())), "0", "0"});
+                 num(static_cast<double>(h.zero_count())), "0", "0"});
     }
     for (const auto& b : h.buckets()) {
       w.add_row({"distbucket", name + " b" + std::to_string(b.index),
-                 fmt(static_cast<double>(b.count)), fmt(b.lower),
-                 fmt(b.upper)});
+                 num(static_cast<double>(b.count)), num(b.lower),
+                 num(b.upper)});
     }
   }
   return w.to_string();
-}
-
-void MetricsRegistry::write_csv(const std::string& path) const {
-  // Serialize through csv() so the file and the string snapshot are
-  // guaranteed identical bytes.
-  const std::string body = csv();
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) throw Error("MetricsRegistry: cannot write " + path);
-  const std::size_t n = std::fwrite(body.data(), 1, body.size(), f);
-  const bool ok = n == body.size() && std::fclose(f) == 0;
-  if (!ok) throw Error("MetricsRegistry: short write to " + path);
 }
 
 }  // namespace tarr::trace

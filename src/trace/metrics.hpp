@@ -1,7 +1,9 @@
 #pragma once
 
+#include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "common/types.hpp"
@@ -49,24 +51,26 @@ class MetricsRegistry {
 
   /// Additive named counter.  Rejects non-finite deltas with a structured
   /// tarr::Error naming the counter — a NaN folded in silently would poison
-  /// every later delta and the CSV bytes downstream.
-  void add_count(const std::string& name, double delta);
+  /// every later delta and the CSV bytes downstream.  Names are looked up
+  /// by view; a key string is built only on a name's first use.
+  void add_count(std::string_view name, double delta);
 
   /// One sample of the named distribution.  Rejects non-finite or negative
   /// values with a structured tarr::Error naming the distribution.
-  void observe(const std::string& name, double value);
+  void observe(std::string_view name, double value);
 
   /// `n` identical samples (repeat-compressed stages fold in exactly).
-  void observe_n(const std::string& name, double value, long long n);
+  void observe_n(std::string_view name, double value, long long n);
 
   /// Value of a named counter (0 when never incremented).
-  double count(const std::string& name) const;
+  double count(std::string_view name) const;
 
   /// The named distribution, or nullptr when never observed.
-  const insight::Histogram* distribution(const std::string& name) const;
+  const insight::Histogram* distribution(std::string_view name) const;
 
   /// All distributions in deterministic name order.
-  const std::map<std::string, insight::Histogram>& distributions() const {
+  const std::map<std::string, insight::Histogram, std::less<>>&
+  distributions() const {
     return dists_;
   }
 
@@ -76,9 +80,6 @@ class MetricsRegistry {
   /// Serialize to CSV (schema in the file comment); rows are emitted in
   /// deterministic (category, key) order.
   std::string csv() const;
-
-  /// Write csv() to a file; throws tarr::Error on I/O failure.
-  void write_csv(const std::string& path) const;
 
  private:
   struct Heat {
@@ -95,8 +96,8 @@ class MetricsRegistry {
   std::map<std::pair<int, int>, Heat> link_heat_;  ///< (link, dir) -> heat
   std::map<std::pair<int, int>, Heat> qpi_heat_;   ///< (node, dir) -> heat
   std::map<int, ChannelStat> channels_;            ///< Channel -> stat
-  std::map<std::string, double> counters_;
-  std::map<std::string, insight::Histogram> dists_;
+  std::map<std::string, double, std::less<>> counters_;
+  std::map<std::string, insight::Histogram, std::less<>> dists_;
 };
 
 }  // namespace tarr::trace

@@ -179,7 +179,7 @@ class TraceSink {
 
 /// Forwards every event to each downstream leg in order, so a single
 /// emission point — the engine holds exactly one sink pointer — can feed
-/// e.g. a Tracer, a tlog capture and a report::ScheduleRecorder at once.
+/// e.g. a Tracer and a tlog capture at once.
 /// Null legs are dropped at construction; every leg must outlive the tee.
 class TeeSink final : public TraceSink {
  public:

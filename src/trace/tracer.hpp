@@ -4,10 +4,12 @@
 #include <vector>
 
 #include "trace/metrics.hpp"
+#include "trace/record.hpp"
 #include "trace/sink.hpp"
 
 /// \file tracer.hpp
-/// The concrete TraceSink: buffers every event of a run and exports
+/// The concrete TraceSink: stores a run as one ScheduleRecord (plus its
+/// MetricsRegistry and the wall-clock spans) and renders, at export,
 ///   1. a simulated-time timeline in Chrome trace-event JSON ("traceEvents"
 ///      array of complete/counter/metadata events; load the file into
 ///      Perfetto or chrome://tracing), and
@@ -38,19 +40,7 @@ namespace tarr::trace {
 
 /// Behavior knobs of a Tracer.
 struct TracerOptions {
-  bool timeline = true;      ///< collect timeline events
   bool real_wall_time = false;  ///< see file comment (breaks byte identity)
-};
-
-/// One buffered complete-event ("ph":"X") of the timeline, exposed for
-/// tests that validate span nesting without re-parsing the JSON.
-struct TimelineSpan {
-  int pid = 0;
-  int tid = 0;
-  std::string name;
-  double ts = 0.0;
-  double dur = 0.0;
-  std::string args_json;  ///< serialized args object ("{}" when empty)
 };
 
 /// See file comment.
@@ -60,6 +50,8 @@ class Tracer final : public TraceSink {
 
   void on_stage(const StageEvent& e) override;
   void on_transfer(const TransferEvent& e) override;
+  void on_copy(const CopyEvent& e) override;
+  void on_permute(const PermuteEvent& e) override;
   void on_phase(const PhaseEvent& e) override;
   void on_counter(const CounterSample& s) override;
   void on_wall_span(const WallSpan& s) override;
@@ -67,42 +59,19 @@ class Tracer final : public TraceSink {
   void add_count(const std::string& name, double delta) override;
   void observe(const std::string& name, double value) override;
 
-  const TracerOptions& options() const { return opts_; }
+  /// The recorded run (see trace/record.hpp).
+  const ScheduleRecord& record() const { return recorder_.record(); }
   const MetricsRegistry& metrics() const { return metrics_; }
   MetricsRegistry& metrics() { return metrics_; }
 
-  /// Buffered spans in emission order (before the serialization sort).
-  const std::vector<TimelineSpan>& spans() const { return spans_; }
-
-  /// Serialize the timeline to Chrome trace-event JSON.
+  /// Render the timeline as Chrome trace-event JSON.
   std::string timeline_json() const;
 
-  /// Write timeline_json() to a file; throws tarr::Error on I/O failure.
-  void write_timeline(const std::string& path) const;
-
-  /// Write the metrics CSV to a file; throws tarr::Error on I/O failure.
-  void write_metrics(const std::string& path) const;
-
-  /// Fail-fast writability probe for output paths: throws tarr::Error if
-  /// `path` cannot be opened for writing, *without* truncating an existing
-  /// file (a file created by the probe itself is removed again).  CLIs call
-  /// this before a long run so a typo'd --trace path fails immediately
-  /// instead of after the simulation.
-  static void ensure_writable(const std::string& path);
-
  private:
-  struct CounterPoint {
-    std::string track;
-    double ts = 0.0;
-    double value = 0.0;
-  };
-
   TracerOptions opts_;
+  ScheduleRecorder recorder_;
   MetricsRegistry metrics_;
-  std::vector<TimelineSpan> spans_;
-  std::vector<CounterPoint> counters_;
-  int max_rank_ = -1;      ///< highest rank seen (labels rank tracks)
-  double wall_cursor_ = 0.0;  ///< ordinal/accumulated axis for wall spans
+  std::vector<WallSpan> wall_spans_;
 };
 
 }  // namespace tarr::trace

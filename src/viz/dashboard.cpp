@@ -18,7 +18,7 @@ namespace {
 
 using report::CriticalPath;
 using report::PathChannel;
-using report::ScheduleRecord;
+using trace::ScheduleRecord;
 
 std::string card(const std::string& name, const std::string& value,
                  const std::string& delta_html) {
@@ -154,8 +154,10 @@ std::string render_dashboard(const DashboardInputs& in) {
         report::diff_runs(*in.baseline, *in.candidate, machine);
     std::vector<std::vector<std::string>> rows;
     for (const auto& [channel, delta] : diff.channels)
-      rows.push_back({report::to_string(channel), fmt(delta.a.bytes),
-                      fmt(delta.b.bytes), fmt(delta.bytes_delta()),
+      rows.push_back({report::to_string(channel),
+                      format_number(delta.a.bytes),
+                      format_number(delta.b.bytes),
+                      format_number(delta.bytes_delta()),
                       fmt_usec(delta.time_delta())});
     std::string diff_body = data_table(
         {"channel", in.baseline_label + " bytes", in.candidate_label + " bytes",
@@ -163,11 +165,11 @@ std::string render_dashboard(const DashboardInputs& in) {
         rows);
     std::vector<std::vector<std::string>> res_rows;
     for (const auto& r : diff.relieved)
-      res_rows.push_back({"relieved", r.label(), fmt(r.bytes_a), fmt(r.bytes_b),
-                          fmt(r.delta())});
+      res_rows.push_back({"relieved", r.label(), format_number(r.bytes_a),
+                          format_number(r.bytes_b), format_number(r.delta())});
     for (const auto& r : diff.newly_loaded)
-      res_rows.push_back({"newly loaded", r.label(), fmt(r.bytes_a),
-                          fmt(r.bytes_b), fmt(r.delta())});
+      res_rows.push_back({"newly loaded", r.label(), format_number(r.bytes_a),
+                          format_number(r.bytes_b), format_number(r.delta())});
     if (!res_rows.empty())
       diff_body += collapsible(
           "Top relieved / newly loaded resources",

@@ -5,9 +5,9 @@
 
 #include "insight/findings.hpp"
 #include "prof/profiler.hpp"
-#include "report/record.hpp"
 #include "report/snapshot.hpp"
 #include "topology/machine.hpp"
+#include "trace/record.hpp"
 #include "viz/trend.hpp"
 
 /// \file dashboard.hpp
@@ -24,13 +24,13 @@ struct DashboardInputs {
   std::string subtitle;  ///< one-line config description (machine, pattern)
 
   const topology::Machine* machine = nullptr;        ///< required
-  const report::ScheduleRecord* baseline = nullptr;  ///< required
+  const trace::ScheduleRecord* baseline = nullptr;  ///< required
   std::string baseline_label = "baseline";
 
   /// Optional second run of the same pattern (a reordered mapping):
   /// enables the topology diff, the side-by-side matrix and the second
   /// timeline.
-  const report::ScheduleRecord* candidate = nullptr;
+  const trace::ScheduleRecord* candidate = nullptr;
   std::string candidate_label = "reordered";
 
   /// Optional snapshot trajectory (see trend.hpp).

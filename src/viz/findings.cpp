@@ -59,7 +59,7 @@ std::string render_findings_section(const insight::Diagnosis& d) {
     if (!f.evidence.empty()) {
       std::vector<std::vector<std::string>> rows;
       for (const auto& e : f.evidence)
-        rows.push_back({e.name, fmt(e.value)});
+        rows.push_back({e.name, format_number(e.value)});
       body += collapsible("evidence: " + f.title,
                           data_table({"name", "value"}, rows));
     }
@@ -71,8 +71,8 @@ std::string render_findings_section(const insight::Diagnosis& d) {
     for (const Rank r : d.imbalance.stragglers) {
       const auto& rl = d.imbalance.ranks[static_cast<std::size_t>(r)];
       rows.push_back({std::to_string(rl.rank), std::to_string(rl.core),
-                      fmt(rl.busy), fmt(rl.stall),
-                      fmt(static_cast<double>(rl.transfers))});
+                      format_number(rl.busy), format_number(rl.stall),
+                      format_number(static_cast<double>(rl.transfers))});
     }
     body += collapsible(
         "Busiest ranks (exact traced sums)",

@@ -79,18 +79,6 @@ std::string escape_attr(const std::string& s) {
   return out;
 }
 
-std::string fmt(double v) {
-  if (v == static_cast<double>(static_cast<long long>(v)) &&
-      std::fabs(v) < 9.0e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-    return buf;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
 std::string fmt_fixed(double v, int prec) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", prec, v);
@@ -327,7 +315,8 @@ std::string line_chart(const std::string& caption,
              fmt_fixed(ypos(s.y[i]), 1) + "\" r=\"4\" fill=\"" +
              std::string(color) + "\" stroke=\"" + std::string(kSurface) +
              "\" stroke-width=\"2\"><title>" +
-             escape_text(s.label + " @ " + x_labels[i] + ": " + fmt(s.y[i])) +
+             escape_text(s.label + " @ " + x_labels[i] + ": " +
+                         format_number(s.y[i])) +
              "</title></circle>\n";
     }
   }

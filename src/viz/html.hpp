@@ -3,6 +3,8 @@
 #include <string>
 #include <vector>
 
+#include "common/serialize.hpp"
+
 /// \file html.hpp
 /// Deterministic HTML/SVG building blocks of tarr::viz, the dashboard
 /// renderer (see docs/OBSERVABILITY.md, "Dashboards").
@@ -14,7 +16,8 @@
 /// are a pure function of the (simulated, seeded) inputs, so two same-seed
 /// runs produce byte-identical dashboards and CI can `cmp` them.  That is
 /// why every number passes through the locale-independent formatters here
-/// and no view ever embeds wall-clock quantities.
+/// (exact values through tarr::format_number) and no view ever embeds
+/// wall-clock quantities.
 ///
 /// Color discipline (one rule per job):
 ///   * magnitude  -> the sequential blue ramp (seq_color);
@@ -36,10 +39,6 @@ std::string escape_text(const std::string& s);
 
 /// Escape a string for a double-quoted HTML/SVG attribute (& < > " ').
 std::string escape_attr(const std::string& s);
-
-/// Deterministic number formatting (same contract as the Tracer/snapshot
-/// writers): exact integers bare, everything else %.17g.
-std::string fmt(double v);
 
 /// Fixed-precision formatting for display (locale-independent %.{prec}f).
 std::string fmt_fixed(double v, int prec);

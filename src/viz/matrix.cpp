@@ -32,7 +32,7 @@ std::string matrix_svg(const CommMatrix& m, double scale_max,
              fmt_fixed(cell - (cell > 6 ? 1.0 : 0.0), 1) + "\" fill=\"" +
              color + "\"><title>" +
              escape_text(m.labels[i] + " -> " + m.labels[j] + ": " +
-                         fmt_bytes(b) + " (" + fmt(b) + " B)") +
+                         fmt_bytes(b) + " (" + format_number(b) + " B)") +
              "</title></rect>\n";
     }
   }
@@ -57,7 +57,7 @@ std::string matrix_table(const CommMatrix& m, const std::string& name) {
   for (int i = 0; i < m.n; ++i)
     for (int j = 0; j < m.n; ++j)
       if (m.cell(i, j) > 0.0)
-        rows.push_back({m.labels[i], m.labels[j], fmt(m.cell(i, j))});
+        rows.push_back({m.labels[i], m.labels[j], format_number(m.cell(i, j))});
   if (rows.empty()) return "";
   return collapsible(
       (name.empty() ? std::string() : name + ": ") + "nonzero cells (" +
@@ -67,7 +67,7 @@ std::string matrix_table(const CommMatrix& m, const std::string& name) {
 
 }  // namespace
 
-CommMatrix build_comm_matrix(const report::ScheduleRecord& record,
+CommMatrix build_comm_matrix(const trace::ScheduleRecord& record,
                              const topology::Machine& machine,
                              int aggregate_above) {
   // Which core did each observed rank run on?  (The record carries the

@@ -3,8 +3,8 @@
 #include <string>
 #include <vector>
 
-#include "report/record.hpp"
 #include "topology/machine.hpp"
+#include "trace/record.hpp"
 #include "viz/html.hpp"
 
 /// \file matrix.hpp
@@ -38,7 +38,7 @@ struct CommMatrix {
 /// Build the matrix for `record`.  When the run has more than
 /// `aggregate_above` distinct ranks the matrix aggregates to node x node
 /// using `machine` (ranks themselves would be unreadable and enormous).
-CommMatrix build_comm_matrix(const report::ScheduleRecord& record,
+CommMatrix build_comm_matrix(const trace::ScheduleRecord& record,
                              const topology::Machine& machine,
                              int aggregate_above = 64);
 

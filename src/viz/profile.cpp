@@ -24,9 +24,10 @@ std::string render_profile_section(const prof::Profile& p,
     for (int i = 1; i < e.depth; ++i) name += "&nbsp;&nbsp;&nbsp;";
     name += escape_text(e.parent < 0 ? "(root)" : e.name);
     body += "<tr><td>" + name + "</td><td>" +
-            escape_text(fmt(static_cast<double>(e.calls))) + "</td><td>" +
-            escape_text(fmt(e.work_self)) + "</td><td>" +
-            escape_text(fmt(e.work_total)) + "</td><td>" +
+            escape_text(format_number(static_cast<double>(e.calls))) +
+            "</td><td>" +
+            escape_text(format_number(e.work_self)) + "</td><td>" +
+            escape_text(format_number(e.work_total)) + "</td><td>" +
             "<span style=\"display:inline-block;height:9px;width:" +
             fmt_fixed(share * 120.0, 1) + "px;background:" +
             seq_color(share) + "\"></span> " + fmt_fixed(share * 100.0, 1) +
@@ -38,7 +39,7 @@ std::string render_profile_section(const prof::Profile& p,
   if (!root.counters.empty()) {
     std::vector<std::vector<std::string>> crow;
     for (const auto& [name, m] : root.counters)
-      crow.push_back({name, fmt(m.total)});
+      crow.push_back({name, format_number(m.total)});
     body += collapsible(label + ": work-counter totals",
                         data_table({"counter", "total"}, crow));
   }
@@ -46,8 +47,8 @@ std::string render_profile_section(const prof::Profile& p,
     std::vector<std::vector<std::string>> mrow;
     mrow.push_back({"allocated bytes (cumulative)",
                     fmt_bytes(static_cast<double>(root.mem_bytes_total))});
-    mrow.push_back(
-        {"allocations", fmt(static_cast<double>(root.mem_allocs_total))});
+    mrow.push_back({"allocations",
+                    format_number(static_cast<double>(root.mem_allocs_total))});
     body += collapsible(label + ": allocation pressure",
                         data_table({"metric", "value"}, mrow));
   }

@@ -12,7 +12,7 @@ namespace {
 
 using report::CriticalPath;
 using report::PathSegment;
-using report::ScheduleRecord;
+using trace::ScheduleRecord;
 
 /// Categorical slots for channel identity — deliberately disjoint from the
 /// cost-nature slots (0..2) used by the critical-path band on the same
@@ -267,8 +267,10 @@ std::string render_timeline(const ScheduleRecord& record,
   for (const PathSegment& seg : path.segments)
     rows.push_back({seg.stage >= 0 ? std::to_string(seg.stage) : "-",
                     seg.what, report::to_string(seg.channel), seg.phase,
-                    fmt(seg.start), fmt(seg.duration), fmt(seg.serialization),
-                    fmt(seg.contention), fmt(seg.retransmission)});
+                    format_number(seg.start), format_number(seg.duration),
+                    format_number(seg.serialization),
+                    format_number(seg.contention),
+                    format_number(seg.retransmission)});
   out += collapsible(
       "Critical-path segments (" + std::to_string(rows.size()) + ")",
       data_table({"stage", "element", "channel", "phase", "start (us)",

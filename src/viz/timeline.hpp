@@ -3,7 +3,7 @@
 #include <string>
 
 #include "report/critical_path.hpp"
-#include "report/record.hpp"
+#include "trace/record.hpp"
 #include "viz/html.hpp"
 
 /// \file timeline.hpp
@@ -29,7 +29,7 @@ struct TimelineOptions {
 /// Render the timeline HTML fragment for `record` with its extracted
 /// critical path (callers usually have `path` already; it must come from
 /// this same record).
-std::string render_timeline(const report::ScheduleRecord& record,
+std::string render_timeline(const trace::ScheduleRecord& record,
                             const report::CriticalPath& path,
                             const std::string& caption,
                             const TimelineOptions& opts = {});

@@ -132,19 +132,19 @@ std::string dir_tip(const SwitchGraph& net, LinkId l, int dir, double bytes) {
   return "cable " + std::to_string(l) + " (" + vertex_label(net, from) +
          " -> " + vertex_label(net, to) + ", capacity " +
          std::to_string(lk.capacity) + "): " + fmt_bytes(bytes) + " (" +
-         fmt(bytes) + " B)";
+         format_number(bytes) + " B)";
 }
 
 std::string qpi_tip(NodeId n, int dir, double bytes) {
   return "node " + std::to_string(n) + " QPI " +
          (dir == 0 ? "socket 0 -> 1" : "socket 1 -> 0") + ": " +
-         fmt_bytes(bytes) + " (" + fmt(bytes) + " B)";
+         fmt_bytes(bytes) + " (" + format_number(bytes) + " B)";
 }
 
 }  // namespace
 
 TopoHeatmap build_topo_heatmap(const Machine& machine,
-                               const report::ScheduleRecord& record) {
+                               const trace::ScheduleRecord& record) {
   TopoHeatmap heat;
   const SwitchGraph& net = machine.network();
   heat.links.resize(net.num_links());
@@ -227,13 +227,13 @@ std::string render_topo_heatmap(const Machine& machine, const TopoHeatmap& heat,
                             " -> " +
                             vertex_label(net, dir == 0 ? net.link(el.link).b
                                                        : net.link(el.link).a),
-                        fmt(el.bytes[dir])});
+                        format_number(el.bytes[dir])});
   for (const auto& nl : heat.nodes)
     for (int dir = 0; dir < 2; ++dir)
       if (nl.bytes[dir] > 0.0)
         rows.push_back({"node " + std::to_string(nl.node) + " QPI",
                         dir == 0 ? "socket 0 -> 1" : "socket 1 -> 0",
-                        fmt(nl.bytes[dir])});
+                        format_number(nl.bytes[dir])});
   if (rows.empty()) {
     out += "<p class=\"intro\">No network or QPI load was recorded.</p>\n";
   } else {
@@ -281,8 +281,8 @@ std::string render_topo_diff(const Machine& machine, const TopoHeatmap& a,
           d == 0.0 ? 1.2 : 3.0,
           "cable " + std::to_string(l) + " (" +
               vertex_label(net, dir == 0 ? lk.a : lk.b) + " -> " +
-              vertex_label(net, dir == 0 ? lk.b : lk.a) + ") delta: " + fmt(d) +
-              " B");
+              vertex_label(net, dir == 0 ? lk.b : lk.a) +
+              ") delta: " + format_number(d) + " B");
     }
   }
   for (NetVertexId v = 0; v < net.num_vertices(); ++v) {
@@ -294,10 +294,10 @@ std::string render_topo_diff(const Machine& machine, const TopoHeatmap& a,
           lay, v, vertex_label(net, v),
           d0 == 0.0 ? std::string(kSurface) : div_color(d0 / max_abs),
           d1 == 0.0 ? std::string(kSurface) : div_color(d1 / max_abs),
-          "node " + std::to_string(n) + " QPI socket 0 -> 1 delta: " + fmt(d0) +
-              " B",
-          "node " + std::to_string(n) + " QPI socket 1 -> 0 delta: " + fmt(d1) +
-              " B",
+          "node " + std::to_string(n) +
+              " QPI socket 0 -> 1 delta: " + format_number(d0) + " B",
+          "node " + std::to_string(n) +
+              " QPI socket 1 -> 0 delta: " + format_number(d1) + " B",
           host_labels);
     } else {
       svg += switch_glyph(lay, v, vertex_label(net, v));
@@ -345,7 +345,7 @@ std::string render_topo_diff(const Machine& machine, const TopoHeatmap& a,
   if (moves.size() > 24) moves.resize(24);
   std::vector<std::vector<std::string>> rows;
   for (const auto& m : moves)
-    rows.push_back({m.what, m.dir, fmt(m.delta)});
+    rows.push_back({m.what, m.dir, format_number(m.delta)});
   if (!rows.empty())
     out += collapsible(
         "Largest load movements (top " + std::to_string(rows.size()) + ")",

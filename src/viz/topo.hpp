@@ -3,8 +3,8 @@
 #include <string>
 #include <vector>
 
-#include "report/record.hpp"
 #include "topology/machine.hpp"
+#include "trace/record.hpp"
 #include "viz/html.hpp"
 
 /// \file topo.hpp
@@ -51,7 +51,7 @@ struct TopoHeatmap {
 /// communicator lived on).  Links/nodes the run never loaded appear with
 /// zero bytes; counters for ids outside the machine are ignored.
 TopoHeatmap build_topo_heatmap(const topology::Machine& machine,
-                               const report::ScheduleRecord& record);
+                               const trace::ScheduleRecord& record);
 
 /// Render one heatmap as an HTML fragment: the layered switch graph
 /// (spine / line / leaf rows, hosts at the bottom) with two directed

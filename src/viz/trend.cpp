@@ -87,11 +87,12 @@ std::string render_trend(const std::vector<TrendSet>& sets,
           const BenchMetric* m = snap ? snap->find(lead->name) : nullptr;
           cs.y.push_back(m ? m->value
                            : std::numeric_limits<double>::quiet_NaN());
-          row.push_back(m ? fmt(m->value) : "-");
+          row.push_back(m ? format_number(m->value) : "-");
           if (m && lead->gate && sets.size() >= 2 && &set != &sets.front() &&
               outside_tolerance(*lead, m->value, opts)) {
             flagged.push_back({bench, lead->name, set.label,
-                               fmt(lead->value), fmt(m->value)});
+                               format_number(lead->value),
+                               format_number(m->value)});
           }
         }
         rows.push_back(std::move(row));

@@ -17,8 +17,8 @@
 #include "core/framework.hpp"
 #include "fault/degraded.hpp"
 #include "fault/shrink.hpp"
-#include "report/record.hpp"
 #include "simmpi/layout.hpp"
+#include "trace/record.hpp"
 
 namespace tarr::analyze {
 namespace {
@@ -28,8 +28,8 @@ using collectives::AllgatherOptions;
 using collectives::AlltoallAlgo;
 using collectives::OrderFix;
 using collectives::TreeAlgo;
-using report::ScheduleRecord;
-using report::ScheduleRecorder;
+using trace::ScheduleRecord;
+using trace::ScheduleRecorder;
 using simmpi::Communicator;
 using simmpi::CostConfig;
 using simmpi::Engine;

@@ -18,11 +18,11 @@
 #include "common/error.hpp"
 #include "fault/degraded.hpp"
 #include "probe/congestion.hpp"
-#include "report/record.hpp"
 #include "simmpi/engine.hpp"
 #include "simmpi/layout.hpp"
 #include "simmpi/transient.hpp"
 #include "topology/fattree.hpp"
+#include "trace/record.hpp"
 #include "trace/tracer.hpp"
 #include "viz/findings.hpp"
 
@@ -216,13 +216,13 @@ TEST(Metrics, StageDurationQuantilesMatchBruteForceOnTracedRun) {
   const Machine m = Machine::gpc(2);
   const Communicator comm(m, make_layout(m, 16, {}));
   trace::Tracer tracer;
-  report::ScheduleRecorder recorder;
+  trace::ScheduleRecorder recorder;
   trace::TeeSink tee({&tracer, &recorder});
   Engine eng(comm, CostConfig{}, ExecMode::Timed, 256, 16);
   eng.set_trace_sink(&tee);
   collectives::run_allgather(
       eng, {collectives::AllgatherAlgo::Ring, collectives::OrderFix::None});
-  const report::ScheduleRecord rec = recorder.take();
+  const trace::ScheduleRecord rec = recorder.take();
 
   std::vector<double> durations;
   for (const auto& s : rec.stages) {
@@ -253,12 +253,12 @@ TEST(Imbalance, JainIndexKnownValues) {
 TEST(Imbalance, ExactSumsMatchIndependentRecomputation) {
   const Machine m = Machine::gpc(2);
   const Communicator comm(m, make_layout(m, 16, {}));
-  report::ScheduleRecorder recorder;
+  trace::ScheduleRecorder recorder;
   Engine eng(comm, CostConfig{}, ExecMode::Timed, 1024, 16);
   eng.set_trace_sink(&recorder);
   collectives::run_allgather(
       eng, {collectives::AllgatherAlgo::Ring, collectives::OrderFix::None});
-  const report::ScheduleRecord rec = recorder.take();
+  const trace::ScheduleRecord rec = recorder.take();
   const ImbalanceReport rep = analyze_imbalance(rec);
 
   // Independent recomputation with a different data structure (maps keyed
@@ -301,7 +301,7 @@ struct CongestedRun {
   // live behind stable addresses for the lifetime of the fixture.
   std::unique_ptr<Machine> base;
   std::unique_ptr<fault::DegradedTopology> topo;
-  report::ScheduleRecord record;
+  trace::ScheduleRecord record;
   trace::MetricsRegistry metrics;
   const Machine& machine() const { return topo->machine(); }
 };
@@ -332,16 +332,12 @@ CongestedRun congested_run() {
       topo.machine(),
       make_layout(topo.machine(), 64,
                   {simmpi::NodeOrder::Cyclic, simmpi::SocketOrder::Bunch}));
-  report::ScheduleRecorder recorder;
-  trace::TracerOptions topts;
-  topts.timeline = false;
-  trace::Tracer tracer(topts);
-  trace::TeeSink tee({&tracer, &recorder});
+  trace::Tracer tracer;
   Engine eng(comm, CostConfig{}, ExecMode::Timed, 16 * 1024, 64);
-  eng.set_trace_sink(&tee);
+  eng.set_trace_sink(&tracer);
   collectives::run_allgather(
       eng, {collectives::AllgatherAlgo::Ring, collectives::OrderFix::None});
-  run.record = recorder.take();
+  run.record = tracer.record();
   run.metrics = tracer.metrics();
   return run;
 }
@@ -398,7 +394,7 @@ TEST(Diagnose, BalancedRunProducesNoStragglers) {
   // boundary ranks real stragglers, which the congested test relies on.)
   const Machine m = Machine::gpc(1);
   const Communicator comm(m, make_layout(m, 4, {}));
-  report::ScheduleRecorder recorder;
+  trace::ScheduleRecorder recorder;
   Engine eng(comm, CostConfig{}, ExecMode::Timed, 256, 4);
   eng.set_trace_sink(&recorder);
   collectives::run_allgather(

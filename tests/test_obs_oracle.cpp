@@ -11,13 +11,13 @@
 
 #include <cstdint>
 #include <cstdlib>
-#include <cstdio>
 #include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/permutation.hpp"
+#include "common/serialize.hpp"
 #include "core/refine.hpp"
 #include "core/topoallgather.hpp"
 #include "graph/apppattern.hpp"
@@ -37,12 +37,6 @@ std::uint64_t fnv1a(const std::string& s) {
     h *= 1099511628211ull;
   }
   return h;
-}
-
-std::string num(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
 }
 
 /// `csv` without the lines for which `drop(line)` holds.
@@ -69,11 +63,11 @@ class StreamRecorder final : public trace::TraceSink {
     stream += "span " + s.name + "\n";
   }
   void add_count(const std::string& name, double delta) override {
-    stream += "count " + name + " " + num(delta) + "\n";
+    stream += "count " + name + " " + format_number(delta) + "\n";
     totals[name] += delta;
   }
   void observe(const std::string& name, double value) override {
-    stream += "observe " + name + " " + num(value) + "\n";
+    stream += "observe " + name + " " + format_number(value) + "\n";
   }
 
   std::string stream;

@@ -16,6 +16,7 @@
 #include "collectives/allgather.hpp"
 #include "common/error.hpp"
 #include "common/permutation.hpp"
+#include "common/serialize.hpp"
 #include "core/refine.hpp"
 #include "fault/campaign.hpp"
 #include "mapping/mapper.hpp"
@@ -428,6 +429,32 @@ TEST(Memhook, RouterBuildAllocatesPerDestinationNotPerPair) {
                 static_cast<long long>(sizeof(std::vector<LinkId>)));
 }
 
+TEST(Memhook, TracedRunAllocatesLessThanOncePerTransfer) {
+  // A Tracer keeps each priced transfer as one plain record entry and folds
+  // it into distributions looked up by view, so a traced run allocates in
+  // amortized vector growth and first uses of a name, not per event.
+  ASSERT_TRUE(link_memhook());
+  const topology::Machine m = topology::Machine::gpc(64);
+  const int p = m.total_cores();
+  const simmpi::Communicator comm(m, simmpi::make_layout(m, p, {}));
+  trace::Tracer tracer;
+  const MemCounters before = detail::mem_source()();
+  {
+    simmpi::Engine eng(comm, simmpi::CostConfig{}, simmpi::ExecMode::Timed,
+                       256, p);
+    eng.set_trace_sink(&tracer);
+    collectives::run_allgather(
+        eng,
+        {collectives::AllgatherAlgo::RecursiveDoubling,
+         collectives::OrderFix::None},
+        identity_permutation(p));
+  }
+  const MemCounters after = detail::mem_source()();
+  const std::size_t transfers = tracer.record().transfers.size();
+  ASSERT_EQ(transfers, 9u * 512u);  // log2(512) stages of 512 transfers
+  EXPECT_LT(after.allocs - before.allocs, transfers);
+}
+
 // ---------------------------------------------------------------------------
 // Exporters.
 
@@ -475,10 +502,8 @@ TEST(Export, PublishBridgesTotalsIntoMetricsRegistry) {
 }
 
 TEST(Export, EnsureWritableFailsFastOnBadPaths) {
-  EXPECT_THROW(trace::Tracer::ensure_writable("/nonexistent-dir/prof.csv"),
-               Error);
-  EXPECT_NO_THROW(
-      trace::Tracer::ensure_writable(testing::TempDir() + "prof_probe.csv"));
+  EXPECT_THROW(ensure_writable("/nonexistent-dir/prof.csv"), Error);
+  EXPECT_NO_THROW(ensure_writable(testing::TempDir() + "prof_probe.csv"));
 }
 
 }  // namespace

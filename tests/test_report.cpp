@@ -19,15 +19,16 @@
 #include "collectives/allgather.hpp"
 #include "collectives/hierarchical.hpp"
 #include "common/permutation.hpp"
+#include "common/serialize.hpp"
 #include "core/framework.hpp"
 #include "fault/shrink.hpp"
 #include "report/diff.hpp"
-#include "report/record.hpp"
 #include "report/render.hpp"
 #include "report/snapshot.hpp"
 #include "simmpi/engine.hpp"
 #include "simmpi/layout.hpp"
 #include "simmpi/transient.hpp"
+#include "trace/record.hpp"
 #include "trace/tracer.hpp"
 
 namespace tarr::report {
@@ -39,6 +40,9 @@ using simmpi::Engine;
 using simmpi::ExecMode;
 using simmpi::make_layout;
 using topology::Machine;
+using trace::RecordedTransfer;
+using trace::ScheduleRecord;
+using trace::ScheduleRecorder;
 
 /// Per-segment sanity: the nature breakdown covers the whole duration and
 /// nothing is negative.
@@ -422,6 +426,20 @@ TEST(Snapshot, ParserRejectsMalformedInput) {
                               "\"config\": \"y\", \"metrics\": []}"),
                Error);  // unsupported schema
   EXPECT_THROW(parse_snapshot(sample_snapshot().json() + "garbage"), Error);
+  // Numbers strtod overflows to infinity, and a schema that is no integer.
+  const auto snapshot = [](const std::string& schema,
+                           const std::string& value) {
+    return "{\"schema\": " + schema +
+           ", \"bench\": \"x\", \"config\": \"y\", \"metrics\": "
+           "[{\"name\": \"m\", \"value\": " +
+           value + ", \"unit\": \"us\"}]}";
+  };
+  const std::string schema = std::to_string(kSnapshotSchema);
+  EXPECT_EQ(parse_snapshot(snapshot(schema, "2")).metrics.at(0).value, 2.0);
+  EXPECT_THROW(parse_snapshot(snapshot(schema, "1e999")), Error);
+  EXPECT_THROW(parse_snapshot(snapshot(schema, "-1e999")), Error);
+  EXPECT_THROW(parse_snapshot(snapshot("1e999", "2")), Error);
+  EXPECT_THROW(parse_snapshot(snapshot("1.5", "2")), Error);
 
   // Every cut and every single-bit flip of a valid snapshot either parses
   // or throws tarr::Error — never another exception or a crash.
@@ -624,8 +642,9 @@ TEST(Plumbing, TeeSinkFeedsTracerAndRecorderIdentically) {
   // Both sides saw the full run: the recorder reconstructs the exact total
   // and the tracer aggregated every stage.
   EXPECT_EQ(rec.record().total, eng.total());
+  EXPECT_EQ(tracer.record().total, eng.total());
   EXPECT_GT(tracer.metrics().count("engine.stages"), 0.0);
-  EXPECT_FALSE(tracer.spans().empty());
+  EXPECT_FALSE(tracer.record().stages.empty());
   // And teeing must not perturb the simulation itself.
   Engine plain(comm, CostConfig{}, ExecMode::Timed, 256, 16);
   collectives::run_allgather(
@@ -642,12 +661,12 @@ TEST(Plumbing, TeeSinkFeedsTracerAndRecorderIdentically) {
 
 TEST(Plumbing, EnsureWritableFailsFastAndLeavesNoArtifact) {
   EXPECT_THROW(
-      trace::Tracer::ensure_writable("/nonexistent-dir-tarr/trace.json"),
+      ensure_writable("/nonexistent-dir-tarr/trace.json"),
       Error);
   // A probe on a fresh path must not leave an empty file behind.
   const std::string fresh = ::testing::TempDir() + "tarr_probe_fresh.json";
   std::remove(fresh.c_str());
-  trace::Tracer::ensure_writable(fresh);
+  ensure_writable(fresh);
   EXPECT_FALSE(std::filesystem::exists(fresh));
   // A probe on an existing file must not truncate it.
   const std::string existing = ::testing::TempDir() + "tarr_probe_keep.json";
@@ -657,7 +676,7 @@ TEST(Plumbing, EnsureWritableFailsFastAndLeavesNoArtifact) {
     std::fputs("payload", f);
     std::fclose(f);
   }
-  trace::Tracer::ensure_writable(existing);
+  ensure_writable(existing);
   EXPECT_EQ(std::filesystem::file_size(existing), 7u);
   std::remove(existing.c_str());
 }

@@ -24,11 +24,11 @@
 #include "collectives/hierarchical.hpp"
 #include "common/permutation.hpp"
 #include "prof/prof.hpp"
-#include "report/record.hpp"
 #include "simmpi/engine.hpp"
 #include "simmpi/layout.hpp"
 #include "simmpi/transient.hpp"
 #include "tlog/writer.hpp"
+#include "trace/record.hpp"
 #include "trace/tracer.hpp"
 
 namespace tarr::tlog {
@@ -131,9 +131,9 @@ const Scenario kScenarios[] = {
 
 /// Record `scenario` twice — once live into a ScheduleRecorder, once
 /// through a TlogSink — and return (live record, tlog path).
-std::pair<report::ScheduleRecord, std::string> record_both(
+std::pair<trace::ScheduleRecord, std::string> record_both(
     const Scenario& scenario, TlogOptions opts = TlogOptions{}) {
-  report::ScheduleRecorder recorder;
+  trace::ScheduleRecorder recorder;
   const Usec live_total = scenario.run(&recorder);
   const std::string path = tmp_path(std::string(scenario.name) + ".tlog");
   {
@@ -142,13 +142,13 @@ std::pair<report::ScheduleRecord, std::string> record_both(
     sink.finish();
     EXPECT_EQ(live_total, tlog_total);  // sinks never perturb pricing
   }
-  report::ScheduleRecord rec = recorder.take();
+  trace::ScheduleRecord rec = recorder.take();
   EXPECT_EQ(rec.total, live_total);
   return {std::move(rec), path};
 }
 
-void expect_records_identical(const report::ScheduleRecord& a,
-                              const report::ScheduleRecord& b) {
+void expect_records_identical(const trace::ScheduleRecord& a,
+                              const trace::ScheduleRecord& b) {
   // Bit-exact everywhere: EXPECT_EQ on every field including doubles.
   ASSERT_EQ(a.transfers.size(), b.transfers.size());
   for (std::size_t i = 0; i < a.transfers.size(); ++i) {
@@ -232,7 +232,7 @@ TEST(Roundtrip, RebuildsScheduleRecordByteIdentically) {
   for (const Scenario& scenario : kScenarios) {
     SCOPED_TRACE(scenario.name);
     const auto [live, path] = record_both(scenario);
-    const report::ScheduleRecord replayed = read_record(path);
+    const trace::ScheduleRecord replayed = read_record(path);
     expect_records_identical(live, replayed);
   }
 }
@@ -257,7 +257,7 @@ TEST(Roundtrip, RepeatCompressedSliceSharingSurvives) {
   bool saw_repeat = false;
   for (const auto& s : live.stages) saw_repeat |= s.repeats > 1;
   ASSERT_TRUE(saw_repeat) << "scenario no longer repeat-compresses";
-  const report::ScheduleRecord replayed = read_record(path);
+  const trace::ScheduleRecord replayed = read_record(path);
   for (std::size_t i = 0; i < live.stages.size(); ++i) {
     if (live.stages[i].repeats <= 1) continue;
     const auto& x = live.stages[i];
@@ -343,9 +343,9 @@ TEST(Filter, StageWindowKeepsExactlyTheWindow) {
     run_rd_shuffled(&sink);
     sink.finish();
   }
-  report::ScheduleRecorder recorder;
+  trace::ScheduleRecorder recorder;
   replay(path, recorder);
-  const report::ScheduleRecord rec = recorder.take();
+  const trace::ScheduleRecord rec = recorder.take();
   for (const auto& s : rec.stages) {
     EXPECT_GE(s.stage, 2);
     EXPECT_LE(s.stage, 4);
@@ -371,9 +371,9 @@ TEST(Filter, RankWindowMatchesEitherEndpoint) {
     run_ring(&sink);
     sink.finish();
   }
-  report::ScheduleRecorder recorder;
+  trace::ScheduleRecorder recorder;
   replay(path, recorder);
-  const report::ScheduleRecord rec = recorder.take();
+  const trace::ScheduleRecord rec = recorder.take();
   ASSERT_FALSE(rec.transfers.empty());
   for (const auto& t : rec.transfers)
     EXPECT_TRUE((t.src >= 0 && t.src <= 3) || (t.dst >= 0 && t.dst <= 3))
@@ -385,7 +385,7 @@ TEST(Filter, ReaderSideFilterSelectsWithoutRewriting) {
   const auto [live, path] = record_both(kScenarios[1]);
   ReplayOptions ropts;
   ropts.filter.kinds = 1u << static_cast<int>(EventKind::Transfer);
-  report::ScheduleRecorder recorder;
+  trace::ScheduleRecorder recorder;
   const ReplayStats stats = replay(path, recorder, ropts);
   EXPECT_EQ(stats.delivered[static_cast<int>(EventKind::Transfer)],
             static_cast<long long>(live.transfers.size()));
@@ -481,9 +481,9 @@ TEST(Index, StageWindowSkipsDisjointBlocks) {
   EXPECT_GT(stats.blocks_skipped, 0);
   EXPECT_LT(stats.blocks_decoded, stats.blocks_total);
   // The decode was still correct: only stage-0 events came out.
-  report::ScheduleRecorder recorder;
+  trace::ScheduleRecorder recorder;
   replay(path, recorder, ropts);
-  const report::ScheduleRecord rec = recorder.take();
+  const trace::ScheduleRecord rec = recorder.take();
   for (const auto& s : rec.stages) EXPECT_EQ(s.stage, 0);
   EXPECT_FALSE(rec.stages.empty());
 }
@@ -575,7 +575,7 @@ TEST(Fuzz, BitFlipsAreDetectedByChecksums) {
     mut[pos] = static_cast<char>(mut[pos] ^ 0x40);
     spit(flipped, mut);
     try {
-      report::ScheduleRecorder recorder;
+      trace::ScheduleRecorder recorder;
       replay(flipped, recorder);
       // A flip in slack space may legitimately decode; it must at least
       // not crash (ASan/UBSan would flag any unchecked read).
@@ -643,9 +643,9 @@ TEST(Memory, WriterAllocationIsIndependentOfEventCount) {
       << small_bytes << " -> " << large_bytes;
 
   // Contrast: the buffering recorder grows linearly with the stream.
-  report::ScheduleRecorder small_rec;
+  trace::ScheduleRecorder small_rec;
   const long long rec_small = charge_synthetic(small_rec, kSmall, "rec-small");
-  report::ScheduleRecorder large_rec;
+  trace::ScheduleRecorder large_rec;
   const long long rec_large = charge_synthetic(large_rec, kLarge, "rec-large");
   EXPECT_GT(rec_large, 5 * rec_small)
       << rec_small << " -> " << rec_large;

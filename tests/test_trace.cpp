@@ -1,6 +1,7 @@
 // tarr::trace: timeline JSON well-formedness, span nesting, mode parity,
-// byte-reproducibility, and the zero-perturbation guarantee of the
-// disabled/enabled trace paths.
+// byte-reproducibility, the zero-perturbation guarantee of the
+// disabled/enabled trace paths, and digests pinning the rendered timeline
+// and metrics of a fixed set of runs.
 
 #include "trace/tracer.hpp"
 
@@ -8,7 +9,11 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdint>
+#include <cstdio>
+#include <functional>
 #include <map>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,6 +27,8 @@
 #include "simmpi/engine.hpp"
 #include "simmpi/layout.hpp"
 #include "simmpi/transient.hpp"
+#include "tlog/reader.hpp"
+#include "tlog/writer.hpp"
 
 namespace tarr::trace {
 namespace {
@@ -186,6 +193,38 @@ std::string strip_wall_rows(const std::string& csv) {
   return out;
 }
 
+/// One complete event ("ph":"X") read back from a timeline.
+struct ParsedSpan {
+  int pid = 0;
+  int tid = 0;
+  std::string name;
+  double ts = 0.0;
+  double dur = 0.0;
+};
+
+/// The complete events of `json` in file order.  The exporter writes one
+/// event per line and no args object repeats a top-level key, so a line
+/// scan reads them back.
+std::vector<ParsedSpan> parsed_spans(const std::string& json) {
+  std::vector<ParsedSpan> out;
+  std::istringstream lines(json);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("{\"ph\":\"X\"", 0) != 0) continue;
+    const auto value_at = [&](const std::string& key) {
+      return line.find("\"" + key + "\":") + key.size() + 3;
+    };
+    ParsedSpan s;
+    s.pid = std::stoi(line.substr(value_at("pid")));
+    s.tid = std::stoi(line.substr(value_at("tid")));
+    const std::size_t name = value_at("name") + 1;  // past the quote
+    s.name = line.substr(name, line.find('"', name) - name);
+    s.ts = std::stod(line.substr(value_at("ts")));
+    s.dur = std::stod(line.substr(value_at("dur")));
+    out.push_back(std::move(s));
+  }
+  return out;
+}
+
 // ---------------------------------------------------------------------------
 
 TEST(Trace, TimelineJsonIsSyntacticallyValid) {
@@ -205,11 +244,11 @@ TEST(Trace, TimelineJsonIsSyntacticallyValid) {
 TEST(Trace, SpanNestingIsWellFormedPerTrack) {
   Tracer tracer;
   traced_allgather(2, 16, ExecMode::Timed, &tracer);
-  ASSERT_FALSE(tracer.spans().empty());
+  const std::vector<ParsedSpan> parsed = parsed_spans(tracer.timeline_json());
+  ASSERT_FALSE(parsed.empty());
 
-  std::map<std::pair<int, int>, std::vector<const TimelineSpan*>> tracks;
-  for (const auto& s : tracer.spans())
-    tracks[{s.pid, s.tid}].push_back(&s);
+  std::map<std::pair<int, int>, std::vector<const ParsedSpan*>> tracks;
+  for (const auto& s : parsed) tracks[{s.pid, s.tid}].push_back(&s);
 
   const double eps = 1e-9;
   for (const auto& [track, spans] : tracks) {
@@ -317,7 +356,7 @@ TEST(Trace, HierarchicalPhasesAppearOnThePhaseTrack) {
   collectives::run_hier_allgather(eng, opts, identity_permutation(p));
 
   std::vector<std::string> phases;
-  for (const auto& s : tracer.spans())
+  for (const auto& s : parsed_spans(tracer.timeline_json()))
     if (s.pid == 0 && s.tid == 0) phases.push_back(s.name);
   EXPECT_NE(std::find(phases.begin(), phases.end(), "intra-gather"),
             phases.end());
@@ -340,7 +379,7 @@ TEST(Trace, PipelinedHierarchicalPhasesAppearOnThePhaseTrack) {
                                             collectives::OrderFix::None,
                                             identity_permutation(p));
   std::vector<std::string> phases;
-  for (const auto& s : tracer.spans())
+  for (const auto& s : parsed_spans(tracer.timeline_json()))
     if (s.pid == 0 && s.tid == 0) phases.push_back(s.name);
   EXPECT_NE(std::find(phases.begin(), phases.end(), "intra-gather"),
             phases.end());
@@ -374,11 +413,15 @@ TEST(Trace, ShrunkenCommunicatorRunsTraceCleanly) {
   Tracer tracer;
   const Usec traced = run(&tracer);
   EXPECT_EQ(traced, run(nullptr));  // exact, as everywhere else
-  EXPECT_TRUE(JsonChecker(tracer.timeline_json()).valid());
+  const std::string json = tracer.timeline_json();
+  EXPECT_TRUE(JsonChecker(json).valid());
   // The dead node's ranks are gone: no span belongs to a rank that died.
   const int survivors = shrunk.comm.size();
-  for (const auto& s : tracer.spans())
-    if (s.pid == 0 && s.tid >= 2) EXPECT_LT(s.tid - 2, survivors);
+  for (const auto& s : parsed_spans(json)) {
+    if (s.pid == 0 && s.tid >= 2) {
+      EXPECT_LT(s.tid - 2, survivors);
+    }
+  }
 }
 
 TEST(Trace, WallSpansAreOrdinalByDefaultAndRealWhenAsked) {
@@ -386,7 +429,7 @@ TEST(Trace, WallSpansAreOrdinalByDefaultAndRealWhenAsked) {
   Tracer det;
   traced_allgather(2, 16, ExecMode::Timed, &det);
   bool saw_wall = false;
-  for (const auto& s : det.spans()) {
+  for (const auto& s : parsed_spans(det.timeline_json())) {
     if (s.pid != 2) continue;
     saw_wall = true;
     EXPECT_EQ(s.dur, 1.0) << s.name;
@@ -398,8 +441,11 @@ TEST(Trace, WallSpansAreOrdinalByDefaultAndRealWhenAsked) {
   topts.real_wall_time = true;
   Tracer real(topts);
   traced_allgather(2, 16, ExecMode::Timed, &real);
-  for (const auto& s : real.spans())
-    if (s.pid == 2) EXPECT_GE(s.dur, 0.0);
+  for (const auto& s : parsed_spans(real.timeline_json())) {
+    if (s.pid == 2) {
+      EXPECT_GE(s.dur, 0.0);
+    }
+  }
 }
 
 TEST(Trace, TopoAllgatherForwardsItsSink) {
@@ -415,7 +461,8 @@ TEST(Trace, TopoAllgatherForwardsItsSink) {
   // Engine events and the first-use reorder's wall spans both arrived.
   EXPECT_GT(tracer.metrics().count("engine.stages"), 0.0);
   bool saw_wall = false;
-  for (const auto& s : tracer.spans()) saw_wall |= s.pid == 2;
+  for (const auto& s : parsed_spans(tracer.timeline_json()))
+    saw_wall |= s.pid == 2;
   EXPECT_TRUE(saw_wall);
   // Tracing must not change the predicted latency.
   core::TopoAllgather untraced(fw, comm, cfg);
@@ -533,6 +580,196 @@ TEST(Trace, StageRepeatCompressionScalesMetrics) {
   EXPECT_NEAR(t3, 3.0 * t1, 1e-9);
   EXPECT_EQ(thrice.metrics().count("engine.stages"),
             3.0 * once.metrics().count("engine.stages"));
+}
+
+// ---------------------------------------------------------------------------
+// Timeline and metrics digests.  Every run below is pinned by the FNV-1a
+// digest of its timeline_json() and of its metrics CSV (wall.* rows aside),
+// recorded while the Tracer buffered its own span list instead of rendering
+// from the ScheduleRecord.
+
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const unsigned char c : s) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// Allgather over a reordered GPC 4 communicator (32 ranks); the sink hears
+/// the framework's ordinal wall spans and decision counters too.
+void reordered_allgather(TraceSink* sink, collectives::AllgatherAlgo algo,
+                         mapping::Pattern pattern,
+                         collectives::OrderFix fix =
+                             collectives::OrderFix::None) {
+  const Machine m = Machine::gpc(4);
+  const Communicator comm(m, make_layout(m, m.total_cores(), {}));
+  core::ReorderFramework fw(m);
+  fw.set_trace_sink(sink);
+  const auto rc = fw.reorder(comm, pattern);
+  Engine eng(rc.comm, CostConfig{}, ExecMode::Timed, 256, rc.comm.size());
+  eng.set_trace_sink(sink);
+  collectives::run_allgather(eng, {algo, fix}, rc.oldrank);
+}
+
+void rd_reordered(TraceSink* sink) {
+  reordered_allgather(sink, collectives::AllgatherAlgo::RecursiveDoubling,
+                      mapping::Pattern::RecursiveDoubling);
+}
+
+void hier_allgather(TraceSink* sink, bool pipelined) {
+  const Machine m = Machine::gpc(4);
+  const int p = m.total_cores();
+  const Communicator comm(m, make_layout(m, p, {}));
+  Engine eng(comm, CostConfig{}, ExecMode::Timed, 256, p);
+  eng.set_trace_sink(sink);
+  if (pipelined) {
+    collectives::run_hier_allgather_pipelined(
+        eng, collectives::IntraAlgo::Binomial, collectives::OrderFix::None,
+        identity_permutation(p));
+  } else {
+    collectives::run_hier_allgather(
+        eng,
+        {collectives::AllgatherAlgo::Ring, collectives::IntraAlgo::Binomial,
+         collectives::OrderFix::None},
+        identity_permutation(p));
+  }
+}
+
+void transient_rd(TraceSink* sink) {
+  const Machine m = Machine::gpc(2);
+  const Communicator comm(m, make_layout(m, 16, {}));
+  simmpi::TransientFaultConfig faults;
+  faults.drop_prob = 0.2;
+  faults.seed = 5;
+  Engine eng(comm, CostConfig{}, ExecMode::Timed, 256, 16);
+  eng.set_transient_faults(faults);
+  eng.set_trace_sink(sink);
+  collectives::run_allgather(
+      eng,
+      {collectives::AllgatherAlgo::RecursiveDoubling,
+       collectives::OrderFix::None},
+      identity_permutation(16));
+}
+
+void shrunk_ring(TraceSink* sink) {
+  const Machine base = Machine::gpc(4);
+  const Communicator parent(base, make_layout(base, base.total_cores(), {}));
+  const fault::DegradedTopology topo(base, fault::FaultMask{}.fail_node(1));
+  const fault::ShrunkComm shrunk = fault::shrink_communicator(topo, parent);
+  Engine eng(shrunk.comm, CostConfig{}, ExecMode::Timed, 256,
+             shrunk.comm.size());
+  eng.set_trace_sink(sink);
+  collectives::run_allgather(
+      eng, {collectives::AllgatherAlgo::Ring, collectives::OrderFix::None},
+      identity_permutation(shrunk.comm.size()));
+}
+
+/// rd_reordered captured into a `.tlog` through `opts`, replayed into `sink`.
+void replayed_rd(TraceSink* sink, const tlog::TlogOptions& opts,
+                 const std::string& name) {
+  const std::string path = testing::TempDir() + "tarr_trace_" + name;
+  {
+    tlog::TlogSink capture(path, opts);
+    rd_reordered(&capture);
+    capture.finish();
+  }
+  tlog::replay(path, *sink);
+  std::remove(path.c_str());
+}
+
+/// Phases and time events tied on (ts, dur), arriving in both orders: the
+/// shared phases track must keep each pair in arrival order.
+void tied_phase_and_time(TraceSink* sink) {
+  sink->on_phase(PhaseEvent{"phase-first", 0.0, 5.0});
+  sink->on_time(TimeEvent{"time-second", 0.0, 5.0});
+  sink->on_time(TimeEvent{"time-first", 10.0, 2.0});
+  sink->on_phase(PhaseEvent{"phase-second", 10.0, 2.0});
+  sink->on_phase(PhaseEvent{"enclosing", 0.0, 12.0});
+}
+
+struct DigestCase {
+  const char* name;
+  std::function<void(TraceSink*)> run;
+  std::uint64_t timeline;
+  std::uint64_t metrics;
+};
+
+std::vector<DigestCase> digest_cases() {
+  using collectives::AllgatherAlgo;
+  using collectives::OrderFix;
+  using mapping::Pattern;
+  const auto ring = [](TraceSink* s) {
+    reordered_allgather(s, AllgatherAlgo::Ring, Pattern::Ring);
+  };
+  const auto bruck = [](TraceSink* s) {
+    reordered_allgather(s, AllgatherAlgo::Bruck, Pattern::Bruck);
+  };
+  const auto hier = [](TraceSink* s) { hier_allgather(s, false); };
+  const auto pipelined = [](TraceSink* s) { hier_allgather(s, true); };
+  const auto init_comm = [](TraceSink* s) {
+    reordered_allgather(s, AllgatherAlgo::RecursiveDoubling,
+                        Pattern::RecursiveDoubling, OrderFix::InitComm);
+  };
+  const auto end_shuffle = [](TraceSink* s) {
+    reordered_allgather(s, AllgatherAlgo::RecursiveDoubling,
+                        Pattern::RecursiveDoubling, OrderFix::EndShuffle);
+  };
+  const auto kinds = [](TraceSink* s) {
+    tlog::TlogOptions opts;
+    opts.filter.kinds = 1u << static_cast<int>(tlog::EventKind::Transfer);
+    replayed_rd(s, opts, "kinds.tlog");
+  };
+  const auto stages = [](TraceSink* s) {
+    tlog::TlogOptions opts;
+    opts.filter.min_stage = 1;
+    opts.filter.max_stage = 2;
+    replayed_rd(s, opts, "stages.tlog");
+  };
+  const auto ranks = [](TraceSink* s) {
+    tlog::TlogOptions opts;
+    opts.filter.min_rank = 0;
+    opts.filter.max_rank = 3;
+    replayed_rd(s, opts, "ranks.tlog");
+  };
+  const auto sampled = [](TraceSink* s) {
+    tlog::TlogOptions opts;
+    opts.sample_every = 3;
+    replayed_rd(s, opts, "sampled.tlog");
+  };
+  return {
+      {"rd", rd_reordered, 0x4a94338740d03a64ull, 0x6f6a85e903358a93ull},
+      {"ring", ring, 0xe03eed5424e89b04ull, 0x76165ebfbcf9b2b4ull},
+      {"bruck", bruck, 0x42e432f088286d3bull, 0xdbf19b8a0f641b8full},
+      {"hier", hier, 0x3ff6aedfdeabcc6dull, 0x243a7a9122dfdce4ull},
+      {"pipelined", pipelined, 0x2dcf8ce0cb0998bdull, 0x2884c302a68736caull},
+      {"init-comm", init_comm, 0xae04884605331ee8ull, 0x7f268b54c17f24cdull},
+      {"end-shuffle", end_shuffle, 0xbfb06eaca23c11fcull,
+       0x893e73db565681a4ull},
+      {"transient", transient_rd, 0x0bade046cac72a90ull,
+       0x05e5713a9f400c47ull},
+      {"shrunk", shrunk_ring, 0x9234085198d5af00ull, 0xf268b73bc2170bf0ull},
+      {"tlog-kinds", kinds, 0x7068350cee5df27cull, 0x86d5977bb6c6f995ull},
+      {"tlog-stages", stages, 0xeac839b01a6814c1ull, 0x7ce2f388cb0aaba4ull},
+      {"tlog-ranks", ranks, 0x0d148ba7a58c8716ull, 0x627d243ab97bebcaull},
+      {"tlog-sampled", sampled, 0xf2fcd43f917f47adull, 0x029b4cdf0a5a38abull},
+      {"tied-phases", tied_phase_and_time, 0x871b0ddeba149851ull,
+       0x10f7cc3c91156e81ull},
+  };
+}
+
+TEST(Trace, TimelineAndMetricsMatchRecordedDigests) {
+  for (const DigestCase& c : digest_cases()) {
+    SCOPED_TRACE(c.name);
+    Tracer tracer;
+    c.run(&tracer);
+    const std::uint64_t timeline = fnv1a(tracer.timeline_json());
+    const std::uint64_t metrics =
+        fnv1a(strip_wall_rows(tracer.metrics().csv()));
+    EXPECT_EQ(timeline, c.timeline);
+    EXPECT_EQ(metrics, c.metrics);
+  }
 }
 
 }  // namespace

@@ -17,9 +17,9 @@
 #include "common/permutation.hpp"
 #include "core/framework.hpp"
 #include "report/critical_path.hpp"
-#include "report/record.hpp"
 #include "simmpi/engine.hpp"
 #include "simmpi/layout.hpp"
+#include "trace/record.hpp"
 #include "viz/html.hpp"
 #include "viz/matrix.hpp"
 #include "viz/timeline.hpp"
@@ -84,9 +84,9 @@ void expect_well_formed(const std::string& html) {
 }
 
 /// Record one ring allgather over `comm` (identity order restore).
-report::ScheduleRecord record_ring(const Communicator& comm,
-                                   Bytes block = 1024) {
-  report::ScheduleRecorder rec;
+trace::ScheduleRecord record_ring(const Communicator& comm,
+                                  Bytes block = 1024) {
+  trace::ScheduleRecorder rec;
   Engine eng(comm, CostConfig{}, ExecMode::Timed, block, comm.size());
   eng.set_trace_sink(&rec);
   collectives::run_allgather(
@@ -98,8 +98,8 @@ report::ScheduleRecord record_ring(const Communicator& comm,
 /// One baseline + reordered pair over a fresh machine, as the CLI builds it.
 struct Pair {
   Machine machine;
-  report::ScheduleRecord baseline;
-  report::ScheduleRecord candidate;
+  trace::ScheduleRecord baseline;
+  trace::ScheduleRecord candidate;
 };
 
 Pair make_pair(std::uint64_t seed) {
@@ -111,8 +111,8 @@ Pair make_pair(std::uint64_t seed) {
   fopts.seed = seed;
   core::ReorderFramework fw(machine, fopts);
   const core::ReorderedComm rc = fw.reorder(comm, mapping::Pattern::Ring);
-  report::ScheduleRecord baseline = record_ring(comm);
-  report::ScheduleRecord candidate = record_ring(rc.comm);
+  trace::ScheduleRecord baseline = record_ring(comm);
+  trace::ScheduleRecord candidate = record_ring(rc.comm);
   return Pair{std::move(machine), std::move(baseline), std::move(candidate)};
 }
 
@@ -129,9 +129,9 @@ report::BenchSnapshot sample_snapshot(double latency) {
 // Formatting and palette primitives.
 
 TEST(Html, FormattersAreDeterministicAndLocaleFree) {
-  EXPECT_EQ(fmt(42.0), "42");
-  EXPECT_EQ(fmt(-3.0), "-3");
-  EXPECT_EQ(fmt(1.5), "1.5");
+  EXPECT_EQ(format_number(42.0), "42");
+  EXPECT_EQ(format_number(-3.0), "-3");
+  EXPECT_EQ(format_number(1.5), "1.5");
   EXPECT_EQ(fmt_fixed(3.14159, 2), "3.14");
   EXPECT_EQ(fmt_bytes(768), "768 B");
   EXPECT_EQ(escape_text("a<b&c>d"), "a&lt;b&amp;c&gt;d");
@@ -177,7 +177,7 @@ TEST(Html, PageAndChartPrimitivesAreWellFormed) {
 TEST(Topo, HeatmapCopiesRecordedCountersExactly) {
   const Machine m = Machine::gpc(4);
   const Communicator comm(m, make_layout(m, 32, {}));
-  const report::ScheduleRecord rec = record_ring(comm);
+  const trace::ScheduleRecord rec = record_ring(comm);
   ASSERT_FALSE(rec.link_bytes.empty());  // a 4-node ring crosses the network
 
   const TopoHeatmap heat = build_topo_heatmap(m, rec);
@@ -214,7 +214,7 @@ TEST(Topo, HeatmapCopiesRecordedCountersExactly) {
 
 TEST(Topo, OutOfRangeCounterIdsAreIgnored) {
   const Machine m = Machine::gpc(1);
-  report::ScheduleRecord rec;
+  trace::ScheduleRecord rec;
   rec.link_bytes[{9999, 0}] = 64.0;  // no such link on a 1-node machine
   rec.qpi_bytes[{9999, 1}] = 64.0;
   const TopoHeatmap heat = build_topo_heatmap(m, rec);
@@ -228,7 +228,7 @@ TEST(Topo, OutOfRangeCounterIdsAreIgnored) {
 TEST(Matrix, ConservesRepeatWeightedBytes) {
   const Machine m = Machine::gpc(2);
   const Communicator comm(m, make_layout(m, 16, {}));
-  const report::ScheduleRecord rec = record_ring(comm);
+  const trace::ScheduleRecord rec = record_ring(comm);
 
   const CommMatrix mat = build_comm_matrix(rec, m);
   EXPECT_EQ(mat.n, 16);
@@ -255,7 +255,7 @@ TEST(Matrix, ConservesRepeatWeightedBytes) {
 TEST(Matrix, AggregatesToNodesAboveThreshold) {
   const Machine m = Machine::gpc(4);
   const Communicator comm(m, make_layout(m, 32, {}));
-  const report::ScheduleRecord rec = record_ring(comm);
+  const trace::ScheduleRecord rec = record_ring(comm);
   const CommMatrix mat = build_comm_matrix(rec, m, /*aggregate_above=*/8);
   EXPECT_TRUE(mat.by_node);
   EXPECT_EQ(mat.n, 4);
@@ -270,7 +270,7 @@ TEST(Matrix, AggregatesToNodesAboveThreshold) {
 TEST(Timeline, RendersBandsAndCriticalSplit) {
   const Machine m = Machine::gpc(2);
   const Communicator comm(m, make_layout(m, 16, {}));
-  const report::ScheduleRecord rec = record_ring(comm);
+  const trace::ScheduleRecord rec = record_ring(comm);
   const report::CriticalPath path = report::analyze_critical_path(rec, m);
   const std::string html = render_timeline(rec, path, "ring timeline");
   expect_well_formed(html);
@@ -279,7 +279,7 @@ TEST(Timeline, RendersBandsAndCriticalSplit) {
 
 TEST(EdgeCases, EmptyRecordRendersNotesNotCrashes) {
   const Machine m = Machine::gpc(1);
-  const report::ScheduleRecord rec;  // nothing recorded
+  const trace::ScheduleRecord rec;  // nothing recorded
   const report::CriticalPath path;
   expect_well_formed(render_timeline(rec, path, "empty"));
   const TopoHeatmap heat = build_topo_heatmap(m, rec);
@@ -294,13 +294,13 @@ TEST(EdgeCases, EmptyRecordRendersNotesNotCrashes) {
 TEST(EdgeCases, SingleRankRunRenders) {
   const Machine m = Machine::gpc(1);
   const Communicator comm(m, make_layout(m, 1, {}));
-  report::ScheduleRecorder recorder;
+  trace::ScheduleRecorder recorder;
   Engine eng(comm, CostConfig{}, ExecMode::Timed, 64, 1);
   eng.set_trace_sink(&recorder);
   eng.begin_stage();
   eng.copy(0, 0, 0, 0, 1);  // a rank talking to itself
   eng.end_stage();
-  const report::ScheduleRecord rec = recorder.take();
+  const trace::ScheduleRecord rec = recorder.take();
   const report::CriticalPath path = report::analyze_critical_path(rec, m);
   expect_well_formed(render_timeline(rec, path, "single rank"));
   const CommMatrix mat = build_comm_matrix(rec, m);

@@ -23,6 +23,10 @@ This lint bans the C++ constructs that silently break that promise:
                         host speed; assert a tarr::prof counter or scope
                         call count instead.  GE(x, 0) is exempt: no clock
                         can fail a non-negativity check.
+  number-format         a "%.17g" format string outside
+                        src/common/serialize.cpp — byte-diffed artifacts
+                        format numbers through tarr::append_number /
+                        format_number, so equal values print equal bytes
 
 Suppressions, either of:
   * inline, on the offending line:  // lint:allow(determinism): <why>
@@ -50,6 +54,8 @@ RULES = {
     "locale": "locale-dependent formatting varies with the environment",
     "wallclock-assert": "wall-clock ordering depends on host speed; assert "
     "a prof counter or scope call count",
+    "number-format": "format numbers through tarr::format_number "
+    "(common/serialize.hpp), the one formatter artifacts share",
 }
 
 INLINE_ALLOW = re.compile(r"//\s*lint:allow\(determinism\)")
@@ -68,6 +74,9 @@ WALL_NAME = re.compile(r"\w*(?:seconds|millis)\w*")
 WALL_ASSIGN = re.compile(r"\b(\w+)\s*=(?!=)[^;]*?\b\w*(?:seconds|millis)")
 ORDER_ASSERT = re.compile(r"\b(?:EXPECT|ASSERT)_(LT|LE|GT|GE|NEAR)\s*\((.*)")
 NON_NEGATIVE = re.compile(r"[^,]*,\s*0(?:\.0*)?\s*\)")
+# Matched on the raw line: string literals are blanked before the other
+# rules run, and this one looks for a format string.
+NUMBER_FORMAT = re.compile(r'"[^"]*%\.17g')
 
 
 def strip_comments_and_strings(line: str) -> str:
@@ -107,6 +116,8 @@ def lint_file(path: Path):
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if INLINE_ALLOW.search(raw):
             continue
+        if NUMBER_FORMAT.search(raw):
+            yield lineno, "number-format", raw.strip()
         line = strip_comments_and_strings(raw)
         if UNORDERED_TYPE.search(line) and "#include" not in line:
             yield lineno, "unordered-container", line.strip()
