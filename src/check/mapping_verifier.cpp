@@ -1,24 +1,10 @@
 #include "check/mapping_verifier.hpp"
 
-#include <map>
+#include <algorithm>
 
 #include "common/error.hpp"
 
 namespace tarr::check {
-
-namespace {
-
-/// Multiset of slots as a slot -> count map (slot universes are sparse when
-/// a communicator covers a subset of the machine's cores).  An ordered map:
-/// the counts are iterated below, and which offending slot an error message
-/// names must not depend on hash-table layout.
-std::map<int, int> slot_counts(const std::vector<int>& slots) {
-  std::map<int, int> counts;
-  for (const int s : slots) ++counts[s];
-  return counts;
-}
-
-}  // namespace
 
 void verify_mapping(const std::string& mapper, const std::vector<int>& input,
                     const std::vector<int>& result) {
@@ -27,24 +13,32 @@ void verify_mapping(const std::string& mapper, const std::vector<int>& input,
                    std::to_string(result.size()) + " assignments for " +
                    std::to_string(input.size()) + " ranks");
 
-  const std::map<int, int> universe = slot_counts(input);
-  for (const auto& [slot, count] : universe) {
-    TARR_REQUIRE(count == 1, "mapping invariant violated [" + mapper +
-                                 "]: input slot " + std::to_string(slot) +
-                                 " hosts more than one rank");
+  // The slot universe, sorted (it is sparse when a communicator covers a
+  // subset of the machine's cores): a duplicate sits next to its twin, and
+  // the smallest one is named.  Two allocations whatever the size.
+  std::vector<int> universe = input;
+  std::sort(universe.begin(), universe.end());
+  for (std::size_t i = 1; i < universe.size(); ++i) {
+    TARR_REQUIRE(universe[i] != universe[i - 1],
+                 "mapping invariant violated [" + mapper + "]: input slot " +
+                     std::to_string(universe[i]) +
+                     " hosts more than one rank");
   }
 
-  std::map<int, int> seen;
+  std::vector<char> seen(universe.size(), 0);
   for (std::size_t new_rank = 0; new_rank < result.size(); ++new_rank) {
     const int slot = result[new_rank];
-    TARR_REQUIRE(universe.contains(slot),
+    const auto it = std::lower_bound(universe.begin(), universe.end(), slot);
+    TARR_REQUIRE(it != universe.end() && *it == slot,
                  "mapping invariant violated [" + mapper + "]: new rank " +
                      std::to_string(new_rank) + " assigned slot " +
                      std::to_string(slot) + " outside the slot universe");
-    TARR_REQUIRE(++seen[slot] == 1,
+    char& taken = seen[it - universe.begin()];
+    TARR_REQUIRE(!taken,
                  "mapping invariant violated [" + mapper + "]: slot " +
                      std::to_string(slot) +
                      " assigned to more than one rank (not a bijection)");
+    taken = 1;
   }
 }
 

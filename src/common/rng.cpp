@@ -41,11 +41,12 @@ std::uint64_t Rng::next_u64() {
 
 std::uint64_t Rng::next_below(std::uint64_t bound) {
   TARR_REQUIRE(bound > 0, "next_below: bound must be positive");
-  // Lemire-style rejection sampling to avoid modulo bias.
-  const std::uint64_t threshold = -bound % bound;
+  // Rejection sampling to avoid modulo bias: r is rejected below the
+  // threshold 2^64 mod bound.  That threshold is below bound, so an r of at
+  // least bound is accepted without dividing for it.
   for (;;) {
     const std::uint64_t r = next_u64();
-    if (r >= threshold) return r % bound;
+    if (r >= bound || r >= -bound % bound) return r % bound;
   }
 }
 

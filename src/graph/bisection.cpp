@@ -88,9 +88,11 @@ BisectionResult bisect_subset(const WeightedGraph& g,
     }
   };
   absorb(seed);
+  long long grow_steps = 0;  // vertices examined by the growing loop
   for (int filled = 1; filled < size0; ++filled) {
     int best = -1;
     double best_gain = -1.0;
+    grow_steps += n;
     for (int i = 0; i < n; ++i) {
       if (!in0[i]) {
         if (gain[i] > best_gain) {
@@ -101,6 +103,7 @@ BisectionResult bisect_subset(const WeightedGraph& g,
     }
     if (best_gain <= 0.0) {
       // Disconnected front: pick a random unassigned vertex.
+      grow_steps += n;
       std::vector<int> free;
       for (int i = 0; i < n; ++i)
         if (!in0[i]) free.push_back(i);
@@ -185,6 +188,7 @@ BisectionResult bisect_subset(const WeightedGraph& g,
   res.cut = cut;
   obs::count("bisection.calls");
   obs::count("bisection.refine_swaps", static_cast<double>(swaps));
+  prof::count("bisection.grow_steps", static_cast<double>(grow_steps));
   prof::count("bisection.swap_evals", static_cast<double>(swap_evals));
   return res;
 }

@@ -167,7 +167,10 @@ TEST(ObsOracle, ProfileMatchesRecordedDigestAndDecisionCountersReachBoth) {
         return metric == "work" || metric.rfind("mem.", 0) == 0 ||
                sink_only_before(metric);
       });
-  EXPECT_EQ(fnv1a(flat), 0x32e583b8f4cb1bf1ull);
+  // Without the rows of the work counters mapping.scan_reads and
+  // bisection.grow_steps, which came later, this profile hashes to
+  // 0x32e583b8f4cb1bf1, the digest recorded under two thread-locals.
+  EXPECT_EQ(fnv1a(flat), 0xe2a581c4e06ff3a4ull);
 }
 
 }  // namespace

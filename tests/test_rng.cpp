@@ -47,6 +47,30 @@ TEST(Rng, NextBelowZeroThrows) {
   EXPECT_THROW(r.next_below(0), Error);
 }
 
+/// next_below as it was before it skipped the threshold division: the
+/// rejection threshold 2^64 mod bound computed on every draw.
+std::uint64_t next_below_dividing_every_draw(Rng& rng, std::uint64_t bound) {
+  const std::uint64_t threshold = -bound % bound;
+  for (;;) {
+    const std::uint64_t r = rng.next_u64();
+    if (r >= threshold) return r % bound;
+  }
+}
+
+TEST(Rng, NextBelowKeepsTheStreamOfDividingEveryDraw) {
+  // 2^63 + 1 rejects nearly half of all draws, so the retry path runs too.
+  for (std::uint64_t bound :
+       {1ull, 2ull, 3ull, 7ull, 7680ull, (1ull << 32) - 1, (1ull << 32) + 1,
+        1ull << 63, (1ull << 63) + 1, ~0ull}) {
+    Rng lib(17), ref(17);
+    for (int i = 0; i < 1000; ++i)
+      ASSERT_EQ(lib.next_below(bound),
+                next_below_dividing_every_draw(ref, bound))
+          << "bound " << bound << " draw " << i;
+    EXPECT_EQ(lib.next_u64(), ref.next_u64()) << "bound " << bound;
+  }
+}
+
 TEST(Rng, NextBelowCoversAllValues) {
   Rng r(11);
   std::set<std::uint64_t> seen;

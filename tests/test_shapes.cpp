@@ -148,10 +148,13 @@ TEST_F(Shapes, Fig7_HeuristicsNotSlowerThanScotchLike) {
   const double h = work(MapperKind::Heuristic, "mapping.scan_steps");
   const double s = work(MapperKind::ScotchLike, "bisection.swap_evals");
   EXPECT_GT(h, 0.0);
-  // A scan step is one distance load and compare; a swap evaluation prices
-  // a vertex pair against its adjacency.  At this size on an x86-64 host
-  // (RelWithDebInfo) RDMH spends ~4 ns per scan step and the graph mapper
-  // ~54 ns per swap evaluation, graph build included.  Pricing a swap
+  // A scan step is one free slot considered: read one by one (a distance
+  // load and compare) or settled from its pool block's cluster free count,
+  // plus its tie-break draw if it ties the minimum.  A swap evaluation
+  // prices a vertex pair against its adjacency.  At this size on an x86-64
+  // host (RelWithDebInfo) RDMH spends ~2.5-3.7 ns per scan step (36% of
+  // them reads) and the graph mapper ~54 ns per swap evaluation, graph
+  // build included.  Pricing a swap
   // evaluation at a conservative 5 scan steps: same order of magnitude at
   // worst, the graph mapper must not be cheaper by more than ~2x.
   constexpr double kScanStepsPerSwapEval = 5.0;
