@@ -133,6 +133,9 @@ int main() {
       {"bisection", "bisection.swap_evals"},
       {"refinement", "cost.transfers_priced"},
       {"engine-pricing", "cost.transfers_priced"},
+      // Node-pair routes the cost model walks: below transfers_priced,
+      // because the core pairs of one node pair share one walk.
+      {"engine-pricing", "cost.routes_walked"},
       // Algorithm 1 step 5: slots considered, and pool entries read one by
       // one (the rest settled from cluster free counts).
       {"heuristic", "mapping.scan_steps"},

@@ -22,11 +22,6 @@ Communicator::Communicator(const topology::Machine& m,
   }
 }
 
-CoreId Communicator::core_of(Rank r) const {
-  TARR_REQUIRE(r >= 0 && r < size(), "core_of: rank out of range");
-  return rank_to_core_[r];
-}
-
 NodeId Communicator::node_of(Rank r) const {
   return machine_->node_of_core(core_of(r));
 }

@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "common/error.hpp"
 #include "topology/machine.hpp"
 
 /// \file communicator.hpp
@@ -23,7 +24,10 @@ class Communicator {
   int size() const { return static_cast<int>(rank_to_core_.size()); }
   const topology::Machine& machine() const { return *machine_; }
 
-  CoreId core_of(Rank r) const;
+  CoreId core_of(Rank r) const {
+    TARR_REQUIRE(r >= 0 && r < size(), "core_of: rank out of range");
+    return rank_to_core_[r];
+  }
   NodeId node_of(Rank r) const;
   SocketId socket_of(Rank r) const;
 

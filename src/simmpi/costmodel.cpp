@@ -8,12 +8,27 @@
 namespace tarr::simmpi {
 
 CostModel::CostModel(const topology::Machine& m, const CostConfig& cfg)
-    : machine_(&m), cfg_(cfg) {
-  link_bytes_.assign(static_cast<std::size_t>(m.network().num_links()) * 2,
-                     0.0);
-  qpi_bytes_.assign(static_cast<std::size_t>(m.num_nodes()) * 2, 0.0);
-  socket_bytes_.assign(
-      static_cast<std::size_t>(m.num_nodes()) * m.shape().sockets, 0.0);
+    : machine_(&m),
+      cfg_(cfg),
+      last_pair_from_(static_cast<std::size_t>(m.num_nodes()), -1),
+      links_(static_cast<std::size_t>(m.network().num_links()) * 2),
+      qpi_(static_cast<std::size_t>(m.num_nodes()) * 2),
+      sockets_(static_cast<std::size_t>(m.num_nodes()) * m.shape().sockets) {}
+
+void CostModel::Loads::clear() {
+  for (int idx : touched) {
+    bytes[idx] = 0.0;
+    marked[idx] = 0;
+  }
+  touched.clear();
+}
+
+bool CostModel::Loads::is_clear() const {
+  return touched.empty() &&
+         std::all_of(bytes.begin(), bytes.end(),
+                     [](double b) { return b == 0.0; }) &&
+         std::all_of(marked.begin(), marked.end(),
+                     [](unsigned char k) { return k == 0; });
 }
 
 void CostModel::begin_stage() {
@@ -21,58 +36,63 @@ void CostModel::begin_stage() {
   stage_open_ = true;
 }
 
-double& CostModel::qpi_load(NodeId n, int dir) {
-  return qpi_bytes_[static_cast<std::size_t>(n) * 2 + dir];
-}
-
-double& CostModel::socket_load(NodeId n, SocketId s) {
-  return socket_bytes_[static_cast<std::size_t>(n) *
-                           machine_->shape().sockets +
-                       s];
-}
-
 void CostModel::add_transfer(CoreId src, CoreId dst, Bytes bytes) {
   TARR_REQUIRE(stage_open_, "add_transfer: no open stage");
   TARR_REQUIRE(src != dst, "add_transfer: src == dst (use local_copy_cost)");
   TARR_REQUIRE(bytes >= 0, "add_transfer: negative byte count");
-  pending_.push_back(Pending{src, dst, bytes});
-  if (!cfg_.model_contention) return;
-
   const auto& m = *machine_;
   const NodeId na = m.node_of_core(src);
   const NodeId nb = m.node_of_core(dst);
   const double b = static_cast<double>(bytes);
-  if (na == nb) {
-    const SocketId sa = m.socket_of_core(src);
-    const SocketId sb = m.socket_of_core(dst);
-    auto touch_socket = [&](SocketId s, double load) {
-      double& slot = socket_load(na, s);
-      if (slot == 0.0)
-        touched_sockets_.push_back(na * m.shape().sockets + s);
-      slot += load;
-    };
-    if (sa == sb) {
-      touch_socket(sa, b);  // full copy served by one memory subsystem
-    } else {
-      touch_socket(sa, 0.5 * b);  // read side
-      touch_socket(sb, 0.5 * b);  // write side
-      const int dir = sa < sb ? 0 : 1;
-      if (qpi_load(na, dir) == 0.0) touched_qpi_.push_back(na * 2 + dir);
-      qpi_load(na, dir) += b;
+  if (na != nb) {
+    int& slot = last_pair_from_[na];
+    if (slot < 0 || pairs_[slot].dst != nb) {
+      // A split pair throws where its route is first needed.
+      if (cfg_.model_contention && !m.router().reachable(na, nb))
+        throw topology::PartitionedError(m.router().partition());
+      slot = static_cast<int>(pairs_.size());
+      pairs_.push_back(NodePair{na, nb});
     }
+    pairs_[slot].bytes += b;
+    pending_.push_back(Pending{src, dst, bytes, na, slot});
     return;
   }
-  m.router().walk(na, nb, [&](topology::Hop h) {
-    const int idx = 2 * h.link + h.dir;
-    if (link_bytes_[idx] == 0.0) touched_links_.push_back(idx);
-    link_bytes_[idx] += b;
-  });
+  pending_.push_back(Pending{src, dst, bytes, na, -1});
+  if (!cfg_.model_contention) return;
+
+  const SocketId sa = m.socket_of_core(src);
+  const SocketId sb = m.socket_of_core(dst);
+  if (sa == sb) {
+    sockets_.add(socket_slot(na, sa), b);  // full copy, one memory subsystem
+  } else {
+    sockets_.add(socket_slot(na, sa), 0.5 * b);  // read side
+    sockets_.add(socket_slot(na, sb), 0.5 * b);  // write side
+    qpi_.add(na * 2 + (sa < sb ? 0 : 1), b);
+  }
 }
 
 Usec CostModel::finish_stage() {
   TARR_REQUIRE(stage_open_, "finish_stage: no open stage");
   const auto& m = *machine_;
   const auto& net = m.network();
+  const auto& router = m.router();
+
+  // Two passes over the node pairs, in first-submission order: the first
+  // loads each route with its pair's bytes, the second reads each route
+  // once every load on it is final.
+  if (cfg_.model_contention) {
+    for (const NodePair& q : pairs_)
+      router.walk(q.src, q.dst, [&](topology::Hop h) {
+        links_.add(2 * h.link + h.dir, q.bytes);
+      });
+  }
+  for (NodePair& q : pairs_) {
+    q.hops = router.walk(q.src, q.dst, [&](topology::Hop h) {
+      if (cfg_.model_contention)
+        q.peak = std::max(q.peak, links_.bytes[2 * h.link + h.dir] /
+                                      net.link(h.link).capacity);
+    });
+  }
 
   if (capture_details_) {
     // Reuse the detail vectors' capacity across stages (clear, don't
@@ -88,14 +108,12 @@ Usec CostModel::finish_stage() {
   double priced_bytes = 0.0;
   for (const Pending& t : pending_) {
     priced_bytes += static_cast<double>(t.bytes);
-    const NodeId na = m.node_of_core(t.src);
-    const NodeId nb = m.node_of_core(t.dst);
     const double own = static_cast<double>(t.bytes);
     Usec cost;
     Usec uncontended = 0.0;  ///< cost at contention factor 1.0
     trace::Channel channel = trace::Channel::Network;
     double contention = 1.0;  ///< slowdown over the uncontended floor
-    if (na == nb) {
+    if (t.pair < 0) {
       const SocketId sa = m.socket_of_core(t.src);
       const SocketId sb = m.socket_of_core(t.dst);
       // Per-pair floor; contention can only slow a transfer down from it.
@@ -106,8 +124,8 @@ Usec CostModel::finish_stage() {
         if (same_complex) bw_time = own * cfg_.beta_shm_complex_pair;
         const double floor = bw_time;
         if (cfg_.model_contention) {
-          bw_time = std::max(bw_time,
-                             socket_load(na, sa) * cfg_.beta_mem_socket);
+          const double load = sockets_.bytes[socket_slot(t.node, sa)];
+          bw_time = std::max(bw_time, load * cfg_.beta_mem_socket);
         }
         if (floor > 0.0) contention = bw_time / floor;
         channel = same_complex ? trace::Channel::SameComplex
@@ -120,8 +138,9 @@ Usec CostModel::finish_stage() {
         const double floor = bw_time;
         if (cfg_.model_contention) {
           const double mem =
-              std::max(socket_load(na, sa), socket_load(na, sb));
-          const double qpi = qpi_load(na, sa < sb ? 0 : 1);
+              std::max(sockets_.bytes[socket_slot(t.node, sa)],
+                       sockets_.bytes[socket_slot(t.node, sb)]);
+          const double qpi = qpi_.bytes[t.node * 2 + (sa < sb ? 0 : 1)];
           bw_time = std::max({bw_time, mem * cfg_.beta_mem_socket,
                               qpi * cfg_.beta_qpi});
         }
@@ -131,16 +150,11 @@ Usec CostModel::finish_stage() {
         cost = cfg_.alpha_shm_cross + bw_time;
       }
     } else {
-      double bottleneck = own;
-      const int hops = m.router().walk(na, nb, [&](topology::Hop h) {
-        if (cfg_.model_contention)
-          bottleneck = std::max(bottleneck,
-                                link_bytes_[2 * h.link + h.dir] /
-                                    net.link(h.link).capacity);
-      });
+      const NodePair& q = pairs_[t.pair];
+      const double bottleneck = std::max(own, q.peak);
       if (own > 0.0) contention = bottleneck / own;
       const Usec alpha =
-          cfg_.alpha_net + cfg_.alpha_hop * static_cast<double>(hops);
+          cfg_.alpha_net + cfg_.alpha_hop * static_cast<double>(q.hops);
       uncontended = alpha + own * cfg_.beta_net;
       cost = alpha + bottleneck * cfg_.beta_net;
     }
@@ -154,53 +168,52 @@ Usec CostModel::finish_stage() {
   if (prof::Profiler* p = obs::ambient().prof) {
     p->count("cost.stages_priced", 1.0);
     p->count("cost.transfers_priced", static_cast<double>(pending_.size()));
+    p->count("cost.routes_walked", static_cast<double>(pairs_.size()));
     p->count("cost.bytes_priced", priced_bytes);
   }
 
   last_stats_ = StageStats{};
   last_stats_.transfers = static_cast<int>(pending_.size());
-  for (int idx : touched_links_) {
+  for (int idx : links_.touched) {
     const auto& link = net.link(idx / 2);
     last_stats_.max_link_bytes = std::max(
-        last_stats_.max_link_bytes, link_bytes_[idx] / link.capacity);
+        last_stats_.max_link_bytes, links_.bytes[idx] / link.capacity);
   }
-  for (int idx : touched_qpi_)
+  for (int idx : qpi_.touched)
     last_stats_.max_qpi_bytes =
-        std::max(last_stats_.max_qpi_bytes, qpi_bytes_[idx]);
+        std::max(last_stats_.max_qpi_bytes, qpi_.bytes[idx]);
 
   if (capture_details_) {
-    // Snapshot the directed resource loads before the touched-list reset
-    // wipes them.  Touched-list order is the (deterministic) first-touch
-    // order of the stage's transfers.
-    detail_.link_loads.reserve(touched_links_.size());
-    for (int idx : touched_links_) {
+    // Snapshot the directed resource loads before the reset wipes them.
+    // Touched-list order is the (deterministic) first-touch order of the
+    // stage's transfers.
+    detail_.link_loads.reserve(links_.touched.size());
+    for (int idx : links_.touched) {
       detail_.link_loads.push_back(LinkLoad{
-          idx / 2, idx % 2, link_bytes_[idx],
-          link_bytes_[idx] / net.link(idx / 2).capacity});
+          idx / 2, idx % 2, links_.bytes[idx],
+          links_.bytes[idx] / net.link(idx / 2).capacity});
     }
-    detail_.qpi_loads.reserve(touched_qpi_.size());
-    for (int idx : touched_qpi_)
-      detail_.qpi_loads.push_back(QpiLoad{idx / 2, idx % 2, qpi_bytes_[idx]});
+    detail_.qpi_loads.reserve(qpi_.touched.size());
+    for (int idx : qpi_.touched)
+      detail_.qpi_loads.push_back(QpiLoad{idx / 2, idx % 2, qpi_.bytes[idx]});
   }
 
   pending_.clear();
-  for (int idx : touched_links_) link_bytes_[idx] = 0.0;
-  for (int idx : touched_qpi_) qpi_bytes_[idx] = 0.0;
-  for (int idx : touched_sockets_) socket_bytes_[idx] = 0.0;
-  touched_links_.clear();
-  touched_qpi_.clear();
-  touched_sockets_.clear();
-  // The touched-list reset must leave no residual load behind — a leak here
-  // silently inflates contention in every later stage.  Full sweep of all
-  // three load arrays, so only in TARR_SLOW_CHECKS builds.
+  for (const NodePair& q : pairs_) last_pair_from_[q.src] = -1;
+  pairs_.clear();
+  links_.clear();
+  qpi_.clear();
+  sockets_.clear();
+  // The reset must leave no per-stage state behind — a residual load
+  // silently inflates contention in every later stage, and a stale pair
+  // slot would sum bytes into a pair of the last stage.  Full sweep of
+  // every array, so only in TARR_SLOW_CHECKS builds.
   TARR_CHECK_SLOW(
-      std::all_of(link_bytes_.begin(), link_bytes_.end(),
-                  [](double b) { return b == 0.0; }) &&
-          std::all_of(qpi_bytes_.begin(), qpi_bytes_.end(),
-                      [](double b) { return b == 0.0; }) &&
-          std::all_of(socket_bytes_.begin(), socket_bytes_.end(),
-                      [](double b) { return b == 0.0; }),
-      "finish_stage: residual load after touched-list reset");
+      links_.is_clear() && qpi_.is_clear() && sockets_.is_clear() &&
+          pairs_.empty() &&
+          std::all_of(last_pair_from_.begin(), last_pair_from_.end(),
+                      [](int slot) { return slot == -1; }),
+      "finish_stage: per-stage state left after the reset");
   stage_open_ = false;
   return stage;
 }

@@ -23,6 +23,19 @@
 /// The model is stage-synchronous: transfers submitted between begin_stage()
 /// and finish_stage() are considered concurrent, and the stage costs the
 /// slowest of them.
+///
+/// Inter-node transfers are priced per node pair.  All transfers between
+/// one (source node, destination node) pair share one route, so
+/// add_transfer() only sums their bytes into a NodePair, and finish_stage()
+/// walks each pair's route twice: once to add its summed bytes to every
+/// link, then, with every load final, once to read its hop count and its
+/// bottleneck load / capacity; each transfer then costs max(own bytes, its
+/// pair's bottleneck).  Route work scales with the stage's node pairs, not
+/// its transfers.  Every cost and record equals per-transfer pricing bit
+/// for bit: link loads are sums of integer byte counts, exact in a double
+/// (below 2^53) in any order, and pairs load in order of first submission,
+/// so every link is first touched by the same transfer as before and the
+/// link records keep their order.
 
 namespace tarr::simmpi {
 
@@ -139,23 +152,57 @@ class CostModel {
     CoreId src;
     CoreId dst;
     Bytes bytes;
+    NodeId node;  ///< node of src
+    int pair;     ///< index into pairs_; -1 for an intra-node transfer
   };
 
-  double& qpi_load(NodeId n, int dir);
-  double& socket_load(NodeId n, SocketId s);
+  /// Inter-node transfers of the stage from node `src` to node `dst`.
+  struct NodePair {
+    NodeId src;
+    NodeId dst;
+    double bytes = 0.0;  ///< summed bytes of its transfers
+    int hops = 0;
+    double peak = 0.0;  ///< max over its route of link load / capacity
+  };
+
+  /// Byte loads of one resource class, each slot marked on its first touch;
+  /// `touched` lists the slots in first-touch order, for the stage records
+  /// and for O(stage) clearing.
+  struct Loads {
+    std::vector<double> bytes;
+    std::vector<unsigned char> marked;
+    std::vector<int> touched;
+
+    explicit Loads(std::size_t n) : bytes(n, 0.0), marked(n, 0) {}
+    void add(int idx, double b) {
+      if (!marked[idx]) {
+        marked[idx] = 1;
+        touched.push_back(idx);
+      }
+      bytes[idx] += b;
+    }
+    void clear();
+    bool is_clear() const;
+  };
+
+  int socket_slot(NodeId n, SocketId s) const {
+    return n * machine_->shape().sockets + s;
+  }
 
   const topology::Machine* machine_;
   CostConfig cfg_;
   std::vector<Pending> pending_;
-  /// Directed per-link byte loads (slot 2 * link + dir), per-direction QPI
-  /// loads, per-socket memory loads, and their touched sets for O(stage)
-  /// clearing.
-  std::vector<double> link_bytes_;
-  std::vector<double> qpi_bytes_;
-  std::vector<double> socket_bytes_;
-  std::vector<int> touched_links_;
-  std::vector<int> touched_qpi_;
-  std::vector<int> touched_sockets_;
+  /// The stage's node pairs in order of first submission.  A pair the
+  /// per-source slot misses gets a second entry; each entry loads only its
+  /// own bytes and all read the same final loads, so costs never depend on
+  /// the dedup being complete.
+  std::vector<NodePair> pairs_;
+  /// Per source node, the index of the stage's most recent pair from it;
+  /// -1 when it has none.
+  std::vector<int> last_pair_from_;
+  Loads links_;    ///< directed network links, slot 2 * link + dir
+  Loads qpi_;      ///< QPI directions, slot 2 * node + dir
+  Loads sockets_;  ///< socket memory subsystems, socket_slot(node, socket)
   StageStats last_stats_;
   StageDetail detail_;
   bool capture_details_ = false;

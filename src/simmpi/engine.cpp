@@ -163,17 +163,19 @@ void Engine::enqueue(Rank src, int src_off, Rank dst, int dst_off,
                                    stage_xfers_.back().attempts;
       stage_xfers_.push_back(TraceXfer{src, dst, bytes, attempts, record});
     }
-    for (int a = 0; a < attempts; ++a)
-      cost_.add_transfer(comm_->core_of(src), comm_->core_of(dst), bytes);
+    const CoreId a = comm_->core_of(src);
+    const CoreId b = comm_->core_of(dst);
+    for (int k = 0; k < attempts; ++k) cost_.add_transfer(a, b, bytes);
   }
 
-  PendingCopy pc{src, dst, src_off, dst_off, nblocks, combining, {}};
+  ++stage_copies_;
   if (mode_ == ExecMode::Data) {
     // Capture the pre-stage payload now; all mutations happen in end_stage.
-    pc.payload.assign(buf_[src].begin() + src_off,
-                      buf_[src].begin() + src_off + nblocks);
+    pending_.push_back(PendingCopy{
+        src, dst, src_off, dst_off, nblocks, combining,
+        std::vector<std::uint32_t>(buf_[src].begin() + src_off,
+                                   buf_[src].begin() + src_off + nblocks)});
   }
-  pending_.push_back(std::move(pc));
 }
 
 Usec Engine::end_stage() {
@@ -215,7 +217,8 @@ Usec Engine::end_stage() {
       }
     }
   }
-  const int transfers = static_cast<int>(pending_.size());
+  const int transfers = stage_copies_;
+  stage_copies_ = 0;
   pending_.clear();
   stage_open_ = false;
   last_stage_cost_ = stage;

@@ -154,11 +154,12 @@ class Engine {
   };
 
  private:
+  /// A copy of the open stage, applied at end_stage (Data mode only).
   struct PendingCopy {
     Rank src, dst;
     int src_off, dst_off, nblocks;
     bool combining;
-    std::vector<std::uint32_t> payload;  // captured at copy() time (Data)
+    std::vector<std::uint32_t> payload;  // captured at copy() time
   };
 
   void enqueue(Rank src, int src_off, Rank dst, int dst_off, int nblocks,
@@ -186,7 +187,8 @@ class Engine {
   Bytes block_bytes_;
   int buf_blocks_;
   std::vector<std::vector<std::uint32_t>> buf_;  // Data mode only
-  std::vector<PendingCopy> pending_;
+  std::vector<PendingCopy> pending_;  // Data mode only
+  int stage_copies_ = 0;              // copies of the open stage, both modes
   std::vector<Usec> local_bytes_per_rank_scratch_;
   bool stage_open_ = false;
   // Transient-fault injection (simmpi/transient.hpp); disengaged unless a

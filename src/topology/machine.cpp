@@ -22,24 +22,6 @@ Machine Machine::single_switch(int num_nodes, NodeShape shape) {
   return Machine(shape, build_single_switch_network(num_nodes));
 }
 
-NodeId Machine::node_of_core(CoreId c) const {
-  TARR_REQUIRE(c >= 0 && c < total_cores(), "node_of_core: out of range");
-  return c / cores_per_node();
-}
-
-int Machine::local_core(CoreId c) const {
-  TARR_REQUIRE(c >= 0 && c < total_cores(), "local_core: out of range");
-  return c % cores_per_node();
-}
-
-SocketId Machine::socket_of_core(CoreId c) const {
-  return core_location(shape_, local_core(c)).socket;
-}
-
-int Machine::complex_of_core(CoreId c) const {
-  return core_location(shape_, local_core(c)).complex_in_socket;
-}
-
 CoreId Machine::core_id(NodeId node, int local) const {
   TARR_REQUIRE(node >= 0 && node < num_nodes(), "core_id: node out of range");
   TARR_REQUIRE(local >= 0 && local < cores_per_node(),

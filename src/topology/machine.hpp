@@ -3,6 +3,7 @@
 #include <memory>
 #include <string>
 
+#include "common/error.hpp"
 #include "topology/fattree.hpp"
 #include "topology/intranode.hpp"
 #include "topology/network.hpp"
@@ -44,13 +45,23 @@ class Machine {
   const Router& router() const { return *router_; }
 
   /// Node that hosts global core c.
-  NodeId node_of_core(CoreId c) const;
+  NodeId node_of_core(CoreId c) const {
+    TARR_REQUIRE(c >= 0 && c < total_cores(), "node_of_core: out of range");
+    return c / cores_per_node();
+  }
   /// Node-local index (0 .. cores_per_node-1) of global core c.
-  int local_core(CoreId c) const;
+  int local_core(CoreId c) const {
+    TARR_REQUIRE(c >= 0 && c < total_cores(), "local_core: out of range");
+    return c % cores_per_node();
+  }
   /// Socket of global core c within its node.
-  SocketId socket_of_core(CoreId c) const;
+  SocketId socket_of_core(CoreId c) const {
+    return core_location(shape_, local_core(c)).socket;
+  }
   /// L3 complex of global core c within its socket (0 on flat sockets).
-  int complex_of_core(CoreId c) const;
+  int complex_of_core(CoreId c) const {
+    return core_location(shape_, local_core(c)).complex_in_socket;
+  }
   /// Global core id from (node, node-local core).
   CoreId core_id(NodeId node, int local) const;
 

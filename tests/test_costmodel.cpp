@@ -5,6 +5,8 @@
 #include <algorithm>
 
 #include "common/error.hpp"
+#include "prof/obs.hpp"
+#include "prof/profiler.hpp"
 
 namespace tarr::simmpi {
 namespace {
@@ -248,6 +250,53 @@ TEST(CostModel, DetailResetsEachStage) {
   EXPECT_EQ(cm.last_stage_detail().transfers.size(), 2u);
   // Intra-node stage: no cables touched.
   EXPECT_TRUE(cm.last_stage_detail().link_loads.empty());
+}
+
+TEST(CostModel, ZeroByteTransferDoesNotListItsResourcesTwice) {
+  // A zero-byte transfer touches its links and QPI direction without
+  // loading them; a later transfer over the same resources must not list
+  // them a second time.
+  const Machine m = Machine::gpc(2);
+  CostModel cm(m, CostConfig{});
+  cm.set_capture_details(true);
+
+  cm.begin_stage();
+  cm.add_transfer(0, 8, 0);     // node 0 -> node 1, no bytes
+  cm.add_transfer(1, 9, 4096);  // the same route
+  cm.finish_stage();
+  const auto& links = cm.last_stage_detail().link_loads;
+  ASSERT_EQ(links.size(), 2u);  // host 0 -> leaf, leaf -> host 1
+  EXPECT_NE(links[0].link, links[1].link);
+  for (const auto& l : links) EXPECT_EQ(l.bytes, 4096.0);
+
+  cm.begin_stage();
+  cm.add_transfer(0, 4, 0);     // socket 0 -> socket 1, no bytes
+  cm.add_transfer(1, 5, 4096);  // the same QPI direction
+  cm.finish_stage();
+  const auto& qpi = cm.last_stage_detail().qpi_loads;
+  ASSERT_EQ(qpi.size(), 1u);
+  EXPECT_EQ(qpi[0].node, 0);
+  EXPECT_EQ(qpi[0].dir, 0);
+  EXPECT_EQ(qpi[0].bytes, 4096.0);
+}
+
+TEST(CostModel, WalksOneRoutePerNodePair) {
+  // Eight core pairs between nodes 0 and 1 share one route; node 0 -> 2 is a
+  // second one, and an intra-node copy walks none.
+  const Machine m = Machine::gpc(3);
+  CostModel cm(m, CostConfig{});
+  prof::Profiler profiler;
+  {
+    obs::Install ambient(&profiler);
+    cm.begin_stage();
+    for (CoreId k = 0; k < 8; ++k) cm.add_transfer(k, 8 + k, 4096);
+    cm.add_transfer(0, 16, 4096);
+    cm.add_transfer(1, 2, 4096);
+    cm.finish_stage();
+  }
+  const prof::Profile profile = profiler.snapshot();
+  EXPECT_EQ(profile.counter_total("cost.transfers_priced"), 10.0);
+  EXPECT_EQ(profile.counter_total("cost.routes_walked"), 2.0);
 }
 
 TEST(CostModel, ApiMisuseThrows) {
