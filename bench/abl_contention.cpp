@@ -16,23 +16,21 @@ int main() {
   using collectives::OrderFix;
   using core::MapperKind;
 
-  const int nodes = bench_nodes(kPaperNodes);
-  const int procs = bench_procs(nodes);
-  BenchWorld world(nodes);
+  BenchWorld world(kPaperNodes);
   const simmpi::LayoutSpec cyclic{simmpi::NodeOrder::Cyclic,
                                   simmpi::SocketOrder::Bunch};
   SnapshotEmitter snapshot("abl_contention");
-  snapshot.set_meta("nodes", std::to_string(nodes));
-  snapshot.set_meta("procs", std::to_string(procs));
+  snapshot.set_meta("nodes", std::to_string(kPaperNodes));
+  snapshot.set_meta("procs", std::to_string(kPaperProcs));
 
   std::printf(
       "Ablation — contention model on/off, %d processes,\n"
       "cyclic-bunch initial mapping, Hrstc+initComm vs default\n\n",
-      procs);
+      kPaperProcs);
 
   TextTable t;
   t.set_header({"msg", "impr %% (contention)", "impr %% (no contention)"});
-  for (bool contention : {true, false}) (void)contention;  // table below
+  const auto sizes = osu_message_sizes(64, 256 * 1024);
 
   auto improvements = [&](bool contention) {
     simmpi::CostConfig cost;
@@ -40,13 +38,13 @@ int main() {
     core::TopoAllgatherConfig def;
     def.mapper = MapperKind::None;
     def.cost = cost;
-    auto base = world.path(procs, cyclic, def);
+    auto base = world.path(kPaperProcs, cyclic, def);
     core::TopoAllgatherConfig heu = def;
     heu.mapper = MapperKind::Heuristic;
     heu.fix = OrderFix::InitComm;
-    auto h = world.path(procs, cyclic, heu);
+    auto h = world.path(kPaperProcs, cyclic, heu);
     std::vector<double> out;
-    for (Bytes msg : osu_message_sizes(64, bench_max_msg(256 * 1024))) {
+    for (Bytes msg : sizes) {
       out.push_back(improvement_percent(base.latency(msg), h.latency(msg)));
     }
     return out;
@@ -54,7 +52,6 @@ int main() {
 
   const auto with_c = improvements(true);
   const auto without_c = improvements(false);
-  const auto sizes = osu_message_sizes(64, bench_max_msg(256 * 1024));
   double sum_with = 0.0, sum_without = 0.0;
   for (std::size_t i = 0; i < sizes.size(); ++i) {
     sum_with += with_c[i];

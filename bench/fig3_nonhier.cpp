@@ -20,25 +20,23 @@ int main() {
   using core::MapperKind;
   using collectives::OrderFix;
 
-  const int nodes = bench_nodes(kPaperNodes);
-  const int procs = bench_procs(nodes);
-  BenchWorld world(nodes);
-  const auto sizes = osu_message_sizes(1, bench_max_msg(256 * 1024));
+  BenchWorld world(kPaperNodes);
+  const auto sizes = osu_message_sizes(1, 256 * 1024);
   SnapshotEmitter snapshot("fig3_nonhier");
-  snapshot.set_meta("nodes", std::to_string(nodes));
-  snapshot.set_meta("procs", std::to_string(procs));
+  snapshot.set_meta("nodes", std::to_string(kPaperNodes));
+  snapshot.set_meta("procs", std::to_string(kPaperProcs));
 
   std::printf(
       "Fig 3 — non-hierarchical topology-aware allgather, %d processes\n"
       "%% latency improvement over the MVAPICH-like default\n\n",
-      procs);
+      kPaperProcs);
 
   const char sub = 'a';
   int fig = 0;
   for (const auto& spec : simmpi::all_layouts()) {
     core::TopoAllgatherConfig def;
     def.mapper = MapperKind::None;
-    auto base = world.path(procs, spec, def);
+    auto base = world.path(kPaperProcs, spec, def);
 
     struct Series {
       const char* name;
@@ -48,7 +46,7 @@ int main() {
       core::TopoAllgatherConfig cfg;
       cfg.mapper = kind;
       cfg.fix = fix;
-      return Series{name, world.path(procs, spec, cfg)};
+      return Series{name, world.path(kPaperProcs, spec, cfg)};
     };
     Series series[] = {
         variant("Hrstc+initComm", MapperKind::Heuristic, OrderFix::InitComm),

@@ -17,18 +17,16 @@ int main() {
   using collectives::OrderFix;
   using core::MapperKind;
 
-  const int nodes = bench_nodes(kPaperNodes);
-  const int procs = bench_procs(nodes);
-  BenchWorld world(nodes);
-  const auto sizes = osu_message_sizes(1, bench_max_msg(256 * 1024));
+  BenchWorld world(kPaperNodes);
+  const auto sizes = osu_message_sizes(1, 256 * 1024);
   SnapshotEmitter snapshot("fig4_hier");
-  snapshot.set_meta("nodes", std::to_string(nodes));
-  snapshot.set_meta("procs", std::to_string(procs));
+  snapshot.set_meta("nodes", std::to_string(kPaperNodes));
+  snapshot.set_meta("procs", std::to_string(kPaperProcs));
 
   std::printf(
       "Fig 4 — hierarchical topology-aware allgather, %d processes\n"
       "%% latency improvement over the default hierarchical algorithm\n\n",
-      procs);
+      kPaperProcs);
 
   const simmpi::LayoutSpec layouts[] = {
       {simmpi::NodeOrder::Block, simmpi::SocketOrder::Bunch},
@@ -45,13 +43,13 @@ int main() {
       def.mapper = MapperKind::None;
       def.hierarchical = true;
       def.intra = intra;
-      auto base = world.path(procs, spec, def);
+      auto base = world.path(kPaperProcs, spec, def);
 
       auto variant = [&](MapperKind kind, OrderFix fix) {
         core::TopoAllgatherConfig cfg = def;
         cfg.mapper = kind;
         cfg.fix = fix;
-        return world.path(procs, spec, cfg);
+        return world.path(kPaperProcs, spec, cfg);
       };
       auto h_ic = variant(MapperKind::Heuristic, OrderFix::InitComm);
       auto h_es = variant(MapperKind::Heuristic, OrderFix::EndShuffle);

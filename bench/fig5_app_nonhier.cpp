@@ -21,28 +21,26 @@ int main(int argc, char** argv) {
   using collectives::OrderFix;
   using core::MapperKind;
 
-  const int nodes = bench_nodes(kAppNodes);
-  const int procs = bench_procs(nodes);
-  BenchWorld world(nodes);
+  BenchWorld world(kAppNodes);
   // Optionally replay a profiled trace: fig5_app_nonhier <trace-file> with
   // one "<msg_bytes> <calls>" pair per line.
   const auto trace =
       argc > 1 ? load_app_trace(argv[1]) : default_app_trace();
   SnapshotEmitter snapshot("fig5_app_nonhier");
-  snapshot.set_meta("nodes", std::to_string(nodes));
-  snapshot.set_meta("procs", std::to_string(procs));
+  snapshot.set_meta("nodes", std::to_string(kAppNodes));
+  snapshot.set_meta("procs", std::to_string(kAppProcs));
   snapshot.set_meta("allgather_calls", std::to_string(trace_calls(trace)));
 
   std::printf(
       "Fig 5 — application execution time (normalized to default),\n"
       "non-hierarchical allgather, %d processes, %d Allgather calls\n\n",
-      procs, trace_calls(trace));
+      kAppProcs, trace_calls(trace));
 
   int fig = 0;
   for (const auto& spec : simmpi::all_layouts()) {
     core::TopoAllgatherConfig def;
     def.mapper = MapperKind::None;
-    auto base = world.path(procs, spec, def);
+    auto base = world.path(kAppProcs, spec, def);
     const Usec coll_default = app_collective_time(base, trace);
     const Usec compute = coll_default;  // 50% collective fraction
     const Usec total_default = compute + coll_default;
@@ -58,7 +56,7 @@ int main(int argc, char** argv) {
       core::TopoAllgatherConfig cfg;
       cfg.mapper = kind;
       cfg.fix = OrderFix::InitComm;  // the paper uses initComm for the app
-      auto path = world.path(procs, spec, cfg);
+      auto path = world.path(kAppProcs, spec, cfg);
       const Usec coll = app_collective_time(path, trace);
       const Usec overhead = path.mapping_seconds() * 1e6;
       const double normalized =

@@ -16,19 +16,17 @@ int main() {
   using collectives::OrderFix;
   using core::MapperKind;
 
-  const int nodes = bench_nodes(kAppNodes);
-  const int procs = bench_procs(nodes);
-  BenchWorld world(nodes);
+  BenchWorld world(kAppNodes);
   const auto trace = default_app_trace();
   SnapshotEmitter snapshot("fig6_app_hier");
-  snapshot.set_meta("nodes", std::to_string(nodes));
-  snapshot.set_meta("procs", std::to_string(procs));
+  snapshot.set_meta("nodes", std::to_string(kAppNodes));
+  snapshot.set_meta("procs", std::to_string(kAppProcs));
   snapshot.set_meta("allgather_calls", std::to_string(trace_calls(trace)));
 
   std::printf(
       "Fig 6 — application execution time (normalized to default),\n"
       "hierarchical allgather, %d processes, %d Allgather calls\n\n",
-      procs, trace_calls(trace));
+      kAppProcs, trace_calls(trace));
 
   const simmpi::LayoutSpec layouts[] = {
       {simmpi::NodeOrder::Block, simmpi::SocketOrder::Bunch},
@@ -44,7 +42,7 @@ int main() {
       def.mapper = MapperKind::None;
       def.hierarchical = true;
       def.intra = intra;
-      auto base = world.path(procs, spec, def);
+      auto base = world.path(kAppProcs, spec, def);
       const Usec coll_default = app_collective_time(base, trace);
       const Usec compute = coll_default;
       const Usec total_default = compute + coll_default;
@@ -62,7 +60,7 @@ int main() {
         core::TopoAllgatherConfig cfg = def;
         cfg.mapper = kind;
         cfg.fix = OrderFix::InitComm;
-        auto path = world.path(procs, spec, cfg);
+        auto path = world.path(kAppProcs, spec, cfg);
         const Usec coll = app_collective_time(path, trace);
         const Usec overhead = path.mapping_seconds() * 1e6;
         // Same gating split as fig5: simulated metrics gate, the end-to-end

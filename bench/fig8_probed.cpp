@@ -51,8 +51,8 @@ std::string pct(double v) { return tarr::TextTable::num(v, 2); }
 }  // namespace
 
 int main() {
-  const int nodes = bench_nodes(32);
-  const int epochs = smoke() ? 6 : 10;
+  const int nodes = 32;
+  const int epochs = 10;
   const std::vector<double> noise_levels = {0.02, 0.2, 0.5};
 
   SnapshotEmitter snap("fig8_probed");

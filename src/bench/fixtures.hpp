@@ -1,6 +1,5 @@
 #pragma once
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -16,13 +15,12 @@
 /// machine (GPC fat-tree, 512 nodes x 8 cores = 4096 processes for the
 /// micro-benchmarks; 128 nodes = 1024 processes for the application runs)
 /// and helpers to build communicators and topology-aware allgather paths.
-/// Also the snapshot hooks of the perf gate:
-///   * SnapshotEmitter writes a schema-versioned BENCH_<name>.json of the
-///     harness's headline metrics when TARR_BENCH_SNAPSHOT_DIR is set —
-///     the input of the `tarr report compare` perf gate;
-///   * TARR_BENCH_SMOKE shrinks the sweep (16 nodes, small messages) so CI
-///     can regenerate snapshots in seconds (see docs/OBSERVABILITY.md).
-/// To trace one configuration, run it through `tarr map --trace/--tlog`.
+/// Also the snapshot hook of the perf gate: SnapshotEmitter writes a
+/// schema-versioned BENCH_<name>.json of the harness's headline metrics
+/// when TARR_BENCH_SNAPSHOT_DIR is set — the input of the `tarr report
+/// compare` perf gate, which gates the benches at this scale (see
+/// docs/OBSERVABILITY.md).  To trace one configuration, run it through
+/// `tarr map --trace/--tlog`.
 
 namespace tarr::bench {
 
@@ -33,24 +31,6 @@ inline constexpr int kPaperProcs = 4096;
 /// The paper's application scale (Figs 5-6 use 1024 processes).
 inline constexpr int kAppNodes = 128;
 inline constexpr int kAppProcs = 1024;
-
-/// True when TARR_BENCH_SMOKE requests the reduced CI scale.  The smoke
-/// sweep exercises the same code paths at 16 nodes so the perf gate runs in
-/// seconds; its snapshots live in their own baseline set (config "smoke")
-/// and are never compared against full-scale runs.
-inline bool smoke() { return std::getenv("TARR_BENCH_SMOKE") != nullptr; }
-
-/// Node count for a harness that wants `full` nodes at paper scale.
-inline int bench_nodes(int full) { return smoke() ? std::min(full, 16) : full; }
-
-/// Process count filling every core of `nodes` GPC nodes (8 cores/node).
-inline int bench_procs(int nodes) { return nodes * 8; }
-
-/// Cap a message-size sweep in smoke mode (16 KB keeps contention visible
-/// while the sweep stays fast).
-inline Bytes bench_max_msg(Bytes full) {
-  return smoke() ? std::min<Bytes>(full, 16 * 1024) : full;
-}
 
 /// Collects a harness's headline metrics and writes BENCH_<name>.json into
 /// $TARR_BENCH_SNAPSHOT_DIR on dump().  Inert (no allocation beyond the
@@ -64,13 +44,13 @@ class SnapshotEmitter {
     if (const char* dir = std::getenv("TARR_BENCH_SNAPSHOT_DIR")) {
       dir_ = dir;
       snap_.bench = std::move(bench_name);
-      snap_.config = smoke() ? "smoke" : "full";
+      snap_.config = "full";
     }
   }
 
   bool enabled() const { return !dir_.empty(); }
 
-  /// Free-form scale description ("nodes" -> "16", ...).
+  /// Free-form scale description ("nodes" -> "512", ...).
   void set_meta(const std::string& key, const std::string& value) {
     if (enabled()) snap_.meta[key] = value;
   }

@@ -19,8 +19,8 @@
 /// {
 ///   "schema": 1,
 ///   "bench": "fig3_nonhier",
-///   "config": "smoke",
-///   "meta": {"nodes": "16", ...},
+///   "config": "full",
+///   "meta": {"nodes": "512", ...},
 ///   "metrics": [
 ///     {"name": "...", "value": 1.5, "unit": "us",
 ///      "higher_is_better": false, "gate": true}, ...
@@ -52,7 +52,7 @@ struct BenchMetric {
 struct BenchSnapshot {
   int schema = kSnapshotSchema;
   std::string bench;   ///< bench name, also the BENCH_<name>.json stem
-  std::string config;  ///< "smoke" or "full"
+  std::string config;  ///< scale label; the benches always write "full"
   std::map<std::string, std::string> meta;  ///< free-form scale description
   std::vector<BenchMetric> metrics;
 

@@ -315,7 +315,9 @@ TEST(Congestion, SparesHostLinksByDefault) {
     const bool host =
         m.network().vertex(ln.a).kind == topology::VertexKind::Host ||
         m.network().vertex(ln.b).kind == topology::VertexKind::Host;
-    if (host) EXPECT_EQ(d.link(l).capacity, ln.capacity);
+    if (host) {
+      EXPECT_EQ(d.link(l).capacity, ln.capacity);
+    }
   }
 }
 

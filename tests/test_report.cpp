@@ -599,7 +599,6 @@ TEST(Snapshot, EmitterWritesGatedFileWhenEnvSet) {
   const std::string dir = ::testing::TempDir() + "tarr_snapshot_emit";
   std::filesystem::create_directories(dir);
   ::setenv("TARR_BENCH_SNAPSHOT_DIR", dir.c_str(), 1);
-  ::setenv("TARR_BENCH_SMOKE", "1", 1);
   {
     bench::SnapshotEmitter emitter("unit_test");
     ASSERT_TRUE(emitter.enabled());
@@ -608,10 +607,9 @@ TEST(Snapshot, EmitterWritesGatedFileWhenEnvSet) {
     EXPECT_TRUE(emitter.dump());
   }
   ::unsetenv("TARR_BENCH_SNAPSHOT_DIR");
-  ::unsetenv("TARR_BENCH_SMOKE");
   const BenchSnapshot s = load_snapshot(dir + "/BENCH_unit_test.json");
   EXPECT_EQ(s.bench, "unit_test");
-  EXPECT_EQ(s.config, "smoke");
+  EXPECT_EQ(s.config, "full");
   EXPECT_EQ(s.meta.at("nodes"), "2");
   ASSERT_EQ(s.metrics.size(), 2u);  // cost + auto-appended wall_seconds
   EXPECT_EQ(s.metrics[0].name, "cost");

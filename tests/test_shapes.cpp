@@ -1,13 +1,19 @@
 // Shape-regression tests: the qualitative results of the paper's figures,
 // pinned at a reduced scale (64 nodes, 512 processes) so the full suite
 // stays fast.  If a model or heuristic change breaks one of these, the
-// corresponding figure reproduction has regressed.
+// corresponding figure reproduction has regressed.  The Baselines tests
+// check the same shapes in the perf gate's committed snapshots
+// (bench/baselines), which the benches write at the paper's scale.
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "bench/sweep.hpp"
+#include "common/error.hpp"
 #include "core/topoallgather.hpp"
 #include "prof/profiler.hpp"
+#include "report/snapshot.hpp"
 #include "simmpi/layout.hpp"
 
 namespace tarr {
@@ -159,6 +165,70 @@ TEST_F(Shapes, Fig7_HeuristicsNotSlowerThanScotchLike) {
   // worst, the graph mapper must not be cheaper by more than ~2x.
   constexpr double kScanStepsPerSwapEval = 5.0;
   EXPECT_LT(h, 2.0 * kScanStepsPerSwapEval * s);
+}
+
+report::BenchSnapshot baseline(const std::string& bench) {
+  return report::load_snapshot(std::string(TARR_BASELINE_DIR) + "/BENCH_" +
+                               bench + ".json");
+}
+
+double metric(const report::BenchSnapshot& s, const std::string& name) {
+  const report::BenchMetric* m = s.find(name);
+  if (m == nullptr) throw Error(s.bench + ": no metric " + name);
+  return m->value;
+}
+
+TEST(Baselines, AllAtPaperScale) {
+  for (const auto& s : report::load_snapshot_set(TARR_BASELINE_DIR))
+    EXPECT_EQ(s.config, "full") << s.bench;
+}
+
+TEST(Baselines, Fig3Fig4HeuristicImprovesEveryLayout) {
+  for (const char* bench : {"fig3_nonhier", "fig4_hier"}) {
+    int gains = 0;
+    for (const auto& m : baseline(bench).metrics) {
+      if (!report::glob_match("*.hrstc_initcomm_mean_improvement", m.name))
+        continue;
+      EXPECT_GT(m.value, 0.0) << bench << " " << m.name;
+      ++gains;
+    }
+    EXPECT_EQ(gains, 4) << bench;
+  }
+}
+
+TEST(Baselines, Fig3CyclicLayoutsGainMoreThanBlock) {
+  const auto s = baseline("fig3_nonhier");
+  const std::string gain = ".hrstc_initcomm_mean_improvement";
+  for (const char* cyclic : {"cyclic-bunch", "cyclic-scatter"})
+    for (const char* block : {"block-bunch", "block-scatter"})
+      EXPECT_GT(metric(s, cyclic + gain), metric(s, block + gain))
+          << cyclic << " vs " << block;
+}
+
+TEST(Baselines, ContentionCarriesTheAblationGain) {
+  const auto s = baseline("abl_contention");
+  EXPECT_GT(metric(s, "mean_improvement_contention"),
+            metric(s, "mean_improvement_no_contention"));
+}
+
+TEST(Baselines, Fig5HeuristicNeverSlowerAndBeatsScotch) {
+  const auto s = baseline("fig5_app_nonhier");
+  for (const auto& spec : simmpi::all_layouts()) {
+    const std::string layout = simmpi::to_string(spec);
+    const double hrstc = metric(s, layout + ".Hrstc_normalized_sim");
+    EXPECT_LE(hrstc, 1.0) << layout;
+    EXPECT_LT(hrstc, metric(s, layout + ".Scotch_normalized_sim")) << layout;
+  }
+}
+
+TEST(Baselines, Fig8ProbedRingBeatsIdentity) {
+  int gains = 0;
+  for (const auto& m : baseline("fig8_probed").metrics) {
+    if (!report::glob_match("gain_pct_ring-allreduce_*", m.name)) continue;
+    EXPECT_GT(m.value, 0.0) << m.name;
+    ++gains;
+  }
+  EXPECT_EQ(gains, 3);  // one per noise level
 }
 
 }  // namespace

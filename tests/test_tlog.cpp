@@ -434,7 +434,9 @@ TEST(Index, BlockEntriesDescribeTheFileExactly) {
   for (const BlockInfo& b : info.blocks) {
     events += b.events;
     for (int k = 0; k < kNumEventKinds; ++k) stored[k] += b.stored[k];
-    if (b.has_stage()) EXPECT_LE(b.min_stage, b.max_stage);
+    if (b.has_stage()) {
+      EXPECT_LE(b.min_stage, b.max_stage);
+    }
   }
   EXPECT_EQ(events, info.stored_events());
   EXPECT_EQ(stored, info.stored);
