@@ -22,6 +22,8 @@
 #include "collectives/contracts.hpp"
 #include "collectives/gather_bcast.hpp"
 #include "collectives/hierarchical.hpp"
+#include "collectives/neighbor.hpp"
+#include "collectives/reduce_barrier.hpp"
 #include "common/cli.hpp"
 #include "common/permutation.hpp"
 #include "driver.hpp"
@@ -133,6 +135,13 @@ const std::vector<Spec>& specs() {
                 Pattern::Ring),
       allgather("allgather-bruck", AllgatherAlgo::Bruck, OrderFix::None,
                 Pattern::Bruck),
+      {"allgather-neighbor", 1, Pattern::Ring, true, false,
+       [](simmpi::Engine& e, const RankVec& o) {
+         collectives::run_allgather_neighbor(e, o);
+       },
+       [](int p, int b, const RankVec& o) {
+         return collectives::contract_allgather(p, b, AllgatherAlgo::Ring, o);
+       }},
       hier_allgather("hier-allgather", false),
       hier_allgather("hier-allgather-pipelined", true),
       gather("gather-linear", TreeAlgo::Linear, OrderFix::None),
@@ -165,6 +174,20 @@ const std::vector<Spec>& specs() {
        },
        [](int p, int b, const RankVec&) {
          return collectives::contract_allreduce_rabenseifner(p, b);
+       }},
+      {"allreduce-ring", 1, Pattern::Ring, false, false,
+       [](simmpi::Engine& e, const RankVec&) {
+         collectives::run_allreduce_ring(e);
+       },
+       [](int p, int b, const RankVec&) {
+         return collectives::contract_allreduce_rabenseifner(p, b);
+       }},
+      {"reduce-binomial", 0, Pattern::BinomialGather, false, false,
+       [](simmpi::Engine& e, const RankVec&) {
+         collectives::run_reduce_binomial(e);
+       },
+       [](int p, int b, const RankVec&) {
+         return collectives::contract_reduce(p, b);
        }},
   };
   return kSpecs;

@@ -379,9 +379,8 @@ void check_dataflow(const ScheduleRecord& rec, const Contract& c,
   if (c.expected.empty()) return;
   for (Rank r = 0; r < c.num_ranks; ++r) {
     for (int b = 0; b < c.buf_blocks; ++b) {
-      const auto& want =
-          c.expected[static_cast<std::size_t>(r) * c.buf_blocks + b];
-      if (!want.has_value()) continue;
+      const OriginSet* want = c.required(r, b);
+      if (want == nullptr) continue;
       const OriginSet& have = state[r][b];
       if (have == *want) continue;
       std::string msg = rank_slot(r, b) + " ends holding " +

@@ -1,7 +1,7 @@
 #pragma once
 
+#include <bit>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -27,7 +27,9 @@
 /// whatever touches it.  Soundness note: the set abstraction is exact for
 /// XOR over distinct seeds, so a schedule certified here computes the right
 /// value for *any* choice of tag values, not just the ones a test happened
-/// to seed.
+/// to seed.  The dynamic side reads the same contract:
+/// collectives::check_output expects each constrained slot of a finished
+/// Data-mode run to carry the XOR of its required origins' seed tags.
 
 namespace tarr::analyze {
 
@@ -88,8 +90,8 @@ class OriginSet {
   std::vector<int> members() const {
     std::vector<int> out;
     for (std::size_t w = 0; w < bits_.size(); ++w)
-      for (int b = 0; b < 64; ++b)
-        if ((bits_[w] >> b) & 1u) out.push_back(static_cast<int>(w) * 64 + b);
+      for (std::uint64_t x = bits_[w]; x != 0; x &= x - 1)
+        out.push_back(static_cast<int>(w) * 64 + std::countr_zero(x));
     return out;
   }
 
@@ -111,46 +113,61 @@ struct Contract {
   int num_origins = 0;  ///< size of the origin universe
 
   /// One initial fact: before the schedule runs, `rank`'s buffer block
-  /// `block` holds exactly origin `origin`'s contribution.  Slots without a
-  /// seed start Unknown.
+  /// `block` holds exactly origin `origin`'s contribution, which a Data-mode
+  /// run writes as the 32-bit `tag`.  Slots without a seed start Unknown.
+  /// Every seed of one origin carries the same tag, and distinct origins
+  /// carry distinct nonzero tags wherever a slot combines them (a 0 would
+  /// drop out of every XOR).
   struct Seed {
     Rank rank = 0;
     int block = 0;
     int origin = 0;
+    std::uint32_t tag = 0;
   };
   std::vector<Seed> seeds;
 
-  /// Required final origin set per (rank, block), indexed
-  /// rank * buf_blocks + block; nullopt slots are unconstrained (scratch
-  /// space the collective may leave in any state).
-  std::vector<std::optional<OriginSet>> expected;
+  /// The distinct origin sets the contract requires, each stored once.
+  std::vector<OriginSet> sets;
 
-  void seed(Rank r, int b, int origin) { seeds.push_back({r, b, origin}); }
+  /// Required final set per (rank, block), indexed rank * buf_blocks +
+  /// block: an index into `sets`, or -1 where the slot is unconstrained
+  /// (scratch space the collective may leave in any state).
+  std::vector<int> expected;
 
-  void expect(Rank r, int b, OriginSet s) {
-    resize_expected();
-    expected[static_cast<std::size_t>(r) * buf_blocks + b] = std::move(s);
+  /// Seed (r, b) with `origin`, tagged with the origin index itself — the
+  /// value the allgather-family, gather and scatter runners write.
+  void seed(Rank r, int b, int origin) {
+    seed(r, b, origin, static_cast<std::uint32_t>(origin));
+  }
+  void seed(Rank r, int b, int origin, std::uint32_t tag) {
+    seeds.push_back({r, b, origin, tag});
   }
 
-  /// Require (r, b) to hold exactly {origin}.
-  void expect_single(Rank r, int b, int origin) {
-    expect(r, b, OriginSet::single(num_origins, origin));
+  /// Add a required set; returns its index for expect().
+  int add_set(OriginSet s) {
+    sets.push_back(std::move(s));
+    return static_cast<int>(sets.size()) - 1;
   }
 
-  /// Require (r, b) to hold the full universe (allreduce semantics).
-  void expect_all(Rank r, int b) {
-    OriginSet s = OriginSet::empty_set(num_origins);
-    for (int o = 0; o < num_origins; ++o) s.toggle(o);
-    expect(r, b, std::move(s));
+  /// Require (r, b) to end holding sets[set].
+  void expect(Rank r, int b, int set) {
+    if (expected.empty())
+      expected.assign(static_cast<std::size_t>(num_ranks) * buf_blocks, -1);
+    expected[static_cast<std::size_t>(r) * buf_blocks + b] = set;
   }
 
-  /// Range/shape validation; throws tarr::Error on an ill-formed contract.
+  /// The set (r, b) must end holding, or nullptr where it is unconstrained.
+  const OriginSet* required(Rank r, int b) const {
+    if (expected.empty()) return nullptr;
+    const int s = expected[static_cast<std::size_t>(r) * buf_blocks + b];
+    return s < 0 ? nullptr : &sets[static_cast<std::size_t>(s)];
+  }
+
+  /// Range/shape validation; throws tarr::Error on an ill-formed contract:
+  /// seeds outside the buffer or universe, an origin seeded with two
+  /// different tags, a required set that is Unknown or has a member outside
+  /// [0, num_origins), or an expected index outside [-1, sets.size()).
   void validate() const;
-
- private:
-  void resize_expected() {
-    expected.resize(static_cast<std::size_t>(num_ranks) * buf_blocks);
-  }
 };
 
 }  // namespace tarr::analyze

@@ -4,14 +4,14 @@
 /// Umbrella header of tarr::check, the runtime invariant-verification
 /// subsystem (see docs/CHECKING.md).
 ///
-/// Three verifiers, one per layer of trust:
+/// Two verifiers, one per layer of trust below the collectives:
 ///  * StageVerifier      — schedules the engine executes are well-formed
 ///                         (check/stage_verifier.hpp);
 ///  * verify_mapping     — mappers return bijections onto the slot universe
-///                         (check/mapping_verifier.hpp);
-///  * CollectiveAuditor  — finished Data-mode runs satisfy the collective's
-///                         contract (check/collective_auditor.hpp, Engine
-///                         adapters in check/audit_engine.hpp).
+///                         (check/mapping_verifier.hpp).
+/// What a finished collective must leave in each buffer slot is stated once,
+/// as an analyze::Contract (collectives/contracts.hpp), and checked against
+/// a Data-mode run by collectives::check_output.
 ///
 /// Fast/slow tiers: the verifiers themselves are always compiled and
 /// directly callable (tests use them in every configuration).  Their
@@ -21,6 +21,5 @@
 /// common/error.hpp); one-shot boundaries such as the reorder framework
 /// validate unconditionally.
 
-#include "check/collective_auditor.hpp"  // IWYU pragma: export
-#include "check/mapping_verifier.hpp"    // IWYU pragma: export
-#include "check/stage_verifier.hpp"      // IWYU pragma: export
+#include "check/mapping_verifier.hpp"  // IWYU pragma: export
+#include "check/stage_verifier.hpp"    // IWYU pragma: export

@@ -12,7 +12,7 @@
 /// Engine contract: buf_blocks >= p and block_bytes = the per-rank
 /// contribution size m (the OSU "message size").  The runner seeds inputs
 /// itself, applies the requested §V-B order fix, and in Data mode the final
-/// buffers satisfy check_allgather_output().
+/// buffers satisfy contract_allgather (collectives/contracts.hpp).
 ///
 /// `oldrank[j]` is the original rank of the process acting as new rank j
 /// (identity when the communicator was not reordered).

@@ -7,9 +7,7 @@
 
 namespace tarr::collectives {
 
-namespace {
-
-std::vector<int> displacements(const std::vector<int>& counts) {
+std::vector<int> allgatherv_displacements(const std::vector<int>& counts) {
   std::vector<int> displs(counts.size() + 1, 0);
   for (std::size_t r = 0; r < counts.size(); ++r) {
     TARR_REQUIRE(counts[r] >= 1, "allgatherv: counts must be >= 1");
@@ -17,8 +15,6 @@ std::vector<int> displacements(const std::vector<int>& counts) {
   }
   return displs;
 }
-
-}  // namespace
 
 Usec run_allgatherv_ring(simmpi::Engine& eng, const std::vector<int>& counts,
                          const std::vector<Rank>& oldrank) {
@@ -31,7 +27,7 @@ Usec run_allgatherv_ring(simmpi::Engine& eng, const std::vector<int>& counts,
                "run_allgatherv_ring: oldrank is not a permutation");
   TARR_REQUIRE(eng.block_bytes() == 1,
                "run_allgatherv_ring: engine block must be one byte");
-  const std::vector<int> displs = displacements(counts);
+  const std::vector<int> displs = allgatherv_displacements(counts);
   TARR_REQUIRE(eng.buf_blocks() >= displs[p],
                "run_allgatherv_ring: buffer too small");
   const Usec before = eng.total();
@@ -63,26 +59,6 @@ Usec run_allgatherv_ring(simmpi::Engine& eng,
                          const std::vector<int>& counts) {
   return run_allgatherv_ring(eng, counts,
                              identity_permutation(eng.comm().size()));
-}
-
-void check_allgatherv_output(const simmpi::Engine& eng,
-                             const std::vector<int>& counts) {
-  TARR_REQUIRE(eng.mode() == simmpi::ExecMode::Data,
-               "check_allgatherv_output: requires Data mode");
-  const int p = eng.comm().size();
-  TARR_REQUIRE(static_cast<int>(counts.size()) == p,
-               "check_allgatherv_output: counts size mismatch");
-  const std::vector<int> displs = displacements(counts);
-  for (Rank j = 0; j < p; ++j) {
-    for (Rank r = 0; r < p; ++r) {
-      for (int b = 0; b < counts[r]; ++b) {
-        TARR_REQUIRE(eng.block(j, displs[r] + b) ==
-                         static_cast<std::uint32_t>(r),
-                     "allgatherv output wrong at rank " + std::to_string(j) +
-                         ", origin " + std::to_string(r));
-      }
-    }
-  }
 }
 
 }  // namespace tarr::collectives

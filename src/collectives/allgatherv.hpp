@@ -15,7 +15,8 @@
 /// Engine contract: block_bytes = 1 (the engine block is one byte) and
 /// buf_blocks >= sum(counts).  Displacements follow MPI semantics: the
 /// output vector holds original rank r's counts[r] bytes at displs[r],
-/// where counts/displs are indexed by ORIGINAL rank.
+/// where counts/displs are indexed by ORIGINAL rank.  The finished run
+/// satisfies contract_allgatherv (collectives/contracts.hpp).
 
 namespace tarr::collectives {
 
@@ -30,9 +31,8 @@ Usec run_allgatherv_ring(simmpi::Engine& eng, const std::vector<int>& counts,
 Usec run_allgatherv_ring(simmpi::Engine& eng,
                          const std::vector<int>& counts);
 
-/// Verify (Data mode): every rank's output vector carries original rank
-/// r's tag across its counts[r] bytes at its displacement.
-void check_allgatherv_output(const simmpi::Engine& eng,
-                             const std::vector<int>& counts);
+/// MPI displacements of `counts` (each >= 1): displs[r] = sum(counts[0..r)),
+/// with displs[p] = sum(counts) as the total buffer size.
+std::vector<int> allgatherv_displacements(const std::vector<int>& counts);
 
 }  // namespace tarr::collectives

@@ -57,18 +57,4 @@ Usec run_alltoall(simmpi::Engine& eng, AlltoallAlgo algo) {
   return run_alltoall(eng, algo, identity_permutation(eng.comm().size()));
 }
 
-void check_alltoall_output(const simmpi::Engine& eng,
-                           const std::vector<Rank>& oldrank) {
-  TARR_REQUIRE(eng.mode() == simmpi::ExecMode::Data,
-               "check_alltoall_output: requires Data mode");
-  const int p = eng.comm().size();
-  for (Rank j = 0; j < p; ++j) {
-    for (Rank i = 0; i < p; ++i) {
-      TARR_REQUIRE(eng.block(j, p + i) == alltoall_tag(i, oldrank[j]),
-                   "alltoall output wrong at new rank " + std::to_string(j) +
-                       ", peer " + std::to_string(i));
-    }
-  }
-}
-
 }  // namespace tarr::collectives

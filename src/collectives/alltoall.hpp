@@ -11,8 +11,8 @@
 /// size.  Slots [0, p) are the send blocks (slot k = block destined to rank
 /// k); slots [p, 2p) are the receive blocks (slot p+i = block received from
 /// rank i).  The runner seeds the send blocks itself in Data mode with tag
-/// alltoall_tag(sender_oldrank, dest_newrank-independent): verification is
-/// via check_alltoall_output().
+/// alltoall_tag(sender's original rank, receiver's original rank); the
+/// finished run satisfies contract_alltoall (collectives/contracts.hpp).
 ///
 /// Alltoall is traffic-symmetric (every rank exchanges with every other),
 /// so rank reordering cannot reduce its total volume; the algorithms are
@@ -42,10 +42,5 @@ Usec run_alltoall(simmpi::Engine& eng, AlltoallAlgo algo,
 
 /// Convenience overload for the non-reordered case.
 Usec run_alltoall(simmpi::Engine& eng, AlltoallAlgo algo);
-
-/// Verify (Data mode): every rank's receive slot p+i carries
-/// alltoall_tag(i, own original rank).  Throws tarr::Error on violation.
-void check_alltoall_output(const simmpi::Engine& eng,
-                           const std::vector<Rank>& oldrank);
 
 }  // namespace tarr::collectives

@@ -21,7 +21,7 @@ namespace tarr::collectives {
 enum class TreeAlgo { Linear, Binomial };
 
 /// Tag run_bcast seeds at the root's block 0; in Data mode every rank must
-/// hold it afterwards (check::audit_bcast verifies exactly that).
+/// hold it afterwards (contract_bcast in collectives/contracts.hpp).
 inline constexpr std::uint32_t kBcastMessageTag = 0xb0adca57u;
 
 /// Gather every rank's block to new rank 0, output in original-rank order

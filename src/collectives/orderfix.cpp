@@ -1,6 +1,5 @@
 #include "collectives/orderfix.hpp"
 
-#include "check/audit_engine.hpp"
 #include "common/error.hpp"
 #include "common/permutation.hpp"
 
@@ -47,10 +46,6 @@ void end_shuffle(simmpi::Engine& eng, const std::vector<Rank>& oldrank) {
   for (int b = 0; b < eng.buf_blocks(); ++b)
     dst[b] = b < p ? oldrank[b] : b;
   eng.local_permute_all(dst);
-}
-
-void check_allgather_output(const simmpi::Engine& eng) {
-  check::audit_allgather(eng);
 }
 
 }  // namespace tarr::collectives

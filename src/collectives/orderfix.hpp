@@ -30,8 +30,4 @@ void init_comm_exchange(simmpi::Engine& eng,
 /// block produced at position j lands at position oldrank[j].
 void end_shuffle(simmpi::Engine& eng, const std::vector<Rank>& oldrank);
 
-/// Verify (Data mode) that every rank's full output vector is in original-
-/// rank order: block k carries tag k.  Throws tarr::Error on violation.
-void check_allgather_output(const simmpi::Engine& eng);
-
 }  // namespace tarr::collectives

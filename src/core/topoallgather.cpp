@@ -1,6 +1,6 @@
 #include "core/topoallgather.hpp"
 
-#include "collectives/orderfix.hpp"
+#include "collectives/contracts.hpp"
 #include "common/error.hpp"
 #include "common/permutation.hpp"
 #include "mapping/comparators.hpp"
@@ -152,8 +152,9 @@ Usec TopoAllgather::execute(simmpi::ExecMode mode, Bytes msg) {
 
   simmpi::Engine eng(use_comm, cfg_.cost, mode, msg, p);
   if (sink_ != nullptr) eng.set_trace_sink(sink_);
+  const bool pipelined = cfg_.pipelined && algo == AllgatherAlgo::Ring;
   if (cfg_.hierarchical) {
-    if (cfg_.pipelined && algo == AllgatherAlgo::Ring) {
+    if (pipelined) {
       collectives::run_hier_allgather_pipelined(eng, cfg_.intra, fix,
                                                 oldrank);
     } else {
@@ -164,8 +165,13 @@ Usec TopoAllgather::execute(simmpi::ExecMode mode, Bytes msg) {
     collectives::AllgatherOptions opts{algo, fix};
     collectives::run_allgather(eng, opts, oldrank);
   }
-  if (mode == simmpi::ExecMode::Data)
-    collectives::check_allgather_output(eng);
+  if (mode == simmpi::ExecMode::Data) {
+    collectives::check_output(
+        eng, cfg_.hierarchical
+                 ? collectives::contract_hier_allgather(p, p, oldrank,
+                                                        pipelined)
+                 : collectives::contract_allgather(p, p, algo, oldrank));
+  }
   return eng.total();
 }
 

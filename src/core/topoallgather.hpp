@@ -62,9 +62,11 @@ class TopoAllgather {
   /// message of `msg` bytes.
   Usec latency(Bytes msg);
 
-  /// Execute in Data mode, verify that every rank's output vector is in
-  /// original-rank order, and return the simulated time.  Intended for
-  /// small communicators (allocates p*p block tags).
+  /// Execute in Data mode, check the run against the contract of the
+  /// algorithm it ran (contract_allgather or contract_hier_allgather: every
+  /// rank's output vector in original-rank order), and return the simulated
+  /// time.  Intended for small communicators (allocates p*p block tags and
+  /// p*p contract slots).
   Usec run_and_check(Bytes msg);
 
   /// Sum of wall-clock mapping overheads of every reorder performed so far

@@ -17,9 +17,9 @@
 /// contention-aware cost model (a retransmission loads the same links again).
 /// Payloads are never corrupted in the delivered result — a corrupt attempt
 /// models a checksum-detected NACK-and-resend, a drop models a timeout —
-/// so Data-mode outputs, the StageVerifier invariants and the
-/// CollectiveAuditor contracts all hold unchanged under faults, and Timed
-/// and Data modes stay pricing-identical for identical schedules.
+/// so Data-mode outputs, the StageVerifier invariants and the collective
+/// contracts (collectives::check_output) all hold unchanged under faults,
+/// and Timed and Data modes stay pricing-identical for identical schedules.
 ///
 /// With the fault model disabled (the default) the engine takes the exact
 /// fault-free code path: costs and payloads are bit-identical to a build

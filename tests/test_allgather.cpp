@@ -4,7 +4,7 @@
 
 #include <tuple>
 
-#include "collectives/orderfix.hpp"
+#include "collectives/contracts.hpp"
 #include "common/error.hpp"
 #include "common/permutation.hpp"
 #include "core/framework.hpp"
@@ -62,7 +62,7 @@ TEST_P(AllgatherCorrectness, OutputInOriginalRankOrder) {
   } else {
     EXPECT_GE(t, 0.0);
   }
-  check_allgather_output(eng);
+  check_output(eng, contract_allgather(p, p, algo, oldrank));
 }
 
 // Recursive doubling (power-of-two sizes) with every order-fix mechanism.

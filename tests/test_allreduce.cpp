@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <vector>
 
+#include "collectives/contracts.hpp"
 #include "common/error.hpp"
 #include "core/framework.hpp"
 #include "simmpi/layout.hpp"
@@ -19,6 +19,12 @@ using simmpi::LayoutSpec;
 using simmpi::make_layout;
 using topology::Machine;
 
+/// Reduction runners do not seed: write the contract's seed tags first.
+void seed_inputs(Engine& eng, const analyze::Contract& c) {
+  for (const analyze::Contract::Seed& s : c.seeds)
+    eng.set_block(s.rank, s.block, s.tag);
+}
+
 class AllreduceRd : public ::testing::TestWithParam<int> {};
 
 TEST_P(AllreduceRd, EveryRankHoldsXorOfAllContributions) {
@@ -27,14 +33,10 @@ TEST_P(AllreduceRd, EveryRankHoldsXorOfAllContributions) {
   if (p > m.total_cores()) GTEST_SKIP();
   const Communicator comm(m, make_layout(m, p, LayoutSpec{}));
   Engine eng(comm, simmpi::CostConfig{}, ExecMode::Data, 256, 1);
-  std::uint32_t expected = 0;
-  for (Rank r = 0; r < p; ++r) {
-    const std::uint32_t tag = 0x1000u + 37u * r;
-    eng.set_block(r, 0, tag);
-    expected ^= tag;
-  }
+  const analyze::Contract c = contract_allreduce_rd(p, 1);
+  seed_inputs(eng, c);
   run_allreduce_rd(eng);
-  for (Rank r = 0; r < p; ++r) EXPECT_EQ(eng.block(r, 0), expected);
+  check_output(eng, c);
 }
 
 INSTANTIATE_TEST_SUITE_P(Pow2, AllreduceRd,
@@ -55,17 +57,10 @@ TEST_P(Rabenseifner, BlockwiseXorReduction) {
   if (p > m.total_cores()) GTEST_SKIP();
   const Communicator comm(m, make_layout(m, p, LayoutSpec{}));
   Engine eng(comm, simmpi::CostConfig{}, ExecMode::Data, 64, p);
-  std::vector<std::uint32_t> expected(p, 0);
-  for (Rank r = 0; r < p; ++r) {
-    for (int b = 0; b < p; ++b) {
-      const std::uint32_t tag = 0x10000u + 101u * r + b;
-      eng.set_block(r, b, tag);
-      expected[b] ^= tag;
-    }
-  }
+  const analyze::Contract c = contract_allreduce_rabenseifner(p, p);
+  seed_inputs(eng, c);
   run_allreduce_rabenseifner(eng);
-  for (Rank r = 0; r < p; ++r)
-    for (int b = 0; b < p; ++b) EXPECT_EQ(eng.block(r, b), expected[b]);
+  check_output(eng, c);
 }
 
 INSTANTIATE_TEST_SUITE_P(Pow2, Rabenseifner,
@@ -78,20 +73,13 @@ TEST_P(AllreduceRing, EveryRankHoldsXorOfAllContributions) {
   const Machine m = Machine::gpc(std::max(1, (p + 7) / 8));
   if (p > m.total_cores()) GTEST_SKIP();
   const Communicator comm(m, make_layout(m, p, LayoutSpec{}));
-  // Ring reduce-scatter + allgather works on p chunks: buf_blocks = p.
+  // Ring reduce-scatter + allgather works on p chunks: buf_blocks = p.  It
+  // computes Rabenseifner's blockwise reduction, so it has that contract.
   Engine eng(comm, simmpi::CostConfig{}, ExecMode::Data, 256, p);
-  std::vector<std::uint32_t> expected(static_cast<std::size_t>(p), 0);
-  for (Rank r = 0; r < p; ++r)
-    for (int b = 0; b < p; ++b) {
-      const std::uint32_t tag = 0x2000u + 41u * r + 7u * b;
-      eng.set_block(r, b, tag);
-      expected[static_cast<std::size_t>(b)] ^= tag;
-    }
+  const analyze::Contract c = contract_allreduce_rabenseifner(p, p);
+  seed_inputs(eng, c);
   run_allreduce_ring(eng);
-  for (Rank r = 0; r < p; ++r)
-    for (int b = 0; b < p; ++b)
-      EXPECT_EQ(eng.block(r, b), expected[static_cast<std::size_t>(b)])
-          << "rank " << r << " block " << b;
+  check_output(eng, c);
 }
 
 // Unlike recursive doubling, the ring handles non-powers-of-two too.
@@ -120,15 +108,10 @@ TEST(AllreduceReordered, RdmhReorderPreservesResult) {
   const auto rc = fw.reorder(comm, mapping::Pattern::RecursiveDoubling);
 
   Engine eng(rc.comm, simmpi::CostConfig{}, ExecMode::Data, 128, 1);
-  std::uint32_t expected = 0;
-  for (Rank j = 0; j < p; ++j) {
-    // Contribution is keyed to the *process* (its original rank).
-    const std::uint32_t tag = 7919u * rc.oldrank[j];
-    eng.set_block(j, 0, tag);
-    expected ^= tag;
-  }
+  const analyze::Contract c = contract_allreduce_rd(p, 1);
+  seed_inputs(eng, c);
   run_allreduce_rd(eng);
-  for (Rank j = 0; j < p; ++j) EXPECT_EQ(eng.block(j, 0), expected);
+  check_output(eng, c);
 }
 
 TEST(AllreduceCost, RabenseifnerBeatsRdForLargeMessages) {

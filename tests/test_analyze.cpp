@@ -2,17 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "analyze/mutate.hpp"
-#include "analyze/static_auditor.hpp"
 #include "collectives/allgather.hpp"
 #include "collectives/allreduce.hpp"
 #include "collectives/alltoall.hpp"
 #include "collectives/contracts.hpp"
 #include "collectives/gather_bcast.hpp"
 #include "collectives/hierarchical.hpp"
-#include "collectives/orderfix.hpp"
+#include "common/error.hpp"
 #include "common/permutation.hpp"
 #include "core/framework.hpp"
 #include "fault/degraded.hpp"
@@ -66,9 +66,9 @@ TEST(AnalyzeCertifies, AllgatherAllAlgosIdentity) {
       collectives::run_allgather(e, AllgatherOptions{algo, OrderFix::None},
                                  oldrank);
     });
-    collectives::check_allgather_output(eng);  // dynamic audit
-    expect_certified(rec, m, collectives::contract_allgather(p, p, algo,
-                                                             oldrank));
+    const Contract c = collectives::contract_allgather(p, p, algo, oldrank);
+    collectives::check_output(eng, c);  // the same contract, checked live
+    expect_certified(rec, m, c);
   }
 }
 
@@ -88,10 +88,10 @@ TEST(AnalyzeCertifies, AllgatherReorderedBothFixes) {
           e, AllgatherOptions{AllgatherAlgo::RecursiveDoubling, fix},
           rc.oldrank);
     });
-    collectives::check_allgather_output(eng);
-    expect_certified(rec, m,
-                     collectives::contract_allgather(
-                         p, p, AllgatherAlgo::RecursiveDoubling, rc.oldrank));
+    const Contract c = collectives::contract_allgather(
+        p, p, AllgatherAlgo::RecursiveDoubling, rc.oldrank);
+    collectives::check_output(eng, c);
+    expect_certified(rec, m, c);
   }
   // Ring and Bruck carry their own order correction.
   for (AllgatherAlgo algo : {AllgatherAlgo::Ring, AllgatherAlgo::Bruck}) {
@@ -100,9 +100,10 @@ TEST(AnalyzeCertifies, AllgatherReorderedBothFixes) {
       collectives::run_allgather(e, AllgatherOptions{algo, OrderFix::None},
                                  rc.oldrank);
     });
-    collectives::check_allgather_output(eng);
-    expect_certified(rec, m, collectives::contract_allgather(p, p, algo,
-                                                             rc.oldrank));
+    const Contract c =
+        collectives::contract_allgather(p, p, algo, rc.oldrank);
+    collectives::check_output(eng, c);
+    expect_certified(rec, m, c);
   }
 }
 
@@ -117,9 +118,10 @@ TEST(AnalyzeCertifies, HierarchicalAndPipelined) {
       collectives::run_hier_allgather(
           e, collectives::HierAllgatherOptions{}, oldrank);
     });
-    collectives::check_allgather_output(eng);
-    expect_certified(
-        rec, m, collectives::contract_hier_allgather(p, p, oldrank, false));
+    const Contract c =
+        collectives::contract_hier_allgather(p, p, oldrank, false);
+    collectives::check_output(eng, c);
+    expect_certified(rec, m, c);
   }
   {
     Engine eng(comm, CostConfig{}, ExecMode::Data, 256, p);
@@ -127,9 +129,10 @@ TEST(AnalyzeCertifies, HierarchicalAndPipelined) {
       collectives::run_hier_allgather_pipelined(
           e, collectives::IntraAlgo::Binomial, OrderFix::None, oldrank);
     });
-    collectives::check_allgather_output(eng);
-    expect_certified(
-        rec, m, collectives::contract_hier_allgather(p, p, oldrank, true));
+    const Contract c =
+        collectives::contract_hier_allgather(p, p, oldrank, true);
+    collectives::check_output(eng, c);
+    expect_certified(rec, m, c);
   }
 }
 
@@ -143,14 +146,17 @@ TEST(AnalyzeCertifies, GatherBcastScatterFamilies) {
     const ScheduleRecord rec = record_run(eng, [&](Engine& e) {
       collectives::run_gather(e, algo, OrderFix::None, oldrank);
     });
-    expect_certified(rec, m,
-                     collectives::contract_gather(p, p, algo, oldrank));
+    const Contract c = collectives::contract_gather(p, p, algo, oldrank);
+    collectives::check_output(eng, c);
+    expect_certified(rec, m, c);
   }
   for (TreeAlgo algo : {TreeAlgo::Linear, TreeAlgo::Binomial}) {
     Engine eng(comm, CostConfig{}, ExecMode::Data, 256, 1);
     const ScheduleRecord rec = record_run(
         eng, [&](Engine& e) { collectives::run_bcast(e, algo); });
-    expect_certified(rec, m, collectives::contract_bcast(p, 1, algo));
+    const Contract c = collectives::contract_bcast(p, 1, algo);
+    collectives::check_output(eng, c);
+    expect_certified(rec, m, c);
   }
   for (AllgatherAlgo ag : {AllgatherAlgo::RecursiveDoubling,
                            AllgatherAlgo::Ring}) {
@@ -158,16 +164,18 @@ TEST(AnalyzeCertifies, GatherBcastScatterFamilies) {
     const ScheduleRecord rec = record_run(eng, [&](Engine& e) {
       collectives::run_bcast_scatter_allgather(e, ag);
     });
-    expect_certified(rec, m,
-                     collectives::contract_bcast_scatter_allgather(p, p, ag));
+    const Contract c = collectives::contract_bcast_scatter_allgather(p, p, ag);
+    collectives::check_output(eng, c);
+    expect_certified(rec, m, c);
   }
   for (TreeAlgo algo : {TreeAlgo::Linear, TreeAlgo::Binomial}) {
     Engine eng(comm, CostConfig{}, ExecMode::Data, 256, p);
     const ScheduleRecord rec = record_run(eng, [&](Engine& e) {
       collectives::run_scatter(e, algo, oldrank);
     });
-    expect_certified(rec, m,
-                     collectives::contract_scatter(p, p, algo, oldrank));
+    const Contract c = collectives::contract_scatter(p, p, algo, oldrank);
+    collectives::check_output(eng, c);
+    expect_certified(rec, m, c);
   }
 }
 
@@ -210,10 +218,10 @@ TEST(AnalyzeCertifies, AlltoallBothAlgosReordered) {
     const ScheduleRecord rec = record_run(eng, [&](Engine& e) {
       collectives::run_alltoall(e, algo, rc.oldrank);
     });
-    collectives::check_alltoall_output(eng, rc.oldrank);
-    expect_certified(rec, m,
-                     collectives::contract_alltoall(p, 2 * p, algo,
-                                                    rc.oldrank));
+    const Contract c =
+        collectives::contract_alltoall(p, 2 * p, algo, rc.oldrank);
+    collectives::check_output(eng, c);
+    expect_certified(rec, m, c);
   }
 }
 
@@ -221,24 +229,28 @@ TEST(AnalyzeCertifies, AllreduceRdAndRabenseifner) {
   const Machine m = Machine::gpc(2);
   const int p = 16;
   const Communicator comm(m, make_layout(m, p, LayoutSpec{}));
+  // Reduction runners do not seed: the run writes the contract's seeds.
   {
     Engine eng(comm, CostConfig{}, ExecMode::Data, 256, 1);
+    const Contract c = collectives::contract_allreduce_rd(p, 1);
     const ScheduleRecord rec = record_run(eng, [&](Engine& e) {
-      for (Rank r = 0; r < p; ++r) e.set_block(r, 0, 0x1000u + 37u * r);
+      for (const Contract::Seed& sd : c.seeds)
+        e.set_block(sd.rank, sd.block, sd.tag);
       collectives::run_allreduce_rd(e);
     });
-    expect_certified(rec, m, collectives::contract_allreduce_rd(p, 1));
+    collectives::check_output(eng, c);
+    expect_certified(rec, m, c);
   }
   {
     Engine eng(comm, CostConfig{}, ExecMode::Data, 64, p);
+    const Contract c = collectives::contract_allreduce_rabenseifner(p, p);
     const ScheduleRecord rec = record_run(eng, [&](Engine& e) {
-      for (Rank r = 0; r < p; ++r)
-        for (int b = 0; b < p; ++b)
-          e.set_block(r, b, 0x10000u + 101u * r + b);
+      for (const Contract::Seed& sd : c.seeds)
+        e.set_block(sd.rank, sd.block, sd.tag);
       collectives::run_allreduce_rabenseifner(e);
     });
-    expect_certified(rec, m,
-                     collectives::contract_allreduce_rabenseifner(p, p));
+    collectives::check_output(eng, c);
+    expect_certified(rec, m, c);
   }
 }
 
@@ -256,32 +268,68 @@ TEST(AnalyzeCertifies, ShrunkenCommunicator) {
     collectives::run_allgather(
         e, AllgatherOptions{AllgatherAlgo::Ring, OrderFix::None}, oldrank);
   });
-  collectives::check_allgather_output(eng);
-  expect_certified(rec, topo.machine(),
-                   collectives::contract_allgather(s, s, AllgatherAlgo::Ring,
-                                                   oldrank));
+  const Contract c =
+      collectives::contract_allgather(s, s, AllgatherAlgo::Ring, oldrank);
+  collectives::check_output(eng, c);
+  expect_certified(rec, topo.machine(), c);
 }
 
-TEST(StaticAuditorTest, CertifiesThroughEngineSplice) {
-  const Machine m = Machine::gpc(2);
-  const int p = 16;
-  const Communicator comm(m, make_layout(m, p, LayoutSpec{}));
-  Engine eng(comm, CostConfig{}, ExecMode::Data, 256, p);
-  const StaticAuditor auditor;
-  const Certificate cert = auditor.certify_or_throw(
-      eng,
-      collectives::contract_allgather(p, p, AllgatherAlgo::RecursiveDoubling,
-                                      identity_permutation(p)),
-      [&](Engine& e) {
-        collectives::run_allgather(
-            e,
-            AllgatherOptions{AllgatherAlgo::RecursiveDoubling,
-                             OrderFix::None});
-      });
-  EXPECT_TRUE(cert.certified);
-  EXPECT_GT(cert.stages_checked, 0);
-  collectives::check_allgather_output(eng);  // the same run, audited twice
-  EXPECT_EQ(eng.trace_sink(), nullptr);      // previous sink restored
+/// A well-formed two-rank contract over ten origins, which the tests below
+/// break one way each.  Origin 1 is seeded twice with one tag, as
+/// contract_allgatherv seeds every byte of a contribution.
+Contract two_rank_contract() {
+  Contract c;
+  c.name = "two-rank";
+  c.num_ranks = 2;
+  c.buf_blocks = 2;
+  c.num_origins = 10;
+  c.seed(0, 0, 0);
+  c.seed(1, 0, 1);
+  c.seed(1, 1, 1);
+  c.expect(1, 1, c.add_set(OriginSet::single(10, 0)));
+  return c;
+}
+
+/// validate()'s error message, or "" when it accepts the contract.
+std::string validate_error(const Contract& c) {
+  try {
+    c.validate();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ContractValidate, AcceptsAWellFormedContract) {
+  EXPECT_EQ(validate_error(two_rank_contract()), "");
+}
+
+TEST(ContractValidate, RejectsSetMemberOutsideTheUniverse) {
+  // single() sizes its bits in 64-origin words, so it accepts origin 12 in
+  // a 10-origin universe; validate() must not.
+  Contract c = two_rank_contract();
+  c.expect(0, 1, c.add_set(OriginSet::single(10, 12)));
+  EXPECT_NE(validate_error(c).find("required set 1 is not a subset"),
+            std::string::npos)
+      << validate_error(c);
+}
+
+TEST(ContractValidate, RejectsSetIndexOutOfRange) {
+  for (const int bad : {1, -2}) {
+    Contract c = two_rank_contract();
+    c.expect(0, 1, bad);
+    EXPECT_NE(validate_error(c).find("expected set index out of range"),
+              std::string::npos)
+        << bad;
+  }
+}
+
+TEST(ContractValidate, RejectsOriginSeededWithTwoTags) {
+  Contract c = two_rank_contract();
+  c.seed(0, 1, 1, 99u);
+  EXPECT_NE(validate_error(c).find("origin 1 is seeded with two different"),
+            std::string::npos)
+      << validate_error(c);
 }
 
 /// One recorded recursive-doubling allgather, the mutation harness's prey.

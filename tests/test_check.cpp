@@ -1,18 +1,15 @@
 // Tests for the tarr::check verification subsystem: the stage-schedule
-// verifier, the mapping bijection verifier, the collective auditor, and
-// their integration points (Engine hooks, Mapper::checked_map, the
-// TARR_CHECK_SLOW macro tier).
+// verifier, the mapping bijection verifier, and their integration points
+// (Engine hooks, Mapper::checked_map, the TARR_CHECK_SLOW macro tier).
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
-#include "check/audit_engine.hpp"
 #include "check/check.hpp"
 #include "collectives/allgather.hpp"
-#include "collectives/orderfix.hpp"
+#include "collectives/contracts.hpp"
 #include "common/error.hpp"
 #include "common/permutation.hpp"
 #include "mapping/heuristics.hpp"
@@ -230,100 +227,6 @@ TEST(MappingVerifier, RealHeuristicsPassTheCheckedPath) {
 }
 
 // ---------------------------------------------------------------------------
-// CollectiveAuditor (synthetic block layouts, no engine)
-// ---------------------------------------------------------------------------
-
-/// Reader over an explicit (rank, block) -> tag matrix.
-BlockReader matrix_reader(const std::vector<std::vector<std::uint32_t>>& m) {
-  return [m](Rank r, int b) { return m.at(r).at(b); };
-}
-
-TEST(CollectiveAuditor, AllgatherAcceptAndReject) {
-  const std::vector<std::vector<std::uint32_t>> good{{0, 1}, {0, 1}};
-  EXPECT_NO_THROW(CollectiveAuditor(2, matrix_reader(good)).expect_allgather());
-  const std::vector<std::vector<std::uint32_t>> bad{{0, 1}, {1, 0}};
-  expect_error_containing(
-      [&] { CollectiveAuditor(2, matrix_reader(bad)).expect_allgather(); },
-      "allgather contract violated");
-}
-
-TEST(CollectiveAuditor, GatherOnlyAuditsTheRoot) {
-  // Non-root buffers are scratch; only rank 0 must hold 0..p-1 in order.
-  const std::vector<std::vector<std::uint32_t>> good{{0, 1, 2}, {9, 9, 9},
-                                                     {9, 9, 9}};
-  EXPECT_NO_THROW(CollectiveAuditor(3, matrix_reader(good)).expect_gather());
-  const std::vector<std::vector<std::uint32_t>> bad{{0, 2, 1}, {9, 9, 9},
-                                                    {9, 9, 9}};
-  expect_error_containing(
-      [&] { CollectiveAuditor(3, matrix_reader(bad)).expect_gather(); },
-      "gather contract violated");
-}
-
-TEST(CollectiveAuditor, BcastAcceptAndReject) {
-  const std::vector<std::vector<std::uint32_t>> good{{7u}, {7u}, {7u}};
-  EXPECT_NO_THROW(
-      CollectiveAuditor(3, matrix_reader(good)).expect_bcast(7u));
-  expect_error_containing(
-      [&] { CollectiveAuditor(3, matrix_reader(good)).expect_bcast(8u); },
-      "bcast contract violated");
-}
-
-TEST(CollectiveAuditor, ScatterFollowsTheReordering) {
-  // p = 2 with oldrank = {1, 0}: new rank 0 must hold tag 1, new rank 1
-  // tag 0, each in its own diagonal slot.
-  const std::vector<std::vector<std::uint32_t>> good{{1, 9}, {9, 0}};
-  EXPECT_NO_THROW(
-      CollectiveAuditor(2, matrix_reader(good)).expect_scatter({1, 0}));
-  expect_error_containing(
-      [&] { CollectiveAuditor(2, matrix_reader(good)).expect_scatter({0, 1}); },
-      "scatter contract violated");
-}
-
-TEST(CollectiveAuditor, AlltoallUsesTheTagCallback) {
-  // tag(i, o) = 16*i + o; receive slots start at block p = 2.
-  const auto tag = [](Rank i, Rank o) {
-    return static_cast<std::uint32_t>(16 * i + o);
-  };
-  const std::vector<std::vector<std::uint32_t>> good{
-      {9, 9, tag(0, 0), tag(1, 0)}, {9, 9, tag(0, 1), tag(1, 1)}};
-  EXPECT_NO_THROW(CollectiveAuditor(2, matrix_reader(good))
-                      .expect_alltoall({0, 1}, /*recv_base=*/2, tag));
-  expect_error_containing(
-      [&] {
-        CollectiveAuditor(2, matrix_reader(good))
-            .expect_alltoall({1, 0}, /*recv_base=*/2, tag);
-      },
-      "alltoall contract violated");
-}
-
-// ---------------------------------------------------------------------------
-// Engine adapters
-// ---------------------------------------------------------------------------
-
-TEST(AuditEngine, PassesAfterARealAllgatherAndCatchesCorruption) {
-  const Machine m = Machine::gpc(1);
-  const Communicator comm(m, make_layout(m, 8, LayoutSpec{}));
-  Engine eng(comm, simmpi::CostConfig{}, ExecMode::Data, 64, 8);
-  collectives::run_allgather(
-      eng, collectives::AllgatherOptions{
-               collectives::AllgatherAlgo::RecursiveDoubling,
-               collectives::OrderFix::None});
-  EXPECT_NO_THROW(audit_allgather(eng));
-
-  eng.set_block(3, 5, 0xdeadu);  // simulate a miscompiled schedule
-  expect_error_containing([&] { audit_allgather(eng); },
-                          "allgather contract violated: rank 3 block 5");
-}
-
-TEST(AuditEngine, RejectsTimedModeEngines) {
-  const Machine m = Machine::gpc(1);
-  const Communicator comm(m, make_layout(m, 4, LayoutSpec{}));
-  const Engine eng(comm, simmpi::CostConfig{}, ExecMode::Timed, 64, 4);
-  expect_error_containing([&] { make_auditor(eng); },
-                          "requires a Data-mode engine");
-}
-
-// ---------------------------------------------------------------------------
 // Engine integration of the StageVerifier (slow-check builds only)
 // ---------------------------------------------------------------------------
 
@@ -357,14 +260,17 @@ TEST(EngineSlowChecks, WriteWriteConflictRejectedWhenEnabled) {
 TEST(EngineSlowChecks, WellFormedCollectivesStillRunGreen) {
   // Representative end-to-end run in whichever configuration this binary
   // was built: a reordered ring allgather must pass both the per-stage
-  // verifier (if enabled) and the final audit.
+  // verifier (if enabled) and the final contract check.
   const Machine m = Machine::gpc(2);
   const Communicator comm(m, make_layout(m, 16, LayoutSpec{}));
   Engine eng(comm, simmpi::CostConfig{}, ExecMode::Data, 64, 16);
   collectives::run_allgather(
       eng, collectives::AllgatherOptions{collectives::AllgatherAlgo::Ring,
                                          collectives::OrderFix::EndShuffle});
-  EXPECT_NO_THROW(audit_allgather(eng));
+  EXPECT_NO_THROW(collectives::check_output(
+      eng, collectives::contract_allgather(16, 16,
+                                           collectives::AllgatherAlgo::Ring,
+                                           identity_permutation(16))));
 }
 
 // ---------------------------------------------------------------------------

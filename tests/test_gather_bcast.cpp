@@ -4,7 +4,7 @@
 
 #include <tuple>
 
-#include "check/audit_engine.hpp"
+#include "collectives/contracts.hpp"
 #include "common/error.hpp"
 #include "common/permutation.hpp"
 #include "core/framework.hpp"
@@ -43,7 +43,7 @@ TEST_P(GatherCorrectness, RootHoldsBlocksInOriginalOrder) {
 
   Engine eng(use, simmpi::CostConfig{}, ExecMode::Data, 64, p);
   run_gather(eng, algo, fix, oldrank);
-  check::audit_gather(eng);
+  check_output(eng, contract_gather(p, p, algo, oldrank));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -94,7 +94,7 @@ TEST_P(BcastCorrectness, EveryRankReceivesTheMessage) {
   const Communicator comm(m, make_layout(m, p, LayoutSpec{}));
   Engine eng(comm, simmpi::CostConfig{}, ExecMode::Data, 64, 1);
   run_bcast(eng, algo);
-  check::audit_bcast(eng, kBcastMessageTag);
+  check_output(eng, contract_bcast(p, 1, algo));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -112,7 +112,8 @@ TEST_P(ScatterAllgatherBcast, ReassemblesTheMessageEverywhere) {
   const Communicator comm(m, make_layout(m, p, LayoutSpec{}));
   Engine eng(comm, simmpi::CostConfig{}, ExecMode::Data, 64, p);
   run_bcast_scatter_allgather(eng, AllgatherAlgo::Ring);
-  check::audit_allgather(eng);
+  check_output(eng,
+               contract_bcast_scatter_allgather(p, p, AllgatherAlgo::Ring));
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, ScatterAllgatherBcast,
@@ -123,7 +124,8 @@ TEST(ScatterAllgatherBcastRd, PowerOfTwoUsesRecursiveDoubling) {
   const Communicator comm(m, make_layout(m, 16, LayoutSpec{}));
   Engine eng(comm, simmpi::CostConfig{}, ExecMode::Data, 64, 16);
   run_bcast_scatter_allgather(eng, AllgatherAlgo::RecursiveDoubling);
-  check::audit_allgather(eng);
+  check_output(eng, contract_bcast_scatter_allgather(
+                        16, 16, AllgatherAlgo::RecursiveDoubling));
 }
 
 TEST(ScatterAllgatherBcastRd, BruckPhaseRejected) {

@@ -4,7 +4,7 @@
 
 #include <tuple>
 
-#include "collectives/orderfix.hpp"
+#include "collectives/contracts.hpp"
 #include "common/error.hpp"
 #include "common/permutation.hpp"
 #include "core/framework.hpp"
@@ -48,7 +48,7 @@ TEST_P(HierAllgather, OutputInOriginalRankOrder) {
   Engine eng(use, simmpi::CostConfig{}, ExecMode::Data, 32, p);
   const HierAllgatherOptions opts{leader_algo, intra, fix};
   run_hier_allgather(eng, opts, oldrank);
-  check_allgather_output(eng);
+  check_output(eng, contract_hier_allgather(p, p, oldrank, false));
 }
 
 INSTANTIATE_TEST_SUITE_P(

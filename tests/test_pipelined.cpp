@@ -8,8 +8,8 @@
 #include <utility>
 
 #include "collectives/allgather.hpp"
+#include "collectives/contracts.hpp"
 #include "collectives/hierarchical.hpp"
-#include "collectives/orderfix.hpp"
 #include "common/error.hpp"
 #include "common/permutation.hpp"
 #include "core/framework.hpp"
@@ -45,7 +45,7 @@ TEST_P(PipelinedHier, OutputInOriginalRankOrder) {
   }
   Engine eng(use, simmpi::CostConfig{}, ExecMode::Data, 32, p);
   run_hier_allgather_pipelined(eng, gather_algo, fix, oldrank);
-  check_allgather_output(eng);
+  check_output(eng, contract_hier_allgather(p, p, oldrank, true));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -7,8 +7,8 @@
 
 #include <limits>
 
-#include "check/audit_engine.hpp"
 #include "collectives/allgather.hpp"
+#include "collectives/contracts.hpp"
 #include "collectives/gather_bcast.hpp"
 #include "common/error.hpp"
 #include "common/permutation.hpp"
@@ -104,11 +104,26 @@ TEST(Shrink, PartitionIgnoredWhenSurvivorsFitOneComponent) {
   EXPECT_EQ(shrunk.comm.size(), 8);
 }
 
+/// Survivor bookkeeping of a valid shrink: parent_rank is a strictly
+/// increasing injection into [0, parent_size) — survivors keep their
+/// relative order.
+void expect_survivor_order(const ShrunkComm& shrunk, int parent_size) {
+  ASSERT_EQ(static_cast<int>(shrunk.parent_rank.size()), shrunk.comm.size());
+  Rank prev = -1;
+  for (const Rank r : shrunk.parent_rank) {
+    EXPECT_GT(r, prev);
+    EXPECT_LT(r, parent_size);
+    prev = r;
+  }
+}
+
 /// Runs each collective over the shrunken communicator in Data mode and
-/// audits the results with the survivor-aware contracts.
+/// checks it against the standard contract at the survivor count.
 void run_and_audit_survivor_collectives(const DegradedTopology& topo,
                                         const Communicator& parent) {
+  using collectives::check_output;
   const ShrunkComm shrunk = shrink_communicator(topo, parent);
+  expect_survivor_order(shrunk, parent.size());
   const int s = shrunk.comm.size();
   const auto identity = identity_permutation(s);
 
@@ -118,19 +133,21 @@ void run_and_audit_survivor_collectives(const DegradedTopology& topo,
         eng,
         {collectives::AllgatherAlgo::Ring, collectives::OrderFix::None},
         identity);
-    check::audit_shrunken_allgather(eng, parent.size(), shrunk.parent_rank);
+    check_output(eng, collectives::contract_allgather(
+                          s, s, collectives::AllgatherAlgo::Ring, identity));
   }
   {
     Engine eng(shrunk.comm, simmpi::CostConfig{}, ExecMode::Data, 64, s);
     collectives::run_gather(eng, collectives::TreeAlgo::Binomial,
                             collectives::OrderFix::EndShuffle, identity);
-    check::audit_shrunken_gather(eng, parent.size(), shrunk.parent_rank);
+    check_output(eng, collectives::contract_gather(
+                          s, s, collectives::TreeAlgo::Binomial, identity));
   }
   {
     Engine eng(shrunk.comm, simmpi::CostConfig{}, ExecMode::Data, 64, s);
     collectives::run_bcast(eng, collectives::TreeAlgo::Binomial);
-    check::audit_shrunken_bcast(eng, parent.size(), shrunk.parent_rank,
-                                collectives::kBcastMessageTag);
+    check_output(eng, collectives::contract_bcast(
+                          s, s, collectives::TreeAlgo::Binomial));
   }
 }
 

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "collectives/contracts.hpp"
 #include "collectives/reduce_barrier.hpp"
 #include "common/bits.hpp"
 #include "common/error.hpp"
@@ -83,14 +84,12 @@ TEST_P(ReduceSizes, RootHoldsXorOfAllContributions) {
   if (p > m.total_cores()) GTEST_SKIP();
   const Communicator comm(m, make_layout(m, p, LayoutSpec{}));
   Engine eng(comm, simmpi::CostConfig{}, ExecMode::Data, 128, 1);
-  std::uint32_t expected = 0;
-  for (Rank r = 0; r < p; ++r) {
-    const std::uint32_t tag = 0x100u + 13u * r;
-    eng.set_block(r, 0, tag);
-    expected ^= tag;
-  }
+  // The runner does not seed: write the contract's seed tags first.
+  const analyze::Contract c = contract_reduce(p, 1);
+  for (const analyze::Contract::Seed& s : c.seeds)
+    eng.set_block(s.rank, s.block, s.tag);
   run_reduce_binomial(eng);
-  EXPECT_EQ(eng.block(0, 0), expected);
+  check_output(eng, c);
   EXPECT_EQ(eng.stages_executed(), p > 1 ? ceil_log2(p) : 0);
 }
 

@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "collectives/allgather.hpp"
-#include "collectives/orderfix.hpp"
+#include "collectives/contracts.hpp"
 #include "common/error.hpp"
 #include "common/permutation.hpp"
 #include "simmpi/engine.hpp"
@@ -29,7 +29,12 @@ Usec run_rd(const Communicator& comm, ExecMode mode,
       {collectives::AllgatherAlgo::RecursiveDoubling,
        collectives::OrderFix::None},
       identity_permutation(p));
-  if (mode == ExecMode::Data) collectives::check_allgather_output(eng);
+  if (mode == ExecMode::Data) {
+    collectives::check_output(
+        eng, collectives::contract_allgather(
+                 p, p, collectives::AllgatherAlgo::RecursiveDoubling,
+                 identity_permutation(p)));
+  }
   if (stats_out) *stats_out = eng.transient_stats();
   return eng.total();
 }
@@ -90,8 +95,8 @@ TEST(Transient, FaultsNeverMakeRunsCheaper) {
 }
 
 TEST(Transient, PayloadsAlwaysDeliveredCorrectly) {
-  // Data-mode correctness is checked inside run_rd via
-  // check_allgather_output: retries deliver every block despite faults.
+  // Data-mode correctness is checked inside run_rd against the allgather
+  // contract: retries deliver every block despite faults.
   const Machine m = Machine::gpc(3);
   const Communicator comm(m, make_layout(m, 16, {}));
   TransientFaultConfig cfg;
