@@ -194,11 +194,6 @@ trace::ScheduleRecord record(const simmpi::Communicator& comm,
   return recorder.take();
 }
 
-void Capture::finish() {
-  guard([&] { sink_.finish(); });
-  if (!error_.empty()) throw Error(error_);
-}
-
 Obs::Obs(const Flags& f, std::optional<trace::TracerOptions> tracer_opts)
     : wall_(f.has("--wall")) {
   for (const char* flag :
@@ -245,7 +240,7 @@ std::string Obs::path(const std::string& flag) const {
   return it == paths_.end() ? std::string() : it->second;
 }
 
-Capture* Obs::tlog(const std::string& flag) {
+tlog::TlogSink* Obs::tlog(const std::string& flag) {
   const auto it = tlogs_.find(flag);
   return it == tlogs_.end() ? nullptr : &it->second;
 }
@@ -285,12 +280,11 @@ void Obs::write_prof() {
 }
 
 void Obs::finish_tlog(bool print) {
-  for (auto& [flag, capture] : tlogs_) capture.finish();
-  if (const Capture* c = tlog(); print && c != nullptr)
-    std::printf("tlog    : %s (%llu bytes, %lld events)\n",
-                c->sink().path().c_str(),
-                static_cast<unsigned long long>(c->sink().totals().bytes),
-                c->sink().totals().stored_events());
+  for (auto& [flag, sink] : tlogs_) sink.finish();
+  if (const tlog::TlogSink* t = tlog(); print && t != nullptr)
+    std::printf("tlog    : %s (%llu bytes, %lld events)\n", t->path().c_str(),
+                static_cast<unsigned long long>(t->totals().bytes),
+                t->totals().stored_events());
 }
 
 }  // namespace tarr::driver

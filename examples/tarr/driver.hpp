@@ -110,64 +110,6 @@ trace::ScheduleRecord record(const simmpi::Communicator& comm,
                              long long msg_bytes,
                              trace::TraceSink* also = nullptr);
 
-/// A `.tlog` capture whose write failures surface at finish() rather than
-/// mid-run: the engine's phase scopes emit from destructors, so a throw
-/// from inside an event handler during unwinding would terminate the
-/// process instead of exiting 1.
-class Capture final : public trace::TraceSink {
- public:
-  explicit Capture(const std::string& path) : sink_(path) {}
-
-  void on_stage(const trace::StageEvent& e) override {
-    guard([&] { sink_.on_stage(e); });
-  }
-  void on_transfer(const trace::TransferEvent& e) override {
-    guard([&] { sink_.on_transfer(e); });
-  }
-  void on_copy(const trace::CopyEvent& e) override {
-    guard([&] { sink_.on_copy(e); });
-  }
-  void on_permute(const trace::PermuteEvent& e) override {
-    guard([&] { sink_.on_permute(e); });
-  }
-  void on_phase(const trace::PhaseEvent& e) override {
-    guard([&] { sink_.on_phase(e); });
-  }
-  void on_counter(const trace::CounterSample& s) override {
-    guard([&] { sink_.on_counter(s); });
-  }
-  void on_wall_span(const trace::WallSpan& s) override {
-    guard([&] { sink_.on_wall_span(s); });
-  }
-  void on_time(const trace::TimeEvent& e) override {
-    guard([&] { sink_.on_time(e); });
-  }
-  void add_count(const std::string& name, double delta) override {
-    guard([&] { sink_.add_count(name, delta); });
-  }
-  void observe(const std::string& name, double value) override {
-    guard([&] { sink_.observe(name, value); });
-  }
-
-  /// Seals the file; throws the first failure of the whole capture.
-  void finish();
-  const tlog::TlogSink& sink() const { return sink_; }
-
- private:
-  template <class F>
-  void guard(F emit) {
-    if (!error_.empty()) return;
-    try {
-      emit();
-    } catch (const Error& e) {
-      error_ = e.what();
-    }
-  }
-
-  tlog::TlogSink sink_;
-  std::string error_;
-};
-
 /// The observability side of one run.  The constructor collects every
 /// artifact path (with map's --out-dir deriving the missing ones), checks
 /// each is writable before anything runs, opens the --tlog captures,
@@ -184,7 +126,7 @@ class Obs {
   /// The artifact path of `flag`, "" when not requested.
   std::string path(const std::string& flag) const;
   /// The open capture of `flag` (--tlog or --tlog-baseline), or nullptr.
-  Capture* tlog(const std::string& flag = "--tlog");
+  tlog::TlogSink* tlog(const std::string& flag = "--tlog");
   /// The flat stack: tracer, then the --tlog capture; nullptr when both
   /// are absent.
   trace::TraceSink* sink() { return tee_->empty() ? nullptr : &*tee_; }
@@ -204,7 +146,7 @@ class Obs {
 
  private:
   std::map<std::string, std::string> paths_;
-  std::map<std::string, Capture> tlogs_;
+  std::map<std::string, tlog::TlogSink> tlogs_;
   std::optional<trace::TeeSink> tee_;
   prof::Profiler profiler_;
   std::optional<prof::ScopedThreadProfiler> ambient_;

@@ -1,7 +1,6 @@
 // tarr log — queries over `.tlog` streaming binary traces (docs/TLOG.md):
 //   info FILE   header + footer-index summary without decoding any block:
-//               per-kind received / filtered / sampled-out / stored
-//               bookkeeping and the per-block index
+//               per-kind stored counts and the per-block index
 //   cat FILE    decode the selected events and re-render them through the
 //               Tracer serializers: --json the Chrome timeline, --metrics the
 //               metrics CSV, the timeline to stdout when neither is given
@@ -126,19 +125,14 @@ int cmd_log_info(const Flags& f) {
               path.c_str(), info.version,
               static_cast<unsigned long long>(info.file_bytes),
               info.blocks.size(), info.strings.size());
-  std::printf("block size %zu bytes, sample every %d%s\n", info.block_bytes,
-              info.sample_every,
-              info.filter.pass_all() ? "" : ", writer-side filter active");
+  std::printf("block size %zu bytes\n", info.block_bytes);
 
   TextTable kinds;
-  kinds.set_header({"kind", "received", "filtered", "sampled-out", "stored"});
+  kinds.set_header({"kind", "stored"});
   for (int k = 0; k < tlog::kNumEventKinds; ++k) {
     const auto ki = static_cast<std::size_t>(k);
-    if (info.received[ki] == 0) continue;
+    if (info.stored[ki] == 0) continue;
     kinds.add_row({tlog::to_string(static_cast<tlog::EventKind>(k)),
-                   std::to_string(info.received[ki]),
-                   std::to_string(info.filtered[ki]),
-                   std::to_string(info.sampled_out[ki]),
                    std::to_string(info.stored[ki])});
   }
   std::fputs(kinds.render().c_str(), stdout);

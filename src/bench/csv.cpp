@@ -2,8 +2,6 @@
 
 #include <sstream>
 
-#include "common/serialize.hpp"
-
 namespace tarr::bench {
 
 void CsvWriter::set_header(std::vector<std::string> header) {
@@ -40,10 +38,6 @@ std::string CsvWriter::to_string() const {
   if (!header_.empty()) emit(header_);
   for (const auto& r : rows_) emit(r);
   return os.str();
-}
-
-void CsvWriter::write(const std::string& path) const {
-  write_file(path, to_string());
 }
 
 }  // namespace tarr::bench

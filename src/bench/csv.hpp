@@ -22,9 +22,6 @@ class CsvWriter {
   /// Serialize to a string.
   std::string to_string() const;
 
-  /// Write to a file; throws tarr::Error on I/O failure.
-  void write(const std::string& path) const;
-
   std::size_t rows() const { return rows_.size(); }
 
  private:

@@ -55,10 +55,4 @@ Usec run_allgatherv_ring(simmpi::Engine& eng, const std::vector<int>& counts,
   return eng.total() - before;
 }
 
-Usec run_allgatherv_ring(simmpi::Engine& eng,
-                         const std::vector<int>& counts) {
-  return run_allgatherv_ring(eng, counts,
-                             identity_permutation(eng.comm().size()));
-}
-
 }  // namespace tarr::collectives

@@ -27,10 +27,6 @@ namespace tarr::collectives {
 Usec run_allgatherv_ring(simmpi::Engine& eng, const std::vector<int>& counts,
                          const std::vector<Rank>& oldrank);
 
-/// Convenience overload for the non-reordered case.
-Usec run_allgatherv_ring(simmpi::Engine& eng,
-                         const std::vector<int>& counts);
-
 /// MPI displacements of `counts` (each >= 1): displs[r] = sum(counts[0..r)),
 /// with displs[p] = sum(counts) as the total buffer size.
 std::vector<int> allgatherv_displacements(const std::vector<int>& counts);

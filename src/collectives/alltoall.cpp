@@ -53,8 +53,4 @@ Usec run_alltoall(simmpi::Engine& eng, AlltoallAlgo algo,
   return eng.total() - before;
 }
 
-Usec run_alltoall(simmpi::Engine& eng, AlltoallAlgo algo) {
-  return run_alltoall(eng, algo, identity_permutation(eng.comm().size()));
-}
-
 }  // namespace tarr::collectives

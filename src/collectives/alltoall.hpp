@@ -40,7 +40,4 @@ inline std::uint32_t alltoall_tag(Rank sender_old, Rank receiver_old) {
 Usec run_alltoall(simmpi::Engine& eng, AlltoallAlgo algo,
                   const std::vector<Rank>& oldrank);
 
-/// Convenience overload for the non-reordered case.
-Usec run_alltoall(simmpi::Engine& eng, AlltoallAlgo algo);
-
 }  // namespace tarr::collectives

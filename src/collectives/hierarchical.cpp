@@ -250,10 +250,4 @@ Usec run_hier_allgather_pipelined(simmpi::Engine& eng, IntraAlgo gather_algo,
   return eng.total() - before;
 }
 
-Usec run_hier_allgather_pipelined(simmpi::Engine& eng,
-                                  IntraAlgo gather_algo, OrderFix fix) {
-  return run_hier_allgather_pipelined(
-      eng, gather_algo, fix, identity_permutation(eng.comm().size()));
-}
-
 }  // namespace tarr::collectives

@@ -50,8 +50,4 @@ Usec run_hier_allgather_pipelined(simmpi::Engine& eng, IntraAlgo gather_algo,
                                   OrderFix fix,
                                   const std::vector<Rank>& oldrank);
 
-/// Convenience overload for the non-reordered case.
-Usec run_hier_allgather_pipelined(simmpi::Engine& eng,
-                                  IntraAlgo gather_algo, OrderFix fix);
-
 }  // namespace tarr::collectives

@@ -78,9 +78,4 @@ Usec run_allgather_neighbor(simmpi::Engine& eng,
   return eng.total() - before;
 }
 
-Usec run_allgather_neighbor(simmpi::Engine& eng) {
-  return run_allgather_neighbor(eng,
-                                identity_permutation(eng.comm().size()));
-}
-
 }  // namespace tarr::collectives

@@ -26,7 +26,4 @@ namespace tarr::collectives {
 Usec run_allgather_neighbor(simmpi::Engine& eng,
                             const std::vector<Rank>& oldrank);
 
-/// Convenience overload for the non-reordered case.
-Usec run_allgather_neighbor(simmpi::Engine& eng);
-
 }  // namespace tarr::collectives

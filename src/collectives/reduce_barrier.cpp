@@ -1,8 +1,5 @@
 #include "collectives/reduce_barrier.hpp"
 
-#include "common/bits.hpp"
-#include "common/error.hpp"
-
 namespace tarr::collectives {
 
 Usec run_reduce_binomial(simmpi::Engine& eng) {
@@ -14,18 +11,6 @@ Usec run_reduce_binomial(simmpi::Engine& eng) {
     eng.begin_stage();
     for (Rank t = 0; t + dist < p; t += 2 * dist)
       eng.combine(t + dist, 0, t, 0, 1);
-    eng.end_stage();
-  }
-  return eng.total() - before;
-}
-
-Usec run_barrier_dissemination(simmpi::Engine& eng) {
-  const int p = eng.comm().size();
-  const Usec before = eng.total();
-  if (p == 1) return 0.0;
-  for (int round = 0, dist = 1; dist < p; dist <<= 1, ++round) {
-    eng.begin_stage();
-    for (Rank i = 0; i < p; ++i) eng.copy(i, 0, (i + dist) % p, 0, 1);
     eng.end_stage();
   }
   return eng.total() - before;

@@ -4,12 +4,11 @@
 #include "simmpi/engine.hpp"
 
 /// \file reduce_barrier.hpp
-/// MPI_Reduce and MPI_Barrier — rounding out the collective substrate.
+/// MPI_Reduce — rounding out the collective substrate.
 ///
 /// Reduce uses the binomial halving tree (the gather tree with combining
 /// instead of concatenation), so BGMH's parent-child locality applies to it
-/// directly.  The dissemination barrier's signal pattern is the Bruck graph
-/// (rank i signals (i + 2^k) mod p in round k), so BKMH covers it.
+/// directly.
 
 namespace tarr::collectives {
 
@@ -17,11 +16,5 @@ namespace tarr::collectives {
 /// combine as the reduction op).  Engine: buf_blocks >= 1, block_bytes =
 /// vector size.  Works for any p.
 Usec run_reduce_binomial(simmpi::Engine& eng);
-
-/// Dissemination barrier: ceil(log2 p) rounds of single-byte signals, rank
-/// i notifying (i + 2^k) mod p in round k.  Engine: buf_blocks >= 1; the
-/// configured block_bytes is ignored in spirit (signals are minimal) but
-/// priced as one block per signal, so use block_bytes = 1.
-Usec run_barrier_dissemination(simmpi::Engine& eng);
 
 }  // namespace tarr::collectives

@@ -25,15 +25,6 @@ std::vector<int> invert_permutation(const std::vector<int>& perm) {
   return inv;
 }
 
-std::vector<int> compose_permutations(const std::vector<int>& a,
-                                      const std::vector<int>& b) {
-  TARR_REQUIRE(a.size() == b.size(),
-               "compose_permutations: size mismatch");
-  std::vector<int> r(a.size());
-  for (std::size_t i = 0; i < b.size(); ++i) r[i] = a[b[i]];
-  return r;
-}
-
 std::vector<int> identity_permutation(int n) {
   std::vector<int> v(static_cast<std::size_t>(n));
   std::iota(v.begin(), v.end(), 0);

@@ -18,10 +18,6 @@ bool is_permutation_of_iota(const std::vector<int>& v);
 /// Inverse permutation: result[perm[i]] = i.  Throws if perm is invalid.
 std::vector<int> invert_permutation(const std::vector<int>& perm);
 
-/// Composition (a after b): result[i] = a[b[i]].  Sizes must match.
-std::vector<int> compose_permutations(const std::vector<int>& a,
-                                      const std::vector<int>& b);
-
 /// The identity permutation of length n.
 std::vector<int> identity_permutation(int n);
 

@@ -23,37 +23,6 @@ class StatAccumulator {
     if (x > max_) max_ = x;
   }
 
-  /// Fold another accumulator in, as if its samples had been add()ed here
-  /// (Chan et al.'s parallel Welford combine).  Commutative up to floating-
-  /// point rounding; merging an empty accumulator (either side) is exact,
-  /// and self-merge doubles every sample.
-  void merge(const StatAccumulator& other) {
-    // Copy first: `other` may alias *this (self-merge).
-    const std::int64_t on = other.n_;
-    const double omean = other.mean_;
-    const double om2 = other.m2_;
-    const double omin = other.min_;
-    const double omax = other.max_;
-    if (on == 0) return;
-    if (n_ == 0) {
-      n_ = on;
-      mean_ = omean;
-      m2_ = om2;
-      min_ = omin;
-      max_ = omax;
-      return;
-    }
-    const double total = static_cast<double>(n_ + on);
-    const double delta = omean - mean_;
-    mean_ += delta * static_cast<double>(on) / total;
-    m2_ += om2 + delta * delta *
-                     (static_cast<double>(n_) * static_cast<double>(on)) /
-                     total;
-    n_ += on;
-    if (omin < min_) min_ = omin;
-    if (omax > max_) max_ = omax;
-  }
-
   std::int64_t count() const { return n_; }
   double mean() const { return mean_; }
   double min() const { return n_ ? min_ : 0.0; }

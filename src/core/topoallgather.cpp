@@ -152,15 +152,9 @@ Usec TopoAllgather::execute(simmpi::ExecMode mode, Bytes msg) {
 
   simmpi::Engine eng(use_comm, cfg_.cost, mode, msg, p);
   if (sink_ != nullptr) eng.set_trace_sink(sink_);
-  const bool pipelined = cfg_.pipelined && algo == AllgatherAlgo::Ring;
   if (cfg_.hierarchical) {
-    if (pipelined) {
-      collectives::run_hier_allgather_pipelined(eng, cfg_.intra, fix,
-                                                oldrank);
-    } else {
-      collectives::HierAllgatherOptions opts{algo, cfg_.intra, fix};
-      collectives::run_hier_allgather(eng, opts, oldrank);
-    }
+    collectives::HierAllgatherOptions opts{algo, cfg_.intra, fix};
+    collectives::run_hier_allgather(eng, opts, oldrank);
   } else {
     collectives::AllgatherOptions opts{algo, fix};
     collectives::run_allgather(eng, opts, oldrank);
@@ -168,8 +162,7 @@ Usec TopoAllgather::execute(simmpi::ExecMode mode, Bytes msg) {
   if (mode == simmpi::ExecMode::Data) {
     collectives::check_output(
         eng, cfg_.hierarchical
-                 ? collectives::contract_hier_allgather(p, p, oldrank,
-                                                        pipelined)
+                 ? collectives::contract_hier_allgather(p, p, oldrank, false)
                  : collectives::contract_allgather(p, p, algo, oldrank));
   }
   return eng.total();

@@ -36,11 +36,6 @@ struct TopoAllgatherConfig {
   collectives::SelectorConfig selector;
   simmpi::CostConfig cost;
   bool hierarchical = false;
-  /// Overlap the hierarchical leader ring with the intra-node broadcasts
-  /// (run_hier_allgather_pipelined).  Applies only when `hierarchical` and
-  /// the selector picks the ring leader phase (large messages); the
-  /// recursive-doubling regime stays sequential.
-  bool pipelined = false;
   collectives::IntraAlgo intra = collectives::IntraAlgo::Binomial;
   /// Pattern the intra-node level of a hierarchical reorder is tuned for
   /// (BBMH by default — phase 3 moves the combined buffer and dominates the

@@ -9,12 +9,4 @@ DegradedTopology::DegradedTopology(const topology::Machine& base,
       machine_(base.shape(), mask_.apply(base.network()),
                topology::Router::HostPolicy::AllowUnreachable) {}
 
-std::vector<NodeId> DegradedTopology::alive_nodes() const {
-  std::vector<NodeId> out;
-  out.reserve(machine_.num_nodes());
-  for (NodeId n = 0; n < machine_.num_nodes(); ++n)
-    if (node_alive(n)) out.push_back(n);
-  return out;
-}
-
 }  // namespace tarr::fault

@@ -1,7 +1,5 @@
 #pragma once
 
-#include <vector>
-
 #include "fault/fault_mask.hpp"
 #include "topology/distance.hpp"
 #include "topology/machine.hpp"
@@ -38,9 +36,6 @@ class DegradedTopology {
   /// (A node isolated by link/switch failures is still "alive" — reaching
   /// it is a routing question, and shrink reports it as a partition.)
   bool node_alive(NodeId n) const { return !mask_.node_failed(n); }
-
-  /// Nodes not explicitly failed, ascending.
-  std::vector<NodeId> alive_nodes() const;
 
   /// Distance matrix over the degraded router (split node pairs at
   /// +infinity) — drop-in input for every Mapper; its node_level() is the

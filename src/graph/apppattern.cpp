@@ -19,50 +19,4 @@ WeightedGraph stencil2d_pattern(int nx, int ny, double weight) {
   return g;
 }
 
-WeightedGraph stencil3d_pattern(int nx, int ny, int nz, double weight) {
-  TARR_REQUIRE(nx >= 1 && ny >= 1 && nz >= 1 && nx * ny * nz >= 2,
-               "stencil3d_pattern: bad grid");
-  WeightedGraph g(nx * ny * nz);
-  auto id = [&](int i, int j, int k) { return (i * ny + j) * nz + k; };
-  for (int i = 0; i < nx; ++i) {
-    for (int j = 0; j < ny; ++j) {
-      for (int k = 0; k < nz; ++k) {
-        if (i + 1 < nx) g.add_edge(id(i, j, k), id(i + 1, j, k), weight);
-        if (j + 1 < ny) g.add_edge(id(i, j, k), id(i, j + 1, k), weight);
-        if (k + 1 < nz) g.add_edge(id(i, j, k), id(i, j, k + 1), weight);
-      }
-    }
-  }
-  g.finalize();
-  return g;
-}
-
-WeightedGraph ring_with_shortcuts_pattern(int p, double ring_weight,
-                                          double shortcut_weight) {
-  TARR_REQUIRE(p >= 2, "ring_with_shortcuts_pattern: need p >= 2");
-  WeightedGraph g(p);
-  for (int i = 0; i < p; ++i) g.add_edge(i, (i + 1) % p, ring_weight);
-  for (int dist = 2; dist < p; dist <<= 1) {
-    for (int i = 0; i + dist < p; i += dist)
-      g.add_edge(i, i + dist, shortcut_weight);
-  }
-  g.finalize();
-  return g;
-}
-
-WeightedGraph random_sparse_pattern(int p, int degree, Rng& rng) {
-  TARR_REQUIRE(p >= 2 && degree >= 1 && degree < p,
-               "random_sparse_pattern: bad parameters");
-  WeightedGraph g(p);
-  for (int i = 0; i < p; ++i) {
-    for (int k = 0; k < degree; ++k) {
-      int peer = static_cast<int>(rng.next_below(p - 1));
-      if (peer >= i) ++peer;  // uniform over peers != i
-      g.add_edge(i, peer, 1.0);
-    }
-  }
-  g.finalize();
-  return g;
-}
-
 }  // namespace tarr::graph

@@ -1,6 +1,5 @@
 #pragma once
 
-#include "common/rng.hpp"
 #include "graph/graph.hpp"
 
 /// \file apppattern.hpp
@@ -15,20 +14,5 @@ namespace tarr::graph {
 /// major ranks, non-periodic.  Edge weight = bytes exchanged per boundary
 /// (relative units).
 WeightedGraph stencil2d_pattern(int nx, int ny, double weight = 1.0);
-
-/// 3D halo-exchange (7-point stencil) over an nx x ny x nz grid,
-/// x-major-then-y ranks, non-periodic.
-WeightedGraph stencil3d_pattern(int nx, int ny, int nz, double weight = 1.0);
-
-/// Nearest-neighbor ring of p ranks with additional long-range "shortcut"
-/// partners at power-of-two offsets — a coarse model of a particle code
-/// with a tree summation phase.
-WeightedGraph ring_with_shortcuts_pattern(int p, double ring_weight = 8.0,
-                                          double shortcut_weight = 1.0);
-
-/// Random sparse pattern: each rank talks to `degree` uniformly chosen
-/// peers with uniform weight (a stress case where no structure exists).
-/// Deterministic under `rng`.
-WeightedGraph random_sparse_pattern(int p, int degree, Rng& rng);
 
 }  // namespace tarr::graph

@@ -66,30 +66,4 @@ double WeightedGraph::weighted_degree(int u) const {
   return wdeg_[u];
 }
 
-std::string WeightedGraph::to_dot(const std::string& name) const {
-  TARR_REQUIRE(finalized_, "to_dot: graph not finalized");
-  std::string out = "graph " + name + " {\n";
-  for (const Edge& e : edges_) {
-    out += "  " + std::to_string(e.u) + " -- " + std::to_string(e.v) +
-           " [label=\"";
-    // Trim trailing zeros for readable labels.
-    std::string w = std::to_string(e.w);
-    while (w.size() > 1 && w.back() == '0') w.pop_back();
-    if (!w.empty() && w.back() == '.') w.pop_back();
-    out += w + "\"];\n";
-  }
-  out += "}\n";
-  return out;
-}
-
-double WeightedGraph::cut_weight(const std::vector<int>& part) const {
-  TARR_REQUIRE(finalized_, "cut_weight: graph not finalized");
-  TARR_REQUIRE(static_cast<int>(part.size()) == n_,
-               "cut_weight: partition size mismatch");
-  double cut = 0.0;
-  for (const Edge& e : edges_)
-    if (part[e.u] != part[e.v]) cut += e.w;
-  return cut;
-}
-
 }  // namespace tarr::graph

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "common/types.hpp"
@@ -51,13 +50,6 @@ class WeightedGraph {
 
   /// Sum of weights of edges incident to u (requires finalize()).
   double weighted_degree(int u) const;
-
-  /// Total weight crossing a 2-part assignment (part[v] in {0,1}).
-  double cut_weight(const std::vector<int>& part) const;
-
-  /// Graphviz DOT rendering (undirected, edge labels = weights) for
-  /// visualizing communication patterns.  Requires finalize().
-  std::string to_dot(const std::string& name = "pattern") const;
 
  private:
   int n_;

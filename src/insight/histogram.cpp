@@ -34,28 +34,8 @@ void Histogram::record_n(double value, long long n) {
   }
 }
 
-void Histogram::merge(const Histogram& other) {
-  TARR_REQUIRE(subbucket_bits_ == other.subbucket_bits_,
-               "Histogram::merge: sub-bucket resolution mismatch");
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-  }
-  count_ += other.count_;
-  zero_count_ += other.zero_count_;
-  for (const auto& [idx, n] : other.counts_) counts_[idx] += n;
-}
-
 double Histogram::min() const { return count_ == 0 ? 0.0 : min_; }
 double Histogram::max() const { return count_ == 0 ? 0.0 : max_; }
-
-double Histogram::mean() const {
-  return count_ == 0 ? 0.0 : approx_sum() / static_cast<double>(count_);
-}
 
 double Histogram::approx_sum() const {
   // Bucket-order sum of count * representative: a pure function of the

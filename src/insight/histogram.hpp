@@ -22,10 +22,9 @@
 ///    double range.  Bucket boundaries are exact doubles (ldexp of a dyadic
 ///    rational), so index_of/lower_bound are pure integer/IEEE functions of
 ///    the value — no accumulation, no rounding modes, no platform drift.
-///  * Counts are exact integers; merge() adds counts bucket-wise, so it is
-///    exactly associative and commutative (asserted by property tests).
-///    min/max are tracked exactly; mean() and approx_sum() are derived from
-///    bucket counts * bucket lower bounds, so they too are merge-invariant.
+///  * Counts are exact integers and min/max are tracked exactly;
+///    approx_sum() is derived from bucket counts * bucket lower bounds, so
+///    it does not depend on the order the samples arrived in.
 ///  * Quantiles use the nearest-rank definition (rank = ceil(q*N)) over the
 ///    cumulative bucket counts and return the containing bucket's *lower
 ///    bound* — the smallest value that maps to the bucket.  When every
@@ -53,18 +52,10 @@ class Histogram {
   /// stages fold in without loops.
   void record_n(double value, long long n);
 
-  /// Fold `other` into this histogram.  Throws tarr::Error on a
-  /// sub-bucket-resolution mismatch.  Exactly associative and commutative.
-  void merge(const Histogram& other);
-
   long long count() const { return count_; }
   bool empty() const { return count_ == 0; }
   double min() const;  ///< exact smallest recorded value (0 when empty)
   double max() const;  ///< exact largest recorded value (0 when empty)
-
-  /// Mean derived from bucket representatives (deterministic and
-  /// merge-invariant, within one sub-bucket of the true mean).
-  double mean() const;
 
   /// Sum estimate derived from bucket representatives (count * lower bound
   /// summed in bucket order).
@@ -98,8 +89,7 @@ class Histogram {
   std::vector<Bucket> buckets() const;
   long long zero_count() const { return zero_count_; }
 
-  /// Structural equality (same resolution, same counts, same min/max) —
-  /// what the merge property tests compare.
+  /// Structural equality (same resolution, same counts, same min/max).
   bool operator==(const Histogram& other) const;
 
  private:

@@ -30,12 +30,6 @@ graph::WeightedGraph build_pattern_graph(Pattern pattern, int p) {
   return graph::WeightedGraph(0);
 }
 
-std::vector<int> IdentityMapper::map(const std::vector<int>& rank_to_slot,
-                                     const topology::DistanceMatrix&,
-                                     Rng&) const {
-  return rank_to_slot;
-}
-
 MvapichCyclicMapper::MvapichCyclicMapper(int slots_per_node)
     : slots_per_node_(slots_per_node) {
   TARR_REQUIRE(slots_per_node >= 1,

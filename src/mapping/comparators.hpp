@@ -4,12 +4,12 @@
 #include "mapping/mapper.hpp"
 
 /// \file comparators.hpp
-/// The baselines the paper evaluates against: no reordering, MVAPICH's
-/// topology-blind block-to-cyclic reorder, a Hoefler-Snir-style greedy graph
-/// mapper, and a Scotch-like dual recursive bipartitioning mapper.  Unlike
-/// the fine-tuned heuristics, the two graph mappers must first *build* the
-/// process-topology graph of the collective — the overhead the paper's
-/// Fig 7b attributes to general-purpose mapping.
+/// The baselines the paper evaluates against besides no reordering at all:
+/// MVAPICH's topology-blind block-to-cyclic reorder, a Hoefler-Snir-style
+/// greedy graph mapper, and a Scotch-like dual recursive bipartitioning
+/// mapper.  Unlike the fine-tuned heuristics, the two graph mappers must
+/// first *build* the process-topology graph of the collective — the
+/// overhead the paper's Fig 7b attributes to general-purpose mapping.
 
 namespace tarr::mapping {
 
@@ -31,15 +31,6 @@ std::vector<int> greedy_graph_map(const graph::WeightedGraph& g,
 std::vector<int> scotch_like_map(const graph::WeightedGraph& g,
                                  const std::vector<int>& rank_to_slot,
                                  Rng& rng);
-
-/// No reordering: returns the initial assignment unchanged.
-class IdentityMapper : public Mapper {
- public:
-  std::string name() const override { return "identity"; }
-  std::vector<int> map(const std::vector<int>& rank_to_slot,
-                       const topology::DistanceMatrix& d,
-                       Rng& rng) const override;
-};
 
 /// MVAPICH's recursive-doubling "reordering": rewrite a block layout into a
 /// cyclic one.  It consults neither the distance matrix nor the initial

@@ -53,10 +53,6 @@ std::unique_ptr<Mapper> make_heuristic(Pattern p) {
   return nullptr;
 }
 
-std::unique_ptr<Mapper> make_identity_mapper() {
-  return std::make_unique<IdentityMapper>();
-}
-
 std::unique_ptr<Mapper> make_mvapich_cyclic_mapper(int slots_per_node) {
   return std::make_unique<MvapichCyclicMapper>(slots_per_node);
 }

@@ -65,10 +65,6 @@ class Mapper {
 /// The paper's fine-tuned heuristic for `p` (RDMH/RMH/BBMH/BGMH/BKMH).
 std::unique_ptr<Mapper> make_heuristic(Pattern p);
 
-/// Identity mapper (returns the initial assignment; the "no reordering"
-/// baseline).
-std::unique_ptr<Mapper> make_identity_mapper();
-
 /// MVAPICH-style reorder: rewrites a block layout into a cyclic one with no
 /// topology input (the limited scheme the paper contrasts RDMH against).
 std::unique_ptr<Mapper> make_mvapich_cyclic_mapper(int slots_per_node);

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <sstream>
 
-#include "bench/csv.hpp"
 #include "common/error.hpp"
 #include "common/timer.hpp"
 #include "prof/profiler.hpp"
@@ -38,42 +36,6 @@ bool ProbeReport::failed(const ProbeConfig& cfg) const {
   if (pairs == 0) return false;  // single-node "cluster": nothing to probe
   return static_cast<double>(resolved_pairs) <
          cfg.min_resolved_fraction * static_cast<double>(pairs);
-}
-
-std::string ProbeReport::csv() const {
-  bench::CsvWriter w;
-  w.set_header({"a", "b", "samples", "timeouts", "retries", "resolved",
-                "estimate", "truth"});
-  std::ostringstream num;
-  for (const PairProbe& p : pair_stats) {
-    num.str("");
-    num << p.estimate;
-    const std::string est = num.str();
-    num.str("");
-    num << p.truth;
-    w.add_row({std::to_string(p.a), std::to_string(p.b),
-               std::to_string(p.samples), std::to_string(p.timeouts),
-               std::to_string(p.retries), p.resolved ? "1" : "0", est,
-               num.str()});
-  }
-  return w.to_string();
-}
-
-std::string ProbeReport::summary() const {
-  std::ostringstream os;
-  os << "probe: " << nodes << " nodes, " << resolved_pairs << "/" << pairs
-     << " pairs resolved (" << measurements << " measurements, " << timeouts
-     << " timeouts, " << retries << " retries, "
-     << static_cast<long long>(probe_cost_usec) << " us simulated)";
-  if (resolved_pairs > 0) {
-    os << "; residual error rms ";
-    os.precision(4);
-    os << rms_rel_error << " max " << max_rel_error;
-  }
-  if (unresolved_pairs() > 0)
-    os << "; " << unresolved_pairs()
-       << " unresolved pair(s) priced at worst-case " << worst_case_distance;
-  return os.str();
 }
 
 ProbedDistances probe_distances(const topology::Machine& m,

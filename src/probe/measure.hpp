@@ -1,6 +1,5 @@
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -112,13 +111,6 @@ struct ProbeReport {
   /// True when fewer than `min_resolved_fraction` of the pairs resolved —
   /// the caller should not trust the inferred matrix.
   bool failed(const ProbeConfig& cfg) const;
-
-  /// RFC-4180 CSV of pair_stats (a,b,samples,timeouts,retries,resolved,
-  /// estimate,truth) — byte-stable across same-seed runs.
-  std::string csv() const;
-
-  /// One-paragraph human summary.
-  std::string summary() const;
 };
 
 /// Probing output: the inferred matrix plus the report.  `distances` is the

@@ -120,17 +120,4 @@ Usec run_allgather_rd_async(AsyncEngine& eng, Bytes msg) {
   return eng.makespan() - before;
 }
 
-Usec run_bcast_binomial_async(AsyncEngine& eng, Bytes msg) {
-  const int p = eng.comm().size();
-  const Usec before = eng.makespan();
-  if (p < 2) return 0.0;
-  for (int dist = static_cast<int>(ceil_pow2(p) / 2); dist >= 1; dist /= 2) {
-    for (Rank t = 0; t + dist < p; t += 2 * dist) {
-      const Usec arrive = eng.p2p(t, t + dist, msg);
-      eng.wait_until(t + dist, arrive);
-    }
-  }
-  return eng.makespan() - before;
-}
-
 }  // namespace tarr::simmpi

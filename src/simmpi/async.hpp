@@ -58,10 +58,6 @@ class AsyncEngine {
   /// real, e.g. down a broadcast tree).  Returns the arrival time.
   Usec p2p(Rank src, Rank dst, Bytes bytes);
 
-  /// Block `rank` until at least time `t` (alias of recv, for
-  /// non-message dependencies).
-  void wait_until(Rank rank, Usec t) { recv(rank, t); }
-
   /// Current clock of a rank.
   Usec clock(Rank rank) const;
 
@@ -89,8 +85,5 @@ Usec run_allgather_ring_async(AsyncEngine& eng, Bytes msg);
 /// Recursive-doubling allgather on the async engine (2^k ranks).  Pairwise
 /// exchanges synchronize both partners each stage.
 Usec run_allgather_rd_async(AsyncEngine& eng, Bytes msg);
-
-/// Binomial broadcast of `msg` bytes from rank 0 on the async engine.
-Usec run_bcast_binomial_async(AsyncEngine& eng, Bytes msg);
 
 }  // namespace tarr::simmpi

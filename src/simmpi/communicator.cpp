@@ -1,7 +1,6 @@
 #include "simmpi/communicator.hpp"
 
 #include <algorithm>
-#include <map>
 
 #include "common/error.hpp"
 
@@ -70,15 +69,6 @@ bool Communicator::node_contiguous() const {
   for (Rank r = 0; r < size(); r += cpn) firsts.push_back(node_of(r));
   std::sort(firsts.begin(), firsts.end());
   return std::adjacent_find(firsts.begin(), firsts.end()) == firsts.end();
-}
-
-std::vector<std::vector<Rank>> Communicator::ranks_by_node() const {
-  std::map<NodeId, std::vector<Rank>> groups;
-  for (Rank r = 0; r < size(); ++r) groups[node_of(r)].push_back(r);
-  std::vector<std::vector<Rank>> out;
-  out.reserve(groups.size());
-  for (auto& [node, ranks] : groups) out.push_back(std::move(ranks));
-  return out;
 }
 
 }  // namespace tarr::simmpi

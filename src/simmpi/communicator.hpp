@@ -51,12 +51,6 @@ class Communicator {
   /// per node in rank order — the precondition of the hierarchical path.
   bool node_contiguous() const;
 
-  /// Ranks grouped by the hosting node (indexed by node-of-first-appearance
-  /// order is NOT applied; index is the global NodeId).  Empty groups for
-  /// unused nodes are omitted: result[i] lists ranks of the i-th distinct
-  /// node in ascending NodeId order.
-  std::vector<std::vector<Rank>> ranks_by_node() const;
-
  private:
   const topology::Machine* machine_;
   std::vector<CoreId> rank_to_core_;

@@ -317,10 +317,4 @@ void Engine::local_permute_all(const std::vector<int>& dst_of_block) {
   total_ += cost;
 }
 
-void Engine::add_time(Usec t, const char* what) {
-  if (sink_ != nullptr && t != 0.0)
-    sink_->on_time(trace::TimeEvent{what, total_, t});
-  total_ += t;
-}
-
 }  // namespace tarr::simmpi

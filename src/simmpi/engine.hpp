@@ -103,13 +103,6 @@ class Engine {
   /// at the end".
   void local_permute_all(const std::vector<int>& dst_of_block);
 
-  /// Add raw simulated time (used by the application model for compute
-  /// phases and by callers that account one-time overheads).  `what` labels
-  /// the increment in the trace (a TimeEvent is emitted when a sink is
-  /// installed and t != 0, so trace consumers can reconstruct the engine
-  /// total exactly).
-  void add_time(Usec t, const char* what = "compute");
-
   /// Total simulated time so far.
   Usec total() const { return total_; }
 

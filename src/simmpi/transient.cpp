@@ -1,7 +1,5 @@
 #include "simmpi/transient.hpp"
 
-#include <sstream>
-
 #include "common/error.hpp"
 
 namespace tarr::simmpi {
@@ -19,15 +17,6 @@ void validate(const TransientFaultConfig& cfg) {
                "TransientFaultConfig: retry_timeout must be >= 0");
   TARR_REQUIRE(cfg.backoff >= 1.0,
                "TransientFaultConfig: backoff must be >= 1");
-}
-
-std::string TransientFaultStats::describe() const {
-  std::ostringstream os;
-  os << "transient faults: " << attempts << " attempts, " << drops
-     << " drops, " << corruptions << " corruptions, " << retransmissions
-     << " retransmissions (" << retransmitted_bytes << " bytes), "
-     << timeout_wait << " us timeout wait";
-  return os.str();
 }
 
 }  // namespace tarr::simmpi

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "common/types.hpp"
 
@@ -57,8 +56,6 @@ struct TransientFaultStats {
   long long retransmissions = 0;  ///< extra attempts (= drops + corruptions)
   Bytes retransmitted_bytes = 0;  ///< bytes of the extra attempts
   Usec timeout_wait = 0.0;        ///< total drop-detection wait accumulated
-
-  std::string describe() const;
 };
 
 }  // namespace tarr::simmpi

@@ -26,10 +26,8 @@
 ///             XOR-delta-coded against the previous value of the same field
 ///             slot (both reset at block boundaries, so any block decodes
 ///             on its own).
-///   footer  — the interned string table, one index entry per block
-///             (offset, length, per-kind stored counts, stage range) and
-///             the exact per-kind received / filtered / sampled-out
-///             bookkeeping totals.
+///   footer  — the interned string table and one index entry per block
+///             (offset, length, per-kind stored counts, stage range).
 ///   trailer — fixed 24 bytes: little-endian footer length, footer
 ///             checksum and magic, so a reader finds (and verifies) the
 ///             footer from the end of the file.
@@ -51,7 +49,7 @@ inline constexpr std::array<unsigned char, 8> kFileMagic = {
 inline constexpr std::uint64_t kTrailerMagic = 0x0A58444947'4F4C54ULL;
 
 /// Format version this build writes and the only one it reads.
-inline constexpr int kFormatVersion = 1;
+inline constexpr int kFormatVersion = 2;
 
 /// Every record type the format stores — the eight TraceSink event kinds
 /// plus the two named-metric emissions (add_count / observe), so a `.tlog`
@@ -77,8 +75,8 @@ const char* to_string(EventKind k);
 /// Returns false on an unknown name.
 bool parse_event_kind(const std::string& name, EventKind& out);
 
-/// Writer- and reader-side event predicate: which kinds to keep, and for
-/// stage-tagged kinds (stage/transfer/copy) and rank-tagged kinds
+/// Reader-side event predicate (ReplayOptions): which kinds to keep, and
+/// for stage-tagged kinds (stage/transfer/copy) and rank-tagged kinds
 /// (transfer/copy) which stage/rank windows.  The default passes
 /// everything.  Filtering is deterministic — a pure function of the event.
 struct EventFilter {
@@ -101,12 +99,6 @@ struct EventFilter {
   bool pass_rank(Rank a, Rank b) const {
     return (a >= min_rank && a <= max_rank) ||
            (b >= min_rank && b <= max_rank);
-  }
-  /// True for the default filter (lets writers skip per-event checks).
-  bool pass_all() const {
-    return kinds == (1u << kNumEventKinds) - 1 && min_stage == 0 &&
-           max_stage == std::numeric_limits<int>::max() && min_rank == 0 &&
-           max_rank == std::numeric_limits<Rank>::max();
   }
 };
 

@@ -1,6 +1,7 @@
 #include "tlog/reader.hpp"
 
 #include <cstdio>
+#include <limits>
 
 #include "common/error.hpp"
 
@@ -112,7 +113,6 @@ Parsed parse(const std::string& path) {
                 std::to_string(kFormatVersion));
   p.info.version = static_cast<int>(version);
   p.info.block_bytes = static_cast<std::size_t>(header.varint());
-  p.info.sample_every = static_cast<int>(header.varint());
   const std::size_t body_begin = kFileMagic.size() + header.pos();
 
   Cursor trailer(d.data() + d.size() - kTrailerBytes, kTrailerBytes,
@@ -151,23 +151,14 @@ Parsed parse(const std::string& path) {
     b.max_stage = footer.svarint();
     if (b.offset < body_begin || b.offset >= p.blocks_end)
       throw Error("tlog: " + path + " block offset out of range");
+    for (std::size_t k = 0; k < b.stored.size(); ++k) {
+      if (b.stored[k] >
+          std::numeric_limits<long long>::max() - p.info.stored[k])
+        throw Error("tlog: " + path + " per-kind event counts overflow");
+      p.info.stored[k] += b.stored[k];
+    }
     p.info.blocks.push_back(b);
   }
-  for (long long& c : p.info.received) c = footer.count();
-  for (long long& c : p.info.filtered) c = footer.count();
-  for (long long& c : p.info.sampled_out) c = footer.count();
-  for (int k = 0; k < kNumEventKinds; ++k)
-    p.info.stored[static_cast<std::size_t>(k)] =
-        p.info.received[static_cast<std::size_t>(k)] -
-        p.info.filtered[static_cast<std::size_t>(k)] -
-        p.info.sampled_out[static_cast<std::size_t>(k)];
-  p.info.filter.kinds = static_cast<unsigned>(footer.varint());
-  p.info.filter.min_stage = static_cast<int>(footer.svarint());
-  p.info.filter.max_stage = static_cast<int>(footer.svarint());
-  p.info.filter.min_rank = static_cast<Rank>(footer.svarint());
-  p.info.filter.max_rank = static_cast<Rank>(footer.svarint());
-  if (static_cast<int>(footer.varint()) != p.info.sample_every)
-    throw Error("tlog: " + path + " header/footer sample_every mismatch");
   if (!footer.done())
     throw Error("tlog: " + path + " has trailing bytes in footer");
   return p;

@@ -43,14 +43,9 @@ struct BlockInfo {
 struct FileInfo {
   int version = 0;
   std::size_t block_bytes = 0;   ///< writer's block-size knob
-  int sample_every = 1;
-  EventFilter filter;            ///< the writer-side filter that was active
   std::vector<std::string> strings;
   std::vector<BlockInfo> blocks;
-  /// Exact per-kind bookkeeping (stored = received - filtered - sampled_out).
-  std::array<long long, kNumEventKinds> received{};
-  std::array<long long, kNumEventKinds> filtered{};
-  std::array<long long, kNumEventKinds> sampled_out{};
+  /// Events on disk per kind: the sum of the block index entries.
   std::array<long long, kNumEventKinds> stored{};
   std::uint64_t file_bytes = 0;
 
@@ -92,8 +87,8 @@ ReplayStats replay(const std::string& path, trace::TraceSink& sink,
                    const ReplayOptions& opts = ReplayOptions{});
 
 /// Rebuild the ScheduleRecord of the recorded run by replaying the full
-/// event stream into a fresh trace::ScheduleRecorder.  On an unfiltered,
-/// unsampled `.tlog` the result is byte-identical to live recording.
+/// event stream into a fresh trace::ScheduleRecorder.  The result is
+/// byte-identical to live recording.
 trace::ScheduleRecord read_record(const std::string& path);
 
 }  // namespace tarr::tlog

@@ -18,9 +18,6 @@ void put_u64le(std::string& out, std::uint64_t v) {
 
 TlogSink::TlogSink(const std::string& path, TlogOptions opts)
     : path_(path), opts_(opts) {
-  if (opts_.sample_every < 1)
-    throw Error("tlog: sample_every must be >= 1, got " +
-                std::to_string(opts_.sample_every));
   if (opts_.block_bytes < 512)
     throw Error("tlog: block_bytes must be >= 512, got " +
                 std::to_string(opts_.block_bytes));
@@ -30,20 +27,15 @@ TlogSink::TlogSink(const std::string& path, TlogOptions opts)
                      kFileMagic.size());
   put_varint(header, kFormatVersion);
   put_varint(header, opts_.block_bytes);
-  put_varint(header, static_cast<std::uint64_t>(opts_.sample_every));
   write_raw(header.data(), header.size());
   block_.reserve(opts_.block_bytes + 1024);
 }
 
 TlogSink::~TlogSink() {
   // Best-effort seal; errors are observable only via an explicit finish().
-  if (!finished_) {
-    try {
-      finish();
-    } catch (const Error&) {
-      if (file_ != nullptr) std::fclose(file_);
-      file_ = nullptr;
-    }
+  try {
+    finish();
+  } catch (const Error&) {
   }
 }
 
@@ -53,8 +45,11 @@ void TlogSink::require_open() const {
 }
 
 void TlogSink::write_raw(const char* data, std::size_t len) {
-  if (std::fwrite(data, 1, len, file_) != len)
-    throw Error("tlog: short write to " + path_);
+  if (!error_.empty()) return;
+  if (std::fwrite(data, 1, len, file_) != len) {
+    error_ = "tlog: short write to " + path_;
+    return;
+  }
   totals_.bytes += len;
 }
 
@@ -67,27 +62,10 @@ std::uint32_t TlogSink::intern(const std::string& s) {
   return id;
 }
 
-bool TlogSink::admit(EventKind k, int stage, Rank a, Rank b) {
+bool TlogSink::admit(EventKind k) {
   require_open();
+  if (!error_.empty()) return false;
   const auto ki = static_cast<std::size_t>(k);
-  ++totals_.received[ki];
-  const EventFilter& f = opts_.filter;
-  if (!f.pass_all()) {
-    bool pass = f.pass_kind(k);
-    if (pass && stage >= 0) pass = f.pass_stage(stage);
-    if (pass && a >= 0) pass = f.pass_rank(a, b);
-    if (!pass) {
-      ++totals_.filtered[ki];
-      return false;
-    }
-  }
-  if (opts_.sample_every > 1 && sampled_kind(k)) {
-    const long long n = sample_seen_[ki]++;
-    if (n % opts_.sample_every != 0) {
-      ++totals_.sampled_out[ki];
-      return false;
-    }
-  }
   ++totals_.stored[ki];
   ++block_stored_[ki];
   ++block_events_;
@@ -130,7 +108,6 @@ void TlogSink::flush_block() {
   write_raw(header.data(), header.size());
   write_raw(block_.data(), block_.size());
   index_.push_back(entry);
-  ++totals_.blocks;
 
   block_.clear();
   block_events_ = 0;
@@ -159,18 +136,6 @@ void TlogSink::finish() {
     put_svarint(footer, e.min_stage);
     put_svarint(footer, e.max_stage);
   }
-  for (const long long c : totals_.received)
-    put_varint(footer, static_cast<std::uint64_t>(c));
-  for (const long long c : totals_.filtered)
-    put_varint(footer, static_cast<std::uint64_t>(c));
-  for (const long long c : totals_.sampled_out)
-    put_varint(footer, static_cast<std::uint64_t>(c));
-  put_varint(footer, opts_.filter.kinds);
-  put_svarint(footer, opts_.filter.min_stage);
-  put_svarint(footer, opts_.filter.max_stage);
-  put_svarint(footer, opts_.filter.min_rank);
-  put_svarint(footer, opts_.filter.max_rank);
-  put_varint(footer, static_cast<std::uint64_t>(opts_.sample_every));
 
   std::string trailer;
   put_u64le(trailer, footer.size());
@@ -182,6 +147,7 @@ void TlogSink::finish() {
   const int rc = std::fclose(file_);
   file_ = nullptr;
   finished_ = true;
+  if (!error_.empty()) throw Error(error_);
   if (rc != 0) throw Error("tlog: failed closing " + path_);
 }
 
@@ -191,7 +157,7 @@ void TlogSink::finish() {
 // integer slots and double slots are numbered independently per kind.
 
 void TlogSink::on_stage(const trace::StageEvent& e) {
-  if (!admit(EventKind::Stage, e.stage, -1, -1)) return;
+  if (!admit(EventKind::Stage)) return;
   auto& c = ctx_[static_cast<std::size_t>(EventKind::Stage)];
   std::string& out = begin_record(EventKind::Stage, e.stage);
   c.put_int(out, 0, e.stage);
@@ -204,7 +170,7 @@ void TlogSink::on_stage(const trace::StageEvent& e) {
 }
 
 void TlogSink::on_transfer(const trace::TransferEvent& e) {
-  if (!admit(EventKind::Transfer, e.stage, e.src_rank, e.dst_rank)) return;
+  if (!admit(EventKind::Transfer)) return;
   auto& c = ctx_[static_cast<std::size_t>(EventKind::Transfer)];
   std::string& out = begin_record(EventKind::Transfer, e.stage);
   c.put_int(out, 0, e.stage);
@@ -223,7 +189,7 @@ void TlogSink::on_transfer(const trace::TransferEvent& e) {
 }
 
 void TlogSink::on_copy(const trace::CopyEvent& e) {
-  if (!admit(EventKind::Copy, e.stage, e.src, e.dst)) return;
+  if (!admit(EventKind::Copy)) return;
   auto& c = ctx_[static_cast<std::size_t>(EventKind::Copy)];
   std::string& out = begin_record(EventKind::Copy, e.stage);
   c.put_int(out, 0, e.stage);
@@ -238,7 +204,7 @@ void TlogSink::on_copy(const trace::CopyEvent& e) {
 }
 
 void TlogSink::on_permute(const trace::PermuteEvent& e) {
-  if (!admit(EventKind::Permute, -1, -1, -1)) return;
+  if (!admit(EventKind::Permute)) return;
   auto& c = ctx_[static_cast<std::size_t>(EventKind::Permute)];
   std::string& out = begin_record(EventKind::Permute, -1);
   put_varint(out, e.dst_of_block.size());
@@ -255,7 +221,7 @@ void TlogSink::on_permute(const trace::PermuteEvent& e) {
 }
 
 void TlogSink::on_phase(const trace::PhaseEvent& e) {
-  if (!admit(EventKind::Phase, -1, -1, -1)) return;
+  if (!admit(EventKind::Phase)) return;
   auto& c = ctx_[static_cast<std::size_t>(EventKind::Phase)];
   std::string& out = begin_record(EventKind::Phase, -1);
   put_varint(out, intern(e.name));
@@ -265,7 +231,7 @@ void TlogSink::on_phase(const trace::PhaseEvent& e) {
 }
 
 void TlogSink::on_counter(const trace::CounterSample& s) {
-  if (!admit(EventKind::Counter, -1, -1, -1)) return;
+  if (!admit(EventKind::Counter)) return;
   auto& c = ctx_[static_cast<std::size_t>(EventKind::Counter)];
   std::string& out = begin_record(EventKind::Counter, -1);
   c.put_int(out, 0, static_cast<int>(s.kind));
@@ -277,7 +243,7 @@ void TlogSink::on_counter(const trace::CounterSample& s) {
 }
 
 void TlogSink::on_wall_span(const trace::WallSpan& s) {
-  if (!admit(EventKind::WallSpan, -1, -1, -1)) return;
+  if (!admit(EventKind::WallSpan)) return;
   auto& c = ctx_[static_cast<std::size_t>(EventKind::WallSpan)];
   std::string& out = begin_record(EventKind::WallSpan, -1);
   put_varint(out, intern(s.name));
@@ -286,7 +252,7 @@ void TlogSink::on_wall_span(const trace::WallSpan& s) {
 }
 
 void TlogSink::on_time(const trace::TimeEvent& e) {
-  if (!admit(EventKind::Time, -1, -1, -1)) return;
+  if (!admit(EventKind::Time)) return;
   auto& c = ctx_[static_cast<std::size_t>(EventKind::Time)];
   std::string& out = begin_record(EventKind::Time, -1);
   put_varint(out, intern(e.what));
@@ -296,7 +262,7 @@ void TlogSink::on_time(const trace::TimeEvent& e) {
 }
 
 void TlogSink::add_count(const std::string& name, double delta) {
-  if (!admit(EventKind::Count, -1, -1, -1)) return;
+  if (!admit(EventKind::Count)) return;
   auto& c = ctx_[static_cast<std::size_t>(EventKind::Count)];
   std::string& out = begin_record(EventKind::Count, -1);
   put_varint(out, intern(name));
@@ -305,7 +271,7 @@ void TlogSink::add_count(const std::string& name, double delta) {
 }
 
 void TlogSink::observe(const std::string& name, double value) {
-  if (!admit(EventKind::Observe, -1, -1, -1)) return;
+  if (!admit(EventKind::Observe)) return;
   auto& c = ctx_[static_cast<std::size_t>(EventKind::Observe)];
   std::string& out = begin_record(EventKind::Observe, -1);
   put_varint(out, intern(name));

@@ -18,28 +18,23 @@
 /// they fill, so resident memory is O(block size + interned strings +
 /// per-block index), independent of the event count — the property that
 /// lets always-on telemetry survive the ROADMAP's 64k+-rank runs, where
-/// the buffering Tracer cannot.
+/// the buffering Tracer cannot.  The block size (TlogOptions::block_bytes)
+/// is the one knob: the memory/seek-granularity trade.
 ///
-/// Three volume knobs, all deterministic:
-///  * EventFilter — drop whole kinds, stage windows or rank windows at the
-///    writer (the dropped counts are still bookkept exactly);
-///  * 1-in-N sampling (TlogOptions::sample_every) on the four high-volume
-///    kinds (transfer/copy/counter/observe): every Nth event of a kind is
-///    kept, counting from the first, and the exact number of sampled-out
-///    events per kind is recorded in the footer so downstream event totals
-///    remain reconstructable;
-///  * block size — the memory/seek-granularity trade.
-///
-/// With the default options (no filter, no sampling) a `.tlog` is a
-/// lossless capture: replaying it (tlog/reader.hpp) into a
+/// A `.tlog` is a lossless capture: replaying it (tlog/reader.hpp) into a
 /// trace::ScheduleRecorder rebuilds a ScheduleRecord byte-identical to
 /// live recording, and replaying into a trace::Tracer reproduces its JSON
-/// timeline and metrics CSV byte-for-byte.
+/// timeline and metrics CSV byte-for-byte.  Selecting events is the
+/// reader's job (ReplayOptions).
 ///
 /// Call finish() when the run is over — it flushes the last block and
 /// writes the footer index; a file without a footer is rejected by the
-/// reader.  The destructor calls finish() as a best effort but swallows
-/// errors; call finish() explicitly to observe them.
+/// reader.  Event handlers never throw on I/O failure: the engine emits
+/// from destructors (phase scopes), where a throw during unwinding would
+/// terminate the process.  The sink instead keeps its first write failure,
+/// stops writing, and finish() throws it.  The destructor calls finish()
+/// as a best effort but swallows errors; call finish() explicitly to
+/// observe them.
 
 namespace tarr::tlog {
 
@@ -48,22 +43,12 @@ struct TlogOptions {
   /// Target encoded payload bytes per block; a block is flushed once it
   /// reaches this size (the last event may overshoot by its own encoding).
   std::size_t block_bytes = 64 * 1024;
-  /// Writer-side event predicate (default: keep everything).
-  EventFilter filter;
-  /// Keep every Nth transfer/copy/counter/observe event (1 = keep all).
-  int sample_every = 1;
 };
 
-/// Exact bookkeeping of one writer's lifetime, also serialized into the
-/// footer: received = events offered to the sink, filtered = dropped by the
-/// EventFilter, sampled_out = dropped by 1-in-N sampling, stored =
-/// received - filtered - sampled_out (the events on disk).
+/// Bookkeeping of one writer's lifetime: the events on disk per kind (the
+/// sum of the footer's per-block counts) and the file bytes written.
 struct WriteTotals {
-  std::array<long long, kNumEventKinds> received{};
-  std::array<long long, kNumEventKinds> filtered{};
-  std::array<long long, kNumEventKinds> sampled_out{};
   std::array<long long, kNumEventKinds> stored{};
-  long long blocks = 0;
   std::uint64_t bytes = 0;  ///< file bytes written so far
 
   long long stored_events() const {
@@ -76,9 +61,9 @@ struct WriteTotals {
 /// See file comment.
 class TlogSink final : public trace::TraceSink {
  public:
-  /// Opens `path` for writing and writes the header; throws tarr::Error on
-  /// I/O failure, non-positive sample_every, or a block size below 512
-  /// bytes (too small to hold a single large event sensibly).
+  /// Opens `path` for writing and writes the header; throws tarr::Error
+  /// when `path` cannot be opened or on a block size below 512 bytes (too
+  /// small to hold a single large event sensibly).
   explicit TlogSink(const std::string& path, TlogOptions opts = TlogOptions{});
   ~TlogSink() override;
 
@@ -96,9 +81,11 @@ class TlogSink final : public trace::TraceSink {
   void add_count(const std::string& name, double delta) override;
   void observe(const std::string& name, double value) override;
 
-  /// Flush the open block and write the footer + trailer; the file is
-  /// complete and readable afterwards.  Idempotent.  Events arriving after
-  /// finish() throw (the file is sealed).
+  /// Flush the open block, write the footer + trailer and close the file;
+  /// the file is complete and readable afterwards.  Throws tarr::Error
+  /// naming the path on the first write failure of the whole capture, or
+  /// when closing fails.  Idempotent.  Events arriving after finish() throw
+  /// (the file is sealed).
   void finish();
   bool finished() const { return finished_; }
 
@@ -106,17 +93,12 @@ class TlogSink final : public trace::TraceSink {
   const std::string& path() const { return path_; }
 
  private:
-  /// True for the event kinds 1-in-N sampling applies to.
-  static bool sampled_kind(EventKind k) {
-    return k == EventKind::Transfer || k == EventKind::Copy ||
-           k == EventKind::Counter || k == EventKind::Observe;
-  }
-
-  /// Filter + sampling gate; returns true when the event must be encoded.
-  /// `stage` < 0 / ranks < 0 mean "field not applicable to this kind".
-  bool admit(EventKind k, int stage, Rank a, Rank b);
+  /// Counts the event and returns true when it must be encoded (false once
+  /// a write has failed).  Throws after finish().
+  bool admit(EventKind k);
 
   /// Start a record: tag byte plus bookkeeping of the block's stage range.
+  /// `stage` < 0 means the kind carries no stage.
   std::string& begin_record(EventKind k, int stage);
   /// Flush the block if the open payload reached the threshold.
   void maybe_flush();
@@ -129,6 +111,7 @@ class TlogSink final : public trace::TraceSink {
   TlogOptions opts_;
   std::FILE* file_ = nullptr;
   bool finished_ = false;
+  std::string error_;  ///< first write failure; "" while every write held
 
   std::string block_;                ///< open block payload
   long long block_events_ = 0;
@@ -152,7 +135,6 @@ class TlogSink final : public trace::TraceSink {
   };
   std::vector<BlockEntry> index_;
 
-  std::array<long long, kNumEventKinds> sample_seen_{};
   WriteTotals totals_;
 };
 

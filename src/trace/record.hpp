@@ -162,8 +162,8 @@ class ScheduleRecorder final : public TraceSink {
   ScheduleRecord take() { return std::move(record_); }
 
   /// Transfers that arrived after the last real stage event, so no stage
-  /// holds them.  Filtered and sampled `.tlog` replays deliver these; the
-  /// timeline draws them, record() consumers never see them.
+  /// holds them.  Filtered `.tlog` replays deliver these; the timeline
+  /// draws them, record() consumers never see them.
   std::span<const RecordedTransfer> unstaged() const { return pending_; }
 
  private:

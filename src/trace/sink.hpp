@@ -131,16 +131,15 @@ struct PermuteEvent {
   Usec duration = 0.0;
 };
 
-/// Simulated time the engine adds *outside* any stage: §V-B local shuffles
-/// (Engine::local_permute_all) and Engine::add_time (application compute
-/// phases, one-time overheads).  Unlike PhaseEvent — a grouping span over
-/// stages that already carry their own durations — a TimeEvent is itself an
-/// increment of the simulated clock.  Summing stage durations and time
-/// events in emission order reconstructs the engine total bit-exactly,
-/// which is the invariant tarr::report's critical-path attribution builds
-/// on.
+/// Simulated time the engine adds *outside* any stage: the §V-B local
+/// shuffles of Engine::local_permute_all.  Unlike PhaseEvent — a grouping
+/// span over stages that already carry their own durations — a TimeEvent
+/// is itself an increment of the simulated clock.  Summing stage durations
+/// and time events in emission order reconstructs the engine total
+/// bit-exactly, which is the invariant tarr::report's critical-path
+/// attribution builds on.
 struct TimeEvent {
-  std::string what;     ///< "local-shuffle", "compute", caller-provided
+  std::string what;     ///< "local-shuffle"
   Usec start = 0.0;     ///< simulated clock before the increment
   Usec duration = 0.0;  ///< time added
 };

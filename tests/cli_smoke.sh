@@ -3,13 +3,16 @@
 #
 # usage: cli_smoke.sh TARR SOURCE_DIR
 #
-# Asserts, in a temporary directory: same-seed runs are byte-identical (cmp;
-# --metrics CSVs once their wall-clock rows are dropped);
-# live and --from-tlog renders are byte-identical; JSON artifacts parse; a
-# .tlog stays within 25 % of the equivalent Chrome-trace JSON; truncated and
-# bit-flipped .tlog files are rejected; the expected strings appear; exit
-# codes are 2 for usage errors, 1 for errors (every artifact flag pointed at
-# /dev/full included) and 3 for the insight gate.
+# Asserts, in a temporary directory: every example_* demo beside TARR runs
+# to completion; same-seed runs are byte-identical (cmp; --metrics CSVs once
+# their wall-clock rows are dropped); live and --from-tlog renders are
+# byte-identical; JSON artifacts parse; a .tlog stays within 25 % of the
+# equivalent Chrome-trace JSON; truncated and bit-flipped .tlog files are
+# rejected; the committed baselines pass `report compare` against
+# themselves and fail it with one gated metric 10 % worse; every schedule
+# mutation is rejected; the expected strings appear; exit codes are 2 for
+# usage errors, 1 for errors (every artifact flag pointed at /dev/full
+# included) and 3 for the insight gate.
 set -euo pipefail
 
 TARR=$(cd "$(dirname "$1")" && pwd)/$(basename "$1")
@@ -40,8 +43,17 @@ cmp_metrics() {
 
 RUN=(--nodes 4 --procs 32 --layout cyclic-bunch --pattern ring --seed 3)
 
-# Fault campaign.
+# Demos: the example programs built beside the driver.
+for demo in "$(dirname "$TARR")"/example_*; do
+  "$demo" > /dev/null || fail "$(basename "$demo") failed"
+done
+
+# Fault campaign: link failures, then node failures with transient drops
+# whose retransmissions survive capture and replay.
 "$TARR" campaign --smoke > /dev/null
+"$TARR" campaign --smoke --kind nodes --drop 0.05 --tlog drop.tlog > /dev/null
+"$TARR" log cat drop.tlog --metrics drop.csv 2> /dev/null
+grep -q '^counter,fault\.retransmissions,' drop.csv
 expect_rc 2 campaign --bogus
 expect_rc 2 campaign --drop 2
 
@@ -63,9 +75,31 @@ cmp_metrics metrics-a.csv metrics-b.csv
 
 # Tlog: engine captures are byte-identical, replays print the live bytes,
 # the capture stays within the size budget, corruption is rejected.
-"$TARR" map "${RUN[@]}" --quiet --tlog run-a.tlog
+"$TARR" map "${RUN[@]}" --quiet --trace live.json --metrics live.csv \
+  --tlog run-a.tlog
+"$TARR" log cat run-a.tlog --json replay.json --metrics replay.csv 2> /dev/null
+cmp live.json replay.json
+cmp live.csv replay.csv
 "$TARR" log info run-a.tlog > /dev/null
 "$TARR" log stats run-a.tlog --by stage > /dev/null 2>&1
+# Reader-side filters: the ring's stage-0 transfers and copies with an
+# endpoint in ranks 0..3.
+FILTER=(--kinds transfer,copy --stages 0:0 --ranks 0:3)
+"$TARR" log cat run-a.tlog "${FILTER[@]}" --json cat-a.json 2> /dev/null
+"$TARR" log cat run-a.tlog "${FILTER[@]}" --json cat-b.json 2> /dev/null
+cmp cat-a.json cat-b.json
+python3 -m json.tool cat-a.json > /dev/null
+"$TARR" log stats run-a.tlog --by rank "${FILTER[@]}" 2> /dev/null |
+  tail -n +2 | cut -d, -f1 | tr '\n' ' ' > stats-keys.txt
+[ "$(cat stats-keys.txt)" = "00000000 00000001 00000002 00000003 00000031 " ] ||
+  fail "filtered log stats keys: $(cat stats-keys.txt)"
+expect_rc 2 log cat run-a.tlog --kinds bogus
+# A capture of several blocks: a stage window decodes only the blocks whose
+# stage range meets it.
+"$TARR" map --nodes 64 --procs 512 --pattern recursive-doubling --quiet \
+  --tlog big.tlog > /dev/null
+"$TARR" log stats big.tlog --by stage --stages 0:0 > /dev/null 2> skip.txt
+grep -q 'decoded 1/3 blocks' skip.txt
 "$TARR" report critical-path "${RUN[@]}" --tlog cp-a.tlog > cp-live.txt
 "$TARR" report critical-path "${RUN[@]}" --tlog cp-b.tlog > /dev/null
 cmp cp-a.tlog cp-b.tlog
@@ -91,16 +125,41 @@ expect_rc 1 log cat flipped.tlog
 expect_rc 2 log info run-a.tlog --bogus
 expect_rc 2 log cat run-a.tlog --stages zz
 
-# Report: the critical path of a traced run, and the mapping diff.
+# Report: the critical path of a traced run, the mapping diff, and the
+# snapshot gate on the committed baselines.
 "$TARR" map "${RUN[@]}" --quiet --report > /dev/null
+"$TARR" report critical-path "${RUN[@]}" --markdown > cp.md
+grep -q '^| ' cp.md
 "$TARR" report diff --nodes 4 --procs 32 --pattern ring \
   --layout cyclic-bunch > /dev/null
+"$TARR" report compare --baseline-dir "$SRC/bench/baselines/BENCH_*.json" \
+  --candidate-dir "$SRC/bench/baselines" > /dev/null
+mkdir perturbed
+cp "$SRC"/bench/baselines/BENCH_*.json perturbed/
+python3 - << 'EOF'
+import json
+path = "perturbed/BENCH_fig3_nonhier.json"
+snap = json.load(open(path))
+for m in snap["metrics"]:
+    if m["name"] == "block-bunch.default_latency_maxmsg":
+        m["value"] *= 1.1  # lower is better: 10 % worse
+json.dump(snap, open(path, "w"))
+EOF
+expect_rc 1 report compare --baseline-dir "$SRC/bench/baselines" \
+  --candidate-dir perturbed
 
 # Dashboards: byte-identical across same-seed runs.
 "$TARR" viz dashboard "${RUN[@]}" --out dash-a.html
 "$TARR" viz dashboard "${RUN[@]}" --out dash-b.html
 cmp dash-a.html dash-b.html
 "$TARR" campaign --smoke --html fault.html > /dev/null
+# CI's perf-gate dashboard: 128 ranks aggregate the matrix node x node, and
+# the snapshot sets add the trend section.
+"$TARR" viz dashboard --nodes 16 --procs 128 --layout cyclic-bunch \
+  --pattern recursive-doubling --seed 1 --snapshots "$SRC/bench/baselines" \
+  --label baseline --snapshots perturbed --label perturbed --out ci-dash.html
+grep -q 'aggregated node x node' ci-dash.html
+grep -q 'REGRESSED' ci-dash.html
 
 # Prof: identical flag sets give byte-identical profiles; bad output paths
 # die before the run (exit 1), a missing value with usage (exit 2).
@@ -141,10 +200,21 @@ expect_rc 2 probe --smoke --prof
 "$TARR" insight diagnose --congested --epoch 3 --out insight-b.txt > /dev/null
 cmp insight-a.txt insight-b.txt
 grep -q 'straggler' insight-a.txt
+"$TARR" insight diagnose --congested --epoch 3 --markdown > insight.md
+grep -q '^- \*\*\[' insight.md
 "$TARR" insight trend "$SRC/bench/baselines" --label a \
   "$SRC/bench/baselines" --label b > trend.txt
 grep -q 'no change points' trend.txt
-"$TARR" map "${RUN[@]}" --quiet --out-dir insight-run > /dev/null
+"$TARR" insight trend "$SRC/bench/baselines" --label a perturbed --label b \
+  > trend-step.txt
+grep -q 'block-bunch.default_latency_maxmsg' trend-step.txt
+"$TARR" viz trend "$SRC/bench/baselines" --label a "$SRC/bench/baselines" \
+  --label b --out trend-pass.html
+grep -q 'PASS' trend-pass.html
+"$TARR" viz trend "$SRC/bench/baselines" --label a perturbed --label b \
+  --out trend.html
+grep -q 'REGRESSED' trend.html
+"$TARR" map "${RUN[@]}" --quiet --wall --out-dir insight-run > /dev/null
 [ -f insight-run/insight.txt ] && [ -f insight-run/report.txt ] ||
   fail "--out-dir did not derive insight.txt and report.txt"
 expect_rc 1 insight diagnose --fail-on bogus
@@ -155,7 +225,13 @@ expect_rc 2 insight
 "$TARR" analyze certify-all --nodes 2 --procs 16 > /dev/null
 "$TARR" analyze certify-all --nodes 4 --procs 32 --layout cyclic-scatter \
   --reorder > /dev/null
-expect_rc 1 analyze certify --collective allgather-rd --mutate drop-transfer
+"$TARR" analyze certify --collective allgather-ring --max-link-load 0.01 \
+  > hazard.txt
+grep -q 'capacity-hazard' hazard.txt
+for kind in drop-transfer swap-stages truncate-bytes duplicate-block; do
+  expect_rc 1 analyze certify --collective allgather-rd --reorder \
+    --mutate "$kind"
+done
 
 # Usage errors: no command, an unknown one, a missing second level.
 expect_rc 2

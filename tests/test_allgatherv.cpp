@@ -8,6 +8,7 @@
 
 #include "collectives/contracts.hpp"
 #include "common/error.hpp"
+#include "common/permutation.hpp"
 #include "common/rng.hpp"
 #include "core/framework.hpp"
 #include "simmpi/layout.hpp"
@@ -70,7 +71,8 @@ TEST(Allgatherv, UniformCountsMatchFixedRingTime) {
 
   Engine v(comm, simmpi::CostConfig{}, ExecMode::Timed, 1,
            p * static_cast<int>(msg));
-  run_allgatherv_ring(v, std::vector<int>(p, static_cast<int>(msg)));
+  run_allgatherv_ring(v, std::vector<int>(p, static_cast<int>(msg)),
+                      identity_permutation(p));
 
   Engine fixed(comm, simmpi::CostConfig{}, ExecMode::Data, msg, p);
   run_allgather(fixed, AllgatherOptions{AllgatherAlgo::Ring,
@@ -88,22 +90,23 @@ TEST(Allgatherv, SkewedSizesCostMoreThanBalanced) {
   skewed[5] = 1024 * p - 2 * (p - 1);  // same total volume
 
   Engine b(comm, simmpi::CostConfig{}, ExecMode::Timed, 1, 1024 * p);
-  run_allgatherv_ring(b, balanced);
+  run_allgatherv_ring(b, balanced, identity_permutation(p));
   Engine s(comm, simmpi::CostConfig{}, ExecMode::Timed, 1, 1024 * p);
-  run_allgatherv_ring(s, skewed);
+  run_allgatherv_ring(s, skewed, identity_permutation(p));
   EXPECT_GT(s.total(), b.total());
 }
 
 TEST(Allgatherv, InputValidation) {
   const Machine m = Machine::gpc(1);
   const Communicator comm(m, make_layout(m, 4, LayoutSpec{}));
+  const std::vector<Rank> id = identity_permutation(4);
   Engine eng(comm, simmpi::CostConfig{}, ExecMode::Data, 1, 64);
-  EXPECT_THROW(run_allgatherv_ring(eng, {1, 2, 3}), Error);       // size
-  EXPECT_THROW(run_allgatherv_ring(eng, {1, 0, 1, 1}), Error);    // zero
+  EXPECT_THROW(run_allgatherv_ring(eng, {1, 2, 3}, id), Error);     // size
+  EXPECT_THROW(run_allgatherv_ring(eng, {1, 0, 1, 1}, id), Error);  // zero
   Engine wrong_block(comm, simmpi::CostConfig{}, ExecMode::Data, 8, 64);
-  EXPECT_THROW(run_allgatherv_ring(wrong_block, {1, 1, 1, 1}), Error);
+  EXPECT_THROW(run_allgatherv_ring(wrong_block, {1, 1, 1, 1}, id), Error);
   Engine small(comm, simmpi::CostConfig{}, ExecMode::Data, 1, 3);
-  EXPECT_THROW(run_allgatherv_ring(small, {1, 1, 1, 1}), Error);
+  EXPECT_THROW(run_allgatherv_ring(small, {1, 1, 1, 1}, id), Error);
 }
 
 }  // namespace

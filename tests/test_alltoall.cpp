@@ -65,14 +65,18 @@ TEST(Alltoall, PairwiseXorRejectsNonPow2) {
   const Machine m = Machine::gpc(1);
   const Communicator comm(m, make_layout(m, 6, LayoutSpec{}));
   Engine eng(comm, simmpi::CostConfig{}, ExecMode::Data, 64, 12);
-  EXPECT_THROW(run_alltoall(eng, AlltoallAlgo::PairwiseXor), Error);
+  EXPECT_THROW(
+      run_alltoall(eng, AlltoallAlgo::PairwiseXor, identity_permutation(6)),
+      Error);
 }
 
 TEST(Alltoall, BufferTooSmallRejected) {
   const Machine m = Machine::gpc(1);
   const Communicator comm(m, make_layout(m, 4, LayoutSpec{}));
   Engine eng(comm, simmpi::CostConfig{}, ExecMode::Data, 64, 7);
-  EXPECT_THROW(run_alltoall(eng, AlltoallAlgo::Rotation), Error);
+  EXPECT_THROW(
+      run_alltoall(eng, AlltoallAlgo::Rotation, identity_permutation(4)),
+      Error);
 }
 
 TEST(Alltoall, TagEncodesBothEndpoints) {
@@ -83,10 +87,12 @@ TEST(Alltoall, TagEncodesBothEndpoints) {
 TEST(Alltoall, TimedMatchesData) {
   const Machine m = Machine::gpc(4);
   const Communicator comm(m, make_layout(m, 32, LayoutSpec{}));
+  const std::vector<Rank> id = identity_permutation(32);
   for (auto algo : {AlltoallAlgo::PairwiseXor, AlltoallAlgo::Rotation}) {
     Engine timed(comm, simmpi::CostConfig{}, ExecMode::Timed, 512, 64);
     Engine data(comm, simmpi::CostConfig{}, ExecMode::Data, 512, 64);
-    EXPECT_NEAR(run_alltoall(timed, algo), run_alltoall(data, algo), 1e-9);
+    EXPECT_NEAR(run_alltoall(timed, algo, id), run_alltoall(data, algo, id),
+                1e-9);
   }
 }
 

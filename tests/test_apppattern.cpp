@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "core/framework.hpp"
 #include "mapping/comparators.hpp"
 #include "mapping/mapcost.hpp"
@@ -25,38 +26,8 @@ TEST(Stencil2d, InteriorVertexHasFourNeighbors) {
   EXPECT_EQ(g.neighbors(0).size(), 2u);  // corner
 }
 
-TEST(Stencil3d, EdgeCount) {
-  const WeightedGraph g = stencil3d_pattern(3, 3, 3);
-  EXPECT_EQ(g.num_vertices(), 27);
-  // 2*3*3 per dimension * 3 dimensions = 54.
-  EXPECT_EQ(g.num_edges(), 54);
-  EXPECT_EQ(g.neighbors(13).size(), 6u);  // center
-}
-
-TEST(RingWithShortcuts, Structure) {
-  const WeightedGraph g = ring_with_shortcuts_pattern(16);
-  // Neighbors of 0 include 1, 15 (ring) and 2, 4, 8 (shortcuts).
-  EXPECT_EQ(g.neighbors(0).size(), 5u);
-}
-
-TEST(RandomSparse, DeterministicAndValid) {
-  Rng a(5), b(5);
-  const WeightedGraph g1 = random_sparse_pattern(32, 3, a);
-  const WeightedGraph g2 = random_sparse_pattern(32, 3, b);
-  EXPECT_EQ(g1.num_edges(), g2.num_edges());
-  EXPECT_GE(g1.num_edges(), 32 * 3 / 2);  // merged duplicates may reduce
-  for (const auto& e : g1.edges()) {
-    EXPECT_NE(e.u, e.v);
-    EXPECT_GE(e.w, 1.0);
-  }
-}
-
 TEST(AppPatternErrors, BadParameters) {
   EXPECT_THROW(stencil2d_pattern(1, 1), Error);
-  EXPECT_THROW(stencil3d_pattern(0, 2, 2), Error);
-  EXPECT_THROW(ring_with_shortcuts_pattern(1), Error);
-  Rng r(1);
-  EXPECT_THROW(random_sparse_pattern(4, 4, r), Error);
 }
 
 TEST(GeneralMapping, BisectionFindsStencilTiles) {

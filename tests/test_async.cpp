@@ -126,16 +126,6 @@ TEST(AsyncCollectives, RdMatchesStageSynchronousWithoutContention) {
   EXPECT_GE(async, staged * 0.9);  // sync pattern cannot be much faster
 }
 
-TEST(AsyncCollectives, BcastDepthIsLogarithmic) {
-  const Machine m = Machine::gpc(8);
-  const Communicator comm(m, make_layout(m, 64, LayoutSpec{}));
-  AsyncEngine eng = make(comm);
-  const Usec t = run_bcast_binomial_async(eng, 1024);
-  // 6 tree levels; each level costs at most one network hop.
-  EXPECT_GT(t, 0.0);
-  EXPECT_EQ(eng.messages(), 63);
-}
-
 TEST(AsyncCollectives, ReorderedCommunicatorReducesRingMakespan) {
   // The async model agrees with the paper's direction: RMH's compact ring
   // beats a cyclic placement's ring.

@@ -303,10 +303,5 @@ TEST(PermutationErrors, InvertRejectsNonPermutations) {
   EXPECT_THROW(invert_permutation({-1, 1, 0}), Error);  // negative
 }
 
-TEST(PermutationErrors, ComposeRejectsSizeMismatch) {
-  EXPECT_THROW(compose_permutations({0, 1, 2}, {0, 1}), Error);
-  EXPECT_THROW(compose_permutations({}, {0}), Error);
-}
-
 }  // namespace
 }  // namespace tarr::check

@@ -81,16 +81,5 @@ TEST(Communicator, NodeContiguityAfterIntraNodePermute) {
   EXPECT_TRUE(c.node_contiguous());
 }
 
-TEST(Communicator, RanksByNode) {
-  const Machine m = Machine::gpc(2);
-  const Communicator cyclic(
-      m,
-      make_layout(m, 16, LayoutSpec{NodeOrder::Cyclic, SocketOrder::Bunch}));
-  const auto groups = cyclic.ranks_by_node();
-  ASSERT_EQ(groups.size(), 2u);
-  EXPECT_EQ(groups[0], (std::vector<Rank>{0, 2, 4, 6, 8, 10, 12, 14}));
-  EXPECT_EQ(groups[1], (std::vector<Rank>{1, 3, 5, 7, 9, 11, 13, 15}));
-}
-
 }  // namespace
 }  // namespace tarr::simmpi

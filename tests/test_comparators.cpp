@@ -39,15 +39,6 @@ bool same_slot_set(const std::vector<int>& a, const std::vector<int>& b) {
   return x == y;
 }
 
-TEST(IdentityMapper, ReturnsInput) {
-  Fixture f(2);
-  const auto initial = f.layout(16);
-  Rng rng(1);
-  IdentityMapper m;
-  EXPECT_EQ(m.map(initial, f.dist, rng), initial);
-  EXPECT_EQ(m.name(), "identity");
-}
-
 TEST(MvapichCyclic, BlockBecomesCyclic) {
   Fixture f(4);
   const int p = 32;
@@ -166,7 +157,6 @@ TEST(BuildPatternGraph, DispatchesAllPatterns) {
 }
 
 TEST(Factories, ProduceNamedMappers) {
-  EXPECT_EQ(make_identity_mapper()->name(), "identity");
   EXPECT_EQ(make_mvapich_cyclic_mapper(8)->name(), "mvapich-cyclic");
   EXPECT_EQ(make_greedy_graph_mapper(Pattern::Ring)->name(), "greedy-graph");
   EXPECT_EQ(make_scotch_like_mapper(Pattern::Ring)->name(), "scotch-like");

@@ -1,4 +1,4 @@
-// Tests for the CSV writer and the DOT pattern-graph export.
+// Tests for the CSV writer.
 
 #include <gtest/gtest.h>
 
@@ -7,7 +7,7 @@
 
 #include "bench/csv.hpp"
 #include "common/error.hpp"
-#include "graph/pattern.hpp"
+#include "common/serialize.hpp"
 
 namespace tarr {
 namespace {
@@ -37,11 +37,12 @@ TEST(CsvWriter, QuotesCarriageReturnsPerRfc4180) {
 }
 
 TEST(CsvWriter, WritesFile) {
+  // Every caller writes a CsvWriter as write_file(path, w.to_string()).
   const std::string path = ::testing::TempDir() + "/tarr_test.csv";
   bench::CsvWriter w;
   w.set_header({"x"});
   w.add_row({"1"});
-  w.write(path);
+  write_file(path, w.to_string());
   std::ifstream in(path);
   std::string line;
   std::getline(in, line);
@@ -49,33 +50,7 @@ TEST(CsvWriter, WritesFile) {
   std::getline(in, line);
   EXPECT_EQ(line, "1");
   std::remove(path.c_str());
-  EXPECT_THROW(w.write("/nonexistent/dir/x.csv"), Error);
-}
-
-TEST(GraphDot, RendersEdgesWithWeights) {
-  const graph::WeightedGraph g = graph::ring_pattern(4);
-  const std::string dot = g.to_dot("ring4");
-  EXPECT_NE(dot.find("graph ring4 {"), std::string::npos);
-  EXPECT_NE(dot.find("0 -- 1"), std::string::npos);
-  EXPECT_NE(dot.find("label=\"3\""), std::string::npos);  // weight p-1 = 3
-  EXPECT_NE(dot.find("}\n"), std::string::npos);
-}
-
-TEST(GraphDot, RequiresFinalize) {
-  graph::WeightedGraph g(2);
-  g.add_edge(0, 1);
-  EXPECT_THROW(g.to_dot(), Error);
-}
-
-TEST(GraphDot, EveryEdgeAppearsOnce) {
-  const graph::WeightedGraph g = graph::recursive_doubling_pattern(8);
-  const std::string dot = g.to_dot();
-  std::size_t count = 0, pos = 0;
-  while ((pos = dot.find(" -- ", pos)) != std::string::npos) {
-    ++count;
-    pos += 4;
-  }
-  EXPECT_EQ(count, static_cast<std::size_t>(g.num_edges()));
+  EXPECT_THROW(write_file("/nonexistent/dir/x.csv", w.to_string()), Error);
 }
 
 }  // namespace

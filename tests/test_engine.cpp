@@ -185,13 +185,5 @@ TEST(Engine, TimedModeRejectsBlockReads) {
   EXPECT_THROW(e.block(0, 0), Error);
 }
 
-TEST(Engine, AddTime) {
-  const Machine m = Machine::gpc(1);
-  const Communicator c(m, make_layout(m, 2, LayoutSpec{}));
-  Engine e = make_engine(c, ExecMode::Timed);
-  e.add_time(123.5);
-  EXPECT_DOUBLE_EQ(e.total(), 123.5);
-}
-
 }  // namespace
 }  // namespace tarr::simmpi

@@ -30,17 +30,6 @@ TEST(WeightedGraph, WeightedDegree) {
   EXPECT_DOUBLE_EQ(g.weighted_degree(3), 3.0);
 }
 
-TEST(WeightedGraph, CutWeight) {
-  WeightedGraph g(4);
-  g.add_edge(0, 1, 1.0);
-  g.add_edge(2, 3, 1.0);
-  g.add_edge(0, 2, 5.0);
-  g.finalize();
-  EXPECT_DOUBLE_EQ(g.cut_weight({0, 0, 1, 1}), 5.0);
-  EXPECT_DOUBLE_EQ(g.cut_weight({0, 1, 0, 1}), 2.0);
-  EXPECT_DOUBLE_EQ(g.cut_weight({0, 0, 0, 0}), 0.0);
-}
-
 TEST(WeightedGraph, RejectsBadEdges) {
   WeightedGraph g(2);
   EXPECT_THROW(g.add_edge(0, 0), Error);

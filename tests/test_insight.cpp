@@ -94,36 +94,22 @@ TEST(Histogram, QuantileIsBucketFloorOfBruteForce) {
   }
 }
 
-TEST(Histogram, MergeIsAssociativeAndCommutative) {
-  // Three deterministic pseudo-random sample sets; the merge algebra must
-  // be EXACT (operator== compares integer counts and exact min/max).
-  auto build = [](std::uint64_t seed, int n) {
-    Histogram h;
-    std::uint64_t s = seed;
-    for (int i = 0; i < n; ++i) {
-      s = s * 6364136223846793005ull + 1442695040888963407ull;
-      h.record(static_cast<double>(s >> 40) / 256.0);
-    }
-    return h;
-  };
-  const Histogram a = build(1, 97), b = build(2, 131), c = build(3, 61);
-
-  Histogram ab = a;
-  ab.merge(b);
-  Histogram ba = b;
-  ba.merge(a);
-  EXPECT_TRUE(ab == ba);  // commutative
-
-  Histogram ab_c = ab;
-  ab_c.merge(c);
-  Histogram bc = b;
-  bc.merge(c);
-  Histogram a_bc = a;
-  a_bc.merge(bc);
-  EXPECT_TRUE(ab_c == a_bc);  // associative
-  // Derived statistics are merge-invariant too (pure functions of counts).
-  EXPECT_EQ(ab_c.approx_sum(), a_bc.approx_sum());
-  EXPECT_EQ(ab_c.quantile(0.99), a_bc.quantile(0.99));
+TEST(Histogram, RecordOrderDoesNotMatter) {
+  // operator== compares integer counts and exact min/max, so the state and
+  // everything derived from it must not depend on arrival order.
+  std::vector<double> values;
+  std::uint64_t s = 1;
+  for (int i = 0; i < 289; ++i) {
+    s = s * 6364136223846793005ull + 1442695040888963407ull;
+    values.push_back(static_cast<double>(s >> 40) / 256.0);
+  }
+  Histogram forward, backward;
+  for (const double v : values) forward.record(v);
+  for (auto it = values.rbegin(); it != values.rend(); ++it)
+    backward.record(*it);
+  EXPECT_TRUE(forward == backward);
+  EXPECT_EQ(forward.approx_sum(), backward.approx_sum());
+  EXPECT_EQ(forward.quantile(0.99), backward.quantile(0.99));
 }
 
 TEST(Histogram, RecordNEqualsRepeatedRecord) {
@@ -144,8 +130,6 @@ TEST(Histogram, RejectsNonFiniteAndNegative) {
   EXPECT_THROW(h.record(-1.0), Error);
   EXPECT_THROW(h.record_n(1.0, 0), Error);
   EXPECT_THROW(h.quantile(1.5), Error);
-  Histogram coarse(2);
-  EXPECT_THROW(coarse.merge(h), Error);  // resolution mismatch
   EXPECT_TRUE(h.empty());                // nothing was corrupted
 }
 

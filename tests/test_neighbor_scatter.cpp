@@ -73,7 +73,7 @@ TEST(NeighborAllgatherShape, HalfTheStagesOfTheRing) {
   const Machine m = Machine::gpc(4);
   const Communicator comm(m, make_layout(m, 32, LayoutSpec{}));
   Engine eng(comm, simmpi::CostConfig{}, ExecMode::Data, 16, 32);
-  run_allgather_neighbor(eng);
+  run_allgather_neighbor(eng, identity_permutation(32));
   EXPECT_EQ(eng.stages_executed(), 16);  // p/2
 }
 
@@ -81,7 +81,7 @@ TEST(NeighborAllgatherShape, RejectsOddSizes) {
   const Machine m = Machine::gpc(1);
   const Communicator comm(m, make_layout(m, 5, LayoutSpec{}));
   Engine eng(comm, simmpi::CostConfig{}, ExecMode::Data, 16, 5);
-  EXPECT_THROW(run_allgather_neighbor(eng), Error);
+  EXPECT_THROW(run_allgather_neighbor(eng, identity_permutation(5)), Error);
 }
 
 class ScatterCorrectness

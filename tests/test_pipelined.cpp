@@ -84,7 +84,8 @@ TEST(PipelinedHierShape, RejectsCyclicAndOddCores) {
                                 simmpi::SocketOrder::Bunch}));
   Engine eng(cyclic, simmpi::CostConfig{}, ExecMode::Data, 32, 16);
   EXPECT_THROW(run_hier_allgather_pipelined(eng, IntraAlgo::Binomial,
-                                            OrderFix::None),
+                                            OrderFix::None,
+                                            identity_permutation(16)),
                Error);
 }
 

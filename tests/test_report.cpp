@@ -212,7 +212,7 @@ TEST(CriticalPath, AttributionSumsExactlyUnderTransientFaults) {
   expect_breakdown_covers(path);
 }
 
-TEST(CriticalPath, AddTimeBecomesAnExtraSegment) {
+TEST(CriticalPath, OutOfStageTimeBecomesAnExtraSegment) {
   const Machine m = Machine::gpc(1);
   const Communicator comm(m, make_layout(m, 4, {}));
   ScheduleRecorder rec;
@@ -221,9 +221,11 @@ TEST(CriticalPath, AddTimeBecomesAnExtraSegment) {
   eng.begin_stage();
   eng.copy(0, 0, 1, 0, 1);
   eng.end_stage();
-  eng.add_time(17.5, "compute");
+  // Out-of-stage time that is not a local shuffle has no channel.
+  rec.on_time(trace::TimeEvent{"compute", eng.total(), 17.5});
   const CriticalPath path = analyze_critical_path(rec.record(), m);
-  EXPECT_EQ(path.total, eng.total());
+  EXPECT_EQ(path.total, rec.record().total);
+  EXPECT_EQ(path.total, eng.total() + 17.5);
   ASSERT_EQ(path.segments.size(), 2u);
   EXPECT_EQ(path.segments[1].what, "compute");
   EXPECT_EQ(path.segments[1].channel, PathChannel::Other);

@@ -1,5 +1,4 @@
-// Tests for communicator splitting, binomial reduce, and the dissemination
-// barrier.
+// Tests for communicator splitting and binomial reduce.
 
 #include <gtest/gtest.h>
 
@@ -95,36 +94,6 @@ TEST_P(ReduceSizes, RootHoldsXorOfAllContributions) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, ReduceSizes,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 16, 32));
-
-class BarrierSizes : public ::testing::TestWithParam<int> {};
-
-TEST_P(BarrierSizes, LogRoundsAndPositiveLatency) {
-  const int p = GetParam();
-  const Machine m = Machine::gpc(std::max(1, (p + 7) / 8));
-  if (p > m.total_cores()) GTEST_SKIP();
-  const Communicator comm(m, make_layout(m, p, LayoutSpec{}));
-  Engine eng(comm, simmpi::CostConfig{}, ExecMode::Timed, 1, 1);
-  const Usec t = run_barrier_dissemination(eng);
-  if (p == 1) {
-    EXPECT_EQ(t, 0.0);
-  } else {
-    EXPECT_GT(t, 0.0);
-    EXPECT_EQ(eng.stages_executed(), ceil_log2(p));
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, BarrierSizes,
-                         ::testing::Values(1, 2, 3, 7, 8, 16, 31, 64));
-
-TEST(Barrier, LatencyDominatedNotBandwidth) {
-  // A barrier of 1-byte signals should cost far less than an allgather of
-  // real payload on the same communicator.
-  const Machine m = Machine::gpc(4);
-  const Communicator comm(m, make_layout(m, 32, LayoutSpec{}));
-  Engine b(comm, simmpi::CostConfig{}, ExecMode::Timed, 1, 1);
-  const Usec t_barrier = run_barrier_dissemination(b);
-  EXPECT_LT(t_barrier, 100.0);  // a handful of latencies
-}
 
 }  // namespace
 }  // namespace tarr::collectives

@@ -43,76 +43,6 @@ TEST(StatAccumulator, NegativeValues) {
   EXPECT_DOUBLE_EQ(s.max(), 2.0);
 }
 
-TEST(StatAccumulator, MergeEmptyIsIdentityBothWays) {
-  StatAccumulator filled;
-  for (double x : {1.0, 2.0, 6.0}) filled.add(x);
-  const double mean = filled.mean();
-  const double var = filled.variance();
-
-  StatAccumulator empty;
-  filled.merge(empty);  // merging an empty accumulator changes nothing
-  EXPECT_EQ(filled.count(), 3);
-  EXPECT_DOUBLE_EQ(filled.mean(), mean);
-  EXPECT_DOUBLE_EQ(filled.variance(), var);
-
-  StatAccumulator target;
-  target.merge(filled);  // merging INTO an empty one adopts exactly
-  EXPECT_EQ(target.count(), 3);
-  EXPECT_DOUBLE_EQ(target.mean(), mean);
-  EXPECT_DOUBLE_EQ(target.variance(), var);
-  EXPECT_DOUBLE_EQ(target.min(), 1.0);
-  EXPECT_DOUBLE_EQ(target.max(), 6.0);
-
-  StatAccumulator both;
-  both.merge(StatAccumulator{});  // empty + empty stays empty
-  EXPECT_EQ(both.count(), 0);
-  EXPECT_DOUBLE_EQ(both.mean(), 0.0);
-}
-
-TEST(StatAccumulator, MergeMatchesBatchAccumulation) {
-  StatAccumulator a, b, batch;
-  for (int i = 0; i < 40; ++i) {
-    const double x = 0.1 * i * i - 3.0 * i + 7.0;
-    (i % 3 == 0 ? a : b).add(x);
-    batch.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), batch.count());
-  EXPECT_NEAR(a.mean(), batch.mean(), 1e-10);
-  EXPECT_NEAR(a.variance(), batch.variance(), 1e-8);
-  EXPECT_DOUBLE_EQ(a.min(), batch.min());
-  EXPECT_DOUBLE_EQ(a.max(), batch.max());
-}
-
-TEST(StatAccumulator, MergeIsCommutative) {
-  StatAccumulator a1, b1;
-  for (double x : {2.0, 4.0, 9.0}) a1.add(x);
-  for (double x : {-1.0, 5.0}) b1.add(x);
-  StatAccumulator a2 = a1, b2 = b1;
-
-  a1.merge(b1);  // a+b
-  b2.merge(a2);  // b+a
-  EXPECT_EQ(a1.count(), b2.count());
-  EXPECT_NEAR(a1.mean(), b2.mean(), 1e-12);
-  EXPECT_NEAR(a1.variance(), b2.variance(), 1e-12);
-  EXPECT_DOUBLE_EQ(a1.min(), b2.min());
-  EXPECT_DOUBLE_EQ(a1.max(), b2.max());
-}
-
-TEST(StatAccumulator, SelfMergeDoublesEverySample) {
-  StatAccumulator s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  StatAccumulator twice;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) {
-    twice.add(x);
-    twice.add(x);
-  }
-  s.merge(s);  // aliasing must be safe
-  EXPECT_EQ(s.count(), 16);
-  EXPECT_NEAR(s.mean(), twice.mean(), 1e-12);
-  EXPECT_NEAR(s.variance(), twice.variance(), 1e-9);
-}
-
 TEST(StatAccumulator, StreamingMatchesBatchMean) {
   StatAccumulator s;
   double sum = 0;

@@ -183,43 +183,6 @@ TEST(TopoAllgather, NonPow2FallsBackToBruck) {
   EXPECT_GT(ta.run_and_check(64 * 1024), 0.0);  // ring regime
 }
 
-TEST(TopoAllgather, PipelinedHierarchicalVerifiesAndWins) {
-  World w(8);
-  TopoAllgatherConfig seq;
-  seq.mapper = MapperKind::None;
-  seq.hierarchical = true;
-  TopoAllgather sequential(w.framework, w.comm(64), seq);
-
-  TopoAllgatherConfig pipe = seq;
-  pipe.pipelined = true;
-  TopoAllgather pipelined(w.framework, w.comm(64), pipe);
-
-  // Payload-verified in both regimes (RD regime falls back to sequential).
-  EXPECT_GT(pipelined.run_and_check(512), 0.0);
-  EXPECT_GT(pipelined.run_and_check(64 * 1024), 0.0);
-
-  // In the ring regime the overlap must win; in the RD regime the two
-  // configurations are identical.
-  const Bytes large = 64 * 1024;
-  EXPECT_LT(pipelined.latency(large), sequential.latency(large));
-  const Bytes small = 512;
-  EXPECT_DOUBLE_EQ(pipelined.latency(small), sequential.latency(small));
-}
-
-TEST(TopoAllgather, PipelinedWithReorderingVerifies) {
-  World w(4);
-  TopoAllgatherConfig cfg;
-  cfg.mapper = MapperKind::Heuristic;
-  cfg.fix = OrderFix::InitComm;
-  cfg.hierarchical = true;
-  cfg.pipelined = true;
-  TopoAllgather ta(w.framework,
-                   w.comm(32, LayoutSpec{simmpi::NodeOrder::Block,
-                                         simmpi::SocketOrder::Scatter}),
-                   cfg);
-  EXPECT_GT(ta.run_and_check(64 * 1024), 0.0);
-}
-
 TEST(MapperKindNames, ToString) {
   EXPECT_STREQ(to_string(MapperKind::None), "default");
   EXPECT_STREQ(to_string(MapperKind::Heuristic), "Hrstc");

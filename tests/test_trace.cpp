@@ -666,16 +666,17 @@ void shrunk_ring(TraceSink* sink) {
       identity_permutation(shrunk.comm.size()));
 }
 
-/// rd_reordered captured into a `.tlog` through `opts`, replayed into `sink`.
-void replayed_rd(TraceSink* sink, const tlog::TlogOptions& opts,
+/// rd_reordered captured into a `.tlog`, replayed into `sink` through
+/// `filter`.
+void replayed_rd(TraceSink* sink, const tlog::EventFilter& filter,
                  const std::string& name) {
   const std::string path = testing::TempDir() + "tarr_trace_" + name;
   {
-    tlog::TlogSink capture(path, opts);
+    tlog::TlogSink capture(path);
     rd_reordered(&capture);
     capture.finish();
   }
-  tlog::replay(path, *sink);
+  tlog::replay(path, *sink, tlog::ReplayOptions{filter});
   std::remove(path.c_str());
 }
 
@@ -717,26 +718,21 @@ std::vector<DigestCase> digest_cases() {
                         Pattern::RecursiveDoubling, OrderFix::EndShuffle);
   };
   const auto kinds = [](TraceSink* s) {
-    tlog::TlogOptions opts;
-    opts.filter.kinds = 1u << static_cast<int>(tlog::EventKind::Transfer);
-    replayed_rd(s, opts, "kinds.tlog");
+    tlog::EventFilter filter;
+    filter.kinds = 1u << static_cast<int>(tlog::EventKind::Transfer);
+    replayed_rd(s, filter, "kinds.tlog");
   };
   const auto stages = [](TraceSink* s) {
-    tlog::TlogOptions opts;
-    opts.filter.min_stage = 1;
-    opts.filter.max_stage = 2;
-    replayed_rd(s, opts, "stages.tlog");
+    tlog::EventFilter filter;
+    filter.min_stage = 1;
+    filter.max_stage = 2;
+    replayed_rd(s, filter, "stages.tlog");
   };
   const auto ranks = [](TraceSink* s) {
-    tlog::TlogOptions opts;
-    opts.filter.min_rank = 0;
-    opts.filter.max_rank = 3;
-    replayed_rd(s, opts, "ranks.tlog");
-  };
-  const auto sampled = [](TraceSink* s) {
-    tlog::TlogOptions opts;
-    opts.sample_every = 3;
-    replayed_rd(s, opts, "sampled.tlog");
+    tlog::EventFilter filter;
+    filter.min_rank = 0;
+    filter.max_rank = 3;
+    replayed_rd(s, filter, "ranks.tlog");
   };
   return {
       {"rd", rd_reordered, 0x4a94338740d03a64ull, 0x6f6a85e903358a93ull},
@@ -753,7 +749,6 @@ std::vector<DigestCase> digest_cases() {
       {"tlog-kinds", kinds, 0x7068350cee5df27cull, 0x86d5977bb6c6f995ull},
       {"tlog-stages", stages, 0xeac839b01a6814c1ull, 0x7ce2f388cb0aaba4ull},
       {"tlog-ranks", ranks, 0x0d148ba7a58c8716ull, 0x627d243ab97bebcaull},
-      {"tlog-sampled", sampled, 0xf2fcd43f917f47adull, 0x029b4cdf0a5a38abull},
       {"tied-phases", tied_phase_and_time, 0x871b0ddeba149851ull,
        0x10f7cc3c91156e81ull},
   };

@@ -122,7 +122,6 @@ TEST(Transient, StatsAreInternallyConsistent) {
     EXPECT_GT(stats.timeout_wait, 0.0);
   }
   EXPECT_GT(stats.retransmitted_bytes, 0);
-  EXPECT_NE(stats.describe().find("attempts"), std::string::npos);
 }
 
 TEST(Transient, ExhaustedRetriesThrowWithGuidance) {
