@@ -87,11 +87,9 @@ std::string campaign_html(const fault::CampaignResult& result) {
       stale.y.push_back(acc.sum[1] / acc.count);
       remap.y.push_back(acc.sum[2] / acc.count);
     }
-    viz::LineChartOptions opts;
-    opts.y_label = "mean latency (us)";
     body += viz::line_chart(key.first + " / " + key.second +
                                 " — mean latency vs failure count",
-                            x, {base, stale, remap}, opts);
+                            x, {base, stale, remap}, "mean latency (us)");
   }
   if (skipped_partitioned > 0)
     body += "<p class=\"intro\">" +

@@ -29,8 +29,7 @@ int cmd_insight_diagnose(const Flags& f) {
   RunSpec defaults;
   defaults.mapper = "identity";
   const RunSpec run = parse_run(f, defaults);
-  insight::DiagnoseOptions dopts;
-  dopts.top_k = static_cast<int>(f.num("--top", 8, 1, 1 << 20));
+  const int top_k = static_cast<int>(f.num("--top", 8, 1, 1 << 20));
   const bool congested = f.has("--congested");
   const int epoch = static_cast<int>(f.num("--epoch", 0, 0, 1 << 20));
   probe::CongestionConfig cong;
@@ -84,7 +83,7 @@ int cmd_insight_diagnose(const Flags& f) {
     obs.finish_tlog();
   }
   const insight::Diagnosis d = insight::diagnose(
-      obs.tracer->record(), machine, dopts, &obs.tracer->metrics());
+      obs.tracer->record(), machine, top_k, &obs.tracer->metrics());
 
   std::printf("%s over %d ranks on %d nodes (%s mapping%s, %lld B blocks)\n",
               run.pattern.c_str(), rc.comm.size(), run.nodes,
@@ -103,7 +102,7 @@ int cmd_insight_trend(const Flags& f) {
   opts.rel_threshold = f.real("--rel-threshold", opts.rel_threshold);
   opts.abs_threshold = f.real("--abs-threshold", opts.abs_threshold);
   if (f.has("--all")) opts.gated_only = false;
-  std::vector<insight::SnapshotSet> sets;
+  std::vector<report::SnapshotSet> sets;
   for (const auto& [flag, value] : f.items()) {
     if (flag.empty()) {
       sets.push_back({value, report::load_snapshot_set_glob(value)});

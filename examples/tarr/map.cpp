@@ -86,8 +86,7 @@ int cmd_map(const Flags& f) {
       // Diagnose the reordered run just traced; the tracer's metrics (when
       // exported) contribute distribution-tail findings.
       write_file(p, insight::render_findings(insight::diagnose(
-                        obs.tracer->record(), machine,
-                        insight::DiagnoseOptions{},
+                        obs.tracer->record(), machine, /*top_k=*/8,
                         exported ? &obs.tracer->metrics() : nullptr)));
       std::printf("insight : %s\n", p.c_str());
     }

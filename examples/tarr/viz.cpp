@@ -71,8 +71,8 @@ Runs run_pair(const Flags& f, const RunSpec& run) {
 
 /// --snapshots sets (and, for trend, positional ones) in command-line
 /// order, each labelled by the --label at its index or by its selector.
-std::vector<viz::TrendSet> trend_sets(const Flags& f) {
-  std::vector<viz::TrendSet> sets;
+std::vector<report::SnapshotSet> trend_sets(const Flags& f) {
+  std::vector<report::SnapshotSet> sets;
   std::vector<std::string> labels;
   for (const auto& [flag, value] : f.items()) {
     if (flag == "--label") labels.push_back(value);
@@ -111,7 +111,7 @@ int cmd_viz(const Flags& f, const std::string& view) {
   copts.abs_tolerance = f.real("--abs-tolerance", copts.abs_tolerance);
   if (view == "trend") {
     Obs obs(f);
-    const std::vector<viz::TrendSet> sets = trend_sets(f);
+    const std::vector<report::SnapshotSet> sets = trend_sets(f);
     if (sets.empty()) throw cli::UsageError("trend needs a snapshot set");
     emit_page(f, "tarr perf trajectory",
               std::to_string(sets.size()) + " snapshot set(s), " +

@@ -23,14 +23,16 @@ std::string fmt_bytes(double b) {
   return std::to_string(b);
 }
 
+/// Cap on findings recorded per property (the rest are counted but not
+/// materialized, keeping certificates of badly broken schedules small).
+constexpr int kMaxFindingsPerProperty = 16;
+
 /// Collects findings in pass order with a per-property cap.
 class Emitter {
  public:
-  explicit Emitter(int cap) : cap_(cap) {}
-
   void emit(Property p, Severity sev, int stage, std::string msg) {
     if (sev == Severity::Error) any_error_ = true;
-    if (count_[static_cast<int>(p)]++ >= cap_) {
+    if (count_[static_cast<int>(p)]++ >= kMaxFindingsPerProperty) {
       ++suppressed_;
       return;
     }
@@ -43,7 +45,6 @@ class Emitter {
   bool saw(Property p) const { return count_[static_cast<int>(p)] > 0; }
 
  private:
-  int cap_;
   std::vector<Finding> findings_;
   int count_[9] = {};
   int suppressed_ = 0;
@@ -422,7 +423,7 @@ void check_capacity(const ScheduleRecord& rec, const topology::Machine& m,
   for (const RecordedStage& s : rec.stages) {
     if (s.repeats != 1) continue;
     const std::vector<RecordedLoad> computed = static_stage_loads(rec, s, m);
-    if (opts.check_capacity && have_counters) {
+    if (have_counters) {
       const auto recorded = rec.loads_of(s);
       const std::size_t n =
           std::min(recorded.size(), computed.size());
@@ -588,7 +589,7 @@ std::vector<trace::RecordedLoad> static_stage_loads(
 Certificate analyze(const ScheduleRecord& rec, const topology::Machine& m,
                     const Contract& contract, const AnalyzeOptions& opts) {
   contract.validate();
-  Emitter em(opts.max_findings_per_property);
+  Emitter em;
   Certificate cert;
   cert.schedule = contract.name;
   cert.stages_checked = static_cast<int>(rec.stages.size());
@@ -599,7 +600,7 @@ Certificate analyze(const ScheduleRecord& rec, const topology::Machine& m,
   if (safe) {
     check_self_transfers(rec, em);
     check_byte_conservation(rec, em);
-    if (opts.check_dataflow) check_dataflow(rec, contract, em);
+    check_dataflow(rec, contract, em);
     check_capacity(rec, m, opts, em);
   }
 

@@ -77,17 +77,12 @@ struct Finding {
   std::string message;
 };
 
+/// The CapacityHazard bounds; every other pass always runs.  The dataflow
+/// passes need a dataflow-faithful record: one recorded per executed stage,
+/// no repeat compression (run the engine in Data mode to get one).  The
+/// counter cross-check is skipped when the record carries no counters
+/// (e.g. contention modeling was off).
 struct AnalyzeOptions {
-  /// Prove dataflow (UninitializedRead/WriteConflict/ContractViolation).
-  /// Requires a dataflow-faithful record: one recorded per executed stage,
-  /// no repeat compression (run the engine in Data mode to get one).
-  bool check_dataflow = true;
-
-  /// Statically recompute per-stage resource loads and cross-check them
-  /// against the recorded trace counters (skipped when the record carries
-  /// no counters, e.g. contention modeling was off).
-  bool check_capacity = true;
-
   /// Flag any stage whose static directed cable load exceeds this multiple
   /// of the link's capacity (CapacityHazard warning); <= 0 disables.
   double max_link_load = 0.0;
@@ -96,10 +91,6 @@ struct AnalyzeOptions {
   /// (QPI capacity is a cost-model parameter, not a topology property);
   /// <= 0 disables.
   double max_qpi_bytes = 0.0;
-
-  /// Cap on findings recorded per property (the rest are counted but not
-  /// materialized, keeping certificates of badly broken schedules small).
-  int max_findings_per_property = 16;
 };
 
 /// The analyzer's verdict.
@@ -110,7 +101,7 @@ struct Certificate {
   int copies_checked = 0;
   /// Pass order, then discovery order within a pass — deterministic.
   std::vector<Finding> findings;
-  /// Findings suppressed by max_findings_per_property.
+  /// Findings beyond the per-property cap: counted, not materialized.
   int suppressed = 0;
 
   bool has(Property p) const;

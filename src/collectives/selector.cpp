@@ -16,9 +16,8 @@ AllgatherAlgo count_pick(AllgatherAlgo algo, const char* counter) {
 
 }  // namespace
 
-AllgatherAlgo select_allgather_algo(int p, Bytes msg_bytes,
-                                    const SelectorConfig& cfg) {
-  if (msg_bytes < cfg.rd_max_msg) {
+AllgatherAlgo select_allgather_algo(int p, Bytes msg_bytes) {
+  if (msg_bytes < kRdMaxMsg) {
     return is_pow2(p)
                ? count_pick(AllgatherAlgo::RecursiveDoubling, "selector.rd")
                : count_pick(AllgatherAlgo::Bruck, "selector.bruck");

@@ -12,16 +12,12 @@
 
 namespace tarr::collectives {
 
-/// Thresholds of the selection rule.
-struct SelectorConfig {
-  /// Per-rank message sizes strictly below this use recursive doubling /
-  /// Bruck; sizes at or above it use the ring.
-  Bytes rd_max_msg = 32 * 1024;
-};
+/// Per-rank message sizes strictly below this use recursive doubling /
+/// Bruck; sizes at or above it use the ring (MVAPICH's 32 KB switch).
+inline constexpr Bytes kRdMaxMsg = 32 * 1024;
 
 /// The algorithm the default library would run for `p` ranks and a per-rank
 /// message of `msg_bytes`.
-AllgatherAlgo select_allgather_algo(int p, Bytes msg_bytes,
-                                    const SelectorConfig& cfg = SelectorConfig{});
+AllgatherAlgo select_allgather_algo(int p, Bytes msg_bytes);
 
 }  // namespace tarr::collectives

@@ -11,6 +11,22 @@
 
 namespace tarr::core {
 
+namespace {
+
+/// `comm` reordered so that new rank j runs on new_rank_to_core[j], with its
+/// §V-B bookkeeping: oldrank[new] = original rank of the process acting as
+/// new rank `new`.
+ReorderedComm reordered_to(const simmpi::Communicator& comm,
+                           std::vector<CoreId> new_rank_to_core,
+                           double map_seconds) {
+  simmpi::Communicator reordered = comm.reordered(std::move(new_rank_to_core));
+  const std::vector<Rank> old_to_new = comm.permutation_to(reordered);
+  return ReorderedComm{std::move(reordered), invert_permutation(old_to_new),
+                       map_seconds};
+}
+
+}  // namespace
+
 ReorderFramework::ReorderFramework(const topology::Machine& m)
     : ReorderFramework(m, Options{}) {}
 
@@ -21,7 +37,7 @@ const topology::DistanceMatrix& ReorderFramework::distances() {
   if (!dist_) {
     obs::Install ambient(sink_);
     WallTimer t;
-    dist_.emplace(topology::extract_distances(*machine_, opts_.distances));
+    dist_.emplace(topology::extract_distances(*machine_));
     extract_seconds_ = t.seconds();
     obs::wall_span("distance-extraction", extract_seconds_);
   }
@@ -56,11 +72,7 @@ ReorderedComm ReorderFramework::reorder_with(const simmpi::Communicator& comm,
   const double map_seconds = t.seconds();
   obs::wall_span("map:" + mapper.name(), map_seconds);
 
-  simmpi::Communicator reordered = comm.reordered(std::move(new_rank_to_core));
-  // oldrank[new] = original rank of the process acting as new rank `new`.
-  const std::vector<Rank> old_to_new = comm.permutation_to(reordered);
-  return ReorderedComm{std::move(reordered), invert_permutation(old_to_new),
-                       map_seconds};
+  return reordered_to(comm, std::move(new_rank_to_core), map_seconds);
 }
 
 ReorderedComm ReorderFramework::reorder_for_graph(
@@ -87,10 +99,7 @@ ReorderedComm ReorderFramework::reorder_for_graph(
                                                  : "map:scotch-like",
                  map_seconds);
 
-  simmpi::Communicator reordered = comm.reordered(std::move(new_rank_to_core));
-  const std::vector<Rank> old_to_new = comm.permutation_to(reordered);
-  return ReorderedComm{std::move(reordered), invert_permutation(old_to_new),
-                       map_seconds};
+  return reordered_to(comm, std::move(new_rank_to_core), map_seconds);
 }
 
 ReorderedComm ReorderFramework::reorder_hierarchical(
@@ -144,10 +153,7 @@ ReorderedComm ReorderFramework::reorder_hierarchical(
   const double map_seconds = t.seconds();
   obs::wall_span("map:hierarchical:" + leader_mapper.name(), map_seconds);
 
-  simmpi::Communicator reordered = comm.reordered(std::move(new_rank_to_core));
-  const std::vector<Rank> old_to_new = comm.permutation_to(reordered);
-  return ReorderedComm{std::move(reordered), invert_permutation(old_to_new),
-                       map_seconds};
+  return reordered_to(comm, std::move(new_rank_to_core), map_seconds);
 }
 
 ReorderedComm ReorderFramework::reorder_hierarchical(

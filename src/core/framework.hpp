@@ -39,7 +39,6 @@ class ReorderFramework {
   struct Options {
     bool enabled = true;  ///< the "info key": when false, reorders are no-ops
     std::uint64_t seed = 1;  ///< tie-breaking seed (Algorithm 1 step 5)
-    topology::DistanceConfig distances;
   };
 
   /// The machine must outlive the framework.

@@ -1,6 +1,7 @@
 #include "core/topoallgather.hpp"
 
 #include "collectives/contracts.hpp"
+#include "collectives/selector.hpp"
 #include "common/error.hpp"
 #include "common/permutation.hpp"
 #include "mapping/comparators.hpp"
@@ -51,6 +52,16 @@ TopoAllgather::TopoAllgather(ReorderFramework& framework,
     : framework_(&framework), comm_(std::move(comm)), cfg_(cfg) {
   TARR_REQUIRE(!(cfg_.hierarchical && cfg_.mapper == MapperKind::MvapichCyclic),
                "TopoAllgather: the MVAPICH cyclic reorder is a flat scheme");
+}
+
+TopoAllgather::Key TopoAllgather::algo_for(Bytes msg) const {
+  if (!cfg_.hierarchical)
+    return collectives::select_allgather_algo(comm_.size(), msg);
+  const int cpn = comm_.machine().cores_per_node();
+  // Node chunks of cpn blocks travel between leaders.
+  const AllgatherAlgo algo =
+      collectives::select_allgather_algo(comm_.size() / cpn, msg * cpn);
+  return algo == AllgatherAlgo::Bruck ? AllgatherAlgo::Ring : algo;
 }
 
 const ReorderedComm& TopoAllgather::cached_reorder(Key key) {
@@ -120,16 +131,7 @@ Usec TopoAllgather::execute(simmpi::ExecMode mode, Bytes msg) {
   // gets the sink directly.
   obs::Install ambient(sink_);
   const int p = comm_.size();
-  AllgatherAlgo algo;
-  if (cfg_.hierarchical) {
-    const int cpn = comm_.machine().cores_per_node();
-    // Node chunks of cpn blocks travel between leaders.
-    algo = collectives::select_allgather_algo(p / cpn, msg * cpn,
-                                              cfg_.selector);
-    if (algo == AllgatherAlgo::Bruck) algo = AllgatherAlgo::Ring;
-  } else {
-    algo = collectives::select_allgather_algo(p, msg, cfg_.selector);
-  }
+  const AllgatherAlgo algo = algo_for(msg);
 
   const ReorderedComm* rc = nullptr;
   OrderFix fix = OrderFix::None;
@@ -179,17 +181,7 @@ Usec TopoAllgather::run_and_check(Bytes msg) {
 const ReorderedComm& TopoAllgather::reordered_for(Bytes msg) {
   TARR_REQUIRE(cfg_.mapper != MapperKind::None,
                "reordered_for: no mapper configured");
-  AllgatherAlgo algo;
-  if (cfg_.hierarchical) {
-    const int cpn = comm_.machine().cores_per_node();
-    algo = collectives::select_allgather_algo(comm_.size() / cpn, msg * cpn,
-                                              cfg_.selector);
-    if (algo == AllgatherAlgo::Bruck) algo = AllgatherAlgo::Ring;
-  } else {
-    algo = collectives::select_allgather_algo(comm_.size(), msg,
-                                              cfg_.selector);
-  }
-  return cached_reorder(algo);
+  return cached_reorder(algo_for(msg));
 }
 
 }  // namespace tarr::core

@@ -6,7 +6,6 @@
 
 #include "collectives/allgather.hpp"
 #include "collectives/hierarchical.hpp"
-#include "collectives/selector.hpp"
 #include "core/framework.hpp"
 #include "simmpi/engine.hpp"
 #include "trace/sink.hpp"
@@ -33,7 +32,6 @@ const char* to_string(MapperKind k);
 struct TopoAllgatherConfig {
   MapperKind mapper = MapperKind::Heuristic;
   collectives::OrderFix fix = collectives::OrderFix::InitComm;
-  collectives::SelectorConfig selector;
   simmpi::CostConfig cost;
   bool hierarchical = false;
   collectives::IntraAlgo intra = collectives::IntraAlgo::Binomial;
@@ -85,6 +83,10 @@ class TopoAllgather {
   /// hierarchical) the selector picked.
   using Key = collectives::AllgatherAlgo;
 
+  /// The algorithm the selector picks for a per-rank message of `msg`
+  /// bytes; when hierarchical, the leader algorithm over node chunks (Bruck
+  /// becomes the ring there).
+  Key algo_for(Bytes msg) const;
   const ReorderedComm& cached_reorder(Key key);
   /// MVAPICH's own internal block->cyclic reorder for recursive doubling
   /// (§V-A1: "the rank reordering in MVAPICH just changes a block initial

@@ -40,9 +40,8 @@ class DegradedTopology {
   /// Distance matrix over the degraded router (split node pairs at
   /// +infinity) — drop-in input for every Mapper; its node_level() is the
   /// node-to-node matrix.
-  topology::DistanceMatrix distances(
-      const topology::DistanceConfig& cfg = {}) const {
-    return topology::extract_distances(machine_, cfg);
+  topology::DistanceMatrix distances() const {
+    return topology::extract_distances(machine_);
   }
 
  private:

@@ -10,6 +10,14 @@ namespace tarr::graph {
 
 namespace {
 
+/// Refinement budget per bisection, set at the Scotch-like mapper's
+/// cost/quality point: a general-purpose mapper of the Scotch family spends
+/// real work per bisection (multilevel coarsening + full FM).  Up to
+/// kRefinePasses sweeps over the boundary, each scoring the kCandidateWindow
+/// top-gain candidates per side per swap, approximate that.
+constexpr int kRefinePasses = 8;
+constexpr int kCandidateWindow = 64;
+
 /// Dense helper state for one bisection call.  Vertex ids are translated to
 /// subset-local positions once so all hot loops are array-indexed.
 struct LocalView {
@@ -41,7 +49,7 @@ double side_connection(const LocalView& lv, const std::vector<int>& side,
 
 BisectionResult bisect_subset(const WeightedGraph& g,
                               const std::vector<int>& subset, int size0,
-                              Rng& rng, const BisectionOptions& opts) {
+                              Rng& rng) {
   const int n = static_cast<int>(subset.size());
   TARR_REQUIRE(g.finalized(), "bisect_subset: graph not finalized");
   TARR_REQUIRE(size0 >= 0 && size0 <= n, "bisect_subset: bad part size");
@@ -125,15 +133,15 @@ BisectionResult bisect_subset(const WeightedGraph& g,
     d[i] = side_connection(lv, res.side, i, 1 - s) -
            side_connection(lv, res.side, i, s);
   };
-  for (int pass = 0; pass < opts.refine_passes; ++pass) {
+  for (int pass = 0; pass < kRefinePasses; ++pass) {
     for (int i = 0; i < n; ++i) recompute_d(i);
     std::vector<int> cand0, cand1;
     for (int i = 0; i < n; ++i) (res.side[i] == 0 ? cand0 : cand1).push_back(i);
     auto by_d = [&](int a, int b) { return d[a] > d[b]; };
     std::sort(cand0.begin(), cand0.end(), by_d);
     std::sort(cand1.begin(), cand1.end(), by_d);
-    const int w0 = std::min<int>(opts.candidate_window, cand0.size());
-    const int w1 = std::min<int>(opts.candidate_window, cand1.size());
+    const int w0 = std::min<int>(kCandidateWindow, cand0.size());
+    const int w1 = std::min<int>(kCandidateWindow, cand1.size());
 
     bool improved = false;
     for (int iter = 0; iter < n; ++iter) {

@@ -21,20 +21,11 @@ struct BisectionResult {
   double cut = 0.0;
 };
 
-/// Options for the bisection.
-struct BisectionOptions {
-  /// Maximum refinement sweeps over the boundary.
-  int refine_passes = 4;
-  /// Number of top-gain candidates examined per side per swap.
-  int candidate_window = 32;
-};
-
 /// Split `subset` (distinct vertex ids of g) into a part of exactly `size0`
 /// vertices and its complement, heuristically minimizing the weight of
 /// subset-internal edges that cross.  Deterministic given `rng`'s state.
 BisectionResult bisect_subset(const WeightedGraph& g,
                               const std::vector<int>& subset, int size0,
-                              Rng& rng,
-                              const BisectionOptions& opts = BisectionOptions{});
+                              Rng& rng);
 
 }  // namespace tarr::graph

@@ -31,7 +31,8 @@ std::string fmt_percent(double v) {
 }  // namespace
 
 std::vector<ChangePoint> detect_change_points(
-    const std::vector<SnapshotSet>& sets, const ChangePointOptions& opts) {
+    const std::vector<report::SnapshotSet>& sets,
+    const ChangePointOptions& opts) {
   // Gather every (bench, metric) series in map order — deterministic no
   // matter how benches are ordered inside each set.
   std::map<std::pair<std::string, std::string>, Series> series;

@@ -31,13 +31,6 @@
 
 namespace tarr::insight {
 
-/// One labeled snapshot set — one point of the trajectory.  `label` is the
-/// human name of the history position (tag, commit, directory stem).
-struct SnapshotSet {
-  std::string label;
-  std::vector<report::BenchSnapshot> snapshots;
-};
-
 /// One detected step (see file comment).
 struct ChangePoint {
   std::string bench;
@@ -62,7 +55,7 @@ struct ChangePointOptions {
 /// are ordered by (bench, metric, index) — deterministic for any input
 /// order of benches inside the sets.
 std::vector<ChangePoint> detect_change_points(
-    const std::vector<SnapshotSet>& sets,
+    const std::vector<report::SnapshotSet>& sets,
     const ChangePointOptions& opts = {});
 
 /// Human-readable report.  Contains the literal line "no change points"

@@ -80,9 +80,11 @@ std::string rank_list(const std::vector<Rank>& ranks) {
   return out;
 }
 
+/// A rank is a straggler when busy >= this ratio * median busy.
+constexpr double kStragglerRatio = 1.5;
+
 void check_stragglers(const ImbalanceReport& imb,
                       const topology::Machine& machine,
-                      const DiagnoseOptions& opts,
                       std::vector<Finding>& out) {
   std::vector<double> busy;
   for (const auto& rl : imb.ranks)
@@ -96,7 +98,7 @@ void check_stragglers(const ImbalanceReport& imb,
   for (const Rank r : imb.stragglers) {
     const auto& rl = imb.ranks[static_cast<std::size_t>(r)];
     const double ratio = rl.busy / median;
-    if (ratio >= opts.straggler_ratio) {
+    if (ratio >= kStragglerRatio) {
       stragglers.push_back(r);
       worst_ratio = std::max(worst_ratio, ratio);
     }
@@ -120,8 +122,8 @@ void check_stragglers(const ImbalanceReport& imb,
 
   Finding f;
   f.kind = FindingKind::Straggler;
-  f.severity = worst_ratio >= 2.0 * opts.straggler_ratio ? Severity::Critical
-                                                         : Severity::Warning;
+  f.severity = worst_ratio >= 2.0 * kStragglerRatio ? Severity::Critical
+                                                    : Severity::Warning;
   f.title = "straggler ranks: " + rank_list(stragglers);
   f.detail = "slowest rank carries " + fmt2(worst_ratio) +
              "x the median busy time (" + format_number(median) + " us median)";
@@ -139,13 +141,16 @@ void check_stragglers(const ImbalanceReport& imb,
   out.push_back(std::move(f));
 }
 
-void check_imbalance(const ImbalanceReport& imb, const DiagnoseOptions& opts,
-                     std::vector<Finding>& out) {
-  if (imb.imbalance < opts.imbalance_warn) return;
+/// Whole-run max/mean busy thresholds.
+constexpr double kImbalanceWarn = 1.5;
+constexpr double kImbalanceCritical = 3.0;
+
+void check_imbalance(const ImbalanceReport& imb, std::vector<Finding>& out) {
+  if (imb.imbalance < kImbalanceWarn) return;
   Finding f;
   f.kind = FindingKind::Imbalance;
-  f.severity = imb.imbalance >= opts.imbalance_critical ? Severity::Critical
-                                                        : Severity::Warning;
+  f.severity = imb.imbalance >= kImbalanceCritical ? Severity::Critical
+                                                   : Severity::Warning;
   f.title = "per-rank load imbalance " + fmt2(imb.imbalance);
   f.detail = "the busiest rank works " + fmt2(imb.imbalance) +
              "x the mean; a balanced schedule scores 1.0";
@@ -155,9 +160,11 @@ void check_imbalance(const ImbalanceReport& imb, const DiagnoseOptions& opts,
   out.push_back(std::move(f));
 }
 
-void check_fairness(const ImbalanceReport& imb, const DiagnoseOptions& opts,
-                    std::vector<Finding>& out) {
-  if (imb.jain_links >= opts.jain_warn || imb.hot_resources.empty()) return;
+/// Jain fairness warning threshold over directed cable loads.
+constexpr double kJainWarn = 0.5;
+
+void check_fairness(const ImbalanceReport& imb, std::vector<Finding>& out) {
+  if (imb.jain_links >= kJainWarn || imb.hot_resources.empty()) return;
   Finding f;
   f.kind = FindingKind::UnfairResourceLoad;
   f.severity = Severity::Warning;
@@ -176,12 +183,16 @@ void check_fairness(const ImbalanceReport& imb, const DiagnoseOptions& opts,
   out.push_back(std::move(f));
 }
 
+/// Critical-path contention-share warning threshold.
+constexpr double kContentionShareWarn = 0.5;
+/// Critical-path retransmission-share warning threshold.
+constexpr double kRetransmissionShareWarn = 0.1;
+
 void check_critical_path(const report::CriticalPath& path,
-                         const DiagnoseOptions& opts,
                          std::vector<Finding>& out) {
   if (path.total <= 0.0) return;
   const double contention_share = path.contention / path.total;
-  if (contention_share >= opts.contention_share_warn) {
+  if (contention_share >= kContentionShareWarn) {
     Finding f;
     f.kind = FindingKind::ContentionDominated;
     f.severity = Severity::Warning;
@@ -197,7 +208,7 @@ void check_critical_path(const report::CriticalPath& path,
     out.push_back(std::move(f));
   }
   const double retrans_share = path.retransmission / path.total;
-  if (retrans_share >= opts.retransmission_share_warn) {
+  if (retrans_share >= kRetransmissionShareWarn) {
     Finding f;
     f.kind = FindingKind::RetransmissionHeavy;
     f.severity = Severity::Warning;
@@ -214,9 +225,12 @@ void check_critical_path(const report::CriticalPath& path,
   }
 }
 
+/// QPI byte share (of all priced transfer bytes) info threshold.
+constexpr double kQpiShareInfo = 0.4;
+
 void check_qpi_share(const trace::ScheduleRecord& record,
                      const topology::Machine& machine,
-                     const DiagnoseOptions& opts, std::vector<Finding>& out) {
+                     std::vector<Finding>& out) {
   const auto flows = report::channel_flows(record, machine);
   double total_bytes = 0.0;
   double qpi_bytes = 0.0;
@@ -227,7 +241,7 @@ void check_qpi_share(const trace::ScheduleRecord& record,
   }
   if (total_bytes <= 0.0) return;
   const double share = qpi_bytes / total_bytes;
-  if (share < opts.qpi_share_info) return;
+  if (share < kQpiShareInfo) return;
   Finding f;
   f.kind = FindingKind::CrossSocketHeavy;
   f.severity = Severity::Info;
@@ -240,14 +254,17 @@ void check_qpi_share(const trace::ScheduleRecord& record,
   out.push_back(std::move(f));
 }
 
+/// Distribution tail: p99 >= this ratio * p50 raises a tail-latency finding.
+constexpr double kTailRatio = 3.0;
+
 void check_tails(const trace::MetricsRegistry& metrics,
-                 const DiagnoseOptions& opts, std::vector<Finding>& out) {
+                 std::vector<Finding>& out) {
   // Deterministic order: distributions() is a std::map.
   for (const auto& [name, hist] : metrics.distributions()) {
     if (hist.count() < 8) continue;  // tails of tiny samples are noise
     const double p50 = hist.quantile(0.5);
     const double p99 = hist.quantile(0.99);
-    if (p50 <= 0.0 || p99 < opts.tail_ratio * p50) continue;
+    if (p50 <= 0.0 || p99 < kTailRatio * p50) continue;
     Finding f;
     f.kind = FindingKind::TailLatency;
     f.severity = Severity::Warning;
@@ -266,15 +283,17 @@ void check_tails(const trace::MetricsRegistry& metrics,
   }
 }
 
-void check_hot_scope(const prof::Profile& profile, const DiagnoseOptions& opts,
-                     std::vector<Finding>& out) {
+/// Self-profile: a depth-1 scope with more than this share of root work.
+constexpr double kHotScopeShare = 0.6;
+
+void check_hot_scope(const prof::Profile& profile, std::vector<Finding>& out) {
   if (profile.entries.empty()) return;
   const double root_work = profile.entries.front().work_total;
   if (root_work <= 0.0) return;
   for (const auto& e : profile.entries) {
     if (e.depth != 1) continue;
     const double share = e.work_total / root_work;
-    if (share < opts.hot_scope_share) continue;
+    if (share < kHotScopeShare) continue;
     Finding f;
     f.kind = FindingKind::HotScope;
     f.severity = Severity::Info;
@@ -293,22 +312,21 @@ void check_hot_scope(const prof::Profile& profile, const DiagnoseOptions& opts,
 }  // namespace
 
 Diagnosis diagnose(const trace::ScheduleRecord& record,
-                   const topology::Machine& machine,
-                   const DiagnoseOptions& opts,
+                   const topology::Machine& machine, int top_k,
                    const trace::MetricsRegistry* metrics,
                    const prof::Profile* profile) {
-  TARR_REQUIRE(opts.top_k >= 1, "diagnose: top_k must be >= 1");
+  TARR_REQUIRE(top_k >= 1, "diagnose: top_k must be >= 1");
   Diagnosis d;
-  d.imbalance = analyze_imbalance(record, opts.top_k);
+  d.imbalance = analyze_imbalance(record, top_k);
   d.critical_path = report::analyze_critical_path(record, machine);
 
-  check_stragglers(d.imbalance, machine, opts, d.findings);
-  check_imbalance(d.imbalance, opts, d.findings);
-  check_fairness(d.imbalance, opts, d.findings);
-  check_critical_path(d.critical_path, opts, d.findings);
-  check_qpi_share(record, machine, opts, d.findings);
-  if (metrics != nullptr) check_tails(*metrics, opts, d.findings);
-  if (profile != nullptr) check_hot_scope(*profile, opts, d.findings);
+  check_stragglers(d.imbalance, machine, d.findings);
+  check_imbalance(d.imbalance, d.findings);
+  check_fairness(d.imbalance, d.findings);
+  check_critical_path(d.critical_path, d.findings);
+  check_qpi_share(record, machine, d.findings);
+  if (metrics != nullptr) check_tails(*metrics, d.findings);
+  if (profile != nullptr) check_hot_scope(*profile, d.findings);
 
   // Rank: most severe first, then kind order, then title — deterministic
   // regardless of the order the checks appended in.

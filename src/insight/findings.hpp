@@ -20,7 +20,8 @@
 /// Every finding carries
 ///   * a kind (the failure mode it detects),
 ///   * a severity (info / warning / critical, with deterministic
-///     thresholds from DiagnoseOptions),
+///     thresholds fixed in findings.cpp — deliberately conservative: a
+///     perfectly balanced synthetic run produces zero findings),
 ///   * quantitative evidence — named numbers copied EXACTLY from the
 ///     analytics (per-rank busy sums, resource byte loads, critical-path
 ///     splits), so a test can EXPECT_EQ them against the traced counters,
@@ -68,29 +69,6 @@ struct Finding {
   std::vector<Evidence> evidence;
 };
 
-/// Diagnosis thresholds.  Defaults are deliberately conservative: a
-/// perfectly balanced synthetic run produces zero findings.
-struct DiagnoseOptions {
-  int top_k = 8;  ///< straggler / hot-resource list bound
-  /// A rank is a straggler when busy >= ratio * median busy.
-  double straggler_ratio = 1.5;
-  /// Whole-run max/mean busy thresholds.
-  double imbalance_warn = 1.5;
-  double imbalance_critical = 3.0;
-  /// Jain fairness warning threshold over directed cable loads.
-  double jain_warn = 0.5;
-  /// Critical-path contention-share warning threshold.
-  double contention_share_warn = 0.5;
-  /// Critical-path retransmission-share warning threshold.
-  double retransmission_share_warn = 0.1;
-  /// QPI byte share (of all priced transfer bytes) info threshold.
-  double qpi_share_info = 0.4;
-  /// Self-profile: a depth-1 scope with more than this share of root work.
-  double hot_scope_share = 0.6;
-  /// Distribution tail: p99 >= ratio * p50 raises a tail-latency finding.
-  double tail_ratio = 3.0;
-};
-
 /// The full diagnosis: the imbalance analytics plus the ranked findings.
 struct Diagnosis {
   ImbalanceReport imbalance;
@@ -101,12 +79,12 @@ struct Diagnosis {
   bool has_severity_at_least(Severity s) const;
 };
 
-/// Diagnose one recorded run.  `metrics` (optional) contributes
-/// distribution tails (stage durations, transfer stalls); `profile`
-/// (optional) contributes reproduction hot-scope findings.
+/// Diagnose one recorded run.  `top_k` (>= 1) bounds the straggler and
+/// hot-resource lists; `metrics` (optional) contributes distribution tails
+/// (stage durations, transfer stalls); `profile` (optional) contributes
+/// reproduction hot-scope findings.
 Diagnosis diagnose(const trace::ScheduleRecord& record,
-                   const topology::Machine& machine,
-                   const DiagnoseOptions& opts = {},
+                   const topology::Machine& machine, int top_k = 8,
                    const trace::MetricsRegistry* metrics = nullptr,
                    const prof::Profile* profile = nullptr);
 

@@ -122,15 +122,8 @@ void scotch_recurse(const graph::WeightedGraph& g, std::vector<int> vertices,
     return;
   }
   const int half = n / 2;
-  // Heavier refinement than the library default: a general-purpose mapper
-  // of the Scotch family spends real work per bisection (multilevel
-  // coarsening + full FM); wider windows and more passes approximate that
-  // cost/quality point.
-  graph::BisectionOptions opts;
-  opts.refine_passes = 8;
-  opts.candidate_window = 64;
   const graph::BisectionResult bi =
-      graph::bisect_subset(g, vertices, half, rng, opts);
+      graph::bisect_subset(g, vertices, half, rng);
   std::vector<int> left, right;
   left.reserve(half);
   right.reserve(n - half);

@@ -40,7 +40,7 @@ fault::FaultMask congestion_mask(const topology::SwitchGraph& g,
     const bool touches_host =
         g.vertex(ln.a).kind == topology::VertexKind::Host ||
         g.vertex(ln.b).kind == topology::VertexKind::Host;
-    if (touches_host && !cfg.include_host_links) continue;
+    if (touches_host) continue;
     Rng rng(mix_seed(cfg.seed, static_cast<std::uint64_t>(era) + 1,
                      static_cast<std::uint64_t>(l)));
     if (rng.next_double() >= cfg.link_prob) continue;
@@ -75,7 +75,7 @@ std::vector<double> link_weights(const fault::DegradedTopology& topo) {
 }  // namespace
 
 topology::DistanceMatrix effective_node_distances(
-    const fault::DegradedTopology& topo, const topology::DistanceConfig& cfg) {
+    const fault::DegradedTopology& topo) {
   const std::vector<double> w = link_weights(topo);
   const topology::Machine& m = topo.machine();
   const topology::Router& router = m.router();
@@ -86,7 +86,8 @@ topology::DistanceMatrix effective_node_distances(
       router.walk(a, b, [&](topology::Hop h) {
         hops += w[static_cast<std::size_t>(h.link)];
       });
-      d.set(a, b, cfg.inter_node_base + cfg.per_hop * static_cast<float>(hops));
+      d.set(a, b, topology::kInterNodeBase +
+                      topology::kPerHop * static_cast<float>(hops));
     }
   }
   return d;

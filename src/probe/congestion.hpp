@@ -11,8 +11,9 @@
 /// Other tenants' flows do not cut links — they *take capacity away*.  The
 /// model expresses one "epoch" of background traffic as a FaultMask made
 /// exclusively of degrade_link_factor entries over the switch-to-switch
-/// links, which fault::DegradedTopology then realizes as a machine with
-/// reduced per-link cable counts.  Every consumer downstream — the router,
+/// links (host uplinks are spared: tenant flows share cables only in the
+/// switch fabric), which fault::DegradedTopology then realizes as a machine
+/// with reduced per-link cable counts.  Every consumer downstream — the router,
 /// the contention-pricing cost model, all five mappers — handles that
 /// machine unchanged; congestion needed zero new mechanism below this file.
 ///
@@ -45,9 +46,6 @@ struct CongestionConfig {
   /// Probability the congestion pattern resamples at each epoch boundary
   /// (1 = fully independent epochs, 0 = frozen background traffic).
   double churn = 0.5;
-  /// Congest host uplinks too (default: only the switch fabric, where
-  /// tenant flows actually share cables).
-  bool include_host_links = false;
 };
 
 /// Throws tarr::Error naming the first out-of-range field.
@@ -60,14 +58,13 @@ fault::FaultMask congestion_mask(const topology::SwitchGraph& g,
                                  const CongestionConfig& cfg, int epoch);
 
 /// Node-level effective distances of a (congestion-)degraded topology:
-/// inter_node_base + per_hop * sum over routed hops of
+/// kInterNodeBase + kPerHop * sum over routed hops of
 /// (pristine capacity / surviving capacity).  Requires a mask with no hard
 /// failures (link ids must be preserved 1:1); with an empty mask this
 /// reproduces extract_node_distances exactly.  Composed with
 /// extract_intranode_distances it is the oracle Mapper input under
 /// congestion.
 topology::DistanceMatrix effective_node_distances(
-    const fault::DegradedTopology& topo,
-    const topology::DistanceConfig& cfg = {});
+    const fault::DegradedTopology& topo);
 
 }  // namespace tarr::probe

@@ -105,14 +105,13 @@ bool AdaptiveController::reprobe_and_map(
                      static_cast<std::uint64_t>(probes_done_));
   ++probes_done_;
 
-  const topology::DistanceMatrix truth =
-      effective_node_distances(current, pc.distances);
+  const topology::DistanceMatrix truth = effective_node_distances(current);
   const ProbedDistances probed =
       probe_distances(current.machine(), truth, pc, sink_);
   last_probe_ = probed.report;
   probe_cost_usec_ += probed.report.probe_cost_usec;
 
-  if (probed.report.failed(pc)) {
+  if (probed.report.failed()) {
     mapping_ = slots_;
     fallback_ = true;
     ++fallbacks_;

@@ -10,6 +10,23 @@
 
 namespace tarr::probe {
 
+namespace {
+
+/// Spike severity: an outlier sample is multiplied by this factor.
+constexpr double kOutlierScale = 4.0;
+/// Simulated wait before retry i is kBackoffBaseUsec * kBackoffFactor^i;
+/// a timed-out attempt itself costs one kBackoffBaseUsec detection window.
+constexpr double kBackoffBaseUsec = 50.0;
+constexpr double kBackoffFactor = 2.0;
+/// Unresolved pairs are priced at max(resolved estimate) * this margin.
+constexpr double kWorstCaseMargin = 2.0;
+/// Probing *fails* (ProbeReport::failed()) when fewer than this fraction of
+/// pairs resolve — the adaptive controller then falls back to the identity
+/// mapping instead of trusting a matrix made of guesses.
+constexpr double kMinResolvedFraction = 0.5;
+
+}  // namespace
+
 void validate(const ProbeConfig& cfg) {
   TARR_REQUIRE(cfg.samples_per_pair >= 1,
                "probe: samples_per_pair must be >= 1");
@@ -17,25 +34,15 @@ void validate(const ProbeConfig& cfg) {
                "probe: noise must be in [0, 1)");
   TARR_REQUIRE(cfg.outlier_prob >= 0.0 && cfg.outlier_prob <= 1.0,
                "probe: outlier_prob must be in [0, 1]");
-  TARR_REQUIRE(cfg.outlier_scale >= 1.0, "probe: outlier_scale must be >= 1");
   TARR_REQUIRE(cfg.timeout_prob >= 0.0 && cfg.timeout_prob <= 1.0,
                "probe: timeout_prob must be in [0, 1]");
   TARR_REQUIRE(cfg.max_attempts >= 1, "probe: max_attempts must be >= 1");
-  TARR_REQUIRE(cfg.backoff_base_usec >= 0.0,
-               "probe: backoff_base_usec must be >= 0");
-  TARR_REQUIRE(cfg.backoff_factor >= 1.0,
-               "probe: backoff_factor must be >= 1");
-  TARR_REQUIRE(cfg.worst_case_margin >= 1.0,
-               "probe: worst_case_margin must be >= 1");
-  TARR_REQUIRE(
-      cfg.min_resolved_fraction >= 0.0 && cfg.min_resolved_fraction <= 1.0,
-      "probe: min_resolved_fraction must be in [0, 1]");
 }
 
-bool ProbeReport::failed(const ProbeConfig& cfg) const {
+bool ProbeReport::failed() const {
   if (pairs == 0) return false;  // single-node "cluster": nothing to probe
   return static_cast<double>(resolved_pairs) <
-         cfg.min_resolved_fraction * static_cast<double>(pairs);
+         kMinResolvedFraction * static_cast<double>(pairs);
 }
 
 ProbedDistances probe_distances(const topology::Machine& m,
@@ -81,7 +88,7 @@ ProbedDistances probe_distances(const topology::Machine& m,
           if (!timeout) {
             double v = static_cast<double>(pp.truth) *
                        (1.0 + cfg.noise * (2.0 * rng.next_double() - 1.0));
-            if (rng.next_double() < cfg.outlier_prob) v *= cfg.outlier_scale;
+            if (rng.next_double() < cfg.outlier_prob) v *= kOutlierScale;
             samples.push_back(static_cast<float>(v));
             rep.probe_cost_usec += v;
             landed = true;
@@ -90,12 +97,12 @@ ProbedDistances probe_distances(const topology::Machine& m,
           ++pp.timeouts;
           ++rep.timeouts;
           // The timed-out attempt itself costs one detection window.
-          rep.probe_cost_usec += cfg.backoff_base_usec;
+          rep.probe_cost_usec += kBackoffBaseUsec;
           if (attempt + 1 < cfg.max_attempts) {
             ++pp.retries;
             ++rep.retries;
             rep.probe_cost_usec +=
-                cfg.backoff_base_usec * std::pow(cfg.backoff_factor, attempt);
+                kBackoffBaseUsec * std::pow(kBackoffFactor, attempt);
           }
         }
         (void)landed;
@@ -121,13 +128,13 @@ ProbedDistances probe_distances(const topology::Machine& m,
     rep.rms_rel_error = std::sqrt(err_sq_sum / rep.resolved_pairs);
 
   // Conservative fill for the unresolved remainder.  With nothing resolved
-  // at all there is no empirical anchor; fall back to the configured scale's
+  // at all there is no empirical anchor; fall back to the distance scale's
   // deepest plausible route so the matrix stays finite (the caller will see
   // failed() and distrust it anyway).
   rep.worst_case_distance =
       max_estimate > 0.0f
-          ? max_estimate * static_cast<float>(cfg.worst_case_margin)
-          : cfg.distances.inter_node_base + cfg.distances.per_hop * 16.0f;
+          ? max_estimate * static_cast<float>(kWorstCaseMargin)
+          : topology::kInterNodeBase + topology::kPerHop * 16.0f;
 
   // Pass 2: the node matrix holds the pair estimates; the intra-node
   // template stays exact (hwloc is local).
@@ -163,7 +170,7 @@ ProbedDistances probe_distances(const topology::Machine& m,
   }
   return ProbedDistances{
       topology::DistanceMatrix(
-          node, topology::extract_intranode_distances(m, cfg.distances)),
+          node, topology::extract_intranode_distances(m)),
       std::move(rep)};
 }
 

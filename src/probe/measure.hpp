@@ -22,16 +22,17 @@
 ///  * every node pair is sampled `samples_per_pair` times; a sample observes
 ///    the true effective distance times a seeded multiplicative noise term,
 ///    occasionally multiplied further by an outlier spike (another tenant's
-///    burst hitting the probe);
+///    burst hitting the probe, kOutlierScale times the sample);
 ///  * a sample can time out (seeded, probability `timeout_prob`); timed-out
-///    samples are retried with exponential backoff up to `max_retries`
-///    attempts, every wait accounted into the probe's simulated cost;
+///    samples are retried with exponential backoff (kBackoffBaseUsec *
+///    kBackoffFactor^i) up to `max_attempts` attempts, every wait accounted
+///    into the probe's simulated cost;
 ///  * the per-pair estimate is the *median* of the accepted samples
 ///    (median-of-k outlier rejection), so a single spike cannot poison a
 ///    pair;
 ///  * a pair whose every sample timed out is *unresolved*: instead of
 ///    failing, it degrades gracefully to a conservative worst-case distance
-///    (the largest resolved estimate times `worst_case_margin`), so the
+///    (the largest resolved estimate times kWorstCaseMargin), so the
 ///    mapping heuristics still consume a fully-finite matrix and simply
 ///    keep unresolved pairs at arm's length.
 ///
@@ -55,23 +56,10 @@ struct ProbeConfig {
   double noise = 0.1;
   /// Probability a sample is additionally hit by a congestion spike.
   double outlier_prob = 0.05;
-  /// Spike severity: an outlier sample is multiplied by this factor.  >= 1.
-  double outlier_scale = 4.0;
   /// Probability one probe attempt times out (seeded, per attempt).
   double timeout_prob = 0.0;
   /// Attempts per sample before the sample is abandoned.  >= 1.
   int max_attempts = 4;
-  /// Simulated wait before retry i is backoff_base_usec * backoff_factor^i.
-  double backoff_base_usec = 50.0;
-  double backoff_factor = 2.0;
-  /// Unresolved pairs are priced at max(resolved estimate) * this margin.
-  double worst_case_margin = 2.0;
-  /// Probing *fails* (ProbeReport::failed()) when fewer than this fraction
-  /// of pairs resolve — the adaptive controller then falls back to the
-  /// identity mapping instead of trusting a matrix made of guesses.
-  double min_resolved_fraction = 0.5;
-  /// Scale used to assemble the (exact) intra-node distance block.
-  topology::DistanceConfig distances;
 };
 
 /// Throws tarr::Error naming the first out-of-range field.
@@ -108,9 +96,9 @@ struct ProbeReport {
 
   int unresolved_pairs() const { return pairs - resolved_pairs; }
 
-  /// True when fewer than `min_resolved_fraction` of the pairs resolved —
-  /// the caller should not trust the inferred matrix.
-  bool failed(const ProbeConfig& cfg) const;
+  /// True when fewer than half of the pairs resolved (kMinResolvedFraction)
+  /// — the caller should not trust the inferred matrix.
+  bool failed() const;
 };
 
 /// Probing output: the inferred matrix plus the report.  `distances` is the

@@ -1,6 +1,7 @@
 #include "probe/scenario.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <sstream>
 #include <utility>
 
@@ -33,7 +34,6 @@ void validate(const ScenarioConfig& cfg) {
   TARR_REQUIRE(cfg.max_ranks >= 0, "scenario: max_ranks must be >= 0");
   TARR_REQUIRE(cfg.block_bytes >= 1, "scenario: block_bytes must be >= 1");
   TARR_REQUIRE(cfg.epochs >= 1, "scenario: epochs must be >= 1");
-  TARR_REQUIRE(!cfg.patterns.empty(), "scenario: patterns must not be empty");
   topology::validate(cfg.tree);
   validate(cfg.congestion);
   validate(cfg.controller);
@@ -51,6 +51,10 @@ double PatternSummary::oracle_gap_pct() const {
 }
 
 namespace {
+
+/// The collectives every scenario prices, in report order.
+constexpr ScenarioPattern kPatterns[] = {ScenarioPattern::RingAllreduce,
+                                         ScenarioPattern::Alltoall};
 
 /// oldrank[j] = position of mapping[j] in the baseline slot order.
 std::vector<Rank> oldrank_of(const std::vector<int>& slots,
@@ -112,8 +116,8 @@ ScenarioResult run_probed_scenario(const ScenarioConfig& cfg,
   ScenarioResult result;
   result.config = cfg;
 
-  for (std::size_t pi = 0; pi < cfg.patterns.size(); ++pi) {
-    const ScenarioPattern pat = cfg.patterns[pi];
+  for (std::size_t pi = 0; pi < std::size(kPatterns); ++pi) {
+    const ScenarioPattern pat = kPatterns[pi];
     // Per-pattern seed split: patterns see the same fabric sequence (same
     // congestion config) but independent probe/tie-break streams.
     ControllerConfig ctl = cfg.controller;
@@ -143,9 +147,8 @@ ScenarioResult run_probed_scenario(const ScenarioConfig& cfg,
       const std::vector<int> oracle_map = mapper->checked_map(
           slots,
           topology::DistanceMatrix(
-              effective_node_distances(topo, ctl.probe.distances),
-              topology::extract_intranode_distances(topo.machine(),
-                                                    ctl.probe.distances)),
+              effective_node_distances(topo),
+              topology::extract_intranode_distances(topo.machine())),
           oracle_rng);
       row.oracle_usec = price_run(cfg, topo, pat, oracle_map,
                                   oldrank_of(slots, oracle_map, total), sink);

@@ -75,8 +75,6 @@ struct ScenarioConfig {
                             simmpi::SocketOrder::Bunch};
   Bytes block_bytes = 16 * 1024;
   int epochs = 8;
-  std::vector<ScenarioPattern> patterns = {ScenarioPattern::RingAllreduce,
-                                           ScenarioPattern::Alltoall};
   CongestionConfig congestion;
   ControllerConfig controller;
   simmpi::CostConfig cost;

@@ -443,6 +443,18 @@ bool SnapshotComparison::regressed() const {
                      [](const MetricComparison& m) { return m.regressed; });
 }
 
+Drift drift(const BenchMetric& baseline, double current,
+            const CompareOptions& opts) {
+  const double tol = std::max(opts.abs_tolerance,
+                              opts.rel_tolerance / 100.0 *
+                                  std::fabs(baseline.value));
+  const double delta = current - baseline.value;  // + means grew
+  const double worse = baseline.higher_is_better ? -delta : delta;
+  if (worse > tol) return Drift::Worse;
+  if (worse < -tol) return Drift::Better;
+  return Drift::Within;
+}
+
 SnapshotComparison compare_snapshots(const BenchSnapshot& baseline,
                                      const BenchSnapshot& current,
                                      const CompareOptions& opts) {
@@ -467,16 +479,9 @@ SnapshotComparison compare_snapshots(const BenchSnapshot& baseline,
     mc.change_percent = base.value != 0.0
                             ? (cur->value - base.value) / base.value * 100.0
                             : 0.0;
-    const double tol = std::max(opts.abs_tolerance,
-                                opts.rel_tolerance / 100.0 *
-                                    std::fabs(base.value));
-    const double delta = cur->value - base.value;  // + means grew
-    const bool worse =
-        base.higher_is_better ? delta < -tol : delta > tol;
-    const bool better =
-        base.higher_is_better ? delta > tol : delta < -tol;
-    mc.regressed = base.gate && worse;
-    mc.improved = better;
+    const Drift d = drift(base, cur->value, opts);
+    mc.regressed = base.gate && d == Drift::Worse;
+    mc.improved = d == Drift::Better;
     out.metrics.push_back(std::move(mc));
   }
   return out;

@@ -65,6 +65,15 @@ struct BenchSnapshot {
   void write(const std::string& path) const;
 };
 
+/// One labeled snapshot set: one point of a perf trajectory (a directory of
+/// `BENCH_*.json` files — committed baselines, a CI run, a local
+/// regeneration).  `label` names the history position: a tag, a commit, a
+/// directory stem.
+struct SnapshotSet {
+  std::string label;
+  std::vector<BenchSnapshot> snapshots;
+};
+
 /// Parse one snapshot from JSON text; throws tarr::Error on malformed input
 /// or an unsupported schema version.
 BenchSnapshot parse_snapshot(const std::string& text);
@@ -102,6 +111,16 @@ struct CompareOptions {
   double rel_tolerance = 2.0;  ///< percent of the baseline value
   double abs_tolerance = 0.0;  ///< same unit as the metric
 };
+
+/// Where a reading falls against the gate tolerance around its baseline.
+enum class Drift { Within, Worse, Better };
+
+/// The gate's rule, stated once: `current` is Worse (Better) when it moved
+/// from `baseline` by more than max(abs_tolerance, rel_tolerance% of
+/// |baseline|) in the metric's worse (better) direction.  `baseline.gate`
+/// is not consulted.
+Drift drift(const BenchMetric& baseline, double current,
+            const CompareOptions& opts);
 
 /// Verdict for one metric of one bench.
 struct MetricComparison {

@@ -21,18 +21,18 @@ constexpr std::uint32_t kDistanceFileVersion = 2;
 
 }  // namespace
 
-float intra_level_weight(const DistanceConfig& cfg, IntraLevel level) {
+float intra_level_weight(IntraLevel level) {
   switch (level) {
     case IntraLevel::SameCore:
-      return cfg.same_core;
+      return kSameCore;
     case IntraLevel::SameComplex:
-      return cfg.same_socket;
+      return kSameSocket;
     case IntraLevel::CrossComplex:
-      return cfg.cross_complex;
+      return kCrossComplex;
     case IntraLevel::CrossSocket:
-      return cfg.cross_socket;
+      return kCrossSocket;
   }
-  return cfg.cross_socket;
+  return kCrossSocket;
 }
 
 DistanceMatrix::DistanceMatrix(int nodes, int cpn, std::vector<float> cells)
@@ -126,14 +126,13 @@ DistanceMatrix DistanceMatrix::load(const std::string& path) {
                         std::move(cells));
 }
 
-DistanceMatrix extract_distances(const Machine& m, const DistanceConfig& cfg) {
+DistanceMatrix extract_distances(const Machine& m) {
   prof::ProfScope pscope("distance-extraction");
-  return DistanceMatrix(extract_node_distances(m, cfg),
-                        extract_intranode_distances(m, cfg));
+  return DistanceMatrix(extract_node_distances(m),
+                        extract_intranode_distances(m));
 }
 
-DistanceMatrix extract_node_distances(const Machine& m,
-                                      const DistanceConfig& cfg) {
+DistanceMatrix extract_node_distances(const Machine& m) {
   prof::ProfScope pscope("distance-extraction:node");
   prof::count("distance.cells",
               static_cast<double>(m.num_nodes()) * m.num_nodes());
@@ -146,21 +145,20 @@ DistanceMatrix extract_node_distances(const Machine& m,
     for (NodeId b = a + 1; b < m.num_nodes(); ++b)
       d.set(a, b,
             router.reachable(a, b)
-                ? cfg.inter_node_base +
-                      cfg.per_hop * static_cast<float>(router.hops(a, b))
+                ? kInterNodeBase +
+                      kPerHop * static_cast<float>(router.hops(a, b))
                 : std::numeric_limits<float>::infinity());
   return d;
 }
 
-DistanceMatrix extract_intranode_distances(const Machine& m,
-                                           const DistanceConfig& cfg) {
+DistanceMatrix extract_intranode_distances(const Machine& m) {
   const int cpn = m.cores_per_node();
   prof::ProfScope pscope("distance-extraction:intra");
   prof::count("distance.cells", static_cast<double>(cpn) * cpn);
   DistanceMatrix d(cpn);
   for (int a = 0; a < cpn; ++a)
     for (int b = a; b < cpn; ++b)
-      d.set(a, b, intra_level_weight(cfg, intranode_level(m.shape(), a, b)));
+      d.set(a, b, intra_level_weight(intranode_level(m.shape(), a, b)));
   return d;
 }
 

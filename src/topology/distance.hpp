@@ -22,25 +22,30 @@
 
 namespace tarr::topology {
 
-/// Weights used to combine intra-node logical distances with network hop
-/// counts into one scale.  Defaults keep every inter-node distance strictly
-/// larger than every intra-node one (the property the heuristics rely on).
-struct DistanceConfig {
-  float same_core = 0.0f;
-  /// Same socket, same L3 complex (the only intra-socket level on the
-  /// paper's flat-socket nodes).
-  float same_socket = 1.0f;
-  /// Same socket, different L3 complex (deep NodeShapes only).
-  float cross_complex = 1.5f;
-  float cross_socket = 2.0f;
-  /// Inter-node distance = inter_node_base + per_hop * (switch hops).
-  float inter_node_base = 10.0f;
-  float per_hop = 5.0f;
-};
+/// The one distance scale: weights that combine intra-node locality levels
+/// with network hop counts.
+inline constexpr float kSameCore = 0.0f;
+/// Same socket, same L3 complex (the only intra-socket level on the
+/// paper's flat-socket nodes).
+inline constexpr float kSameSocket = 1.0f;
+/// Same socket, different L3 complex (deep NodeShapes only).
+inline constexpr float kCrossComplex = 1.5f;
+inline constexpr float kCrossSocket = 2.0f;
+/// Inter-node distance = kInterNodeBase + kPerHop * (switch hops).
+inline constexpr float kInterNodeBase = 10.0f;
+inline constexpr float kPerHop = 5.0f;
 
-/// Weight of one intra-node locality level under `cfg` (the scale shared by
+// Every inter-node distance exceeds every intra-node one, the property the
+// heuristics rely on: cross-socket is the largest intra-node weight, it is
+// below the inter-node base, and hops only add.
+static_assert(kSameCore <= kSameSocket && kSameSocket <= kCrossComplex &&
+                  kCrossComplex <= kCrossSocket &&
+                  kCrossSocket < kInterNodeBase && kPerHop >= 0.0f,
+              "inter-node distances must exceed intra-node ones");
+
+/// Weight of one intra-node locality level (the scale shared by
 /// extract_distances and tarr::probe's inferred matrices).
-float intra_level_weight(const DistanceConfig& cfg, IntraLevel level);
+float intra_level_weight(IntraLevel level);
 
 /// Symmetric core-to-core distances, stored in the two levels the paper
 /// extracts them in: an N x N node matrix (network distances) and one
@@ -134,18 +139,15 @@ class DistanceMatrix {
 /// extract_node_distances and extract_intranode_distances (the operation
 /// the paper times in Fig 7a; it is intended to run once and be cached by
 /// the caller).
-DistanceMatrix extract_distances(const Machine& m,
-                                 const DistanceConfig& cfg = DistanceConfig{});
+DistanceMatrix extract_distances(const Machine& m);
 
 /// Node-to-node distance matrix (one-level, one "core" per node):
-/// inter_node_base + per_hop * hops, 0 on the diagonal, +infinity between
+/// kInterNodeBase + kPerHop * hops, 0 on the diagonal, +infinity between
 /// nodes with no surviving route.
-DistanceMatrix extract_node_distances(
-    const Machine& m, const DistanceConfig& cfg = DistanceConfig{});
+DistanceMatrix extract_node_distances(const Machine& m);
 
 /// Intra-node core distance matrix for one node of `m` (one-level, c x c):
 /// the template every two-level matrix shares, built here only.
-DistanceMatrix extract_intranode_distances(
-    const Machine& m, const DistanceConfig& cfg = DistanceConfig{});
+DistanceMatrix extract_intranode_distances(const Machine& m);
 
 }  // namespace tarr::topology

@@ -73,9 +73,8 @@ std::string channel_chart(const DashboardInputs& in, const CriticalPath& pa,
   }
   std::vector<ChartSeries> series{sa};
   if (pb != nullptr) series.push_back(sb);
-  LineChartOptions lo;
-  lo.y_label = "critical-path time (us)";
-  return line_chart("Critical-path time by channel class", x, series, lo);
+  return line_chart("Critical-path time by channel class", x, series,
+                    "critical-path time (us)");
 }
 
 }  // namespace

@@ -34,7 +34,7 @@ struct DashboardInputs {
   std::string candidate_label = "reordered";
 
   /// Optional snapshot trajectory (see trend.hpp).
-  std::vector<TrendSet> trend;
+  std::vector<report::SnapshotSet> trend;
   report::CompareOptions trend_opts;
 
   /// Optional tarr::prof self-profile of the run that produced the records:

@@ -47,6 +47,10 @@ constexpr const char* kDivNeutral = "#f0efec";
 constexpr const char* kDivBlue = "#104281";   ///< relieved pole
 constexpr const char* kDivRed = "#a82828";    ///< newly-loaded pole
 
+/// line_chart's SVG size in pixels.
+constexpr int kLineChartWidth = 560;
+constexpr int kLineChartHeight = 220;
+
 }  // namespace
 
 std::string escape_text(const std::string& s) {
@@ -235,13 +239,13 @@ std::string div_legend(const std::string& neg_label,
 std::string line_chart(const std::string& caption,
                        const std::vector<std::string>& x_labels,
                        const std::vector<ChartSeries>& series,
-                       const LineChartOptions& opts) {
+                       const std::string& y_label) {
   const int ml = 64, mr = 12, mt = 20, mb = 34;
-  const int w = opts.width, h = opts.height;
+  const int w = kLineChartWidth, h = kLineChartHeight;
   const int pw = w - ml - mr, ph = h - mt - mb;
   const int n = static_cast<int>(x_labels.size());
 
-  double lo = opts.y_from_zero ? 0.0 : 1.0e300, hi = -1.0e300;
+  double lo = 0.0, hi = -1.0e300;
   for (const auto& s : series)
     for (const double v : s.y) {
       if (std::isnan(v)) continue;
@@ -290,10 +294,10 @@ std::string line_chart(const std::string& caption,
            std::string(kInkMuted) + "\">" + escape_text(x_labels[i]) +
            "</text>\n";
   }
-  if (!opts.y_label.empty()) {
+  if (!y_label.empty()) {
     out += "<text x=\"" + std::to_string(ml) + "\" y=\"" + std::to_string(12) +
            "\" fill=\"" + std::string(kInkSecondary) + "\">" +
-           escape_text(opts.y_label) + "</text>\n";
+           escape_text(y_label) + "</text>\n";
   }
 
   // Series: 2px polyline + >=8px markers, each marker carrying a tooltip.

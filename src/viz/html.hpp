@@ -105,20 +105,14 @@ struct ChartSeries {
   int color_slot = 0;  ///< categorical slot (see series_color)
 };
 
-struct LineChartOptions {
-  int width = 560;
-  int height = 220;
-  std::string y_label;     ///< axis caption, e.g. "mean latency (us)"
-  bool y_from_zero = true; ///< include 0 in the y range
-};
-
 /// A small multi-series line chart with markers, hairline grid, a legend
 /// (only when there are >= 2 series) and a <title> tooltip per marker.
-/// `x_labels` are categorical tick labels (one per point).
+/// `x_labels` are categorical tick labels (one per point); `y_label` is the
+/// axis caption, e.g. "mean latency (us)".  The y range always includes 0.
 std::string line_chart(const std::string& caption,
                        const std::vector<std::string>& x_labels,
                        const std::vector<ChartSeries>& series,
-                       const LineChartOptions& opts);
+                       const std::string& y_label);
 
 /// A plain data table (header + rows, all cells escaped) — the accessible
 /// twin every chart ships next to, usually inside `collapsible`.

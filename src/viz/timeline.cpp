@@ -14,6 +14,12 @@ using report::CriticalPath;
 using report::PathSegment;
 using trace::ScheduleRecord;
 
+/// SVG width in pixels.
+constexpr int kWidth = 1100;
+/// Above this many ranks the per-rank band is skipped: it would be an
+/// unreadable smear and a multi-megabyte SVG.
+constexpr int kMaxRankRows = 96;
+
 /// Categorical slots for channel identity — deliberately disjoint from the
 /// cost-nature slots (0..2) used by the critical-path band on the same
 /// page, so the two legends never collide.
@@ -37,8 +43,7 @@ std::string swatch(const char* color) {
 
 std::string render_timeline(const ScheduleRecord& record,
                             const CriticalPath& path,
-                            const std::string& caption,
-                            const TimelineOptions& opts) {
+                            const std::string& caption) {
   if (record.empty()) {
     return "<p class=\"intro\">" +
            escape_text(caption.empty() ? std::string("Timeline")
@@ -59,7 +64,7 @@ std::string render_timeline(const ScheduleRecord& record,
   for (const Rank r : rank_set)
     row_of.emplace(r, static_cast<int>(row_of.size()));
   const int nranks = static_cast<int>(rank_set.size());
-  const bool draw_ranks = nranks > 0 && nranks <= opts.max_rank_rows;
+  const bool draw_ranks = nranks > 0 && nranks <= kMaxRankRows;
 
   // Phase nesting depth (phases arrive outer-first per nesting level).
   std::vector<int> phase_depth(record.phases.size(), 0);
@@ -79,7 +84,7 @@ std::string render_timeline(const ScheduleRecord& record,
 
   // Geometry.
   const double ml = 60.0, mr = 14.0;
-  const double pw = opts.width - ml - mr;
+  const double pw = kWidth - ml - mr;
   const double phase_h = record.phases.empty() ? 0.0 : (max_depth + 1) * 18.0;
   const double crit_h = 26.0;
   const double rank_row = nranks > 48 ? 7.0 : 10.0;
@@ -232,7 +237,7 @@ std::string render_timeline(const ScheduleRecord& record,
     }
   } else if (nranks > 0) {
     note = "Per-rank rows omitted: " + std::to_string(nranks) +
-           " ranks exceed the " + std::to_string(opts.max_rank_rows) +
+           " ranks exceed the " + std::to_string(kMaxRankRows) +
            "-row readability cap; the critical-path band above still covers "
            "every completion-time-determining element.";
   }
@@ -241,7 +246,7 @@ std::string render_timeline(const ScheduleRecord& record,
   if (!caption.empty())
     out += "<figcaption class=\"legend\">" + escape_text(caption) +
            "</figcaption>\n";
-  out += "<svg width=\"" + std::to_string(opts.width) + "\" height=\"" +
+  out += "<svg width=\"" + std::to_string(kWidth) + "\" height=\"" +
          std::to_string(height) + "\" role=\"img\" aria-label=\"" +
          escape_attr(caption.empty() ? std::string("timeline") : caption) +
          "\">\n" + svg + "</svg>\n</figure>\n";

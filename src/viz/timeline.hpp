@@ -16,22 +16,17 @@
 ///     retransmission colors (the tarr::report attribution made visible);
 ///   * per-rank rows: every recorded transfer as a bar on its destination
 ///     rank's row, colored by channel class, critical elements outlined.
-/// The per-rank band is skipped (with a note) above `max_rank_rows` —
-/// beyond that it is an unreadable smear and a multi-megabyte SVG.
+/// The per-rank band is skipped (with a note) above a row cap (kMaxRankRows
+/// in timeline.cpp) — beyond that it is an unreadable smear and a
+/// multi-megabyte SVG.
 
 namespace tarr::viz {
-
-struct TimelineOptions {
-  int width = 1100;
-  int max_rank_rows = 96;
-};
 
 /// Render the timeline HTML fragment for `record` with its extracted
 /// critical path (callers usually have `path` already; it must come from
 /// this same record).
 std::string render_timeline(const trace::ScheduleRecord& record,
                             const report::CriticalPath& path,
-                            const std::string& caption,
-                            const TimelineOptions& opts = {});
+                            const std::string& caption);
 
 }  // namespace tarr::viz

@@ -1,7 +1,5 @@
 #include "viz/trend.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <limits>
 #include <map>
 #include <set>
@@ -13,28 +11,18 @@ namespace {
 using report::BenchMetric;
 using report::BenchSnapshot;
 using report::CompareOptions;
+using report::SnapshotSet;
 
-const BenchSnapshot* find_bench(const TrendSet& set, const std::string& name) {
+const BenchSnapshot* find_bench(const SnapshotSet& set,
+                                const std::string& name) {
   for (const auto& s : set.snapshots)
     if (s.bench == name) return &s;
   return nullptr;
 }
 
-/// Does `current` sit outside the gate tolerance relative to `baseline`,
-/// in the *worse* direction?  (Mirrors compare_snapshots' regression rule.)
-bool outside_tolerance(const BenchMetric& baseline, double current,
-                       const CompareOptions& opts) {
-  const double tol = std::max(opts.abs_tolerance,
-                              opts.rel_tolerance / 100.0 *
-                                  std::fabs(baseline.value));
-  const double worse = baseline.higher_is_better ? baseline.value - current
-                                                 : current - baseline.value;
-  return worse > tol;
-}
-
 }  // namespace
 
-std::string render_trend(const std::vector<TrendSet>& sets,
+std::string render_trend(const std::vector<SnapshotSet>& sets,
                          const CompareOptions& opts) {
   if (sets.empty())
     return "<p class=\"intro\">No snapshot sets to plot.</p>\n";
@@ -89,7 +77,8 @@ std::string render_trend(const std::vector<TrendSet>& sets,
                            : std::numeric_limits<double>::quiet_NaN());
           row.push_back(m ? format_number(m->value) : "-");
           if (m && lead->gate && sets.size() >= 2 && &set != &sets.front() &&
-              outside_tolerance(*lead, m->value, opts)) {
+              report::drift(*lead, m->value, opts) ==
+                  report::Drift::Worse) {
             flagged.push_back({bench, lead->name, set.label,
                                format_number(lead->value),
                                format_number(m->value)});
@@ -98,10 +87,7 @@ std::string render_trend(const std::vector<TrendSet>& sets,
         rows.push_back(std::move(row));
         if (static_cast<int>(mi) < kMaxSeries) series.push_back(std::move(cs));
       }
-      LineChartOptions lo;
-      lo.y_label = unit;
-      lo.y_from_zero = true;
-      body += line_chart(bench + " — " + unit, x_labels, series, lo);
+      body += line_chart(bench + " — " + unit, x_labels, series, unit);
       if (static_cast<int>(metrics.size()) > kMaxSeries)
         body += "<p class=\"intro\">" +
                 escape_text(std::to_string(metrics.size() - kMaxSeries) +

@@ -7,9 +7,8 @@
 #include "viz/html.hpp"
 
 /// \file trend.hpp
-/// Perf-trajectory view over schema-v1 bench snapshots: each `TrendSet` is
-/// one point in history (a directory of `BENCH_*.json` files — committed
-/// baselines, a CI run, a local regeneration), and the view plots every
+/// Perf-trajectory view over schema-v1 bench snapshots: each
+/// report::SnapshotSet is one point in history, and the view plots every
 /// metric across the sets, one chart per (bench, unit).  Gated metrics that
 /// fall outside the gate tolerance relative to the *first* set are flagged
 /// with the status color + a text label (never color alone).  A single set
@@ -18,16 +17,10 @@
 
 namespace tarr::viz {
 
-/// One labeled snapshot set (one x-axis position of the trajectory).
-struct TrendSet {
-  std::string label;  ///< e.g. "baseline", "current", a git ref
-  std::vector<report::BenchSnapshot> snapshots;
-};
-
-/// Render the trajectory HTML fragment.  `opts` supplies the gate
-/// tolerances used for flagging (the same ones `tarr report compare`
-/// gates with).
-std::string render_trend(const std::vector<TrendSet>& sets,
+/// Render the trajectory HTML fragment, one x-axis position per set.
+/// `opts` supplies the gate tolerances used for flagging (the same ones
+/// `tarr report compare` gates with).
+std::string render_trend(const std::vector<report::SnapshotSet>& sets,
                          const report::CompareOptions& opts = {});
 
 }  // namespace tarr::viz

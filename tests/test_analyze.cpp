@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -395,6 +396,45 @@ TEST(AnalyzeRejects, CounterexamplesAreByteStableAcrossRuns) {
     EXPECT_EQ(analyze(a, m, contract).format(),
               analyze(b, m, contract).format());
   }
+}
+
+TEST(AnalyzeRejects, FindingsBeyondTheCapAreCountedNotRecorded) {
+  // Twenty distinct copies of a ring allgather submitted twice: twenty write
+  // conflicts, of which the certificate records 16 and counts the rest.
+  const Machine m = Machine::gpc(2);
+  const int p = 16;
+  const Communicator comm(m, make_layout(m, p, LayoutSpec{}));
+  const auto oldrank = identity_permutation(p);
+  Engine eng(comm, CostConfig{}, ExecMode::Data, 256, p);
+  ScheduleRecord rec = record_run(eng, [&](Engine& e) {
+    collectives::run_allgather(
+        e, AllgatherOptions{AllgatherAlgo::Ring, OrderFix::None}, oldrank);
+  });
+  // A ring copy is named by its (src, dst, stage), so distinct
+  // descriptions are distinct victims.
+  std::set<std::string> duplicated;
+  for (std::uint64_t seed = 1; duplicated.size() < 20; ++seed) {
+    ScheduleRecord trial = rec;
+    if (duplicated.insert(apply_mutation(trial, Mutation::DuplicateBlock, seed))
+            .second)
+      rec = std::move(trial);
+  }
+  const Certificate cert = analyze(
+      rec, m, collectives::contract_allgather(p, p, AllgatherAlgo::Ring,
+                                              oldrank));
+  EXPECT_FALSE(cert.certified);
+  // The doubled transfers also load their links twice, which the counter
+  // cross-check reports (eight findings, under the cap).
+  int conflicts = 0;
+  for (const Finding& f : cert.findings)
+    conflicts += f.property == Property::WriteConflict;
+  EXPECT_EQ(conflicts, 16) << cert.format();
+  EXPECT_EQ(cert.suppressed, 4);
+  EXPECT_NE(cert.format().find("findings (" +
+                               std::to_string(cert.findings.size()) +
+                               " shown, 4 suppressed):"),
+            std::string::npos)
+      << cert.format();
 }
 
 TEST(AnalyzeParity, StaticStageLoadsEqualTraceCounters) {

@@ -203,7 +203,7 @@ TEST(MappingVerifier, CheckedMapCatchesABrokenMapper) {
     }
   };
   const Machine m = Machine::gpc(1);
-  const topology::DistanceMatrix d = topology::extract_distances(m, {});
+  const topology::DistanceMatrix d = topology::extract_distances(m);
   Rng rng(1);
   const std::vector<int> slots{0, 1, 2, 3};
   expect_error_containing(
@@ -213,7 +213,7 @@ TEST(MappingVerifier, CheckedMapCatchesABrokenMapper) {
 
 TEST(MappingVerifier, RealHeuristicsPassTheCheckedPath) {
   const Machine m = Machine::gpc(2);
-  const topology::DistanceMatrix d = topology::extract_distances(m, {});
+  const topology::DistanceMatrix d = topology::extract_distances(m);
   Rng rng(7);
   std::vector<int> slots(16);
   for (int i = 0; i < 16; ++i) slots[i] = i;

@@ -49,17 +49,12 @@ TEST_P(DistanceOnMachines, InterNodeGrowsWithHops) {
 INSTANTIATE_TEST_SUITE_P(Sizes, DistanceOnMachines,
                          ::testing::Values(1, 2, 8, 31, 64));
 
-TEST(Distance, ConfigWeightsApplied) {
+TEST(Distance, ConstantWeightsApplied) {
   const Machine m = Machine::gpc(2);
-  DistanceConfig cfg;
-  cfg.same_socket = 3.0f;
-  cfg.cross_socket = 7.0f;
-  cfg.inter_node_base = 100.0f;
-  cfg.per_hop = 1.0f;
-  const DistanceMatrix d = extract_distances(m, cfg);
-  EXPECT_EQ(d.at(0, 1), 3.0f);
-  EXPECT_EQ(d.at(0, 5), 7.0f);
-  EXPECT_EQ(d.at(0, 8), 100.0f + 2.0f);  // same leaf = 2 hops
+  const DistanceMatrix d = extract_distances(m);
+  EXPECT_EQ(d.at(0, 1), kSameSocket);
+  EXPECT_EQ(d.at(0, 5), kCrossSocket);
+  EXPECT_EQ(d.at(0, 8), kInterNodeBase + 2.0f * kPerHop);  // same leaf = 2 hops
 }
 
 TEST(Distance, NodeDistances) {

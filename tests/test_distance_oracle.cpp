@@ -31,17 +31,34 @@
 namespace tarr {
 namespace {
 
-using topology::DistanceConfig;
 using topology::DistanceMatrix;
+using topology::IntraLevel;
 using topology::Machine;
 using NodeDistance = std::function<float(NodeId, NodeId)>;
+
+// The distance scale, written out here so the oracle pins its values.
+constexpr float kInterNodeBase = 10.0f;
+constexpr float kPerHop = 5.0f;
+
+float intra_weight(IntraLevel level) {
+  switch (level) {
+    case IntraLevel::SameCore:
+      return 0.0f;
+    case IntraLevel::SameComplex:
+      return 1.0f;
+    case IntraLevel::CrossComplex:
+      return 1.5f;
+    case IntraLevel::CrossSocket:
+      return 2.0f;
+  }
+  return 2.0f;
+}
 
 /// The dense matrix as extract_distances, effective_core_distances and pass
 /// 2 of probe_distances stamped it: a one-level p x p matrix holding the
 /// intra-node template in every same-node block and `node_dist` in every
 /// other block.
-DistanceMatrix stamped_dense(const Machine& m, const DistanceConfig& cfg,
-                             const NodeDistance& node_dist) {
+DistanceMatrix stamped_dense(const Machine& m, const NodeDistance& node_dist) {
   const int cpn = m.cores_per_node();
   DistanceMatrix d(m.total_cores());
   for (NodeId na = 0; na < m.num_nodes(); ++na)
@@ -49,19 +66,19 @@ DistanceMatrix stamped_dense(const Machine& m, const DistanceConfig& cfg,
       for (int a = 0; a < cpn; ++a)
         for (int b = 0; b < cpn; ++b)
           d.set(m.core_id(na, a), m.core_id(nb, b),
-                na == nb ? topology::intra_level_weight(
-                               cfg, topology::intranode_level(m.shape(), a, b))
+                na == nb ? intra_weight(
+                               topology::intranode_level(m.shape(), a, b))
                          : node_dist(na, nb));
   return d;
 }
 
 /// Hop-count node distances, computed inline the way the dense
 /// extract_distances did (+infinity across a partition).
-NodeDistance hop_distance(const Machine& m, const DistanceConfig& cfg) {
-  return [&m, cfg](NodeId a, NodeId b) {
+NodeDistance hop_distance(const Machine& m) {
+  return [&m](NodeId a, NodeId b) {
     return m.router().reachable(a, b)
-               ? cfg.inter_node_base +
-                     cfg.per_hop * static_cast<float>(m.router().hops(a, b))
+               ? kInterNodeBase +
+                     kPerHop * static_cast<float>(m.router().hops(a, b))
                : std::numeric_limits<float>::infinity();
   };
 }
@@ -144,11 +161,10 @@ std::uint64_t expect_same_mappings(const Machine& m,
 /// extract_distances against the stamped dense matrix, then the mappers
 /// against their digest under the dense implementation.
 void check_extraction(const Machine& m, std::uint64_t dense_digest) {
-  const DistanceConfig cfg;
-  const DistanceMatrix two_level = topology::extract_distances(m, cfg);
+  const DistanceMatrix two_level = topology::extract_distances(m);
   EXPECT_EQ(two_level.num_nodes(), m.num_nodes());
   EXPECT_EQ(two_level.cores_per_node(), m.cores_per_node());
-  const DistanceMatrix dense = stamped_dense(m, cfg, hop_distance(m, cfg));
+  const DistanceMatrix dense = stamped_dense(m, hop_distance(m));
   expect_bit_equal(two_level, dense);
   EXPECT_EQ(expect_same_mappings(m, two_level, dense), dense_digest);
 }
@@ -197,16 +213,15 @@ TEST(DistanceOracle, DegradedGpcPricesSplitPairsAtInfinity) {
 
 TEST(DistanceOracle, CongestedEffectiveDistances) {
   const Machine base = Machine::gpc(31);
-  const DistanceConfig cfg;
   for (int epoch : {0, 3}) {
     const fault::DegradedTopology topo(
         base, probe::congestion_mask(base.network(), probe::CongestionConfig{},
                                      epoch));
-    const DistanceMatrix node = probe::effective_node_distances(topo, cfg);
+    const DistanceMatrix node = probe::effective_node_distances(topo);
     const DistanceMatrix two_level(
-        node, topology::extract_intranode_distances(topo.machine(), cfg));
+        node, topology::extract_intranode_distances(topo.machine()));
     const DistanceMatrix dense = stamped_dense(
-        topo.machine(), cfg, [&](NodeId a, NodeId b) { return node.at(a, b); });
+        topo.machine(), [&](NodeId a, NodeId b) { return node.at(a, b); });
     expect_bit_equal(two_level, dense);
     EXPECT_EQ(expect_same_mappings(topo.machine(), two_level, dense),
               0xd8ef60bd49754c7full);
@@ -222,7 +237,7 @@ TEST(DistanceOracle, ProbedDistances) {
   cfg.max_attempts = 1;
   cfg.seed = 5;
   const probe::ProbedDistances out = probe::probe_distances(
-      m, topology::extract_node_distances(m, cfg.distances), cfg);
+      m, topology::extract_node_distances(m), cfg);
   ASSERT_GT(out.report.unresolved_pairs(), 0);
   // Pair estimates in ascending (a, b) order, worst case where unresolved.
   std::vector<float> pair(static_cast<std::size_t>(m.num_nodes()) *
@@ -230,10 +245,9 @@ TEST(DistanceOracle, ProbedDistances) {
   for (const probe::PairProbe& pp : out.report.pair_stats)
     pair[static_cast<std::size_t>(pp.a) * m.num_nodes() + pp.b] =
         pp.resolved ? pp.estimate : out.report.worst_case_distance;
-  const DistanceMatrix dense =
-      stamped_dense(m, cfg.distances, [&](NodeId a, NodeId b) {
-        return pair[static_cast<std::size_t>(a) * m.num_nodes() + b];
-      });
+  const DistanceMatrix dense = stamped_dense(m, [&](NodeId a, NodeId b) {
+    return pair[static_cast<std::size_t>(a) * m.num_nodes() + b];
+  });
   expect_bit_equal(out.distances, dense);
   EXPECT_EQ(expect_same_mappings(m, out.distances, dense),
             0xe0aff02e015473ffull);

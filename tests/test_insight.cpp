@@ -1,7 +1,8 @@
 // tarr::insight: histogram bucket exactness and merge algebra, imbalance
 // analytics with EXPECT_EQ evidence against the traced record, the
 // diagnosis engine on a congested fig8-style run (byte-identical across
-// same-seed runs), and trajectory change-point detection.
+// same-seed runs) and on one fixture per finding rule, and trajectory
+// change-point detection.
 
 #include "insight/insight.hpp"
 
@@ -15,7 +16,9 @@
 #include <vector>
 
 #include "collectives/allgather.hpp"
+#include "collectives/gather_bcast.hpp"
 #include "common/error.hpp"
+#include "common/permutation.hpp"
 #include "fault/degraded.hpp"
 #include "probe/congestion.hpp"
 #include "simmpi/engine.hpp"
@@ -29,6 +32,7 @@
 namespace tarr::insight {
 namespace {
 
+using report::SnapshotSet;
 using simmpi::Communicator;
 using simmpi::CostConfig;
 using simmpi::Engine;
@@ -328,8 +332,7 @@ CongestedRun congested_run() {
 
 TEST(Diagnose, CongestedRunSurfacesImbalanceWithExactEvidence) {
   const CongestedRun run = congested_run();
-  const Diagnosis d = diagnose(run.record, run.machine(), DiagnoseOptions{},
-                               &run.metrics);
+  const Diagnosis d = diagnose(run.record, run.machine(), 8, &run.metrics);
   // The seeded congestion must surface at least one straggler / imbalance
   // finding — the acceptance scenario of this subsystem.
   const Finding* found = nullptr;
@@ -358,10 +361,8 @@ TEST(Diagnose, CongestedRunSurfacesImbalanceWithExactEvidence) {
 TEST(Diagnose, SameSeedDiagnosesAreByteIdentical) {
   const CongestedRun a = congested_run();
   const CongestedRun b = congested_run();
-  const Diagnosis da = diagnose(a.record, a.machine(), DiagnoseOptions{},
-                                &a.metrics);
-  const Diagnosis db = diagnose(b.record, b.machine(), DiagnoseOptions{},
-                                &b.metrics);
+  const Diagnosis da = diagnose(a.record, a.machine(), 8, &a.metrics);
+  const Diagnosis db = diagnose(b.record, b.machine(), 8, &b.metrics);
   EXPECT_EQ(render_findings(da), render_findings(db));
   EXPECT_EQ(render_findings(da, report::RenderFormat::Markdown),
             render_findings(db, report::RenderFormat::Markdown));
@@ -386,6 +387,150 @@ TEST(Diagnose, BalancedRunProducesNoStragglers) {
   const Diagnosis d = diagnose(recorder.take(), m);
   for (const auto& f : d.findings)
     EXPECT_NE(f.kind, FindingKind::Straggler) << f.title;
+}
+
+// One fixture per remaining rule, each crossing its threshold in findings.cpp
+// and asserting the evidence the finding carries.
+
+/// The first finding of `kind`, or nullptr.
+const Finding* find_kind(const Diagnosis& d, FindingKind kind) {
+  for (const auto& f : d.findings)
+    if (f.kind == kind) return &f;
+  return nullptr;
+}
+
+/// The value of `f`'s evidence named `name` (NaN when absent).
+double evidence(const Finding& f, const std::string& name) {
+  for (const auto& e : f.evidence)
+    if (e.name == name) return e.value;
+  return std::numeric_limits<double>::quiet_NaN();
+}
+
+/// Record one Timed run of `algo` allgather over `p` ranks of `m`.
+trace::ScheduleRecord allgather_record(
+    const Machine& m, int p, simmpi::LayoutSpec layout,
+    collectives::AllgatherAlgo algo,
+    const simmpi::TransientFaultConfig& faults = {}) {
+  const Communicator comm(m, make_layout(m, p, layout));
+  trace::ScheduleRecorder recorder;
+  Engine eng(comm, CostConfig{}, ExecMode::Timed, 4096, p);
+  eng.set_transient_faults(faults);
+  eng.set_trace_sink(&recorder);
+  collectives::run_allgather(eng, {algo, collectives::OrderFix::None});
+  return recorder.take();
+}
+
+TEST(DiagnoseRules, UnfairResourceLoad) {
+  // Linear gather over 16 nodes of one leaf: 15 host uplinks carry 8
+  // blocks each, the root's downlink all 120, so Jain = 4 * 15 / 16^2.
+  const Machine m = Machine::gpc(16);
+  const int p = m.total_cores();
+  const Communicator comm(m, make_layout(m, p, {}));
+  trace::ScheduleRecorder recorder;
+  Engine eng(comm, CostConfig{}, ExecMode::Timed, 4096, p);
+  eng.set_trace_sink(&recorder);
+  collectives::run_gather(eng, collectives::TreeAlgo::Linear,
+                          collectives::OrderFix::None,
+                          identity_permutation(p));
+  const Diagnosis d = diagnose(recorder.take(), m);
+  const Finding* f = find_kind(d, FindingKind::UnfairResourceLoad);
+  ASSERT_NE(f, nullptr) << render_findings(d);
+  EXPECT_EQ(f->severity, Severity::Warning);
+  EXPECT_EQ(evidence(*f, "jain.links"), 0.234375);
+  EXPECT_EQ(evidence(*f, "jain.links"), d.imbalance.jain_links);
+}
+
+TEST(DiagnoseRules, ContentionDominated) {
+  // Cyclic ring over two nodes: every hop crosses the fabric, so the eight
+  // flows of a node share its host link in every stage.
+  const Machine m = Machine::gpc(2);
+  const Diagnosis d = diagnose(
+      allgather_record(m, 16,
+                       {simmpi::NodeOrder::Cyclic, simmpi::SocketOrder::Bunch},
+                       collectives::AllgatherAlgo::Ring),
+      m);
+  const Finding* f = find_kind(d, FindingKind::ContentionDominated);
+  ASSERT_NE(f, nullptr) << render_findings(d);
+  EXPECT_EQ(evidence(*f, "critical.total_usec"), d.critical_path.total);
+  EXPECT_EQ(evidence(*f, "critical.contention_usec"),
+            d.critical_path.contention);
+  EXPECT_EQ(evidence(*f, "critical.serialization_usec"),
+            d.critical_path.serialization);
+  EXPECT_DOUBLE_EQ(d.critical_path.contention, 134.4);
+  EXPECT_DOUBLE_EQ(d.critical_path.serialization, 49.2);
+}
+
+TEST(DiagnoseRules, RetransmissionHeavy) {
+  simmpi::TransientFaultConfig faults;
+  faults.drop_prob = 0.2;
+  faults.seed = 5;
+  const Machine m = Machine::gpc(2);
+  const Diagnosis d = diagnose(
+      allgather_record(m, 16, {}, collectives::AllgatherAlgo::RecursiveDoubling,
+                       faults),
+      m);
+  const Finding* f = find_kind(d, FindingKind::RetransmissionHeavy);
+  ASSERT_NE(f, nullptr) << render_findings(d);
+  EXPECT_EQ(evidence(*f, "critical.retransmission_usec"),
+            d.critical_path.retransmission);
+  EXPECT_EQ(evidence(*f, "critical.total_usec"), d.critical_path.total);
+}
+
+TEST(DiagnoseRules, CrossSocketHeavy) {
+  // One node, sockets alternating by rank: every ring hop crosses QPI, so
+  // all 8 ranks x 7 stages x 4096 bytes are QPI bytes.
+  const Machine m = Machine::gpc(1);
+  const Diagnosis d = diagnose(
+      allgather_record(m, 8,
+                       {simmpi::NodeOrder::Block, simmpi::SocketOrder::Scatter},
+                       collectives::AllgatherAlgo::Ring),
+      m);
+  const Finding* f = find_kind(d, FindingKind::CrossSocketHeavy);
+  ASSERT_NE(f, nullptr) << render_findings(d);
+  EXPECT_EQ(f->severity, Severity::Info);
+  EXPECT_EQ(evidence(*f, "flow.qpi_bytes"), 8.0 * 7.0 * 4096.0);
+  EXPECT_EQ(evidence(*f, "flow.total_bytes"), 8.0 * 7.0 * 4096.0);
+}
+
+TEST(DiagnoseRules, HotScope) {
+  // Depth-1 scopes at 70% and 59% of root work: only the first crosses the
+  // 60% bar.
+  prof::Profile profile;
+  profile.entries.resize(3);
+  profile.entries[0].name = "(root)";
+  profile.entries[0].work_total = 100.0;
+  profile.entries[1].name = "mapping";
+  profile.entries[1].depth = 1;
+  profile.entries[1].work_total = 70.0;
+  profile.entries[2].name = "pricing";
+  profile.entries[2].depth = 1;
+  profile.entries[2].work_total = 59.0;
+  const Diagnosis d = diagnose(trace::ScheduleRecord{}, Machine::gpc(1), 8,
+                               nullptr, &profile);
+  ASSERT_EQ(d.findings.size(), 1u) << render_findings(d);
+  const Finding& f = d.findings[0];
+  EXPECT_EQ(f.kind, FindingKind::HotScope);
+  EXPECT_EQ(evidence(f, "prof.mapping.work_total"), 70.0);
+  EXPECT_EQ(evidence(f, "prof.root.work_total"), 100.0);
+}
+
+TEST(DiagnoseRules, TailLatency) {
+  // p99 at exactly 3x the median raises the finding; at 2.875x it does not.
+  // Every value sits on a histogram bucket floor, so the quantiles are
+  // exact.
+  trace::MetricsRegistry metrics;
+  metrics.observe_n("heavy", 1.0, 90);
+  metrics.observe_n("heavy", 3.0, 10);
+  metrics.observe_n("light", 1.0, 90);
+  metrics.observe_n("light", 2.875, 10);
+  const Diagnosis d =
+      diagnose(trace::ScheduleRecord{}, Machine::gpc(1), 8, &metrics);
+  ASSERT_EQ(d.findings.size(), 1u) << render_findings(d);
+  const Finding& f = d.findings[0];
+  EXPECT_EQ(f.kind, FindingKind::TailLatency);
+  EXPECT_EQ(evidence(f, "heavy.p50"), 1.0);
+  EXPECT_EQ(evidence(f, "heavy.p99"), 3.0);
+  EXPECT_EQ(evidence(f, "heavy.count"), 100.0);
 }
 
 TEST(Diagnose, SeverityParsingAndGating) {

@@ -94,19 +94,10 @@ TEST(ProbeConfig, ValidationRejectsOutOfRangeFields) {
   bad.outlier_prob = 1.5;
   EXPECT_THROW(validate(bad), Error);
   bad = ok;
-  bad.outlier_scale = 0.5;
-  EXPECT_THROW(validate(bad), Error);
-  bad = ok;
   bad.timeout_prob = -0.1;
   EXPECT_THROW(validate(bad), Error);
   bad = ok;
   bad.max_attempts = 0;
-  EXPECT_THROW(validate(bad), Error);
-  bad = ok;
-  bad.worst_case_margin = 0.9;
-  EXPECT_THROW(validate(bad), Error);
-  bad = ok;
-  bad.min_resolved_fraction = 1.5;
   EXPECT_THROW(validate(bad), Error);
 }
 
@@ -138,8 +129,7 @@ TEST(Probe, IntraNodeBlockIsNeverNoisy) {
   cfg.noise = 0.4;
   cfg.seed = 99;
   const ProbedDistances out = probe_distances(m, truth, cfg);
-  const DistanceMatrix exact =
-      topology::extract_distances(m, cfg.distances);
+  const DistanceMatrix exact = topology::extract_distances(m);
   for (int c = 0; c < m.total_cores(); ++c) {
     EXPECT_FLOAT_EQ(out.distances.at(c, c), exact.at(c, c));
     // Same-node, different-core entries are the exact local distances.
@@ -175,7 +165,6 @@ TEST(Probe, MedianRejectsOutlierSpikes) {
   ProbeConfig cfg;
   cfg.noise = 0.05;
   cfg.outlier_prob = 0.2;
-  cfg.outlier_scale = 4.0;
   cfg.samples_per_pair = 5;
   const ProbedDistances out = probe_distances(m, truth, cfg);
   int poisoned = 0;
@@ -216,7 +205,7 @@ TEST(Probe, TotalLossFillsWorstCaseAndFails) {
   const ProbedDistances out = probe_distances(m, truth, cfg);
   EXPECT_EQ(out.report.resolved_pairs, 0);
   EXPECT_EQ(out.report.unresolved_pairs(), out.report.pairs);
-  EXPECT_TRUE(out.report.failed(cfg));
+  EXPECT_TRUE(out.report.failed());
   // Every inter-node entry degraded to the same conservative worst case,
   // and the matrix stayed finite.
   const float wc = out.report.worst_case_distance;
@@ -524,9 +513,9 @@ TEST(Scenario, SameConfigIsByteIdenticalAcrossRuns) {
 TEST(Scenario, ProducesOneRowPerPatternEpoch) {
   const ScenarioConfig cfg = tiny_scenario();
   const ScenarioResult res = run_probed_scenario(cfg);
-  ASSERT_EQ(res.rows.size(), cfg.patterns.size() *
-                                 static_cast<std::size_t>(cfg.epochs));
-  ASSERT_EQ(res.patterns.size(), cfg.patterns.size());
+  // Both patterns, ring allreduce and alltoall, always run.
+  ASSERT_EQ(res.rows.size(), 2 * static_cast<std::size_t>(cfg.epochs));
+  ASSERT_EQ(res.patterns.size(), 2u);
   for (const EpochRow& r : res.rows) {
     EXPECT_GT(r.identity_usec, 0.0);
     EXPECT_GT(r.oracle_usec, 0.0);
@@ -555,9 +544,6 @@ TEST(Scenario, ForcedProbeFailureDegradesToIdentityEverywhere) {
 TEST(Scenario, ValidationRejectsBadConfigs) {
   ScenarioConfig cfg = tiny_scenario();
   cfg.epochs = 0;
-  EXPECT_THROW(validate(cfg), Error);
-  cfg = tiny_scenario();
-  cfg.patterns.clear();
   EXPECT_THROW(validate(cfg), Error);
   cfg = tiny_scenario();
   cfg.num_nodes = 0;

@@ -34,7 +34,6 @@
 namespace tarr {
 namespace {
 
-using topology::DistanceConfig;
 using topology::DistanceMatrix;
 using topology::Machine;
 
@@ -192,15 +191,14 @@ TEST(ScanOracle, UltrametricDegradedGpc) {
 
 TEST(ScanOracle, UltrametricCongestedGpc) {
   const Machine base = Machine::gpc(31);
-  const DistanceConfig cfg;
   for (int epoch : {0, 3}) {
     SCOPED_TRACE("epoch " + std::to_string(epoch));
     const fault::DegradedTopology topo(
         base, probe::congestion_mask(base.network(), probe::CongestionConfig{},
                                      epoch));
     const DistanceMatrix d(
-        probe::effective_node_distances(topo, cfg),
-        topology::extract_intranode_distances(topo.machine(), cfg));
+        probe::effective_node_distances(topo),
+        topology::extract_intranode_distances(topo.machine()));
     expect_lockstep_pools(topo.machine(), d, Path::SkipsBlocks);
   }
 }
@@ -239,7 +237,7 @@ TEST(ScanOracle, NonUltrametricReadsEveryEntry) {
   cfg.max_attempts = 1;
   cfg.seed = 5;
   const probe::ProbedDistances probed = probe::probe_distances(
-      m, topology::extract_node_distances(m, cfg.distances), cfg);
+      m, topology::extract_node_distances(m), cfg);
   expect_lockstep_pools(m, probed.distances, Path::ReadsAll);
 }
 

@@ -23,20 +23,10 @@ TEST(Selector, NonPow2SmallUsesBruck) {
   EXPECT_EQ(select_allgather_algo(1000, 1024), AllgatherAlgo::Bruck);
 }
 
-TEST(Selector, ThresholdIsConfigurable) {
-  SelectorConfig cfg;
-  cfg.rd_max_msg = 1024;
-  EXPECT_EQ(select_allgather_algo(64, 1023, cfg),
-            AllgatherAlgo::RecursiveDoubling);
-  EXPECT_EQ(select_allgather_algo(64, 1024, cfg), AllgatherAlgo::Ring);
-}
-
 TEST(Selector, BoundaryIsExclusive) {
-  SelectorConfig cfg;
-  EXPECT_EQ(select_allgather_algo(64, cfg.rd_max_msg - 1, cfg),
+  EXPECT_EQ(select_allgather_algo(64, kRdMaxMsg - 1),
             AllgatherAlgo::RecursiveDoubling);
-  EXPECT_EQ(select_allgather_algo(64, cfg.rd_max_msg, cfg),
-            AllgatherAlgo::Ring);
+  EXPECT_EQ(select_allgather_algo(64, kRdMaxMsg), AllgatherAlgo::Ring);
 }
 
 TEST(CollectiveNames, ToString) {

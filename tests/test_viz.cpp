@@ -151,12 +151,10 @@ TEST(Html, SequentialAndDivergingScalesClamp) {
 
 TEST(Html, PageAndChartPrimitivesAreWellFormed) {
   Page page("unit & test <page>");
-  LineChartOptions opts;
-  opts.y_label = "latency (us)";
   std::string body = line_chart(
       "two series", {"a", "b", "c"},
       {{"base & co", {1.0, 2.0, 3.0}, 0}, {"cand", {3.0, 2.0, 1.0}, 1}},
-      opts);
+      "latency (us)");
   body += collapsible("values <raw>",
                       data_table({"x", "y"}, {{"a", "1"}, {"<b>", "2&3"}}));
   body += seq_legend(0.0, 1024.0, /*as_bytes=*/true);
@@ -312,9 +310,9 @@ TEST(EdgeCases, SingleRankRunRenders) {
 // Trend flagging.
 
 TEST(Trend, FlagsGatedRegressionsAgainstFirstSet) {
-  TrendSet base{"baseline", {sample_snapshot(100.0)}};
-  TrendSet good{"current", {sample_snapshot(100.5)}};  // within 2%
-  TrendSet bad{"current", {sample_snapshot(120.0)}};   // +20%
+  report::SnapshotSet base{"baseline", {sample_snapshot(100.0)}};
+  report::SnapshotSet good{"current", {sample_snapshot(100.5)}};  // within 2%
+  report::SnapshotSet bad{"current", {sample_snapshot(120.0)}};   // +20%
 
   const std::string pass = render_trend({base, good});
   expect_well_formed(pass);
