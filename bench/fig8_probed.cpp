@@ -32,17 +32,14 @@ probe::ScenarioConfig base_config(int nodes, int epochs) {
   probe::ScenarioConfig cfg;
   cfg.num_nodes = nodes;
   cfg.epochs = epochs;
-  cfg.block_bytes = 16 * 1024;
   cfg.congestion.seed = 7;
   cfg.congestion.link_prob = 0.35;
   cfg.congestion.min_factor = 0.2;
   cfg.congestion.max_factor = 0.6;
   cfg.congestion.churn = 0.5;
   cfg.controller.probe.seed = 11;
-  cfg.controller.probe.samples_per_pair = 5;
   cfg.controller.drift_threshold = 0.03;
   cfg.controller.hysteresis = 2;
-  cfg.controller.cooldown = 1;
   return cfg;
 }
 

@@ -6,8 +6,7 @@
 #include <set>
 #include <sstream>
 
-#include "collectives/allgather.hpp"
-#include "collectives/gather_bcast.hpp"
+#include "collectives/schedules.hpp"
 #include "common/cli.hpp"
 #include "common/permutation.hpp"
 #include "mapping/comparators.hpp"
@@ -100,10 +99,22 @@ simmpi::LayoutSpec RunSpec::layout_spec() const {
   throw Error("unknown layout: " + layout);
 }
 
+namespace {
+
+/// The five --pattern values, each with the schedule it runs: the
+/// collective its heuristic is tuned for.
+constexpr std::pair<mapping::Pattern, const char*> kPatternSchedules[] = {
+    {mapping::Pattern::RecursiveDoubling, "allgather-rd"},
+    {mapping::Pattern::Ring, "allgather-ring"},
+    {mapping::Pattern::BinomialBcast, "bcast-binomial"},
+    {mapping::Pattern::BinomialGather, "gather-binomial"},
+    {mapping::Pattern::Bruck, "allgather-bruck"},
+};
+
+}  // namespace
+
 mapping::Pattern RunSpec::collective() const {
-  for (auto p : {mapping::Pattern::RecursiveDoubling, mapping::Pattern::Ring,
-                 mapping::Pattern::BinomialBcast,
-                 mapping::Pattern::BinomialGather, mapping::Pattern::Bruck})
+  for (const auto& [p, schedule] : kPatternSchedules)
     if (pattern == mapping::to_string(p)) return p;
   throw Error("unknown pattern: " + pattern);
 }
@@ -139,36 +150,6 @@ core::ReorderedComm reorder(core::ReorderFramework& fw,
   throw Error("unknown mapper: " + mapper);
 }
 
-void run_collective(simmpi::Engine& eng, mapping::Pattern pattern,
-                    const std::vector<Rank>& oldrank) {
-  using collectives::AllgatherAlgo;
-  using collectives::OrderFix;
-  switch (pattern) {
-    case mapping::Pattern::RecursiveDoubling:
-      collectives::run_allgather(
-          eng, {AllgatherAlgo::RecursiveDoubling, OrderFix::InitComm},
-          oldrank);
-      break;
-    case mapping::Pattern::Ring:
-      collectives::run_allgather(eng, {AllgatherAlgo::Ring, OrderFix::None},
-                                 oldrank);
-      break;
-    case mapping::Pattern::Bruck:
-      collectives::run_allgather(eng, {AllgatherAlgo::Bruck, OrderFix::None},
-                                 oldrank);
-      break;
-    case mapping::Pattern::BinomialBcast:
-      collectives::run_bcast(eng, collectives::TreeAlgo::Binomial);
-      break;
-    case mapping::Pattern::BinomialGather:
-      collectives::run_gather(eng, collectives::TreeAlgo::Binomial,
-                              OrderFix::InitComm, oldrank);
-      break;
-    default:
-      throw Error("pattern has no collective to run");
-  }
-}
-
 Usec simulate(const simmpi::Communicator& comm, mapping::Pattern pattern,
               const std::vector<Rank>& oldrank, long long msg_bytes,
               trace::TraceSink* sink, const char* scope) {
@@ -179,7 +160,8 @@ Usec simulate(const simmpi::Communicator& comm, mapping::Pattern pattern,
     // Engine construction stays outside the scope: the profile charges
     // only the collective itself.
     prof::ProfScope pscope(scope);
-    run_collective(eng, pattern, oldrank);
+    for (const auto& [p, schedule] : kPatternSchedules)
+      if (p == pattern) collectives::find_schedule(schedule).run(eng, oldrank);
   }
   return eng.total();
 }

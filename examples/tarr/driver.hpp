@@ -19,8 +19,8 @@
 
 /// \file driver.hpp
 /// The pieces every `tarr` subcommand shares, each written once: the flag
-/// parser, the run spec, the mapper table, the pattern -> collective
-/// runner, the observability option set and the checked artifact writer.
+/// parser, the run spec, the mapper table, the pattern -> schedule list,
+/// the observability option set and the checked artifact writer.
 /// main.cpp owns the dispatch table, the usage text and the exit codes
 /// (2 usage, 1 error, 3 insight gate).
 
@@ -90,14 +90,12 @@ core::ReorderedComm reorder(core::ReorderFramework& fw,
                             mapping::Pattern pattern,
                             const std::string& mapper);
 
-/// Runs the collective `pattern` describes over `eng`; oldrank maps new
-/// rank -> original rank for the order-restoring variants.
-void run_collective(simmpi::Engine& eng, mapping::Pattern pattern,
-                    const std::vector<Rank>& oldrank);
-
-/// Simulates `pattern` over `comm` on the Timed engine (one `msg_bytes`
-/// block per rank) with its events going to `sink`, inside the prof scope
-/// `scope`.  Returns the simulated completion time.
+/// Simulates the schedule `pattern` runs (allgather-rd, allgather-ring,
+/// bcast-binomial, gather-binomial or allgather-bruck; collectives/
+/// schedules.hpp) over `comm` on the Timed engine, p blocks of `msg_bytes`
+/// per rank, with its events going to `sink`, inside the prof scope `scope`.
+/// oldrank maps new rank -> original rank.  Returns the simulated
+/// completion time.
 Usec simulate(const simmpi::Communicator& comm, mapping::Pattern pattern,
               const std::vector<Rank>& oldrank, long long msg_bytes,
               trace::TraceSink* sink, const char* scope = "simulate");

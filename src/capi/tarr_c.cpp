@@ -124,10 +124,9 @@ int tarr_allgather_create(tarr_framework_t f, tarr_comm_t c,
   return guarded([&] {
     TARR_REQUIRE(f != nullptr && c != nullptr && out != nullptr,
                  "tarr_allgather_create: null argument");
-    const tarr::core::InfoConfig parsed =
-        tarr::core::parse_info_string(info != nullptr ? info : "");
     *out = new tarr_allgather_s{tarr::core::TopoAllgather(
-        f->framework, c->comm, parsed.config)};
+        f->framework, c->comm,
+        tarr::core::parse_info_string(info != nullptr ? info : ""))};
   });
 }
 

@@ -44,11 +44,6 @@ const topology::DistanceMatrix& ReorderFramework::distances() {
   return *dist_;
 }
 
-ReorderedComm ReorderFramework::identity_reorder(
-    const simmpi::Communicator& comm) const {
-  return ReorderedComm{comm, identity_permutation(comm.size()), 0.0};
-}
-
 ReorderedComm ReorderFramework::reorder(const simmpi::Communicator& comm,
                                         mapping::Pattern pattern) {
   const auto mapper = mapping::make_heuristic(pattern);
@@ -57,7 +52,6 @@ ReorderedComm ReorderFramework::reorder(const simmpi::Communicator& comm,
 
 ReorderedComm ReorderFramework::reorder_with(const simmpi::Communicator& comm,
                                              const mapping::Mapper& mapper) {
-  if (!opts_.enabled) return identity_reorder(comm);
   prof::ProfScope pscope("reorder");
   // Heuristics have pure signatures; their decision counters reach the sink
   // through the ambient channel.  A null framework sink keeps whatever sink
@@ -78,7 +72,6 @@ ReorderedComm ReorderFramework::reorder_with(const simmpi::Communicator& comm,
 ReorderedComm ReorderFramework::reorder_for_graph(
     const simmpi::Communicator& comm, const graph::WeightedGraph& pattern,
     GraphMapperKind kind) {
-  if (!opts_.enabled) return identity_reorder(comm);
   prof::ProfScope pscope("reorder");
   TARR_REQUIRE(pattern.num_vertices() == comm.size(),
                "reorder_for_graph: pattern size != communicator size");
@@ -105,7 +98,6 @@ ReorderedComm ReorderFramework::reorder_for_graph(
 ReorderedComm ReorderFramework::reorder_hierarchical(
     const simmpi::Communicator& comm, const mapping::Mapper& leader_mapper,
     const mapping::Mapper* intra_mapper) {
-  if (!opts_.enabled) return identity_reorder(comm);
   prof::ProfScope pscope("reorder");
   TARR_REQUIRE(comm.node_contiguous(),
                "reorder_hierarchical: communicator must be node-contiguous");

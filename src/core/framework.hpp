@@ -18,10 +18,10 @@
 /// Usage mirrors the paper: physical distances are extracted once and
 /// cached; for each collective communication pattern, a reordered copy of
 /// the communicator is created once; subsequent collective calls are
-/// conducted over the reordered copy.  An enable switch plays the role of
-/// the MPI info key the paper proposes, and both overhead components the
-/// paper measures (Fig 7a distance extraction, Fig 7b mapping time) are
-/// reported to the caller.
+/// conducted over the reordered copy.  The MPI info key the paper proposes
+/// to switch the approach off lives in core/info.hpp, and both overhead
+/// components the paper measures (Fig 7a distance extraction, Fig 7b
+/// mapping time) are reported to the caller.
 
 namespace tarr::core {
 
@@ -37,7 +37,6 @@ class ReorderFramework {
  public:
   /// Framework options.
   struct Options {
-    bool enabled = true;  ///< the "info key": when false, reorders are no-ops
     std::uint64_t seed = 1;  ///< tie-breaking seed (Algorithm 1 step 5)
   };
 
@@ -66,8 +65,6 @@ class ReorderFramework {
   void set_trace_sink(trace::TraceSink* sink) { sink_ = sink; }
 
   /// Reorder `comm` for `pattern` with the paper's fine-tuned heuristic.
-  /// When the framework is disabled this returns the identity reorder with
-  /// zero overhead.
   ReorderedComm reorder(const simmpi::Communicator& comm,
                         mapping::Pattern pattern);
 
@@ -114,8 +111,6 @@ class ReorderFramework {
       mapping::Pattern intra_pattern = mapping::Pattern::BinomialBcast);
 
  private:
-  ReorderedComm identity_reorder(const simmpi::Communicator& comm) const;
-
   const topology::Machine* machine_;
   Options opts_;
   std::optional<topology::DistanceMatrix> dist_;

@@ -21,54 +21,55 @@ std::string lower_trim(const std::string& s) {
 
 }  // namespace
 
-InfoConfig parse_info(
+TopoAllgatherConfig parse_info(
     const std::vector<std::pair<std::string, std::string>>& kv) {
-  InfoConfig info;
+  TopoAllgatherConfig cfg;
+  bool enabled = true;
   for (const auto& [raw_key, raw_value] : kv) {
     const std::string key = lower_trim(raw_key);
     const std::string value = lower_trim(raw_value);
     if (key == "tarr_reorder") {
       if (value == "enabled") {
-        info.enabled = true;
+        enabled = true;
       } else if (value == "disabled") {
-        info.enabled = false;
+        enabled = false;
       } else {
         TARR_REQUIRE(false, "parse_info: bad tarr_reorder value: " + value);
       }
     } else if (key == "tarr_mapper") {
       if (value == "heuristic") {
-        info.config.mapper = MapperKind::Heuristic;
+        cfg.mapper = MapperKind::Heuristic;
       } else if (value == "scotch") {
-        info.config.mapper = MapperKind::ScotchLike;
+        cfg.mapper = MapperKind::ScotchLike;
       } else if (value == "greedy") {
-        info.config.mapper = MapperKind::GreedyGraph;
+        cfg.mapper = MapperKind::GreedyGraph;
       } else if (value == "mvapich-cyclic") {
-        info.config.mapper = MapperKind::MvapichCyclic;
+        cfg.mapper = MapperKind::MvapichCyclic;
       } else {
         TARR_REQUIRE(false, "parse_info: bad tarr_mapper value: " + value);
       }
     } else if (key == "tarr_order_fix") {
       if (value == "initcomm") {
-        info.config.fix = collectives::OrderFix::InitComm;
+        cfg.fix = collectives::OrderFix::InitComm;
       } else if (value == "endshfl") {
-        info.config.fix = collectives::OrderFix::EndShuffle;
+        cfg.fix = collectives::OrderFix::EndShuffle;
       } else {
         TARR_REQUIRE(false, "parse_info: bad tarr_order_fix value: " + value);
       }
     } else if (key == "tarr_hierarchical") {
       if (value == "true") {
-        info.config.hierarchical = true;
+        cfg.hierarchical = true;
       } else if (value == "false") {
-        info.config.hierarchical = false;
+        cfg.hierarchical = false;
       } else {
         TARR_REQUIRE(false,
                      "parse_info: bad tarr_hierarchical value: " + value);
       }
     } else if (key == "tarr_intra") {
       if (value == "binomial") {
-        info.config.intra = collectives::IntraAlgo::Binomial;
+        cfg.intra = collectives::IntraAlgo::Binomial;
       } else if (value == "linear") {
-        info.config.intra = collectives::IntraAlgo::Linear;
+        cfg.intra = collectives::IntraAlgo::Linear;
       } else {
         TARR_REQUIRE(false, "parse_info: bad tarr_intra value: " + value);
       }
@@ -76,11 +77,11 @@ InfoConfig parse_info(
       TARR_REQUIRE(false, "parse_info: unknown info key: " + key);
     }
   }
-  if (!info.enabled) info.config.mapper = MapperKind::None;
-  return info;
+  if (!enabled) cfg.mapper = MapperKind::None;
+  return cfg;
 }
 
-InfoConfig parse_info_string(const std::string& s) {
+TopoAllgatherConfig parse_info_string(const std::string& s) {
   std::vector<std::pair<std::string, std::string>> kv;
   std::size_t pos = 0;
   while (pos < s.size()) {

@@ -23,19 +23,14 @@
 
 namespace tarr::core {
 
-/// A parsed info configuration: the TopoAllgather settings plus the master
-/// enable switch (when false, callers should use MapperKind::None paths).
-struct InfoConfig {
-  TopoAllgatherConfig config;
-  bool enabled = true;
-};
-
-/// Parse key/value pairs.  Throws tarr::Error on unknown keys or values.
-InfoConfig parse_info(
+/// Parse key/value pairs into the TopoAllgather settings they describe;
+/// `tarr_reorder = disabled` selects MapperKind::None whatever order the
+/// keys come in.  Throws tarr::Error on unknown keys or values.
+TopoAllgatherConfig parse_info(
     const std::vector<std::pair<std::string, std::string>>& kv);
 
 /// Parse a compact "key=value;key=value" string (whitespace around tokens
 /// is ignored; empty segments are allowed).
-InfoConfig parse_info_string(const std::string& s);
+TopoAllgatherConfig parse_info_string(const std::string& s);
 
 }  // namespace tarr::core

@@ -6,10 +6,10 @@
 #include <utility>
 
 #include "bench/csv.hpp"
-#include "collectives/allgather.hpp"
-#include "collectives/gather_bcast.hpp"
+#include "collectives/schedules.hpp"
 #include "common/bits.hpp"
 #include "common/error.hpp"
+#include "common/permutation.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "common/timer.hpp"
@@ -27,27 +27,29 @@ namespace tarr::fault {
 
 namespace {
 
-enum class Op { RdAllgather, RingAllgather, BinomialBcast, BinomialGather };
-
+/// One campaign row label and the schedule it prices.
 struct PatternSpec {
   const char* name;
-  mapping::Pattern pattern;
-  Op op;
+  const char* schedule;
 };
 
 // The paper's four fine-tuned heuristics, each exercised on the collective
-// it was designed for.
+// it was designed for (its schedule's pattern picks the heuristic).  The
+// allgather and gather use InitComm, the §V-B fix the evaluation uses for
+// the heuristic path.
 constexpr PatternSpec kPatterns[] = {
-    {"rd-allgather", mapping::Pattern::RecursiveDoubling, Op::RdAllgather},
-    {"ring-allgather", mapping::Pattern::Ring, Op::RingAllgather},
-    {"binomial-bcast", mapping::Pattern::BinomialBcast, Op::BinomialBcast},
-    {"binomial-gather", mapping::Pattern::BinomialGather, Op::BinomialGather},
+    {"rd-allgather", "allgather-rd"},
+    {"ring-allgather", "allgather-ring"},
+    {"binomial-bcast", "bcast-binomial"},
+    {"binomial-gather", "gather-binomial"},
 };
+
+/// Every priced run moves 16 KiB blocks.
+constexpr Bytes kBlockBytes = 16 * 1024;
 
 void validate(const CampaignConfig& cfg) {
   TARR_REQUIRE(cfg.num_nodes >= 1, "campaign: num_nodes must be >= 1");
   TARR_REQUIRE(cfg.max_ranks >= 0, "campaign: max_ranks must be >= 0");
-  TARR_REQUIRE(cfg.block_bytes >= 1, "campaign: block_bytes must be >= 1");
   TARR_REQUIRE(cfg.trials >= 1, "campaign: trials must be >= 1");
   TARR_REQUIRE(!cfg.failure_counts.empty(),
                "campaign: failure_counts must not be empty");
@@ -67,66 +69,29 @@ void accumulate(simmpi::TransientFaultStats& into,
   into.timeout_wait += s.timeout_wait;
 }
 
-/// Price one pattern-matched collective over `cores` on the degraded
-/// machine.  `oldrank[j]` = initial (pre-reorder) index of the process on
-/// cores[j] within the run's slot set.  The run's transient-fault counters
+/// Price one run of `sched` with its ranks on `cores`, a permutation of
+/// the baseline slots, on the degraded machine; rank j's original rank is
+/// the position of cores[j] in `slots`.  The run's transient-fault counters
 /// are folded into `stats_out`; trace emission flows through `sink`.
 Usec price_run(const CampaignConfig& cfg, const DegradedTopology& topo,
-               const PatternSpec& spec, std::vector<CoreId> cores,
-               const std::vector<Rank>& oldrank, std::uint64_t transient_seed,
+               const collectives::Schedule& sched,
+               const simmpi::Communicator& slots, std::vector<CoreId> cores,
+               std::uint64_t transient_seed,
                simmpi::TransientFaultStats& stats_out,
                trace::TraceSink* sink) {
-  const int p = static_cast<int>(cores.size());
-  simmpi::Communicator comm(topo.machine(), std::move(cores));
-  simmpi::Engine eng(comm, cfg.cost, simmpi::ExecMode::Timed,
-                     cfg.block_bytes, p);
+  const simmpi::Communicator comm(topo.machine(), std::move(cores));
+  simmpi::Engine eng(comm, simmpi::CostConfig{}, simmpi::ExecMode::Timed,
+                     kBlockBytes, sched.buf_blocks(comm.size()));
   eng.set_trace_sink(sink);
   if (cfg.transient.enabled()) {
     simmpi::TransientFaultConfig t = cfg.transient;
     t.seed = transient_seed;
     eng.set_transient_faults(t);
   }
-  Usec cost = 0.0;
-  // InitComm is the §V-B fix the evaluation uses for the heuristic path.
-  switch (spec.op) {
-    case Op::RdAllgather:
-      cost = collectives::run_allgather(
-          eng,
-          {collectives::AllgatherAlgo::RecursiveDoubling,
-           collectives::OrderFix::InitComm},
-          oldrank);
-      break;
-    case Op::RingAllgather:
-      cost = collectives::run_allgather(
-          eng, {collectives::AllgatherAlgo::Ring, collectives::OrderFix::None},
-          oldrank);
-      break;
-    case Op::BinomialBcast:
-      cost = collectives::run_bcast(eng, collectives::TreeAlgo::Binomial);
-      break;
-    case Op::BinomialGather:
-      cost = collectives::run_gather(eng, collectives::TreeAlgo::Binomial,
-                                     collectives::OrderFix::InitComm, oldrank);
-      break;
-  }
+  const Usec cost =
+      sched.run(eng, invert_permutation(slots.permutation_to(comm)));
   accumulate(stats_out, eng.transient_stats());
   return cost;
-}
-
-/// oldrank[j] = position of cores[j] in the baseline slot order.
-std::vector<Rank> oldrank_of(const std::vector<CoreId>& slots,
-                             const std::vector<int>& cores,
-                             int total_cores) {
-  std::vector<Rank> pos(total_cores, -1);
-  for (std::size_t i = 0; i < slots.size(); ++i)
-    pos[slots[i]] = static_cast<Rank>(i);
-  std::vector<Rank> oldrank(cores.size());
-  for (std::size_t j = 0; j < cores.size(); ++j) {
-    TARR_REQUIRE(pos[cores[j]] >= 0,
-                 "campaign: mapping returned a core outside the slot set");
-    oldrank[j] = pos[cores[j]];
-  }
-  return oldrank;
 }
 
 std::string fmt_usec(double v) { return TextTable::num(v, 3); }
@@ -191,7 +156,9 @@ CampaignResult run_fault_campaign(const CampaignConfig& cfg,
           row.failures = k;
           row.trial = trial;
           row.pattern = spec.name;
-          row.mapper = mapping::make_heuristic(spec.pattern)->name();
+          const mapping::Pattern pattern =
+              collectives::find_schedule(spec.schedule).pattern;
+          row.mapper = mapping::make_heuristic(pattern)->name();
           row.partitioned = true;
           result.rows.push_back(std::move(row));
         }
@@ -199,14 +166,13 @@ CampaignResult run_fault_campaign(const CampaignConfig& cfg,
       }
 
       const topology::DistanceMatrix degraded_d = topo.distances();
-      const int p = static_cast<int>(slots.size());
-      const std::vector<int> slot_ints(slots.begin(), slots.end());
-      std::vector<Rank> identity(p);
-      for (Rank j = 0; j < p; ++j) identity[j] = j;
+      const simmpi::Communicator slot_comm(topo.machine(), slots);
 
       for (std::size_t pi = 0; pi < std::size(kPatterns); ++pi) {
         const PatternSpec& spec = kPatterns[pi];
-        const auto mapper = mapping::make_heuristic(spec.pattern);
+        const collectives::Schedule& sched =
+            collectives::find_schedule(spec.schedule);
+        const auto mapper = mapping::make_heuristic(sched.pattern);
         const std::uint64_t run_seed = mix_seed(trial_seed, pi, 0);
         // One mapping seed and one transient seed per row: with zero
         // failures the stale and remap mappings are computed from identical
@@ -222,32 +188,26 @@ CampaignResult run_fault_campaign(const CampaignConfig& cfg,
         row.pattern = spec.name;
         row.mapper = mapper->name();
         row.survivors = survivors;
-        row.ranks = p;
+        row.ranks = slot_comm.size();
 
         // baseline: initial layout untouched.
-        row.baseline_usec = price_run(cfg, topo, spec, slots, identity,
+        row.baseline_usec = price_run(cfg, topo, sched, slot_comm, slots,
                                       fault_seed, row.transient, sink);
 
         // stale: the heuristic's pre-failure answer (pristine distances)
         // replayed on the degraded fabric.
         Rng stale_rng(map_seed);
-        const std::vector<int> stale_map =
-            mapper->checked_map(slot_ints, pristine_d, stale_rng);
         row.stale_usec = price_run(
-            cfg, topo, spec,
-            std::vector<CoreId>(stale_map.begin(), stale_map.end()),
-            oldrank_of(slots, stale_map, total), fault_seed, row.transient,
-            sink);
+            cfg, topo, sched, slot_comm,
+            mapper->checked_map(slots, pristine_d, stale_rng), fault_seed,
+            row.transient, sink);
 
         // remap: the heuristic re-run on the degraded distance matrix.
         Rng remap_rng(map_seed);
-        const std::vector<int> remap_map =
-            mapper->checked_map(slot_ints, degraded_d, remap_rng);
         row.remap_usec = price_run(
-            cfg, topo, spec,
-            std::vector<CoreId>(remap_map.begin(), remap_map.end()),
-            oldrank_of(slots, remap_map, total), fault_seed, row.transient,
-            sink);
+            cfg, topo, sched, slot_comm,
+            mapper->checked_map(slots, degraded_d, remap_rng), fault_seed,
+            row.transient, sink);
 
         result.rows.push_back(std::move(row));
       }

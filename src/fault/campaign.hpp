@@ -3,7 +3,6 @@
 #include <string>
 #include <vector>
 
-#include "simmpi/costmodel.hpp"
 #include "simmpi/transient.hpp"
 #include "topology/fattree.hpp"
 #include "trace/sink.hpp"
@@ -14,8 +13,9 @@
 ///
 /// For every failure count k and trial, a seeded FaultMask knocks k
 /// components out of a GPC-style machine; the campaign then prices the
-/// pattern-matched collective for each of the paper's four heuristics under
-/// three policies on the *degraded* fabric:
+/// pattern-matched collective for each of the paper's four heuristics (a
+/// schedule of collectives/schedules.hpp, 16 KiB blocks, the default cost
+/// model) under three policies on the *degraded* fabric:
 ///   * baseline — the initial (block-bunch) layout, no reordering;
 ///   * stale    — the heuristic's mapping computed from the PRISTINE
 ///                distance matrix (the mapping nobody recomputed after the
@@ -49,12 +49,10 @@ struct CampaignConfig {
                                .spines_per_core = 2,
                                .leaves_per_line = 2};
   int max_ranks = 0;  ///< cap on processes; 0 = one per core (rounded to pow2)
-  Bytes block_bytes = 16 * 1024;
   std::vector<int> failure_counts = {0, 1, 2, 4, 8};
   int trials = 8;  ///< Monte Carlo trials per failure count
   std::uint64_t seed = 1;
   FailureKind kind = FailureKind::Links;
-  simmpi::CostConfig cost;
   /// Optional per-transfer transient faults priced into every run (the seed
   /// is re-derived per run so trials stay independent and deterministic).
   simmpi::TransientFaultConfig transient;

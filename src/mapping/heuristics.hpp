@@ -74,19 +74,15 @@ class BgmhMapper : public Mapper {
 };
 
 /// BKMH — Bruck allgather (future-work extension): RDMH-style scheme with
-/// the Bruck peer relation (ref + 2^k mod p), furthest stage first.  Works
-/// for any communicator size.
+/// the Bruck peer relation (ref + 2^k mod p), furthest stage first, the
+/// reference advancing every two placements.  Works for any communicator
+/// size.
 class BkmhMapper : public Mapper {
  public:
-  explicit BkmhMapper(int ref_update_period = 2)
-      : period_(ref_update_period) {}
   std::string name() const override { return "BKMH"; }
   std::vector<int> map(const std::vector<int>& rank_to_slot,
                        const topology::DistanceMatrix& d,
                        Rng& rng) const override;
-
- private:
-  int period_;
 };
 
 }  // namespace tarr::mapping

@@ -1,6 +1,6 @@
 #include "probe/controller.hpp"
 
-#include <algorithm>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -115,26 +115,13 @@ bool AdaptiveController::reprobe_and_map(
     mapping_ = slots_;
     fallback_ = true;
     ++fallbacks_;
-    rebuild_oldrank();
     return false;
   }
   Rng rng(mix_seed(pc.seed, 0x6d6170ull, 0));
   mapping_ = mapper_->checked_map(slots_, probed.distances, rng);
   fallback_ = false;
   ++remaps_;
-  rebuild_oldrank();
   return true;
-}
-
-void AdaptiveController::rebuild_oldrank() {
-  int max_slot = 0;
-  for (int s : slots_) max_slot = std::max(max_slot, s);
-  std::vector<Rank> owner(static_cast<std::size_t>(max_slot) + 1, -1);
-  for (std::size_t r = 0; r < slots_.size(); ++r)
-    owner[static_cast<std::size_t>(slots_[r])] = static_cast<Rank>(r);
-  oldrank_.resize(mapping_.size());
-  for (std::size_t nr = 0; nr < mapping_.size(); ++nr)
-    oldrank_[nr] = owner[static_cast<std::size_t>(mapping_[nr])];
 }
 
 }  // namespace tarr::probe

@@ -95,10 +95,6 @@ class AdaptiveController {
   /// Current rank -> slot mapping (M[new_rank] = slot).
   const std::vector<int>& mapping() const { return mapping_; }
 
-  /// oldrank[new_rank] = position of the process in the initial layout —
-  /// the §V-B bookkeeping collectives need on a reordered communicator.
-  const std::vector<Rank>& oldrank() const { return oldrank_; }
-
   /// True while the controller is running on the identity fallback.
   bool fallback_active() const { return fallback_; }
 
@@ -127,15 +123,11 @@ class AdaptiveController {
   /// Returns true when the probe succeeded.
   bool reprobe_and_map(const fault::DegradedTopology& current);
 
-  /// Recompute oldrank_ from mapping_ and slots_.
-  void rebuild_oldrank();
-
   const mapping::Mapper* mapper_;
   ControllerConfig cfg_;
   trace::TraceSink* sink_;
   std::vector<int> slots_;       ///< initial layout (fallback mapping)
   std::vector<int> mapping_;     ///< current rank -> slot
-  std::vector<Rank> oldrank_;
   bool fallback_ = false;
   double reference_ = -1.0;      ///< < 0 = awaiting calibration
   int drift_streak_ = 0;

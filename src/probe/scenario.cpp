@@ -6,9 +6,9 @@
 #include <utility>
 
 #include "bench/csv.hpp"
-#include "collectives/allreduce.hpp"
-#include "collectives/alltoall.hpp"
+#include "collectives/schedules.hpp"
 #include "common/error.hpp"
+#include "common/permutation.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "common/timer.hpp"
@@ -19,20 +19,9 @@
 
 namespace tarr::probe {
 
-const char* to_string(ScenarioPattern p) {
-  switch (p) {
-    case ScenarioPattern::RingAllreduce:
-      return "ring-allreduce";
-    case ScenarioPattern::Alltoall:
-      return "alltoall";
-  }
-  return "?";
-}
-
 void validate(const ScenarioConfig& cfg) {
   TARR_REQUIRE(cfg.num_nodes >= 1, "scenario: num_nodes must be >= 1");
   TARR_REQUIRE(cfg.max_ranks >= 0, "scenario: max_ranks must be >= 0");
-  TARR_REQUIRE(cfg.block_bytes >= 1, "scenario: block_bytes must be >= 1");
   TARR_REQUIRE(cfg.epochs >= 1, "scenario: epochs must be >= 1");
   topology::validate(cfg.tree);
   validate(cfg.congestion);
@@ -52,44 +41,39 @@ double PatternSummary::oracle_gap_pct() const {
 
 namespace {
 
-/// The collectives every scenario prices, in report order.
-constexpr ScenarioPattern kPatterns[] = {ScenarioPattern::RingAllreduce,
-                                         ScenarioPattern::Alltoall};
+/// The collectives every scenario prices, in report order: the printed
+/// pattern name, then its schedule.  Both are neighbor-heavy (the ring
+/// literally, the rotation alltoall in its cheap early stages), so RMH is
+/// the pattern-matched heuristic for both.
+constexpr std::pair<const char*, const char*> kPatterns[] = {
+    {"ring-allreduce", "allreduce-ring"},
+    {"alltoall", "alltoall-rotation"},
+};
 
-/// oldrank[j] = position of mapping[j] in the baseline slot order.
-std::vector<Rank> oldrank_of(const std::vector<int>& slots,
-                             const std::vector<int>& mapping, int total_cores) {
-  std::vector<Rank> pos(static_cast<std::size_t>(total_cores), -1);
-  for (std::size_t i = 0; i < slots.size(); ++i)
-    pos[static_cast<std::size_t>(slots[i])] = static_cast<Rank>(i);
-  std::vector<Rank> oldrank(mapping.size());
-  for (std::size_t j = 0; j < mapping.size(); ++j) {
-    TARR_REQUIRE(pos[static_cast<std::size_t>(mapping[j])] >= 0,
-                 "scenario: mapping returned a core outside the slot set");
-    oldrank[j] = pos[static_cast<std::size_t>(mapping[j])];
-  }
-  return oldrank;
-}
+/// Every priced run moves 16 KiB blocks.
+constexpr Bytes kBlockBytes = 16 * 1024;
 
-/// Price one collective run of `mapping` on the congested fabric.
-Usec price_run(const ScenarioConfig& cfg, const fault::DegradedTopology& topo,
-               ScenarioPattern pat, const std::vector<int>& mapping,
-               const std::vector<Rank>& oldrank, trace::TraceSink* sink) {
-  const int p = static_cast<int>(mapping.size());
-  simmpi::Communicator comm(topo.machine(),
-                            std::vector<CoreId>(mapping.begin(), mapping.end()));
-  const int buf_blocks = pat == ScenarioPattern::Alltoall ? 2 * p : p;
-  simmpi::Engine eng(comm, cfg.cost, simmpi::ExecMode::Timed, cfg.block_bytes,
-                     buf_blocks);
+/// The resource manager's initial layout: cyclic (SLURM
+/// --distribution=cyclic), so consecutive ranks land on different nodes and
+/// the un-reordered collective genuinely suffers on the fabric — the
+/// paper's own worst-case starting layout (Fig 3).  A block layout is
+/// already ring-optimal and would make every policy coincide; see
+/// docs/PROBING.md.
+constexpr simmpi::LayoutSpec kLayout{simmpi::NodeOrder::Cyclic,
+                                     simmpi::SocketOrder::Bunch};
+
+/// Price one run of `sched` with its ranks on `mapping`, a permutation of
+/// `slots`, on the congested fabric; rank j's original rank is the position
+/// of mapping[j] in `slots`.
+Usec price_run(const fault::DegradedTopology& topo,
+               const collectives::Schedule& sched,
+               const simmpi::Communicator& slots,
+               const std::vector<int>& mapping, trace::TraceSink* sink) {
+  const simmpi::Communicator comm(topo.machine(), mapping);
+  simmpi::Engine eng(comm, simmpi::CostConfig{}, simmpi::ExecMode::Timed,
+                     kBlockBytes, sched.buf_blocks(comm.size()));
   eng.set_trace_sink(sink);
-  switch (pat) {
-    case ScenarioPattern::RingAllreduce:
-      return collectives::run_allreduce_ring(eng);
-    case ScenarioPattern::Alltoall:
-      return collectives::run_alltoall(
-          eng, collectives::AlltoallAlgo::Rotation, oldrank);
-  }
-  return 0.0;
+  return sched.run(eng, invert_permutation(slots.permutation_to(comm)));
 }
 
 }  // namespace
@@ -103,21 +87,16 @@ ScenarioResult run_probed_scenario(const ScenarioConfig& cfg,
       cfg.shape, topology::build_gpc_network(cfg.num_nodes, cfg.tree));
   const int total = base.total_cores();
   const int p = cfg.max_ranks > 0 ? std::min(cfg.max_ranks, total) : total;
-  const std::vector<CoreId> layout = simmpi::make_layout(base, p, cfg.layout);
-  const std::vector<int> slots(layout.begin(), layout.end());
-  std::vector<Rank> identity_oldrank(static_cast<std::size_t>(p));
-  for (Rank j = 0; j < p; ++j) identity_oldrank[static_cast<std::size_t>(j)] = j;
-
-  // Both patterns are neighbor-only (the ring literally, the rotation
-  // alltoall in its cheap early stages), so RMH is the pattern-matched
-  // heuristic for both.
+  const std::vector<int> slots = simmpi::make_layout(base, p, kLayout);
+  const simmpi::Communicator slot_comm(base, slots);
   const auto mapper = mapping::make_heuristic(mapping::Pattern::Ring);
 
   ScenarioResult result;
   result.config = cfg;
 
   for (std::size_t pi = 0; pi < std::size(kPatterns); ++pi) {
-    const ScenarioPattern pat = kPatterns[pi];
+    const collectives::Schedule& sched =
+        collectives::find_schedule(kPatterns[pi].second);
     // Per-pattern seed split: patterns see the same fabric sequence (same
     // congestion config) but independent probe/tie-break streams.
     ControllerConfig ctl = cfg.controller;
@@ -128,7 +107,7 @@ ScenarioResult run_probed_scenario(const ScenarioConfig& cfg,
     AdaptiveController controller(*mapper, ctl, initial, slots, sink);
 
     PatternSummary ps;
-    ps.pattern = to_string(pat);
+    ps.pattern = kPatterns[pi].first;
     for (int epoch = 0; epoch < cfg.epochs; ++epoch) {
       const fault::DegradedTopology topo(
           base, congestion_mask(base.network(), cfg.congestion, epoch));
@@ -138,8 +117,7 @@ ScenarioResult run_probed_scenario(const ScenarioConfig& cfg,
       row.epoch = epoch;
 
       // identity: never reordered.
-      row.identity_usec =
-          price_run(cfg, topo, pat, slots, identity_oldrank, sink);
+      row.identity_usec = price_run(topo, sched, slot_comm, slots, sink);
 
       // oracle: RMH on the exact effective distances, every epoch for free.
       Rng oracle_rng(mix_seed(ctl.probe.seed, 0x6f7261ull,
@@ -150,13 +128,11 @@ ScenarioResult run_probed_scenario(const ScenarioConfig& cfg,
               effective_node_distances(topo),
               topology::extract_intranode_distances(topo.machine())),
           oracle_rng);
-      row.oracle_usec = price_run(cfg, topo, pat, oracle_map,
-                                  oldrank_of(slots, oracle_map, total), sink);
+      row.oracle_usec = price_run(topo, sched, slot_comm, oracle_map, sink);
 
       // probed: price the controller's current mapping, then let it decide.
       row.probed_usec =
-          price_run(cfg, topo, pat, controller.mapping(),
-                    controller.oldrank(), sink);
+          price_run(topo, sched, slot_comm, controller.mapping(), sink);
       const Decision d = controller.observe(epoch, topo, row.probed_usec);
       row.action = d.action;
       row.drift = d.drift;

@@ -5,8 +5,6 @@
 
 #include "probe/congestion.hpp"
 #include "probe/controller.hpp"
-#include "simmpi/costmodel.hpp"
-#include "simmpi/layout.hpp"
 #include "topology/fattree.hpp"
 #include "trace/sink.hpp"
 
@@ -16,10 +14,11 @@
 ///
 /// One scenario runs an epoch loop over a GPC-style machine.  Each epoch,
 /// the multi-tenant congestion model (probe/congestion.hpp) decides the
-/// fabric state; three policies then price the same ML-style collective on
-/// that fabric:
+/// fabric state; three policies then price the same ML-style collective (the
+/// allreduce-ring and alltoall-rotation schedules, 16 KiB blocks) on that
+/// fabric:
 ///
-///  * identity — the resource manager's block layout, never reordered
+///  * identity — the resource manager's cyclic layout, never reordered
 ///    (the floor);
 ///  * oracle   — RMH re-run every epoch on the exact effective distance
 ///    matrix, as if the job could read the fabric's counters for free
@@ -40,14 +39,6 @@
 
 namespace tarr::probe {
 
-/// Collectives the scenario prices (both neighbor-heavy, both RMH-mapped).
-enum class ScenarioPattern {
-  RingAllreduce,  ///< ring reduce-scatter + allgather, buf_blocks = p
-  Alltoall,       ///< rotation alltoall, buf_blocks = 2p
-};
-
-const char* to_string(ScenarioPattern p);
-
 /// Scenario parameters.  The default machine matches the fault campaign's
 /// right-sized GPC fabric so congested links land on links the job uses.
 struct ScenarioConfig {
@@ -65,19 +56,9 @@ struct ScenarioConfig {
   /// Node shape (the paper's flat 2x4 nodes by default; deep or one-core
   /// shapes are accepted for what-if studies).
   topology::NodeShape shape{};
-  /// Initial resource-manager layout.  Defaults to cyclic (SLURM
-  /// --distribution=cyclic): consecutive ranks land on different nodes, so
-  /// the un-reordered collective genuinely suffers on the fabric and the
-  /// mapping decision matters — the paper's own worst-case starting layout
-  /// (Fig 3).  A block layout is already ring-optimal and would make every
-  /// policy coincide; see docs/PROBING.md.
-  simmpi::LayoutSpec layout{simmpi::NodeOrder::Cyclic,
-                            simmpi::SocketOrder::Bunch};
-  Bytes block_bytes = 16 * 1024;
   int epochs = 8;
   CongestionConfig congestion;
   ControllerConfig controller;
-  simmpi::CostConfig cost;
 };
 
 /// Throws tarr::Error naming the first out-of-range field.

@@ -35,6 +35,8 @@ struct RecordedTransfer {
   Usec duration = 0.0;     ///< priced cost within the stage
   Usec uncontended = 0.0;  ///< cost at contention factor 1.0
   Usec start = 0.0;        ///< simulated start (its stage's start)
+
+  bool operator==(const RecordedTransfer&) const = default;
 };
 
 /// One block-granular copy of a recorded stage, exactly as submitted to
@@ -48,6 +50,8 @@ struct RecordedCopy {
   int nblocks = 0;
   Bytes bytes = 0;
   bool combining = false;
+
+  bool operator==(const RecordedCopy&) const = default;
 };
 
 /// One directed resource load of a recorded stage (the stage-start counter
@@ -58,6 +62,8 @@ struct RecordedLoad {
   int id = 0;
   int dir = 0;
   double bytes = 0.0;
+
+  bool operator==(const RecordedLoad&) const = default;
 };
 
 /// One stage event — either a real stage (repeats == 1) or a
@@ -79,6 +85,8 @@ struct RecordedStage {
   int num_copies = 0;
   int first_load = 0;     ///< index into ScheduleRecord::loads
   int num_loads = 0;
+
+  bool operator==(const RecordedStage&) const = default;
 };
 
 /// Simulated time added outside any stage (local shuffles, compute).
@@ -92,6 +100,8 @@ struct RecordedExtra {
   /// Phases recorded before this extra arrived.  Phases and extras share
   /// the timeline's phases track, whose sort breaks ties by arrival.
   int phases_before = 0;
+
+  bool operator==(const RecordedExtra&) const = default;
 };
 
 /// The recorded run.  `events` interleaves stages and extras in arrival
@@ -101,6 +111,8 @@ struct ScheduleRecord {
     enum class Kind { Stage, Extra };
     Kind kind = Kind::Stage;
     int index = 0;
+
+    bool operator==(const EventRef&) const = default;
   };
 
   std::vector<RecordedTransfer> transfers;
@@ -124,6 +136,7 @@ struct ScheduleRecord {
   Usec total = 0.0;
 
   bool empty() const { return events.empty(); }
+  bool operator==(const ScheduleRecord&) const = default;
 
   /// Slice accessors resolving a stage's index ranges (repeat-compressed
   /// entries share the slices of the stage they repeat).

@@ -80,6 +80,8 @@ struct PhaseEvent {
   std::string name;
   Usec start = 0.0;
   Usec duration = 0.0;
+
+  bool operator==(const PhaseEvent&) const = default;
 };
 
 /// One per-stage load sample of a shared resource (emitted at stage start
@@ -91,6 +93,8 @@ struct CounterSample {
   int dir = 0;  ///< direction slot (0/1), matching CostModel's convention
   Usec ts = 0.0;
   double value = 0.0;  ///< bytes loaded onto the resource this stage
+
+  bool operator==(const CounterSample&) const = default;
 };
 
 /// A wall-clock profiling span: distance extraction, one mapping run, one

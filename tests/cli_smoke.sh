@@ -9,8 +9,9 @@
 # byte-identical; JSON artifacts parse; a .tlog stays within 25 % of the
 # equivalent Chrome-trace JSON; truncated and bit-flipped .tlog files are
 # rejected; the committed baselines pass `report compare` against
-# themselves and fail it with one gated metric 10 % worse; every schedule
-# mutation is rejected; the expected strings appear; exit codes are 2 for
+# themselves and fail it with one gated metric 10 % worse; certify-all
+# prints the committed listing and every schedule mutation is rejected; the
+# expected strings appear; exit codes are 2 for
 # usage errors, 1 for errors (every artifact flag pointed at /dev/full
 # included) and 3 for the insight gate.
 set -euo pipefail
@@ -221,8 +222,11 @@ expect_rc 1 insight diagnose --fail-on bogus
 expect_rc 3 insight diagnose --congested --epoch 3 --fail-on info
 expect_rc 2 insight
 
-# Static audit: every built-in schedule certifies; a mutated one is rejected.
-"$TARR" analyze certify-all --nodes 2 --procs 16 > /dev/null
+# Static audit: every built-in schedule certifies, with the stage and copy
+# counts of the committed listing; a mutated one is rejected.
+"$TARR" analyze certify-all --nodes 2 --procs 16 > certify-all.txt
+diff "$SRC/tests/certify_all.expected" certify-all.txt ||
+  fail "certify-all differs from tests/certify_all.expected"
 "$TARR" analyze certify-all --nodes 4 --procs 32 --layout cyclic-scatter \
   --reorder > /dev/null
 "$TARR" analyze certify --collective allgather-ring --max-link-load 0.01 \

@@ -8,16 +8,12 @@
 
 #include "analyze/mutate.hpp"
 #include "collectives/allgather.hpp"
-#include "collectives/allreduce.hpp"
-#include "collectives/alltoall.hpp"
 #include "collectives/contracts.hpp"
 #include "collectives/gather_bcast.hpp"
-#include "collectives/hierarchical.hpp"
+#include "collectives/schedules.hpp"
 #include "common/error.hpp"
 #include "common/permutation.hpp"
 #include "core/framework.hpp"
-#include "fault/degraded.hpp"
-#include "fault/shrink.hpp"
 #include "simmpi/layout.hpp"
 #include "trace/record.hpp"
 
@@ -26,7 +22,6 @@ namespace {
 
 using collectives::AllgatherAlgo;
 using collectives::AllgatherOptions;
-using collectives::AlltoallAlgo;
 using collectives::OrderFix;
 using collectives::TreeAlgo;
 using trace::ScheduleRecord;
@@ -55,128 +50,39 @@ void expect_certified(const ScheduleRecord& rec, const Machine& m,
   EXPECT_TRUE(cert.certified) << cert.format();
 }
 
-TEST(AnalyzeCertifies, AllgatherAllAlgosIdentity) {
+TEST(AnalyzeCertifies, EveryScheduleIdentityAndReordered) {
+  // Every table schedule on two GPC nodes at the identity, and each
+  // reorderable one also under its heuristic's mapping of a cyclic-scatter
+  // layout; the Data-mode run meets the same contract, checked live.
   const Machine m = Machine::gpc(2);
-  const int p = 16;
-  const Communicator comm(m, make_layout(m, p, LayoutSpec{}));
-  const auto oldrank = identity_permutation(p);
-  for (AllgatherAlgo algo : {AllgatherAlgo::RecursiveDoubling,
-                             AllgatherAlgo::Ring, AllgatherAlgo::Bruck}) {
-    Engine eng(comm, CostConfig{}, ExecMode::Data, 256, p);
-    const ScheduleRecord rec = record_run(eng, [&](Engine& e) {
-      collectives::run_allgather(e, AllgatherOptions{algo, OrderFix::None},
-                                 oldrank);
-    });
-    const Contract c = collectives::contract_allgather(p, p, algo, oldrank);
-    collectives::check_output(eng, c);  // the same contract, checked live
-    expect_certified(rec, m, c);
-  }
-}
-
-TEST(AnalyzeCertifies, AllgatherReorderedBothFixes) {
-  const Machine m = Machine::gpc(4);
-  const int p = 32;
-  const Communicator comm(
-      m, make_layout(m, p,
-                     LayoutSpec{simmpi::NodeOrder::Cyclic,
-                                simmpi::SocketOrder::Scatter}));
   core::ReorderFramework fw(m);
-  const auto rc = fw.reorder(comm, mapping::Pattern::RecursiveDoubling);
-  for (OrderFix fix : {OrderFix::InitComm, OrderFix::EndShuffle}) {
-    Engine eng(rc.comm, CostConfig{}, ExecMode::Data, 256, p);
-    const ScheduleRecord rec = record_run(eng, [&](Engine& e) {
-      collectives::run_allgather(
-          e, AllgatherOptions{AllgatherAlgo::RecursiveDoubling, fix},
-          rc.oldrank);
-    });
-    const Contract c = collectives::contract_allgather(
-        p, p, AllgatherAlgo::RecursiveDoubling, rc.oldrank);
-    collectives::check_output(eng, c);
-    expect_certified(rec, m, c);
-  }
-  // Ring and Bruck carry their own order correction.
-  for (AllgatherAlgo algo : {AllgatherAlgo::Ring, AllgatherAlgo::Bruck}) {
-    Engine eng(rc.comm, CostConfig{}, ExecMode::Data, 256, p);
-    const ScheduleRecord rec = record_run(eng, [&](Engine& e) {
-      collectives::run_allgather(e, AllgatherOptions{algo, OrderFix::None},
-                                 rc.oldrank);
-    });
-    const Contract c =
-        collectives::contract_allgather(p, p, algo, rc.oldrank);
-    collectives::check_output(eng, c);
-    expect_certified(rec, m, c);
-  }
-}
-
-TEST(AnalyzeCertifies, HierarchicalAndPipelined) {
-  const Machine m = Machine::gpc(2);
-  const int p = m.total_cores();
-  const Communicator comm(m, make_layout(m, p, LayoutSpec{}));
-  const auto oldrank = identity_permutation(p);
-  {
-    Engine eng(comm, CostConfig{}, ExecMode::Data, 256, p);
-    const ScheduleRecord rec = record_run(eng, [&](Engine& e) {
-      collectives::run_hier_allgather(
-          e, collectives::HierAllgatherOptions{}, oldrank);
-    });
-    const Contract c =
-        collectives::contract_hier_allgather(p, p, oldrank, false);
-    collectives::check_output(eng, c);
-    expect_certified(rec, m, c);
-  }
-  {
-    Engine eng(comm, CostConfig{}, ExecMode::Data, 256, p);
-    const ScheduleRecord rec = record_run(eng, [&](Engine& e) {
-      collectives::run_hier_allgather_pipelined(
-          e, collectives::IntraAlgo::Binomial, OrderFix::None, oldrank);
-    });
-    const Contract c =
-        collectives::contract_hier_allgather(p, p, oldrank, true);
-    collectives::check_output(eng, c);
-    expect_certified(rec, m, c);
-  }
-}
-
-TEST(AnalyzeCertifies, GatherBcastScatterFamilies) {
-  const Machine m = Machine::gpc(2);
-  const int p = 16;
-  const Communicator comm(m, make_layout(m, p, LayoutSpec{}));
-  const auto oldrank = identity_permutation(p);
-  for (TreeAlgo algo : {TreeAlgo::Linear, TreeAlgo::Binomial}) {
-    Engine eng(comm, CostConfig{}, ExecMode::Data, 256, p);
-    const ScheduleRecord rec = record_run(eng, [&](Engine& e) {
-      collectives::run_gather(e, algo, OrderFix::None, oldrank);
-    });
-    const Contract c = collectives::contract_gather(p, p, algo, oldrank);
-    collectives::check_output(eng, c);
-    expect_certified(rec, m, c);
-  }
-  for (TreeAlgo algo : {TreeAlgo::Linear, TreeAlgo::Binomial}) {
-    Engine eng(comm, CostConfig{}, ExecMode::Data, 256, 1);
-    const ScheduleRecord rec = record_run(
-        eng, [&](Engine& e) { collectives::run_bcast(e, algo); });
-    const Contract c = collectives::contract_bcast(p, 1, algo);
-    collectives::check_output(eng, c);
-    expect_certified(rec, m, c);
-  }
-  for (AllgatherAlgo ag : {AllgatherAlgo::RecursiveDoubling,
-                           AllgatherAlgo::Ring}) {
-    Engine eng(comm, CostConfig{}, ExecMode::Data, 256, p);
-    const ScheduleRecord rec = record_run(eng, [&](Engine& e) {
-      collectives::run_bcast_scatter_allgather(e, ag);
-    });
-    const Contract c = collectives::contract_bcast_scatter_allgather(p, p, ag);
-    collectives::check_output(eng, c);
-    expect_certified(rec, m, c);
-  }
-  for (TreeAlgo algo : {TreeAlgo::Linear, TreeAlgo::Binomial}) {
-    Engine eng(comm, CostConfig{}, ExecMode::Data, 256, p);
-    const ScheduleRecord rec = record_run(eng, [&](Engine& e) {
-      collectives::run_scatter(e, algo, oldrank);
-    });
-    const Contract c = collectives::contract_scatter(p, p, algo, oldrank);
-    collectives::check_output(eng, c);
-    expect_certified(rec, m, c);
+  for (const collectives::Schedule& s : collectives::schedules()) {
+    const int p = s.hierarchical ? m.total_cores() : 16;
+    for (const bool reorder : {false, true}) {
+      if (reorder && !s.reorderable) continue;
+      const Communicator comm(
+          m, make_layout(m, p,
+                         reorder ? LayoutSpec{simmpi::NodeOrder::Cyclic,
+                                              simmpi::SocketOrder::Scatter}
+                                 : LayoutSpec{}));
+      const core::ReorderedComm rc =
+          reorder ? fw.reorder(comm, s.pattern)
+                  : core::ReorderedComm{comm, identity_permutation(p), 0.0};
+      EXPECT_EQ(reorder, rc.oldrank != identity_permutation(p)) << s.name;
+      const int blocks = s.buf_blocks(p);
+      const Contract c = s.contract(p, blocks, rc.oldrank);
+      Engine eng(rc.comm, CostConfig{}, ExecMode::Data, 256, blocks);
+      const ScheduleRecord rec = record_run(eng, [&](Engine& e) {
+        // Reduction runners do not seed: the test writes the seeds.
+        if (std::string(s.name).find("reduce") != std::string::npos)
+          for (const Contract::Seed& sd : c.seeds)
+            e.set_block(sd.rank, sd.block, sd.tag);
+        s.run(e, rc.oldrank);
+      });
+      SCOPED_TRACE(std::string(s.name) + (reorder ? " reordered" : ""));
+      collectives::check_output(eng, c);
+      expect_certified(rec, m, c);
+    }
   }
 }
 
@@ -202,77 +108,6 @@ TEST(AnalyzeCertifies, ReorderedScatterExercisesPermuteEvents) {
   expect_certified(
       rec, m, collectives::contract_scatter(p, p, TreeAlgo::Binomial,
                                             rc.oldrank));
-}
-
-TEST(AnalyzeCertifies, AlltoallBothAlgosReordered) {
-  const Machine m = Machine::gpc(2);
-  const int p = 16;
-  const Communicator comm(
-      m, make_layout(m, p,
-                     LayoutSpec{simmpi::NodeOrder::Cyclic,
-                                simmpi::SocketOrder::Scatter}));
-  core::ReorderFramework fw(m);
-  const auto rc = fw.reorder(comm, mapping::Pattern::RecursiveDoubling);
-  for (AlltoallAlgo algo : {AlltoallAlgo::Rotation,
-                            AlltoallAlgo::PairwiseXor}) {
-    Engine eng(rc.comm, CostConfig{}, ExecMode::Data, 64, 2 * p);
-    const ScheduleRecord rec = record_run(eng, [&](Engine& e) {
-      collectives::run_alltoall(e, algo, rc.oldrank);
-    });
-    const Contract c =
-        collectives::contract_alltoall(p, 2 * p, algo, rc.oldrank);
-    collectives::check_output(eng, c);
-    expect_certified(rec, m, c);
-  }
-}
-
-TEST(AnalyzeCertifies, AllreduceRdAndRabenseifner) {
-  const Machine m = Machine::gpc(2);
-  const int p = 16;
-  const Communicator comm(m, make_layout(m, p, LayoutSpec{}));
-  // Reduction runners do not seed: the run writes the contract's seeds.
-  {
-    Engine eng(comm, CostConfig{}, ExecMode::Data, 256, 1);
-    const Contract c = collectives::contract_allreduce_rd(p, 1);
-    const ScheduleRecord rec = record_run(eng, [&](Engine& e) {
-      for (const Contract::Seed& sd : c.seeds)
-        e.set_block(sd.rank, sd.block, sd.tag);
-      collectives::run_allreduce_rd(e);
-    });
-    collectives::check_output(eng, c);
-    expect_certified(rec, m, c);
-  }
-  {
-    Engine eng(comm, CostConfig{}, ExecMode::Data, 64, p);
-    const Contract c = collectives::contract_allreduce_rabenseifner(p, p);
-    const ScheduleRecord rec = record_run(eng, [&](Engine& e) {
-      for (const Contract::Seed& sd : c.seeds)
-        e.set_block(sd.rank, sd.block, sd.tag);
-      collectives::run_allreduce_rabenseifner(e);
-    });
-    collectives::check_output(eng, c);
-    expect_certified(rec, m, c);
-  }
-}
-
-TEST(AnalyzeCertifies, ShrunkenCommunicator) {
-  // Post-fault: a node dies, the communicator shrinks, and the standard
-  // contract at the survivor count applies verbatim.
-  const Machine base = Machine::gpc(8);
-  const Communicator parent(base, make_layout(base, base.total_cores(), {}));
-  const fault::DegradedTopology topo(base, fault::FaultMask{}.fail_node(3));
-  const fault::ShrunkComm shrunk = fault::shrink_communicator(topo, parent);
-  const int s = shrunk.comm.size();
-  const auto oldrank = identity_permutation(s);
-  Engine eng(shrunk.comm, CostConfig{}, ExecMode::Data, 256, s);
-  const ScheduleRecord rec = record_run(eng, [&](Engine& e) {
-    collectives::run_allgather(
-        e, AllgatherOptions{AllgatherAlgo::Ring, OrderFix::None}, oldrank);
-  });
-  const Contract c =
-      collectives::contract_allgather(s, s, AllgatherAlgo::Ring, oldrank);
-  collectives::check_output(eng, c);
-  expect_certified(rec, topo.machine(), c);
 }
 
 /// A well-formed two-rank contract over ten origins, which the tests below

@@ -1,8 +1,9 @@
 // The collective contracts as the one statement of every collective's final
 // layout: collectives::check_output's accept and reject paths; a
 // differential oracle against hand-written per-collective expectations; and
-// seeded random runs checked three ways — check_output, analyze() over the
-// same run's recording, and Timed against Data totals.
+// seeded random runs of every schedule of collectives/schedules.hpp, plus
+// allgatherv, checked three ways — check_output, analyze() over the same
+// run's recording, and Timed against Data totals.
 
 #include "collectives/contracts.hpp"
 
@@ -10,7 +11,9 @@
 
 #include <algorithm>
 #include <functional>
+#include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -18,10 +21,7 @@
 #include "analyze/analyzer.hpp"
 #include "collectives/allgather.hpp"
 #include "collectives/allgatherv.hpp"
-#include "collectives/allreduce.hpp"
-#include "collectives/hierarchical.hpp"
-#include "collectives/neighbor.hpp"
-#include "collectives/reduce_barrier.hpp"
+#include "collectives/schedules.hpp"
 #include "common/bits.hpp"
 #include "common/error.hpp"
 #include "common/permutation.hpp"
@@ -147,7 +147,7 @@ TEST(CheckOutput, RejectsAContractOfAnotherShape) {
 }
 
 // ---------------------------------------------------------------------------
-// The schedules both randomized tests run
+// The schedules both randomized tests run: the table, plus allgatherv
 // ---------------------------------------------------------------------------
 
 /// The five layouts the reference check below writes out by hand.
@@ -167,6 +167,65 @@ bool accepts(Sizes sizes, int p) {
   return false;
 }
 
+/// What the tests know of a table schedule beyond its entry.
+struct Overlay {
+  Sizes sizes = Sizes::Any;
+  /// A hierarchical schedule with recursive-doubling leaders needs 2^k
+  /// nodes.
+  bool pow2_nodes = false;
+  /// Timed mode prices one ring stage and repeats it, so its total matches
+  /// Data mode's only up to rounding.
+  bool compressed = false;
+  /// Timed mode coalesces each block pair into one transfer.
+  bool coalesced = false;
+  bool runner_seeds = true;  ///< false for reductions: the test seeds
+  /// The collective's hand-written reference layout, if it has one.
+  std::optional<Layout> layout = std::nullopt;
+};
+
+const std::map<std::string, Overlay>& overlays() {
+  static const std::map<std::string, Overlay> kOverlays = {
+      {"allgather-rd", {.sizes = Sizes::Pow2, .layout = Layout::Allgather}},
+      {"allgather-rd-endshuffle",
+       {.sizes = Sizes::Pow2, .layout = Layout::Allgather}},
+      {"allgather-ring", {.compressed = true, .layout = Layout::Allgather}},
+      {"allgather-bruck", {.layout = Layout::Allgather}},
+      {"allgather-neighbor",
+       {.sizes = Sizes::Even, .coalesced = true, .layout = Layout::Allgather}},
+      {"hier-allgather", {.pow2_nodes = true}},
+      {"hier-allgather-ring", {.compressed = true}},
+      {"hier-allgather-pipelined", {}},
+      {"hier-allgather-pipelined-linear", {}},
+      {"gather-linear", {.layout = Layout::Gather}},
+      {"gather-binomial", {.layout = Layout::Gather}},
+      {"gather-binomial-endshuffle", {.layout = Layout::Gather}},
+      {"bcast-linear", {.layout = Layout::Bcast}},
+      {"bcast-binomial", {.layout = Layout::Bcast}},
+      {"bcast-scatter-allgather",
+       {.sizes = Sizes::Pow2, .layout = Layout::Allgather}},
+      {"bcast-scatter-allgather-ring",
+       {.compressed = true, .layout = Layout::Allgather}},
+      {"scatter-linear", {.layout = Layout::Scatter}},
+      {"scatter-binomial", {.layout = Layout::Scatter}},
+      {"alltoall-rotation", {.layout = Layout::Alltoall}},
+      {"alltoall-pairwise", {.sizes = Sizes::Pow2, .layout = Layout::Alltoall}},
+      {"allreduce-rd", {.sizes = Sizes::Pow2, .runner_seeds = false}},
+      {"allreduce-rabenseifner", {.sizes = Sizes::Pow2, .runner_seeds = false}},
+      {"allreduce-ring", {.compressed = true, .runner_seeds = false}},
+      {"reduce-binomial", {.runner_seeds = false}},
+  };
+  return kOverlays;
+}
+
+TEST(ContractSchedules, OverlayNamesExactlyTheTable) {
+  std::set<std::string> table;
+  for (const Schedule& s : schedules()) table.insert(s.name);
+  EXPECT_EQ(table.size(), schedules().size()) << "a name appears twice";
+  std::set<std::string> overlay;
+  for (const auto& [name, facts] : overlays()) overlay.insert(name);
+  EXPECT_EQ(table, overlay);
+}
+
 /// The inputs one run of a schedule takes.
 struct Draw {
   int p = 0;
@@ -174,263 +233,36 @@ struct Draw {
   std::vector<int> counts;  ///< allgatherv contributions, one per rank
 };
 
-/// One collective x algorithm.
-struct Schedule {
-  const char* name;
-  Sizes sizes = Sizes::Any;
-  /// Needs a node-contiguous communicator of whole nodes; `pow2_nodes`
-  /// additionally needs 2^k of them (recursive-doubling leaders).
+/// One schedule as both randomized tests run it.
+struct Case {
+  std::string name;
+  Overlay facts;
   bool hierarchical = false;
-  bool pow2_nodes = false;
-  /// Timed mode prices one ring stage and repeats it, so its total matches
-  /// Data mode's only up to rounding.
-  bool compressed = false;
-  /// Timed mode coalesces each block pair into one transfer.
-  bool coalesced = false;
   bool one_byte_blocks = false;  ///< allgatherv: the engine block is one byte
-  bool runner_seeds = true;      ///< false for reductions: the test seeds
-  /// The collective's hand-written reference layout, if it has one.
-  std::optional<Layout> layout = std::nullopt;
   std::function<void(Engine&, const Draw&)> run;
   std::function<Contract(const Draw&)> contract;
 };
 
-/// The §V-B fix a schedule runs with: none unless the draw reorders.
-OrderFix fix_for(const Draw& d, OrderFix f) {
-  return d.oldrank == identity_permutation(d.p) ? OrderFix::None : f;
-}
-
-const std::vector<Schedule>& schedules() {
-  const auto allgather = [](AllgatherAlgo a) {
-    return [a](const Draw& d) {
-      return contract_allgather(d.p, d.p, a, d.oldrank);
-    };
-  };
-  const auto hier = [](bool pipelined) {
-    return [pipelined](const Draw& d) {
-      return contract_hier_allgather(d.p, d.p, d.oldrank, pipelined);
-    };
-  };
-  static const std::vector<Schedule> kSchedules = {
-      {.name = "allgather-rd-initcomm",
-       .sizes = Sizes::Pow2,
-       .layout = Layout::Allgather,
-       .run =
-           [](Engine& e, const Draw& d) {
-             run_allgather(e,
-                           {AllgatherAlgo::RecursiveDoubling,
-                            fix_for(d, OrderFix::InitComm)},
-                           d.oldrank);
-           },
-       .contract = allgather(AllgatherAlgo::RecursiveDoubling)},
-      {.name = "allgather-rd-endshuffle",
-       .sizes = Sizes::Pow2,
-       .layout = Layout::Allgather,
-       .run =
-           [](Engine& e, const Draw& d) {
-             run_allgather(e,
-                           {AllgatherAlgo::RecursiveDoubling,
-                            fix_for(d, OrderFix::EndShuffle)},
-                           d.oldrank);
-           },
-       .contract = allgather(AllgatherAlgo::RecursiveDoubling)},
-      {.name = "allgather-ring",
-       .compressed = true,
-       .layout = Layout::Allgather,
-       .run =
-           [](Engine& e, const Draw& d) {
-             run_allgather(e, {AllgatherAlgo::Ring, OrderFix::None},
-                           d.oldrank);
-           },
-       .contract = allgather(AllgatherAlgo::Ring)},
-      {.name = "allgather-bruck",
-       .layout = Layout::Allgather,
-       .run =
-           [](Engine& e, const Draw& d) {
-             run_allgather(e, {AllgatherAlgo::Bruck, OrderFix::None},
-                           d.oldrank);
-           },
-       .contract = allgather(AllgatherAlgo::Bruck)},
-      {.name = "allgather-neighbor",
-       .sizes = Sizes::Even,
-       .coalesced = true,
-       .layout = Layout::Allgather,
-       .run = [](Engine& e,
-                 const Draw& d) { run_allgather_neighbor(e, d.oldrank); },
-       .contract = allgather(AllgatherAlgo::Ring)},
-      {.name = "hier-allgather-rd",
-       .hierarchical = true,
-       .pow2_nodes = true,
-       .run =
-           [](Engine& e, const Draw& d) {
-             run_hier_allgather(e,
-                                {AllgatherAlgo::RecursiveDoubling,
-                                 IntraAlgo::Binomial,
-                                 fix_for(d, OrderFix::InitComm)},
-                                d.oldrank);
-           },
-       .contract = hier(false)},
-      {.name = "hier-allgather-ring",
-       .hierarchical = true,
-       .compressed = true,
-       .run =
-           [](Engine& e, const Draw& d) {
-             run_hier_allgather(e,
-                                {AllgatherAlgo::Ring, IntraAlgo::Linear,
-                                 fix_for(d, OrderFix::EndShuffle)},
-                                d.oldrank);
-           },
-       .contract = hier(false)},
-      {.name = "hier-allgather-pipelined",
-       .hierarchical = true,
-       .run =
-           [](Engine& e, const Draw& d) {
-             run_hier_allgather_pipelined(e, IntraAlgo::Linear,
-                                          fix_for(d, OrderFix::InitComm),
-                                          d.oldrank);
-           },
-       .contract = hier(true)},
-      {.name = "gather-linear",
-       .layout = Layout::Gather,
-       .run =
-           [](Engine& e, const Draw& d) {
-             run_gather(e, TreeAlgo::Linear, OrderFix::None, d.oldrank);
-           },
-       .contract =
-           [](const Draw& d) {
-             return contract_gather(d.p, d.p, TreeAlgo::Linear, d.oldrank);
-           }},
-      {.name = "gather-binomial",
-       .layout = Layout::Gather,
-       .run =
-           [](Engine& e, const Draw& d) {
-             run_gather(e, TreeAlgo::Binomial,
-                        fix_for(d, OrderFix::EndShuffle), d.oldrank);
-           },
-       .contract =
-           [](const Draw& d) {
-             return contract_gather(d.p, d.p, TreeAlgo::Binomial, d.oldrank);
-           }},
-      {.name = "bcast-linear",
-       .layout = Layout::Bcast,
-       .run = [](Engine& e, const Draw&) { run_bcast(e, TreeAlgo::Linear); },
-       .contract =
-           [](const Draw& d) {
-             return contract_bcast(d.p, 1, TreeAlgo::Linear);
-           }},
-      {.name = "bcast-binomial",
-       .layout = Layout::Bcast,
-       .run = [](Engine& e,
-                 const Draw&) { run_bcast(e, TreeAlgo::Binomial); },
-       .contract =
-           [](const Draw& d) {
-             return contract_bcast(d.p, d.p, TreeAlgo::Binomial);
-           }},
-      {.name = "bcast-scatter-allgather-rd",
-       .sizes = Sizes::Pow2,
-       .layout = Layout::Allgather,
-       .run =
-           [](Engine& e, const Draw&) {
-             run_bcast_scatter_allgather(e, AllgatherAlgo::RecursiveDoubling);
-           },
-       .contract =
-           [](const Draw& d) {
-             return contract_bcast_scatter_allgather(
-                 d.p, d.p, AllgatherAlgo::RecursiveDoubling);
-           }},
-      {.name = "bcast-scatter-allgather-ring",
-       .compressed = true,
-       .layout = Layout::Allgather,
-       .run =
-           [](Engine& e, const Draw&) {
-             run_bcast_scatter_allgather(e, AllgatherAlgo::Ring);
-           },
-       .contract =
-           [](const Draw& d) {
-             return contract_bcast_scatter_allgather(d.p, d.p,
-                                                     AllgatherAlgo::Ring);
-           }},
-      {.name = "scatter-linear",
-       .layout = Layout::Scatter,
-       .run =
-           [](Engine& e, const Draw& d) {
-             run_scatter(e, TreeAlgo::Linear, d.oldrank);
-           },
-       .contract =
-           [](const Draw& d) {
-             return contract_scatter(d.p, d.p, TreeAlgo::Linear, d.oldrank);
-           }},
-      {.name = "scatter-binomial",
-       .layout = Layout::Scatter,
-       .run =
-           [](Engine& e, const Draw& d) {
-             run_scatter(e, TreeAlgo::Binomial, d.oldrank);
-           },
-       .contract =
-           [](const Draw& d) {
-             return contract_scatter(d.p, d.p, TreeAlgo::Binomial, d.oldrank);
-           }},
-      {.name = "alltoall-rotation",
-       .layout = Layout::Alltoall,
-       .run =
-           [](Engine& e, const Draw& d) {
-             run_alltoall(e, AlltoallAlgo::Rotation, d.oldrank);
-           },
-       .contract =
-           [](const Draw& d) {
-             return contract_alltoall(d.p, 2 * d.p, AlltoallAlgo::Rotation,
-                                      d.oldrank);
-           }},
-      {.name = "alltoall-pairwise",
-       .sizes = Sizes::Pow2,
-       .layout = Layout::Alltoall,
-       .run =
-           [](Engine& e, const Draw& d) {
-             run_alltoall(e, AlltoallAlgo::PairwiseXor, d.oldrank);
-           },
-       .contract =
-           [](const Draw& d) {
-             return contract_alltoall(d.p, 2 * d.p, AlltoallAlgo::PairwiseXor,
-                                      d.oldrank);
-           }},
-      {.name = "allreduce-rd",
-       .sizes = Sizes::Pow2,
-       .runner_seeds = false,
-       .run = [](Engine& e, const Draw&) { run_allreduce_rd(e); },
-       .contract =
-           [](const Draw& d) { return contract_allreduce_rd(d.p, 1); }},
-      {.name = "allreduce-rabenseifner",
-       .sizes = Sizes::Pow2,
-       .runner_seeds = false,
-       .run = [](Engine& e, const Draw&) { run_allreduce_rabenseifner(e); },
-       .contract =
-           [](const Draw& d) {
-             return contract_allreduce_rabenseifner(d.p, d.p);
-           }},
-      {.name = "allreduce-ring",
-       .compressed = true,
-       .runner_seeds = false,
-       .run = [](Engine& e, const Draw&) { run_allreduce_ring(e); },
-       .contract =
-           [](const Draw& d) {
-             return contract_allreduce_rabenseifner(d.p, d.p);
-           }},
-      {.name = "reduce-binomial",
-       .runner_seeds = false,
-       .run = [](Engine& e, const Draw&) { run_reduce_binomial(e); },
-       .contract = [](const Draw& d) { return contract_reduce(d.p, 1); }},
-      {.name = "allgatherv-ring",
-       .one_byte_blocks = true,
-       .run =
-           [](Engine& e, const Draw& d) {
-             run_allgatherv_ring(e, d.counts, d.oldrank);
-           },
-       .contract =
-           [](const Draw& d) {
-             return contract_allgatherv(d.counts, d.oldrank);
-           }},
-  };
-  return kSchedules;
+const std::vector<Case>& cases() {
+  static const std::vector<Case> kCases = [] {
+    std::vector<Case> out;
+    for (const Schedule& s : schedules())
+      out.push_back({s.name, overlays().at(s.name), s.hierarchical, false,
+                     [&s](Engine& e, const Draw& d) { s.run(e, d.oldrank); },
+                     [&s](const Draw& d) {
+                       return s.contract(d.p, s.buf_blocks(d.p), d.oldrank);
+                     }});
+    // Its runner takes a count per rank, so it has no table entry.
+    out.push_back({"allgatherv-ring", {}, false, true,
+                   [](Engine& e, const Draw& d) {
+                     run_allgatherv_ring(e, d.counts, d.oldrank);
+                   },
+                   [](const Draw& d) {
+                     return contract_allgatherv(d.counts, d.oldrank);
+                   }});
+    return out;
+  }();
+  return kCases;
 }
 
 // ---------------------------------------------------------------------------
@@ -480,8 +312,9 @@ TEST_P(ContractOracle, AcceptsAndRejectsLikeTheReferenceAuditor) {
   Rng rng(900 + static_cast<std::uint64_t>(p));
   const Machine m = Machine::gpc((p + 7) / 8);
   int runs = 0;
-  for (const Schedule& sch : schedules()) {
-    if (!sch.layout || sch.hierarchical || !accepts(sch.sizes, p)) continue;
+  for (const Case& sch : cases()) {
+    if (!sch.facts.layout || sch.hierarchical || !accepts(sch.facts.sizes, p))
+      continue;
     for (const bool reorder : {false, true}) {
       const Communicator comm(
           m, simmpi::make_layout(m, p,
@@ -494,11 +327,11 @@ TEST_P(ContractOracle, AcceptsAndRejectsLikeTheReferenceAuditor) {
       const Contract c = sch.contract(d);
       Engine eng(use, CostConfig{}, ExecMode::Data, 64, c.buf_blocks);
       sch.run(eng, d);
-      const std::string label = std::string(sch.name) + " p=" +
-                                std::to_string(p) +
+      const std::string label = sch.name + " p=" + std::to_string(p) +
                                 (reorder ? " reordered" : " identity");
 
-      EXPECT_EQ(reference_verdict(*sch.layout, eng, d.oldrank), std::nullopt)
+      EXPECT_EQ(reference_verdict(*sch.facts.layout, eng, d.oldrank),
+                std::nullopt)
           << label;
       EXPECT_EQ(contract_verdict(eng, c), std::nullopt) << label;
 
@@ -509,7 +342,7 @@ TEST_P(ContractOracle, AcceptsAndRejectsLikeTheReferenceAuditor) {
                     eng.block(r, b) ^ static_cast<std::uint32_t>(
                                           1 + rng.next_below(1u << 30)));
       const std::optional<Slot> ref =
-          reference_verdict(*sch.layout, eng, d.oldrank);
+          reference_verdict(*sch.facts.layout, eng, d.oldrank);
       const std::optional<Slot> got = contract_verdict(eng, c);
       EXPECT_EQ(ref, got) << label << " corrupted at rank " << r << " block "
                           << b;
@@ -522,7 +355,7 @@ TEST_P(ContractOracle, AcceptsAndRejectsLikeTheReferenceAuditor) {
       ++runs;
     }
   }
-  EXPECT_GE(runs, 2 * 10);  // ten schedules with a layout accept every size
+  EXPECT_GE(runs, 2 * 11);  // 11 schedules with a layout accept every size
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, ContractOracle, ::testing::Range(1, 33));
@@ -548,11 +381,11 @@ class ContractThreeWay : public ::testing::TestWithParam<int> {};
 
 TEST_P(ContractThreeWay, ContractAnalyzerAndTimedModeAgree) {
   const int seed = GetParam();
-  const Schedule& sch =
-      schedules()[static_cast<std::size_t>(seed) % schedules().size()];
+  const Case& sch = cases()[static_cast<std::size_t>(seed) % cases().size()];
+  const Overlay& facts = sch.facts;
   Rng rng(7000 + static_cast<std::uint64_t>(seed));
   const int cpn = Machine::gpc(1).cores_per_node();
-  const bool needs_pow2 = sch.sizes == Sizes::Pow2 || sch.pow2_nodes;
+  const bool needs_pow2 = facts.sizes == Sizes::Pow2 || facts.pow2_nodes;
 
   // The communicator: flat GPC, or GPC with 4-7 nodes shrunk around one
   // failed node.  Survivor counts are 8 x (3..6); only 4 surviving nodes
@@ -573,14 +406,14 @@ TEST_P(ContractThreeWay, ContractAnalyzerAndTimedModeAgree) {
     int p = 0;
     simmpi::LayoutSpec layout;
     if (sch.hierarchical) {
-      const int nodes = sch.pow2_nodes
+      const int nodes = facts.pow2_nodes
                             ? 1 << rng.next_below(3)
                             : 1 + static_cast<int>(rng.next_below(4));
       p = nodes * cpn;
     } else {
       do {
         p = 1 + static_cast<int>(rng.next_below(32));
-      } while (!accepts(sch.sizes, p));
+      } while (!accepts(facts.sizes, p));
       layout = simmpi::all_layouts()[rng.next_below(4)];
     }
     machine.emplace(Machine::gpc((p + cpn - 1) / cpn));
@@ -603,20 +436,20 @@ TEST_P(ContractThreeWay, ContractAnalyzerAndTimedModeAgree) {
   // Transient faults only where both modes issue the same transfers.
   simmpi::TransientFaultConfig faults;
   const bool armed =
-      !sch.compressed && !sch.coalesced && rng.next_below(2) == 0;
+      !facts.compressed && !facts.coalesced && rng.next_below(2) == 0;
   if (armed) {
     faults.drop_prob = 0.2;
     faults.corrupt_prob = 0.1;
     faults.seed = rng.next_u64();
   }
   const std::string label =
-      std::string(sch.name) + " p=" + std::to_string(d.p) +
+      sch.name + " p=" + std::to_string(d.p) +
       (shrunken ? " shrunken" : "") + (reorder ? " reordered" : "") +
       (armed ? " faults" : "");
 
   auto run = [&](Engine& eng) {
     if (armed) eng.set_transient_faults(faults);
-    if (!sch.runner_seeds)
+    if (!facts.runner_seeds)
       for (const Contract::Seed& s : c.seeds)
         eng.set_block(s.rank, s.block, s.tag);
     sch.run(eng, d);
@@ -638,7 +471,7 @@ TEST_P(ContractThreeWay, ContractAnalyzerAndTimedModeAgree) {
   // 3. Timed mode prices the same schedule to the same total.
   Engine timed(use, CostConfig{}, ExecMode::Timed, block, c.buf_blocks);
   run(timed);
-  if (sch.compressed) {
+  if (facts.compressed) {
     EXPECT_NEAR(timed.total(), data.total(),
                 1e-9 * std::max(1.0, data.total()))
         << label;
@@ -647,8 +480,8 @@ TEST_P(ContractThreeWay, ContractAnalyzerAndTimedModeAgree) {
   }
 }
 
-// Three draws of each of the 23 schedules.
-INSTANTIATE_TEST_SUITE_P(Draws, ContractThreeWay, ::testing::Range(0, 69));
+// Three draws of each of the 25 schedules.
+INSTANTIATE_TEST_SUITE_P(Draws, ContractThreeWay, ::testing::Range(0, 75));
 
 }  // namespace
 }  // namespace tarr::collectives

@@ -77,21 +77,6 @@ TEST(Framework, ReorderInvariants) {
   }
 }
 
-TEST(Framework, DisabledFrameworkIsIdentity) {
-  const Machine m = Machine::gpc(2);
-  ReorderFramework::Options opts;
-  opts.enabled = false;  // the "info key" off switch
-  ReorderFramework fw(m, opts);
-  const Communicator comm(m, make_layout(m, 16, LayoutSpec{}));
-  const auto rc = fw.reorder(comm, mapping::Pattern::RecursiveDoubling);
-  EXPECT_EQ(rc.comm.rank_to_core(), comm.rank_to_core());
-  EXPECT_EQ(rc.oldrank, identity_permutation(16));
-  EXPECT_EQ(rc.mapping_seconds, 0.0);
-  const auto rh = fw.reorder_hierarchical(
-      comm, mapping::Pattern::Ring, /*intra_reorder=*/true);
-  EXPECT_EQ(rh.comm.rank_to_core(), comm.rank_to_core());
-}
-
 TEST(Framework, SeedChangesTieBreaking) {
   const Machine m = Machine::gpc(4);
   const Communicator comm(m, make_layout(m, 32, LayoutSpec{}));

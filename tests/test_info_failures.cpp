@@ -12,6 +12,7 @@
 
 #include "bench/appmodel.hpp"
 #include "capi/tarr.h"
+#include "collectives/allgather.hpp"
 #include "common/error.hpp"
 #include "core/info.hpp"
 #include "simmpi/layout.hpp"
@@ -21,45 +22,60 @@
 namespace tarr {
 namespace {
 
-using core::InfoConfig;
 using core::MapperKind;
+using core::TopoAllgatherConfig;
 using core::parse_info;
 using core::parse_info_string;
 
 TEST(InfoKeys, DefaultsWhenEmpty) {
-  const InfoConfig info = parse_info({});
-  EXPECT_TRUE(info.enabled);
-  EXPECT_EQ(info.config.mapper, MapperKind::Heuristic);
-  EXPECT_EQ(info.config.fix, collectives::OrderFix::InitComm);
-  EXPECT_FALSE(info.config.hierarchical);
+  const TopoAllgatherConfig cfg = parse_info({});
+  EXPECT_EQ(cfg.mapper, MapperKind::Heuristic);
+  EXPECT_EQ(cfg.fix, collectives::OrderFix::InitComm);
+  EXPECT_FALSE(cfg.hierarchical);
 }
 
 TEST(InfoKeys, ParsesEveryKey) {
-  const InfoConfig info = parse_info({
+  const TopoAllgatherConfig cfg = parse_info({
       {"tarr_reorder", "enabled"},
       {"tarr_mapper", "scotch"},
       {"tarr_order_fix", "endshfl"},
       {"tarr_hierarchical", "true"},
       {"tarr_intra", "linear"},
   });
-  EXPECT_TRUE(info.enabled);
-  EXPECT_EQ(info.config.mapper, MapperKind::ScotchLike);
-  EXPECT_EQ(info.config.fix, collectives::OrderFix::EndShuffle);
-  EXPECT_TRUE(info.config.hierarchical);
-  EXPECT_EQ(info.config.intra, collectives::IntraAlgo::Linear);
+  EXPECT_EQ(cfg.mapper, MapperKind::ScotchLike);
+  EXPECT_EQ(cfg.fix, collectives::OrderFix::EndShuffle);
+  EXPECT_TRUE(cfg.hierarchical);
+  EXPECT_EQ(cfg.intra, collectives::IntraAlgo::Linear);
 }
 
-TEST(InfoKeys, DisableOverridesMapper) {
-  const InfoConfig info = parse_info(
-      {{"tarr_mapper", "heuristic"}, {"tarr_reorder", "disabled"}});
-  EXPECT_FALSE(info.enabled);
-  EXPECT_EQ(info.config.mapper, MapperKind::None);
+TEST(InfoKeys, DisableWinsAndPricesTheDefaultPath) {
+  // The paper's §IV off switch beats a mapper key in either order...
+  for (const char* info : {"tarr_mapper=scotch;tarr_reorder=disabled",
+                           "tarr_reorder=disabled;tarr_mapper=scotch"})
+    EXPECT_EQ(parse_info_string(info).mapper, MapperKind::None) << info;
+
+  // ...and the allgather it configures prices the un-reordered recursive
+  // doubling (a cyclic layout, so MVAPICH's internal reorder stays off).
+  const topology::Machine m = topology::Machine::gpc(2);
+  const simmpi::Communicator comm(
+      m, simmpi::make_layout(m, 16, {simmpi::NodeOrder::Cyclic,
+                                     simmpi::SocketOrder::Bunch}));
+  core::ReorderFramework fw(m);
+  core::TopoAllgather disabled(fw, comm,
+                               parse_info_string("tarr_reorder=disabled"));
+  simmpi::Engine eng(comm, simmpi::CostConfig{}, simmpi::ExecMode::Timed,
+                     1024, 16);
+  collectives::run_allgather(
+      eng, {collectives::AllgatherAlgo::RecursiveDoubling,
+            collectives::OrderFix::None});
+  EXPECT_EQ(disabled.latency(1024), eng.total());
+  EXPECT_EQ(disabled.mapping_seconds(), 0.0);
 }
 
 TEST(InfoKeys, CaseAndWhitespaceInsensitive) {
-  const InfoConfig info =
+  const TopoAllgatherConfig cfg =
       parse_info({{" TARR_Mapper ", " Greedy "}, {"tarr_intra", "BINOMIAL"}});
-  EXPECT_EQ(info.config.mapper, MapperKind::GreedyGraph);
+  EXPECT_EQ(cfg.mapper, MapperKind::GreedyGraph);
 }
 
 TEST(InfoKeys, RejectsUnknownKeysAndValues) {
@@ -70,9 +86,9 @@ TEST(InfoKeys, RejectsUnknownKeysAndValues) {
 }
 
 TEST(InfoKeys, StringFormParses) {
-  const InfoConfig info = parse_info_string(
+  const TopoAllgatherConfig cfg = parse_info_string(
       "tarr_mapper=mvapich-cyclic; tarr_order_fix=initcomm;;");
-  EXPECT_EQ(info.config.mapper, MapperKind::MvapichCyclic);
+  EXPECT_EQ(cfg.mapper, MapperKind::MvapichCyclic);
   EXPECT_THROW(parse_info_string("tarr_mapper"), Error);  // no '='
 }
 

@@ -205,6 +205,19 @@ TEST(Baselines, Fig3CyclicLayoutsGainMoreThanBlock) {
           << cyclic << " vs " << block;
 }
 
+TEST(Baselines, Fig3EndShflTrailsInitCommAboveTwoBytes) {
+  // §V-B on the Hrstc path: endShfl is ahead only at 1 B and 2 B, trails
+  // by a double-digit plateau through the RD regime, and ties once the
+  // ring, which needs no fix, takes over.
+  const auto s = baseline("fig3_nonhier");
+  for (const auto& spec : simmpi::all_layouts()) {
+    const std::string layout = simmpi::to_string(spec);
+    EXPECT_EQ(metric(s, layout + ".endshfl_wins"), 2.0) << layout;
+    EXPECT_GT(metric(s, layout + ".endshfl_peak_penalty"), 10.0) << layout;
+    EXPECT_EQ(metric(s, layout + ".endshfl_ring_penalty"), 0.0) << layout;
+  }
+}
+
 TEST(Baselines, ContentionCarriesTheAblationGain) {
   const auto s = baseline("abl_contention");
   EXPECT_GT(metric(s, "mean_improvement_contention"),
