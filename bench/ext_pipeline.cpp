@@ -20,7 +20,8 @@ int main() {
   const int p = kPaperProcs;
   const auto comm = world.comm(p, simmpi::LayoutSpec{});
   const auto rc = world.framework.reorder_hierarchical(
-      comm, mapping::Pattern::Ring, /*intra_reorder=*/true);
+      comm, *mapping::make_heuristic(mapping::Pattern::Ring),
+      mapping::make_heuristic(mapping::Pattern::BinomialBcast).get());
 
   std::printf(
       "Extension — pipelined hierarchical allgather (overlapping the\n"

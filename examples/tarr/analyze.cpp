@@ -10,7 +10,9 @@
 // --reorder applies the paper's reordering first; --mutate seeds a schedule
 // corruption the certificate must then reject with a counterexample.
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <optional>
 
 #include "analyze/analyzer.hpp"
@@ -100,10 +102,13 @@ int cmd_analyze_certify_all(const Flags& f) {
   const Audit a = parse_audit(f);
   if (a.mutate) throw Error("--mutate applies to a single `certify` run");
   const topology::Machine machine = topology::Machine::gpc(a.run.nodes);
+  int width = 0;
+  for (const Schedule& sched : collectives::schedules())
+    width = std::max(width, static_cast<int>(std::strlen(sched.name)));
   int rejected = 0;
   for (const Schedule& sched : collectives::schedules()) {
     const analyze::Certificate cert = certify(sched, a, machine);
-    std::printf("%-26s %s (%d stages, %d copies)\n", sched.name,
+    std::printf("%-*s %s (%d stages, %d copies)\n", width, sched.name,
                 cert.certified ? "CERTIFIED" : "REJECTED",
                 cert.stages_checked, cert.copies_checked);
     if (!cert.certified) {

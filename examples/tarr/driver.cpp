@@ -9,7 +9,7 @@
 #include "collectives/schedules.hpp"
 #include "common/cli.hpp"
 #include "common/permutation.hpp"
-#include "mapping/comparators.hpp"
+#include "core/mappers.hpp"
 #include "prof/prof.hpp"
 #include "simmpi/layout.hpp"
 
@@ -94,9 +94,7 @@ RunSpec parse_run(const Flags& f, RunSpec d) {
 }
 
 simmpi::LayoutSpec RunSpec::layout_spec() const {
-  for (const auto& spec : simmpi::all_layouts())
-    if (to_string(spec) == layout) return spec;
-  throw Error("unknown layout: " + layout);
+  return simmpi::parse_layout_spec(layout);
 }
 
 namespace {
@@ -142,12 +140,10 @@ core::ReorderedComm reorder(core::ReorderFramework& fw,
                             const std::string& mapper) {
   if (mapper == "identity")
     return {comm, identity_permutation(comm.size()), 0.0};
-  if (mapper == "heuristic") return fw.reorder(comm, pattern);
-  if (mapper == "scotch")
-    return fw.reorder_with(comm, *mapping::make_scotch_like_mapper(pattern));
-  if (mapper == "greedy")
-    return fw.reorder_with(comm, *mapping::make_greedy_graph_mapper(pattern));
-  throw Error("unknown mapper: " + mapper);
+  const core::MapperRow* row = core::find_mapper(mapper);
+  if (row == nullptr) throw Error("unknown mapper: " + mapper);
+  return fw.reorder_with(comm,
+                         *row->make(pattern, comm.machine().cores_per_node()));
 }
 
 Usec simulate(const simmpi::Communicator& comm, mapping::Pattern pattern,

@@ -19,8 +19,9 @@
 
 /// \file driver.hpp
 /// The pieces every `tarr` subcommand shares, each written once: the flag
-/// parser, the run spec, the mapper table, the pattern -> schedule list,
-/// the observability option set and the checked artifact writer.
+/// parser, the run spec, the reorder by mapper name, the pattern ->
+/// schedule list, the observability option set and the checked artifact
+/// writer.
 /// main.cpp owns the dispatch table, the usage text and the exit codes
 /// (2 usage, 1 error, 3 insight gate).
 
@@ -83,8 +84,8 @@ struct RunSpec {
 /// --layout, --pattern, --mapper, --seed and --msg.
 RunSpec parse_run(const Flags& f, RunSpec defaults = {});
 
-/// The mapper table: reorders `comm` for `pattern` with "identity" (the
-/// input placement), "heuristic", "scotch" or "greedy".
+/// Reorders `comm` for `pattern` with "identity" (the input placement) or
+/// the mapper whose key is `mapper` in core/mappers.hpp's table.
 core::ReorderedComm reorder(core::ReorderFramework& fw,
                             const simmpi::Communicator& comm,
                             mapping::Pattern pattern,

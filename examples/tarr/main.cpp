@@ -85,7 +85,8 @@ const Command kCommands[] = {
 
 const char* const kRunUsage =
     "run options: --nodes N --procs P --layout L --pattern PAT --seed S\n"
-    "             --mapper identity|heuristic|scotch|greedy --msg BYTES\n";
+    "             --mapper identity|heuristic|scotch|greedy|mvapich-cyclic\n"
+    "             --msg BYTES\n";
 
 /// Usage text per subcommand, in the order `tarr` alone prints it.
 const std::pair<std::string, std::string> kUsage[] = {

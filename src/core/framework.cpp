@@ -5,7 +5,6 @@
 #include "common/permutation.hpp"
 #include "common/timer.hpp"
 #include "mapping/comparators.hpp"
-#include "mapping/heuristics.hpp"
 #include "prof/obs.hpp"
 #include "prof/profiler.hpp"
 
@@ -146,15 +145,6 @@ ReorderedComm ReorderFramework::reorder_hierarchical(
   obs::wall_span("map:hierarchical:" + leader_mapper.name(), map_seconds);
 
   return reordered_to(comm, std::move(new_rank_to_core), map_seconds);
-}
-
-ReorderedComm ReorderFramework::reorder_hierarchical(
-    const simmpi::Communicator& comm, mapping::Pattern leader_pattern,
-    bool intra_reorder, mapping::Pattern intra_pattern) {
-  const auto leader = mapping::make_heuristic(leader_pattern);
-  std::unique_ptr<mapping::Mapper> intra;
-  if (intra_reorder) intra = mapping::make_heuristic(intra_pattern);
-  return reorder_hierarchical(comm, *leader, intra.get());
 }
 
 }  // namespace tarr::core

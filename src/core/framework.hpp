@@ -1,6 +1,5 @@
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -96,19 +95,6 @@ class ReorderFramework {
   ReorderedComm reorder_hierarchical(const simmpi::Communicator& comm,
                                      const mapping::Mapper& leader_mapper,
                                      const mapping::Mapper* intra_mapper);
-
-  /// Hierarchical reorder with the paper's heuristics for the given leader
-  /// pattern (RDMH/RMH) and, when `intra_reorder` is true, the fine-tuned
-  /// heuristic for `intra_pattern` at the intra-node level.  The default is
-  /// BBMH: the broadcast of the combined p-block buffer moves p/cores_per_
-  /// node times more bytes per intra-node edge than the gather, so the
-  /// broadcast tree dominates the intra-node traffic (the abl_hier_intra
-  /// ablation contrasts this with the BGMH choice the paper's §VI-A2
-  /// discussion emphasizes).
-  ReorderedComm reorder_hierarchical(
-      const simmpi::Communicator& comm, mapping::Pattern leader_pattern,
-      bool intra_reorder,
-      mapping::Pattern intra_pattern = mapping::Pattern::BinomialBcast);
 
  private:
   const topology::Machine* machine_;

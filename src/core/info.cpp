@@ -4,6 +4,7 @@
 #include <cctype>
 
 #include "common/error.hpp"
+#include "core/mappers.hpp"
 
 namespace tarr::core {
 
@@ -37,17 +38,10 @@ TopoAllgatherConfig parse_info(
         TARR_REQUIRE(false, "parse_info: bad tarr_reorder value: " + value);
       }
     } else if (key == "tarr_mapper") {
-      if (value == "heuristic") {
-        cfg.mapper = MapperKind::Heuristic;
-      } else if (value == "scotch") {
-        cfg.mapper = MapperKind::ScotchLike;
-      } else if (value == "greedy") {
-        cfg.mapper = MapperKind::GreedyGraph;
-      } else if (value == "mvapich-cyclic") {
-        cfg.mapper = MapperKind::MvapichCyclic;
-      } else {
-        TARR_REQUIRE(false, "parse_info: bad tarr_mapper value: " + value);
-      }
+      const MapperRow* row = find_mapper(value);
+      TARR_REQUIRE(row != nullptr,
+                   "parse_info: bad tarr_mapper value: " + value);
+      cfg.mapper = row->kind;
     } else if (key == "tarr_order_fix") {
       if (value == "initcomm") {
         cfg.fix = collectives::OrderFix::InitComm;

@@ -15,7 +15,8 @@
 /// loudly, like MPI implementations' strict-info modes):
 ///
 ///   tarr_reorder       = enabled | disabled        (default enabled)
-///   tarr_mapper        = heuristic | scotch | greedy | mvapich-cyclic
+///   tarr_mapper        = a key of the mapper table (core/mappers.hpp):
+///                        heuristic | scotch | greedy | mvapich-cyclic
 ///                        (default heuristic)
 ///   tarr_order_fix     = initcomm | endshfl        (default initcomm)
 ///   tarr_hierarchical  = true | false              (default false)

@@ -4,7 +4,6 @@
 #include "collectives/selector.hpp"
 #include "common/error.hpp"
 #include "common/permutation.hpp"
-#include "mapping/comparators.hpp"
 #include "prof/obs.hpp"
 
 namespace tarr::core {
@@ -12,22 +11,6 @@ namespace tarr::core {
 using collectives::AllgatherAlgo;
 using collectives::IntraAlgo;
 using collectives::OrderFix;
-
-const char* to_string(MapperKind k) {
-  switch (k) {
-    case MapperKind::None:
-      return "default";
-    case MapperKind::Heuristic:
-      return "Hrstc";
-    case MapperKind::ScotchLike:
-      return "Scotch";
-    case MapperKind::GreedyGraph:
-      return "Greedy";
-    case MapperKind::MvapichCyclic:
-      return "MV-cyclic";
-  }
-  return "?";
-}
 
 namespace {
 
@@ -54,7 +37,7 @@ TopoAllgather::TopoAllgather(ReorderFramework& framework,
                "TopoAllgather: the MVAPICH cyclic reorder is a flat scheme");
 }
 
-TopoAllgather::Key TopoAllgather::algo_for(Bytes msg) const {
+AllgatherAlgo TopoAllgather::algo_for(Bytes msg) const {
   if (!cfg_.hierarchical)
     return collectives::select_allgather_algo(comm_.size(), msg);
   const int cpn = comm_.machine().cores_per_node();
@@ -64,65 +47,44 @@ TopoAllgather::Key TopoAllgather::algo_for(Bytes msg) const {
   return algo == AllgatherAlgo::Bruck ? AllgatherAlgo::Ring : algo;
 }
 
-const ReorderedComm& TopoAllgather::cached_reorder(Key key) {
-  auto it = cache_.find(key);
-  if (it != cache_.end()) return it->second;
+const ReorderedComm* TopoAllgather::entry_for(AllgatherAlgo algo) {
+  if (const auto it = cache_.find(algo); it != cache_.end())
+    return it->second ? &*it->second : nullptr;
 
-  const mapping::Pattern pattern = pattern_of(key);
-  ReorderedComm rc = [&] {
-    const bool intra_reorder = cfg_.intra == IntraAlgo::Binomial;
-    switch (cfg_.mapper) {
-      case MapperKind::Heuristic:
-        return cfg_.hierarchical
-                   ? framework_->reorder_hierarchical(comm_, pattern,
-                                                      intra_reorder,
-                                                      cfg_.hier_intra_pattern)
-                   : framework_->reorder(comm_, pattern);
-      case MapperKind::ScotchLike: {
-        const auto leader = mapping::make_scotch_like_mapper(pattern);
-        if (!cfg_.hierarchical) return framework_->reorder_with(comm_, *leader);
-        const auto intra =
-            mapping::make_scotch_like_mapper(cfg_.hier_intra_pattern);
-        return framework_->reorder_hierarchical(
-            comm_, *leader, intra_reorder ? intra.get() : nullptr);
-      }
-      case MapperKind::GreedyGraph: {
-        const auto leader = mapping::make_greedy_graph_mapper(pattern);
-        if (!cfg_.hierarchical) return framework_->reorder_with(comm_, *leader);
-        const auto intra =
-            mapping::make_greedy_graph_mapper(cfg_.hier_intra_pattern);
-        return framework_->reorder_hierarchical(
-            comm_, *leader, intra_reorder ? intra.get() : nullptr);
-      }
-      case MapperKind::MvapichCyclic: {
-        const auto mapper = mapping::make_mvapich_cyclic_mapper(
-            comm_.machine().cores_per_node());
-        return framework_->reorder_with(comm_, *mapper);
-      }
-      case MapperKind::None:
-        break;
+  const int cpn = comm_.machine().cores_per_node();
+  std::optional<ReorderedComm> rc;
+  if (cfg_.mapper == MapperKind::None) {
+    // MVAPICH's own internal block->cyclic reorder for recursive doubling
+    // (§V-A1: "the rank reordering in MVAPICH just changes a block initial
+    // layout of processes to a cyclic one") is part of the baseline.  Like
+    // the real library it fires only for node-contiguous layouts, and it is
+    // not an overhead this object introduced: the cyclic RD variant indexes
+    // blocks in place.
+    if (!cfg_.hierarchical && algo == AllgatherAlgo::RecursiveDoubling &&
+        comm_.node_contiguous()) {
+      const auto cyclic =
+          mapper_row(MapperKind::MvapichCyclic).make(pattern_of(algo), cpn);
+      rc = framework_->reorder_with(comm_, *cyclic);
+      rc->mapping_seconds = 0.0;
     }
-    TARR_REQUIRE(false, "cached_reorder: no mapper configured");
-    return ReorderedComm{comm_, identity_permutation(comm_.size()), 0.0};
-  }();
-
-  mapping_seconds_ += rc.mapping_seconds;
-  return cache_.emplace(key, std::move(rc)).first->second;
-}
-
-const ReorderedComm* TopoAllgather::baseline_internal_reorder() {
-  if (!baseline_reorder_computed_) {
-    baseline_reorder_computed_ = true;
-    if (comm_.node_contiguous()) {
-      const auto mapper = mapping::make_mvapich_cyclic_mapper(
-          comm_.machine().cores_per_node());
-      baseline_reorder_ = framework_->reorder_with(comm_, *mapper);
-      // The library's built-in reorder is part of the baseline, not an
-      // overhead this object introduced.
-      baseline_reorder_->mapping_seconds = 0.0;
+  } else {
+    const MapperRow& row = mapper_row(cfg_.mapper);
+    const auto leader = row.make(pattern_of(algo), cpn);
+    if (!cfg_.hierarchical) {
+      rc = framework_->reorder_with(comm_, *leader);
+    } else {
+      // Linear intra phases admit no reordering.
+      const auto intra = cfg_.intra == IntraAlgo::Binomial
+                             ? row.make(cfg_.hier_intra_pattern, cpn)
+                             : nullptr;
+      rc = framework_->reorder_hierarchical(comm_, *leader, intra.get());
     }
   }
-  return baseline_reorder_ ? &*baseline_reorder_ : nullptr;
+  if (rc) mapping_seconds_ += rc->mapping_seconds;
+  // Inserted only once the reorder returned: one that throws throws again
+  // on the next call.
+  const auto& entry = cache_.emplace(algo, std::move(rc)).first->second;
+  return entry ? &*entry : nullptr;
 }
 
 Usec TopoAllgather::execute(simmpi::ExecMode mode, Bytes msg) {
@@ -133,20 +95,14 @@ Usec TopoAllgather::execute(simmpi::ExecMode mode, Bytes msg) {
   const int p = comm_.size();
   const AllgatherAlgo algo = algo_for(msg);
 
-  const ReorderedComm* rc = nullptr;
+  const ReorderedComm* rc = entry_for(algo);
   OrderFix fix = OrderFix::None;
   if (cfg_.mapper != MapperKind::None) {
-    rc = &cached_reorder(algo);
     fix = cfg_.fix;
-  } else if (!cfg_.hierarchical &&
-             algo == AllgatherAlgo::RecursiveDoubling) {
-    // MVAPICH-default baseline: its RD path reorders block layouts to
-    // cyclic internally, indexing blocks in place at no run-time cost.  In
-    // Data mode the in-place indexing is represented by an explicit end
-    // shuffle so the output check still applies.
-    rc = baseline_internal_reorder();
-    if (rc != nullptr && mode == simmpi::ExecMode::Data)
-      fix = OrderFix::EndShuffle;
+  } else if (rc != nullptr && mode == simmpi::ExecMode::Data) {
+    // The baseline's in-place indexing is represented by an explicit end
+    // shuffle in Data mode, so the output check still applies.
+    fix = OrderFix::EndShuffle;
   }
   const simmpi::Communicator& use_comm = rc ? rc->comm : comm_;
   const std::vector<Rank> oldrank =
@@ -181,7 +137,7 @@ Usec TopoAllgather::run_and_check(Bytes msg) {
 const ReorderedComm& TopoAllgather::reordered_for(Bytes msg) {
   TARR_REQUIRE(cfg_.mapper != MapperKind::None,
                "reordered_for: no mapper configured");
-  return cached_reorder(algo_for(msg));
+  return *entry_for(algo_for(msg));
 }
 
 }  // namespace tarr::core

@@ -1,12 +1,12 @@
 #pragma once
 
 #include <map>
-#include <memory>
 #include <optional>
 
 #include "collectives/allgather.hpp"
 #include "collectives/hierarchical.hpp"
 #include "core/framework.hpp"
+#include "core/mappers.hpp"
 #include "simmpi/engine.hpp"
 #include "trace/sink.hpp"
 
@@ -20,13 +20,6 @@
 /// configured §V-B order fix.
 
 namespace tarr::core {
-
-/// Which mapping machinery to use (None reproduces the MVAPICH-default
-/// baseline the paper's improvement percentages are computed against).
-enum class MapperKind { None, Heuristic, ScotchLike, GreedyGraph,
-                        MvapichCyclic };
-
-const char* to_string(MapperKind k);
 
 /// Configuration of a TopoAllgather instance.
 struct TopoAllgatherConfig {
@@ -79,30 +72,21 @@ class TopoAllgather {
   void set_trace_sink(trace::TraceSink* sink) { sink_ = sink; }
 
  private:
-  /// Key of the reorder cache: the algorithm (leader algorithm when
-  /// hierarchical) the selector picked.
-  using Key = collectives::AllgatherAlgo;
-
   /// The algorithm the selector picks for a per-rank message of `msg`
   /// bytes; when hierarchical, the leader algorithm over node chunks (Bruck
   /// becomes the ring there).
-  Key algo_for(Bytes msg) const;
-  const ReorderedComm& cached_reorder(Key key);
-  /// MVAPICH's own internal block->cyclic reorder for recursive doubling
-  /// (§V-A1: "the rank reordering in MVAPICH just changes a block initial
-  /// layout of processes to a cyclic one").  Part of the MapperKind::None
-  /// baseline; fires only for block (node-contiguous) layouts, like the
-  /// real library, and costs nothing at run time (the cyclic RD variant
-  /// indexes blocks in place).
-  const ReorderedComm* baseline_internal_reorder();
+  collectives::AllgatherAlgo algo_for(Bytes msg) const;
+  /// The cache entry of `algo`, filled on first use: the reordered
+  /// communicator its runs use, or nullptr when they run un-reordered.
+  const ReorderedComm* entry_for(collectives::AllgatherAlgo algo);
   Usec execute(simmpi::ExecMode mode, Bytes msg);
 
   ReorderFramework* framework_;
   simmpi::Communicator comm_;
   TopoAllgatherConfig cfg_;
-  std::map<Key, ReorderedComm> cache_;
-  std::optional<ReorderedComm> baseline_reorder_;
-  bool baseline_reorder_computed_ = false;
+  /// One entry per algorithm (leader algorithm when hierarchical) the
+  /// selector picked.
+  std::map<collectives::AllgatherAlgo, std::optional<ReorderedComm>> cache_;
   double mapping_seconds_ = 0.0;
   trace::TraceSink* sink_ = nullptr;
 };

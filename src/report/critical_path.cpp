@@ -103,10 +103,10 @@ CriticalPath analyze_critical_path(const trace::ScheduleRecord& record,
         seg.bytes = crit->bytes;
         seg.attempts = crit->attempts;
         seg.serialization = crit->uncontended;  // per-exec; split below
-        seg.what = crit->channel == trace::Channel::Local
-                       ? "local copy r" + std::to_string(crit->src)
-                       : "r" + std::to_string(crit->src) + " -> r" +
-                             std::to_string(crit->dst);
+        const bool local = crit->channel == trace::Channel::Local;
+        seg.what = local ? "local copy r" : "r";
+        seg.what += std::to_string(crit->src);
+        if (!local) seg.what.append(" -> r").append(std::to_string(crit->dst));
       } else {
         seg.what = "(empty stage)";
         seg.serialization = 0.0;

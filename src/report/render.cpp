@@ -43,7 +43,9 @@ std::string pct(double num, double denom) {
 }
 
 std::string signed_num(double v, int decimals = 1) {
-  return (v > 0.0 ? "+" : "") + TextTable::num(v, decimals);
+  std::string s = v > 0.0 ? "+" : "";
+  s += TextTable::num(v, decimals);
+  return s;
 }
 
 std::string flow_bytes(double b) {

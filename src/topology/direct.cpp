@@ -1,6 +1,7 @@
 #include "topology/direct.hpp"
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -18,11 +19,12 @@ SwitchGraph build_torus_network(int x, int y, int z) {
   auto id = [&](int i, int j, int k) { return (i * y + j) * z + k; };
   for (int i = 0; i < x; ++i)
     for (int j = 0; j < y; ++j)
-      for (int k = 0; k < z; ++k)
-        router[id(i, j, k)] = g.add_vertex(
-            VertexKind::Switch, "r" + std::to_string(i) + "." +
-                                    std::to_string(j) + "." +
-                                    std::to_string(k));
+      for (int k = 0; k < z; ++k) {
+        std::string name = "r";
+        name += std::to_string(i) + "." + std::to_string(j) + "." +
+                std::to_string(k);
+        router[id(i, j, k)] = g.add_vertex(VertexKind::Switch, std::move(name));
+      }
 
   // Wrap-around neighbor links; a dimension of size 2 gets one link, size 1
   // gets none.
@@ -79,9 +81,9 @@ SwitchGraph build_dragonfly_network(int num_nodes,
   std::vector<std::vector<NetVertexId>> routers(cfg.groups);
   for (int grp = 0; grp < cfg.groups; ++grp) {
     for (int r = 0; r < cfg.routers_per_group; ++r) {
-      routers[grp].push_back(g.add_vertex(
-          VertexKind::Switch,
-          "g" + std::to_string(grp) + ".r" + std::to_string(r)));
+      std::string name = "g";
+      name += std::to_string(grp) + ".r" + std::to_string(r);
+      routers[grp].push_back(g.add_vertex(VertexKind::Switch, std::move(name)));
     }
     // Fully connected group.
     for (int a = 0; a < cfg.routers_per_group; ++a)

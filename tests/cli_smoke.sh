@@ -10,10 +10,11 @@
 # equivalent Chrome-trace JSON; truncated and bit-flipped .tlog files are
 # rejected; the committed baselines pass `report compare` against
 # themselves and fail it with one gated metric 10 % worse; certify-all
-# prints the committed listing and every schedule mutation is rejected; the
-# expected strings appear; exit codes are 2 for
-# usage errors, 1 for errors (every artifact flag pointed at /dev/full
-# included) and 3 for the insight gate.
+# prints the committed listing and every schedule mutation is rejected;
+# every --mapper value maps the same across same-seed runs, and a SLURM
+# --layout spelling maps as its library name does; the expected strings
+# appear; exit codes are 2 for usage errors, 1 for errors (every artifact
+# flag pointed at /dev/full included) and 3 for the insight gate.
 set -euo pipefail
 
 TARR=$(cd "$(dirname "$1")" && pwd)/$(basename "$1")
@@ -236,6 +237,25 @@ for kind in drop-transfer swap-stages truncate-bytes duplicate-block; do
   expect_rc 1 analyze certify --collective allgather-rd --reorder \
     --mutate "$kind"
 done
+
+# Mappers and layouts: identity and every key of the mapper table reorder
+# the same way across same-seed runs (the wall-clock overhead line aside);
+# SLURM's block:cyclic places ranks as block-scatter does; unknown names
+# are errors.
+for mapper in identity heuristic scotch greedy mvapich-cyclic; do
+  for run in a b; do
+    "$TARR" map --nodes 2 --procs 16 --mapper "$mapper" --seed 5 |
+      grep -v '^overhead:' > "map-$mapper-$run.txt"
+  done
+  cmp "map-$mapper-a.txt" "map-$mapper-b.txt"
+done
+for layout in block:cyclic block-scatter; do
+  "$TARR" map --nodes 2 --procs 16 --layout "$layout" |
+    grep -v -e '^job' -e '^overhead:' > "layout-$layout.txt"
+done
+cmp layout-block:cyclic.txt layout-block-scatter.txt
+expect_rc 1 map --nodes 2 --procs 16 --mapper bogus
+expect_rc 1 map --nodes 2 --procs 16 --layout bogus
 
 # Usage errors: no command, an unknown one, a missing second level.
 expect_rc 2

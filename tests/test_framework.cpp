@@ -102,9 +102,11 @@ TEST(Framework, HierarchicalReorderKeepsNodeContiguity) {
       m, make_layout(m, 32,
                      LayoutSpec{simmpi::NodeOrder::Block,
                                 simmpi::SocketOrder::Scatter}));
-  for (bool intra : {false, true}) {
-    const auto rc =
-        fw.reorder_hierarchical(comm, mapping::Pattern::Ring, intra);
+  const auto rmh = mapping::make_heuristic(mapping::Pattern::Ring);
+  const auto bbmh = mapping::make_heuristic(mapping::Pattern::BinomialBcast);
+  const mapping::Mapper* intras[] = {nullptr, bbmh.get()};
+  for (const mapping::Mapper* intra : intras) {
+    const auto rc = fw.reorder_hierarchical(comm, *rmh, intra);
     EXPECT_TRUE(rc.comm.node_contiguous());
     EXPECT_TRUE(is_permutation_of_iota(rc.oldrank));
     for (Rank j = 0; j < comm.size(); ++j)
@@ -121,8 +123,8 @@ TEST(Framework, HierarchicalWithoutIntraKeepsLocalOrder) {
       m, make_layout(m, 32,
                      LayoutSpec{simmpi::NodeOrder::Block,
                                 simmpi::SocketOrder::Scatter}));
-  const auto rc = fw.reorder_hierarchical(comm, mapping::Pattern::Ring,
-                                          /*intra_reorder=*/false);
+  const auto rc = fw.reorder_hierarchical(
+      comm, *mapping::make_heuristic(mapping::Pattern::Ring), nullptr);
   const int cpn = m.cores_per_node();
   for (Rank j = 0; j < comm.size(); ++j) {
     EXPECT_EQ(m.local_core(rc.comm.core_of(j)),
@@ -137,8 +139,9 @@ TEST(Framework, HierarchicalRejectsCyclic) {
       m, make_layout(m, 16,
                      LayoutSpec{simmpi::NodeOrder::Cyclic,
                                 simmpi::SocketOrder::Bunch}));
-  EXPECT_THROW(
-      fw.reorder_hierarchical(comm, mapping::Pattern::Ring, true), Error);
+  const auto rmh = mapping::make_heuristic(mapping::Pattern::Ring);
+  const auto bbmh = mapping::make_heuristic(mapping::Pattern::BinomialBcast);
+  EXPECT_THROW(fw.reorder_hierarchical(comm, *rmh, bbmh.get()), Error);
 }
 
 TEST(Framework, ReorderWithCustomMapper) {

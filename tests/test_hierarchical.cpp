@@ -39,8 +39,10 @@ TEST_P(HierAllgather, OutputInOriginalRankOrder) {
     const auto pattern = leader_algo == AllgatherAlgo::RecursiveDoubling
                              ? mapping::Pattern::RecursiveDoubling
                              : mapping::Pattern::Ring;
-    auto rc = fw.reorder_hierarchical(comm, pattern,
-                                      intra == IntraAlgo::Binomial);
+    const auto bbmh = mapping::make_heuristic(mapping::Pattern::BinomialBcast);
+    auto rc = fw.reorder_hierarchical(
+        comm, *mapping::make_heuristic(pattern),
+        intra == IntraAlgo::Binomial ? bbmh.get() : nullptr);
     use = rc.comm;
     oldrank = rc.oldrank;
   }

@@ -90,8 +90,9 @@ void run_all(trace::TraceSink* sink) {
   const graph::WeightedGraph stencil = graph::stencil2d_pattern(8, 4);
   for (GraphKind kind : {GraphKind::Bisection, GraphKind::Greedy})
     (void)fw.reorder_for_graph(comm, stencil, kind);
-  (void)fw.reorder_hierarchical(comm, Pattern::RecursiveDoubling, true,
-                                Pattern::Ring);
+  (void)fw.reorder_hierarchical(
+      comm, *mapping::make_heuristic(Pattern::RecursiveDoubling),
+      mapping::make_heuristic(Pattern::Ring).get());
   {
     // Core-id span of the ring over a node-cyclic layout: some random swaps
     // shorten it and some do not, so refinement both accepts and rejects.

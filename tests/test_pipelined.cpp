@@ -39,7 +39,9 @@ TEST_P(PipelinedHier, OutputInOriginalRankOrder) {
   std::vector<Rank> oldrank = identity_permutation(p);
   if (reorder) {
     ReorderFramework fw(m);
-    auto rc = fw.reorder_hierarchical(comm, mapping::Pattern::Ring, true);
+    auto rc = fw.reorder_hierarchical(
+        comm, *mapping::make_heuristic(mapping::Pattern::Ring),
+        mapping::make_heuristic(mapping::Pattern::BinomialBcast).get());
     use = rc.comm;
     oldrank = rc.oldrank;
   }

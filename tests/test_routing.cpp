@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -138,7 +140,9 @@ TEST(Router, DisconnectedGraphThrowsStructuredError) {
   const auto sa = g.add_vertex(VertexKind::Switch, "a");
   const auto sb = g.add_vertex(VertexKind::Switch, "b");
   for (NodeId n = 0; n < 4; ++n) {
-    const auto h = g.add_vertex(VertexKind::Host, "n" + std::to_string(n), n);
+    std::string name = "n";
+    name += std::to_string(n);
+    const auto h = g.add_vertex(VertexKind::Host, std::move(name), n);
     g.add_link(h, n < 2 ? sa : sb);
   }
   try {

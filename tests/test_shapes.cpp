@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 
 #include "bench/sweep.hpp"
@@ -222,6 +223,22 @@ TEST(Baselines, ContentionCarriesTheAblationGain) {
   const auto s = baseline("abl_contention");
   EXPECT_GT(metric(s, "mean_improvement_contention"),
             metric(s, "mean_improvement_no_contention"));
+}
+
+TEST(Baselines, AblHierIntraBbmhIsTheIntraDefault) {
+  // TopoAllgatherConfig::hier_intra_pattern: BBMH gains at least as much as
+  // BGMH at every gated point, and on block-bunch at 256 KiB BGMH loses
+  // more than 10 % while BBMH stays within 1 %.
+  const auto s = baseline("abl_hier_intra");
+  for (const char* layout : {"block-bunch", "block-scatter"})
+    for (const char* at : {"64B", "256KiB"}) {
+      const std::string key = std::string(layout) + ".";
+      EXPECT_GE(metric(s, key + "bbmh_improvement_" + at),
+                metric(s, key + "bgmh_improvement_" + at))
+          << layout << " " << at;
+    }
+  EXPECT_LT(metric(s, "block-bunch.bgmh_improvement_256KiB"), -10.0);
+  EXPECT_LE(std::fabs(metric(s, "block-bunch.bbmh_improvement_256KiB")), 1.0);
 }
 
 TEST(Baselines, Fig5HeuristicNeverSlowerAndBeatsScotch) {
