@@ -2,9 +2,11 @@
 // reference after every *two* processes mapped around it (the paper derives
 // this from the recursive-doubling stage structure); this bench compares
 // periods 1, 2 (paper), 4 and "never" on the weighted cost and on simulated
-// allgather latency across the recursive-doubling regime.
+// allgather latency across the recursive-doubling regime.  Its snapshot
+// gates every cell of the table.
 
 #include <cstdio>
+#include <string>
 
 #include "bench/fixtures.hpp"
 #include "bench/sweep.hpp"
@@ -20,6 +22,9 @@ int main() {
   using namespace tarr::bench;
 
   BenchWorld world(kPaperNodes);
+  SnapshotEmitter snapshot("abl_rdmh_refcore");
+  snapshot.set_meta("nodes", std::to_string(kPaperNodes));
+  snapshot.set_meta("procs", std::to_string(kPaperProcs));
   const int p = kPaperProcs;
   const auto& dist = world.framework.distances();
   const auto pattern = mapping::build_pattern_graph(
@@ -51,12 +56,22 @@ int main() {
               collectives::AllgatherAlgo::RecursiveDoubling,
               collectives::OrderFix::None});
     };
-    t.add_row({period == 0 ? "never" : std::to_string(period),
-               TextTable::num(mapping::mapping_cost(pattern, result, dist), 0),
-               TextTable::num(latency(1024), 1),
-               TextTable::num(latency(16 * 1024), 1)});
+    const std::string name = period == 0 ? "never" : std::to_string(period);
+    const double cost = mapping::mapping_cost(pattern, result, dist);
+    const Usec small = latency(1024);
+    const Usec large = latency(16 * 1024);
+    t.add_row({name, TextTable::num(cost, 0), TextTable::num(small, 1),
+               TextTable::num(large, 1)});
+    const std::string key = "period_" + name + ".";
+    snapshot.add_metric(key + "weighted_cost", cost, "dist",
+                        /*higher_is_better=*/false);
+    snapshot.add_metric(key + "rd_1KiB", small, "usec",
+                        /*higher_is_better=*/false);
+    snapshot.add_metric(key + "rd_16KiB", large, "usec",
+                        /*higher_is_better=*/false);
   }
   std::printf("%s", t.render().c_str());
   std::printf("(period 2 is Algorithm 2 as published)\n");
+  snapshot.dump();
   return 0;
 }

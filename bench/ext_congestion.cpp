@@ -4,13 +4,16 @@
 // peak per-cable network load of every allgather stage before and after
 // reordering (4096 processes, 64 KB ring regime, cyclic-bunch initial).
 
+#include <algorithm>
 #include <cstdio>
 
 #include "bench/fixtures.hpp"
 #include "collectives/allgather.hpp"
 #include "common/permutation.hpp"
 #include "common/table.hpp"
+#include "prof/obs.hpp"
 #include "simmpi/engine.hpp"
+#include "trace/record.hpp"
 
 int main() {
   using namespace tarr;
@@ -29,8 +32,11 @@ int main() {
       "%d processes, 64KB messages, cyclic-bunch initial mapping\n\n",
       p);
 
+  // Peak over the recorded stages of a cable's load / its capacity.
   auto measure = [&](const simmpi::Communicator& c,
                      const std::vector<Rank>& oldrank) {
+    trace::ScheduleRecorder recorder;
+    obs::Install traced(&recorder);
     simmpi::Engine eng(c, simmpi::CostConfig{}, simmpi::ExecMode::Timed, msg,
                        p);
     collectives::run_allgather(
@@ -38,7 +44,12 @@ int main() {
         collectives::AllgatherOptions{collectives::AllgatherAlgo::Ring,
                                       collectives::OrderFix::None},
         oldrank);
-    return std::pair<double, Usec>(eng.peak_link_bytes(), eng.total());
+    double peak = 0.0;
+    for (const trace::RecordedLoad& l : recorder.record().loads)
+      if (!l.qpi)
+        peak = std::max(
+            peak, l.bytes / world.machine.network().link(l.id).capacity);
+    return std::pair<double, Usec>(peak, eng.total());
   };
 
   const auto [before_load, before_t] =

@@ -53,7 +53,7 @@ double time_mapper(const mapping::Mapper& m, const std::vector<int>& initial,
 /// Run `body` under a fresh ambient profiler and return its counter profile.
 prof::Profile profile_phase(const std::function<void()>& body) {
   prof::Profiler profiler;
-  prof::ScopedThreadProfiler guard(&profiler);
+  obs::Install guard(&profiler);
   body();
   return profiler.snapshot();
 }

@@ -72,11 +72,13 @@ analyze::Certificate certify(const Schedule& sched, const Audit& a,
       fw, comm, sched.pattern,
       a.reorder && sched.reorderable ? "heuristic" : "identity");
   const int buf_blocks = sched.buf_blocks(p);
-  simmpi::Engine eng(rc.comm, simmpi::CostConfig{}, simmpi::ExecMode::Data,
-                     a.run.msg_bytes, buf_blocks);
   trace::ScheduleRecorder recorder;
-  eng.set_trace_sink(&recorder);
-  sched.run(eng, rc.oldrank);
+  {
+    obs::Install traced(&recorder);
+    simmpi::Engine eng(rc.comm, simmpi::CostConfig{}, simmpi::ExecMode::Data,
+                       a.run.msg_bytes, buf_blocks);
+    sched.run(eng, rc.oldrank);
+  }
   trace::ScheduleRecord rec = recorder.take();
   if (a.mutate)
     std::printf("mutated schedule: %s\n",

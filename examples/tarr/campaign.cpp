@@ -146,8 +146,10 @@ int cmd_campaign(const Flags& f) {
       f.real("--drop", cfg.transient.drop_prob, 0.0, 1.0);
 
   Obs obs(f);
-  const fault::CampaignResult result =
-      fault::run_fault_campaign(cfg, obs.sink());
+  const fault::CampaignResult result = [&] {
+    obs::Install traced(obs.sink());
+    return fault::run_fault_campaign(cfg);
+  }();
   obs.finish_tlog();
   std::printf("%s", result.summary().c_str());
   if (smoke)

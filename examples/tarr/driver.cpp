@@ -148,10 +148,9 @@ core::ReorderedComm reorder(core::ReorderFramework& fw,
 
 Usec simulate(const simmpi::Communicator& comm, mapping::Pattern pattern,
               const std::vector<Rank>& oldrank, long long msg_bytes,
-              trace::TraceSink* sink, const char* scope) {
+              const char* scope) {
   simmpi::Engine eng(comm, simmpi::CostConfig{}, simmpi::ExecMode::Timed,
                      msg_bytes, comm.size());
-  eng.set_trace_sink(sink);
   {
     // Engine construction stays outside the scope: the profile charges
     // only the collective itself.
@@ -168,7 +167,10 @@ trace::ScheduleRecord record(const simmpi::Communicator& comm,
                              long long msg_bytes, trace::TraceSink* also) {
   trace::ScheduleRecorder recorder;
   trace::TeeSink tee({&recorder, also});
-  simulate(comm, pattern, oldrank, msg_bytes, &tee);
+  {
+    obs::Install traced(&tee);
+    simulate(comm, pattern, oldrank, msg_bytes);
+  }
   return recorder.take();
 }
 

@@ -94,15 +94,15 @@ core::ReorderedComm reorder(core::ReorderFramework& fw,
 /// Simulates the schedule `pattern` runs (allgather-rd, allgather-ring,
 /// bcast-binomial, gather-binomial or allgather-bruck; collectives/
 /// schedules.hpp) over `comm` on the Timed engine, p blocks of `msg_bytes`
-/// per rank, with its events going to `sink`, inside the prof scope `scope`.
-/// oldrank maps new rank -> original rank.  Returns the simulated
-/// completion time.
+/// per rank, inside the prof scope `scope`; its events go to the sink the
+/// caller installed (obs::Install).  oldrank maps new rank -> original
+/// rank.  Returns the simulated completion time.
 Usec simulate(const simmpi::Communicator& comm, mapping::Pattern pattern,
               const std::vector<Rank>& oldrank, long long msg_bytes,
-              trace::TraceSink* sink, const char* scope = "simulate");
+              const char* scope = "simulate");
 
-/// simulate() into a fresh ScheduleRecorder (and `also`, when non-null);
-/// returns the record.
+/// simulate() with a fresh ScheduleRecorder (and `also`, when non-null)
+/// installed; returns the record.
 trace::ScheduleRecord record(const simmpi::Communicator& comm,
                              mapping::Pattern pattern,
                              const std::vector<Rank>& oldrank,
@@ -114,7 +114,8 @@ trace::ScheduleRecord record(const simmpi::Communicator& comm,
 /// each is writable before anything runs, opens the --tlog captures,
 /// builds the Tracer when asked, installs the ambient profiler when a
 /// --prof* flag is given, and stacks the present sinks into one flat
-/// TeeSink.
+/// TeeSink, which each subcommand installs (obs::Install) around the runs
+/// it traces.
 class Obs {
  public:
   explicit Obs(const Flags& f,
@@ -148,7 +149,7 @@ class Obs {
   std::map<std::string, tlog::TlogSink> tlogs_;
   std::optional<trace::TeeSink> tee_;
   prof::Profiler profiler_;
-  std::optional<prof::ScopedThreadProfiler> ambient_;
+  std::optional<obs::Install> ambient_;
   bool wall_ = false;
 };
 

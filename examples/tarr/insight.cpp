@@ -79,7 +79,10 @@ int cmd_insight_diagnose(const Flags& f) {
   if (!from.empty()) {
     tlog::replay(from, *obs.sink());
   } else {
-    simulate(rc.comm, pattern, rc.oldrank, run.msg_bytes, obs.sink());
+    {
+      obs::Install traced(obs.sink());
+      simulate(rc.comm, pattern, rc.oldrank, run.msg_bytes);
+    }
     obs.finish_tlog();
   }
   const insight::Diagnosis d = insight::diagnose(

@@ -66,8 +66,10 @@ int cmd_map(const Flags& f) {
               rc.mapping_seconds, framework.distance_extraction_seconds());
 
   if (obs.sink() != nullptr || obs.profiling()) {
-    const Usec total = simulate(rc.comm, pattern, rc.oldrank, run.msg_bytes,
-                                obs.sink());
+    const Usec total = [&] {
+      obs::Install traced(obs.sink());
+      return simulate(rc.comm, pattern, rc.oldrank, run.msg_bytes);
+    }();
     std::printf("traced  : %s over %d ranks, %lld B blocks, %.1f us "
                 "simulated\n",
                 run.pattern.c_str(), rc.comm.size(), run.msg_bytes, total);
@@ -95,8 +97,11 @@ int cmd_map(const Flags& f) {
       // dashboard its before/after story; its diagnosis says what is wrong
       // with the initial layout.
       trace::ScheduleRecorder base_recorder;
-      simulate(comm, pattern, identity_permutation(comm.size()),
-               run.msg_bytes, &base_recorder, "simulate:baseline");
+      {
+        obs::Install traced(&base_recorder);
+        simulate(comm, pattern, identity_permutation(comm.size()),
+                 run.msg_bytes, "simulate:baseline");
+      }
       const trace::ScheduleRecord base_record = base_recorder.take();
       viz::DashboardInputs in;
       in.title = "tarr map dashboard";

@@ -39,8 +39,10 @@ int cmd_probe(const Flags& f) {
   std::optional<trace::TracerOptions> topts;
   if (f.has("--trace") || f.has("--metrics")) topts.emplace();
   Obs obs(f, topts);
-  const probe::ScenarioResult result =
-      probe::run_probed_scenario(cfg, obs.sink());
+  const probe::ScenarioResult result = [&] {
+    obs::Install traced(obs.sink());
+    return probe::run_probed_scenario(cfg);
+  }();
   obs.finish_tlog();
   std::printf("%s", result.summary().c_str());
   if (fail_probe) {

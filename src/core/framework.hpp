@@ -54,13 +54,14 @@ class ReorderFramework {
   /// first distances() call) — the quantity of Fig 7a.
   double distance_extraction_seconds() const { return extract_seconds_; }
 
-  /// Install a trace sink (tarr::trace): the framework then emits the Fig 7
-  /// overhead decomposition as wall-clock spans ("distance-extraction",
-  /// "map:<mapper>") and installs the sink on the ambient channel
-  /// (prof/obs.hpp) around each mapping run, so the heuristics' decision
-  /// counters (placements, tie-breaks, bisection levels, refinement swaps)
-  /// are collected too.  nullptr (the default) keeps whatever sink the
-  /// caller installed there.
+  /// Trace sink (tarr::trace) of the framework's own calls: it is installed
+  /// on the ambient channel (prof/obs.hpp) around distance extraction and
+  /// each mapping run, so the Fig 7 overhead decomposition as wall-clock
+  /// spans ("distance-extraction", "map:<mapper>") and the heuristics'
+  /// decision counters (placements, tie-breaks, bisection levels) reach it.
+  /// nullptr (the default) keeps whatever sink the caller installed there.
+  /// Everywhere else a sink is installed with obs::Install; this setter and
+  /// TopoAllgather's remain because perfbench/ calls both.
   void set_trace_sink(trace::TraceSink* sink) { sink_ = sink; }
 
   /// Reorder `comm` for `pattern` with the paper's fine-tuned heuristic.

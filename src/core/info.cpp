@@ -35,12 +35,12 @@ TopoAllgatherConfig parse_info(
       } else if (value == "disabled") {
         enabled = false;
       } else {
-        TARR_REQUIRE(false, "parse_info: bad tarr_reorder value: " + value);
+        throw Error("parse_info: bad tarr_reorder value: " + value);
       }
     } else if (key == "tarr_mapper") {
       const MapperRow* row = find_mapper(value);
-      TARR_REQUIRE(row != nullptr,
-                   "parse_info: bad tarr_mapper value: " + value);
+      if (row == nullptr)
+        throw Error("parse_info: bad tarr_mapper value: " + value);
       cfg.mapper = row->kind;
     } else if (key == "tarr_order_fix") {
       if (value == "initcomm") {
@@ -48,7 +48,7 @@ TopoAllgatherConfig parse_info(
       } else if (value == "endshfl") {
         cfg.fix = collectives::OrderFix::EndShuffle;
       } else {
-        TARR_REQUIRE(false, "parse_info: bad tarr_order_fix value: " + value);
+        throw Error("parse_info: bad tarr_order_fix value: " + value);
       }
     } else if (key == "tarr_hierarchical") {
       if (value == "true") {
@@ -56,8 +56,7 @@ TopoAllgatherConfig parse_info(
       } else if (value == "false") {
         cfg.hierarchical = false;
       } else {
-        TARR_REQUIRE(false,
-                     "parse_info: bad tarr_hierarchical value: " + value);
+        throw Error("parse_info: bad tarr_hierarchical value: " + value);
       }
     } else if (key == "tarr_intra") {
       if (value == "binomial") {
@@ -65,10 +64,10 @@ TopoAllgatherConfig parse_info(
       } else if (value == "linear") {
         cfg.intra = collectives::IntraAlgo::Linear;
       } else {
-        TARR_REQUIRE(false, "parse_info: bad tarr_intra value: " + value);
+        throw Error("parse_info: bad tarr_intra value: " + value);
       }
     } else {
-      TARR_REQUIRE(false, "parse_info: unknown info key: " + key);
+      throw Error("parse_info: unknown info key: " + key);
     }
   }
   if (!enabled) cfg.mapper = MapperKind::None;
@@ -84,8 +83,8 @@ TopoAllgatherConfig parse_info_string(const std::string& s) {
     pos = end + 1;
     if (lower_trim(segment).empty()) continue;
     const std::size_t eq = segment.find('=');
-    TARR_REQUIRE(eq != std::string::npos,
-                 "parse_info_string: segment without '=': " + segment);
+    if (eq == std::string::npos)
+      throw Error("parse_info_string: segment without '=': " + segment);
     kv.emplace_back(segment.substr(0, eq), segment.substr(eq + 1));
   }
   return parse_info(kv);

@@ -50,7 +50,12 @@ RefineResult refine_by_simulation(const simmpi::Communicator& original,
                                   const RefineOptions& opts = RefineOptions{});
 
 /// Convenience objective: flat allgather latency of `algo` with the given
-/// per-rank message size and order fix, under `cost`.
+/// per-rank message size and order fix, under `cost`.  Each evaluation
+/// builds an engine, and an engine takes the sink installed on the ambient
+/// channel (prof/obs.hpp): a sink installed around refine_by_simulation
+/// with this objective sees every candidate simulation, not only the
+/// refinement's counters and wall span.  fig7 and ext_simrefine refine
+/// untraced.
 MappingObjective allgather_objective(collectives::AllgatherAlgo algo,
                                      Bytes msg, collectives::OrderFix fix,
                                      const simmpi::CostConfig& cost);

@@ -89,8 +89,8 @@ const ReorderedComm* TopoAllgather::entry_for(AllgatherAlgo algo) {
 
 Usec TopoAllgather::execute(simmpi::ExecMode mode, Bytes msg) {
   // The ambient channel carries the trace into reorders performed on first
-  // use (a framework without a sink of its own keeps it); the engine below
-  // gets the sink directly.
+  // use (a framework without a sink of its own keeps it) and into the
+  // engine below.
   obs::Install ambient(sink_);
   const int p = comm_.size();
   const AllgatherAlgo algo = algo_for(msg);
@@ -109,7 +109,6 @@ Usec TopoAllgather::execute(simmpi::ExecMode mode, Bytes msg) {
       rc ? rc->oldrank : identity_permutation(p);
 
   simmpi::Engine eng(use_comm, cfg_.cost, mode, msg, p);
-  if (sink_ != nullptr) eng.set_trace_sink(sink_);
   if (cfg_.hierarchical) {
     collectives::HierAllgatherOptions opts{algo, cfg_.intra, fix};
     collectives::run_hier_allgather(eng, opts, oldrank);

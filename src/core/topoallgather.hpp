@@ -63,12 +63,14 @@ class TopoAllgather {
   /// (creating it if needed).
   const ReorderedComm& reordered_for(Bytes msg);
 
-  /// Observability (tarr::trace): every engine that latency()/run_and_check()
-  /// creates emits stages, transfers and link/QPI load through `sink`, and
-  /// the sink is installed on the ambient channel (prof/obs.hpp) around the
-  /// body so reorders triggered on first use emit their Fig 7 wall spans and
-  /// mapping decision counters too.  Pass nullptr to stop tracing.  `sink`
-  /// must outlive the traced calls.
+  /// Observability (tarr::trace): latency() and run_and_check() install
+  /// `sink` on the ambient channel (prof/obs.hpp) around their body, so the
+  /// engine each creates emits its stages, transfers and link/QPI loads
+  /// through it, and reorders triggered on first use emit their Fig 7 wall
+  /// spans and mapping decision counters too.  `sink` must outlive the
+  /// traced calls.  nullptr (the default) installs nothing: the calls then
+  /// emit into whatever sink their caller installed, engine events
+  /// included.
   void set_trace_sink(trace::TraceSink* sink) { sink_ = sink; }
 
  private:

@@ -17,6 +17,7 @@
 #include "fault/fault_mask.hpp"
 #include "fault/shrink.hpp"
 #include "mapping/mapper.hpp"
+#include "prof/obs.hpp"
 #include "simmpi/engine.hpp"
 #include "simmpi/layout.hpp"
 #include "topology/distance.hpp"
@@ -72,17 +73,15 @@ void accumulate(simmpi::TransientFaultStats& into,
 /// Price one run of `sched` with its ranks on `cores`, a permutation of
 /// the baseline slots, on the degraded machine; rank j's original rank is
 /// the position of cores[j] in `slots`.  The run's transient-fault counters
-/// are folded into `stats_out`; trace emission flows through `sink`.
+/// are folded into `stats_out`.
 Usec price_run(const CampaignConfig& cfg, const DegradedTopology& topo,
                const collectives::Schedule& sched,
                const simmpi::Communicator& slots, std::vector<CoreId> cores,
                std::uint64_t transient_seed,
-               simmpi::TransientFaultStats& stats_out,
-               trace::TraceSink* sink) {
+               simmpi::TransientFaultStats& stats_out) {
   const simmpi::Communicator comm(topo.machine(), std::move(cores));
   simmpi::Engine eng(comm, simmpi::CostConfig{}, simmpi::ExecMode::Timed,
                      kBlockBytes, sched.buf_blocks(comm.size()));
-  eng.set_trace_sink(sink);
   if (cfg.transient.enabled()) {
     simmpi::TransientFaultConfig t = cfg.transient;
     t.seed = transient_seed;
@@ -102,8 +101,7 @@ const char* to_string(FailureKind k) {
   return k == FailureKind::Links ? "links" : "nodes";
 }
 
-CampaignResult run_fault_campaign(const CampaignConfig& cfg,
-                                  trace::TraceSink* sink) {
+CampaignResult run_fault_campaign(const CampaignConfig& cfg) {
   validate(cfg);
   WallTimer campaign_timer;
 
@@ -192,7 +190,7 @@ CampaignResult run_fault_campaign(const CampaignConfig& cfg,
 
         // baseline: initial layout untouched.
         row.baseline_usec = price_run(cfg, topo, sched, slot_comm, slots,
-                                      fault_seed, row.transient, sink);
+                                      fault_seed, row.transient);
 
         // stale: the heuristic's pre-failure answer (pristine distances)
         // replayed on the degraded fabric.
@@ -200,20 +198,20 @@ CampaignResult run_fault_campaign(const CampaignConfig& cfg,
         row.stale_usec = price_run(
             cfg, topo, sched, slot_comm,
             mapper->checked_map(slots, pristine_d, stale_rng), fault_seed,
-            row.transient, sink);
+            row.transient);
 
         // remap: the heuristic re-run on the degraded distance matrix.
         Rng remap_rng(map_seed);
         row.remap_usec = price_run(
             cfg, topo, sched, slot_comm,
             mapper->checked_map(slots, degraded_d, remap_rng), fault_seed,
-            row.transient, sink);
+            row.transient);
 
         result.rows.push_back(std::move(row));
       }
     }
   }
-  if (sink != nullptr) {
+  if (trace::TraceSink* sink = obs::ambient().sink) {
     simmpi::TransientFaultStats agg;
     for (const CampaignRow& r : result.rows) accumulate(agg, r.transient);
     sink->add_count("campaign.rows", static_cast<double>(result.rows.size()));
@@ -225,9 +223,8 @@ CampaignResult run_fault_campaign(const CampaignConfig& cfg,
                     static_cast<double>(agg.corruptions));
     sink->add_count("fault.campaign_retransmissions",
                     static_cast<double>(agg.retransmissions));
-    sink->on_wall_span(
-        trace::WallSpan{"fault-campaign", campaign_timer.seconds()});
   }
+  obs::wall_span("fault-campaign", campaign_timer.seconds());
   return result;
 }
 

@@ -5,7 +5,6 @@
 
 #include "simmpi/transient.hpp"
 #include "topology/fattree.hpp"
-#include "trace/sink.hpp"
 
 /// \file campaign.hpp
 /// Monte Carlo fault campaigns: how much of the mapping heuristics' benefit
@@ -98,10 +97,11 @@ struct CampaignResult {
   std::string metrics_csv() const;
 };
 
-/// Run the campaign.  Deterministic: same config, same result.  When `sink`
-/// is non-null, the campaign emits its aggregate counters and a wall-clock
-/// span through it (tarr::trace).
-CampaignResult run_fault_campaign(const CampaignConfig& cfg,
-                                  trace::TraceSink* sink = nullptr);
+/// Run the campaign.  Deterministic: same config, same result.  A trace
+/// sink installed on the ambient channel (prof/obs.hpp) around the call
+/// receives everything the campaign emits (tarr::trace): every priced run's
+/// engine events, the mapping decision counters of every stale and remap
+/// mapping, the aggregate counters and the "fault-campaign" wall span.
+CampaignResult run_fault_campaign(const CampaignConfig& cfg);
 
 }  // namespace tarr::fault

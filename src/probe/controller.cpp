@@ -34,10 +34,8 @@ const char* to_string(Action a) {
 AdaptiveController::AdaptiveController(const mapping::Mapper& mapper,
                                        ControllerConfig cfg,
                                        const fault::DegradedTopology& initial,
-                                       std::vector<int> slots,
-                                       trace::TraceSink* sink)
-    : mapper_(&mapper), cfg_(std::move(cfg)), sink_(sink),
-      slots_(std::move(slots)) {
+                                       std::vector<int> slots)
+    : mapper_(&mapper), cfg_(std::move(cfg)), slots_(std::move(slots)) {
   validate(cfg_);
   TARR_REQUIRE(!slots_.empty(), "controller: empty slot list");
   reprobe_and_map(initial);
@@ -88,9 +86,7 @@ Decision AdaptiveController::observe(int epoch,
     }
   }
 
-  if (sink_ != nullptr)
-    sink_->add_count(std::string("probe.decision.") + to_string(d.action), 1.0);
-  prof::count(std::string("probe.decision.") + to_string(d.action));
+  obs::count(std::string("probe.decision.") + to_string(d.action));
   log_.push_back(d);
   return d;
 }
@@ -107,7 +103,7 @@ bool AdaptiveController::reprobe_and_map(
 
   const topology::DistanceMatrix truth = effective_node_distances(current);
   const ProbedDistances probed =
-      probe_distances(current.machine(), truth, pc, sink_);
+      probe_distances(current.machine(), truth, pc);
   last_probe_ = probed.report;
   probe_cost_usec_ += probed.report.probe_cost_usec;
 

@@ -6,7 +6,6 @@
 #include "fault/degraded.hpp"
 #include "mapping/mapper.hpp"
 #include "probe/measure.hpp"
-#include "trace/sink.hpp"
 
 /// \file controller.hpp
 /// Adaptive re-mapping under churn: detect stale mappings, re-probe,
@@ -36,11 +35,13 @@
 ///    keeps running on the resource manager's layout, degraded but never
 ///    aborted — and tries probing again at the next trigger.
 ///
-/// Every decision is emitted through tarr::trace (probe.decision.keep /
-/// .remap / .fallback counters plus the probe's own spans), so `tarr report`
-/// and `tarr viz` can attribute where re-mapping paid off.  The controller is
-/// deterministic in its config seed: decisions depend only on (config,
-/// observed sequence, fabric sequence).
+/// Every decision is emitted into the ambient channel (prof/obs.hpp): a
+/// probe.decision.calibrate / .keep / .remap / .fallback counter to both
+/// legs, plus the probe's own counters and span and the re-mapping
+/// heuristic's decision counters, so a sink installed around the
+/// controller's calls can attribute where re-mapping paid off.  The
+/// controller is deterministic in its config seed: decisions depend only on
+/// (config, observed sequence, fabric sequence).
 
 namespace tarr::probe {
 
@@ -89,8 +90,7 @@ class AdaptiveController {
   /// observation); if that probe fails the controller starts in fallback.
   AdaptiveController(const mapping::Mapper& mapper, ControllerConfig cfg,
                      const fault::DegradedTopology& initial,
-                     std::vector<int> slots,
-                     trace::TraceSink* sink = nullptr);
+                     std::vector<int> slots);
 
   /// Current rank -> slot mapping (M[new_rank] = slot).
   const std::vector<int>& mapping() const { return mapping_; }
@@ -125,7 +125,6 @@ class AdaptiveController {
 
   const mapping::Mapper* mapper_;
   ControllerConfig cfg_;
-  trace::TraceSink* sink_;
   std::vector<int> slots_;       ///< initial layout (fallback mapping)
   std::vector<int> mapping_;     ///< current rank -> slot
   bool fallback_ = false;

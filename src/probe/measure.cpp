@@ -7,6 +7,7 @@
 #include "common/error.hpp"
 #include "common/timer.hpp"
 #include "prof/profiler.hpp"
+#include "trace/sink.hpp"
 
 namespace tarr::probe {
 
@@ -47,8 +48,7 @@ bool ProbeReport::failed() const {
 
 ProbedDistances probe_distances(const topology::Machine& m,
                                 const topology::DistanceMatrix& truth,
-                                const ProbeConfig& cfg,
-                                trace::TraceSink* sink) {
+                                const ProbeConfig& cfg) {
   validate(cfg);
   TARR_REQUIRE(truth.size() == m.num_nodes(),
                "probe_distances: truth matrix size does not match machine");
@@ -142,11 +142,13 @@ ProbedDistances probe_distances(const topology::Machine& m,
   for (const PairProbe& pp : rep.pair_stats)
     node.set(pp.a, pp.b, pp.resolved ? pp.estimate : rep.worst_case_distance);
 
-  if (sink != nullptr) {
-    sink->add_count("probe.measurements",
-                    static_cast<double>(rep.measurements));
+  prof::count("probe.pairs", static_cast<double>(rep.pairs));
+  trace::TraceSink* sink = obs::ambient().sink;
+  obs::count("probe.measurements", static_cast<double>(rep.measurements));
+  if (sink != nullptr)
     sink->add_count("probe.timeouts", static_cast<double>(rep.timeouts));
-    sink->add_count("probe.retries", static_cast<double>(rep.retries));
+  obs::count("probe.retries", static_cast<double>(rep.retries));
+  if (sink != nullptr) {
     sink->add_count("probe.unresolved_pairs",
                     static_cast<double>(rep.unresolved_pairs()));
     sink->add_count("probe.cost_usec", rep.probe_cost_usec);
@@ -161,13 +163,8 @@ ProbedDistances probe_distances(const topology::Machine& m,
                          static_cast<double>(pp.truth);
       sink->observe("probe.pair_rel_error", rel);
     }
-    sink->on_wall_span(trace::WallSpan{"probe", wall.seconds()});
   }
-  if (prof::Profiler* p = obs::ambient().prof) {
-    p->count("probe.pairs", static_cast<double>(rep.pairs));
-    p->count("probe.measurements", static_cast<double>(rep.measurements));
-    p->count("probe.retries", static_cast<double>(rep.retries));
-  }
+  obs::wall_span("probe", wall.seconds());
   return ProbedDistances{
       topology::DistanceMatrix(
           node, topology::extract_intranode_distances(m)),

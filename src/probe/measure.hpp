@@ -5,7 +5,6 @@
 #include "common/rng.hpp"
 #include "topology/distance.hpp"
 #include "topology/machine.hpp"
-#include "trace/sink.hpp"
 
 /// \file measure.hpp
 /// Noisy topology probing — the "Cloud Collectives" substitute for exact
@@ -114,13 +113,13 @@ struct ProbedDistances {
 /// matrix `truth` (extract_node_distances for a quiet fabric,
 /// probe::effective_node_distances for a congested one).  A pair whose true
 /// distance is +infinity (partitioned) times out on every attempt
-/// regardless of `timeout_prob` — nothing answers across a cut.  When
-/// `sink` is non-null the probe emits its counters
-/// (probe.measurements/timeouts/retries/unresolved_pairs) and a
-/// "probe" wall span through it.
+/// regardless of `timeout_prob` — nothing answers across a cut.  The probe
+/// emits into the ambient channel (prof/obs.hpp): probe.measurements and
+/// probe.retries reach both legs, probe.timeouts, probe.unresolved_pairs,
+/// probe.cost_usec, the probe.pair_rel_error distribution and a "probe"
+/// wall span only the trace sink, and probe.pairs only the profiler.
 ProbedDistances probe_distances(const topology::Machine& m,
                                 const topology::DistanceMatrix& truth,
-                                const ProbeConfig& cfg,
-                                trace::TraceSink* sink = nullptr);
+                                const ProbeConfig& cfg);
 
 }  // namespace tarr::probe

@@ -14,6 +14,7 @@
 #include "common/timer.hpp"
 #include "fault/degraded.hpp"
 #include "mapping/mapper.hpp"
+#include "prof/obs.hpp"
 #include "simmpi/engine.hpp"
 #include "simmpi/layout.hpp"
 
@@ -68,18 +69,16 @@ constexpr simmpi::LayoutSpec kLayout{simmpi::NodeOrder::Cyclic,
 Usec price_run(const fault::DegradedTopology& topo,
                const collectives::Schedule& sched,
                const simmpi::Communicator& slots,
-               const std::vector<int>& mapping, trace::TraceSink* sink) {
+               const std::vector<int>& mapping) {
   const simmpi::Communicator comm(topo.machine(), mapping);
   simmpi::Engine eng(comm, simmpi::CostConfig{}, simmpi::ExecMode::Timed,
                      kBlockBytes, sched.buf_blocks(comm.size()));
-  eng.set_trace_sink(sink);
   return sched.run(eng, invert_permutation(slots.permutation_to(comm)));
 }
 
 }  // namespace
 
-ScenarioResult run_probed_scenario(const ScenarioConfig& cfg,
-                                   trace::TraceSink* sink) {
+ScenarioResult run_probed_scenario(const ScenarioConfig& cfg) {
   validate(cfg);
   WallTimer wall;
 
@@ -104,7 +103,7 @@ ScenarioResult run_probed_scenario(const ScenarioConfig& cfg,
 
     const fault::DegradedTopology initial(
         base, congestion_mask(base.network(), cfg.congestion, 0));
-    AdaptiveController controller(*mapper, ctl, initial, slots, sink);
+    AdaptiveController controller(*mapper, ctl, initial, slots);
 
     PatternSummary ps;
     ps.pattern = kPatterns[pi].first;
@@ -117,7 +116,7 @@ ScenarioResult run_probed_scenario(const ScenarioConfig& cfg,
       row.epoch = epoch;
 
       // identity: never reordered.
-      row.identity_usec = price_run(topo, sched, slot_comm, slots, sink);
+      row.identity_usec = price_run(topo, sched, slot_comm, slots);
 
       // oracle: RMH on the exact effective distances, every epoch for free.
       Rng oracle_rng(mix_seed(ctl.probe.seed, 0x6f7261ull,
@@ -128,11 +127,11 @@ ScenarioResult run_probed_scenario(const ScenarioConfig& cfg,
               effective_node_distances(topo),
               topology::extract_intranode_distances(topo.machine())),
           oracle_rng);
-      row.oracle_usec = price_run(topo, sched, slot_comm, oracle_map, sink);
+      row.oracle_usec = price_run(topo, sched, slot_comm, oracle_map);
 
       // probed: price the controller's current mapping, then let it decide.
       row.probed_usec =
-          price_run(topo, sched, slot_comm, controller.mapping(), sink);
+          price_run(topo, sched, slot_comm, controller.mapping());
       const Decision d = controller.observe(epoch, topo, row.probed_usec);
       row.action = d.action;
       row.drift = d.drift;
@@ -153,10 +152,9 @@ ScenarioResult run_probed_scenario(const ScenarioConfig& cfg,
     result.patterns.push_back(std::move(ps));
   }
 
-  if (sink != nullptr) {
+  if (trace::TraceSink* sink = obs::ambient().sink)
     sink->add_count("scenario.rows", static_cast<double>(result.rows.size()));
-    sink->on_wall_span(trace::WallSpan{"probed-scenario", wall.seconds()});
-  }
+  obs::wall_span("probed-scenario", wall.seconds());
   return result;
 }
 

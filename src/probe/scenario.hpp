@@ -6,7 +6,6 @@
 #include "probe/congestion.hpp"
 #include "probe/controller.hpp"
 #include "topology/fattree.hpp"
-#include "trace/sink.hpp"
 
 /// \file scenario.hpp
 /// The fig8 experiment: probed re-mapping vs oracle vs identity on a
@@ -107,9 +106,12 @@ struct ScenarioResult {
   std::string summary() const;
 };
 
-/// Run the scenario.  Deterministic in the config seeds; trace emission
-/// (probe spans, controller decisions, engine stages) flows through `sink`.
-ScenarioResult run_probed_scenario(const ScenarioConfig& cfg,
-                                   trace::TraceSink* sink = nullptr);
+/// Run the scenario.  Deterministic in the config seeds.  A trace sink
+/// installed on the ambient channel (prof/obs.hpp) around the call receives
+/// everything the scenario emits: every priced run's engine events, the
+/// controller's decisions and probes, the mapping decision counters of
+/// every oracle and re-probed mapping, a scenario.rows counter and the
+/// "probed-scenario" wall span.
+ScenarioResult run_probed_scenario(const ScenarioConfig& cfg);
 
 }  // namespace tarr::probe

@@ -6,13 +6,16 @@
 /// The ambient observability channel (see docs/OBSERVABILITY.md, "Cost
 /// discipline").
 ///
-/// Layers whose interfaces are pure functions of their inputs (the mapping
-/// heuristics, the bisection engine, the algorithm selector, refinement)
-/// cannot carry a sink or a profiler pointer without polluting their
-/// signatures, so they emit into one per-thread channel instead.  The
-/// channel has two legs, a trace sink and a profiler; both are null by
-/// default, and with neither installed every emission is one thread-local
-/// load and a branch, with no allocation.
+/// The only way anything reaches a trace sink or a profiler.  Layers emit
+/// into one per-thread channel instead of carrying a sink or a profiler
+/// pointer in their signatures: the mapping heuristics, the bisection
+/// engine, the algorithm selector, refinement, the fault campaign and the
+/// probe emit at each event, and a simmpi::Engine takes the sink when it is
+/// built.  So a sink installed around a run receives everything the run
+/// emits, the engines it builds included.  The channel has two legs, a
+/// trace sink and a profiler; both are null by default, and with neither
+/// installed every emission is one thread-local load and a branch, with no
+/// allocation.
 
 namespace tarr::trace {
 class TraceSink;

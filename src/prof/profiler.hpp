@@ -129,7 +129,8 @@ class Profiler {
   std::vector<Open> stack_;
 };
 
-/// Installs a profiler as the ambient channel's profiler leg.
+/// Another name for obs::Install, the installer of either leg, kept because
+/// perfbench/ names it.
 using ScopedThreadProfiler = obs::Install;
 
 /// RAII scope against the *ambient* profiler.  The profiler pointer is

@@ -172,27 +172,14 @@ Usec CostModel::finish_stage() {
     p->count("cost.bytes_priced", priced_bytes);
   }
 
-  last_stats_ = StageStats{};
-  last_stats_.transfers = static_cast<int>(pending_.size());
-  for (int idx : links_.touched) {
-    const auto& link = net.link(idx / 2);
-    last_stats_.max_link_bytes = std::max(
-        last_stats_.max_link_bytes, links_.bytes[idx] / link.capacity);
-  }
-  for (int idx : qpi_.touched)
-    last_stats_.max_qpi_bytes =
-        std::max(last_stats_.max_qpi_bytes, qpi_.bytes[idx]);
-
   if (capture_details_) {
     // Snapshot the directed resource loads before the reset wipes them.
     // Touched-list order is the (deterministic) first-touch order of the
     // stage's transfers.
     detail_.link_loads.reserve(links_.touched.size());
-    for (int idx : links_.touched) {
-      detail_.link_loads.push_back(LinkLoad{
-          idx / 2, idx % 2, links_.bytes[idx],
-          links_.bytes[idx] / net.link(idx / 2).capacity});
-    }
+    for (int idx : links_.touched)
+      detail_.link_loads.push_back(
+          LinkLoad{idx / 2, idx % 2, links_.bytes[idx]});
     detail_.qpi_loads.reserve(qpi_.touched.size());
     for (int idx : qpi_.touched)
       detail_.qpi_loads.push_back(QpiLoad{idx / 2, idx % 2, qpi_.bytes[idx]});

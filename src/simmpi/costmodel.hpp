@@ -94,14 +94,6 @@ class CostModel {
   /// with contention applied).  Resets for the next stage.
   Usec finish_stage();
 
-  /// Congestion introspection for the stage most recently finished.
-  struct StageStats {
-    int transfers = 0;            ///< transfers submitted
-    double max_link_bytes = 0.0;  ///< peak directed per-cable network load
-    double max_qpi_bytes = 0.0;   ///< peak per-direction QPI load
-  };
-  const StageStats& last_stage_stats() const { return last_stats_; }
-
   /// Full per-transfer and per-resource breakdown of one stage — the data
   /// tarr::trace turns into transfer spans and load counter tracks.  Opt-in
   /// because it allocates per stage; with capture off, finish_stage() does
@@ -120,8 +112,7 @@ class CostModel {
   struct LinkLoad {
     LinkId link = 0;
     int dir = 0;
-    double bytes = 0.0;     ///< aggregate directed byte load this stage
-    double relative = 0.0;  ///< bytes / link capacity (the Fig 4 heat)
+    double bytes = 0.0;  ///< aggregate directed byte load this stage
   };
   struct QpiLoad {
     NodeId node = 0;
@@ -203,7 +194,6 @@ class CostModel {
   Loads links_;    ///< directed network links, slot 2 * link + dir
   Loads qpi_;      ///< QPI directions, slot 2 * node + dir
   Loads sockets_;  ///< socket memory subsystems, socket_slot(node, socket)
-  StageStats last_stats_;
   StageDetail detail_;
   bool capture_details_ = false;
   bool stage_open_ = false;

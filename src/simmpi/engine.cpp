@@ -14,9 +14,13 @@ Engine::Engine(const Communicator& comm, const CostConfig& cfg, ExecMode mode,
       cost_(comm.machine(), cfg),
       mode_(mode),
       block_bytes_(block_bytes),
-      buf_blocks_(buf_blocks) {
+      buf_blocks_(buf_blocks),
+      sink_(obs::ambient().sink) {
   TARR_REQUIRE(block_bytes >= 1, "Engine: block_bytes must be >= 1");
   TARR_REQUIRE(buf_blocks >= 1, "Engine: buf_blocks must be >= 1");
+  // Transfer spans and load counters are derived from the cost model's
+  // per-stage detail, so capture follows the sink.
+  cost_.set_capture_details(sink_ != nullptr);
   if (mode_ == ExecMode::Data) {
     buf_.assign(comm.size(),
                 std::vector<std::uint32_t>(buf_blocks, kEmptyTag));
@@ -26,14 +30,6 @@ Engine::Engine(const Communicator& comm, const CostConfig& cfg, ExecMode mode,
     verifier_ = std::make_unique<check::StageVerifier>(
         comm.size(), buf_blocks, comm.rank_to_core());
   }
-}
-
-void Engine::set_trace_sink(trace::TraceSink* sink) {
-  TARR_REQUIRE(!stage_open_, "set_trace_sink: stage still open");
-  sink_ = sink;
-  // Transfer spans and load counters are derived from the cost model's
-  // per-stage detail, so capture follows the sink's lifetime.
-  cost_.set_capture_details(sink != nullptr);
 }
 
 void Engine::trace_phase_begin(std::string name) {
@@ -225,8 +221,6 @@ Usec Engine::end_stage() {
   last_stage_transfers_ = transfers;
   last_stage_retry_wait_ = retry_wait;
   total_ += stage;
-  peak_link_bytes_ =
-      std::max(peak_link_bytes_, cost_.last_stage_stats().max_link_bytes);
   if (sink_ != nullptr) emit_stage_trace(stage_start, stage, retry_wait);
   if (prof::Profiler* p = obs::ambient().prof) {
     p->count("engine.stages", 1.0);

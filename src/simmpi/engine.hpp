@@ -47,6 +47,22 @@ class Engine {
   /// `buf_blocks` is the per-process buffer length in blocks; `block_bytes`
   /// the payload size of one block.  The communicator must outlive the
   /// engine.
+  ///
+  /// The engine takes its trace sink (tarr::trace) from the ambient channel
+  /// (prof/obs.hpp) here, once, and turns on the cost model's detail
+  /// capture when it is non-null.  A sink installed with obs::Install
+  /// before the engine is built receives every stage, transfer (with
+  /// channel class, contention factor and retransmission attempts), link/
+  /// QPI load sample and collective phase, and must outlive the engine.  An
+  /// engine built with no sink installed emits nothing, even if one is
+  /// installed later; it then does no tracing work beyond one pointer check
+  /// per event site, and all simulated costs and payloads are bit-identical
+  /// to a traced run.  So a sink installed around a run receives everything
+  /// the run emits, the engines it builds included.  Two consequences: a
+  /// core::TopoAllgather with no sink of its own, run under an installed
+  /// sink, sends its engine events there; and a sink installed around
+  /// core::refine_by_simulation with core::allgather_objective sees every
+  /// candidate simulation.
   Engine(const Communicator& comm, const CostConfig& cfg, ExecMode mode,
          Bytes block_bytes, int buf_blocks);
 
@@ -106,26 +122,8 @@ class Engine {
   /// Total simulated time so far.
   Usec total() const { return total_; }
 
-  /// Congestion statistics of the stage most recently ended.
-  const CostModel::StageStats& last_stage_stats() const {
-    return cost_.last_stage_stats();
-  }
-
-  /// Peak per-cable network link load (bytes) seen in any stage so far.
-  double peak_link_bytes() const { return peak_link_bytes_; }
-
   /// Number of stages executed so far.
   int stages_executed() const { return stages_executed_; }
-
-  /// Install a trace sink (tarr::trace): every stage, transfer (with channel
-  /// class, contention factor and retransmission attempts), link/QPI load
-  /// sample and collective phase is emitted through it.  nullptr (the
-  /// default) disables emission — the engine then does no tracing work
-  /// beyond one pointer check per event site, and all simulated costs and
-  /// payloads are bit-identical to a sink-free run.  Must be called outside
-  /// a stage; enables the cost model's detail capture while installed.
-  void set_trace_sink(trace::TraceSink* sink);
-  trace::TraceSink* trace_sink() const { return sink_; }
 
   /// Open/close a named phase span covering the stages executed in between
   /// (collective phases, §V-B shuffles).  Nestable; no-ops without a sink.
@@ -193,11 +191,10 @@ class Engine {
   Usec last_stage_cost_ = 0.0;
   Usec last_stage_retry_wait_ = 0.0;
   Usec total_ = 0.0;
-  double peak_link_bytes_ = 0.0;
   int stages_executed_ = 0;
   int last_stage_transfers_ = 0;
   // Trace emission (tarr::trace); all fields idle when sink_ is null.
-  trace::TraceSink* sink_ = nullptr;
+  trace::TraceSink* sink_;
   std::vector<TraceXfer> stage_xfers_;
   std::vector<std::pair<std::string, Usec>> phase_stack_;
   // Slow-check tier: shadows the stage protocol and rejects malformed

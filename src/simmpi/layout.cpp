@@ -17,8 +17,8 @@ LayoutSpec parse_layout_spec(const std::string& s) {
   }
   // SLURM --distribution names: <node>:<socket>.
   const std::size_t colon = s.find(':');
-  TARR_REQUIRE(colon != std::string::npos,
-               "parse_layout_spec: unknown layout: " + s);
+  if (colon == std::string::npos)
+    throw Error("parse_layout_spec: unknown layout: " + s);
   const std::string node = s.substr(0, colon);
   const std::string socket = s.substr(colon + 1);
   LayoutSpec spec;
@@ -27,15 +27,14 @@ LayoutSpec parse_layout_spec(const std::string& s) {
   } else if (node == "cyclic") {
     spec.node = NodeOrder::Cyclic;
   } else {
-    TARR_REQUIRE(false, "parse_layout_spec: unknown node policy: " + node);
+    throw Error("parse_layout_spec: unknown node policy: " + node);
   }
   if (socket == "block") {
     spec.socket = SocketOrder::Bunch;
   } else if (socket == "cyclic") {
     spec.socket = SocketOrder::Scatter;
   } else {
-    TARR_REQUIRE(false,
-                 "parse_layout_spec: unknown socket policy: " + socket);
+    throw Error("parse_layout_spec: unknown socket policy: " + socket);
   }
   return spec;
 }
@@ -51,8 +50,8 @@ std::vector<LayoutSpec> all_layouts() {
 
 std::vector<CoreId> make_layout(const topology::Machine& m, int p,
                                 const LayoutSpec& spec) {
-  TARR_REQUIRE(p >= 1, "make_layout: need at least one rank");
-  TARR_REQUIRE(p <= m.total_cores(), "make_layout: more ranks than cores");
+  if (p < 1) throw Error("make_layout: need at least one rank");
+  if (p > m.total_cores()) throw Error("make_layout: more ranks than cores");
   const int cpn = m.cores_per_node();
   const int nodes_used = (p + cpn - 1) / cpn;
 

@@ -157,8 +157,9 @@ struct ScheduleRecord {
   std::string phase_at(Usec t) const;
 };
 
-/// See file comment.  Attach to an Engine (set_trace_sink) — on its own or
-/// inside a Tracer — run the collective, then take the record.  The
+/// See file comment.  Install it (obs::Install) around an Engine's
+/// construction — on its own or inside a Tracer — run the collective, then
+/// take the record.  The
 /// recorder tolerates multiple runs into one record; the accounting
 /// identity then matches the sum of the runs' totals.
 class ScheduleRecorder final : public TraceSink {

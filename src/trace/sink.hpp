@@ -18,13 +18,14 @@
 /// Tracer (trace/tracer.hpp) turns them into a Chrome trace-event timeline
 /// (Perfetto-loadable) plus a metrics registry snapshot.
 ///
-/// Cost discipline: every instrumented component holds a plain
-/// `TraceSink*` that defaults to nullptr (pure-function layers read the
-/// ambient channel of prof/obs.hpp instead), and each emission site is
-/// exactly one pointer check.  With no sink installed the instrumented code
-/// paths are bit-identical to a build that never heard of this header —
-/// tracing never perturbs the simulated costs or the payload movement it
-/// observes.  A plain TraceSink observes nothing.
+/// Cost discipline: a sink reaches the instrumented code only through the
+/// ambient channel of prof/obs.hpp — installed with obs::Install around the
+/// run it traces, never passed down — and each emission site is exactly one
+/// pointer check (an Engine reads the channel once, when it is built).
+/// With no sink installed the instrumented code paths are bit-identical to
+/// a build that never heard of this header — tracing never perturbs the
+/// simulated costs or the payload movement it observes.  A plain TraceSink
+/// observes nothing.
 ///
 /// Two clocks appear in the taxonomy and are never mixed on one track:
 ///  * simulated microseconds (Usec) — stages, transfers, collective phases,
@@ -180,9 +181,9 @@ class TraceSink {
   }
 };
 
-/// Forwards every event to each downstream leg in order, so a single
-/// emission point — the engine holds exactly one sink pointer — can feed
-/// e.g. a Tracer and a tlog capture at once.
+/// Forwards every event to each downstream leg in order, so the one sink
+/// the ambient channel holds can feed e.g. a Tracer and a tlog capture at
+/// once.
 /// Null legs are dropped at construction; every leg must outlive the tee.
 class TeeSink final : public TraceSink {
  public:

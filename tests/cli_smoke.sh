@@ -12,9 +12,11 @@
 # themselves and fail it with one gated metric 10 % worse; certify-all
 # prints the committed listing and every schedule mutation is rejected;
 # every --mapper value maps the same across same-seed runs, and a SLURM
-# --layout spelling maps as its library name does; the expected strings
-# appear; exit codes are 2 for usage errors, 1 for errors (every artifact
-# flag pointed at /dev/full included) and 3 for the insight gate.
+# --layout spelling maps as its library name does; campaign and probe
+# traces carry the mapping decision counters; the expected strings appear;
+# a bad --layout or --procs prints its plain error text; exit codes are 2
+# for usage errors, 1 for errors (every artifact flag pointed at /dev/full
+# included) and 3 for the insight gate.
 set -euo pipefail
 
 TARR=$(cd "$(dirname "$1")" && pwd)/$(basename "$1")
@@ -51,8 +53,16 @@ for demo in "$(dirname "$TARR")"/example_*; do
 done
 
 # Fault campaign: link failures, then node failures with transient drops
-# whose retransmissions survive capture and replay.
-"$TARR" campaign --smoke > /dev/null
+# whose retransmissions survive capture and replay.  Same-seed captures
+# replay to the same metrics, the heuristic runs behind the stale and remap
+# mappings included.
+for run in a b; do
+  "$TARR" campaign --smoke --tlog campaign-$run.tlog > /dev/null
+  "$TARR" log cat campaign-$run.tlog --metrics campaign-$run.csv 2> /dev/null
+  grep -q '^counter,mapping\.placements,' campaign-$run.csv
+  grep -q '^counter,campaign\.rows,' campaign-$run.csv
+done
+cmp_metrics campaign-a.csv campaign-b.csv
 "$TARR" campaign --smoke --kind nodes --drop 0.05 --tlog drop.tlog > /dev/null
 "$TARR" log cat drop.tlog --metrics drop.csv 2> /dev/null
 grep -q '^counter,fault\.retransmissions,' drop.csv
@@ -192,6 +202,10 @@ cmp_metrics probe-prof-metrics-a.csv probe-prof-metrics-b.csv
 "$TARR" probe --smoke --metrics probe-metrics-a.csv > /dev/null
 "$TARR" probe --smoke --metrics probe-metrics-b.csv > /dev/null
 cmp_metrics probe-metrics-a.csv probe-metrics-b.csv
+for run in a b; do
+  grep -q '^counter,mapping\.placements,' probe-metrics-$run.csv
+  grep -q '^counter,probe\.decision\.remap,' probe-metrics-$run.csv
+done
 expect_rc 1 map --nodes 4 --procs 32 --prof /nonexistent-dir/p.csv
 expect_rc 1 campaign --smoke --prof /nonexistent-dir/p.csv
 expect_rc 2 probe --smoke --prof
@@ -256,6 +270,14 @@ done
 cmp layout-block:cyclic.txt layout-block-scatter.txt
 expect_rc 1 map --nodes 2 --procs 16 --mapper bogus
 expect_rc 1 map --nodes 2 --procs 16 --layout bogus
+# Bad input reads in plain text: the message alone, no C++ condition or
+# source path.
+[ "$("$TARR" map --nodes 2 --procs 16 --layout bogus 2>&1 || true)" = \
+  "tarr map: parse_layout_spec: unknown layout: bogus" ] ||
+  fail "--layout bogus: unexpected error text"
+[ "$("$TARR" map --nodes 2 --procs 17 2>&1 || true)" = \
+  "tarr map: make_layout: more ranks than cores" ] ||
+  fail "--procs 17: unexpected error text"
 
 # Usage errors: no command, an unknown one, a missing second level.
 expect_rc 2

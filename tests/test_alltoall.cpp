@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
 
 #include "collectives/contracts.hpp"
@@ -9,7 +10,9 @@
 #include "common/error.hpp"
 #include "common/permutation.hpp"
 #include "core/framework.hpp"
+#include "prof/obs.hpp"
 #include "simmpi/layout.hpp"
+#include "trace/record.hpp"
 
 namespace tarr::collectives {
 namespace {
@@ -96,47 +99,76 @@ TEST(Alltoall, TimedMatchesData) {
   }
 }
 
-TEST(CongestionStats, StageStatsExposeLinkLoads) {
+/// Peak over the stages of `rec` of a cable's load / its capacity
+/// (`qpi` false) or of a QPI direction's bytes (`qpi` true); 0 when none
+/// was loaded.
+double peak_load(const trace::ScheduleRecord& rec, const Machine& m,
+                 bool qpi, int stage = -1) {
+  double peak = 0.0;
+  for (const trace::RecordedStage& s : rec.stages) {
+    if (stage >= 0 && s.stage != stage) continue;
+    for (const trace::RecordedLoad& l : rec.loads_of(s))
+      if (l.qpi == qpi)
+        peak = std::max(peak, qpi ? l.bytes
+                                  : l.bytes / m.network().link(l.id).capacity);
+  }
+  return peak;
+}
+
+TEST(CongestionStats, RecordedLoadsExposeLinkLoads) {
   const Machine m = Machine::gpc(60);
   const Communicator comm(m, make_layout(m, 480, LayoutSpec{}));
-  Engine eng(comm, simmpi::CostConfig{}, ExecMode::Timed, 1024, 1);
-  // 30 nodes of leaf 0 each firing one transfer to leaf 1: the shared
-  // uplinks see an aggregated load well above one message.
-  eng.begin_stage();
-  for (int n = 0; n < 30; ++n)
-    eng.copy(n * 8, 0, (30 + n) * 8, 0, 1);
-  eng.end_stage();
-  const auto& stats = eng.last_stage_stats();
-  EXPECT_EQ(stats.transfers, 30);
-  EXPECT_GT(stats.max_link_bytes, 2.0 * 1024);
-  EXPECT_EQ(stats.max_qpi_bytes, 0.0);
-  EXPECT_DOUBLE_EQ(eng.peak_link_bytes(), stats.max_link_bytes);
+  trace::ScheduleRecorder recorder;
+  {
+    obs::Install traced(&recorder);
+    Engine eng(comm, simmpi::CostConfig{}, ExecMode::Timed, 1024, 1);
+    // 30 nodes of leaf 0 each firing one transfer to leaf 1: the shared
+    // uplinks see an aggregated load well above one message.
+    eng.begin_stage();
+    for (int n = 0; n < 30; ++n)
+      eng.copy(n * 8, 0, (30 + n) * 8, 0, 1);
+    eng.end_stage();
+  }
+  const trace::ScheduleRecord& rec = recorder.record();
+  ASSERT_EQ(rec.stages.size(), 1u);
+  EXPECT_EQ(rec.stages[0].num_transfers, 30);
+  EXPECT_GT(peak_load(rec, m, /*qpi=*/false), 2.0 * 1024);
+  EXPECT_EQ(peak_load(rec, m, /*qpi=*/true), 0.0);
 }
 
 TEST(CongestionStats, QpiLoadTracked) {
   const Machine m = Machine::gpc(1);
   const Communicator comm(m, make_layout(m, 8, LayoutSpec{}));
-  Engine eng(comm, simmpi::CostConfig{}, ExecMode::Timed, 4096, 1);
-  eng.begin_stage();
-  for (int k = 0; k < 4; ++k) eng.copy(k, 0, 4 + k, 0, 1);
-  eng.end_stage();
-  EXPECT_DOUBLE_EQ(eng.last_stage_stats().max_qpi_bytes, 4.0 * 4096);
-  EXPECT_EQ(eng.last_stage_stats().max_link_bytes, 0.0);
+  trace::ScheduleRecorder recorder;
+  {
+    obs::Install traced(&recorder);
+    Engine eng(comm, simmpi::CostConfig{}, ExecMode::Timed, 4096, 1);
+    eng.begin_stage();
+    for (int k = 0; k < 4; ++k) eng.copy(k, 0, 4 + k, 0, 1);
+    eng.end_stage();
+  }
+  EXPECT_DOUBLE_EQ(peak_load(recorder.record(), m, /*qpi=*/true), 4.0 * 4096);
+  EXPECT_EQ(peak_load(recorder.record(), m, /*qpi=*/false), 0.0);
 }
 
-TEST(CongestionStats, ResetPerStage) {
+TEST(CongestionStats, LoadsArePerStage) {
   const Machine m = Machine::gpc(2);
   const Communicator comm(m, make_layout(m, 16, LayoutSpec{}));
-  Engine eng(comm, simmpi::CostConfig{}, ExecMode::Timed, 1024, 1);
-  eng.begin_stage();
-  for (int k = 0; k < 8; ++k) eng.copy(k, 0, 8 + k, 0, 1);
-  eng.end_stage();
-  const double first = eng.last_stage_stats().max_link_bytes;
-  eng.begin_stage();
-  eng.copy(0, 0, 8, 0, 1);
-  eng.end_stage();
-  EXPECT_LT(eng.last_stage_stats().max_link_bytes, first);
-  EXPECT_DOUBLE_EQ(eng.peak_link_bytes(), first);  // peak persists
+  trace::ScheduleRecorder recorder;
+  {
+    obs::Install traced(&recorder);
+    Engine eng(comm, simmpi::CostConfig{}, ExecMode::Timed, 1024, 1);
+    eng.begin_stage();
+    for (int k = 0; k < 8; ++k) eng.copy(k, 0, 8 + k, 0, 1);
+    eng.end_stage();
+    eng.begin_stage();
+    eng.copy(0, 0, 8, 0, 1);
+    eng.end_stage();
+  }
+  const trace::ScheduleRecord& rec = recorder.record();
+  const double first = peak_load(rec, m, /*qpi=*/false, 0);
+  EXPECT_LT(peak_load(rec, m, /*qpi=*/false, 1), first);
+  EXPECT_DOUBLE_EQ(peak_load(rec, m, /*qpi=*/false), first);
 }
 
 }  // namespace

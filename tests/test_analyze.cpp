@@ -14,6 +14,7 @@
 #include "common/error.hpp"
 #include "common/permutation.hpp"
 #include "core/framework.hpp"
+#include "prof/obs.hpp"
 #include "simmpi/layout.hpp"
 #include "trace/record.hpp"
 
@@ -34,13 +35,15 @@ using simmpi::LayoutSpec;
 using simmpi::make_layout;
 using topology::Machine;
 
-/// Record one Data-mode run of `run` on a fresh engine.
+/// Record one Data-mode run of `run` on a fresh engine over `comm`, with
+/// `blocks` blocks of `block_bytes` per rank.
 template <typename Runner>
-ScheduleRecord record_run(Engine& eng, Runner&& run) {
+ScheduleRecord record_run(const Communicator& comm, Bytes block_bytes,
+                          int blocks, Runner&& run) {
   ScheduleRecorder rec;
-  eng.set_trace_sink(&rec);
+  obs::Install traced(&rec);
+  Engine eng(comm, CostConfig{}, ExecMode::Data, block_bytes, blocks);
   run(eng);
-  eng.set_trace_sink(nullptr);
   return rec.take();
 }
 
@@ -71,16 +74,16 @@ TEST(AnalyzeCertifies, EveryScheduleIdentityAndReordered) {
       EXPECT_EQ(reorder, rc.oldrank != identity_permutation(p)) << s.name;
       const int blocks = s.buf_blocks(p);
       const Contract c = s.contract(p, blocks, rc.oldrank);
-      Engine eng(rc.comm, CostConfig{}, ExecMode::Data, 256, blocks);
-      const ScheduleRecord rec = record_run(eng, [&](Engine& e) {
-        // Reduction runners do not seed: the test writes the seeds.
-        if (std::string(s.name).find("reduce") != std::string::npos)
-          for (const Contract::Seed& sd : c.seeds)
-            e.set_block(sd.rank, sd.block, sd.tag);
-        s.run(e, rc.oldrank);
-      });
       SCOPED_TRACE(std::string(s.name) + (reorder ? " reordered" : ""));
-      collectives::check_output(eng, c);
+      const ScheduleRecord rec =
+          record_run(rc.comm, 256, blocks, [&](Engine& e) {
+            // Reduction runners do not seed: the test writes the seeds.
+            if (std::string(s.name).find("reduce") != std::string::npos)
+              for (const Contract::Seed& sd : c.seeds)
+                e.set_block(sd.rank, sd.block, sd.tag);
+            s.run(e, rc.oldrank);
+            collectives::check_output(e, c);
+          });
       expect_certified(rec, m, c);
     }
   }
@@ -98,8 +101,7 @@ TEST(AnalyzeCertifies, ReorderedScatterExercisesPermuteEvents) {
                                 simmpi::SocketOrder::Scatter}));
   core::ReorderFramework fw(m);
   const auto rc = fw.reorder(comm, mapping::Pattern::BinomialGather);
-  Engine eng(rc.comm, CostConfig{}, ExecMode::Data, 256, p);
-  const ScheduleRecord rec = record_run(eng, [&](Engine& e) {
+  const ScheduleRecord rec = record_run(rc.comm, 256, p, [&](Engine& e) {
     collectives::run_scatter(e, TreeAlgo::Binomial, rc.oldrank);
   });
   bool saw_permute = false;
@@ -172,8 +174,7 @@ TEST(ContractValidate, RejectsOriginSeededWithTwoTags) {
 ScheduleRecord rd_record(int p) {
   const Machine m = Machine::gpc(1);
   const Communicator comm(m, make_layout(m, p, LayoutSpec{}));
-  Engine eng(comm, CostConfig{}, ExecMode::Data, 256, p);
-  return record_run(eng, [](Engine& e) {
+  return record_run(comm, 256, p, [](Engine& e) {
     collectives::run_allgather(
         e, AllgatherOptions{AllgatherAlgo::RecursiveDoubling,
                             OrderFix::None});
@@ -240,8 +241,7 @@ TEST(AnalyzeRejects, FindingsBeyondTheCapAreCountedNotRecorded) {
   const int p = 16;
   const Communicator comm(m, make_layout(m, p, LayoutSpec{}));
   const auto oldrank = identity_permutation(p);
-  Engine eng(comm, CostConfig{}, ExecMode::Data, 256, p);
-  ScheduleRecord rec = record_run(eng, [&](Engine& e) {
+  ScheduleRecord rec = record_run(comm, 256, p, [&](Engine& e) {
     collectives::run_allgather(
         e, AllgatherOptions{AllgatherAlgo::Ring, OrderFix::None}, oldrank);
   });
@@ -276,8 +276,7 @@ TEST(AnalyzeParity, StaticStageLoadsEqualTraceCounters) {
   const Machine m = Machine::gpc(4);
   const int p = 32;
   const Communicator comm(m, make_layout(m, p, LayoutSpec{}));
-  Engine eng(comm, CostConfig{}, ExecMode::Data, 256, p);
-  const ScheduleRecord rec = record_run(eng, [](Engine& e) {
+  const ScheduleRecord rec = record_run(comm, 256, p, [](Engine& e) {
     collectives::run_allgather(
         e, AllgatherOptions{AllgatherAlgo::RecursiveDoubling,
                             OrderFix::None});
@@ -305,9 +304,8 @@ TEST(AnalyzeParity, StaticLoadsFollowRetransmissionAttempts) {
   simmpi::TransientFaultConfig faults;
   faults.drop_prob = 0.2;
   faults.seed = 5;
-  Engine eng(comm, CostConfig{}, ExecMode::Data, 256, p);
-  eng.set_transient_faults(faults);
-  const ScheduleRecord rec = record_run(eng, [](Engine& e) {
+  const ScheduleRecord rec = record_run(comm, 256, p, [&](Engine& e) {
+    e.set_transient_faults(faults);
     collectives::run_allgather(
         e, AllgatherOptions{AllgatherAlgo::RecursiveDoubling,
                             OrderFix::None});
@@ -326,11 +324,13 @@ TEST(AnalyzeRejects, TimedRepeatCompressedRecordNeedsDataMode) {
   const Machine m = Machine::gpc(1);
   const int p = 8;
   const Communicator comm(m, make_layout(m, p, LayoutSpec{}));
-  Engine eng(comm, CostConfig{}, ExecMode::Timed, 256, p);
   ScheduleRecorder sink;
-  eng.set_trace_sink(&sink);
-  collectives::run_allgather(
-      eng, AllgatherOptions{AllgatherAlgo::Ring, OrderFix::None});
+  {
+    obs::Install traced(&sink);
+    Engine eng(comm, CostConfig{}, ExecMode::Timed, 256, p);
+    collectives::run_allgather(
+        eng, AllgatherOptions{AllgatherAlgo::Ring, OrderFix::None});
+  }
   const ScheduleRecord rec = sink.take();
   const Certificate cert = analyze(
       rec, m,
@@ -344,8 +344,7 @@ TEST(AnalyzeOptionsTest, CapacityHazardWarnsWithoutRejecting) {
   const Machine m = Machine::gpc(4);
   const int p = 32;
   const Communicator comm(m, make_layout(m, p, LayoutSpec{}));
-  Engine eng(comm, CostConfig{}, ExecMode::Data, 1 << 20, p);
-  const ScheduleRecord rec = record_run(eng, [](Engine& e) {
+  const ScheduleRecord rec = record_run(comm, 1 << 20, p, [](Engine& e) {
     collectives::run_allgather(
         e, AllgatherOptions{AllgatherAlgo::RecursiveDoubling,
                             OrderFix::None});

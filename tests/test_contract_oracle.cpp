@@ -30,6 +30,7 @@
 #include "fault/fault_mask.hpp"
 #include "fault/shrink.hpp"
 #include "fuzz_support.hpp"
+#include "prof/obs.hpp"
 #include "simmpi/layout.hpp"
 #include "simmpi/transient.hpp"
 #include "trace/record.hpp"
@@ -456,11 +457,12 @@ TEST_P(ContractThreeWay, ContractAnalyzerAndTimedModeAgree) {
   };
 
   // 1. The Data-mode run satisfies the contract.
-  Engine data(use, CostConfig{}, ExecMode::Data, block, c.buf_blocks);
   trace::ScheduleRecorder recorder;
-  data.set_trace_sink(&recorder);
+  Engine data = [&] {
+    obs::Install traced(&recorder);
+    return Engine(use, CostConfig{}, ExecMode::Data, block, c.buf_blocks);
+  }();
   run(data);
-  data.set_trace_sink(nullptr);
   EXPECT_NO_THROW(check_output(data, c)) << label;
 
   // 2. The analyzer certifies the same run's recording.

@@ -205,12 +205,11 @@ TEST(CostModel, DetailRecordsChannelsAndCosts) {
     EXPECT_LE(tr.cost, stage + 1e-9);  // stage = max over transfers
     EXPECT_GE(tr.contention, 1.0 - 1e-12);
   }
-  // The network transfer loaded at least one directed cable, with a sane
-  // relative (bytes/capacity) heat.
+  // The network transfer, the stage's only one, loaded at least one
+  // directed cable, each with its bytes.
   ASSERT_FALSE(d.link_loads.empty());
   for (const auto& l : d.link_loads) {
-    EXPECT_GT(l.bytes, 0.0);
-    EXPECT_GT(l.relative, 0.0);
+    EXPECT_EQ(l.bytes, static_cast<double>(b));
     EXPECT_TRUE(l.dir == 0 || l.dir == 1);
   }
 }

@@ -35,7 +35,7 @@ long long load_allocation(std::uint32_t nodes) {
   prof::link_memhook();
   prof::Profiler profiler;
   {
-    prof::ScopedThreadProfiler guard(&profiler);
+    obs::Install guard(&profiler);
     prof::ProfScope scope("load");
     EXPECT_THROW((void)DistanceMatrix::load(path), Error);
   }

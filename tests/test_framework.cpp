@@ -31,7 +31,7 @@ TEST(Framework, DistanceExtractionIsCachedAndTimed) {
   ReorderFramework fw(m);
   EXPECT_EQ(fw.distance_extraction_seconds(), 0.0);
   prof::Profiler profiler;
-  prof::ScopedThreadProfiler guard(&profiler);
+  obs::Install guard(&profiler);
   auto extractions = [&] {
     const prof::Profile p = profiler.snapshot();
     const prof::ProfileEntry* e = p.find("distance-extraction");

@@ -85,6 +85,34 @@ TEST(InfoKeys, RejectsUnknownKeysAndValues) {
   EXPECT_THROW(parse_info({{"tarr_hierarchical", "1"}}), Error);
 }
 
+/// The what() of the tarr::Error `f` throws; "" when it throws none.
+template <class F>
+std::string error_of(F&& f) {
+  try {
+    f();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(InfoKeys, BadInputReadsInPlainText) {
+  // One bad value per key, an unknown key and a segment without '=': the
+  // caller reads the message alone, with no C++ condition or source path.
+  const std::pair<std::string, std::string> cases[] = {
+      {"tarr_reorder=maybe", "parse_info: bad tarr_reorder value: maybe"},
+      {"tarr_mapper=magic", "parse_info: bad tarr_mapper value: magic"},
+      {"tarr_order_fix=late", "parse_info: bad tarr_order_fix value: late"},
+      {"tarr_hierarchical=1", "parse_info: bad tarr_hierarchical value: 1"},
+      {"tarr_intra=ring", "parse_info: bad tarr_intra value: ring"},
+      {"tarr_bogus=x", "parse_info: unknown info key: tarr_bogus"},
+      {"tarr_mapper", "parse_info_string: segment without '=': tarr_mapper"},
+  };
+  for (const auto& [info, message] : cases)
+    EXPECT_EQ(error_of([&] { (void)parse_info_string(info); }), message)
+        << info;
+}
+
 TEST(InfoKeys, StringFormParses) {
   const TopoAllgatherConfig cfg = parse_info_string(
       "tarr_mapper=mvapich-cyclic; tarr_order_fix=initcomm;;");

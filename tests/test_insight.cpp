@@ -21,6 +21,7 @@
 #include "common/permutation.hpp"
 #include "fault/degraded.hpp"
 #include "probe/congestion.hpp"
+#include "prof/obs.hpp"
 #include "simmpi/engine.hpp"
 #include "simmpi/layout.hpp"
 #include "simmpi/transient.hpp"
@@ -180,9 +181,9 @@ TEST(Metrics, TracedDistributionsAreByteIdenticalUnderFaults) {
     simmpi::TransientFaultConfig faults;
     faults.drop_prob = 0.2;
     faults.seed = 5;
+    obs::Install traced(&tracer);
     Engine eng(comm, CostConfig{}, ExecMode::Timed, 256, 16);
     eng.set_transient_faults(faults);
-    eng.set_trace_sink(&tracer);
     collectives::run_allgather(
         eng, {collectives::AllgatherAlgo::RecursiveDoubling,
               collectives::OrderFix::None});
@@ -206,8 +207,8 @@ TEST(Metrics, StageDurationQuantilesMatchBruteForceOnTracedRun) {
   trace::Tracer tracer;
   trace::ScheduleRecorder recorder;
   trace::TeeSink tee({&tracer, &recorder});
+  obs::Install traced(&tee);
   Engine eng(comm, CostConfig{}, ExecMode::Timed, 256, 16);
-  eng.set_trace_sink(&tee);
   collectives::run_allgather(
       eng, {collectives::AllgatherAlgo::Ring, collectives::OrderFix::None});
   const trace::ScheduleRecord rec = recorder.take();
@@ -242,8 +243,8 @@ TEST(Imbalance, ExactSumsMatchIndependentRecomputation) {
   const Machine m = Machine::gpc(2);
   const Communicator comm(m, make_layout(m, 16, {}));
   trace::ScheduleRecorder recorder;
+  obs::Install traced(&recorder);
   Engine eng(comm, CostConfig{}, ExecMode::Timed, 1024, 16);
-  eng.set_trace_sink(&recorder);
   collectives::run_allgather(
       eng, {collectives::AllgatherAlgo::Ring, collectives::OrderFix::None});
   const trace::ScheduleRecord rec = recorder.take();
@@ -321,8 +322,8 @@ CongestedRun congested_run() {
       make_layout(topo.machine(), 64,
                   {simmpi::NodeOrder::Cyclic, simmpi::SocketOrder::Bunch}));
   trace::Tracer tracer;
+  obs::Install traced(&tracer);
   Engine eng(comm, CostConfig{}, ExecMode::Timed, 16 * 1024, 64);
-  eng.set_trace_sink(&tracer);
   collectives::run_allgather(
       eng, {collectives::AllgatherAlgo::Ring, collectives::OrderFix::None});
   run.record = tracer.record();
@@ -380,8 +381,8 @@ TEST(Diagnose, BalancedRunProducesNoStragglers) {
   const Machine m = Machine::gpc(1);
   const Communicator comm(m, make_layout(m, 4, {}));
   trace::ScheduleRecorder recorder;
+  obs::Install traced(&recorder);
   Engine eng(comm, CostConfig{}, ExecMode::Timed, 256, 4);
-  eng.set_trace_sink(&recorder);
   collectives::run_allgather(
       eng, {collectives::AllgatherAlgo::Ring, collectives::OrderFix::None});
   const Diagnosis d = diagnose(recorder.take(), m);
@@ -413,9 +414,9 @@ trace::ScheduleRecord allgather_record(
     const simmpi::TransientFaultConfig& faults = {}) {
   const Communicator comm(m, make_layout(m, p, layout));
   trace::ScheduleRecorder recorder;
+  obs::Install traced(&recorder);
   Engine eng(comm, CostConfig{}, ExecMode::Timed, 4096, p);
   eng.set_transient_faults(faults);
-  eng.set_trace_sink(&recorder);
   collectives::run_allgather(eng, {algo, collectives::OrderFix::None});
   return recorder.take();
 }
@@ -427,8 +428,8 @@ TEST(DiagnoseRules, UnfairResourceLoad) {
   const int p = m.total_cores();
   const Communicator comm(m, make_layout(m, p, {}));
   trace::ScheduleRecorder recorder;
+  obs::Install traced(&recorder);
   Engine eng(comm, CostConfig{}, ExecMode::Timed, 4096, p);
-  eng.set_trace_sink(&recorder);
   collectives::run_gather(eng, collectives::TreeAlgo::Linear,
                           collectives::OrderFix::None,
                           identity_permutation(p));

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 
 #include "common/error.hpp"
 
@@ -107,6 +108,33 @@ TEST(Layout, RejectsOversubscription) {
   const Machine m = Machine::gpc(1);
   EXPECT_THROW(make_layout(m, 9, LayoutSpec{}), Error);
   EXPECT_THROW(make_layout(m, 0, LayoutSpec{}), Error);
+}
+
+/// The what() of the tarr::Error `f` throws; "" when it throws none.
+template <class F>
+std::string error_of(F&& f) {
+  try {
+    f();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Layout, BadInputReadsInPlainText) {
+  // What `tarr --layout` and `tarr --procs` users read: the message alone,
+  // with no C++ condition or source path.
+  EXPECT_EQ(error_of([] { (void)parse_layout_spec("bogus"); }),
+            "parse_layout_spec: unknown layout: bogus");
+  EXPECT_EQ(error_of([] { (void)parse_layout_spec("diagonal:block"); }),
+            "parse_layout_spec: unknown node policy: diagonal");
+  EXPECT_EQ(error_of([] { (void)parse_layout_spec("cyclic:bogus"); }),
+            "parse_layout_spec: unknown socket policy: bogus");
+  const Machine m = Machine::gpc(1);
+  EXPECT_EQ(error_of([&] { (void)make_layout(m, 9, LayoutSpec{}); }),
+            "make_layout: more ranks than cores");
+  EXPECT_EQ(error_of([&] { (void)make_layout(m, 0, LayoutSpec{}); }),
+            "make_layout: need at least one rank");
 }
 
 }  // namespace

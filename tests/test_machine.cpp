@@ -76,7 +76,7 @@ TEST(Machine, ConstructionIsProfiledAsNetworkAndRouterBuild) {
   // profiled run must show where it went.
   prof::Profiler profiler;
   {
-    prof::ScopedThreadProfiler guard(&profiler);
+    obs::Install guard(&profiler);
     const Machine m = Machine::gpc(8);
   }
   const prof::Profile p = profiler.snapshot();

@@ -14,6 +14,7 @@
 #include "common/error.hpp"
 #include "common/permutation.hpp"
 #include "core/framework.hpp"
+#include "prof/obs.hpp"
 #include "simmpi/layout.hpp"
 
 namespace tarr::collectives {
@@ -131,14 +132,14 @@ TEST(StageObserver, CountsAlgorithmStages) {
     int total_transfers = 0;
     Usec total_cost = 0.0;
   } rec;
-  Engine eng(comm, simmpi::CostConfig{}, ExecMode::Data, 32, 32);
   StageSink sink([&rec](int stage, int transfers, Usec cost) {
     EXPECT_EQ(stage, rec.stages);
     rec.stages++;
     rec.total_transfers += transfers;
     rec.total_cost += cost;
   });
-  eng.set_trace_sink(&sink);
+  obs::Install traced(&sink);
+  Engine eng(comm, simmpi::CostConfig{}, ExecMode::Data, 32, 32);
   run_allgather(eng, AllgatherOptions{AllgatherAlgo::RecursiveDoubling,
                                       OrderFix::None});
   EXPECT_EQ(rec.stages, 5);  // log2(32)
@@ -150,10 +151,10 @@ TEST(StageObserver, CountsAlgorithmStages) {
 TEST(StageObserver, RingStageCountInDataMode) {
   const Machine m = Machine::gpc(2);
   const Communicator comm(m, make_layout(m, 16, LayoutSpec{}));
-  Engine eng(comm, simmpi::CostConfig{}, ExecMode::Data, 32, 16);
   int stages = 0;
   StageSink sink([&](int, int, Usec) { ++stages; });
-  eng.set_trace_sink(&sink);
+  obs::Install traced(&sink);
+  Engine eng(comm, simmpi::CostConfig{}, ExecMode::Data, 32, 16);
   run_allgather(eng, AllgatherOptions{AllgatherAlgo::Ring, OrderFix::None});
   EXPECT_EQ(stages, 15);  // p-1
 }

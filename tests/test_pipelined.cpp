@@ -13,6 +13,7 @@
 #include "common/error.hpp"
 #include "common/permutation.hpp"
 #include "core/framework.hpp"
+#include "prof/obs.hpp"
 #include "simmpi/layout.hpp"
 
 namespace tarr::collectives {
@@ -144,14 +145,14 @@ TEST(TransferObserver, ConservationLawForAllgather) {
     for (auto algo : {collectives::AllgatherAlgo::RecursiveDoubling,
                       collectives::AllgatherAlgo::Ring,
                       collectives::AllgatherAlgo::Bruck}) {
-      Engine eng(comm, CostConfig{}, ExecMode::Data, msg, p);
       std::vector<double> inbound(m.num_nodes(), 0.0);
       TransferSink sink([&](CoreId src, CoreId dst, Bytes bytes) {
         const NodeId a = m.node_of_core(src);
         const NodeId b = m.node_of_core(dst);
         if (a != b) inbound[b] += static_cast<double>(bytes);
       });
-      eng.set_trace_sink(&sink);
+      obs::Install traced(&sink);
+      Engine eng(comm, CostConfig{}, ExecMode::Data, msg, p);
       collectives::run_allgather(
           eng, collectives::AllgatherOptions{algo,
                                              collectives::OrderFix::None});
@@ -180,13 +181,13 @@ TEST(TransferObserver, CyclicMakesRecursiveDoublingTrafficMinimal) {
 
   auto inbound_per_node = [&](const LayoutSpec& spec) {
     const Communicator comm(m, make_layout(m, p, spec));
-    Engine eng(comm, CostConfig{}, ExecMode::Data, msg, p);
     std::vector<double> inbound(m.num_nodes(), 0.0);
     TransferSink sink([&](CoreId src, CoreId dst, Bytes bytes) {
       if (m.node_of_core(src) != m.node_of_core(dst))
         inbound[m.node_of_core(dst)] += static_cast<double>(bytes);
     });
-    eng.set_trace_sink(&sink);
+    obs::Install traced(&sink);
+    Engine eng(comm, CostConfig{}, ExecMode::Data, msg, p);
     collectives::run_allgather(
         eng,
         collectives::AllgatherOptions{

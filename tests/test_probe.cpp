@@ -10,6 +10,7 @@
 #include "common/error.hpp"
 #include "fault/degraded.hpp"
 #include "mapping/mapper.hpp"
+#include "prof/obs.hpp"
 #include "topology/distance.hpp"
 #include "topology/fattree.hpp"
 #include "topology/machine.hpp"
@@ -251,8 +252,12 @@ TEST(Probe, SameSeedIsByteIdenticalIncludingTrace) {
   cfg.seed = 42;
 
   trace::Tracer t1, t2;
-  const ProbedDistances a = probe_distances(m, truth, cfg, &t1);
-  const ProbedDistances b = probe_distances(m, truth, cfg, &t2);
+  auto traced = [&](trace::Tracer& t) {
+    obs::Install installed(&t);
+    return probe_distances(m, truth, cfg);
+  };
+  const ProbedDistances a = traced(t1);
+  const ProbedDistances b = traced(t2);
   EXPECT_TRUE(same_pair_stats(a.report, b.report));
   EXPECT_EQ(a.report.measurements, b.report.measurements);
   EXPECT_EQ(a.report.probe_cost_usec, b.report.probe_cost_usec);
@@ -456,7 +461,8 @@ TEST(Controller, DecisionsAreEmittedThroughTrace) {
   ControllerConfig cfg = h.config();
   cfg.hysteresis = 1;
   trace::Tracer tracer;
-  AdaptiveController ctl(*h.mapper, cfg, h.quiet, h.slots, &tracer);
+  obs::Install traced(&tracer);
+  AdaptiveController ctl(*h.mapper, cfg, h.quiet, h.slots);
   ctl.observe(0, h.quiet, 100.0);
   ctl.observe(1, h.quiet, 101.0);
   ctl.observe(2, h.quiet, 200.0);
@@ -501,8 +507,12 @@ ScenarioConfig tiny_scenario() {
 TEST(Scenario, SameConfigIsByteIdenticalAcrossRuns) {
   const ScenarioConfig cfg = tiny_scenario();
   trace::Tracer t1, t2;
-  const ScenarioResult a = run_probed_scenario(cfg, &t1);
-  const ScenarioResult b = run_probed_scenario(cfg, &t2);
+  auto traced = [&](trace::Tracer& t) {
+    obs::Install installed(&t);
+    return run_probed_scenario(cfg);
+  };
+  const ScenarioResult a = traced(t1);
+  const ScenarioResult b = traced(t2);
   EXPECT_EQ(a.csv(), b.csv());
   EXPECT_EQ(a.summary(), b.summary());
   EXPECT_EQ(sans_wall(t1.metrics().csv()), sans_wall(t2.metrics().csv()));

@@ -20,6 +20,7 @@
 #include "core/refine.hpp"
 #include "fault/campaign.hpp"
 #include "mapping/mapper.hpp"
+#include "prof/obs.hpp"
 #include "simmpi/layout.hpp"
 #include "topology/distance.hpp"
 #include "topology/machine.hpp"
@@ -243,11 +244,11 @@ TEST(Ambient, DisabledByDefaultAndNoOp) {
 
 TEST(Ambient, ScopedInstallerRestoresPrevious) {
   Profiler outer_prof;
-  ScopedThreadProfiler outer(&outer_prof);
+  obs::Install outer(&outer_prof);
   EXPECT_EQ(obs::ambient().prof, &outer_prof);
   {
     Profiler inner_prof;
-    ScopedThreadProfiler inner(&inner_prof);
+    obs::Install inner(&inner_prof);
     EXPECT_EQ(obs::ambient().prof, &inner_prof);
     ProfScope scope("s");
     prof::count("c", 2.0);
@@ -302,7 +303,7 @@ TEST(Determinism, ProfilingDoesNotPerturbSimulatedCosts) {
   Profiler profiler;
   double profiled = 0.0;
   {
-    ScopedThreadProfiler guard(&profiler);
+    obs::Install guard(&profiler);
     profiled = run_objective();
   }
   EXPECT_EQ(bare, profiled);  // bitwise-equal latency
@@ -330,7 +331,7 @@ TEST(Determinism, SameSeedCounterExportsAreByteIdentical) {
   for (int run = 0; run < 2; ++run) {
     Profiler profiler;
     {
-      ScopedThreadProfiler guard(&profiler);
+      obs::Install guard(&profiler);
       (void)fault::run_fault_campaign(tiny_campaign());
     }
     const Profile s = profiler.snapshot();
@@ -353,7 +354,7 @@ TEST(Memhook, TracksRequestedBytesPerScope) {
 
   Profiler profiler;
   {
-    ScopedThreadProfiler guard(&profiler);
+    obs::Install guard(&profiler);
     ProfScope scope("alloc");
     std::vector<char> buf(1 << 16);
     buf[0] = 1;
@@ -379,7 +380,7 @@ TEST(Memhook, AllocationCountersAreDeterministic) {
   for (int run = 0; run < 2; ++run) {
     Profiler profiler;
     {
-      ScopedThreadProfiler guard(&profiler);
+      obs::Install guard(&profiler);
       ProfScope scope("alloc");
       body();
     }
@@ -416,7 +417,7 @@ TEST(Memhook, RouterBuildAllocatesPerDestinationNotPerPair) {
   constexpr int kHosts = 512;
   Profiler profiler;
   {
-    ScopedThreadProfiler guard(&profiler);
+    obs::Install guard(&profiler);
     const topology::Machine m = topology::Machine::gpc(kHosts);
     ASSERT_EQ(m.num_nodes(), kHosts);
   }
@@ -440,9 +441,9 @@ TEST(Memhook, TracedRunAllocatesLessThanOncePerTransfer) {
   trace::Tracer tracer;
   const MemCounters before = detail::mem_source()();
   {
+    obs::Install traced(&tracer);
     simmpi::Engine eng(comm, simmpi::CostConfig{}, simmpi::ExecMode::Timed,
                        256, p);
-    eng.set_trace_sink(&tracer);
     collectives::run_allgather(
         eng,
         {collectives::AllgatherAlgo::RecursiveDoubling,

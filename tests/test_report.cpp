@@ -22,6 +22,7 @@
 #include "common/serialize.hpp"
 #include "core/framework.hpp"
 #include "fault/shrink.hpp"
+#include "prof/obs.hpp"
 #include "report/diff.hpp"
 #include "report/render.hpp"
 #include "report/snapshot.hpp"
@@ -66,8 +67,8 @@ std::pair<ScheduleRecord, Usec> record_allgather(
     collectives::OrderFix fix = collectives::OrderFix::None,
     Bytes block = 256) {
   ScheduleRecorder rec;
+  obs::Install traced(&rec);
   Engine eng(comm, CostConfig{}, ExecMode::Timed, block, comm.size());
-  eng.set_trace_sink(&rec);
   collectives::run_allgather(eng, {algo, fix},
                              identity_permutation(comm.size()));
   return {rec.take(), eng.total()};
@@ -110,8 +111,8 @@ TEST(CriticalPath, AttributionSumsExactlyWithEndShuffle) {
   std::vector<Rank> rotated(16);
   for (int i = 0; i < 16; ++i) rotated[i] = (i + 1) % 16;
   ScheduleRecorder recorder;
+  obs::Install traced(&recorder);
   Engine eng(comm, CostConfig{}, ExecMode::Timed, 256, 16);
-  eng.set_trace_sink(&recorder);
   collectives::run_allgather(eng,
                              {collectives::AllgatherAlgo::RecursiveDoubling,
                               collectives::OrderFix::EndShuffle},
@@ -136,8 +137,8 @@ TEST(CriticalPath, AttributionSumsExactlyHierarchical) {
   const int p = m.total_cores();
   const Communicator comm(m, make_layout(m, p, {}));
   ScheduleRecorder rec;
+  obs::Install traced(&rec);
   Engine eng(comm, CostConfig{}, ExecMode::Timed, 256, p);
-  eng.set_trace_sink(&rec);
   collectives::run_hier_allgather(
       eng,
       {collectives::AllgatherAlgo::Ring, collectives::IntraAlgo::Binomial,
@@ -159,8 +160,8 @@ TEST(CriticalPath, AttributionSumsExactlyPipelinedHierarchical) {
   const int p = m.total_cores();  // 8 cores/node = 2^3, as the pipeline needs
   const Communicator comm(m, make_layout(m, p, {}));
   ScheduleRecorder rec;
+  obs::Install traced(&rec);
   Engine eng(comm, CostConfig{}, ExecMode::Timed, 256, p);
-  eng.set_trace_sink(&rec);
   collectives::run_hier_allgather_pipelined(eng, collectives::IntraAlgo::Binomial,
                                             collectives::OrderFix::None,
                                             identity_permutation(p));
@@ -178,9 +179,9 @@ TEST(CriticalPath, AttributionSumsExactlyOnShrunkenCommunicator) {
   const fault::DegradedTopology topo(base, fault::FaultMask{}.fail_node(3));
   const fault::ShrunkComm shrunk = fault::shrink_communicator(topo, parent);
   ScheduleRecorder rec;
+  obs::Install traced(&rec);
   Engine eng(shrunk.comm, CostConfig{}, ExecMode::Timed, 256,
              shrunk.comm.size());
-  eng.set_trace_sink(&rec);
   collectives::run_allgather(
       eng, {collectives::AllgatherAlgo::Ring, collectives::OrderFix::None},
       identity_permutation(shrunk.comm.size()));
@@ -196,9 +197,9 @@ TEST(CriticalPath, AttributionSumsExactlyUnderTransientFaults) {
   faults.drop_prob = 0.2;
   faults.seed = 5;
   ScheduleRecorder rec;
+  obs::Install traced(&rec);
   Engine eng(comm, CostConfig{}, ExecMode::Timed, 256, 16);
   eng.set_transient_faults(faults);
-  eng.set_trace_sink(&rec);
   collectives::run_allgather(
       eng,
       {collectives::AllgatherAlgo::RecursiveDoubling,
@@ -216,8 +217,8 @@ TEST(CriticalPath, OutOfStageTimeBecomesAnExtraSegment) {
   const Machine m = Machine::gpc(1);
   const Communicator comm(m, make_layout(m, 4, {}));
   ScheduleRecorder rec;
+  obs::Install traced(&rec);
   Engine eng(comm, CostConfig{}, ExecMode::Timed, 64, 4);
-  eng.set_trace_sink(&rec);
   eng.begin_stage();
   eng.copy(0, 0, 1, 0, 1);
   eng.end_stage();
@@ -241,8 +242,8 @@ TEST(Record, RepeatCompressionMatchesExplicitStages) {
   const Machine m = Machine::gpc(2);
   const Communicator comm(m, make_layout(m, 16, {}));
   auto run = [&](bool compressed, ScheduleRecorder& rec) {
+    obs::Install traced(&rec);
     Engine eng(comm, CostConfig{}, ExecMode::Timed, 64, 16);
-    eng.set_trace_sink(&rec);
     const int reps = 3;
     if (compressed) {
       eng.begin_stage();
@@ -327,8 +328,8 @@ TEST(Diff, DetectsMigrationBetweenChannelClasses) {
   const Machine m = Machine::gpc(2);
   const Communicator comm(m, make_layout(m, 16, {}));
   auto run = [&](Rank dst, ScheduleRecorder& rec) {
+    obs::Install traced(&rec);
     Engine eng(comm, CostConfig{}, ExecMode::Timed, 1024, 16);
-    eng.set_trace_sink(&rec);
     eng.begin_stage();
     eng.copy(0, 0, dst, 0, 1);
     eng.end_stage();
@@ -369,8 +370,8 @@ TEST(Diff, ReorderingConservesLogicalBytes) {
 
   ScheduleRecorder base, cand;
   auto run = [&](const Communicator& c, ScheduleRecorder& rec) {
+    obs::Install traced(&rec);
     Engine eng(c, CostConfig{}, ExecMode::Timed, 4096, c.size());
-    eng.set_trace_sink(&rec);
     return collectives::run_allgather(
         eng, {collectives::AllgatherAlgo::Ring, collectives::OrderFix::None},
         identity_permutation(c.size()));
@@ -634,8 +635,11 @@ TEST(Plumbing, TeeSinkFeedsTracerAndRecorderIdentically) {
   trace::Tracer tracer;
   ScheduleRecorder rec;
   trace::TeeSink tee({&tracer, &rec});
-  Engine eng(comm, CostConfig{}, ExecMode::Timed, 256, 16);
-  eng.set_trace_sink(&tee);
+  // The engine takes the tee when it is built; `plain` below runs untraced.
+  Engine eng = [&] {
+    obs::Install traced(&tee);
+    return Engine(comm, CostConfig{}, ExecMode::Timed, 256, 16);
+  }();
   collectives::run_allgather(
       eng, {collectives::AllgatherAlgo::Ring, collectives::OrderFix::None},
       identity_permutation(16));

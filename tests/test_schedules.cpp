@@ -30,6 +30,7 @@
 #include "common/error.hpp"
 #include "common/permutation.hpp"
 #include "fuzz_support.hpp"
+#include "prof/obs.hpp"
 #include "simmpi/layout.hpp"
 #include "trace/record.hpp"
 
@@ -217,10 +218,10 @@ struct Run {
 Run timed(const Communicator& comm, int blocks,
           const std::optional<simmpi::TransientFaultConfig>& faults,
           const std::function<void(Engine&)>& body) {
+  trace::ScheduleRecorder recorder;
+  obs::Install traced(&recorder);
   Engine eng(comm, simmpi::CostConfig{}, simmpi::ExecMode::Timed, 2048,
              blocks);
-  trace::ScheduleRecorder recorder;
-  eng.set_trace_sink(&recorder);
   if (faults) eng.set_transient_faults(*faults);
   body(eng);
   return {eng.total(), recorder.take()};

@@ -147,7 +147,7 @@ TEST_F(Shapes, Fig7_HeuristicsNotSlowerThanScotchLike) {
     auto p = path(kBlockBunch, kind);
     prof::Profiler profiler;
     {
-      prof::ScopedThreadProfiler guard(&profiler);
+      obs::Install guard(&profiler);
       p.latency(kSmall);
     }
     return profiler.snapshot().counter_total(counter);
@@ -239,6 +239,43 @@ TEST(Baselines, AblHierIntraBbmhIsTheIntraDefault) {
     }
   EXPECT_LT(metric(s, "block-bunch.bgmh_improvement_256KiB"), -10.0);
   EXPECT_LE(std::fabs(metric(s, "block-bunch.bbmh_improvement_256KiB")), 1.0);
+}
+
+TEST(Baselines, AblRdmhRefcoreAdvancesEverySecondPlacement) {
+  // Algorithm 2: advancing the reference after every placement or every
+  // second one maps the same; every fourth or never costs at least 5x the
+  // weighted distance and 10x the recursive-doubling latency.
+  const auto s = baseline("abl_rdmh_refcore");
+  const std::string paper = "period_2.";
+  for (const char* c : {"weighted_cost", "rd_1KiB", "rd_16KiB"})
+    EXPECT_EQ(metric(s, std::string("period_1.") + c), metric(s, paper + c))
+        << c;
+  for (const char* period : {"period_4.", "period_never."}) {
+    const std::string key = period;
+    EXPECT_GE(metric(s, key + "weighted_cost"),
+              5.0 * metric(s, paper + "weighted_cost"))
+        << period;
+    for (const char* at : {"rd_1KiB", "rd_16KiB"})
+      EXPECT_GE(metric(s, key + at), 10.0 * metric(s, paper + at))
+          << period << at;
+  }
+}
+
+TEST(Baselines, AblBbmhTraversalSmallSubtreeFirstWins) {
+  // §V-A3: the small-subtree-first traversal has the lowest weighted cost
+  // and bcast latency of the four rows, and every other row is at least 4x
+  // slower.
+  const auto s = baseline("abl_bbmh_traversal");
+  const std::string best = "small_subtree_first.";
+  for (const char* row : {"initial.", "large_subtree_first.", "level_order."}) {
+    const std::string key = row;
+    EXPECT_GT(metric(s, key + "weighted_cost"),
+              metric(s, best + "weighted_cost"))
+        << row;
+    EXPECT_GE(metric(s, key + "bcast_64KiB"),
+              4.0 * metric(s, best + "bcast_64KiB"))
+        << row;
+  }
 }
 
 TEST(Baselines, Fig5HeuristicNeverSlowerAndBeatsScotch) {

@@ -25,6 +25,7 @@
 #include "collectives/allgather.hpp"
 #include "collectives/hierarchical.hpp"
 #include "common/permutation.hpp"
+#include "prof/obs.hpp"
 #include "prof/prof.hpp"
 #include "simmpi/engine.hpp"
 #include "simmpi/layout.hpp"
@@ -70,8 +71,8 @@ struct Scenario {
 Usec run_ring(trace::TraceSink* sink) {
   const Machine m = Machine::gpc(2);
   const Communicator comm(m, make_layout(m, 16, {}));
+  obs::Install traced(sink);
   Engine eng(comm, CostConfig{}, ExecMode::Timed, 256, 16);
-  if (sink) eng.set_trace_sink(sink);
   collectives::run_allgather(
       eng, {collectives::AllgatherAlgo::Ring, collectives::OrderFix::None},
       identity_permutation(16));
@@ -85,8 +86,8 @@ Usec run_rd_shuffled(trace::TraceSink* sink) {
   const Communicator comm(m, make_layout(m, 16, {}));
   std::vector<Rank> rotated(16);
   for (int i = 0; i < 16; ++i) rotated[i] = (i + 1) % 16;
+  obs::Install traced(sink);
   Engine eng(comm, CostConfig{}, ExecMode::Timed, 256, 16);
-  if (sink) eng.set_trace_sink(sink);
   collectives::run_allgather(eng,
                              {collectives::AllgatherAlgo::RecursiveDoubling,
                               collectives::OrderFix::EndShuffle},
@@ -98,8 +99,8 @@ Usec run_hierarchical(trace::TraceSink* sink) {
   const Machine m = Machine::gpc(4);
   const int p = m.total_cores();
   const Communicator comm(m, make_layout(m, p, {}));
+  obs::Install traced(sink);
   Engine eng(comm, CostConfig{}, ExecMode::Timed, 256, p);
-  if (sink) eng.set_trace_sink(sink);
   collectives::HierAllgatherOptions opts{collectives::AllgatherAlgo::Ring,
                                          collectives::IntraAlgo::Binomial,
                                          collectives::OrderFix::None};
@@ -113,9 +114,9 @@ Usec run_transient_faults(trace::TraceSink* sink) {
   simmpi::TransientFaultConfig faults;
   faults.drop_prob = 0.2;
   faults.seed = 5;
+  obs::Install traced(sink);
   Engine eng(comm, CostConfig{}, ExecMode::Timed, 256, 16);
   eng.set_transient_faults(faults);
-  if (sink) eng.set_trace_sink(sink);
   collectives::run_allgather(
       eng,
       {collectives::AllgatherAlgo::RecursiveDoubling,
@@ -573,7 +574,7 @@ long long charge_synthetic(trace::TraceSink& sink, int events,
   prof::link_memhook();
   prof::Profiler profiler;
   {
-    prof::ScopedThreadProfiler guard(&profiler);
+    obs::Install guard(&profiler);
     prof::ProfScope scope(label);
     trace::TransferEvent t;
     trace::StageEvent s;

@@ -111,7 +111,7 @@ TEST(TopoAllgather, ReorderHappensOncePerAlgorithm) {
   cfg.mapper = MapperKind::Heuristic;
   TopoAllgather ta(w.framework, w.comm(32), cfg);
   prof::Profiler profiler;
-  prof::ScopedThreadProfiler guard(&profiler);
+  obs::Install guard(&profiler);
   auto reorders = [&] {
     const prof::Profile p = profiler.snapshot();
     const prof::ProfileEntry* e = p.find("reorder");

@@ -24,6 +24,7 @@
 #include "core/framework.hpp"
 #include "core/topoallgather.hpp"
 #include "fault/shrink.hpp"
+#include "prof/obs.hpp"
 #include "simmpi/engine.hpp"
 #include "simmpi/layout.hpp"
 #include "simmpi/transient.hpp"
@@ -171,8 +172,8 @@ Usec traced_allgather(
   const auto rc = fw.reorder(comm, algo == collectives::AllgatherAlgo::Ring
                                        ? mapping::Pattern::Ring
                                        : mapping::Pattern::RecursiveDoubling);
+  obs::Install traced(sink);
   Engine eng(rc.comm, CostConfig{}, mode, /*block=*/256, p);
-  eng.set_trace_sink(sink);
   return collectives::run_allgather(eng, {algo, collectives::OrderFix::None},
                                     rc.oldrank);
 }
@@ -308,9 +309,9 @@ TEST(Trace, SinkDoesNotPerturbSimulatedCost) {
   faults.seed = 5;
 
   auto run = [&](TraceSink* sink) {
+    obs::Install traced(sink);
     Engine eng(comm, CostConfig{}, ExecMode::Timed, 256, 16);
     eng.set_transient_faults(faults);
-    if (sink) eng.set_trace_sink(sink);
     return collectives::run_allgather(
         eng,
         {collectives::AllgatherAlgo::RecursiveDoubling,
@@ -347,9 +348,9 @@ TEST(Trace, HierarchicalPhasesAppearOnThePhaseTrack) {
   const Machine m = Machine::gpc(4);
   const int p = m.total_cores();
   const Communicator comm(m, make_layout(m, p, {}));
-  Engine eng(comm, CostConfig{}, ExecMode::Timed, 256, p);
   Tracer tracer;
-  eng.set_trace_sink(&tracer);
+  obs::Install traced(&tracer);
+  Engine eng(comm, CostConfig{}, ExecMode::Timed, 256, p);
   collectives::HierAllgatherOptions opts{collectives::AllgatherAlgo::Ring,
                                          collectives::IntraAlgo::Binomial,
                                          collectives::OrderFix::None};
@@ -372,9 +373,13 @@ TEST(Trace, PipelinedHierarchicalPhasesAppearOnThePhaseTrack) {
   const Machine m = Machine::gpc(4);
   const int p = m.total_cores();
   const Communicator comm(m, make_layout(m, p, {}));
-  Engine eng(comm, CostConfig{}, ExecMode::Timed, 256, p);
   Tracer tracer;
-  eng.set_trace_sink(&tracer);
+  // The engine takes the tracer when it is built; `plain` below runs
+  // untraced.
+  Engine eng = [&] {
+    obs::Install traced(&tracer);
+    return Engine(comm, CostConfig{}, ExecMode::Timed, 256, p);
+  }();
   collectives::run_hier_allgather_pipelined(eng, collectives::IntraAlgo::Binomial,
                                             collectives::OrderFix::None,
                                             identity_permutation(p));
@@ -403,9 +408,9 @@ TEST(Trace, ShrunkenCommunicatorRunsTraceCleanly) {
   const fault::ShrunkComm shrunk = fault::shrink_communicator(topo, parent);
 
   auto run = [&](TraceSink* sink) {
+    obs::Install traced(sink);
     Engine eng(shrunk.comm, CostConfig{}, ExecMode::Timed, 256,
                shrunk.comm.size());
-    if (sink != nullptr) eng.set_trace_sink(sink);
     return collectives::run_allgather(
         eng, {collectives::AllgatherAlgo::Ring, collectives::OrderFix::None},
         identity_permutation(shrunk.comm.size()));
@@ -467,6 +472,60 @@ TEST(Trace, TopoAllgatherForwardsItsSink) {
   // Tracing must not change the predicted latency.
   core::TopoAllgather untraced(fw, comm, cfg);
   EXPECT_EQ(t, untraced.latency(16 * 1024));
+}
+
+// ---------------------------------------------------------------------------
+// The one channel: an engine takes the sink installed when it is built.
+
+/// One remote copy between the two nodes of GPC 2, on `eng`.
+void one_network_stage(Engine& eng) {
+  eng.begin_stage();
+  eng.copy(0, 0, 15, 0, 1);
+  eng.end_stage();
+}
+
+TEST(Trace, EngineBuiltBeforeAnInstallEmitsNothing) {
+  const Machine m = Machine::gpc(2);
+  const Communicator comm(m, make_layout(m, 16, {}));
+  Engine eng(comm, CostConfig{}, ExecMode::Timed, 64, 16);
+  Tracer tracer;
+  obs::Install traced(&tracer);
+  one_network_stage(eng);
+  EXPECT_TRUE(tracer.record().empty());
+  EXPECT_EQ(tracer.metrics().count("engine.stages"), 0.0);
+}
+
+TEST(Trace, EngineBuiltInsideAnInstallEmitsItsEvents) {
+  const Machine m = Machine::gpc(2);
+  const Communicator comm(m, make_layout(m, 16, {}));
+  Tracer tracer;
+  Usec total = 0.0;
+  {
+    obs::Install traced(&tracer);
+    Engine eng(comm, CostConfig{}, ExecMode::Timed, 64, 16);
+    one_network_stage(eng);
+    total = eng.total();
+  }
+  ASSERT_EQ(tracer.record().stages.size(), 1u);
+  EXPECT_EQ(tracer.record().transfers.size(), 1u);
+  EXPECT_FALSE(tracer.record().loads.empty());
+  EXPECT_EQ(tracer.record().total, total);
+}
+
+TEST(Trace, SinklessTopoAllgatherDeliversItsStagesToTheInstalledSink) {
+  const Machine m = Machine::gpc(2);
+  core::ReorderFramework fw(m);
+  const Communicator comm(m, make_layout(m, 16, {}));
+  core::TopoAllgather path(fw, comm, core::TopoAllgatherConfig{});
+  Tracer tracer;
+  Usec t = 0.0;
+  {
+    obs::Install traced(&tracer);
+    t = path.latency(16 * 1024);
+  }
+  EXPECT_FALSE(tracer.record().stages.empty());
+  EXPECT_EQ(tracer.record().total, t);
+  EXPECT_GT(tracer.metrics().count("mapping.placements"), 0.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -566,8 +625,8 @@ TEST(Trace, StageRepeatCompressionScalesMetrics) {
   const Machine m = Machine::gpc(1);
   const Communicator comm(m, make_layout(m, 4, {}));
   auto run = [&](int repeats, Tracer& tracer) {
+    obs::Install traced(&tracer);
     Engine eng(comm, CostConfig{}, ExecMode::Timed, 64, 4);
-    eng.set_trace_sink(&tracer);
     eng.begin_stage();
     eng.copy(0, 0, 1, 0, 1);
     eng.end_stage();
@@ -608,8 +667,8 @@ void reordered_allgather(TraceSink* sink, collectives::AllgatherAlgo algo,
   core::ReorderFramework fw(m);
   fw.set_trace_sink(sink);
   const auto rc = fw.reorder(comm, pattern);
+  obs::Install traced(sink);
   Engine eng(rc.comm, CostConfig{}, ExecMode::Timed, 256, rc.comm.size());
-  eng.set_trace_sink(sink);
   collectives::run_allgather(eng, {algo, fix}, rc.oldrank);
 }
 
@@ -622,8 +681,8 @@ void hier_allgather(TraceSink* sink, bool pipelined) {
   const Machine m = Machine::gpc(4);
   const int p = m.total_cores();
   const Communicator comm(m, make_layout(m, p, {}));
+  obs::Install traced(sink);
   Engine eng(comm, CostConfig{}, ExecMode::Timed, 256, p);
-  eng.set_trace_sink(sink);
   if (pipelined) {
     collectives::run_hier_allgather_pipelined(
         eng, collectives::IntraAlgo::Binomial, collectives::OrderFix::None,
@@ -643,9 +702,9 @@ void transient_rd(TraceSink* sink) {
   simmpi::TransientFaultConfig faults;
   faults.drop_prob = 0.2;
   faults.seed = 5;
+  obs::Install traced(sink);
   Engine eng(comm, CostConfig{}, ExecMode::Timed, 256, 16);
   eng.set_transient_faults(faults);
-  eng.set_trace_sink(sink);
   collectives::run_allgather(
       eng,
       {collectives::AllgatherAlgo::RecursiveDoubling,
@@ -658,9 +717,9 @@ void shrunk_ring(TraceSink* sink) {
   const Communicator parent(base, make_layout(base, base.total_cores(), {}));
   const fault::DegradedTopology topo(base, fault::FaultMask{}.fail_node(1));
   const fault::ShrunkComm shrunk = fault::shrink_communicator(topo, parent);
+  obs::Install traced(sink);
   Engine eng(shrunk.comm, CostConfig{}, ExecMode::Timed, 256,
              shrunk.comm.size());
-  eng.set_trace_sink(sink);
   collectives::run_allgather(
       eng, {collectives::AllgatherAlgo::Ring, collectives::OrderFix::None},
       identity_permutation(shrunk.comm.size()));

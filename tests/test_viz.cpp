@@ -16,6 +16,7 @@
 #include "collectives/allgather.hpp"
 #include "common/permutation.hpp"
 #include "core/framework.hpp"
+#include "prof/obs.hpp"
 #include "report/critical_path.hpp"
 #include "simmpi/engine.hpp"
 #include "simmpi/layout.hpp"
@@ -87,8 +88,8 @@ void expect_well_formed(const std::string& html) {
 trace::ScheduleRecord record_ring(const Communicator& comm,
                                   Bytes block = 1024) {
   trace::ScheduleRecorder rec;
+  obs::Install traced(&rec);
   Engine eng(comm, CostConfig{}, ExecMode::Timed, block, comm.size());
-  eng.set_trace_sink(&rec);
   collectives::run_allgather(
       eng, {collectives::AllgatherAlgo::Ring, collectives::OrderFix::None},
       identity_permutation(comm.size()));
@@ -293,8 +294,8 @@ TEST(EdgeCases, SingleRankRunRenders) {
   const Machine m = Machine::gpc(1);
   const Communicator comm(m, make_layout(m, 1, {}));
   trace::ScheduleRecorder recorder;
+  obs::Install traced(&recorder);
   Engine eng(comm, CostConfig{}, ExecMode::Timed, 64, 1);
-  eng.set_trace_sink(&recorder);
   eng.begin_stage();
   eng.copy(0, 0, 0, 0, 1);  // a rank talking to itself
   eng.end_stage();
