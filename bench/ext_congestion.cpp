@@ -45,7 +45,7 @@ int main() {
                                       collectives::OrderFix::None},
         oldrank);
     double peak = 0.0;
-    for (const trace::RecordedLoad& l : recorder.record().loads)
+    for (const trace::Load& l : recorder.record().loads)
       if (!l.qpi)
         peak = std::max(
             peak, l.bytes / world.machine.network().link(l.id).capacity);

@@ -10,7 +10,7 @@ namespace tarr::analyze {
 namespace {
 
 using trace::RecordedCopy;
-using trace::RecordedLoad;
+using trace::Load;
 using trace::RecordedStage;
 using trace::RecordedTransfer;
 using trace::ScheduleRecord;
@@ -422,14 +422,14 @@ void check_capacity(const ScheduleRecord& rec, const topology::Machine& m,
   const bool have_counters = !rec.loads.empty();
   for (const RecordedStage& s : rec.stages) {
     if (s.repeats != 1) continue;
-    const std::vector<RecordedLoad> computed = static_stage_loads(rec, s, m);
+    const std::vector<Load> computed = static_stage_loads(rec, s, m);
     if (have_counters) {
       const auto recorded = rec.loads_of(s);
       const std::size_t n =
           std::min(recorded.size(), computed.size());
       for (std::size_t i = 0; i < n; ++i) {
-        const RecordedLoad& a = recorded[i];
-        const RecordedLoad& b = computed[i];
+        const Load& a = recorded[i];
+        const Load& b = computed[i];
         if (a.qpi == b.qpi && a.id == b.id && a.dir == b.dir &&
             a.bytes == b.bytes)
           continue;
@@ -451,7 +451,7 @@ void check_capacity(const ScheduleRecord& rec, const topology::Machine& m,
                     " counters traced but the static replay computes " +
                     std::to_string(computed.size()));
     }
-    for (const RecordedLoad& l : computed) {
+    for (const Load& l : computed) {
       if (l.qpi) {
         if (opts.max_qpi_bytes > 0.0 && l.bytes > opts.max_qpi_bytes)
           em.emit(Property::CapacityHazard, Severity::Warning, s.stage,
@@ -538,7 +538,7 @@ std::string Certificate::format() const {
   return out;
 }
 
-std::vector<trace::RecordedLoad> static_stage_loads(
+std::vector<trace::Load> static_stage_loads(
     const ScheduleRecord& rec, const RecordedStage& stage,
     const topology::Machine& m) {
   const auto& net = m.network();
@@ -575,14 +575,12 @@ std::vector<trace::RecordedLoad> static_stage_loads(
       });
     }
   }
-  std::vector<trace::RecordedLoad> out;
+  std::vector<trace::Load> out;
   out.reserve(touched_links.size() + touched_qpi.size());
   for (int idx : touched_links)
-    out.push_back(trace::RecordedLoad{false, idx / 2, idx % 2,
-                                       link_bytes[idx]});
+    out.push_back(trace::Load{false, idx / 2, idx % 2, link_bytes[idx]});
   for (int idx : touched_qpi)
-    out.push_back(
-        trace::RecordedLoad{true, idx / 2, idx % 2, qpi_bytes[idx]});
+    out.push_back(trace::Load{true, idx / 2, idx % 2, qpi_bytes[idx]});
   return out;
 }
 

@@ -121,11 +121,11 @@ Certificate analyze(const trace::ScheduleRecord& rec,
 
 /// The static side of the counter cross-check, exposed for tests: replay
 /// the cost model's load-attribution rule over one stage's priced
-/// transfers (attempts included) and return the loads in the same order
-/// the engine's counter stream records them (cable links first, then QPI,
-/// each in first-touch order).  Bit-exact with respect to the dynamic
-/// counters by construction.
-std::vector<trace::RecordedLoad> static_stage_loads(
+/// transfers (attempts included) and return the loads in the order the
+/// engine's stage events carry them (cable links first, then QPI, each in
+/// first-touch order).  Bit-exact with respect to the traced loads by
+/// construction.
+std::vector<trace::Load> static_stage_loads(
     const trace::ScheduleRecord& rec, const trace::RecordedStage& stage,
     const topology::Machine& m);
 

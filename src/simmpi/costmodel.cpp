@@ -97,10 +97,9 @@ Usec CostModel::finish_stage() {
   if (capture_details_) {
     // Reuse the detail vectors' capacity across stages (clear, don't
     // reassign a fresh StageDetail): with capture on, a long run would
-    // otherwise reallocate all three vectors every single stage.
+    // otherwise reallocate both vectors every single stage.
     detail_.transfers.clear();
-    detail_.link_loads.clear();
-    detail_.qpi_loads.clear();
+    detail_.loads.clear();
     detail_.transfers.reserve(pending_.size());
   }
 
@@ -176,13 +175,11 @@ Usec CostModel::finish_stage() {
     // Snapshot the directed resource loads before the reset wipes them.
     // Touched-list order is the (deterministic) first-touch order of the
     // stage's transfers.
-    detail_.link_loads.reserve(links_.touched.size());
+    detail_.loads.reserve(links_.touched.size() + qpi_.touched.size());
     for (int idx : links_.touched)
-      detail_.link_loads.push_back(
-          LinkLoad{idx / 2, idx % 2, links_.bytes[idx]});
-    detail_.qpi_loads.reserve(qpi_.touched.size());
+      detail_.loads.push_back({false, idx / 2, idx % 2, links_.bytes[idx]});
     for (int idx : qpi_.touched)
-      detail_.qpi_loads.push_back(QpiLoad{idx / 2, idx % 2, qpi_.bytes[idx]});
+      detail_.loads.push_back({true, idx / 2, idx % 2, qpi_.bytes[idx]});
   }
 
   pending_.clear();

@@ -109,20 +109,11 @@ class CostModel {
     /// cost - uncontended is the stall resource sharing inflicted.
     Usec uncontended = 0.0;
   };
-  struct LinkLoad {
-    LinkId link = 0;
-    int dir = 0;
-    double bytes = 0.0;  ///< aggregate directed byte load this stage
-  };
-  struct QpiLoad {
-    NodeId node = 0;
-    int dir = 0;
-    double bytes = 0.0;
-  };
   struct StageDetail {
     std::vector<TransferRecord> transfers;  ///< submission order
-    std::vector<LinkLoad> link_loads;       ///< every directed link touched
-    std::vector<QpiLoad> qpi_loads;         ///< every QPI direction touched
+    /// Aggregate byte load of every directed cable link the stage touched,
+    /// then of every QPI direction, each in first-touch order.
+    std::vector<trace::Load> loads;
   };
 
   /// Enable/disable detail capture (off by default).

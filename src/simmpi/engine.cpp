@@ -244,25 +244,10 @@ void Engine::emit_stage_trace(Usec stage_start, Usec stage_cost,
         x.attempts, stage_start, rec.cost, rec.uncontended});
   }
   stage_xfers_.clear();
-  // Per-resource load counters: the stage's byte load at stage start, back
-  // to zero at stage end, one counter track per directed cable/QPI link.
-  const Usec stage_end = stage_start + stage_cost;
-  for (const auto& ll : d.link_loads)
-    sink_->on_counter(trace::CounterSample{trace::CounterSample::Kind::Link,
-                                           ll.link, ll.dir, stage_start,
-                                           ll.bytes});
-  for (const auto& ql : d.qpi_loads)
-    sink_->on_counter(trace::CounterSample{trace::CounterSample::Kind::Qpi,
-                                           ql.node, ql.dir, stage_start,
-                                           ql.bytes});
-  for (const auto& ll : d.link_loads)
-    sink_->on_counter(trace::CounterSample{trace::CounterSample::Kind::Link,
-                                           ll.link, ll.dir, stage_end, 0.0});
-  for (const auto& ql : d.qpi_loads)
-    sink_->on_counter(trace::CounterSample{trace::CounterSample::Kind::Qpi,
-                                           ql.node, ql.dir, stage_end, 0.0});
+  // The stage event carries the stage's directed cable and QPI loads.
   sink_->on_stage(trace::StageEvent{stages_executed_, last_stage_transfers_,
-                                    1, stage_start, stage_cost, retry_wait});
+                                    1, stage_start, stage_cost, retry_wait,
+                                    d.loads});
 }
 
 void Engine::repeat_last_stage(int extra) {
@@ -271,11 +256,12 @@ void Engine::repeat_last_stage(int extra) {
                "repeat_last_stage: only valid in Timed mode");
   TARR_REQUIRE(extra >= 0, "repeat_last_stage: negative repeat count");
   if (sink_ != nullptr && extra > 0 && stages_executed_ > 0) {
-    // One compressed span covering all repeats of the stage just ended.
+    // One compressed span covering all repeats of the stage just ended; it
+    // carries no loads (they are the repeated stage's).
     sink_->on_stage(trace::StageEvent{
         stages_executed_ - 1, last_stage_transfers_, extra, total_,
         last_stage_cost_ * static_cast<double>(extra),
-        last_stage_retry_wait_});
+        last_stage_retry_wait_, {}});
   }
   if (extra > 0) prof::count("engine.stage_repeats", extra);
   total_ += last_stage_cost_ * static_cast<double>(extra);
@@ -302,12 +288,9 @@ void Engine::local_permute_all(const std::vector<int>& dst_of_block) {
   }
   const Usec cost =
       cost_.local_copy_cost(static_cast<Bytes>(moved) * block_bytes_);
-  if (sink_ != nullptr) {
-    // The permutation itself precedes the TimeEvent that prices it, so a
-    // recorder can pair the two (see trace::ScheduleRecorder).
-    sink_->on_permute(trace::PermuteEvent{dst_of_block, total_, cost});
-    sink_->on_time(trace::TimeEvent{"local-shuffle", total_, cost});
-  }
+  if (sink_ != nullptr)
+    sink_->on_time(
+        trace::TimeEvent{"local-shuffle", total_, cost, dst_of_block});
   total_ += cost;
 }
 

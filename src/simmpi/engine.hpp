@@ -51,9 +51,10 @@ class Engine {
   /// The engine takes its trace sink (tarr::trace) from the ambient channel
   /// (prof/obs.hpp) here, once, and turns on the cost model's detail
   /// capture when it is non-null.  A sink installed with obs::Install
-  /// before the engine is built receives every stage, transfer (with
-  /// channel class, contention factor and retransmission attempts), link/
-  /// QPI load sample and collective phase, and must outlive the engine.  An
+  /// before the engine is built receives every stage (with its link and
+  /// QPI loads), transfer (with channel class, contention factor and
+  /// retransmission attempts), collective phase and local shuffle (with its
+  /// permutation), and must outlive the engine.  An
   /// engine built with no sink installed emits nothing, even if one is
   /// installed later; it then does no tracing work beyond one pointer check
   /// per event site, and all simulated costs and payloads are bit-identical

@@ -12,12 +12,8 @@ const char* to_string(EventKind k) {
       return "transfer";
     case EventKind::Copy:
       return "copy";
-    case EventKind::Permute:
-      return "permute";
     case EventKind::Phase:
       return "phase";
-    case EventKind::Counter:
-      return "counter";
     case EventKind::WallSpan:
       return "wall-span";
     case EventKind::Time:

@@ -49,25 +49,24 @@ inline constexpr std::array<unsigned char, 8> kFileMagic = {
 inline constexpr std::uint64_t kTrailerMagic = 0x0A58444947'4F4C54ULL;
 
 /// Format version this build writes and the only one it reads.
-inline constexpr int kFormatVersion = 2;
+inline constexpr int kFormatVersion = 3;
 
-/// Every record type the format stores — the eight TraceSink event kinds
+/// Every record type the format stores — the six TraceSink event kinds
 /// plus the two named-metric emissions (add_count / observe), so a `.tlog`
-/// is a lossless capture of everything a TraceSink can hear.
+/// is a lossless capture of everything a TraceSink can hear.  A stage
+/// record carries the stage's loads and a time record its permutation.
 enum class EventKind : int {
   Stage = 0,
   Transfer = 1,
   Copy = 2,
-  Permute = 3,
-  Phase = 4,
-  Counter = 5,
-  WallSpan = 6,
-  Time = 7,
-  Count = 8,
-  Observe = 9,
+  Phase = 3,
+  WallSpan = 4,
+  Time = 5,
+  Count = 6,
+  Observe = 7,
 };
 
-inline constexpr int kNumEventKinds = 10;
+inline constexpr int kNumEventKinds = 8;
 
 const char* to_string(EventKind k);
 
@@ -76,9 +75,10 @@ const char* to_string(EventKind k);
 bool parse_event_kind(const std::string& name, EventKind& out);
 
 /// Reader-side event predicate (ReplayOptions): which kinds to keep, and
-/// for stage-tagged kinds (stage/transfer/copy) and rank-tagged kinds
-/// (transfer/copy) which stage/rank windows.  The default passes
-/// everything.  Filtering is deterministic — a pure function of the event.
+/// for stage-tagged kinds (stage/transfer/copy; a stage's loads go with
+/// it) and rank-tagged kinds (transfer/copy) which stage/rank windows.  The
+/// default passes everything.  Filtering is deterministic — a pure function
+/// of the event.
 struct EventFilter {
   /// Bit `1 << kind` keeps that kind.
   unsigned kinds = (1u << kNumEventKinds) - 1;
@@ -148,15 +148,19 @@ class FieldContext {
 
   /// Decoder twins (Cursor defined in reader.hpp includes this header's
   /// declarations via the .cpp files).
+  /// Wraps modulo 2^64, so a corrupt delta cannot overflow.
   std::int64_t apply_int_delta(int slot, std::int64_t delta) {
-    ints_[static_cast<std::size_t>(slot)] += delta;
-    return ints_[static_cast<std::size_t>(slot)];
+    std::int64_t& v = ints_[static_cast<std::size_t>(slot)];
+    v = static_cast<std::int64_t>(static_cast<std::uint64_t>(v) +
+                                  static_cast<std::uint64_t>(delta));
+    return v;
   }
   double apply_bits_xor(int slot, std::uint64_t x);
 
  private:
   /// Largest per-kind field counts: Transfer has 8 integer fields and 4
-  /// double fields; Copy has 8 integer fields.
+  /// double fields; Copy has 8 integer fields; Stage has 6 integer and 4
+  /// double fields, its loads' included.
   std::array<std::int64_t, 8> ints_{};
   std::array<std::uint64_t, 4> bits_{};
 };

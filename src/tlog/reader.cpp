@@ -228,6 +228,27 @@ class BlockDecoder {
         e.start = c.apply_bits_xor(0, cur_.varint());
         e.duration = c.apply_bits_xor(1, cur_.varint());
         e.retry_wait = c.apply_bits_xor(2, cur_.varint());
+        const long long n = cur_.count();
+        if (static_cast<std::uint64_t>(n) > cur_.remaining())
+          throw Error("tlog: load count exceeds remaining payload");
+        loads_.clear();
+        for (long long i = 0; i < n; ++i) {
+          trace::Load l;
+          const std::int64_t qpi = c.apply_int_delta(3, cur_.svarint());
+          l.id = static_cast<int>(c.apply_int_delta(4, cur_.svarint()));
+          const std::int64_t dir = c.apply_int_delta(5, cur_.svarint());
+          if (qpi != 0 && qpi != 1)
+            throw Error("tlog: load qpi flag " + std::to_string(qpi) +
+                        " is neither 0 nor 1");
+          if (dir != 0 && dir != 1)
+            throw Error("tlog: load direction " + std::to_string(dir) +
+                        " is neither 0 nor 1");
+          l.qpi = qpi == 1;
+          l.dir = static_cast<int>(dir);
+          l.bytes = c.apply_bits_xor(3, cur_.varint());
+          loads_.push_back(l);
+        }
+        e.loads = loads_;
         if (want && f.pass_stage(e.stage)) {
           sink.on_stage(e);
           return true;
@@ -272,25 +293,6 @@ class BlockDecoder {
         }
         break;
       }
-      case EventKind::Permute: {
-        trace::PermuteEvent e;
-        const long long n = cur_.count();
-        if (static_cast<std::uint64_t>(n) > cur_.remaining())
-          throw Error("tlog: permutation longer than remaining payload");
-        e.dst_of_block.reserve(static_cast<std::size_t>(n));
-        std::int64_t prev = 0;
-        for (long long i = 0; i < n; ++i) {
-          prev += cur_.svarint();
-          e.dst_of_block.push_back(static_cast<int>(prev));
-        }
-        e.start = c.apply_bits_xor(0, cur_.varint());
-        e.duration = c.apply_bits_xor(1, cur_.varint());
-        if (want) {
-          sink.on_permute(e);
-          return true;
-        }
-        break;
-      }
       case EventKind::Phase: {
         trace::PhaseEvent e;
         e.name = string_at(cur_.varint());
@@ -298,20 +300,6 @@ class BlockDecoder {
         e.duration = c.apply_bits_xor(1, cur_.varint());
         if (want) {
           sink.on_phase(e);
-          return true;
-        }
-        break;
-      }
-      case EventKind::Counter: {
-        trace::CounterSample s;
-        s.kind = static_cast<trace::CounterSample::Kind>(
-            c.apply_int_delta(0, cur_.svarint()));
-        s.id = static_cast<int>(c.apply_int_delta(1, cur_.svarint()));
-        s.dir = static_cast<int>(c.apply_int_delta(2, cur_.svarint()));
-        s.ts = c.apply_bits_xor(0, cur_.varint());
-        s.value = c.apply_bits_xor(1, cur_.varint());
-        if (want) {
-          sink.on_counter(s);
           return true;
         }
         break;
@@ -331,6 +319,16 @@ class BlockDecoder {
         e.what = string_at(cur_.varint());
         e.start = c.apply_bits_xor(0, cur_.varint());
         e.duration = c.apply_bits_xor(1, cur_.varint());
+        const long long n = cur_.count();
+        if (static_cast<std::uint64_t>(n) > cur_.remaining())
+          throw Error("tlog: permutation longer than remaining payload");
+        perm_.clear();
+        std::uint64_t prev = 0;  // wraps, like the field deltas
+        for (long long i = 0; i < n; ++i) {
+          prev += static_cast<std::uint64_t>(cur_.svarint());
+          perm_.push_back(static_cast<int>(static_cast<std::int64_t>(prev)));
+        }
+        e.dst_of_block = perm_;
         if (want) {
           sink.on_time(e);
           return true;
@@ -374,6 +372,9 @@ class BlockDecoder {
   const std::vector<std::string>& strings_;
   Cursor cur_;
   std::array<FieldContext, kNumEventKinds> ctx_{};
+  /// Storage behind the spans of the event being delivered.
+  std::vector<trace::Load> loads_;
+  std::vector<int> perm_;
 };
 
 }  // namespace

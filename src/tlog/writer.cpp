@@ -166,6 +166,13 @@ void TlogSink::on_stage(const trace::StageEvent& e) {
   c.put_double(out, 0, e.start);
   c.put_double(out, 1, e.duration);
   c.put_double(out, 2, e.retry_wait);
+  put_varint(out, e.loads.size());
+  for (const trace::Load& l : e.loads) {
+    c.put_int(out, 3, l.qpi ? 1 : 0);
+    c.put_int(out, 4, l.id);
+    c.put_int(out, 5, l.dir);
+    c.put_double(out, 3, l.bytes);
+  }
   maybe_flush();
 }
 
@@ -203,23 +210,6 @@ void TlogSink::on_copy(const trace::CopyEvent& e) {
   maybe_flush();
 }
 
-void TlogSink::on_permute(const trace::PermuteEvent& e) {
-  if (!admit(EventKind::Permute)) return;
-  auto& c = ctx_[static_cast<std::size_t>(EventKind::Permute)];
-  std::string& out = begin_record(EventKind::Permute, -1);
-  put_varint(out, e.dst_of_block.size());
-  // Entries are delta-coded against each other (not against the previous
-  // event): near-identity permutations encode in ~1 byte per slot.
-  std::int64_t prev = 0;
-  for (const int d : e.dst_of_block) {
-    put_svarint(out, d - prev);
-    prev = d;
-  }
-  c.put_double(out, 0, e.start);
-  c.put_double(out, 1, e.duration);
-  maybe_flush();
-}
-
 void TlogSink::on_phase(const trace::PhaseEvent& e) {
   if (!admit(EventKind::Phase)) return;
   auto& c = ctx_[static_cast<std::size_t>(EventKind::Phase)];
@@ -227,18 +217,6 @@ void TlogSink::on_phase(const trace::PhaseEvent& e) {
   put_varint(out, intern(e.name));
   c.put_double(out, 0, e.start);
   c.put_double(out, 1, e.duration);
-  maybe_flush();
-}
-
-void TlogSink::on_counter(const trace::CounterSample& s) {
-  if (!admit(EventKind::Counter)) return;
-  auto& c = ctx_[static_cast<std::size_t>(EventKind::Counter)];
-  std::string& out = begin_record(EventKind::Counter, -1);
-  c.put_int(out, 0, static_cast<int>(s.kind));
-  c.put_int(out, 1, s.id);
-  c.put_int(out, 2, s.dir);
-  c.put_double(out, 0, s.ts);
-  c.put_double(out, 1, s.value);
   maybe_flush();
 }
 
@@ -258,6 +236,14 @@ void TlogSink::on_time(const trace::TimeEvent& e) {
   put_varint(out, intern(e.what));
   c.put_double(out, 0, e.start);
   c.put_double(out, 1, e.duration);
+  put_varint(out, e.dst_of_block.size());
+  // Entries are delta-coded against each other (not against the previous
+  // event): near-identity permutations encode in ~1 byte per slot.
+  std::int64_t prev = 0;
+  for (const int d : e.dst_of_block) {
+    put_svarint(out, d - prev);
+    prev = d;
+  }
   maybe_flush();
 }
 

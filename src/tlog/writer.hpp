@@ -73,9 +73,7 @@ class TlogSink final : public trace::TraceSink {
   void on_stage(const trace::StageEvent& e) override;
   void on_transfer(const trace::TransferEvent& e) override;
   void on_copy(const trace::CopyEvent& e) override;
-  void on_permute(const trace::PermuteEvent& e) override;
   void on_phase(const trace::PhaseEvent& e) override;
-  void on_counter(const trace::CounterSample& s) override;
   void on_wall_span(const trace::WallSpan& s) override;
   void on_time(const trace::TimeEvent& e) override;
   void add_count(const std::string& name, double delta) override;

@@ -21,13 +21,11 @@ typename Map::mapped_type& slot(Map& map, std::string_view name) {
 
 }  // namespace
 
-void MetricsRegistry::observe_load(const CounterSample& s) {
-  if (s.value <= 0.0) return;  // end-of-stage zero samples carry no heat
-  auto& map = s.kind == CounterSample::Kind::Link ? link_heat_ : qpi_heat_;
-  Heat& h = map[{s.id, s.dir}];
+void MetricsRegistry::observe_load(const Load& l) {
+  Heat& h = (l.qpi ? qpi_heat_ : link_heat_)[{l.id, l.dir}];
   ++h.stages;
-  h.total += s.value;
-  if (s.value > h.peak) h.peak = s.value;
+  h.total += l.bytes;
+  if (l.bytes > h.peak) h.peak = l.bytes;
 }
 
 void MetricsRegistry::observe_transfer(const TransferEvent& e) {

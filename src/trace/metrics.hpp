@@ -42,9 +42,8 @@ namespace tarr::trace {
 /// See file comment.
 class MetricsRegistry {
  public:
-  /// Fold one resource-load sample (zero-valued end-of-stage samples are
-  /// ignored; they exist only for the timeline).
-  void observe_load(const CounterSample& s);
+  /// Fold one stage's load of a cable link or QPI direction.
+  void observe_load(const Load& l);
 
   /// Fold one priced transfer.
   void observe_transfer(const TransferEvent& e);

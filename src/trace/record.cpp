@@ -26,10 +26,6 @@ void ScheduleRecorder::on_copy(const CopyEvent& e) {
                                          e.combining});
 }
 
-void ScheduleRecorder::on_permute(const PermuteEvent& e) {
-  pending_permute_ = e.dst_of_block;
-}
-
 void ScheduleRecorder::on_stage(const StageEvent& e) {
   RecordedStage s;
   s.stage = e.stage;
@@ -41,7 +37,7 @@ void ScheduleRecorder::on_stage(const StageEvent& e) {
   if (e.repeats == 1) {
     // A real stage: adopt the transfers/copies that arrived since the last
     // stage event (the engine emits them before the stage itself), and the
-    // stage-start counter samples as the per-stage load slice.
+    // loads the stage event carries.
     s.first_transfer = static_cast<int>(record_.transfers.size());
     s.num_transfers = static_cast<int>(pending_.size());
     record_.transfers.insert(record_.transfers.end(), pending_.begin(),
@@ -53,17 +49,13 @@ void ScheduleRecorder::on_stage(const StageEvent& e) {
                           pending_copies_.end());
     pending_copies_.clear();
     s.first_load = static_cast<int>(record_.loads.size());
-    for (std::size_t i = pending_samples_; i < record_.samples.size(); ++i) {
-      const CounterSample& c = record_.samples[i];
-      if (c.value > 0.0)  // end-of-stage zero samples carry no load
-        record_.loads.push_back(RecordedLoad{
-            c.kind == CounterSample::Kind::Qpi, c.id, c.dir, c.value});
-    }
-    s.num_loads = static_cast<int>(record_.loads.size()) - s.first_load;
+    s.num_loads = static_cast<int>(e.loads.size());
+    record_.loads.insert(record_.loads.end(), e.loads.begin(), e.loads.end());
+    for (const Load& l : e.loads)
+      (l.qpi ? record_.qpi_bytes : record_.link_bytes)[{l.id, l.dir}] +=
+          l.bytes;
     stage_entry_[e.stage] =
         static_cast<int>(record_.stages.size());
-    last_stage_samples_ = pending_samples_;
-    pending_samples_ = record_.samples.size();
   } else {
     // Repeat compression re-executes the stage just ended: share its
     // transfer/copy/load slices (the repeat event itself carries none) and
@@ -77,13 +69,9 @@ void ScheduleRecorder::on_stage(const StageEvent& e) {
       s.num_copies = orig.num_copies;
       s.first_load = orig.first_load;
       s.num_loads = orig.num_loads;
-    }
-    for (std::size_t i = last_stage_samples_; i < pending_samples_; ++i) {
-      const CounterSample& c = record_.samples[i];
-      if (c.value <= 0.0) continue;
-      auto& map = c.kind == CounterSample::Kind::Qpi ? record_.qpi_bytes
-                                                     : record_.link_bytes;
-      map[{c.id, c.dir}] += c.value * static_cast<double>(e.repeats);
+      for (const Load& l : record_.loads_of(orig))
+        (l.qpi ? record_.qpi_bytes : record_.link_bytes)[{l.id, l.dir}] +=
+            l.bytes * static_cast<double>(e.repeats);
     }
   }
   record_.events.push_back(
@@ -97,22 +85,14 @@ void ScheduleRecorder::on_phase(const PhaseEvent& e) {
   record_.phases.push_back(e);
 }
 
-void ScheduleRecorder::on_counter(const CounterSample& s) {
-  record_.samples.push_back(s);
-  if (s.value <= 0.0) return;  // end-of-stage zero samples carry no load
-  auto& map = s.kind == CounterSample::Kind::Qpi ? record_.qpi_bytes
-                                                 : record_.link_bytes;
-  map[{s.id, s.dir}] += s.value;
-}
-
 void ScheduleRecorder::on_time(const TimeEvent& e) {
   record_.events.push_back(
       {ScheduleRecord::EventRef::Kind::Extra,
        static_cast<int>(record_.extras.size())});
-  record_.extras.push_back(
-      RecordedExtra{e.what, e.start, e.duration, std::move(pending_permute_),
-                    static_cast<int>(record_.phases.size())});
-  pending_permute_.clear();
+  record_.extras.push_back(RecordedExtra{
+      e.what, e.start, e.duration,
+      std::vector<int>(e.dst_of_block.begin(), e.dst_of_block.end()),
+      static_cast<int>(record_.phases.size())});
   record_.total += e.duration;
 }
 

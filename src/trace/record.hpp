@@ -10,8 +10,8 @@
 
 /// \file record.hpp
 /// ScheduleRecorder: a TraceSink that keeps the *structure* of one engine
-/// run — every stage with its transfers, every out-of-stage time increment,
-/// phases, resource loads and every counter sample — as plain structs.  It
+/// run — every stage with its transfers and resource loads, every
+/// out-of-stage time increment, phases — as plain structs.  It
 /// is the one in-memory representation of a run: tarr::report analyzes it
 /// after the fact (critical path, mapping-attribution diffs), and the
 /// Tracer renders its timeline from it at export.
@@ -52,18 +52,6 @@ struct RecordedCopy {
   bool combining = false;
 
   bool operator==(const RecordedCopy&) const = default;
-};
-
-/// One directed resource load of a recorded stage (the stage-start counter
-/// samples, in emission order: cable links first, then QPI, each in the
-/// cost model's first-touch order).
-struct RecordedLoad {
-  bool qpi = false;  ///< false: cable link (id = LinkId); true: QPI (NodeId)
-  int id = 0;
-  int dir = 0;
-  double bytes = 0.0;
-
-  bool operator==(const RecordedLoad&) const = default;
 };
 
 /// One stage event — either a real stage (repeats == 1) or a
@@ -117,17 +105,15 @@ struct ScheduleRecord {
 
   std::vector<RecordedTransfer> transfers;
   std::vector<RecordedCopy> copies;
-  std::vector<RecordedLoad> loads;
+  /// The loads of every real stage, in stage order (StageEvent::loads).
+  std::vector<Load> loads;
   std::vector<RecordedStage> stages;
   std::vector<RecordedExtra> extras;
   std::vector<EventRef> events;
   std::vector<PhaseEvent> phases;
-  /// Every counter sample in arrival order, the zero-valued end-of-stage
-  /// ones included: the timeline's load tracks.
-  std::vector<CounterSample> samples;
 
   /// Aggregate directed resource loads over the whole run: (id, dir) ->
-  /// total bytes, from the engine's per-stage counter samples.
+  /// total bytes, each stage's loads once per execution.
   std::map<std::pair<int, int>, double> link_bytes;
   std::map<std::pair<int, int>, double> qpi_bytes;
 
@@ -148,7 +134,7 @@ struct ScheduleRecord {
     return {copies.data() + s.first_copy,
             static_cast<std::size_t>(s.num_copies)};
   }
-  std::span<const RecordedLoad> loads_of(const RecordedStage& s) const {
+  std::span<const Load> loads_of(const RecordedStage& s) const {
     return {loads.data() + s.first_load,
             static_cast<std::size_t>(s.num_loads)};
   }
@@ -167,9 +153,7 @@ class ScheduleRecorder final : public TraceSink {
   void on_stage(const StageEvent& e) override;
   void on_transfer(const TransferEvent& e) override;
   void on_copy(const CopyEvent& e) override;
-  void on_permute(const PermuteEvent& e) override;
   void on_phase(const PhaseEvent& e) override;
-  void on_counter(const CounterSample& s) override;
   void on_time(const TimeEvent& e) override;
 
   const ScheduleRecord& record() const { return record_; }
@@ -186,14 +170,6 @@ class ScheduleRecorder final : public TraceSink {
   /// before their StageEvent).
   std::vector<RecordedTransfer> pending_;
   std::vector<RecordedCopy> pending_copies_;
-  /// Permutation of the "local-shuffle" TimeEvent about to arrive (the
-  /// engine emits the PermuteEvent immediately before it).
-  std::vector<int> pending_permute_;
-  /// record_.samples from this index on arrived since the last real stage
-  /// event; [last_stage_samples_, pending_samples_) are those of the stage
-  /// most recently closed (replayed by repeat compression).
-  std::size_t pending_samples_ = 0;
-  std::size_t last_stage_samples_ = 0;
   /// Engine stage index -> index into record_.stages of its repeats == 1
   /// entry (so repeat-compressed events can share the transfer slice).
   std::map<int, int> stage_entry_;

@@ -35,16 +35,8 @@ void TeeSink::on_copy(const CopyEvent& e) {
   for (TraceSink* leg : legs_) leg->on_copy(e);
 }
 
-void TeeSink::on_permute(const PermuteEvent& e) {
-  for (TraceSink* leg : legs_) leg->on_permute(e);
-}
-
 void TeeSink::on_phase(const PhaseEvent& e) {
   for (TraceSink* leg : legs_) leg->on_phase(e);
-}
-
-void TeeSink::on_counter(const CounterSample& s) {
-  for (TraceSink* leg : legs_) leg->on_counter(s);
 }
 
 void TeeSink::on_wall_span(const WallSpan& s) {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -28,8 +29,8 @@
 /// observes nothing.
 ///
 /// Two clocks appear in the taxonomy and are never mixed on one track:
-///  * simulated microseconds (Usec) — stages, transfers, collective phases,
-///    link/QPI load counters;
+///  * simulated microseconds (Usec) — stages with their link/QPI loads,
+///    transfers, collective phases;
 ///  * wall-clock seconds — mapping/profiling spans (the Fig 7 overheads).
 
 namespace tarr::trace {
@@ -39,6 +40,17 @@ namespace tarr::trace {
 enum class Channel { SameComplex, SameSocket, CrossSocket, Network, Local };
 
 const char* to_string(Channel c);
+
+/// One directed resource load of a stage: the bytes the stage's transfers
+/// put on a cable link or a QPI direction.
+struct Load {
+  bool qpi = false;  ///< false: cable link (id = LinkId); true: QPI (NodeId)
+  int id = 0;
+  int dir = 0;       ///< direction slot (0/1), matching CostModel's convention
+  double bytes = 0.0;
+
+  bool operator==(const Load&) const = default;
+};
 
 /// One engine stage (a set of concurrent transfers priced together).
 struct StageEvent {
@@ -52,6 +64,12 @@ struct StageEvent {
   /// a repeat-compressed event this is the per-execution wait, not the
   /// total across repeats.
   Usec retry_wait = 0.0;
+  /// Every directed cable and QPI load of the stage: cable links in the
+  /// cost model's first-touch order, then QPI directions in theirs.  Valid
+  /// for the duration of the call.  Empty for a repeat-compressed event (it
+  /// repeats the loads of the stage it names) and without contention
+  /// modeling.
+  std::span<const Load> loads;
 };
 
 /// One logical transfer of a stage (retransmission attempts folded in).
@@ -85,19 +103,6 @@ struct PhaseEvent {
   bool operator==(const PhaseEvent&) const = default;
 };
 
-/// One per-stage load sample of a shared resource (emitted at stage start
-/// with the stage's byte load, and again with 0 at stage end).
-struct CounterSample {
-  enum class Kind { Link, Qpi };
-  Kind kind = Kind::Link;
-  int id = 0;   ///< LinkId, or NodeId for QPI
-  int dir = 0;  ///< direction slot (0/1), matching CostModel's convention
-  Usec ts = 0.0;
-  double value = 0.0;  ///< bytes loaded onto the resource this stage
-
-  bool operator==(const CounterSample&) const = default;
-};
-
 /// A wall-clock profiling span: distance extraction, one mapping run, one
 /// refinement run — the Fig 7 overhead decomposition.
 struct WallSpan {
@@ -125,17 +130,6 @@ struct CopyEvent {
   bool combining = false;  ///< true for Engine::combine (reduction write)
 };
 
-/// One §V-B local shuffle (Engine::local_permute_all): every rank applies
-/// the same in-place block permutation, block b moving to slot
-/// dst_of_block[b].  Emitted immediately before the paired "local-shuffle"
-/// TimeEvent that prices it; identity entries are included so the vector
-/// always has one slot per buffer block.
-struct PermuteEvent {
-  std::vector<int> dst_of_block;
-  Usec start = 0.0;
-  Usec duration = 0.0;
-};
-
 /// Simulated time the engine adds *outside* any stage: the §V-B local
 /// shuffles of Engine::local_permute_all.  Unlike PhaseEvent — a grouping
 /// span over stages that already carry their own durations — a TimeEvent
@@ -147,6 +141,11 @@ struct TimeEvent {
   std::string what;     ///< "local-shuffle"
   Usec start = 0.0;     ///< simulated clock before the increment
   Usec duration = 0.0;  ///< time added
+  /// For a "local-shuffle": the §V-B block permutation every rank applies
+  /// in place, block b moving to slot dst_of_block[b] (identity entries
+  /// included, one slot per buffer block).  Valid for the duration of the
+  /// call.
+  std::span<const int> dst_of_block;
 };
 
 /// See file comment.  All handlers default to no-ops so sinks implement
@@ -158,9 +157,7 @@ class TraceSink {
   virtual void on_stage(const StageEvent&) {}
   virtual void on_transfer(const TransferEvent&) {}
   virtual void on_copy(const CopyEvent&) {}
-  virtual void on_permute(const PermuteEvent&) {}
   virtual void on_phase(const PhaseEvent&) {}
-  virtual void on_counter(const CounterSample&) {}
   virtual void on_wall_span(const WallSpan&) {}
   virtual void on_time(const TimeEvent&) {}
 
@@ -195,9 +192,7 @@ class TeeSink final : public TraceSink {
   void on_stage(const StageEvent& e) override;
   void on_transfer(const TransferEvent& e) override;
   void on_copy(const CopyEvent& e) override;
-  void on_permute(const PermuteEvent& e) override;
   void on_phase(const PhaseEvent& e) override;
-  void on_counter(const CounterSample& s) override;
   void on_wall_span(const WallSpan& s) override;
   void on_time(const TimeEvent& e) override;
   void add_count(const std::string& name, double delta) override;

@@ -68,6 +68,7 @@ void Tracer::on_stage(const StageEvent& e) {
   // many executions it stands for.
   metrics_.observe_n("stage.duration",
                      e.duration / static_cast<double>(e.repeats), e.repeats);
+  for (const Load& l : e.loads) metrics_.observe_load(l);
 }
 
 void Tracer::on_transfer(const TransferEvent& e) {
@@ -86,8 +87,6 @@ void Tracer::on_transfer(const TransferEvent& e) {
 
 void Tracer::on_copy(const CopyEvent& e) { recorder_.on_copy(e); }
 
-void Tracer::on_permute(const PermuteEvent& e) { recorder_.on_permute(e); }
-
 void Tracer::on_phase(const PhaseEvent& e) {
   recorder_.on_phase(e);
   metrics_.add_count("phase." + e.name, 1.0);
@@ -99,11 +98,6 @@ void Tracer::on_time(const TimeEvent& e) {
   // simulated microseconds, not occurrences.
   recorder_.on_time(e);
   metrics_.add_count("time." + e.what, e.duration);
-}
-
-void Tracer::on_counter(const CounterSample& s) {
-  recorder_.on_counter(s);
-  metrics_.observe_load(s);
 }
 
 void Tracer::on_wall_span(const WallSpan& s) {
@@ -187,7 +181,7 @@ std::string Tracer::timeline_json() const {
       append_meta(out, "thread_name", kPidSim, kTidRank0 + r,
                   "rank " + std::to_string(r));
   }
-  if (!rec.samples.empty())
+  if (!rec.loads.empty())
     append_meta(out, "process_name", kPidLoad, 0, "network load");
   if (!wall_spans_.empty())
     append_meta(out, "process_name", kPidWall, 0, "mapping (wall clock)");
@@ -251,12 +245,17 @@ std::string Tracer::timeline_json() const {
     out += "},\n";
   }
 
-  // Counter events, in arrival order (already chronological per track).
-  for (const CounterSample& c : rec.samples) {
+  // Counter events, stage by stage (already chronological per track): each
+  // load at its stage's start, then back to zero at the stage's end.
+  const auto sample = [&](const Load& l, double ts, double bytes) {
     append(out, "{\"ph\":\"C\",\"pid\":", kPidLoad, ",\"tid\":0,\"name\":\"",
-           c.kind == CounterSample::Kind::Link ? "cable " : "qpi ", c.id, " d",
-           c.dir, "\",\"ts\":", c.ts, ",\"args\":{\"bytes\":", c.value,
-           "}},\n");
+           l.qpi ? "qpi " : "cable ", l.id, " d", l.dir, "\",\"ts\":", ts,
+           ",\"args\":{\"bytes\":", bytes, "}},\n");
+  };
+  for (const RecordedStage& s : rec.stages) {
+    if (s.repeats != 1) continue;
+    for (const Load& l : rec.loads_of(s)) sample(l, s.start, l.bytes);
+    for (const Load& l : rec.loads_of(s)) sample(l, s.start + s.duration, 0.0);
   }
 
   // Drop the trailing ",\n" of the last event, if any.

@@ -51,9 +51,7 @@ class Tracer final : public TraceSink {
   void on_stage(const StageEvent& e) override;
   void on_transfer(const TransferEvent& e) override;
   void on_copy(const CopyEvent& e) override;
-  void on_permute(const PermuteEvent& e) override;
   void on_phase(const PhaseEvent& e) override;
-  void on_counter(const CounterSample& s) override;
   void on_wall_span(const WallSpan& s) override;
   void on_time(const TimeEvent& e) override;
   void add_count(const std::string& name, double delta) override;

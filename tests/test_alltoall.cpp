@@ -107,7 +107,7 @@ double peak_load(const trace::ScheduleRecord& rec, const Machine& m,
   double peak = 0.0;
   for (const trace::RecordedStage& s : rec.stages) {
     if (stage >= 0 && s.stage != stage) continue;
-    for (const trace::RecordedLoad& l : rec.loads_of(s))
+    for (const trace::Load& l : rec.loads_of(s))
       if (l.qpi == qpi)
         peak = std::max(peak, qpi ? l.bytes
                                   : l.bytes / m.network().link(l.id).capacity);

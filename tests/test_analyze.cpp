@@ -89,7 +89,7 @@ TEST(AnalyzeCertifies, EveryScheduleIdentityAndReordered) {
   }
 }
 
-TEST(AnalyzeCertifies, ReorderedScatterExercisesPermuteEvents) {
+TEST(AnalyzeCertifies, ReorderedScatterExercisesLocalShuffles) {
   // Binomial scatter pre-permutes every buffer with local_permute_all; a
   // reordered communicator makes that a real (non-identity) permutation,
   // so this certifies the analyzer's §V-B permutation semantics.

@@ -92,8 +92,7 @@ class ReferenceCostModel {
 
     if (capture_details_) {
       detail_.transfers.clear();
-      detail_.link_loads.clear();
-      detail_.qpi_loads.clear();
+      detail_.loads.clear();
       detail_.transfers.reserve(pending_.size());
     }
 
@@ -162,15 +161,12 @@ class ReferenceCostModel {
     }
 
     if (capture_details_) {
-      detail_.link_loads.reserve(touched_links_.size());
-      for (int idx : touched_links_) {
-        detail_.link_loads.push_back(
-            CostModel::LinkLoad{idx / 2, idx % 2, link_bytes_[idx]});
-      }
-      detail_.qpi_loads.reserve(touched_qpi_.size());
+      for (int idx : touched_links_)
+        detail_.loads.push_back(
+            trace::Load{false, idx / 2, idx % 2, link_bytes_[idx]});
       for (int idx : touched_qpi_)
-        detail_.qpi_loads.push_back(
-            CostModel::QpiLoad{idx / 2, idx % 2, qpi_bytes_[idx]});
+        detail_.loads.push_back(
+            trace::Load{true, idx / 2, idx % 2, qpi_bytes_[idx]});
     }
 
     pending_.clear();
@@ -302,19 +298,13 @@ void expect_same_detail(const CostModel::StageDetail& got,
     EXPECT_EQ(g.contention, w.contention);
     EXPECT_EQ(g.uncontended, w.uncontended);
   }
-  ASSERT_EQ(got.link_loads.size(), want.link_loads.size());
-  for (std::size_t i = 0; i < got.link_loads.size(); ++i) {
-    SCOPED_TRACE("link load " + std::to_string(i));
-    EXPECT_EQ(got.link_loads[i].link, want.link_loads[i].link);
-    EXPECT_EQ(got.link_loads[i].dir, want.link_loads[i].dir);
-    EXPECT_EQ(got.link_loads[i].bytes, want.link_loads[i].bytes);
-  }
-  ASSERT_EQ(got.qpi_loads.size(), want.qpi_loads.size());
-  for (std::size_t i = 0; i < got.qpi_loads.size(); ++i) {
-    SCOPED_TRACE("qpi load " + std::to_string(i));
-    EXPECT_EQ(got.qpi_loads[i].node, want.qpi_loads[i].node);
-    EXPECT_EQ(got.qpi_loads[i].dir, want.qpi_loads[i].dir);
-    EXPECT_EQ(got.qpi_loads[i].bytes, want.qpi_loads[i].bytes);
+  ASSERT_EQ(got.loads.size(), want.loads.size());
+  for (std::size_t i = 0; i < got.loads.size(); ++i) {
+    SCOPED_TRACE("load " + std::to_string(i));
+    EXPECT_EQ(got.loads[i].qpi, want.loads[i].qpi);
+    EXPECT_EQ(got.loads[i].id, want.loads[i].id);
+    EXPECT_EQ(got.loads[i].dir, want.loads[i].dir);
+    EXPECT_EQ(got.loads[i].bytes, want.loads[i].bytes);
   }
 }
 

@@ -172,9 +172,9 @@ TEST(CostModel, DetailCaptureOffByDefaultAndCostNeutral) {
   EXPECT_EQ(t_plain, t_detail);  // capture must not perturb pricing
 
   EXPECT_TRUE(plain.last_stage_detail().transfers.empty());
-  EXPECT_TRUE(plain.last_stage_detail().link_loads.empty());
+  EXPECT_TRUE(plain.last_stage_detail().loads.empty());
   ASSERT_EQ(detailed.last_stage_detail().transfers.size(), 1u);
-  EXPECT_FALSE(detailed.last_stage_detail().link_loads.empty());
+  EXPECT_FALSE(detailed.last_stage_detail().loads.empty());
 }
 
 TEST(CostModel, DetailRecordsChannelsAndCosts) {
@@ -207,11 +207,13 @@ TEST(CostModel, DetailRecordsChannelsAndCosts) {
   }
   // The network transfer, the stage's only one, loaded at least one
   // directed cable, each with its bytes.
-  ASSERT_FALSE(d.link_loads.empty());
-  for (const auto& l : d.link_loads) {
+  ASSERT_FALSE(d.loads.empty());
+  for (const auto& l : d.loads) {
+    if (l.qpi) continue;
     EXPECT_EQ(l.bytes, static_cast<double>(b));
     EXPECT_TRUE(l.dir == 0 || l.dir == 1);
   }
+  EXPECT_FALSE(d.loads.front().qpi);  // cable links come first
 }
 
 TEST(CostModel, DetailContentionReflectsOversubscription) {
@@ -247,8 +249,8 @@ TEST(CostModel, DetailResetsEachStage) {
   cm.add_transfer(2, 3, 64);
   cm.finish_stage();
   EXPECT_EQ(cm.last_stage_detail().transfers.size(), 2u);
-  // Intra-node stage: no cables touched.
-  EXPECT_TRUE(cm.last_stage_detail().link_loads.empty());
+  // Same-socket stage: no cable or QPI direction touched.
+  EXPECT_TRUE(cm.last_stage_detail().loads.empty());
 }
 
 TEST(CostModel, ZeroByteTransferDoesNotListItsResourcesTwice) {
@@ -263,18 +265,22 @@ TEST(CostModel, ZeroByteTransferDoesNotListItsResourcesTwice) {
   cm.add_transfer(0, 8, 0);     // node 0 -> node 1, no bytes
   cm.add_transfer(1, 9, 4096);  // the same route
   cm.finish_stage();
-  const auto& links = cm.last_stage_detail().link_loads;
+  const auto& links = cm.last_stage_detail().loads;
   ASSERT_EQ(links.size(), 2u);  // host 0 -> leaf, leaf -> host 1
-  EXPECT_NE(links[0].link, links[1].link);
-  for (const auto& l : links) EXPECT_EQ(l.bytes, 4096.0);
+  EXPECT_NE(links[0].id, links[1].id);
+  for (const auto& l : links) {
+    EXPECT_FALSE(l.qpi);
+    EXPECT_EQ(l.bytes, 4096.0);
+  }
 
   cm.begin_stage();
   cm.add_transfer(0, 4, 0);     // socket 0 -> socket 1, no bytes
   cm.add_transfer(1, 5, 4096);  // the same QPI direction
   cm.finish_stage();
-  const auto& qpi = cm.last_stage_detail().qpi_loads;
+  const auto& qpi = cm.last_stage_detail().loads;
   ASSERT_EQ(qpi.size(), 1u);
-  EXPECT_EQ(qpi[0].node, 0);
+  EXPECT_TRUE(qpi[0].qpi);
+  EXPECT_EQ(qpi[0].id, 0);
   EXPECT_EQ(qpi[0].dir, 0);
   EXPECT_EQ(qpi[0].bytes, 4096.0);
 }

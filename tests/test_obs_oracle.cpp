@@ -69,9 +69,16 @@ bool sink_only_before(const std::string& counter) {
 }
 
 /// Every event a sink receives, in arrival order; wall spans by name only.
+/// A stage's loads print as the counter lines the engine once sent ahead of
+/// the stage, each load at the stage start, then each back to zero at its
+/// end; a time event's permutation prints as the permute line once sent
+/// ahead of it.
 class StreamRecorder final : public trace::TraceSink {
  public:
   void on_stage(const trace::StageEvent& e) override {
+    for (const trace::Load& l : e.loads) counter(l, e.start, l.bytes);
+    for (const trace::Load& l : e.loads)
+      counter(l, e.start + e.duration, 0.0);
     line("stage", e.stage, e.transfers, e.repeats, e.start, e.duration,
          e.retry_wait);
   }
@@ -84,26 +91,21 @@ class StreamRecorder final : public trace::TraceSink {
     line("copy", e.stage, e.src, e.dst, e.src_off, e.dst_off, e.nblocks,
          e.bytes, e.combining);
   }
-  void on_permute(const trace::PermuteEvent& e) override {
-    std::string head = "permute";
-    for (int b : e.dst_of_block) {
-      head += ' ';
-      head += std::to_string(b);
-    }
-    line(head, e.start, e.duration);
-  }
   void on_phase(const trace::PhaseEvent& e) override {
     line("phase " + e.name, e.start, e.duration);
-  }
-  void on_counter(const trace::CounterSample& s) override {
-    line(s.kind == trace::CounterSample::Kind::Qpi ? "counter qpi"
-                                                   : "counter link",
-         s.id, s.dir, s.ts, s.value);
   }
   void on_wall_span(const trace::WallSpan& s) override {
     stream += "span " + s.name + "\n";
   }
   void on_time(const trace::TimeEvent& e) override {
+    if (!e.dst_of_block.empty()) {
+      std::string head = "permute";
+      for (int b : e.dst_of_block) {
+        head += ' ';
+        head += std::to_string(b);
+      }
+      line(head, e.start, e.duration);
+    }
     line("time " + e.what, e.start, e.duration);
   }
   void add_count(const std::string& name, double delta) override {
@@ -118,6 +120,10 @@ class StreamRecorder final : public trace::TraceSink {
   std::map<std::string, double> totals;
 
  private:
+  void counter(const trace::Load& l, Usec ts, double bytes) {
+    line(l.qpi ? "counter qpi" : "counter link", l.id, l.dir, ts, bytes);
+  }
+
   template <class... Fields>
   void line(const std::string& head, Fields... fields) {
     stream += head;

@@ -223,7 +223,7 @@ TEST(CriticalPath, OutOfStageTimeBecomesAnExtraSegment) {
   eng.copy(0, 0, 1, 0, 1);
   eng.end_stage();
   // Out-of-stage time that is not a local shuffle has no channel.
-  rec.on_time(trace::TimeEvent{"compute", eng.total(), 17.5});
+  rec.on_time(trace::TimeEvent{"compute", eng.total(), 17.5, {}});
   const CriticalPath path = analyze_critical_path(rec.record(), m);
   EXPECT_EQ(path.total, rec.record().total);
   EXPECT_EQ(path.total, eng.total() + 17.5);
@@ -658,9 +658,9 @@ TEST(Plumbing, TeeSinkFeedsTracerAndRecorderIdentically) {
 
   // Null branches are simply skipped.
   trace::TeeSink half({nullptr, &rec});
-  half.on_time(trace::TimeEvent{"x", 0.0, 1.0});
+  half.on_time(trace::TimeEvent{"x", 0.0, 1.0, {}});
   trace::TeeSink none({nullptr, nullptr});
-  none.on_time(trace::TimeEvent{"x", 0.0, 1.0});
+  none.on_time(trace::TimeEvent{"x", 0.0, 1.0, {}});
 }
 
 TEST(Plumbing, EnsureWritableFailsFastAndLeavesNoArtifact) {

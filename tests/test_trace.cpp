@@ -541,9 +541,7 @@ class JournalSink final : public TraceSink {
   void on_stage(const StageEvent&) override { note("stage"); }
   void on_transfer(const TransferEvent&) override { note("transfer"); }
   void on_copy(const CopyEvent&) override { note("copy"); }
-  void on_permute(const PermuteEvent&) override { note("permute"); }
   void on_phase(const PhaseEvent&) override { note("phase"); }
-  void on_counter(const CounterSample&) override { note("counter"); }
   void on_wall_span(const WallSpan&) override { note("wall"); }
   void on_time(const TimeEvent&) override { note("time"); }
   void add_count(const std::string&, double) override { note("count"); }
@@ -555,14 +553,12 @@ class JournalSink final : public TraceSink {
   std::vector<std::string>* journal_;
 };
 
-/// Drives all ten TraceSink entry points exactly once.
+/// Drives all eight TraceSink entry points exactly once.
 void emit_one_of_each(TraceSink& sink) {
   sink.on_stage(StageEvent{});
   sink.on_transfer(TransferEvent{});
   sink.on_copy(CopyEvent{});
-  sink.on_permute(PermuteEvent{});
   sink.on_phase(PhaseEvent{});
-  sink.on_counter(CounterSample{});
   sink.on_wall_span(WallSpan{});
   sink.on_time(TimeEvent{});
   sink.add_count("n", 1.0);
@@ -585,10 +581,10 @@ TEST(Trace, TeeSinkForwardsEveryKindFirstThenSecond) {
   TeeSink tee({&first, &second});
   emit_one_of_each(tee);
   const std::vector<std::string> expected = {
-      "a:stage",   "b:stage",   "a:transfer", "b:transfer", "a:copy",
-      "b:copy",    "a:permute", "b:permute",  "a:phase",    "b:phase",
-      "a:counter", "b:counter", "a:wall",     "b:wall",     "a:time",
-      "b:time",    "a:count",   "b:count",    "a:observe",  "b:observe"};
+      "a:stage", "b:stage", "a:transfer", "b:transfer", "a:copy",
+      "b:copy",  "a:phase", "b:phase",    "a:wall",     "b:wall",
+      "a:time",  "b:time",  "a:count",    "b:count",    "a:observe",
+      "b:observe"};
   EXPECT_EQ(journal, expected);
 }
 
@@ -597,11 +593,11 @@ TEST(Trace, TeeSinkToleratesNullLegs) {
   JournalSink only("x", &journal);
   TeeSink first_null({nullptr, &only});
   emit_one_of_each(first_null);
-  EXPECT_EQ(journal.size(), 10u);
+  EXPECT_EQ(journal.size(), 8u);
   journal.clear();
   TeeSink second_null({&only, nullptr});
   emit_one_of_each(second_null);
-  EXPECT_EQ(journal.size(), 10u);
+  EXPECT_EQ(journal.size(), 8u);
   TeeSink both_null({nullptr, nullptr});
   EXPECT_TRUE(both_null.empty());
   emit_one_of_each(both_null);  // must not crash
@@ -645,7 +641,8 @@ TEST(Trace, StageRepeatCompressionScalesMetrics) {
 // Timeline and metrics digests.  Every run below is pinned by the FNV-1a
 // digest of its timeline_json() and of its metrics CSV (wall.* rows aside),
 // recorded while the Tracer buffered its own span list instead of rendering
-// from the ScheduleRecord.
+// from the ScheduleRecord.  tlog-stages was re-recorded when loads moved
+// onto their stage records: its stage window now drops stage 0's loads.
 
 std::uint64_t fnv1a(const std::string& s) {
   std::uint64_t h = 1469598103934665603ull;
@@ -743,8 +740,8 @@ void replayed_rd(TraceSink* sink, const tlog::EventFilter& filter,
 /// shared phases track must keep each pair in arrival order.
 void tied_phase_and_time(TraceSink* sink) {
   sink->on_phase(PhaseEvent{"phase-first", 0.0, 5.0});
-  sink->on_time(TimeEvent{"time-second", 0.0, 5.0});
-  sink->on_time(TimeEvent{"time-first", 10.0, 2.0});
+  sink->on_time(TimeEvent{"time-second", 0.0, 5.0, {}});
+  sink->on_time(TimeEvent{"time-first", 10.0, 2.0, {}});
   sink->on_phase(PhaseEvent{"phase-second", 10.0, 2.0});
   sink->on_phase(PhaseEvent{"enclosing", 0.0, 12.0});
 }
@@ -806,7 +803,7 @@ std::vector<DigestCase> digest_cases() {
        0x05e5713a9f400c47ull},
       {"shrunk", shrunk_ring, 0x9234085198d5af00ull, 0xf268b73bc2170bf0ull},
       {"tlog-kinds", kinds, 0x7068350cee5df27cull, 0x86d5977bb6c6f995ull},
-      {"tlog-stages", stages, 0xeac839b01a6814c1ull, 0x7ce2f388cb0aaba4ull},
+      {"tlog-stages", stages, 0xba425a4948c94591ull, 0xd3cdd6b75e35e72cull},
       {"tlog-ranks", ranks, 0x0d148ba7a58c8716ull, 0x627d243ab97bebcaull},
       {"tied-phases", tied_phase_and_time, 0x871b0ddeba149851ull,
        0x10f7cc3c91156e81ull},
