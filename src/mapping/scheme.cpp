@@ -258,7 +258,7 @@ int MappingState::find_closest_to(Rank ref_rank) {
   }
   prof::count("mapping.scan_steps", static_cast<double>(n));
   prof::count("mapping.scan_reads", static_cast<double>(reads));
-  if (ties > 1) obs::count("mapping.tie_breaks");
+  if (ties > 1) ++tie_breaks_;
   return chosen;
 }
 
@@ -285,7 +285,6 @@ void MappingState::assign(Rank rank, int slot) {
   free_index_[slot] = -1;
   assignment_[rank] = slot;
   ++mapped_;
-  obs::count("mapping.placements");
   // The swap-remove pool and its index must stay mutually consistent; a
   // bookkeeping slip here surfaces far away as a duplicate assignment.
   // O(p) per placement, so only in TARR_SLOW_CHECKS builds.
@@ -321,6 +320,10 @@ std::vector<int> finish_mapping(const MappingState& st,
                                 const std::string& mapper,
                                 const std::vector<int>& rank_to_slot) {
   std::vector<int> result = st.result();
+  // The run's decision counters, once each: every rank it placed, rank 0
+  // included, and every scan that broke a tie.
+  obs::count("mapping.placements", st.num_mapped());
+  if (st.tie_breaks() > 0) obs::count("mapping.tie_breaks", st.tie_breaks());
   if constexpr (kSlowChecksEnabled)
     check::verify_mapping(mapper, rank_to_slot, result);
   return result;

@@ -52,6 +52,8 @@ class MappingState {
   int num_ranks() const { return p_; }
   int num_mapped() const { return mapped_; }
   bool done() const { return mapped_ == p_; }
+  /// Step-5 scans that broke a tie among equally close free slots.
+  int tie_breaks() const { return tie_breaks_; }
 
   /// True iff `rank` has already been assigned a slot.
   bool is_mapped(Rank rank) const;
@@ -111,6 +113,7 @@ class MappingState {
   std::vector<int> free_slots_;   // unordered pool, swap-remove
   std::vector<int> free_index_;   // slot -> index in free_slots_ or -1
   int mapped_ = 0;
+  int tie_breaks_ = 0;
   // Cluster levels; all empty when every entry is read.
   std::vector<int> leaf_;          // node -> leaf cluster, -1 off the pool
   std::vector<Cluster> clusters_;  // leaves, then joins in height order
@@ -120,7 +123,10 @@ class MappingState {
 
 /// st.result() plus, in TARR_SLOW_CHECKS builds, a bijectivity re-check of
 /// the heuristic's own output against the initial assignment (see
-/// check/mapping_verifier.hpp).  Every heuristic returns through this.
+/// check/mapping_verifier.hpp).  Every heuristic returns through this, so
+/// it sends the run's decision counters through obs::count, once each:
+/// `mapping.placements` (every rank placed) and, when a scan broke a tie,
+/// `mapping.tie_breaks`.
 std::vector<int> finish_mapping(const MappingState& st,
                                 const std::string& mapper,
                                 const std::vector<int>& rank_to_slot);
