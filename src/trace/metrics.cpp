@@ -1,5 +1,6 @@
 #include "trace/metrics.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "bench/csv.hpp"
@@ -21,21 +22,28 @@ typename Map::mapped_type& slot(Map& map, std::string_view name) {
 
 }  // namespace
 
-void MetricsRegistry::observe_load(const Load& l) {
+void MetricsRegistry::observe_load(const Load& l, long long executions) {
   Heat& h = (l.qpi ? qpi_heat_ : link_heat_)[{l.id, l.dir}];
-  ++h.stages;
-  h.total += l.bytes;
+  h.stages += executions;
+  h.total += l.bytes * static_cast<double>(executions);
   if (l.bytes > h.peak) h.peak = l.bytes;
 }
 
-void MetricsRegistry::observe_transfer(const TransferEvent& e) {
+void MetricsRegistry::observe_transfer(const TransferEvent& e,
+                                       long long executions) {
   ChannelStat& c = channels_[static_cast<int>(e.channel)];
-  ++c.transfers;
+  c.transfers += executions;
   const double b = static_cast<double>(e.bytes);
-  c.bytes += b;
+  c.bytes += b * static_cast<double>(executions);
   if (b > c.peak_bytes) c.peak_bytes = b;
-  if (e.attempts > 1)
-    slot(counters_, "fault.retransmissions") += e.attempts - 1;
+  // Split each priced transfer the way tarr::report's critical-path
+  // attribution does: the uncontended floor is serialization; whatever
+  // contention (and retransmission reloads) added on top is stall.
+  observe_n("transfer.duration", e.duration, executions);
+  const double serial = std::min(e.uncontended, e.duration);
+  observe_n("transfer.serialization", serial, executions);
+  observe_n(e.attempts > 1 ? "transfer.retransmission" : "transfer.stall",
+            e.duration - serial, executions);
 }
 
 void MetricsRegistry::add_count(std::string_view name, double delta) {

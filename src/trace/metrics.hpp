@@ -14,11 +14,13 @@
 /// Aggregated metrics registry of tarr::trace: where the timeline answers
 /// "when", the registry answers "how much in total".  It folds the same
 /// event stream into
-///   * link heat  — per directed cable: stages touched, total bytes, peak
-///     stage load (the congestion the 5:1-blocking figures are about);
+///   * link heat  — per directed cable: stage executions that loaded it
+///     (each execution of a repeat-compressed stage counts), total bytes,
+///     peak stage load (the congestion the 5:1-blocking figures are about);
 ///   * QPI heat   — the same per node and direction;
 ///   * channel breakdown — transfer counts and byte totals per channel
-///     class (same-complex / same-socket / cross-socket / network / local);
+///     class (same-complex / same-socket / cross-socket / network / local),
+///     every execution of a repeat-compressed stage counted;
 ///   * named counters — decision counters (mapping placements, refinement
 ///     swaps, selector picks) and fault counters (drops, corruptions,
 ///     retransmissions);
@@ -42,11 +44,14 @@ namespace tarr::trace {
 /// See file comment.
 class MetricsRegistry {
  public:
-  /// Fold one stage's load of a cable link or QPI direction.
-  void observe_load(const Load& l);
+  /// Fold `executions` executions of one stage's load of a cable link or
+  /// QPI direction.
+  void observe_load(const Load& l, long long executions = 1);
 
-  /// Fold one priced transfer.
-  void observe_transfer(const TransferEvent& e);
+  /// Fold `executions` executions of one priced transfer: its channel row
+  /// and its transfer.duration / serialization / stall (or retransmission)
+  /// distributions.
+  void observe_transfer(const TransferEvent& e, long long executions = 1);
 
   /// Additive named counter.  Rejects non-finite deltas with a structured
   /// tarr::Error naming the counter — a NaN folded in silently would poison
@@ -82,7 +87,7 @@ class MetricsRegistry {
 
  private:
   struct Heat {
-    long long stages = 0;  ///< stages that loaded the resource
+    long long stages = 0;  ///< stage executions that loaded the resource
     double total = 0.0;    ///< bytes summed over all stages
     double peak = 0.0;     ///< largest single-stage byte load
   };

@@ -68,21 +68,30 @@ void Tracer::on_stage(const StageEvent& e) {
   // many executions it stands for.
   metrics_.observe_n("stage.duration",
                      e.duration / static_cast<double>(e.repeats), e.repeats);
-  for (const Load& l : e.loads) metrics_.observe_load(l);
+  if (e.repeats == 1) {
+    for (const Load& l : e.loads) metrics_.observe_load(l);
+    return;
+  }
+  // A repeat-compressed event stands for `repeats` more executions of the
+  // stage it names, whose transfers and loads the record already holds.
+  const ScheduleRecord& rec = recorder_.record();
+  const RecordedStage& s = rec.stages.back();
+  for (const RecordedTransfer& t : rec.transfers_of(s))
+    metrics_.observe_transfer({.bytes = t.bytes,
+                               .channel = t.channel,
+                               .attempts = t.attempts,
+                               .duration = t.duration,
+                               .uncontended = t.uncontended},
+                              e.repeats);
+  for (const Load& l : rec.loads_of(s)) metrics_.observe_load(l, e.repeats);
 }
 
 void Tracer::on_transfer(const TransferEvent& e) {
   recorder_.on_transfer(e);
   metrics_.observe_transfer(e);
-  // Split each priced transfer the way tarr::report's critical-path
-  // attribution does: the uncontended floor is serialization; whatever
-  // contention (and retransmission reloads) added on top is stall.
-  metrics_.observe("transfer.duration", e.duration);
-  const double serial = std::min(e.uncontended, e.duration);
-  metrics_.observe("transfer.serialization", serial);
-  metrics_.observe(
-      e.attempts > 1 ? "transfer.retransmission" : "transfer.stall",
-      e.duration - serial);
+  // Retransmissions count as drawn; a repeat-compressed stage draws none.
+  if (e.attempts > 1)
+    metrics_.add_count("fault.retransmissions", e.attempts - 1);
 }
 
 void Tracer::on_copy(const CopyEvent& e) { recorder_.on_copy(e); }

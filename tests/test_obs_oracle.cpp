@@ -398,12 +398,14 @@ TEST(ObsOracle, SinkStreamTimelineAndMetricsMatchRecordedDigest) {
       without(tracer.metrics().csv(), [](const std::string& line) {
         return line.rfind("counter,wall.", 0) == 0;
       });
-  // Re-recorded when a mapping run began to send its placements and
-  // tie-breaks once each (0x4b491d375495e6ef before): only those count
-  // lines moved, with the same per-name totals.
+  // Re-recorded twice: when a mapping run began to send its placements and
+  // tie-breaks once each (0x4b491d375495e6ef before; only those count
+  // lines moved, with the same per-name totals), and when the Tracer began
+  // to fold every execution of a repeat-compressed ring stage into its
+  // link, qpi, channel and transfer.* rows (0x861388cbfe149ace before).
   EXPECT_EQ(fnv1a(decisions_only(rec.stream) + "--\n" +
                   tracer.timeline_json() + "--\n" + metrics),
-            0x861388cbfe149aceull);
+            0x17e4386ccf2152dcull);
 }
 
 TEST(ObsOracle, ProfileMatchesRecordedDigestAndDecisionCountersReachBoth) {

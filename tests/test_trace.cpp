@@ -20,6 +20,8 @@
 
 #include "collectives/allgather.hpp"
 #include "collectives/hierarchical.hpp"
+#include "collectives/schedules.hpp"
+#include "common/serialize.hpp"
 #include "common/permutation.hpp"
 #include "core/framework.hpp"
 #include "core/topoallgather.hpp"
@@ -637,12 +639,82 @@ TEST(Trace, StageRepeatCompressionScalesMetrics) {
             3.0 * once.metrics().count("engine.stages"));
 }
 
+/// The link, qpi and channel rows of a metrics CSV and the rows of its
+/// transfer.* distributions.
+std::string transfer_and_load_rows(const std::string& csv) {
+  std::istringstream in(csv);
+  std::string out;
+  for (std::string line; std::getline(in, line);)
+    if (line.rfind("link,", 0) == 0 || line.rfind("qpi,", 0) == 0 ||
+        line.rfind("channel,", 0) == 0 ||
+        line.rfind("dist,transfer.", 0) == 0 ||
+        line.rfind("distbucket,transfer.", 0) == 0)
+      out += line + "\n";
+  return out;
+}
+
+TEST(Trace, RepeatCompressedStagesCountEveryExecution) {
+  // Timed mode runs a ring's identical stages as one stage plus a repeat
+  // event; Data mode runs every stage.  The link, QPI, channel and
+  // transfer.* rows must not tell the two apart, and the link totals must
+  // be the record's repeat-weighted link_bytes.
+  const Machine m = Machine::gpc(4);
+  const int p = m.total_cores();
+  for (const char* name : {"allgather-ring", "allreduce-ring",
+                           "bcast-scatter-allgather-ring",
+                           "hier-allgather-ring"}) {
+    SCOPED_TRACE(name);
+    const collectives::Schedule& sched = collectives::find_schedule(name);
+    const Communicator comm(
+        m, make_layout(m, p,
+                       sched.hierarchical
+                           ? simmpi::LayoutSpec{}
+                           : simmpi::LayoutSpec{simmpi::NodeOrder::Cyclic,
+                                                simmpi::SocketOrder::Bunch}));
+    const auto run = [&](ExecMode mode, Tracer& tracer) {
+      obs::Install traced(&tracer);
+      Engine eng(comm, CostConfig{}, mode, 1024, sched.buf_blocks(p));
+      (void)sched.run(eng, identity_permutation(p));
+    };
+    Tracer timed, data;
+    run(ExecMode::Timed, timed);
+    run(ExecMode::Data, data);
+    bool compressed = false;
+    for (const auto& st : timed.record().stages) compressed |= st.repeats > 1;
+    EXPECT_TRUE(compressed);
+    const std::string rows = transfer_and_load_rows(timed.metrics().csv());
+    EXPECT_NE(rows.find("link,"), std::string::npos);
+    EXPECT_EQ(rows, transfer_and_load_rows(data.metrics().csv()));
+    std::string totals;
+    for (const auto& [key, bytes] : timed.record().link_bytes)
+      totals += "cable " + std::to_string(key.first) + " d" +
+                std::to_string(key.second) + "," + format_number(bytes) +
+                "\n";
+    std::istringstream in(rows);
+    std::string rows_totals;
+    for (std::string line; std::getline(in, line);) {
+      if (line.rfind("link,", 0) != 0) continue;
+      // link,<key>,count,total,peak
+      const std::size_t key = line.find(',') + 1;
+      const std::size_t count = line.find(',', key);
+      const std::size_t total = line.find(',', count + 1);
+      const std::size_t peak = line.find(',', total + 1);
+      rows_totals += line.substr(key, count - key) + "," +
+                     line.substr(total + 1, peak - total - 1) + "\n";
+    }
+    EXPECT_EQ(rows_totals, totals);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Timeline and metrics digests.  Every run below is pinned by the FNV-1a
 // digest of its timeline_json() and of its metrics CSV (wall.* rows aside),
 // recorded while the Tracer buffered its own span list instead of rendering
 // from the ScheduleRecord.  tlog-stages was re-recorded when loads moved
 // onto their stage records: its stage window now drops stage 0's loads.
+// The metrics of ring, hier and shrunk were re-recorded when the Tracer
+// began to fold every execution of a repeat-compressed stage into its
+// link, qpi, channel and transfer.* rows.
 
 std::uint64_t fnv1a(const std::string& s) {
   std::uint64_t h = 1469598103934665603ull;
@@ -792,16 +864,16 @@ std::vector<DigestCase> digest_cases() {
   };
   return {
       {"rd", rd_reordered, 0x4a94338740d03a64ull, 0x6f6a85e903358a93ull},
-      {"ring", ring, 0xe03eed5424e89b04ull, 0x76165ebfbcf9b2b4ull},
+      {"ring", ring, 0xe03eed5424e89b04ull, 0xb5c7556ddb80b88dull},
       {"bruck", bruck, 0x42e432f088286d3bull, 0xdbf19b8a0f641b8full},
-      {"hier", hier, 0x3ff6aedfdeabcc6dull, 0x243a7a9122dfdce4ull},
+      {"hier", hier, 0x3ff6aedfdeabcc6dull, 0xf29034f3bbbc58edull},
       {"pipelined", pipelined, 0x2dcf8ce0cb0998bdull, 0x2884c302a68736caull},
       {"init-comm", init_comm, 0xae04884605331ee8ull, 0x7f268b54c17f24cdull},
       {"end-shuffle", end_shuffle, 0xbfb06eaca23c11fcull,
        0x893e73db565681a4ull},
       {"transient", transient_rd, 0x0bade046cac72a90ull,
        0x05e5713a9f400c47ull},
-      {"shrunk", shrunk_ring, 0x9234085198d5af00ull, 0xf268b73bc2170bf0ull},
+      {"shrunk", shrunk_ring, 0x9234085198d5af00ull, 0x231c2df33f460488ull},
       {"tlog-kinds", kinds, 0x7068350cee5df27cull, 0x86d5977bb6c6f995ull},
       {"tlog-stages", stages, 0xba425a4948c94591ull, 0xd3cdd6b75e35e72cull},
       {"tlog-ranks", ranks, 0x0d148ba7a58c8716ull, 0x627d243ab97bebcaull},
