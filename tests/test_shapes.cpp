@@ -278,6 +278,17 @@ TEST(Baselines, AblBbmhTraversalSmallSubtreeFirstWins) {
   }
 }
 
+TEST(Baselines, ExtCongestionRmhRelievesTheHottestCable) {
+  // The 64 KiB ring allgather over 4,096 cyclic-bunch ranks: the RMH
+  // reorder cuts the hottest cable's per-stage load at least 8x and the
+  // latency at least 4x.
+  const auto s = baseline("ext_congestion");
+  EXPECT_GE(metric(s, "cyclic.peak_link_load"),
+            8.0 * metric(s, "rmh.peak_link_load"));
+  EXPECT_GE(metric(s, "cyclic.ring_64KiB"),
+            4.0 * metric(s, "rmh.ring_64KiB"));
+}
+
 TEST(Baselines, Fig5HeuristicNeverSlowerAndBeatsScotch) {
   const auto s = baseline("fig5_app_nonhier");
   for (const auto& spec : simmpi::all_layouts()) {
