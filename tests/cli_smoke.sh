@@ -7,7 +7,9 @@
 # to completion; same-seed runs are byte-identical (cmp; --metrics CSVs once
 # their wall-clock rows are dropped); live and --from-tlog renders are
 # byte-identical; JSON artifacts parse; a .tlog stays within 25 % of the
-# equivalent Chrome-trace JSON; truncated and bit-flipped .tlog files are
+# equivalent Chrome-trace JSON; a v3 capture stores no counter or permute
+# kind, a stage window keeps exactly its stages' loads and skips blocks;
+# truncated and bit-flipped .tlog files are
 # rejected; the committed baselines pass `report compare` against
 # themselves and fail it with one gated metric 10 % worse; certify-all
 # prints the committed listing and every schedule mutation is rejected;
@@ -43,6 +45,23 @@ expect_rc() {
 # wall-clock rows are dropped.
 cmp_metrics() {
   cmp <(grep -v '^counter,wall\.' "$1") <(grep -v '^counter,wall\.' "$2")
+}
+
+# window_loads_only JSON STAGE: a timeline replayed through the one-stage
+# window STAGE:STAGE holds only that stage's spans, and load samples only
+# at the start and end of its real (not repeat-compressed) executions.
+window_loads_only() {
+  python3 - "$1" "$2" << 'EOF'
+import json, sys
+events = json.load(open(sys.argv[1]))["traceEvents"]
+stage = int(sys.argv[2])
+stages = [e for e in events if e["ph"] == "X" and e["tid"] == 1]
+ends = {t for e in stages if "repeats" not in e["args"]
+        for t in (e["ts"], e["ts"] + e["dur"])}
+loads = [e["ts"] for e in events if e["ph"] == "C"]
+sys.exit(0 if stages and loads and set(loads) <= ends and
+         all(e["args"]["stage"] == stage for e in stages) else 1)
+EOF
 }
 
 RUN=(--nodes 4 --procs 32 --layout cyclic-bunch --pattern ring --seed 3)
@@ -92,8 +111,14 @@ cmp_metrics metrics-a.csv metrics-b.csv
 "$TARR" log cat run-a.tlog --json replay.json --metrics replay.csv 2> /dev/null
 cmp live.json replay.json
 cmp live.csv replay.csv
-"$TARR" log info run-a.tlog > /dev/null
+"$TARR" log info run-a.tlog > info.txt
+grep -q ': tlog v3,' info.txt || fail "log info: $(head -n 1 info.txt)"
+! grep -qE '^(counter|permute) ' info.txt ||
+  fail "log info lists a counter or permute kind"
 "$TARR" log stats run-a.tlog --by stage > /dev/null 2>&1
+"$TARR" log cat run-a.tlog --stages 0:0 --json stage0.json 2> /dev/null
+window_loads_only stage0.json 0 ||
+  fail "run-a.tlog: a stage-0 window draws loads of other stages"
 # Reader-side filters: the ring's stage-0 transfers and copies with an
 # endpoint in ranks 0..3.
 FILTER=(--kinds transfer,copy --stages 0:0 --ranks 0:3)
@@ -106,12 +131,21 @@ python3 -m json.tool cat-a.json > /dev/null
 [ "$(cat stats-keys.txt)" = "00000000 00000001 00000002 00000003 00000031 " ] ||
   fail "filtered log stats keys: $(cat stats-keys.txt)"
 expect_rc 2 log cat run-a.tlog --kinds bogus
+expect_rc 2 log cat run-a.tlog --kinds counter
+expect_rc 2 log cat run-a.tlog --kinds permute
 # A capture of several blocks: a stage window decodes only the blocks whose
 # stage range meets it.
 "$TARR" map --nodes 64 --procs 512 --pattern recursive-doubling --quiet \
   --tlog big.tlog > /dev/null
 "$TARR" log stats big.tlog --by stage --stages 0:0 > /dev/null 2> skip.txt
 grep -q 'decoded 1/3 blocks' skip.txt
+# With every kind kept, the window still skips the block that holds only
+# later stages: no stage-less record rides in it.
+"$TARR" log cat big.tlog --stages 0:0 --json /dev/null 2> skip-all.txt
+grep -q 'decoded 2/3 blocks (1 skipped' skip-all.txt
+"$TARR" log cat big.tlog --stages 3:3 --json stage3.json 2> /dev/null
+window_loads_only stage3.json 3 ||
+  fail "big.tlog: a stage-3 window draws loads of other stages"
 "$TARR" report critical-path "${RUN[@]}" --tlog cp-a.tlog > cp-live.txt
 "$TARR" report critical-path "${RUN[@]}" --tlog cp-b.tlog > /dev/null
 cmp cp-a.tlog cp-b.tlog

@@ -571,6 +571,145 @@ TEST(Fuzz, BitFlipsAreDetectedByChecksums) {
 }
 
 // ---------------------------------------------------------------------------
+// Fuzz behind the checksums: a test-local writer rebuilds a capture around
+// the payloads it is handed, computing every checksum with tlog::fnv1a, so
+// a corrupt payload reaches the decoder's own record checks.
+
+/// Each block's payload bytes in the `.tlog` bytes `file`.
+std::vector<std::string> payloads_of(const std::string& file,
+                                     const FileInfo& info) {
+  std::uint64_t footer_len = 0;
+  for (int i = 7; i >= 0; --i)
+    footer_len = footer_len << 8 |
+                 static_cast<unsigned char>(file[file.size() - 24 + i]);
+  std::vector<std::string> out;
+  for (std::size_t b = 0; b < info.blocks.size(); ++b) {
+    const std::size_t end = b + 1 < info.blocks.size()
+                                ? info.blocks[b + 1].offset
+                                : file.size() - 24 - footer_len;
+    out.push_back(file.substr(end - info.blocks[b].payload_len,
+                              info.blocks[b].payload_len));
+  }
+  return out;
+}
+
+/// A `.tlog` with `info`'s block size, strings, per-block event counts and
+/// stage ranges, whose blocks hold `payloads`; offsets, lengths and both
+/// checksums are recomputed.
+std::string rebuild(const FileInfo& info,
+                    const std::vector<std::string>& payloads) {
+  std::string file(kFileMagic.begin(), kFileMagic.end());
+  put_varint(file, kFormatVersion);
+  put_varint(file, info.block_bytes);
+  std::string footer;
+  put_varint(footer, info.strings.size());
+  for (const std::string& str : info.strings) {
+    put_varint(footer, str.size());
+    footer += str;
+  }
+  put_varint(footer, payloads.size());
+  for (std::size_t b = 0; b < payloads.size(); ++b) {
+    const BlockInfo& e = info.blocks[b];
+    put_varint(footer, file.size());
+    put_varint(footer, payloads[b].size());
+    put_varint(footer, static_cast<std::uint64_t>(e.events));
+    for (const long long c : e.stored)
+      put_varint(footer, static_cast<std::uint64_t>(c));
+    put_svarint(footer, e.min_stage);
+    put_svarint(footer, e.max_stage);
+    put_varint(file, payloads[b].size());
+    put_varint(file, static_cast<std::uint64_t>(e.events));
+    put_varint(file, fnv1a(payloads[b].data(), payloads[b].size()));
+    file += payloads[b];
+  }
+  file += footer;
+  for (const std::uint64_t word :
+       {static_cast<std::uint64_t>(footer.size()),
+        fnv1a(footer.data(), footer.size()), kTrailerMagic})
+    for (int i = 0; i < 8; ++i) file.push_back(static_cast<char>(word >> (8 * i)));
+  return file;
+}
+
+TEST(Fuzz, PayloadMutationsBehindValidChecksumsDecodeOrThrow) {
+  // The shuffled RD capture holds stage loads and a permutation.
+  TlogOptions opts;
+  opts.block_bytes = 512;
+  const auto [live, path] = record_both(kScenarios[1], opts);
+  (void)live;
+  const std::string whole = slurp(path);
+  const FileInfo info = read_info(path);
+  const std::vector<std::string> payloads = payloads_of(whole, info);
+  ASSERT_GT(payloads.size(), 1u);
+  ASSERT_EQ(rebuild(info, payloads), whole);
+  const std::string mutated = tmp_path("fuzz_payload.tlog");
+  int decoded = 0;
+  int rejected = 0;
+  for (std::size_t b = 0; b < payloads.size(); ++b)
+    for (std::size_t pos = 0; pos < payloads[b].size();
+         pos += 1 + payloads[b].size() / 40)
+      for (const int mask : {0x01, 0x40, 0xFF}) {
+        std::vector<std::string> mut = payloads;
+        mut[b][pos] = static_cast<char>(mut[b][pos] ^ mask);
+        spit(mutated, rebuild(info, mut));
+        // Anything but a clean decode or a tarr::Error fails the test
+        // (ASan/UBSan would flag an unchecked read or an overflow).
+        try {
+          trace::ScheduleRecorder recorder;
+          replay(mutated, recorder);
+          ++decoded;
+        } catch (const Error&) {
+          ++rejected;
+        }
+      }
+  EXPECT_GT(decoded, 0);
+  EXPECT_GT(rejected, 0);
+}
+
+TEST(Fuzz, ForgedRecordsAreRejectedByTheirOwnChecks) {
+  // One stage with one load, then one local shuffle of two blocks.
+  const std::string path = tmp_path("forge_src.tlog");
+  {
+    TlogSink sink(path);
+    const trace::Load load{false, 3, 1, 64.0};
+    sink.on_stage(trace::StageEvent{.repeats = 1, .loads = {&load, 1}});
+    const std::vector<int> swap = {1, 0};
+    sink.on_time(
+        trace::TimeEvent{.what = "local-shuffle", .dst_of_block = swap});
+    sink.finish();
+  }
+  const std::string whole = slurp(path);
+  const FileInfo info = read_info(path);
+  const std::string payload = payloads_of(whole, info).at(0);
+  // Stage: tag, stage, transfers, repeats (zigzag 1), start, duration,
+  // retry_wait, load count, then qpi, id, dir and bytes.  Time: ...,
+  // permutation length 2 and its entries 1 and -1 (zigzag 2, 1).
+  ASSERT_EQ(payload.substr(0, 11), std::string("\0\0\0\2\0\0\0\1\0\6\2", 11));
+  ASSERT_EQ(payload.substr(payload.size() - 3), "\2\2\1");
+  const auto expect_rejected = [&](std::size_t at, char byte,
+                                   const std::string& message) {
+    SCOPED_TRACE(message);
+    std::string forged = payload;
+    forged[at] = byte;
+    const std::string forged_path = tmp_path("forged.tlog");
+    spit(forged_path, rebuild(info, {forged}));
+    try {
+      trace::ScheduleRecorder recorder;
+      replay(forged_path, recorder);
+      FAIL() << "forged record decoded";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_rejected(7, '\x7f', "load count exceeds remaining payload");
+  expect_rejected(8, '\4', "load qpi flag 2 is neither 0 nor 1");
+  expect_rejected(10, '\4', "load direction 2 is neither 0 nor 1");
+  expect_rejected(payload.size() - 3, '\x7f',
+                  "permutation longer than remaining payload");
+  expect_rejected(0, '\x08', "unknown event tag 8");
+}
+
+// ---------------------------------------------------------------------------
 // Bounded memory: the point of the subsystem.  The tarr::prof counting
 // allocator charges every operator-new to the enclosing ProfScope; a
 // streaming writer's allocation volume must stay O(block), while the
