@@ -9,8 +9,8 @@
 namespace tarr::analyze {
 namespace {
 
-using trace::RecordedCopy;
 using trace::Load;
+using trace::RecordedCopy;
 using trace::RecordedStage;
 using trace::RecordedTransfer;
 using trace::ScheduleRecord;

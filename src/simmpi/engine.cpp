@@ -18,7 +18,7 @@ Engine::Engine(const Communicator& comm, const CostConfig& cfg, ExecMode mode,
       sink_(obs::ambient().sink) {
   TARR_REQUIRE(block_bytes >= 1, "Engine: block_bytes must be >= 1");
   TARR_REQUIRE(buf_blocks >= 1, "Engine: buf_blocks must be >= 1");
-  // Transfer spans and load counters are derived from the cost model's
+  // Transfer spans and stage loads are derived from the cost model's
   // per-stage detail, so capture follows the sink.
   cost_.set_capture_details(sink_ != nullptr);
   if (mode_ == ExecMode::Data) {
