@@ -2,8 +2,9 @@
 // framework, refinement and allgather runs on GPC 4 (32 ranks) emits its
 // decision counters, Fig 7 wall spans and engine events through one sink.
 // The stream that sink receives, the Tracer timeline and the Tracer metrics
-// (wall seconds aside) are pinned by an FNV-1a digest recorded while the
-// sink and the profiler were two separate thread-locals.  The same runs
+// (wall seconds aside) are pinned by an FNV-1a digest first recorded while
+// the sink and the profiler were two separate thread-locals (the test says
+// which later changes re-recorded it, and why).  The same runs
 // under a profiler pin the flat profile the same way, and every decision
 // counter the sink receives must reach the profiler with the same total.
 //

@@ -248,6 +248,8 @@ TEST(Roundtrip, SmallBlocksForceFlushesAndStillRoundTrip) {
   const auto [live, path] = record_both(kScenarios[2], opts);
   const FileInfo info = read_info(path);
   EXPECT_GT(info.blocks.size(), 3u);  // 2,051 bytes in 4 blocks
+  for (std::size_t b = 0; b + 1 < info.blocks.size(); ++b)
+    EXPECT_GE(info.blocks[b].payload_len, opts.block_bytes);  // flushed full
   expect_records_identical(live, read_record(path));
 }
 

@@ -21,8 +21,8 @@
 #include "collectives/allgather.hpp"
 #include "collectives/hierarchical.hpp"
 #include "collectives/schedules.hpp"
-#include "common/serialize.hpp"
 #include "common/permutation.hpp"
+#include "common/serialize.hpp"
 #include "core/framework.hpp"
 #include "core/topoallgather.hpp"
 #include "fault/shrink.hpp"
