@@ -1,8 +1,11 @@
 // Extension bench (§VII future work): Bruck allgather with the BKMH
 // heuristic on non-power-of-two communicators, and RDMH-reordered
-// MPI_Allreduce (recursive doubling and Rabenseifner).
+// MPI_Allreduce (recursive doubling and Rabenseifner).  Its snapshot gates
+// every cell of both tables.  The Bruck run is the one paper-scale Timed
+// path that prices local copies: its final rotation issues one per rank.
 
 #include <cstdio>
+#include <string>
 
 #include "bench/fixtures.hpp"
 #include "bench/sweep.hpp"
@@ -12,9 +15,24 @@
 #include "common/permutation.hpp"
 #include "simmpi/engine.hpp"
 
+namespace {
+
+/// Metric-name spelling of a power-of-two message size: 64B, 16KiB, 1MiB.
+std::string size_key(tarr::Bytes b) {
+  if (b >= (1 << 20)) return std::to_string(b >> 20) + "MiB";
+  if (b >= (1 << 10)) return std::to_string(b >> 10) + "KiB";
+  return std::to_string(b) + "B";
+}
+
+}  // namespace
+
 int main() {
   using namespace tarr;
   using namespace tarr::bench;
+
+  SnapshotEmitter snapshot("ext_bruck_allreduce");
+  snapshot.set_meta("bruck_procs", "3000");
+  snapshot.set_meta("allreduce_procs", std::to_string(kPaperProcs));
 
   // --- Bruck + BKMH at a non-power-of-two size --------------------------
   {
@@ -44,9 +62,16 @@ int main() {
           collectives::AllgatherOptions{collectives::AllgatherAlgo::Bruck,
                                         collectives::OrderFix::None},
           rc.oldrank);
+      const double gain = improvement_percent(d, h);
       t.add_row({TextTable::bytes(msg), TextTable::num(d, 1),
-                 TextTable::num(h, 1),
-                 TextTable::num(improvement_percent(d, h), 1)});
+                 TextTable::num(h, 1), TextTable::num(gain, 1)});
+      const std::string key = "bruck_" + size_key(msg) + ".";
+      snapshot.add_metric(key + "default", d, "usec",
+                          /*higher_is_better=*/false);
+      snapshot.add_metric(key + "bkmh", h, "usec",
+                          /*higher_is_better=*/false);
+      snapshot.add_metric(key + "improvement", gain, "percent",
+                          /*higher_is_better=*/true);
     }
     std::printf("%s\n", t.render().c_str());
   }
@@ -79,10 +104,19 @@ int main() {
       simmpi::Engine rab(rc.comm, simmpi::CostConfig{},
                          simmpi::ExecMode::Timed, msg / p + 1, p);
       const Usec r = collectives::run_allreduce_rabenseifner(rab);
+      const double gain = improvement_percent(d, h);
       t.add_row({TextTable::bytes(msg), TextTable::num(d, 1),
-                 TextTable::num(h, 1),
-                 TextTable::num(improvement_percent(d, h), 1),
+                 TextTable::num(h, 1), TextTable::num(gain, 1),
                  TextTable::num(r, 1)});
+      const std::string key = "allreduce_" + size_key(msg) + ".";
+      snapshot.add_metric(key + "rd_default", d, "usec",
+                          /*higher_is_better=*/false);
+      snapshot.add_metric(key + "rd_rdmh", h, "usec",
+                          /*higher_is_better=*/false);
+      snapshot.add_metric(key + "improvement", gain, "percent",
+                          /*higher_is_better=*/true);
+      snapshot.add_metric(key + "rabenseifner_rdmh", r, "usec",
+                          /*higher_is_better=*/false);
     }
     std::printf("%s", t.render().c_str());
     std::printf(
@@ -92,5 +126,6 @@ int main() {
         "cannot help much.  The bandwidth-optimal Rabenseifner algorithm\n"
         "(reduce-scatter + allgather) is the real large-message win.\n");
   }
+  snapshot.dump();
   return 0;
 }

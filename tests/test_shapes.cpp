@@ -289,6 +289,34 @@ TEST(Baselines, ExtCongestionRmhRelievesTheHottestCable) {
             4.0 * metric(s, "rmh.ring_64KiB"));
 }
 
+TEST(Baselines, ExtBruckAllreduceBkmhGainsAndRabenseifnerWins) {
+  // Bruck allgather over 3,000 cyclic-bunch ranks: BKMH gains 30-40% at
+  // every size from 64 B to 16 KiB.  Full-vector RD allreduce over 4,096
+  // block-bunch ranks is host-link-bound, so RDMH stays within 1% of the
+  // default; Rabenseifner is at least 20x faster than RD+RDMH at 1 MiB.
+  const auto s = baseline("ext_bruck_allreduce");
+  int bruck = 0;
+  int allreduce = 0;
+  for (const auto& m : s.metrics) {
+    if (report::glob_match("bruck_*.improvement", m.name)) {
+      EXPECT_GE(m.value, 30.0) << m.name;
+      EXPECT_LE(m.value, 40.0) << m.name;
+      ++bruck;
+    }
+    if (report::glob_match("allreduce_*.rd_rdmh", m.name)) {
+      const std::string size = m.name.substr(0, m.name.find('.'));
+      EXPECT_LE(std::fabs(m.value / metric(s, size + ".rd_default") - 1.0),
+                0.01)
+          << m.name;
+      ++allreduce;
+    }
+  }
+  EXPECT_EQ(bruck, 9);      // 64 B to 16 KiB
+  EXPECT_EQ(allreduce, 4);  // 1 KiB, 16 KiB, 256 KiB, 1 MiB
+  EXPECT_GE(metric(s, "allreduce_1MiB.rd_rdmh"),
+            20.0 * metric(s, "allreduce_1MiB.rabenseifner_rdmh"));
+}
+
 TEST(Baselines, Fig5HeuristicNeverSlowerAndBeatsScotch) {
   const auto s = baseline("fig5_app_nonhier");
   for (const auto& spec : simmpi::all_layouts()) {
