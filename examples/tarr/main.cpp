@@ -145,7 +145,7 @@ const std::pair<std::string, std::string> kUsage[] = {
      "       tarr log cat FILE [--json F] [--metrics F] [filters]\n"
      "       tarr log stats FILE --by rank|stage|channel [filters]\n"
      "filters: --kinds K1,K2,...  --stages LO:HI  --ranks LO:HI\n"
-     "kinds: stage transfer copy phase wall-span time count observe\n"},
+     "kinds: stage transfer phase wall-span time count observe\n"},
 };
 
 }  // namespace

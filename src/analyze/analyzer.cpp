@@ -9,8 +9,8 @@
 namespace tarr::analyze {
 namespace {
 
+using trace::Copy;
 using trace::Load;
-using trace::RecordedCopy;
 using trace::RecordedStage;
 using trace::RecordedTransfer;
 using trace::ScheduleRecord;
@@ -66,7 +66,7 @@ bool check_structure(const ScheduleRecord& rec, const Contract& c,
     safe = false;
   };
   const int nstages = static_cast<int>(rec.stages.size());
-  for (const RecordedCopy& cp : rec.copies) {
+  for (const Copy& cp : rec.copies) {
     if (cp.src < 0 || cp.src >= c.num_ranks || cp.dst < 0 ||
         cp.dst >= c.num_ranks)
       bad(cp.stage, "copy rank out of range: rank " + std::to_string(cp.src) +
@@ -102,7 +102,7 @@ bool check_structure(const ScheduleRecord& rec, const Contract& c,
     }
     // Stage-barrier consistency: everything a stage owns is tagged with it.
     if (s.repeats == 1) {
-      for (const RecordedCopy& cp : rec.copies_of(s))
+      for (const Copy& cp : rec.copies_of(s))
         if (cp.stage != s.stage)
           bad(s.stage, "copy tagged stage " + std::to_string(cp.stage) +
                            " recorded inside stage " + std::to_string(s.stage));
@@ -185,7 +185,7 @@ void check_self_transfers(const ScheduleRecord& rec, Emitter& em) {
                   std::to_string(t.src) + " -> rank " +
                   std::to_string(t.dst));
   }
-  for (const RecordedCopy& cp : rec.copies) {
+  for (const Copy& cp : rec.copies) {
     if (cp.src != cp.dst || cp.src_off != cp.dst_off) continue;
     if (cp.combining)
       em.emit(Property::SelfTransfer, Severity::Error, cp.stage,
@@ -204,14 +204,14 @@ void check_self_transfers(const ScheduleRecord& rec, Emitter& em) {
 /// Local copies must sum to each rank's aggregated Local pricing span.
 void check_byte_conservation(const ScheduleRecord& rec, Emitter& em) {
   Bytes block_bytes = 0;
-  for (const RecordedCopy& cp : rec.copies) {
+  for (const Copy& cp : rec.copies) {
     if (cp.nblocks >= 1 && cp.bytes > 0) {
       block_bytes = cp.bytes / cp.nblocks;
       break;
     }
   }
   if (block_bytes > 0) {
-    for (const RecordedCopy& cp : rec.copies) {
+    for (const Copy& cp : rec.copies) {
       if (cp.bytes != static_cast<Bytes>(cp.nblocks) * block_bytes)
         em.emit(Property::ByteConservation, Severity::Error, cp.stage,
                 "copy rank " + std::to_string(cp.src) + " -> rank " +
@@ -228,7 +228,7 @@ void check_byte_conservation(const ScheduleRecord& rec, Emitter& em) {
     std::vector<Edge> priced;
     std::map<Rank, Bytes> local_sent;
     std::map<Rank, Bytes> local_priced;
-    for (const RecordedCopy& cp : rec.copies_of(s)) {
+    for (const Copy& cp : rec.copies_of(s)) {
       if (cp.src == cp.dst)
         local_sent[cp.src] += cp.bytes;
       else
@@ -329,7 +329,7 @@ void check_dataflow(const ScheduleRecord& rec, const Contract& c,
     // Read every source against the pre-stage state first.
     std::vector<std::vector<OriginSet>> staged;
     staged.reserve(copies.size());
-    for (const RecordedCopy& cp : copies) {
+    for (const Copy& cp : copies) {
       std::vector<OriginSet> vals;
       vals.reserve(cp.nblocks);
       for (int k = 0; k < cp.nblocks; ++k) {
@@ -346,7 +346,7 @@ void check_dataflow(const ScheduleRecord& rec, const Contract& c,
     }
     // Then land the writes, checking for order-dependent conflicts.
     for (std::size_t i = 0; i < copies.size(); ++i) {
-      const RecordedCopy& cp = copies[i];
+      const Copy& cp = copies[i];
       for (int k = 0; k < cp.nblocks; ++k) {
         const int slot = cp.dst_off + k;
         const std::size_t key =

@@ -8,7 +8,7 @@
 namespace tarr::analyze {
 namespace {
 
-using trace::RecordedCopy;
+using trace::Copy;
 using trace::RecordedStage;
 using trace::RecordedTransfer;
 using trace::ScheduleRecord;
@@ -54,7 +54,7 @@ void erase_transfer(ScheduleRecord& rec, int idx) {
 }
 
 void duplicate_copy(ScheduleRecord& rec, int idx) {
-  const RecordedCopy dup = rec.copies[idx];
+  const Copy dup = rec.copies[idx];
   rec.copies.insert(rec.copies.begin() + idx + 1, dup);
   for (RecordedStage& s : rec.stages) {
     if (s.first_copy > idx)
@@ -76,7 +76,7 @@ void duplicate_transfer(ScheduleRecord& rec, int idx) {
 }
 
 /// Global index of the priced transfer matching a remote copy, or -1.
-int matching_transfer(const ScheduleRecord& rec, const RecordedCopy& cp) {
+int matching_transfer(const ScheduleRecord& rec, const Copy& cp) {
   for (const RecordedStage& s : rec.stages) {
     if (s.stage != cp.stage) continue;
     for (int i = s.first_transfer; i < s.first_transfer + s.num_transfers;
@@ -90,7 +90,7 @@ int matching_transfer(const ScheduleRecord& rec, const RecordedCopy& cp) {
   return -1;
 }
 
-std::string edge(const RecordedCopy& cp) {
+std::string edge(const Copy& cp) {
   return "rank " + std::to_string(cp.src) + " -> rank " +
          std::to_string(cp.dst) + " (" + std::to_string(cp.bytes) +
          " bytes, stage " + std::to_string(cp.stage) + ")";
@@ -100,7 +100,7 @@ std::string drop_transfer(ScheduleRecord& rec, Rng& rng) {
   // Prefer the last stage with remote traffic: a late drop leaves no later
   // stage to mask it, so detection falls to the final-state contract.
   int last = -1;
-  for (const RecordedCopy& cp : rec.copies)
+  for (const Copy& cp : rec.copies)
     if (cp.src != cp.dst) last = std::max(last, cp.stage);
   TARR_REQUIRE(last >= 0, "drop-transfer: schedule has no remote copies");
   std::vector<int> victims;
@@ -109,7 +109,7 @@ std::string drop_transfer(ScheduleRecord& rec, Rng& rng) {
         rec.copies[i].stage == last)
       victims.push_back(i);
   const int idx = victims[rng.next_below(victims.size())];
-  const RecordedCopy cp = rec.copies[idx];
+  const Copy cp = rec.copies[idx];
   const int t = matching_transfer(rec, cp);
   TARR_REQUIRE(t >= 0, "drop-transfer: copy has no priced transfer");
   erase_copy(rec, idx);
@@ -164,7 +164,7 @@ std::string duplicate_block(ScheduleRecord& rec, Rng& rng) {
   TARR_REQUIRE(!victims.empty(),
                "duplicate-block: no remote non-combining copy");
   const int idx = victims[rng.next_below(victims.size())];
-  const RecordedCopy cp = rec.copies[idx];
+  const Copy cp = rec.copies[idx];
   const int t = matching_transfer(rec, cp);
   TARR_REQUIRE(t >= 0, "duplicate-block: copy has no priced transfer");
   duplicate_copy(rec, idx);

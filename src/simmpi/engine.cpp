@@ -25,7 +25,6 @@ Engine::Engine(const Communicator& comm, const CostConfig& cfg, ExecMode mode,
     buf_.assign(comm.size(),
                 std::vector<std::uint32_t>(buf_blocks, kEmptyTag));
   }
-  local_bytes_per_rank_scratch_.assign(comm.size(), 0.0);
   if constexpr (kSlowChecksEnabled) {
     verifier_ = std::make_unique<check::StageVerifier>(
         comm.size(), buf_blocks, comm.rank_to_core());
@@ -135,21 +134,15 @@ void Engine::enqueue(Rank src, int src_off, Rank dst, int dst_off,
   if (verifier_)
     verifier_->on_transfer(src, src_off, dst, dst_off, nblocks, combining);
 
-  const Bytes bytes = static_cast<Bytes>(nblocks) * block_bytes_;
-  if (sink_ != nullptr) {
-    // Schedule-IR view of the copy, local ones included: tarr::analyze
-    // abstract-interprets these, so they carry the block offsets that the
-    // priced TransferEvents (aggregated per rank for local copies) lose.
-    sink_->on_copy(trace::CopyEvent{stages_executed_, src, dst, src_off,
-                                    dst_off, nblocks, bytes, combining});
-  }
+  const trace::Copy c{stages_executed_, src, dst, src_off, dst_off, nblocks,
+                      static_cast<Bytes>(nblocks) * block_bytes_, combining};
   if (src == dst) {
-    local_bytes_per_rank_scratch_[src] += static_cast<double>(bytes);
+    local_copies_.push_back(c);
   } else {
     // Every retransmission attempt reloads the same links, so it is priced
     // as one more concurrent transfer of the stage (attempts == 1 when the
     // fault model is off — the exact fault-free path).
-    const int attempts = fault_cfg_ ? draw_attempts(bytes) : 1;
+    const int attempts = fault_cfg_ ? draw_attempts(c.bytes) : 1;
     if (sink_ != nullptr) {
       // Attempts are submitted consecutively, so the logical transfer's
       // detail record is the running attempt count before this submission.
@@ -157,20 +150,19 @@ void Engine::enqueue(Rank src, int src_off, Rank dst, int dst_off,
                              ? 0
                              : stage_xfers_.back().record +
                                    stage_xfers_.back().attempts;
-      stage_xfers_.push_back(TraceXfer{src, dst, bytes, attempts, record});
+      stage_xfers_.push_back(TraceXfer{c, attempts, record});
     }
     const CoreId a = comm_->core_of(src);
     const CoreId b = comm_->core_of(dst);
-    for (int k = 0; k < attempts; ++k) cost_.add_transfer(a, b, bytes);
+    for (int k = 0; k < attempts; ++k) cost_.add_transfer(a, b, c.bytes);
   }
 
   ++stage_copies_;
   if (mode_ == ExecMode::Data) {
     // Capture the pre-stage payload now; all mutations happen in end_stage.
     pending_.push_back(PendingCopy{
-        src, dst, src_off, dst_off, nblocks, combining,
-        std::vector<std::uint32_t>(buf_[src].begin() + src_off,
-                                   buf_[src].begin() + src_off + nblocks)});
+        c, std::vector<std::uint32_t>(buf_[src].begin() + src_off,
+                                      buf_[src].begin() + src_off + nblocks)});
   }
 }
 
@@ -179,22 +171,34 @@ Usec Engine::end_stage() {
   if (verifier_) verifier_->on_end_stage();
   const Usec stage_start = total_;
   Usec stage = cost_.finish_stage();
-  for (Rank r = 0; r < comm_->size(); ++r) {
-    if (local_bytes_per_rank_scratch_[r] > 0.0) {
-      const Bytes bytes =
-          static_cast<Bytes>(local_bytes_per_rank_scratch_[r]);
-      const Usec cost = cost_.local_copy_cost(bytes);
-      stage = std::max(stage, cost);
-      if (sink_ != nullptr) {
-        // Local copies are aggregated per rank by the cost model, so the
-        // trace shows one Local span per copying rank and stage.
-        sink_->on_transfer(trace::TransferEvent{
-            stages_executed_, r, r, comm_->core_of(r), comm_->core_of(r),
-            bytes, trace::Channel::Local, 1.0, 1, stage_start, cost, cost});
-      }
-      local_bytes_per_rank_scratch_[r] = 0.0;
+  // Local copies are priced per rank: one local memory copy of the bytes
+  // the rank's copies move, summed in submission order.  Group them by
+  // rank, keeping each rank's order; schedules submit them in ascending
+  // rank, so the sort rarely runs.
+  const auto by_rank = [](const trace::Copy& x, const trace::Copy& y) {
+    return x.src < y.src;
+  };
+  if (!std::is_sorted(local_copies_.begin(), local_copies_.end(), by_rank))
+    std::stable_sort(local_copies_.begin(), local_copies_.end(), by_rank);
+  for (auto first = local_copies_.begin(); first != local_copies_.end();) {
+    const Rank r = first->src;
+    auto last = first;
+    Usec sum = 0.0;
+    for (; last != local_copies_.end() && last->src == r; ++last)
+      sum += static_cast<double>(last->bytes);
+    const Bytes bytes = static_cast<Bytes>(sum);
+    const Usec cost = cost_.local_copy_cost(bytes);
+    stage = std::max(stage, cost);
+    if (sink_ != nullptr) {
+      // One Local span per copying rank and stage, carrying its copies.
+      const CoreId core = comm_->core_of(r);
+      sink_->on_transfer(trace::TransferEvent{
+          stages_executed_, r, r, core, core, bytes, trace::Channel::Local,
+          1.0, 1, stage_start, cost, cost, {first, last}});
     }
+    first = last;
   }
+  local_copies_.clear();
   const Usec retry_wait = stage_retry_wait_;
   if (stage_retry_wait_ > 0.0) {
     // The worst retry chain of the stage serializes its drop-detection
@@ -204,12 +208,13 @@ Usec Engine::end_stage() {
   }
   if (mode_ == ExecMode::Data) {
     for (const PendingCopy& pc : pending_) {
-      if (pc.combining) {
-        for (int k = 0; k < pc.nblocks; ++k)
-          buf_[pc.dst][pc.dst_off + k] ^= pc.payload[k];
+      const trace::Copy& c = pc.copy;
+      if (c.combining) {
+        for (int k = 0; k < c.nblocks; ++k)
+          buf_[c.dst][c.dst_off + k] ^= pc.payload[k];
       } else {
         std::copy(pc.payload.begin(), pc.payload.end(),
-                  buf_[pc.dst].begin() + pc.dst_off);
+                  buf_[c.dst].begin() + c.dst_off);
       }
     }
   }
@@ -239,9 +244,10 @@ void Engine::emit_stage_trace(Usec stage_start, Usec stage_cost,
   for (const TraceXfer& x : stage_xfers_) {
     const CostModel::TransferRecord& rec = d.transfers[x.record];
     sink_->on_transfer(trace::TransferEvent{
-        stages_executed_, x.src, x.dst, comm_->core_of(x.src),
-        comm_->core_of(x.dst), x.bytes, rec.channel, rec.contention,
-        x.attempts, stage_start, rec.cost, rec.uncontended});
+        stages_executed_, x.copy.src, x.copy.dst, comm_->core_of(x.copy.src),
+        comm_->core_of(x.copy.dst), x.copy.bytes, rec.channel,
+        rec.contention, x.attempts, stage_start, rec.cost, rec.uncontended,
+        {&x.copy, 1}});
   }
   stage_xfers_.clear();
   // The stage event carries the stage's directed cable and QPI loads.

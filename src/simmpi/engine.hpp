@@ -146,11 +146,10 @@ class Engine {
   };
 
  private:
-  /// A copy of the open stage, applied at end_stage (Data mode only).
+  /// A copy of the open stage and the payload it read, applied at
+  /// end_stage (Data mode only).
   struct PendingCopy {
-    Rank src, dst;
-    int src_off, dst_off, nblocks;
-    bool combining;
+    trace::Copy copy;
     std::vector<std::uint32_t> payload;  // captured at copy() time
   };
 
@@ -161,8 +160,7 @@ class Engine {
   /// layer: `record` indexes the transfer's *first* attempt in the cost
   /// model's StageDetail (attempts are submitted consecutively).
   struct TraceXfer {
-    Rank src, dst;
-    Bytes bytes;
+    trace::Copy copy;
     int attempts;
     int record;
   };
@@ -181,7 +179,9 @@ class Engine {
   std::vector<std::vector<std::uint32_t>> buf_;  // Data mode only
   std::vector<PendingCopy> pending_;  // Data mode only
   int stage_copies_ = 0;              // copies of the open stage, both modes
-  std::vector<Usec> local_bytes_per_rank_scratch_;
+  // The open stage's local copies in submission order, both modes; the
+  // capacity is reused across stages.
+  std::vector<trace::Copy> local_copies_;
   bool stage_open_ = false;
   // Transient-fault injection (simmpi/transient.hpp); disengaged unless a
   // config with non-zero probabilities was armed.

@@ -10,8 +10,6 @@ const char* to_string(EventKind k) {
       return "stage";
     case EventKind::Transfer:
       return "transfer";
-    case EventKind::Copy:
-      return "copy";
     case EventKind::Phase:
       return "phase";
     case EventKind::WallSpan:

@@ -49,24 +49,24 @@ inline constexpr std::array<unsigned char, 8> kFileMagic = {
 inline constexpr std::uint64_t kTrailerMagic = 0x0A58444947'4F4C54ULL;
 
 /// Format version this build writes and the only one it reads.
-inline constexpr int kFormatVersion = 3;
+inline constexpr int kFormatVersion = 4;
 
-/// Every record type the format stores — the six TraceSink event kinds
+/// Every record type the format stores — the five TraceSink event kinds
 /// plus the two named-metric emissions (add_count / observe), so a `.tlog`
 /// is a lossless capture of everything a TraceSink can hear.  A stage
-/// record carries the stage's loads and a time record its permutation.
+/// record carries the stage's loads, a transfer record its copies and a
+/// time record its permutation.
 enum class EventKind : int {
   Stage = 0,
   Transfer = 1,
-  Copy = 2,
-  Phase = 3,
-  WallSpan = 4,
-  Time = 5,
-  Count = 6,
-  Observe = 7,
+  Phase = 2,
+  WallSpan = 3,
+  Time = 4,
+  Count = 5,
+  Observe = 6,
 };
 
-inline constexpr int kNumEventKinds = 8;
+inline constexpr int kNumEventKinds = 7;
 
 const char* to_string(EventKind k);
 
@@ -75,18 +75,18 @@ const char* to_string(EventKind k);
 bool parse_event_kind(const std::string& name, EventKind& out);
 
 /// Reader-side event predicate (ReplayOptions): which kinds to keep, and
-/// for stage-tagged kinds (stage/transfer/copy; a stage's loads go with
-/// it) and rank-tagged kinds (transfer/copy) which stage/rank windows.  The
-/// default passes everything.  Filtering is deterministic — a pure function
-/// of the event.
+/// for stage-tagged kinds (stage/transfer; a stage's loads and a
+/// transfer's copies go with it) and the rank-tagged kind (transfer) which
+/// stage/rank windows.  The default passes everything.  Filtering is
+/// deterministic — a pure function of the event.
 struct EventFilter {
   /// Bit `1 << kind` keeps that kind.
   unsigned kinds = (1u << kNumEventKinds) - 1;
-  /// Inclusive stage window, applied to stage/transfer/copy events only.
+  /// Inclusive stage window, applied to stage/transfer events only.
   int min_stage = 0;
   int max_stage = std::numeric_limits<int>::max();
-  /// Inclusive rank window, applied to transfer/copy events; an event
-  /// passes when either endpoint falls inside the window.
+  /// Inclusive rank window, applied to transfer events; an event passes
+  /// when either endpoint falls inside the window.
   Rank min_rank = 0;
   Rank max_rank = std::numeric_limits<Rank>::max();
 
@@ -158,10 +158,10 @@ class FieldContext {
   double apply_bits_xor(int slot, std::uint64_t x);
 
  private:
-  /// Largest per-kind field counts: Transfer has 8 integer fields and 4
-  /// double fields; Copy has 8 integer fields; Stage has 6 integer and 4
+  /// Largest per-kind field counts: Transfer has 13 integer fields, its
+  /// copies' included, and 4 double fields; Stage has 6 integer and 4
   /// double fields, its loads' included.
-  std::array<std::int64_t, 8> ints_{};
+  std::array<std::int64_t, 13> ints_{};
   std::array<std::uint64_t, 4> bits_{};
 };
 

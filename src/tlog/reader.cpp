@@ -170,9 +170,8 @@ bool skip_block(const BlockInfo& b, const EventFilter& f) {
     if (b.stored[static_cast<std::size_t>(k)] == 0) continue;
     const auto kind = static_cast<EventKind>(k);
     if (!f.pass_kind(kind)) continue;
-    const bool stage_tagged = kind == EventKind::Stage ||
-                              kind == EventKind::Transfer ||
-                              kind == EventKind::Copy;
+    const bool stage_tagged =
+        kind == EventKind::Stage || kind == EventKind::Transfer;
     if (stage_tagged && b.has_stage() &&
         (b.min_stage > f.max_stage || b.max_stage < f.min_stage))
       continue;  // every stage-tagged event sits outside the window
@@ -270,25 +269,30 @@ class BlockDecoder {
         e.start = c.apply_bits_xor(1, cur_.varint());
         e.duration = c.apply_bits_xor(2, cur_.varint());
         e.uncontended = c.apply_bits_xor(3, cur_.varint());
+        const long long n = cur_.count();
+        if (static_cast<std::uint64_t>(n) > cur_.remaining())
+          throw Error("tlog: copy count exceeds remaining payload");
+        copies_.clear();
+        for (long long i = 0; i < n; ++i) {
+          trace::Copy cp;
+          cp.stage = e.stage;
+          cp.src = e.src_rank;
+          cp.dst = e.dst_rank;
+          cp.src_off = static_cast<int>(c.apply_int_delta(8, cur_.svarint()));
+          cp.dst_off = static_cast<int>(c.apply_int_delta(9, cur_.svarint()));
+          cp.nblocks = static_cast<int>(c.apply_int_delta(10, cur_.svarint()));
+          cp.bytes = c.apply_int_delta(11, cur_.svarint());
+          const std::int64_t combining = c.apply_int_delta(12, cur_.svarint());
+          if (combining != 0 && combining != 1)
+            throw Error("tlog: copy combine flag " +
+                        std::to_string(combining) + " is neither 0 nor 1");
+          cp.combining = combining == 1;
+          copies_.push_back(cp);
+        }
+        e.copies = copies_;
         if (want && f.pass_stage(e.stage) &&
             f.pass_rank(e.src_rank, e.dst_rank)) {
           sink.on_transfer(e);
-          return true;
-        }
-        break;
-      }
-      case EventKind::Copy: {
-        trace::CopyEvent e;
-        e.stage = static_cast<int>(c.apply_int_delta(0, cur_.svarint()));
-        e.src = static_cast<Rank>(c.apply_int_delta(1, cur_.svarint()));
-        e.dst = static_cast<Rank>(c.apply_int_delta(2, cur_.svarint()));
-        e.src_off = static_cast<int>(c.apply_int_delta(3, cur_.svarint()));
-        e.dst_off = static_cast<int>(c.apply_int_delta(4, cur_.svarint()));
-        e.nblocks = static_cast<int>(c.apply_int_delta(5, cur_.svarint()));
-        e.bytes = c.apply_int_delta(6, cur_.svarint());
-        e.combining = c.apply_int_delta(7, cur_.svarint()) != 0;
-        if (want && f.pass_stage(e.stage) && f.pass_rank(e.src, e.dst)) {
-          sink.on_copy(e);
           return true;
         }
         break;
@@ -374,6 +378,7 @@ class BlockDecoder {
   std::array<FieldContext, kNumEventKinds> ctx_{};
   /// Storage behind the spans of the event being delivered.
   std::vector<trace::Load> loads_;
+  std::vector<trace::Copy> copies_;
   std::vector<int> perm_;
 };
 

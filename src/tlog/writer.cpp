@@ -177,6 +177,11 @@ void TlogSink::on_stage(const trace::StageEvent& e) {
 }
 
 void TlogSink::on_transfer(const trace::TransferEvent& e) {
+  // A copy's stage and endpoints are stored once, on its transfer.
+  for (const trace::Copy& cp : e.copies)
+    if (cp.stage != e.stage || cp.src != e.src_rank || cp.dst != e.dst_rank)
+      throw Error("tlog: a copy's stage or endpoints differ from its "
+                  "transfer's");
   if (!admit(EventKind::Transfer)) return;
   auto& c = ctx_[static_cast<std::size_t>(EventKind::Transfer)];
   std::string& out = begin_record(EventKind::Transfer, e.stage);
@@ -192,21 +197,14 @@ void TlogSink::on_transfer(const trace::TransferEvent& e) {
   c.put_double(out, 1, e.start);
   c.put_double(out, 2, e.duration);
   c.put_double(out, 3, e.uncontended);
-  maybe_flush();
-}
-
-void TlogSink::on_copy(const trace::CopyEvent& e) {
-  if (!admit(EventKind::Copy)) return;
-  auto& c = ctx_[static_cast<std::size_t>(EventKind::Copy)];
-  std::string& out = begin_record(EventKind::Copy, e.stage);
-  c.put_int(out, 0, e.stage);
-  c.put_int(out, 1, e.src);
-  c.put_int(out, 2, e.dst);
-  c.put_int(out, 3, e.src_off);
-  c.put_int(out, 4, e.dst_off);
-  c.put_int(out, 5, e.nblocks);
-  c.put_int(out, 6, e.bytes);
-  c.put_int(out, 7, e.combining ? 1 : 0);
+  put_varint(out, e.copies.size());
+  for (const trace::Copy& cp : e.copies) {
+    c.put_int(out, 8, cp.src_off);
+    c.put_int(out, 9, cp.dst_off);
+    c.put_int(out, 10, cp.nblocks);
+    c.put_int(out, 11, cp.bytes);
+    c.put_int(out, 12, cp.combining ? 1 : 0);
+  }
   maybe_flush();
 }
 

@@ -72,7 +72,6 @@ class TlogSink final : public trace::TraceSink {
 
   void on_stage(const trace::StageEvent& e) override;
   void on_transfer(const trace::TransferEvent& e) override;
-  void on_copy(const trace::CopyEvent& e) override;
   void on_phase(const trace::PhaseEvent& e) override;
   void on_wall_span(const trace::WallSpan& s) override;
   void on_time(const trace::TimeEvent& e) override;

@@ -18,12 +18,8 @@ void ScheduleRecorder::on_transfer(const TransferEvent& e) {
                                       e.src_core, e.dst_core, e.bytes,
                                       e.channel, e.contention, e.attempts,
                                       e.duration, e.uncontended, e.start});
-}
-
-void ScheduleRecorder::on_copy(const CopyEvent& e) {
-  pending_copies_.push_back(RecordedCopy{e.stage, e.src, e.dst, e.src_off,
-                                         e.dst_off, e.nblocks, e.bytes,
-                                         e.combining});
+  pending_copies_.insert(pending_copies_.end(), e.copies.begin(),
+                         e.copies.end());
 }
 
 void ScheduleRecorder::on_stage(const StageEvent& e) {

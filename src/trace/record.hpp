@@ -39,21 +39,6 @@ struct RecordedTransfer {
   bool operator==(const RecordedTransfer&) const = default;
 };
 
-/// One block-granular copy of a recorded stage, exactly as submitted to
-/// Engine::copy/combine (the trace::CopyEvent view).  This is the
-/// dataflow-faithful IR tarr::analyze interprets: unlike RecordedTransfer,
-/// local copies appear individually and block offsets are preserved.
-struct RecordedCopy {
-  int stage = 0;
-  Rank src = 0, dst = 0;
-  int src_off = 0, dst_off = 0;
-  int nblocks = 0;
-  Bytes bytes = 0;
-  bool combining = false;
-
-  bool operator==(const RecordedCopy&) const = default;
-};
-
 /// One stage event — either a real stage (repeats == 1) or a
 /// repeat-compressed block (repeats > 1) referencing the transfers of the
 /// stage it repeats.
@@ -104,7 +89,14 @@ struct ScheduleRecord {
   };
 
   std::vector<RecordedTransfer> transfers;
-  std::vector<RecordedCopy> copies;
+  /// Every copy of every real stage, grouped by the transfer that moved
+  /// it, in transfer order (TransferEvent::copies): a stage's Local
+  /// transfers in ascending rank, then its remote ones in submission order.
+  /// No schedule of collectives/schedules.hpp mixes local and remote copies
+  /// in a stage, and each submits its local copies in ascending rank, so
+  /// for them this is submission order.  A stage that mixes them records
+  /// its copies grouped by transfer.
+  std::vector<Copy> copies;
   /// The loads of every real stage, in stage order (StageEvent::loads).
   std::vector<Load> loads;
   std::vector<RecordedStage> stages;
@@ -130,7 +122,7 @@ struct ScheduleRecord {
     return {transfers.data() + s.first_transfer,
             static_cast<std::size_t>(s.num_transfers)};
   }
-  std::span<const RecordedCopy> copies_of(const RecordedStage& s) const {
+  std::span<const Copy> copies_of(const RecordedStage& s) const {
     return {copies.data() + s.first_copy,
             static_cast<std::size_t>(s.num_copies)};
   }
@@ -152,7 +144,6 @@ class ScheduleRecorder final : public TraceSink {
  public:
   void on_stage(const StageEvent& e) override;
   void on_transfer(const TransferEvent& e) override;
-  void on_copy(const CopyEvent& e) override;
   void on_phase(const PhaseEvent& e) override;
   void on_time(const TimeEvent& e) override;
 
@@ -166,10 +157,10 @@ class ScheduleRecorder final : public TraceSink {
 
  private:
   ScheduleRecord record_;
-  /// Transfers/copies of the stage currently being emitted (they arrive
-  /// before their StageEvent).
+  /// Transfers of the stage currently being emitted, and their copies
+  /// (they arrive before their StageEvent).
   std::vector<RecordedTransfer> pending_;
-  std::vector<RecordedCopy> pending_copies_;
+  std::vector<Copy> pending_copies_;
   /// Engine stage index -> index into record_.stages of its repeats == 1
   /// entry (so repeat-compressed events can share the transfer slice).
   std::map<int, int> stage_entry_;

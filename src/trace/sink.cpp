@@ -31,10 +31,6 @@ void TeeSink::on_transfer(const TransferEvent& e) {
   for (TraceSink* leg : legs_) leg->on_transfer(e);
 }
 
-void TeeSink::on_copy(const CopyEvent& e) {
-  for (TraceSink* leg : legs_) leg->on_copy(e);
-}
-
 void TeeSink::on_phase(const PhaseEvent& e) {
   for (TraceSink* leg : legs_) leg->on_phase(e);
 }

@@ -72,7 +72,25 @@ struct StageEvent {
   std::span<const Load> loads;
 };
 
-/// One logical transfer of a stage (retransmission attempts folded in).
+/// One block-granular copy exactly as submitted to Engine::copy/combine —
+/// the schedule-IR view of a stage: source and destination block offsets,
+/// block count, and whether the write reduces into the destination
+/// (combine) or overwrites it (copy).  tarr::analyze's static dataflow pass
+/// interprets these, in events and in the ScheduleRecord alike.
+struct Copy {
+  int stage = 0;       ///< 0-based engine stage index
+  Rank src = 0, dst = 0;
+  int src_off = 0;     ///< first block read in src's buffer
+  int dst_off = 0;     ///< first block written in dst's buffer
+  int nblocks = 0;     ///< contiguous blocks moved
+  Bytes bytes = 0;     ///< nblocks * block size
+  bool combining = false;  ///< true for Engine::combine (reduction write)
+
+  bool operator==(const Copy&) const = default;
+};
+
+/// One priced transfer of a stage (retransmission attempts folded in),
+/// with the block copies it moved.
 struct TransferEvent {
   int stage = 0;
   Rank src_rank = 0;
@@ -91,6 +109,12 @@ struct TransferEvent {
   /// (including retransmission reloads) inflicted — the quantity
   /// tarr::report splits into serialization vs. contention.
   Usec uncontended = 0.0;
+  /// The copies this transfer moved, each with the transfer's stage and
+  /// endpoints.  A remote transfer moves its one copy (its retransmission
+  /// attempts resend it).  Local copies are priced per rank, so a Local
+  /// transfer moves every copy its rank made in the stage, in submission
+  /// order.  Valid for the duration of the call.
+  std::span<const Copy> copies = {};
 };
 
 /// A simulated-time span grouping stages: collective phases (intra gather,
@@ -108,26 +132,6 @@ struct PhaseEvent {
 struct WallSpan {
   std::string name;       ///< e.g. "distance-extraction", "map:RDMH"
   double seconds = 0.0;   ///< measured wall-clock duration
-};
-
-/// One engine-level copy exactly as submitted to Engine::copy/combine —
-/// the schedule-IR view of a stage, at block granularity.  Where a
-/// TransferEvent describes *pricing* (local copies aggregated per rank,
-/// channel/contention attached), a CopyEvent describes *dataflow*: source
-/// and destination block offsets, block count, and whether the write
-/// reduces into the destination (combine) or overwrites it (copy).  Local
-/// copies are emitted individually here even though pricing folds them
-/// into one per-rank TransferEvent.  tarr::analyze's static dataflow pass
-/// is built on this event.
-struct CopyEvent {
-  int stage = 0;       ///< 0-based engine stage index
-  Rank src = 0;
-  Rank dst = 0;
-  int src_off = 0;     ///< first block read in src's buffer
-  int dst_off = 0;     ///< first block written in dst's buffer
-  int nblocks = 0;     ///< contiguous blocks moved
-  Bytes bytes = 0;     ///< nblocks * block size
-  bool combining = false;  ///< true for Engine::combine (reduction write)
 };
 
 /// Simulated time the engine adds *outside* any stage: the §V-B local
@@ -156,7 +160,6 @@ class TraceSink {
 
   virtual void on_stage(const StageEvent&) {}
   virtual void on_transfer(const TransferEvent&) {}
-  virtual void on_copy(const CopyEvent&) {}
   virtual void on_phase(const PhaseEvent&) {}
   virtual void on_wall_span(const WallSpan&) {}
   virtual void on_time(const TimeEvent&) {}
@@ -191,7 +194,6 @@ class TeeSink final : public TraceSink {
 
   void on_stage(const StageEvent& e) override;
   void on_transfer(const TransferEvent& e) override;
-  void on_copy(const CopyEvent& e) override;
   void on_phase(const PhaseEvent& e) override;
   void on_wall_span(const WallSpan& s) override;
   void on_time(const TimeEvent& e) override;

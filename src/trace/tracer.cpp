@@ -94,8 +94,6 @@ void Tracer::on_transfer(const TransferEvent& e) {
     metrics_.add_count("fault.retransmissions", e.attempts - 1);
 }
 
-void Tracer::on_copy(const CopyEvent& e) { recorder_.on_copy(e); }
-
 void Tracer::on_phase(const PhaseEvent& e) {
   recorder_.on_phase(e);
   metrics_.add_count("phase." + e.name, 1.0);

@@ -7,8 +7,8 @@
 # to completion; same-seed runs are byte-identical (cmp; --metrics CSVs once
 # their wall-clock rows are dropped); live and --from-tlog renders are
 # byte-identical; JSON artifacts parse; a .tlog stays within 25 % of the
-# equivalent Chrome-trace JSON; a v3 capture stores no counter or permute
-# kind, a stage window keeps exactly its stages' loads and skips blocks;
+# equivalent Chrome-trace JSON; a v4 capture stores no counter, permute or
+# copy kind, a stage window keeps exactly its stages' loads and skips blocks;
 # truncated and bit-flipped .tlog files are
 # rejected; the committed baselines pass `report compare` against
 # themselves and fail it with one gated metric 10 % worse; certify-all
@@ -112,16 +112,16 @@ cmp_metrics metrics-a.csv metrics-b.csv
 cmp live.json replay.json
 cmp live.csv replay.csv
 "$TARR" log info run-a.tlog > info.txt
-grep -q ': tlog v3,' info.txt || fail "log info: $(head -n 1 info.txt)"
-! grep -qE '^(counter|permute) ' info.txt ||
-  fail "log info lists a counter or permute kind"
+grep -q ': tlog v4,' info.txt || fail "log info: $(head -n 1 info.txt)"
+! grep -qE '^(counter|permute|copy) ' info.txt ||
+  fail "log info lists a counter, permute or copy kind"
 "$TARR" log stats run-a.tlog --by stage > /dev/null 2>&1
 "$TARR" log cat run-a.tlog --stages 0:0 --json stage0.json 2> /dev/null
 window_loads_only stage0.json 0 ||
   fail "run-a.tlog: a stage-0 window draws loads of other stages"
-# Reader-side filters: the ring's stage-0 transfers and copies with an
-# endpoint in ranks 0..3.
-FILTER=(--kinds transfer,copy --stages 0:0 --ranks 0:3)
+# Reader-side filters: the ring's stage-0 transfers, which carry their
+# copies, with an endpoint in ranks 0..3.
+FILTER=(--kinds transfer --stages 0:0 --ranks 0:3)
 "$TARR" log cat run-a.tlog "${FILTER[@]}" --json cat-a.json 2> /dev/null
 "$TARR" log cat run-a.tlog "${FILTER[@]}" --json cat-b.json 2> /dev/null
 cmp cat-a.json cat-b.json
@@ -133,6 +133,7 @@ python3 -m json.tool cat-a.json > /dev/null
 expect_rc 2 log cat run-a.tlog --kinds bogus
 expect_rc 2 log cat run-a.tlog --kinds counter
 expect_rc 2 log cat run-a.tlog --kinds permute
+expect_rc 2 log cat run-a.tlog --kinds copy
 # A capture of several blocks: a stage window decodes only the blocks whose
 # stage range meets it.
 "$TARR" map --nodes 64 --procs 512 --pattern recursive-doubling --quiet \

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "analyze/analyzer.hpp"
 #include "common/error.hpp"
+#include "prof/obs.hpp"
 #include "simmpi/layout.hpp"
+#include "trace/record.hpp"
 
 namespace tarr::simmpi {
 namespace {
@@ -128,6 +134,95 @@ TEST(Engine, RepeatOnlyInTimedMode) {
   e.copy(0, 0, 1, 0, 1);
   e.end_stage();
   EXPECT_THROW(e.repeat_last_stage(1), Error);
+}
+
+/// Each transfer event with the copies it carried.
+class TransferCopies final : public trace::TraceSink {
+ public:
+  struct Entry {
+    trace::TransferEvent transfer;
+    std::vector<trace::Copy> copies;
+  };
+  void on_transfer(const trace::TransferEvent& e) override {
+    entries.push_back({e, {e.copies.begin(), e.copies.end()}});
+    entries.back().transfer.copies = {};
+  }
+  std::vector<Entry> entries;
+};
+
+TEST(Engine, LocalCopiesAreGroupedByRankInSubmissionOrder) {
+  // Local copies for ranks 2, 0 and 2 beside one remote copy: no table
+  // schedule submits local copies out of rank order or mixes them with
+  // remote ones in a stage.
+  const Machine m = Machine::gpc(1);
+  const Communicator c(m, make_layout(m, 4, LayoutSpec{}));
+  const trace::Copy first{0, 2, 2, 0, 4, 2, 128, false};
+  const trace::Copy second{0, 0, 0, 1, 5, 1, 64, false};
+  const trace::Copy third{0, 2, 2, 2, 6, 1, 64, true};
+  const trace::Copy remote{0, 1, 3, 0, 7, 1, 64, false};
+  TransferCopies events;
+  trace::ScheduleRecorder recorder;
+  trace::TeeSink tee({&events, &recorder});
+  Usec cost = 0.0;
+  {
+    obs::Install traced(&tee);
+    Engine e = make_engine(c, ExecMode::Data);
+    e.begin_stage();
+    for (const trace::Copy& cp : {first, second, third, remote}) {
+      if (cp.combining)
+        e.combine(cp.src, cp.src_off, cp.dst, cp.dst_off, cp.nblocks);
+      else
+        e.copy(cp.src, cp.src_off, cp.dst, cp.dst_off, cp.nblocks);
+    }
+    cost = e.end_stage();
+  }
+
+  ASSERT_EQ(events.entries.size(), 3u);
+  const auto& r0 = events.entries[0];
+  EXPECT_EQ(r0.transfer.channel, trace::Channel::Local);
+  EXPECT_EQ(r0.transfer.src_rank, 0);
+  EXPECT_EQ(r0.transfer.bytes, 64);
+  EXPECT_EQ(r0.copies, std::vector<trace::Copy>({second}));
+  const auto& r2 = events.entries[1];
+  EXPECT_EQ(r2.transfer.channel, trace::Channel::Local);
+  EXPECT_EQ(r2.transfer.src_rank, 2);
+  EXPECT_EQ(r2.transfer.bytes, 192);
+  EXPECT_EQ(r2.copies, std::vector<trace::Copy>({first, third}));
+  const auto& net = events.entries[2];
+  EXPECT_NE(net.transfer.channel, trace::Channel::Local);
+  EXPECT_EQ(net.transfer.src_rank, 1);
+  EXPECT_EQ(net.transfer.dst_rank, 3);
+  EXPECT_EQ(net.copies, std::vector<trace::Copy>({remote}));
+
+  // The stage cost the engine priced before it kept its local copies in a
+  // list: a sweep over every rank's byte total.
+  CostModel model(m, CostConfig{});
+  model.begin_stage();
+  model.add_transfer(c.core_of(1), c.core_of(3), 64);
+  Usec expected = model.finish_stage();
+  std::vector<Usec> local_bytes(4, 0.0);
+  for (const trace::Copy& cp : {first, second, third})
+    local_bytes[cp.src] += static_cast<double>(cp.bytes);
+  for (Rank r = 0; r < 4; ++r)
+    if (local_bytes[r] > 0.0)
+      expected = std::max(
+          expected, model.local_copy_cost(static_cast<Bytes>(local_bytes[r])));
+  EXPECT_EQ(cost, expected);
+
+  // The record lists the copies grouped by transfer, and its local bytes
+  // still sum to each rank's priced Local transfer.
+  const trace::ScheduleRecord rec = recorder.take();
+  EXPECT_EQ(rec.copies,
+            std::vector<trace::Copy>({second, first, third, remote}));
+  analyze::Contract contract;
+  contract.name = "grouping";
+  contract.num_ranks = 4;
+  contract.buf_blocks = 8;
+  contract.num_origins = 1;
+  contract.expected.assign(4 * 8, -1);
+  const analyze::Certificate cert = analyze::analyze(rec, m, contract);
+  EXPECT_FALSE(cert.has(analyze::Property::ByteConservation))
+      << cert.format();
 }
 
 TEST(Engine, LocalPermuteAllMovesEveryBuffer) {

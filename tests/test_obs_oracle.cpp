@@ -70,13 +70,21 @@ bool sink_only_before(const std::string& counter) {
 }
 
 /// Every event a sink receives, in arrival order; wall spans by name only.
-/// A stage's loads print as the counter lines the engine once sent ahead of
-/// the stage, each load at the stage start, then each back to zero at its
-/// end; a time event's permutation prints as the permute line once sent
-/// ahead of it.
+/// A stage prints as the engine once sent it: the copy lines of its
+/// transfers (each copy was its own event, sent as the schedule submitted
+/// it), then its transfer lines, then its loads as the counter lines once
+/// sent ahead of the stage, each load at the stage start, then each back to
+/// zero at its end, then the stage line.  A time event's permutation prints
+/// as the permute line once sent ahead of it.
 class StreamRecorder final : public trace::TraceSink {
  public:
   void on_stage(const trace::StageEvent& e) override {
+    for (const trace::Copy& c : stage_copies_)
+      line("copy", c.stage, c.src, c.dst, c.src_off, c.dst_off, c.nblocks,
+           c.bytes, c.combining);
+    stream += stage_transfers_;
+    stage_copies_.clear();
+    stage_transfers_.clear();
     for (const trace::Load& l : e.loads) counter(l, e.start, l.bytes);
     for (const trace::Load& l : e.loads)
       counter(l, e.start + e.duration, 0.0);
@@ -84,13 +92,13 @@ class StreamRecorder final : public trace::TraceSink {
          e.retry_wait);
   }
   void on_transfer(const trace::TransferEvent& e) override {
-    line(std::string("transfer ") + trace::to_string(e.channel), e.stage,
-         e.src_rank, e.dst_rank, e.src_core, e.dst_core, e.bytes,
-         e.contention, e.attempts, e.start, e.duration, e.uncontended);
-  }
-  void on_copy(const trace::CopyEvent& e) override {
-    line("copy", e.stage, e.src, e.dst, e.src_off, e.dst_off, e.nblocks,
-         e.bytes, e.combining);
+    stage_copies_.insert(stage_copies_.end(), e.copies.begin(),
+                         e.copies.end());
+    append_line(stage_transfers_,
+                std::string("transfer ") + trace::to_string(e.channel),
+                e.stage, e.src_rank, e.dst_rank, e.src_core, e.dst_core,
+                e.bytes, e.contention, e.attempts, e.start, e.duration,
+                e.uncontended);
   }
   void on_phase(const trace::PhaseEvent& e) override {
     line("phase " + e.name, e.start, e.duration);
@@ -127,11 +135,20 @@ class StreamRecorder final : public trace::TraceSink {
 
   template <class... Fields>
   void line(const std::string& head, Fields... fields) {
-    stream += head;
-    ((stream += ' ', stream += format_number(static_cast<double>(fields))),
-     ...);
-    stream += '\n';
+    append_line(stream, head, fields...);
   }
+
+  template <class... Fields>
+  static void append_line(std::string& out, const std::string& head,
+                          Fields... fields) {
+    out += head;
+    ((out += ' ', out += format_number(static_cast<double>(fields))), ...);
+    out += '\n';
+  }
+
+  /// The open stage's copies and transfer lines.
+  std::vector<trace::Copy> stage_copies_;
+  std::string stage_transfers_;
 };
 
 /// The lines of `stream` of the kinds the first digest was recorded over:

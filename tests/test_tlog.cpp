@@ -18,12 +18,14 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "collectives/allgather.hpp"
 #include "collectives/hierarchical.hpp"
+#include "collectives/schedules.hpp"
 #include "common/permutation.hpp"
 #include "prof/obs.hpp"
 #include "prof/prof.hpp"
@@ -240,6 +242,36 @@ TEST(Roundtrip, RebuildsScheduleRecordByteIdentically) {
   }
 }
 
+TEST(Roundtrip, EveryTableScheduleRoundTripsInDataMode) {
+  // Data mode records every stage with its copies, local ones included.
+  const Machine m = Machine::gpc(2);
+  const int p = m.total_cores();
+  const std::string path = tmp_path("schedule.tlog");
+  for (const collectives::Schedule& sched : collectives::schedules()) {
+    SCOPED_TRACE(sched.name);
+    const Communicator comm(
+        m, make_layout(m, p,
+                       sched.hierarchical
+                           ? simmpi::LayoutSpec{}
+                           : simmpi::LayoutSpec{simmpi::NodeOrder::Cyclic,
+                                                simmpi::SocketOrder::Bunch}));
+    const auto run = [&](trace::TraceSink* sink) {
+      obs::Install traced(sink);
+      Engine eng(comm, CostConfig{}, ExecMode::Data, 64, sched.buf_blocks(p));
+      (void)sched.run(eng, identity_permutation(p));
+    };
+    trace::ScheduleRecorder live;
+    run(&live);
+    {
+      TlogSink sink(path);
+      run(&sink);
+      sink.finish();
+    }
+    EXPECT_FALSE(live.record().copies.empty());
+    EXPECT_TRUE(live.record() == read_record(path));
+  }
+}
+
 TEST(Roundtrip, SmallBlocksForceFlushesAndStillRoundTrip) {
   // A 512-byte block turns one run into many blocks, exercising the
   // delta-context resets at every boundary.
@@ -357,6 +389,13 @@ TEST(Filter, StageWindowKeepsExactlyTheWindow) {
   }
   EXPECT_FALSE(window_loads.empty());
   EXPECT_EQ(rec.loads, window_loads);
+  // Copies ride on their transfer: the replayed copies are exactly those
+  // of the window's stages.
+  std::vector<trace::Copy> window_copies;
+  for (const auto& c : live.copies)
+    if (c.stage >= 2 && c.stage <= 4) window_copies.push_back(c);
+  EXPECT_FALSE(window_copies.empty());
+  EXPECT_EQ(rec.copies, window_copies);
   EXPECT_EQ(stats.delivered[static_cast<int>(EventKind::Stage)],
             window_stages);
 }
@@ -374,6 +413,12 @@ TEST(Filter, RankWindowMatchesEitherEndpoint) {
   for (const auto& t : rec.transfers)
     EXPECT_TRUE((t.src >= 0 && t.src <= 3) || (t.dst >= 0 && t.dst <= 3))
         << t.src << " -> " << t.dst;
+  // Each kept transfer keeps its copies.
+  std::vector<trace::Copy> window_copies;
+  for (const auto& c : live.copies)
+    if ((c.src >= 0 && c.src <= 3) || (c.dst >= 0 && c.dst <= 3))
+      window_copies.push_back(c);
+  EXPECT_EQ(rec.copies, window_copies);
 }
 
 TEST(Filter, ReaderSideFilterSelectsWithoutRewriting) {
@@ -444,8 +489,7 @@ TEST(Index, StageWindowSkipsDisjointBlocks) {
   // later — and carries nothing stage-less — can be skipped outright.
   ReplayOptions ropts;
   ropts.filter.kinds = (1u << static_cast<int>(EventKind::Stage)) |
-                       (1u << static_cast<int>(EventKind::Transfer)) |
-                       (1u << static_cast<int>(EventKind::Copy));
+                       (1u << static_cast<int>(EventKind::Transfer));
   ropts.filter.max_stage = 0;
   trace::TraceSink null_sink;
   const ReplayStats stats = replay(path, null_sink, ropts);
@@ -457,7 +501,9 @@ TEST(Index, StageWindowSkipsDisjointBlocks) {
   replay(path, recorder, ropts);
   const trace::ScheduleRecord rec = recorder.take();
   for (const auto& s : rec.stages) EXPECT_EQ(s.stage, 0);
+  for (const auto& c : rec.copies) EXPECT_EQ(c.stage, 0);
   EXPECT_FALSE(rec.stages.empty());
+  EXPECT_FALSE(rec.copies.empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -479,6 +525,25 @@ TEST(Writer, FinishIsIdempotentAndSealsTheFile) {
   sink.finish();  // idempotent
   EXPECT_THROW(sink.on_stage(trace::StageEvent{}), Error);
   EXPECT_THROW(sink.add_count("n", 1.0), Error);
+}
+
+TEST(Writer, RejectsACopyThatDisagreesWithItsTransfer) {
+  // A copy's stage and endpoints are stored once, on its transfer.
+  TlogSink sink(tmp_path("mismatch.tlog"));
+  const trace::Copy copy{.stage = 1, .src = 2, .dst = 3, .nblocks = 1};
+  const std::span<const trace::Copy> one{&copy, 1};
+  for (const trace::TransferEvent& e :
+       {trace::TransferEvent{
+            .stage = 0, .src_rank = 2, .dst_rank = 3, .copies = one},
+        trace::TransferEvent{
+            .stage = 1, .src_rank = 4, .dst_rank = 3, .copies = one},
+        trace::TransferEvent{
+            .stage = 1, .src_rank = 2, .dst_rank = 4, .copies = one}})
+    EXPECT_THROW(sink.on_transfer(e), Error);
+  sink.on_transfer(trace::TransferEvent{
+      .stage = 1, .src_rank = 2, .dst_rank = 3, .copies = one});
+  sink.finish();
+  EXPECT_EQ(read_info(sink.path()).stored_events(), 1);
 }
 
 TEST(Writer, WriteFailureSurfacesAtFinish) {
@@ -668,10 +733,14 @@ TEST(Fuzz, PayloadMutationsBehindValidChecksumsDecodeOrThrow) {
 }
 
 TEST(Fuzz, ForgedRecordsAreRejectedByTheirOwnChecks) {
-  // One stage with one load, then one local shuffle of two blocks.
+  // One transfer with one combining copy, one stage with one load, then
+  // one local shuffle of two blocks.
   const std::string path = tmp_path("forge_src.tlog");
   {
     TlogSink sink(path);
+    const trace::Copy copy{.nblocks = 1, .bytes = 1, .combining = true};
+    sink.on_transfer(
+        trace::TransferEvent{.contention = 0.0, .copies = {&copy, 1}});
     const trace::Load load{false, 3, 1, 64.0};
     sink.on_stage(trace::StageEvent{.repeats = 1, .loads = {&load, 1}});
     const std::vector<int> swap = {1, 0};
@@ -682,10 +751,16 @@ TEST(Fuzz, ForgedRecordsAreRejectedByTheirOwnChecks) {
   const std::string whole = slurp(path);
   const FileInfo info = read_info(path);
   const std::string payload = payloads_of(whole, info).at(0);
+  // Transfer: tag, stage, src, dst, src_core, dst_core, bytes, channel
+  // (network, zigzag 6), attempts (zigzag 2), four doubles, copy count,
+  // then src_off, dst_off, nblocks, bytes and combine flag.
+  ASSERT_EQ(payload.substr(0, 19),
+            std::string("\1\0\0\0\0\0\0\6\2\0\0\0\0\1\0\0\2\2\2", 19));
   // Stage: tag, stage, transfers, repeats (zigzag 1), start, duration,
   // retry_wait, load count, then qpi, id, dir and bytes.  Time: ...,
   // permutation length 2 and its entries 1 and -1 (zigzag 2, 1).
-  ASSERT_EQ(payload.substr(0, 11), std::string("\0\0\0\2\0\0\0\1\0\6\2", 11));
+  ASSERT_EQ(payload.substr(19, 11),
+            std::string("\0\0\0\2\0\0\0\1\0\6\2", 11));
   ASSERT_EQ(payload.substr(payload.size() - 3), "\2\2\1");
   const auto expect_rejected = [&](std::size_t at, char byte,
                                    const std::string& message) {
@@ -703,12 +778,14 @@ TEST(Fuzz, ForgedRecordsAreRejectedByTheirOwnChecks) {
           << e.what();
     }
   };
-  expect_rejected(7, '\x7f', "load count exceeds remaining payload");
-  expect_rejected(8, '\4', "load qpi flag 2 is neither 0 nor 1");
-  expect_rejected(10, '\4', "load direction 2 is neither 0 nor 1");
+  expect_rejected(13, '\x7f', "copy count exceeds remaining payload");
+  expect_rejected(18, '\4', "copy combine flag 2 is neither 0 nor 1");
+  expect_rejected(19 + 7, '\x7f', "load count exceeds remaining payload");
+  expect_rejected(19 + 8, '\4', "load qpi flag 2 is neither 0 nor 1");
+  expect_rejected(19 + 10, '\4', "load direction 2 is neither 0 nor 1");
   expect_rejected(payload.size() - 3, '\x7f',
                   "permutation longer than remaining payload");
-  expect_rejected(0, '\x08', "unknown event tag 8");
+  expect_rejected(0, '\x07', "unknown event tag 7");
 }
 
 // ---------------------------------------------------------------------------

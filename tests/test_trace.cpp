@@ -542,7 +542,6 @@ class JournalSink final : public TraceSink {
 
   void on_stage(const StageEvent&) override { note("stage"); }
   void on_transfer(const TransferEvent&) override { note("transfer"); }
-  void on_copy(const CopyEvent&) override { note("copy"); }
   void on_phase(const PhaseEvent&) override { note("phase"); }
   void on_wall_span(const WallSpan&) override { note("wall"); }
   void on_time(const TimeEvent&) override { note("time"); }
@@ -555,11 +554,10 @@ class JournalSink final : public TraceSink {
   std::vector<std::string>* journal_;
 };
 
-/// Drives all eight TraceSink entry points exactly once.
+/// Drives all seven TraceSink entry points exactly once.
 void emit_one_of_each(TraceSink& sink) {
   sink.on_stage(StageEvent{});
   sink.on_transfer(TransferEvent{});
-  sink.on_copy(CopyEvent{});
   sink.on_phase(PhaseEvent{});
   sink.on_wall_span(WallSpan{});
   sink.on_time(TimeEvent{});
@@ -583,10 +581,9 @@ TEST(Trace, TeeSinkForwardsEveryKindFirstThenSecond) {
   TeeSink tee({&first, &second});
   emit_one_of_each(tee);
   const std::vector<std::string> expected = {
-      "a:stage", "b:stage", "a:transfer", "b:transfer", "a:copy",
-      "b:copy",  "a:phase", "b:phase",    "a:wall",     "b:wall",
-      "a:time",  "b:time",  "a:count",    "b:count",    "a:observe",
-      "b:observe"};
+      "a:stage", "b:stage", "a:transfer", "b:transfer", "a:phase",
+      "b:phase", "a:wall",  "b:wall",     "a:time",     "b:time",
+      "a:count", "b:count", "a:observe",  "b:observe"};
   EXPECT_EQ(journal, expected);
 }
 
@@ -595,11 +592,11 @@ TEST(Trace, TeeSinkToleratesNullLegs) {
   JournalSink only("x", &journal);
   TeeSink first_null({nullptr, &only});
   emit_one_of_each(first_null);
-  EXPECT_EQ(journal.size(), 8u);
+  EXPECT_EQ(journal.size(), 7u);
   journal.clear();
   TeeSink second_null({&only, nullptr});
   emit_one_of_each(second_null);
-  EXPECT_EQ(journal.size(), 8u);
+  EXPECT_EQ(journal.size(), 7u);
   TeeSink both_null({nullptr, nullptr});
   EXPECT_TRUE(both_null.empty());
   emit_one_of_each(both_null);  // must not crash
