@@ -269,6 +269,9 @@ class BlockDecoder {
         e.start = c.apply_bits_xor(1, cur_.varint());
         e.duration = c.apply_bits_xor(2, cur_.varint());
         e.uncontended = c.apply_bits_xor(3, cur_.varint());
+        if (e.src_rank < 0 || e.dst_rank < 0 || e.src_core < 0 ||
+            e.dst_core < 0)
+          throw Error("tlog: transfer names a negative rank or core");
         const long long n = cur_.count();
         if (static_cast<std::uint64_t>(n) > cur_.remaining())
           throw Error("tlog: copy count exceeds remaining payload");

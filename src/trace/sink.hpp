@@ -69,7 +69,7 @@ struct StageEvent {
   /// for the duration of the call.  Empty for a repeat-compressed event (it
   /// repeats the loads of the stage it names) and without contention
   /// modeling.
-  std::span<const Load> loads;
+  std::span<const Load> loads = {};
 };
 
 /// One block-granular copy exactly as submitted to Engine::copy/combine —
@@ -149,7 +149,7 @@ struct TimeEvent {
   /// in place, block b moving to slot dst_of_block[b] (identity entries
   /// included, one slot per buffer block).  Valid for the duration of the
   /// call.
-  std::span<const int> dst_of_block;
+  std::span<const int> dst_of_block = {};
 };
 
 /// See file comment.  All handlers default to no-ops so sinks implement

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <concepts>
+#include <cstdint>
 #include <span>
 #include <string_view>
 
@@ -17,7 +18,7 @@ constexpr int kPidLoad = 1;
 constexpr int kPidWall = 2;
 constexpr int kTidPhases = 0;
 constexpr int kTidStages = 1;
-constexpr int kTidRank0 = 2;  ///< rank r lives on tid kTidRank0 + r
+constexpr std::int64_t kTidRank0 = 2;  ///< rank r lives on tid kTidRank0 + r
 
 void put(std::string& out, std::string_view text) { out += text; }
 void put(std::string& out, double v) { append_number(out, v); }
@@ -34,8 +35,8 @@ void append(std::string& out, const Parts&... parts) {
   (put(out, parts), ...);
 }
 
-void append_meta(std::string& out, const char* kind, int pid, int tid,
-                 std::string_view name) {
+void append_meta(std::string& out, const char* kind, int pid,
+                 std::int64_t tid, std::string_view name) {
   append(out, "{\"ph\":\"M\",\"pid\":", pid, ",\"tid\":", tid,
          ",\"name\":\"", kind, "\",\"args\":{\"name\":\"");
   append_json_escaped(out, name);
@@ -47,7 +48,7 @@ void append_meta(std::string& out, const char* kind, int pid, int tid,
 struct Span {
   enum class Kind { Phase, Extra, Stage, Transfer, Wall };
   int pid = 0;
-  int tid = 0;
+  std::int64_t tid = 0;
   double ts = 0.0;
   double dur = 0.0;
   Kind kind = Kind::Phase;
@@ -154,13 +155,17 @@ std::string Tracer::timeline_json() const {
   for (std::size_t i = 0; i < rec.stages.size(); ++i)
     spans.push_back({kPidSim, kTidStages, rec.stages[i].start,
                      rec.stages[i].duration, Span::Kind::Stage, i});
-  int max_rank = -1;
+  std::vector<Rank> ranks;  // every rank a drawn transfer names
+  ranks.reserve(2 * num_transfers);
   for (std::size_t i = 0; i < num_transfers; ++i) {
     const RecordedTransfer& t = transfer(i);
-    max_rank = std::max({max_rank, t.src, t.dst});
+    ranks.push_back(t.src);
+    ranks.push_back(t.dst);
     spans.push_back({kPidSim, kTidRank0 + t.src, t.start, t.duration,
                      Span::Kind::Transfer, i});
   }
+  std::sort(ranks.begin(), ranks.end());
+  ranks.erase(std::unique(ranks.begin(), ranks.end()), ranks.end());
   double wall_cursor = 0.0;  // ordinal, or accumulated real microseconds
   for (std::size_t i = 0; i < wall_spans_.size(); ++i) {
     const double dur =
@@ -184,7 +189,7 @@ std::string Tracer::timeline_json() const {
     append_meta(out, "process_name", kPidSim, 0, "simulation");
     append_meta(out, "thread_name", kPidSim, kTidPhases, "phases");
     append_meta(out, "thread_name", kPidSim, kTidStages, "stages");
-    for (int r = 0; r <= max_rank; ++r)
+    for (const Rank r : ranks)
       append_meta(out, "thread_name", kPidSim, kTidRank0 + r,
                   "rank " + std::to_string(r));
   }

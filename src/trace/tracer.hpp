@@ -20,7 +20,8 @@
 ///                         tid 1 "stages" (engine stage spans),
 ///                         tid 2+r "rank r" (that rank's outgoing transfer
 ///                         spans; concurrent spans share the stage start and
-///                         are sorted longest-first so they nest).
+///                         are sorted longest-first so they nest), one row
+///                         per rank a drawn transfer names, ascending.
 ///   pid 1 "network load" — one counter track per directed cable
 ///                          ("cable <id> d<dir>") and per QPI direction
 ///                          ("qpi <node> d<dir>"), sampled at stage

@@ -778,6 +778,8 @@ TEST(Fuzz, ForgedRecordsAreRejectedByTheirOwnChecks) {
           << e.what();
     }
   };
+  expect_rejected(2, '\1', "transfer names a negative rank or core");
+  expect_rejected(5, '\1', "transfer names a negative rank or core");
   expect_rejected(13, '\x7f', "copy count exceeds remaining payload");
   expect_rejected(18, '\4', "copy combine flag 2 is neither 0 nor 1");
   expect_rejected(19 + 7, '\x7f', "load count exceeds remaining payload");

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -428,6 +429,35 @@ TEST(Trace, ShrunkenCommunicatorRunsTraceCleanly) {
     if (s.pid == 0 && s.tid >= 2) {
       EXPECT_LT(s.tid - 2, survivors);
     }
+  }
+}
+
+TEST(Trace, TimelineRowsFollowTheTransfersOfAReplayedCapture) {
+  // One transfer from a large rank to rank 0: the timeline names the two
+  // ranks, however large the id, and its rank tids do not overflow.
+  for (const Rank far : {Rank{999'999}, std::numeric_limits<Rank>::max()}) {
+    SCOPED_TRACE(far);
+    const std::string path = testing::TempDir() + "tarr_trace_far.tlog";
+    {
+      tlog::TlogSink capture(path);
+      capture.on_transfer(TransferEvent{.src_rank = far, .duration = 1.0});
+      capture.on_stage(StageEvent{.transfers = 1, .duration = 1.0});
+      capture.finish();
+    }
+    Tracer tracer;
+    tlog::replay(path, tracer);
+    std::remove(path.c_str());
+    const std::string json = tracer.timeline_json();
+    EXPECT_LT(json.size(), 4096u);
+    EXPECT_TRUE(JsonChecker(json).valid());
+    std::vector<std::string> rows;
+    for (std::size_t at = json.find("\"rank "); at != std::string::npos;
+         at = json.find("\"rank ", at + 1))
+      rows.push_back(json.substr(at + 1, json.find('"', at + 1) - at - 1));
+    EXPECT_EQ(rows, (std::vector<std::string>{
+                        "rank 0", "rank " + std::to_string(far)}));
+    EXPECT_NE(json.find("\"tid\":" + std::to_string(2 + std::int64_t{far})),
+              std::string::npos);
   }
 }
 
@@ -873,7 +903,10 @@ std::vector<DigestCase> digest_cases() {
       {"shrunk", shrunk_ring, 0x9234085198d5af00ull, 0x231c2df33f460488ull},
       {"tlog-kinds", kinds, 0x7068350cee5df27cull, 0x86d5977bb6c6f995ull},
       {"tlog-stages", stages, 0xba425a4948c94591ull, 0xd3cdd6b75e35e72cull},
-      {"tlog-ranks", ranks, 0x0d148ba7a58c8716ull, 0x627d243ab97bebcaull},
+      // Re-recorded when the timeline began to label only the ranks its
+      // transfers name (0x0d148ba7a58c8716 before): the rows of ranks
+      // 12-15, which no transfer of the 0:3 window names, left.
+      {"tlog-ranks", ranks, 0xd245239505a45246ull, 0x627d243ab97bebcaull},
       {"tied-phases", tied_phase_and_time, 0x871b0ddeba149851ull,
        0x10f7cc3c91156e81ull},
   };
