@@ -122,14 +122,14 @@ ImbalanceReport analyze_imbalance(const trace::ScheduleRecord& record,
   rep.stragglers = std::move(order);
 
   // Top-K hot resources: exact aggregate bytes, descending.
-  std::vector<HotResource> hot;
+  std::vector<trace::Load> hot;
   hot.reserve(record.link_bytes.size() + record.qpi_bytes.size());
   for (const auto& [key, bytes] : record.link_bytes)
     hot.push_back({false, key.first, key.second, bytes});
   for (const auto& [key, bytes] : record.qpi_bytes)
     hot.push_back({true, key.first, key.second, bytes});
-  std::sort(hot.begin(), hot.end(), [](const HotResource& a,
-                                       const HotResource& b) {
+  std::sort(hot.begin(), hot.end(), [](const trace::Load& a,
+                                       const trace::Load& b) {
     if (a.bytes != b.bytes) return a.bytes > b.bytes;
     if (a.qpi != b.qpi) return a.qpi < b.qpi;
     if (a.id != b.id) return a.id < b.id;

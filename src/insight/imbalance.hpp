@@ -55,15 +55,6 @@ struct StageImbalance {
   Usec slowest_busy = 0.0; ///< per-execution busy of that rank
 };
 
-/// One heavily loaded directed resource (exact bytes from the record's
-/// aggregate load counters).
-struct HotResource {
-  bool qpi = false;  ///< false: cable link, true: QPI direction
-  int id = 0;
-  int dir = 0;
-  double bytes = 0.0;
-};
-
 /// See file comment.
 struct ImbalanceReport {
   std::vector<RankLoad> ranks;  ///< indexed by rank, size = max rank + 1
@@ -79,7 +70,9 @@ struct ImbalanceReport {
   double jain_qpi = 1.0;    ///< Jain index over directed QPI loads
 
   std::vector<Rank> stragglers;         ///< top-K ranks by busy, descending
-  std::vector<HotResource> hot_resources;  ///< top-K by bytes, descending
+  /// Top-K directed resources by whole-run bytes (the record's aggregate
+  /// loads), descending.
+  std::vector<trace::Load> hot_resources;
 
   bool empty() const { return ranks.empty(); }
 };

@@ -19,6 +19,16 @@ Communicator::Communicator(const topology::Machine& m,
                  "Communicator: two ranks on one core");
     core_to_rank_[c] = r;
   }
+  const int cpn = m.cores_per_node();
+  if (size() % cpn != 0) return;
+  for (Rank r = 0; r < size(); ++r)
+    if (node_of(r) != node_of(r - r % cpn)) return;
+  // Distinct node per block.
+  std::vector<NodeId> firsts;
+  for (Rank r = 0; r < size(); r += cpn) firsts.push_back(node_of(r));
+  std::sort(firsts.begin(), firsts.end());
+  node_contiguous_ =
+      std::adjacent_find(firsts.begin(), firsts.end()) == firsts.end();
 }
 
 NodeId Communicator::node_of(Rank r) const {
@@ -56,19 +66,6 @@ std::vector<Rank> Communicator::permutation_to(
     perm[old] = nr;
   }
   return perm;
-}
-
-bool Communicator::node_contiguous() const {
-  const int cpn = machine_->cores_per_node();
-  if (size() % cpn != 0) return false;
-  for (Rank r = 0; r < size(); ++r) {
-    if (node_of(r) != node_of(r - r % cpn)) return false;
-  }
-  // Distinct node per block.
-  std::vector<NodeId> firsts;
-  for (Rank r = 0; r < size(); r += cpn) firsts.push_back(node_of(r));
-  std::sort(firsts.begin(), firsts.end());
-  return std::adjacent_find(firsts.begin(), firsts.end()) == firsts.end();
 }
 
 }  // namespace tarr::simmpi

@@ -49,12 +49,14 @@ class Communicator {
 
   /// True iff ranks are node-contiguous with exactly `ranks_per_node()` ranks
   /// per node in rank order — the precondition of the hierarchical path.
-  bool node_contiguous() const;
+  /// Computed once, at construction.
+  bool node_contiguous() const { return node_contiguous_; }
 
  private:
   const topology::Machine* machine_;
   std::vector<CoreId> rank_to_core_;
   std::vector<Rank> core_to_rank_;  // size total_cores, kNoRank if unused
+  bool node_contiguous_ = false;
 };
 
 }  // namespace tarr::simmpi
