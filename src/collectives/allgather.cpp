@@ -33,11 +33,12 @@ void rd_stages(Engine& eng) {
 
 /// Ring with in-place order correction: the block that originated at new
 /// rank o always lives at slot oldrank[o], so the output is in original-rank
-/// order with no extra mechanism.  In Timed mode only the first stage is
-/// evaluated and repeated p-2 more times (all ring stages are isomorphic).
+/// order with no extra mechanism.  When the engine compresses repeats
+/// (Timed mode, no transient faults) only the first stage is evaluated and
+/// repeated p-2 more times (all ring stages are isomorphic).
 void ring_stages(Engine& eng, const std::vector<Rank>& oldrank) {
   const int p = eng.comm().size();
-  const int last_stage = eng.mode() == ExecMode::Timed ? 1 : p - 1;
+  const int last_stage = eng.compresses_repeats() ? 1 : p - 1;
   for (int s = 0; s < last_stage; ++s) {
     eng.begin_stage();
     for (Rank j = 0; j < p; ++j) {
@@ -47,8 +48,7 @@ void ring_stages(Engine& eng, const std::vector<Rank>& oldrank) {
     }
     eng.end_stage();
   }
-  if (eng.mode() == ExecMode::Timed && p > 2)
-    eng.repeat_last_stage(p - 2);
+  if (eng.compresses_repeats() && p > 2) eng.repeat_last_stage(p - 2);
 }
 
 }  // namespace detail

@@ -60,8 +60,8 @@ Usec run_allreduce_ring(simmpi::Engine& eng) {
   const Usec before = eng.total();
   if (p == 1) return 0.0;
 
-  const bool timed = eng.mode() == simmpi::ExecMode::Timed;
-  const int stages = timed ? 1 : p - 1;
+  const bool compress = eng.compresses_repeats();
+  const int stages = compress ? 1 : p - 1;
 
   // Reduce-scatter ring: at step s rank j sends chunk (j - s) mod p to its
   // successor, which combines it in place; after p-1 steps rank j owns the
@@ -76,7 +76,7 @@ Usec run_allreduce_ring(simmpi::Engine& eng) {
       }
       eng.end_stage();
     }
-    if (timed && p > 2) eng.repeat_last_stage(p - 2);
+    if (compress && p > 2) eng.repeat_last_stage(p - 2);
   }
   // Allgather ring: rank j starts by forwarding its reduced chunk
   // (j + 1) mod p; at step s it forwards chunk (j + 1 - s) mod p.
@@ -90,7 +90,7 @@ Usec run_allreduce_ring(simmpi::Engine& eng) {
       }
       eng.end_stage();
     }
-    if (timed && p > 2) eng.repeat_last_stage(p - 2);
+    if (compress && p > 2) eng.repeat_last_stage(p - 2);
   }
   return eng.total() - before;
 }

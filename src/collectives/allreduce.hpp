@@ -29,8 +29,9 @@ Usec run_allreduce_rabenseifner(simmpi::Engine& eng);
 /// by ring allgather over p chunks; 2(p-1) neighbor-only stages).  Engine:
 /// buf_blocks >= p, block_bytes = message/p.  Works for any p >= 1, and its
 /// neighbor-only traffic is exactly the pattern RMH (mapping::Pattern::Ring)
-/// reorders for.  In Timed mode each phase prices one stage and repeats it
-/// (all ring stages are isomorphic), like the ring allgather.
+/// reorders for.  In Timed mode without transient faults each phase prices
+/// one stage and repeats it (all ring stages are isomorphic), like the ring
+/// allgather.
 Usec run_allreduce_ring(simmpi::Engine& eng);
 
 }  // namespace tarr::collectives

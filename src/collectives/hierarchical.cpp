@@ -12,7 +12,6 @@ namespace tarr::collectives {
 namespace {
 
 using simmpi::Engine;
-using simmpi::ExecMode;
 
 /// Phase 1: gather the node's cpn blocks into the leader (local rank 0 of
 /// each node block).  All nodes proceed concurrently, stage by stage.
@@ -68,7 +67,7 @@ void leader_exchange(Engine& eng, int cpn, AllgatherAlgo algo) {
 
   TARR_REQUIRE(algo == AllgatherAlgo::Ring,
                "hierarchical leader phase supports RD or ring");
-  const int last_stage = eng.mode() == ExecMode::Timed ? 1 : nodes - 1;
+  const int last_stage = eng.compresses_repeats() ? 1 : nodes - 1;
   for (int s = 0; s < last_stage; ++s) {
     eng.begin_stage();
     for (int b = 0; b < nodes; ++b) {
@@ -78,7 +77,7 @@ void leader_exchange(Engine& eng, int cpn, AllgatherAlgo algo) {
     }
     eng.end_stage();
   }
-  if (eng.mode() == ExecMode::Timed && nodes > 2)
+  if (eng.compresses_repeats() && nodes > 2)
     eng.repeat_last_stage(nodes - 2);
 }
 

@@ -258,8 +258,9 @@ void Engine::emit_stage_trace(Usec stage_start, Usec stage_cost,
 
 void Engine::repeat_last_stage(int extra) {
   TARR_REQUIRE(!stage_open_, "repeat_last_stage: stage still open");
-  TARR_REQUIRE(mode_ == ExecMode::Timed,
-               "repeat_last_stage: only valid in Timed mode");
+  TARR_REQUIRE(compresses_repeats(),
+               "repeat_last_stage: only valid in Timed mode without "
+               "transient faults");
   TARR_REQUIRE(extra >= 0, "repeat_last_stage: negative repeat count");
   if (sink_ != nullptr && extra > 0 && stages_executed_ > 0) {
     // One compressed span covering all repeats of the stage just ended; it

@@ -110,8 +110,16 @@ class Engine {
   /// Returns the stage cost.
   Usec end_stage();
 
-  /// Account `extra` additional executions of the stage just ended (Timed
-  /// mode only — used to compress the ring's p-1 identical stages).
+  /// True when identical stages may be priced once and repeated: Timed
+  /// mode with no transient faults armed.  With faults armed every
+  /// execution draws its own, so runners issue every stage, as in Data mode.
+  bool compresses_repeats() const {
+    return mode_ == ExecMode::Timed && !fault_cfg_;
+  }
+
+  /// Account `extra` additional executions of the stage just ended (only
+  /// when compresses_repeats() — used to compress the ring's p-1 identical
+  /// stages).
   void repeat_last_stage(int extra);
 
   /// Apply the same block permutation to every rank's buffer
