@@ -788,6 +788,21 @@ TEST(Fuzz, ForgedRecordsAreRejectedByTheirOwnChecks) {
   expect_rejected(payload.size() - 3, '\x7f',
                   "permutation longer than remaining payload");
   expect_rejected(0, '\x07', "unknown event tag 7");
+
+  // A version 3 file, whose copies were records of their own.
+  std::string v3 = whole;
+  ASSERT_EQ(v3[kFileMagic.size()], '\4');
+  v3[kFileMagic.size()] = '\3';
+  const std::string v3_path = tmp_path("v3.tlog");
+  spit(v3_path, v3);
+  try {
+    (void)read_info(v3_path);
+    FAIL() << "version 3 file accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("has format version 3"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // ---------------------------------------------------------------------------
