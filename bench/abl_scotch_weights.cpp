@@ -4,8 +4,11 @@
 // last-stage hypercube dimension from the light first-stage one; giving the
 // mapper the per-stage volume weights recovers most of the quality — at the
 // cost of exactly the pattern knowledge the fine-tuned heuristics encode.
+// Each row's weighted cost is gated as <row>.weighted_cost.
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "bench/fixtures.hpp"
 #include "bench/sweep.hpp"
@@ -19,6 +22,9 @@ int main() {
   using namespace tarr::bench;
 
   BenchWorld world(kPaperNodes);
+  SnapshotEmitter snapshot("abl_scotch_weights");
+  snapshot.set_meta("nodes", std::to_string(kPaperNodes));
+  snapshot.set_meta("procs", std::to_string(kPaperProcs));
   const int p = kPaperProcs;
   const auto& dist = world.framework.distances();
   const auto pattern = mapping::build_pattern_graph(
@@ -34,11 +40,18 @@ int main() {
 
   TextTable t;
   t.set_header({"mapper", "weighted cost"});
-  t.add_row({"initial mapping",
-             TextTable::num(mapping::mapping_cost(pattern, initial, dist), 0)});
+  const auto row = [&](const char* label, const char* key,
+                       const std::vector<int>& mapping) {
+    const double cost = mapping::mapping_cost(pattern, mapping, dist);
+    t.add_row({label, TextTable::num(cost, 0)});
+    snapshot.add_metric(std::string(key) + ".weighted_cost", cost, "dist",
+                        /*higher_is_better=*/false);
+  };
+  row("initial mapping", "initial", initial);
 
   struct Variant {
     const char* name;
+    const char* key;
     std::vector<int> result;
   };
   Rng r1(1), r2(1), r3(1);
@@ -48,15 +61,14 @@ int main() {
                                      /*use_edge_weights=*/true);
   mapping::RdmhMapper rdmh;
   const Variant variants[] = {
-      {"scotch-like, structure only (default)",
+      {"scotch-like, structure only (default)", "structure_only",
        structural.map(initial, dist, r1)},
-      {"scotch-like, volume weighted", weighted.map(initial, dist, r2)},
-      {"RDMH (fine-tuned heuristic)", rdmh.map(initial, dist, r3)},
+      {"scotch-like, volume weighted", "volume_weighted",
+       weighted.map(initial, dist, r2)},
+      {"RDMH (fine-tuned heuristic)", "rdmh", rdmh.map(initial, dist, r3)},
   };
-  for (const auto& v : variants) {
-    t.add_row({v.name, TextTable::num(
-                   mapping::mapping_cost(pattern, v.result, dist), 0)});
-  }
+  for (const auto& v : variants) row(v.name, v.key, v.result);
   std::printf("%s", t.render().c_str());
+  snapshot.dump();
   return 0;
 }

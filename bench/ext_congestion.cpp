@@ -16,7 +16,7 @@
 #include "common/table.hpp"
 #include "prof/obs.hpp"
 #include "simmpi/engine.hpp"
-#include "trace/record.hpp"
+#include "trace/tracer.hpp"
 
 int main() {
   using namespace tarr;
@@ -41,8 +41,8 @@ int main() {
   // Peak over the recorded stages of a cable's load / its capacity.
   auto measure = [&](const simmpi::Communicator& c,
                      const std::vector<Rank>& oldrank) {
-    trace::ScheduleRecorder recorder;
-    obs::Install traced(&recorder);
+    trace::Tracer tracer;
+    obs::Install traced(&tracer);
     simmpi::Engine eng(c, simmpi::CostConfig{}, simmpi::ExecMode::Timed, msg,
                        p);
     collectives::run_allgather(
@@ -51,7 +51,7 @@ int main() {
                                       collectives::OrderFix::None},
         oldrank);
     double peak = 0.0;
-    for (const trace::Load& l : recorder.record().loads)
+    for (const trace::Load& l : tracer.record().loads)
       if (!l.qpi)
         peak = std::max(
             peak, l.bytes / world.machine.network().link(l.id).capacity);

@@ -72,14 +72,14 @@ analyze::Certificate certify(const Schedule& sched, const Audit& a,
       fw, comm, sched.pattern,
       a.reorder && sched.reorderable ? "heuristic" : "identity");
   const int buf_blocks = sched.buf_blocks(p);
-  trace::ScheduleRecorder recorder;
+  trace::Tracer tracer;
   {
-    obs::Install traced(&recorder);
+    obs::Install traced(&tracer);
     simmpi::Engine eng(rc.comm, simmpi::CostConfig{}, simmpi::ExecMode::Data,
                        a.run.msg_bytes, buf_blocks);
     sched.run(eng, rc.oldrank);
   }
-  trace::ScheduleRecord rec = recorder.take();
+  trace::ScheduleRecord rec = tracer.take();
   if (a.mutate)
     std::printf("mutated schedule: %s\n",
                 analyze::apply_mutation(rec, *a.mutate, a.mutate_seed).c_str());

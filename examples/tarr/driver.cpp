@@ -165,17 +165,16 @@ trace::ScheduleRecord record(const simmpi::Communicator& comm,
                              mapping::Pattern pattern,
                              const std::vector<Rank>& oldrank,
                              long long msg_bytes, trace::TraceSink* also) {
-  trace::ScheduleRecorder recorder;
-  trace::TeeSink tee({&recorder, also});
+  trace::Tracer tracer;
+  trace::TeeSink tee({&tracer, also});
   {
     obs::Install traced(&tee);
     simulate(comm, pattern, oldrank, msg_bytes);
   }
-  return recorder.take();
+  return tracer.take();
 }
 
-Obs::Obs(const Flags& f, std::optional<trace::TracerOptions> tracer_opts)
-    : wall_(f.has("--wall")) {
+Obs::Obs(const Flags& f, bool traced) : wall_(f.has("--wall")) {
   for (const char* flag :
        {"--trace", "--metrics", "--tlog", "--tlog-baseline", "--html",
         "--prof", "--prof-speedscope", "--prof-collapsed", "--insight",
@@ -207,10 +206,7 @@ Obs::Obs(const Flags& f, std::optional<trace::TracerOptions> tracer_opts)
     prof::link_memhook();
     ambient_.emplace(&profiler_);
   }
-  if (tracer_opts) {
-    tracer_opts->real_wall_time = wall_;
-    tracer.emplace(*tracer_opts);
-  }
+  if (traced) tracer.emplace();
   tee_.emplace(std::vector<trace::TraceSink*>{tracer ? &*tracer : nullptr,
                                               tlog()});
 }
@@ -228,13 +224,14 @@ tlog::TlogSink* Obs::tlog(const std::string& flag) {
 void Obs::write_trace(bool print) {
   if (!tracer) return;
   if (const std::string p = path("--trace"); !p.empty()) {
-    write_file(p, tracer->timeline_json());
+    write_file(p, tracer->timeline_json(wall_));
     if (print) std::printf("trace   : %s\n", p.c_str());
   }
   if (const std::string p = path("--metrics"); !p.empty()) {
     // Profiler totals ride the metrics CSV as prof.* counter rows.
-    if (profiling()) prof::publish(profile(), tracer->metrics());
-    write_file(p, tracer->metrics().csv());
+    trace::MetricsRegistry metrics = tracer->metrics();
+    if (profiling()) prof::publish(profile(), metrics);
+    write_file(p, metrics.csv());
     if (print) std::printf("metrics : %s\n", p.c_str());
   }
 }

@@ -14,7 +14,6 @@
 #include "simmpi/engine.hpp"
 #include "simmpi/layout.hpp"
 #include "tlog/writer.hpp"
-#include "trace/record.hpp"
 #include "trace/tracer.hpp"
 
 /// \file driver.hpp
@@ -101,8 +100,8 @@ Usec simulate(const simmpi::Communicator& comm, mapping::Pattern pattern,
               const std::vector<Rank>& oldrank, long long msg_bytes,
               const char* scope = "simulate");
 
-/// simulate() with a fresh ScheduleRecorder (and `also`, when non-null)
-/// installed; returns the record.
+/// simulate() with a fresh Tracer (and `also`, when non-null) installed;
+/// returns the record.
 trace::ScheduleRecord record(const simmpi::Communicator& comm,
                              mapping::Pattern pattern,
                              const std::vector<Rank>& oldrank,
@@ -118,8 +117,8 @@ trace::ScheduleRecord record(const simmpi::Communicator& comm,
 /// it traces.
 class Obs {
  public:
-  explicit Obs(const Flags& f,
-               std::optional<trace::TracerOptions> tracer = std::nullopt);
+  /// `traced` builds the Tracer.
+  explicit Obs(const Flags& f, bool traced = false);
   Obs(const Obs&) = delete;
   Obs& operator=(const Obs&) = delete;
 

@@ -44,7 +44,7 @@ int cmd_insight_diagnose(const Flags& f) {
   // One run feeds the tracer's record (imbalance analytics) and its
   // registry (tail findings); a `.tlog` replay delivers the identical
   // event stream to the same stack, so both rebuild byte-exactly.
-  Obs obs(f, trace::TracerOptions{});
+  Obs obs(f, /*traced=*/true);
 
   // --congested right-sizes the fabric (two nodes per leaf, wide host
   // links, capacity-2 leaf uplinks) so tenant traffic lands on links the
@@ -85,8 +85,9 @@ int cmd_insight_diagnose(const Flags& f) {
     }
     obs.finish_tlog();
   }
-  const insight::Diagnosis d = insight::diagnose(
-      obs.tracer->record(), machine, top_k, &obs.tracer->metrics());
+  const trace::MetricsRegistry metrics = obs.tracer->metrics();
+  const insight::Diagnosis d =
+      insight::diagnose(obs.tracer->record(), machine, top_k, &metrics);
 
   std::printf("%s over %d ranks on %d nodes (%s mapping%s, %lld B blocks)\n",
               run.pattern.c_str(), rc.comm.size(), run.nodes,

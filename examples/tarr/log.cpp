@@ -156,7 +156,7 @@ int cmd_log_cat(const Flags& f) {
   std::string path;
   tlog::ReplayOptions opts;
   opts.filter = parse_filter(f, path);
-  Obs obs(f, trace::TracerOptions{});
+  Obs obs(f, /*traced=*/true);
   const tlog::ReplayStats stats = tlog::replay(path, *obs.tracer, opts);
   if (!f.has("--json") && !f.has("--metrics"))
     std::fputs(obs.tracer->timeline_json().c_str(), stdout);

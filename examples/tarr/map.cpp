@@ -32,10 +32,7 @@ int cmd_map(const Flags& f) {
   // --trace and --metrics export the tracer; --report, --html and --insight
   // read the run it records.
   const bool exported = f.has("--trace") || f.has("--metrics") || out_dir;
-  std::optional<trace::TracerOptions> topts;
-  if (exported || report || f.has("--html") || f.has("--insight"))
-    topts.emplace();
-  Obs obs(f, topts);
+  Obs obs(f, exported || report || f.has("--html") || f.has("--insight"));
 
   const topology::Machine machine = topology::Machine::gpc(run.nodes);
   const mapping::Pattern pattern = run.collective();
@@ -85,24 +82,25 @@ int cmd_map(const Flags& f) {
       }
     }
     if (const std::string p = obs.path("--insight"); !p.empty()) {
-      // Diagnose the reordered run just traced; the tracer's metrics (when
-      // exported) contribute distribution-tail findings.
+      // Diagnose the reordered run just traced; the tracer's metrics
+      // contribute distribution-tail findings.
+      const trace::MetricsRegistry metrics = obs.tracer->metrics();
       write_file(p, insight::render_findings(insight::diagnose(
                         obs.tracer->record(), machine, /*top_k=*/8,
-                        exported ? &obs.tracer->metrics() : nullptr)));
+                        &metrics)));
       std::printf("insight : %s\n", p.c_str());
     }
     if (const std::string p = obs.path("--html"); !p.empty()) {
       // A baseline run over the *unreordered* communicator gives the
       // dashboard its before/after story; its diagnosis says what is wrong
       // with the initial layout.
-      trace::ScheduleRecorder base_recorder;
+      trace::Tracer base_tracer;
       {
-        obs::Install traced(&base_recorder);
+        obs::Install traced(&base_tracer);
         simulate(comm, pattern, identity_permutation(comm.size()),
                  run.msg_bytes, "simulate:baseline");
       }
-      const trace::ScheduleRecord base_record = base_recorder.take();
+      const trace::ScheduleRecord base_record = base_tracer.take();
       viz::DashboardInputs in;
       in.title = "tarr map dashboard";
       in.subtitle = run.describe(rc.comm.size());

@@ -36,9 +36,7 @@ int cmd_probe(const Flags& f) {
   const bool fail_probe = f.has("--fail-probe");
   if (fail_probe) cfg.controller.probe.timeout_prob = 1.0;
 
-  std::optional<trace::TracerOptions> topts;
-  if (f.has("--trace") || f.has("--metrics")) topts.emplace();
-  Obs obs(f, topts);
+  Obs obs(f, f.has("--trace") || f.has("--metrics"));
   const probe::ScenarioResult result = [&] {
     obs::Install traced(obs.sink());
     return probe::run_probed_scenario(cfg);

@@ -10,8 +10,8 @@
 /// \file analyzer.hpp
 /// The static schedule certifier of tarr::analyze.
 ///
-/// Input: a recorded schedule (trace::ScheduleRecord — the IR
-/// ScheduleRecorder rebuilds from the engine's trace stream) plus the
+/// Input: a recorded schedule (trace::ScheduleRecord — the IR a
+/// trace::Tracer rebuilds from the engine's trace stream) plus the
 /// collective's Contract.  Output: a Certificate — either a clean bill
 /// ("this schedule provably computes the contract on this machine") or a
 /// list of structured, human-readable counterexamples.  Nothing is

@@ -71,11 +71,11 @@ std::string fmt2(double v) {
   return buf;
 }
 
-std::string rank_list(const std::vector<Rank>& ranks) {
+std::string rank_list(const std::vector<RankLoad>& ranks) {
   std::string out;
   for (std::size_t i = 0; i < ranks.size(); ++i) {
     if (i > 0) out += ", ";
-    out += std::to_string(ranks[i]);
+    out += std::to_string(ranks[i].rank);
   }
   return out;
 }
@@ -93,13 +93,12 @@ void check_stragglers(const ImbalanceReport& imb,
   const double median = exact_quantile(busy, 0.5);
   if (median <= 0.0) return;
 
-  std::vector<Rank> stragglers;
+  std::vector<RankLoad> stragglers;
   double worst_ratio = 0.0;
-  for (const Rank r : imb.stragglers) {
-    const auto& rl = imb.ranks[static_cast<std::size_t>(r)];
+  for (const RankLoad& rl : imb.stragglers) {
     const double ratio = rl.busy / median;
     if (ratio >= kStragglerRatio) {
-      stragglers.push_back(r);
+      stragglers.push_back(rl);
       worst_ratio = std::max(worst_ratio, ratio);
     }
   }
@@ -109,13 +108,12 @@ void check_stragglers(const ImbalanceReport& imb,
   // remedy is structural (leader placement), not luck.
   NodeId shared_node = -1;
   bool all_same_node = true;
-  for (const Rank r : stragglers) {
-    const CoreId c = imb.ranks[static_cast<std::size_t>(r)].core;
-    if (c < 0) {
+  for (const RankLoad& rl : stragglers) {
+    if (rl.core < 0) {
       all_same_node = false;
       break;
     }
-    const NodeId n = machine.node_of_core(c);
+    const NodeId n = machine.node_of_core(rl.core);
     if (shared_node < 0) shared_node = n;
     else if (n != shared_node) all_same_node = false;
   }
@@ -135,9 +133,9 @@ void check_stragglers(const ImbalanceReport& imb,
                : "reorder ranks onto less-loaded cores "
                  "(tarr map --mapper heuristic|scotch|greedy)";
   f.evidence.push_back({"median.busy_usec", median});
-  for (const Rank r : stragglers)
-    f.evidence.push_back({"rank" + std::to_string(r) + ".busy_usec",
-                          imb.ranks[static_cast<std::size_t>(r)].busy});
+  for (const RankLoad& rl : stragglers)
+    f.evidence.push_back(
+        {"rank" + std::to_string(rl.rank) + ".busy_usec", rl.busy});
   out.push_back(std::move(f));
 }
 

@@ -23,19 +23,28 @@ ImbalanceReport analyze_imbalance(const trace::ScheduleRecord& record,
   TARR_REQUIRE(top_k >= 1, "analyze_imbalance: top_k must be >= 1");
   ImbalanceReport rep;
 
-  // Size the rank table.
-  Rank max_rank = -1;
-  for (const auto& t : record.transfers)
-    max_rank = std::max(max_rank, std::max(t.src, t.dst));
-  if (max_rank < 0) return rep;
-  rep.ranks.resize(static_cast<std::size_t>(max_rank) + 1);
-  for (Rank r = 0; r <= max_rank; ++r)
-    rep.ranks[static_cast<std::size_t>(r)].rank = r;
+  // The rank table: one entry per rank a transfer names, ascending, so its
+  // size follows the ranks the record holds, not the largest id.
+  std::vector<Rank> ids;
+  ids.reserve(2 * record.transfers.size());
+  for (const auto& t : record.transfers) {
+    ids.push_back(t.src);
+    ids.push_back(t.dst);
+  }
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  if (ids.empty()) return rep;
+  rep.ranks.resize(ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) rep.ranks[i].rank = ids[i];
+  const auto slot = [&](Rank r) {
+    return static_cast<std::size_t>(
+        std::lower_bound(ids.begin(), ids.end(), r) - ids.begin());
+  };
 
-  // Per-stage busy extraction.  `busy` is scratch reused across stages;
-  // `touched` lists the ranks the current stage involved.
+  // Per-stage busy extraction.  `busy` is scratch reused across stages, by
+  // table slot; `touched` lists the slots the current stage involved.
   std::vector<Usec> busy(rep.ranks.size(), 0.0);
-  std::vector<Rank> touched;
+  std::vector<std::size_t> touched;
   rep.stages.reserve(record.stages.size());
   for (const auto& ev : record.events) {
     if (ev.kind != trace::ScheduleRecord::EventRef::Kind::Stage) continue;
@@ -45,18 +54,20 @@ ImbalanceReport analyze_imbalance(const trace::ScheduleRecord& record,
     touched.clear();
     for (const auto& t : record.transfers_of(s)) {
       auto touch = [&](Rank r, CoreId core) {
-        auto& b = busy[static_cast<std::size_t>(r)];
-        if (b == 0.0 && t.duration > 0.0) touched.push_back(r);
+        const std::size_t i = slot(r);
+        auto& b = busy[i];
+        if (b == 0.0 && t.duration > 0.0) touched.push_back(i);
         if (t.duration > b) b = t.duration;
-        auto& rl = rep.ranks[static_cast<std::size_t>(r)];
+        auto& rl = rep.ranks[i];
         rl.transfers += s.repeats;
         if (rl.core < 0) rl.core = core;
       };
       touch(t.src, t.src_core);
       if (t.dst != t.src) touch(t.dst, t.dst_core);
     }
-    // touched collects ranks in transfer-emission order; sort so the stage
-    // summary (and the tie-broken argmax) is order-canonical.
+    // touched collects slots in transfer-emission order; sort (slots follow
+    // rank order) so the stage summary and its tie-broken argmax are
+    // order-canonical.
     std::sort(touched.begin(), touched.end());
 
     StageImbalance si;
@@ -64,14 +75,14 @@ ImbalanceReport analyze_imbalance(const trace::ScheduleRecord& record,
     si.repeats = s.repeats;
     si.duration = s.duration;
     double sum_busy = 0.0;
-    for (const Rank r : touched) {
-      const Usec b = busy[static_cast<std::size_t>(r)];
+    for (const std::size_t i : touched) {
+      auto& rl = rep.ranks[i];
+      const Usec b = busy[i];
       sum_busy += b;
       if (si.slowest == kNoRank || b > si.slowest_busy) {
-        si.slowest = r;
+        si.slowest = rl.rank;
         si.slowest_busy = b;
       }
-      auto& rl = rep.ranks[static_cast<std::size_t>(r)];
       rl.busy += b * reps;
       const Usec stall = per_exec > b ? per_exec - b : 0.0;
       rl.stall += stall * reps;
@@ -81,7 +92,7 @@ ImbalanceReport analyze_imbalance(const trace::ScheduleRecord& record,
       si.imbalance = si.slowest_busy / mean;
     }
     rep.stages.push_back(si);
-    for (const Rank r : touched) busy[static_cast<std::size_t>(r)] = 0.0;
+    for (const std::size_t i : touched) busy[i] = 0.0;
   }
 
   // Whole-run aggregates over participating ranks.
@@ -109,15 +120,14 @@ ImbalanceReport analyze_imbalance(const trace::ScheduleRecord& record,
   rep.jain_qpi = jain_index(loads);
 
   // Top-K stragglers: busiest ranks, descending, lowest rank on ties.
-  std::vector<Rank> order;
+  std::vector<RankLoad> order;
   for (const auto& rl : rep.ranks)
-    if (rl.transfers > 0 && rl.busy > 0.0) order.push_back(rl.rank);
-  std::sort(order.begin(), order.end(), [&](Rank a, Rank b) {
-    const Usec ba = rep.ranks[static_cast<std::size_t>(a)].busy;
-    const Usec bb = rep.ranks[static_cast<std::size_t>(b)].busy;
-    if (ba != bb) return ba > bb;
-    return a < b;
-  });
+    if (rl.transfers > 0 && rl.busy > 0.0) order.push_back(rl);
+  std::sort(order.begin(), order.end(),
+            [](const RankLoad& a, const RankLoad& b) {
+              if (a.busy != b.busy) return a.busy > b.busy;
+              return a.rank < b.rank;
+            });
   if (static_cast<int>(order.size()) > top_k) order.resize(top_k);
   rep.stragglers = std::move(order);
 

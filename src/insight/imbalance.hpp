@@ -42,7 +42,7 @@ struct RankLoad {
   Usec busy = 0.0;
   Usec stall = 0.0;
   long long transfers = 0;  ///< transfers participated in (repeats counted)
-  CoreId core = -1;         ///< core the rank occupied (-1 if never seen)
+  CoreId core = -1;         ///< core the rank occupied
 };
 
 /// Per-stage imbalance summary (repeat-compressed stages appear once).
@@ -57,7 +57,8 @@ struct StageImbalance {
 
 /// See file comment.
 struct ImbalanceReport {
-  std::vector<RankLoad> ranks;  ///< indexed by rank, size = max rank + 1
+  /// One entry per rank a recorded transfer names, in ascending rank order.
+  std::vector<RankLoad> ranks;
   std::vector<StageImbalance> stages;
 
   /// Distributions of the per-rank whole-run loads (and of per-execution
@@ -69,7 +70,8 @@ struct ImbalanceReport {
   double jain_links = 1.0;  ///< Jain index over directed cable loads
   double jain_qpi = 1.0;    ///< Jain index over directed QPI loads
 
-  std::vector<Rank> stragglers;         ///< top-K ranks by busy, descending
+  /// Top-K ranks by busy, descending (lowest rank on ties), with their loads.
+  std::vector<RankLoad> stragglers;
   /// Top-K directed resources by whole-run bytes (the record's aggregate
   /// loads), descending.
   std::vector<trace::Load> hot_resources;

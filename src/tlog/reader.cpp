@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "common/error.hpp"
+#include "trace/tracer.hpp"
 
 namespace tarr::tlog {
 
@@ -416,9 +417,9 @@ ReplayStats replay(const std::string& path, trace::TraceSink& sink,
 }
 
 trace::ScheduleRecord read_record(const std::string& path) {
-  trace::ScheduleRecorder recorder;
-  replay(path, recorder);
-  return recorder.take();
+  trace::Tracer tracer;
+  replay(path, tracer);
+  return tracer.take();
 }
 
 }  // namespace tarr::tlog

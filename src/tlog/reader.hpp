@@ -16,7 +16,7 @@
 ///
 /// Replay decodes blocks in file order and re-delivers each stored event to
 /// the given sink in its original emission order, so every existing
-/// consumer — trace::ScheduleRecorder, trace::Tracer, insight — works on a
+/// consumer — trace::Tracer, tarr::report, insight — works on a
 /// `.tlog` unchanged.  A reader-side EventFilter skips whole blocks when
 /// the footer index proves no stored event can pass (kind mask, or a stage
 /// window disjoint from the block's stage range); rank windows decode the
@@ -87,8 +87,8 @@ ReplayStats replay(const std::string& path, trace::TraceSink& sink,
                    const ReplayOptions& opts = ReplayOptions{});
 
 /// Rebuild the ScheduleRecord of the recorded run by replaying the full
-/// event stream into a fresh trace::ScheduleRecorder.  The result is
-/// byte-identical to live recording.
+/// event stream into a fresh trace::Tracer.  The result is byte-identical
+/// to live recording.
 trace::ScheduleRecord read_record(const std::string& path);
 
 }  // namespace tarr::tlog

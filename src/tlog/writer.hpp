@@ -22,9 +22,9 @@
 /// is the one knob: the memory/seek-granularity trade.
 ///
 /// A `.tlog` is a lossless capture: replaying it (tlog/reader.hpp) into a
-/// trace::ScheduleRecorder rebuilds a ScheduleRecord byte-identical to
-/// live recording, and replaying into a trace::Tracer reproduces its JSON
-/// timeline and metrics CSV byte-for-byte.  Selecting events is the
+/// trace::Tracer rebuilds a ScheduleRecord byte-identical to live
+/// recording and reproduces its JSON timeline and metrics CSV
+/// byte-for-byte.  Selecting events is the
 /// reader's job (ReplayOptions).
 ///
 /// Call finish() when the run is over — it flushes the last block and

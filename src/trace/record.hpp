@@ -9,12 +9,12 @@
 #include "trace/sink.hpp"
 
 /// \file record.hpp
-/// ScheduleRecorder: a TraceSink that keeps the *structure* of one engine
-/// run — every stage with its transfers and resource loads, every
-/// out-of-stage time increment, phases — as plain structs.  It
-/// is the one in-memory representation of a run: tarr::report analyzes it
-/// after the fact (critical path, mapping-attribution diffs), and the
-/// Tracer renders its timeline from it at export.
+/// ScheduleRecord: the *structure* of one engine run — every stage with its
+/// transfers and resource loads, every out-of-stage time increment, phases —
+/// as plain structs.  It is the one in-memory representation of a run: the
+/// Tracer (trace/tracer.hpp) stores the run in it and renders its timeline
+/// and metrics from it at export, and tarr::report analyzes it after the
+/// fact (critical path, mapping-attribution diffs).
 ///
 /// The record preserves the accounting identity of the engine: summing
 /// stage durations and time events in arrival order reproduces
@@ -133,37 +133,6 @@ struct ScheduleRecord {
 
   /// Innermost recorded phase containing simulated time `t`, or "" if none.
   std::string phase_at(Usec t) const;
-};
-
-/// See file comment.  Install it (obs::Install) around an Engine's
-/// construction — on its own or inside a Tracer — run the collective, then
-/// take the record.  The
-/// recorder tolerates multiple runs into one record; the accounting
-/// identity then matches the sum of the runs' totals.
-class ScheduleRecorder final : public TraceSink {
- public:
-  void on_stage(const StageEvent& e) override;
-  void on_transfer(const TransferEvent& e) override;
-  void on_phase(const PhaseEvent& e) override;
-  void on_time(const TimeEvent& e) override;
-
-  const ScheduleRecord& record() const { return record_; }
-  ScheduleRecord take() { return std::move(record_); }
-
-  /// Transfers that arrived after the last real stage event, so no stage
-  /// holds them.  Filtered `.tlog` replays deliver these; the timeline
-  /// draws them, record() consumers never see them.
-  std::span<const RecordedTransfer> unstaged() const { return pending_; }
-
- private:
-  ScheduleRecord record_;
-  /// Transfers of the stage currently being emitted, and their copies
-  /// (they arrive before their StageEvent).
-  std::vector<RecordedTransfer> pending_;
-  std::vector<Copy> pending_copies_;
-  /// Engine stage index -> index into record_.stages of its repeats == 1
-  /// entry (so repeat-compressed events can share the transfer slice).
-  std::map<int, int> stage_entry_;
 };
 
 }  // namespace tarr::trace

@@ -57,76 +57,135 @@ struct Span {
 
 }  // namespace
 
-Tracer::Tracer(TracerOptions opts) : opts_(opts) {}
+void Tracer::on_transfer(const TransferEvent& e) {
+  pending_.push_back(RecordedTransfer{e.stage, e.src_rank, e.dst_rank,
+                                      e.src_core, e.dst_core, e.bytes,
+                                      e.channel, e.contention, e.attempts,
+                                      e.duration, e.uncontended, e.start});
+  pending_copies_.insert(pending_copies_.end(), e.copies.begin(),
+                         e.copies.end());
+}
 
 void Tracer::on_stage(const StageEvent& e) {
-  recorder_.on_stage(e);
-  metrics_.add_count("engine.stages", e.repeats);
-  metrics_.add_count("engine.transfers",
-                     static_cast<double>(e.transfers) * e.repeats);
-  // StageEvent.duration for a repeat-compressed event is the TOTAL across
-  // repeats; the distribution wants the per-execution cost, weighted by how
-  // many executions it stands for.
-  metrics_.observe_n("stage.duration",
-                     e.duration / static_cast<double>(e.repeats), e.repeats);
+  RecordedStage s;
+  s.stage = e.stage;
+  s.repeats = e.repeats;
+  s.start = e.start;
+  s.duration = e.duration;
+  s.retry_wait = e.retry_wait;
+  s.transfers = e.transfers;
   if (e.repeats == 1) {
-    for (const Load& l : e.loads) metrics_.observe_load(l);
-    return;
+    // A real stage: adopt the transfers/copies that arrived since the last
+    // stage event (the engine emits them before the stage itself), and the
+    // loads the stage event carries.
+    s.first_transfer = static_cast<int>(record_.transfers.size());
+    s.num_transfers = static_cast<int>(pending_.size());
+    record_.transfers.insert(record_.transfers.end(), pending_.begin(),
+                             pending_.end());
+    pending_.clear();
+    s.first_copy = static_cast<int>(record_.copies.size());
+    s.num_copies = static_cast<int>(pending_copies_.size());
+    record_.copies.insert(record_.copies.end(), pending_copies_.begin(),
+                          pending_copies_.end());
+    pending_copies_.clear();
+    s.first_load = static_cast<int>(record_.loads.size());
+    s.num_loads = static_cast<int>(e.loads.size());
+    record_.loads.insert(record_.loads.end(), e.loads.begin(), e.loads.end());
+    for (const Load& l : e.loads)
+      (l.qpi ? record_.qpi_bytes : record_.link_bytes)[{l.id, l.dir}] +=
+          l.bytes;
+    stage_entry_[e.stage] = static_cast<int>(record_.stages.size());
+  } else {
+    // Repeat compression re-executes the stage just ended: share its
+    // transfer/copy/load slices (the repeat event itself carries none) and
+    // replay its resource loads once per extra execution.
+    const auto it = stage_entry_.find(e.stage);
+    if (it != stage_entry_.end()) {
+      const RecordedStage& orig = record_.stages[it->second];
+      s.first_transfer = orig.first_transfer;
+      s.num_transfers = orig.num_transfers;
+      s.first_copy = orig.first_copy;
+      s.num_copies = orig.num_copies;
+      s.first_load = orig.first_load;
+      s.num_loads = orig.num_loads;
+      for (const Load& l : record_.loads_of(orig))
+        (l.qpi ? record_.qpi_bytes : record_.link_bytes)[{l.id, l.dir}] +=
+            l.bytes * static_cast<double>(e.repeats);
+    }
   }
-  // A repeat-compressed event stands for `repeats` more executions of the
-  // stage it names, whose transfers and loads the record already holds.
-  const ScheduleRecord& rec = recorder_.record();
-  const RecordedStage& s = rec.stages.back();
-  for (const RecordedTransfer& t : rec.transfers_of(s))
-    metrics_.observe_transfer({.bytes = t.bytes,
-                               .channel = t.channel,
-                               .attempts = t.attempts,
-                               .duration = t.duration,
-                               .uncontended = t.uncontended},
-                              e.repeats);
-  for (const Load& l : rec.loads_of(s)) metrics_.observe_load(l, e.repeats);
+  record_.events.push_back(
+      {ScheduleRecord::EventRef::Kind::Stage,
+       static_cast<int>(record_.stages.size())});
+  record_.stages.push_back(std::move(s));
+  record_.total += e.duration;
 }
 
-void Tracer::on_transfer(const TransferEvent& e) {
-  recorder_.on_transfer(e);
-  metrics_.observe_transfer(e);
-  // Retransmissions count as drawn; a repeat-compressed stage draws none.
-  if (e.attempts > 1)
-    metrics_.add_count("fault.retransmissions", e.attempts - 1);
-}
-
-void Tracer::on_phase(const PhaseEvent& e) {
-  recorder_.on_phase(e);
-  metrics_.add_count("phase." + e.name, 1.0);
-}
+void Tracer::on_phase(const PhaseEvent& e) { record_.phases.push_back(e); }
 
 void Tracer::on_time(const TimeEvent& e) {
-  // Drawn like a phase span (time added outside stages occupies its own
-  // interval on the phases track); the metrics counter accumulates the
-  // simulated microseconds, not occurrences.
-  recorder_.on_time(e);
-  metrics_.add_count("time." + e.what, e.duration);
+  record_.events.push_back(
+      {ScheduleRecord::EventRef::Kind::Extra,
+       static_cast<int>(record_.extras.size())});
+  record_.extras.push_back(RecordedExtra{
+      e.what, e.start, e.duration,
+      std::vector<int>(e.dst_of_block.begin(), e.dst_of_block.end()),
+      static_cast<int>(record_.phases.size())});
+  record_.total += e.duration;
 }
 
-void Tracer::on_wall_span(const WallSpan& s) {
-  // The real seconds always reach the metrics CSV; the *timeline* placement
-  // is deterministic-ordinal unless real_wall_time was requested (see
-  // file comment of tracer.hpp).
-  metrics_.add_count("wall." + s.name, s.seconds);
-  wall_spans_.push_back(s);
-}
+void Tracer::on_wall_span(const WallSpan& s) { wall_spans_.push_back(s); }
 
 void Tracer::add_count(const std::string& name, double delta) {
-  metrics_.add_count(name, delta);
+  named_.add_count(name, delta);
 }
 
 void Tracer::observe(const std::string& name, double value) {
-  metrics_.observe(name, value);
+  named_.observe(name, value);
 }
 
-std::string Tracer::timeline_json() const {
-  const ScheduleRecord& rec = recorder_.record();
-  const std::span<const RecordedTransfer> unstaged = recorder_.unstaged();
+MetricsRegistry Tracer::metrics() const {
+  // The record keeps arrival order, so every key below receives its
+  // additions in the order the events arrived; histograms do not depend on
+  // sample order at all.
+  MetricsRegistry m = named_;
+  const auto fold = [&m](const RecordedTransfer& t, long long executions,
+                         bool drawn) {
+    m.observe_transfer({.bytes = t.bytes,
+                        .channel = t.channel,
+                        .attempts = t.attempts,
+                        .duration = t.duration,
+                        .uncontended = t.uncontended},
+                       executions);
+    if (drawn && t.attempts > 1)
+      m.add_count("fault.retransmissions", t.attempts - 1);
+  };
+  for (const RecordedStage& s : record_.stages) {
+    // Retransmissions count as drawn; a repeat-compressed entry draws none.
+    for (const RecordedTransfer& t : record_.transfers_of(s))
+      fold(t, s.repeats, s.repeats == 1);
+    m.add_count("engine.stages", s.repeats);
+    m.add_count("engine.transfers",
+                static_cast<double>(s.transfers) * s.repeats);
+    // The entry's duration is the total across its repeats; the
+    // distribution wants the per-execution cost, once per execution.
+    m.observe_n("stage.duration",
+                s.duration / static_cast<double>(s.repeats), s.repeats);
+    for (const Load& l : record_.loads_of(s)) m.observe_load(l, s.repeats);
+  }
+  for (const RecordedTransfer& t : unstaged()) fold(t, 1, true);
+  for (const PhaseEvent& p : record_.phases)
+    m.add_count("phase." + p.name, 1.0);
+  // Simulated microseconds added outside stages, not occurrences.
+  for (const RecordedExtra& x : record_.extras)
+    m.add_count("time." + x.what, x.duration);
+  for (const WallSpan& w : wall_spans_)
+    m.add_count("wall." + w.name, w.seconds);
+  return m;
+}
+
+std::string Tracer::timeline_json(bool real_wall_time) const {
+  const ScheduleRecord& rec = record_;
+  const std::span<const RecordedTransfer> unstaged = pending_;
   const auto transfer = [&](std::size_t i) -> const RecordedTransfer& {
     return i < rec.transfers.size() ? rec.transfers[i]
                                     : unstaged[i - rec.transfers.size()];
@@ -169,7 +228,7 @@ std::string Tracer::timeline_json() const {
   double wall_cursor = 0.0;  // ordinal, or accumulated real microseconds
   for (std::size_t i = 0; i < wall_spans_.size(); ++i) {
     const double dur =
-        opts_.real_wall_time ? wall_spans_[i].seconds * 1.0e6 : 1.0;
+        real_wall_time ? wall_spans_[i].seconds * 1.0e6 : 1.0;
     spans.push_back({kPidWall, 0, wall_cursor, dur, Span::Kind::Wall, i});
     wall_cursor += dur;
   }
@@ -246,7 +305,7 @@ std::string Tracer::timeline_json() const {
         const WallSpan& w = wall_spans_[sp.index];
         append_json_escaped(out, w.name);
         interval();
-        if (opts_.real_wall_time) {
+        if (real_wall_time) {
           append(out, "{\"seconds\":", w.seconds, "}");
         } else {
           out += "{}";

@@ -68,8 +68,7 @@ std::string render_findings_section(const insight::Diagnosis& d) {
   // Straggler detail: the top-K busiest ranks with their exact loads.
   if (!d.imbalance.stragglers.empty()) {
     std::vector<std::vector<std::string>> rows;
-    for (const Rank r : d.imbalance.stragglers) {
-      const auto& rl = d.imbalance.ranks[static_cast<std::size_t>(r)];
+    for (const auto& rl : d.imbalance.stragglers) {
       rows.push_back({std::to_string(rl.rank), std::to_string(rl.core),
                       format_number(rl.busy), format_number(rl.stall),
                       format_number(static_cast<double>(rl.transfers))});

@@ -15,7 +15,8 @@
 # prints the committed listing and every schedule mutation is rejected;
 # every --mapper value maps the same across same-seed runs, and a SLURM
 # --layout spelling maps as its library name does; campaign and probe
-# traces carry the mapping decision counters; the expected strings appear;
+# traces carry the mapping decision counters; `map --insight` alone writes
+# the diagnosis `--out-dir` derives; the expected strings appear;
 # a bad --layout or --procs prints its plain error text; exit codes are 2
 # for usage errors, 1 for errors (every artifact flag pointed at /dev/full
 # included) and 3 for the insight gate.
@@ -268,6 +269,13 @@ grep -q 'REGRESSED' trend.html
 "$TARR" map "${RUN[@]}" --quiet --wall --out-dir insight-run > /dev/null
 [ -f insight-run/insight.txt ] && [ -f insight-run/report.txt ] ||
   fail "--out-dir did not derive insight.txt and report.txt"
+# One run, one diagnosis: --insight alone writes what --out-dir derives,
+# distribution-tail findings included.
+TAIL=(--nodes 4 --procs 32 --pattern ring --msg 4096 --quiet)
+"$TARR" map "${TAIL[@]}" --insight tail-alone.txt > /dev/null
+"$TARR" map "${TAIL[@]}" --out-dir tail-run > /dev/null
+cmp tail-alone.txt tail-run/insight.txt
+grep -q 'transfer.serialization p99' tail-alone.txt
 expect_rc 1 insight diagnose --fail-on bogus
 expect_rc 3 insight diagnose --congested --epoch 3 --fail-on info
 expect_rc 2 insight

@@ -12,7 +12,7 @@
 #include "core/framework.hpp"
 #include "prof/obs.hpp"
 #include "simmpi/layout.hpp"
-#include "trace/record.hpp"
+#include "trace/tracer.hpp"
 
 namespace tarr::collectives {
 namespace {
@@ -118,7 +118,7 @@ double peak_load(const trace::ScheduleRecord& rec, const Machine& m,
 TEST(CongestionStats, RecordedLoadsExposeLinkLoads) {
   const Machine m = Machine::gpc(60);
   const Communicator comm(m, make_layout(m, 480, LayoutSpec{}));
-  trace::ScheduleRecorder recorder;
+  trace::Tracer recorder;
   {
     obs::Install traced(&recorder);
     Engine eng(comm, simmpi::CostConfig{}, ExecMode::Timed, 1024, 1);
@@ -139,7 +139,7 @@ TEST(CongestionStats, RecordedLoadsExposeLinkLoads) {
 TEST(CongestionStats, QpiLoadTracked) {
   const Machine m = Machine::gpc(1);
   const Communicator comm(m, make_layout(m, 8, LayoutSpec{}));
-  trace::ScheduleRecorder recorder;
+  trace::Tracer recorder;
   {
     obs::Install traced(&recorder);
     Engine eng(comm, simmpi::CostConfig{}, ExecMode::Timed, 4096, 1);
@@ -154,7 +154,7 @@ TEST(CongestionStats, QpiLoadTracked) {
 TEST(CongestionStats, LoadsArePerStage) {
   const Machine m = Machine::gpc(2);
   const Communicator comm(m, make_layout(m, 16, LayoutSpec{}));
-  trace::ScheduleRecorder recorder;
+  trace::Tracer recorder;
   {
     obs::Install traced(&recorder);
     Engine eng(comm, simmpi::CostConfig{}, ExecMode::Timed, 1024, 1);

@@ -16,7 +16,7 @@
 #include "core/framework.hpp"
 #include "prof/obs.hpp"
 #include "simmpi/layout.hpp"
-#include "trace/record.hpp"
+#include "trace/tracer.hpp"
 
 namespace tarr::analyze {
 namespace {
@@ -26,7 +26,7 @@ using collectives::AllgatherOptions;
 using collectives::OrderFix;
 using collectives::TreeAlgo;
 using trace::ScheduleRecord;
-using trace::ScheduleRecorder;
+using trace::Tracer;
 using simmpi::Communicator;
 using simmpi::CostConfig;
 using simmpi::Engine;
@@ -40,7 +40,7 @@ using topology::Machine;
 template <typename Runner>
 ScheduleRecord record_run(const Communicator& comm, Bytes block_bytes,
                           int blocks, Runner&& run) {
-  ScheduleRecorder rec;
+  Tracer rec;
   obs::Install traced(&rec);
   Engine eng(comm, CostConfig{}, ExecMode::Data, block_bytes, blocks);
   run(eng);
@@ -324,7 +324,7 @@ TEST(AnalyzeRejects, TimedRepeatCompressedRecordNeedsDataMode) {
   const Machine m = Machine::gpc(1);
   const int p = 8;
   const Communicator comm(m, make_layout(m, p, LayoutSpec{}));
-  ScheduleRecorder sink;
+  Tracer sink;
   {
     obs::Install traced(&sink);
     Engine eng(comm, CostConfig{}, ExecMode::Timed, 256, p);

@@ -33,7 +33,7 @@
 #include "prof/obs.hpp"
 #include "simmpi/layout.hpp"
 #include "simmpi/transient.hpp"
-#include "trace/record.hpp"
+#include "trace/tracer.hpp"
 
 namespace tarr::collectives {
 namespace {
@@ -458,7 +458,7 @@ TEST_P(ContractThreeWay, ContractAnalyzerAndTimedModeAgree) {
   };
 
   // 1. The Data-mode run satisfies the contract.
-  trace::ScheduleRecorder recorder;
+  trace::Tracer recorder;
   Engine data = [&] {
     obs::Install traced(&recorder);
     return Engine(use, CostConfig{}, ExecMode::Data, block, c.buf_blocks);

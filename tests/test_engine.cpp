@@ -9,7 +9,7 @@
 #include "common/error.hpp"
 #include "prof/obs.hpp"
 #include "simmpi/layout.hpp"
-#include "trace/record.hpp"
+#include "trace/tracer.hpp"
 
 namespace tarr::simmpi {
 namespace {
@@ -161,7 +161,7 @@ TEST(Engine, LocalCopiesAreGroupedByRankInSubmissionOrder) {
   const trace::Copy third{0, 2, 2, 2, 6, 1, 64, true};
   const trace::Copy remote{0, 1, 3, 0, 7, 1, 64, false};
   TransferCopies events;
-  trace::ScheduleRecorder recorder;
+  trace::Tracer recorder;
   trace::TeeSink tee({&events, &recorder});
   Usec cost = 0.0;
   {

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <map>
@@ -205,20 +206,18 @@ TEST(Metrics, StageDurationQuantilesMatchBruteForceOnTracedRun) {
   const Machine m = Machine::gpc(2);
   const Communicator comm(m, make_layout(m, 16, {}));
   trace::Tracer tracer;
-  trace::ScheduleRecorder recorder;
-  trace::TeeSink tee({&tracer, &recorder});
-  obs::Install traced(&tee);
+  obs::Install traced(&tracer);
   Engine eng(comm, CostConfig{}, ExecMode::Timed, 256, 16);
   collectives::run_allgather(
       eng, {collectives::AllgatherAlgo::Ring, collectives::OrderFix::None});
-  const trace::ScheduleRecord rec = recorder.take();
 
   std::vector<double> durations;
-  for (const auto& s : rec.stages) {
+  for (const auto& s : tracer.record().stages) {
     const double per_exec = s.duration / s.repeats;
     for (int i = 0; i < s.repeats; ++i) durations.push_back(per_exec);
   }
-  const Histogram* h = tracer.metrics().distribution("stage.duration");
+  const trace::MetricsRegistry metrics = tracer.metrics();
+  const Histogram* h = metrics.distribution("stage.duration");
   ASSERT_NE(h, nullptr);
   ASSERT_EQ(h->count(), static_cast<long long>(durations.size()));
   for (const auto& spec : kStandardQuantiles) {
@@ -239,10 +238,19 @@ TEST(Imbalance, JainIndexKnownValues) {
   EXPECT_NEAR(jain_index({4.0, 2.0}), 0.9, 1e-12);
 }
 
+/// The load of rank `r` in `rep`'s rank table (one entry per rank, in
+/// ascending order).
+const RankLoad& load_of(const ImbalanceReport& rep, Rank r) {
+  const auto it = std::find_if(rep.ranks.begin(), rep.ranks.end(),
+                               [&](const RankLoad& l) { return l.rank == r; });
+  EXPECT_NE(it, rep.ranks.end()) << "rank " << r;
+  return it == rep.ranks.end() ? rep.ranks.front() : *it;
+}
+
 TEST(Imbalance, ExactSumsMatchIndependentRecomputation) {
   const Machine m = Machine::gpc(2);
   const Communicator comm(m, make_layout(m, 16, {}));
-  trace::ScheduleRecorder recorder;
+  trace::Tracer recorder;
   obs::Install traced(&recorder);
   Engine eng(comm, CostConfig{}, ExecMode::Timed, 1024, 16);
   collectives::run_allgather(
@@ -268,8 +276,9 @@ TEST(Imbalance, ExactSumsMatchIndependentRecomputation) {
       busy[r] += b * static_cast<double>(s.repeats);
   }
   ASSERT_FALSE(rep.ranks.empty());
-  for (const auto& [r, b] : busy)
-    EXPECT_EQ(rep.ranks[static_cast<std::size_t>(r)].busy, b) << "rank " << r;
+  for (const auto& [r, b] : busy) EXPECT_EQ(load_of(rep, r).busy, b) << r;
+  for (std::size_t i = 1; i < rep.ranks.size(); ++i)
+    EXPECT_LT(rep.ranks[i - 1].rank, rep.ranks[i].rank);
 
   // Jain over cable loads EXPECT_EQ-matches the record's own aggregates.
   std::vector<double> loads;
@@ -279,6 +288,26 @@ TEST(Imbalance, ExactSumsMatchIndependentRecomputation) {
   for (const auto& h : rep.hot_resources) {
     if (h.qpi) continue;
     EXPECT_EQ(h.bytes, rec.link_bytes.at({h.id, h.dir}));
+  }
+}
+
+TEST(Imbalance, RankTableHoldsTheRanksTheTransfersName) {
+  // One transfer from a large rank to rank 0: the table holds the two
+  // ranks, however large the id.
+  for (const Rank far : {Rank{999'999}, std::numeric_limits<Rank>::max()}) {
+    SCOPED_TRACE(far);
+    trace::Tracer tracer;
+    tracer.on_transfer(trace::TransferEvent{.src_rank = far, .duration = 1.0});
+    tracer.on_stage(trace::StageEvent{.transfers = 1, .duration = 1.0});
+    const ImbalanceReport rep = analyze_imbalance(tracer.record());
+    ASSERT_EQ(rep.ranks.size(), 2u);
+    EXPECT_EQ(rep.ranks[0].rank, 0);
+    EXPECT_EQ(rep.ranks[1].rank, far);
+    EXPECT_EQ(rep.ranks[1].busy, 1.0);
+    // Equal loads: the lower rank leads the stragglers.
+    ASSERT_EQ(rep.stragglers.size(), 2u);
+    EXPECT_EQ(rep.stragglers[0].rank, 0);
+    EXPECT_EQ(rep.stragglers[1].rank, far);
   }
 }
 
@@ -349,9 +378,7 @@ TEST(Diagnose, CongestedRunSurfacesImbalanceWithExactEvidence) {
     for (const auto& ev : f.evidence) {
       if (ev.name.rfind("rank", 0) != 0) continue;
       const Rank r = std::atoi(ev.name.c_str() + 4);
-      EXPECT_EQ(ev.value,
-                d.imbalance.ranks[static_cast<std::size_t>(r)].busy)
-          << ev.name;
+      EXPECT_EQ(ev.value, load_of(d.imbalance, r).busy) << ev.name;
     }
   }
   // Findings are ranked most-severe first.
@@ -380,7 +407,7 @@ TEST(Diagnose, BalancedRunProducesNoStragglers) {
   // boundary ranks real stragglers, which the congested test relies on.)
   const Machine m = Machine::gpc(1);
   const Communicator comm(m, make_layout(m, 4, {}));
-  trace::ScheduleRecorder recorder;
+  trace::Tracer recorder;
   obs::Install traced(&recorder);
   Engine eng(comm, CostConfig{}, ExecMode::Timed, 256, 4);
   collectives::run_allgather(
@@ -413,7 +440,7 @@ trace::ScheduleRecord allgather_record(
     collectives::AllgatherAlgo algo,
     const simmpi::TransientFaultConfig& faults = {}) {
   const Communicator comm(m, make_layout(m, p, layout));
-  trace::ScheduleRecorder recorder;
+  trace::Tracer recorder;
   obs::Install traced(&recorder);
   Engine eng(comm, CostConfig{}, ExecMode::Timed, 4096, p);
   eng.set_transient_faults(faults);
@@ -427,7 +454,7 @@ TEST(DiagnoseRules, UnfairResourceLoad) {
   const Machine m = Machine::gpc(16);
   const int p = m.total_cores();
   const Communicator comm(m, make_layout(m, p, {}));
-  trace::ScheduleRecorder recorder;
+  trace::Tracer recorder;
   obs::Install traced(&recorder);
   Engine eng(comm, CostConfig{}, ExecMode::Timed, 4096, p);
   collectives::run_gather(eng, collectives::TreeAlgo::Linear,

@@ -43,7 +43,7 @@ using simmpi::make_layout;
 using topology::Machine;
 using trace::RecordedTransfer;
 using trace::ScheduleRecord;
-using trace::ScheduleRecorder;
+using trace::Tracer;
 
 /// Per-segment sanity: the nature breakdown covers the whole duration and
 /// nothing is negative.
@@ -66,7 +66,7 @@ std::pair<ScheduleRecord, Usec> record_allgather(
     const Communicator& comm, collectives::AllgatherAlgo algo,
     collectives::OrderFix fix = collectives::OrderFix::None,
     Bytes block = 256) {
-  ScheduleRecorder rec;
+  Tracer rec;
   obs::Install traced(&rec);
   Engine eng(comm, CostConfig{}, ExecMode::Timed, block, comm.size());
   collectives::run_allgather(eng, {algo, fix},
@@ -110,7 +110,7 @@ TEST(CriticalPath, AttributionSumsExactlyWithEndShuffle) {
   const Communicator comm(m, make_layout(m, 16, {}));
   std::vector<Rank> rotated(16);
   for (int i = 0; i < 16; ++i) rotated[i] = (i + 1) % 16;
-  ScheduleRecorder recorder;
+  Tracer recorder;
   obs::Install traced(&recorder);
   Engine eng(comm, CostConfig{}, ExecMode::Timed, 256, 16);
   collectives::run_allgather(eng,
@@ -136,7 +136,7 @@ TEST(CriticalPath, AttributionSumsExactlyHierarchical) {
   const Machine m = Machine::gpc(4);
   const int p = m.total_cores();
   const Communicator comm(m, make_layout(m, p, {}));
-  ScheduleRecorder rec;
+  Tracer rec;
   obs::Install traced(&rec);
   Engine eng(comm, CostConfig{}, ExecMode::Timed, 256, p);
   collectives::run_hier_allgather(
@@ -159,7 +159,7 @@ TEST(CriticalPath, AttributionSumsExactlyPipelinedHierarchical) {
   const Machine m = Machine::gpc(4);
   const int p = m.total_cores();  // 8 cores/node = 2^3, as the pipeline needs
   const Communicator comm(m, make_layout(m, p, {}));
-  ScheduleRecorder rec;
+  Tracer rec;
   obs::Install traced(&rec);
   Engine eng(comm, CostConfig{}, ExecMode::Timed, 256, p);
   collectives::run_hier_allgather_pipelined(eng, collectives::IntraAlgo::Binomial,
@@ -178,7 +178,7 @@ TEST(CriticalPath, AttributionSumsExactlyOnShrunkenCommunicator) {
                             make_layout(base, base.total_cores(), {}));
   const fault::DegradedTopology topo(base, fault::FaultMask{}.fail_node(3));
   const fault::ShrunkComm shrunk = fault::shrink_communicator(topo, parent);
-  ScheduleRecorder rec;
+  Tracer rec;
   obs::Install traced(&rec);
   Engine eng(shrunk.comm, CostConfig{}, ExecMode::Timed, 256,
              shrunk.comm.size());
@@ -196,7 +196,7 @@ TEST(CriticalPath, AttributionSumsExactlyUnderTransientFaults) {
   simmpi::TransientFaultConfig faults;
   faults.drop_prob = 0.2;
   faults.seed = 5;
-  ScheduleRecorder rec;
+  Tracer rec;
   obs::Install traced(&rec);
   Engine eng(comm, CostConfig{}, ExecMode::Timed, 256, 16);
   eng.set_transient_faults(faults);
@@ -216,7 +216,7 @@ TEST(CriticalPath, AttributionSumsExactlyUnderTransientFaults) {
 TEST(CriticalPath, OutOfStageTimeBecomesAnExtraSegment) {
   const Machine m = Machine::gpc(1);
   const Communicator comm(m, make_layout(m, 4, {}));
-  ScheduleRecorder rec;
+  Tracer rec;
   obs::Install traced(&rec);
   Engine eng(comm, CostConfig{}, ExecMode::Timed, 64, 4);
   eng.begin_stage();
@@ -241,7 +241,7 @@ TEST(CriticalPath, OutOfStageTimeBecomesAnExtraSegment) {
 TEST(Record, RepeatCompressionMatchesExplicitStages) {
   const Machine m = Machine::gpc(2);
   const Communicator comm(m, make_layout(m, 16, {}));
-  auto run = [&](bool compressed, ScheduleRecorder& rec) {
+  auto run = [&](bool compressed, Tracer& rec) {
     obs::Install traced(&rec);
     Engine eng(comm, CostConfig{}, ExecMode::Timed, 64, 16);
     const int reps = 3;
@@ -259,7 +259,7 @@ TEST(Record, RepeatCompressionMatchesExplicitStages) {
     }
     return eng.total();
   };
-  ScheduleRecorder compressed, explicit_;
+  Tracer compressed, explicit_;
   const Usec tc = run(true, compressed);
   const Usec te = run(false, explicit_);
   EXPECT_EQ(tc, te);
@@ -327,7 +327,7 @@ TEST(CriticalPath, ClassifiesChannelsByMachineTopology) {
 TEST(Diff, DetectsMigrationBetweenChannelClasses) {
   const Machine m = Machine::gpc(2);
   const Communicator comm(m, make_layout(m, 16, {}));
-  auto run = [&](Rank dst, ScheduleRecorder& rec) {
+  auto run = [&](Rank dst, Tracer& rec) {
     obs::Install traced(&rec);
     Engine eng(comm, CostConfig{}, ExecMode::Timed, 1024, 16);
     eng.begin_stage();
@@ -336,7 +336,7 @@ TEST(Diff, DetectsMigrationBetweenChannelClasses) {
     return eng.total();
   };
   // Run A sends across the network; run B keeps the byte on-node.
-  ScheduleRecorder ra, rb;
+  Tracer ra, rb;
   const Usec ta = run(15, ra);
   const Usec tb = run(1, rb);
   ASSERT_GT(ta, tb);  // network is slower than shared memory
@@ -368,8 +368,8 @@ TEST(Diff, ReorderingConservesLogicalBytes) {
   core::ReorderFramework fw(m);
   const auto rc = fw.reorder(comm, mapping::Pattern::Ring);
 
-  ScheduleRecorder base, cand;
-  auto run = [&](const Communicator& c, ScheduleRecorder& rec) {
+  Tracer base, cand;
+  auto run = [&](const Communicator& c, Tracer& rec) {
     obs::Install traced(&rec);
     Engine eng(c, CostConfig{}, ExecMode::Timed, 4096, c.size());
     return collectives::run_allgather(
@@ -629,11 +629,10 @@ TEST(Snapshot, EmitterWritesGatedFileWhenEnvSet) {
 // ---------------------------------------------------------------------------
 // Plumbing: TeeSink fan-out and fail-fast path probing.
 
-TEST(Plumbing, TeeSinkFeedsTracerAndRecorderIdentically) {
+TEST(Plumbing, TeeSinkFeedsBothLegsIdentically) {
   const Machine m = Machine::gpc(2);
   const Communicator comm(m, make_layout(m, 16, {}));
-  trace::Tracer tracer;
-  ScheduleRecorder rec;
+  Tracer tracer, rec;
   trace::TeeSink tee({&tracer, &rec});
   // The engine takes the tee when it is built; `plain` below runs untraced.
   Engine eng = [&] {
@@ -643,10 +642,10 @@ TEST(Plumbing, TeeSinkFeedsTracerAndRecorderIdentically) {
   collectives::run_allgather(
       eng, {collectives::AllgatherAlgo::Ring, collectives::OrderFix::None},
       identity_permutation(16));
-  // Both sides saw the full run: the recorder reconstructs the exact total
-  // and the tracer aggregated every stage.
+  // Both legs saw the full run: each reconstructs the exact total and the
+  // same record.
   EXPECT_EQ(rec.record().total, eng.total());
-  EXPECT_EQ(tracer.record().total, eng.total());
+  EXPECT_TRUE(tracer.record() == rec.record());
   EXPECT_GT(tracer.metrics().count("engine.stages"), 0.0);
   EXPECT_FALSE(tracer.record().stages.empty());
   // And teeing must not perturb the simulation itself.

@@ -32,7 +32,7 @@
 #include "fuzz_support.hpp"
 #include "prof/obs.hpp"
 #include "simmpi/layout.hpp"
-#include "trace/record.hpp"
+#include "trace/tracer.hpp"
 
 namespace tarr::collectives {
 namespace {
@@ -218,7 +218,7 @@ struct Run {
 Run timed(const Communicator& comm, int blocks,
           const std::optional<simmpi::TransientFaultConfig>& faults,
           const std::function<void(Engine&)>& body) {
-  trace::ScheduleRecorder recorder;
+  trace::Tracer recorder;
   obs::Install traced(&recorder);
   Engine eng(comm, simmpi::CostConfig{}, simmpi::ExecMode::Timed, 2048,
              blocks);

@@ -278,6 +278,22 @@ TEST(Baselines, AblBbmhTraversalSmallSubtreeFirstWins) {
   }
 }
 
+TEST(Baselines, AblScotchWeightsVolumeWeightsRecoverRdmh) {
+  // Divergence D1's ablation, the recursive-doubling pattern over 4,096
+  // block-bunch ranks: structure-only bisection lands below the initial
+  // mapping but within 10% of it; with volume weights the Scotch-like
+  // mapper comes within 1% of RDMH, at most 0.15x structure-only.
+  const auto s = baseline("abl_scotch_weights");
+  const double initial = metric(s, "initial.weighted_cost");
+  const double structural = metric(s, "structure_only.weighted_cost");
+  const double weighted = metric(s, "volume_weighted.weighted_cost");
+  const double rdmh = metric(s, "rdmh.weighted_cost");
+  EXPECT_LT(structural, initial);
+  EXPECT_GE(structural, 0.9 * initial);
+  EXPECT_LE(std::abs(weighted - rdmh), 0.01 * rdmh);
+  EXPECT_LE(weighted, 0.15 * structural);
+}
+
 TEST(Baselines, ExtCongestionRmhRelievesTheHottestCable) {
   // The 64 KiB ring allgather over 4,096 cyclic-bunch ranks: the RMH
   // reorder cuts the hottest cable's per-stage load at least 8x and the

@@ -134,11 +134,11 @@ const Scenario kScenarios[] = {
     {"transient", run_transient_faults},
 };
 
-/// Record `scenario` twice — once live into a ScheduleRecorder, once
-/// through a TlogSink — and return (live record, tlog path).
+/// Record `scenario` twice — once live into a Tracer, once through a
+/// TlogSink — and return (live record, tlog path).
 std::pair<trace::ScheduleRecord, std::string> record_both(
     const Scenario& scenario, TlogOptions opts = TlogOptions{}) {
-  trace::ScheduleRecorder recorder;
+  trace::Tracer recorder;
   const Usec live_total = scenario.run(&recorder);
   const std::string path = tmp_path(std::string(scenario.name) + ".tlog");
   {
@@ -260,7 +260,7 @@ TEST(Roundtrip, EveryTableScheduleRoundTripsInDataMode) {
       Engine eng(comm, CostConfig{}, ExecMode::Data, 64, sched.buf_blocks(p));
       (void)sched.run(eng, identity_permutation(p));
     };
-    trace::ScheduleRecorder live;
+    trace::Tracer live;
     run(&live);
     {
       TlogSink sink(path);
@@ -365,7 +365,7 @@ TEST(Filter, StageWindowKeepsExactlyTheWindow) {
   ReplayOptions ropts;
   ropts.filter.min_stage = 2;
   ropts.filter.max_stage = 4;
-  trace::ScheduleRecorder recorder;
+  trace::Tracer recorder;
   const ReplayStats stats = replay(path, recorder, ropts);
   const trace::ScheduleRecord rec = recorder.take();
   for (const auto& s : rec.stages) {
@@ -405,7 +405,7 @@ TEST(Filter, RankWindowMatchesEitherEndpoint) {
   ReplayOptions ropts;
   ropts.filter.min_rank = 0;
   ropts.filter.max_rank = 3;
-  trace::ScheduleRecorder recorder;
+  trace::Tracer recorder;
   replay(path, recorder, ropts);
   const trace::ScheduleRecord rec = recorder.take();
   ASSERT_FALSE(rec.transfers.empty());
@@ -426,7 +426,7 @@ TEST(Filter, ReaderSideFilterSelectsWithoutRewriting) {
   const auto [live, path] = record_both(kScenarios[1]);
   ReplayOptions ropts;
   ropts.filter.kinds = 1u << static_cast<int>(EventKind::Transfer);
-  trace::ScheduleRecorder recorder;
+  trace::Tracer recorder;
   const ReplayStats stats = replay(path, recorder, ropts);
   EXPECT_EQ(stats.delivered[static_cast<int>(EventKind::Transfer)],
             static_cast<long long>(live.transfers.size()));
@@ -497,7 +497,7 @@ TEST(Index, StageWindowSkipsDisjointBlocks) {
   EXPECT_GT(stats.blocks_skipped, 0);
   EXPECT_LT(stats.blocks_decoded, stats.blocks_total);
   // The decode was still correct: only stage-0 events came out.
-  trace::ScheduleRecorder recorder;
+  trace::Tracer recorder;
   replay(path, recorder, ropts);
   const trace::ScheduleRecord rec = recorder.take();
   for (const auto& s : rec.stages) EXPECT_EQ(s.stage, 0);
@@ -626,7 +626,7 @@ TEST(Fuzz, BitFlipsAreDetectedByChecksums) {
     mut[pos] = static_cast<char>(mut[pos] ^ 0x40);
     spit(flipped, mut);
     try {
-      trace::ScheduleRecorder recorder;
+      trace::Tracer recorder;
       replay(flipped, recorder);
       // A flip in slack space may legitimately decode; it must at least
       // not crash (ASan/UBSan would flag any unchecked read).
@@ -721,7 +721,7 @@ TEST(Fuzz, PayloadMutationsBehindValidChecksumsDecodeOrThrow) {
         // Anything but a clean decode or a tarr::Error fails the test
         // (ASan/UBSan would flag an unchecked read or an overflow).
         try {
-          trace::ScheduleRecorder recorder;
+          trace::Tracer recorder;
           replay(mutated, recorder);
           ++decoded;
         } catch (const Error&) {
@@ -770,7 +770,7 @@ TEST(Fuzz, ForgedRecordsAreRejectedByTheirOwnChecks) {
     const std::string forged_path = tmp_path("forged.tlog");
     spit(forged_path, rebuild(info, {forged}));
     try {
-      trace::ScheduleRecorder recorder;
+      trace::Tracer recorder;
       replay(forged_path, recorder);
       FAIL() << "forged record decoded";
     } catch (const Error& e) {
@@ -809,7 +809,7 @@ TEST(Fuzz, ForgedRecordsAreRejectedByTheirOwnChecks) {
 // Bounded memory: the point of the subsystem.  The tarr::prof counting
 // allocator charges every operator-new to the enclosing ProfScope; a
 // streaming writer's allocation volume must stay O(block), while the
-// buffering ScheduleRecorder's grows with the event count.
+// buffering Tracer's grows with the event count.
 
 /// Feed `events` synthetic transfer events (with a stage each `stride`) to
 /// `sink` inside a ProfScope and return the requested allocation bytes.
@@ -862,9 +862,9 @@ TEST(Memory, WriterAllocationIsIndependentOfEventCount) {
       << small_bytes << " -> " << large_bytes;
 
   // Contrast: the buffering recorder grows linearly with the stream.
-  trace::ScheduleRecorder small_rec;
+  trace::Tracer small_rec;
   const long long rec_small = charge_synthetic(small_rec, kSmall, "rec-small");
-  trace::ScheduleRecorder large_rec;
+  trace::Tracer large_rec;
   const long long rec_large = charge_synthetic(large_rec, kLarge, "rec-large");
   EXPECT_GT(rec_large, 5 * rec_small)
       << rec_small << " -> " << rec_large;

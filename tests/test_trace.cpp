@@ -20,13 +20,17 @@
 #include <vector>
 
 #include "collectives/allgather.hpp"
+#include "collectives/allgatherv.hpp"
 #include "collectives/hierarchical.hpp"
 #include "collectives/schedules.hpp"
+#include "common/error.hpp"
 #include "common/permutation.hpp"
+#include "common/rng.hpp"
 #include "common/serialize.hpp"
 #include "core/framework.hpp"
 #include "core/topoallgather.hpp"
 #include "fault/shrink.hpp"
+#include "fuzz_support.hpp"
 #include "prof/obs.hpp"
 #include "simmpi/engine.hpp"
 #include "simmpi/layout.hpp"
@@ -474,11 +478,9 @@ TEST(Trace, WallSpansAreOrdinalByDefaultAndRealWhenAsked) {
   EXPECT_TRUE(saw_wall);
 
   // Opt-in: real (non-negative, generally positive) measured durations.
-  TracerOptions topts;
-  topts.real_wall_time = true;
-  Tracer real(topts);
+  Tracer real;
   traced_allgather(2, 16, ExecMode::Timed, &real);
-  for (const auto& s : parsed_spans(real.timeline_json())) {
+  for (const auto& s : parsed_spans(real.timeline_json(true))) {
     if (s.pid == 2) {
       EXPECT_GE(s.dur, 0.0);
     }
@@ -923,6 +925,269 @@ TEST(Trace, TimelineAndMetricsMatchRecordedDigests) {
     EXPECT_EQ(timeline, c.timeline);
     EXPECT_EQ(metrics, c.metrics);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Differential oracle: the Tracer renders its metrics from the record at
+// export; OnlineMetrics folds the same events while the run executes, with
+// the handlers the Tracer had before it stopped folding.  Teed beside a
+// Tracer, both must print the same CSV byte for byte.
+
+/// The run-time fold: an inner Tracer for the record a repeat event reads
+/// back, and a registry fed by every handler.
+class OnlineMetrics final : public TraceSink {
+ public:
+  void on_stage(const StageEvent& e) override {
+    recorder_.on_stage(e);
+    metrics_.add_count("engine.stages", e.repeats);
+    metrics_.add_count("engine.transfers",
+                       static_cast<double>(e.transfers) * e.repeats);
+    // StageEvent.duration for a repeat-compressed event is the TOTAL across
+    // repeats; the distribution wants the per-execution cost, weighted by
+    // how many executions it stands for.
+    metrics_.observe_n("stage.duration",
+                       e.duration / static_cast<double>(e.repeats),
+                       e.repeats);
+    if (e.repeats == 1) {
+      for (const Load& l : e.loads) metrics_.observe_load(l);
+      return;
+    }
+    // A repeat-compressed event stands for `repeats` more executions of the
+    // stage it names, whose transfers and loads the record already holds.
+    const ScheduleRecord& rec = recorder_.record();
+    const RecordedStage& s = rec.stages.back();
+    for (const RecordedTransfer& t : rec.transfers_of(s))
+      metrics_.observe_transfer({.bytes = t.bytes,
+                                 .channel = t.channel,
+                                 .attempts = t.attempts,
+                                 .duration = t.duration,
+                                 .uncontended = t.uncontended},
+                                e.repeats);
+    for (const Load& l : rec.loads_of(s)) metrics_.observe_load(l, e.repeats);
+  }
+
+  void on_transfer(const TransferEvent& e) override {
+    recorder_.on_transfer(e);
+    metrics_.observe_transfer(e);
+    // Retransmissions count as drawn; a repeat-compressed stage draws none.
+    if (e.attempts > 1)
+      metrics_.add_count("fault.retransmissions", e.attempts - 1);
+  }
+
+  void on_phase(const PhaseEvent& e) override {
+    recorder_.on_phase(e);
+    metrics_.add_count("phase." + e.name, 1.0);
+  }
+
+  void on_time(const TimeEvent& e) override {
+    // The metrics counter accumulates the simulated microseconds, not
+    // occurrences.
+    recorder_.on_time(e);
+    metrics_.add_count("time." + e.what, e.duration);
+  }
+
+  void on_wall_span(const WallSpan& s) override {
+    metrics_.add_count("wall." + s.name, s.seconds);
+  }
+
+  void add_count(const std::string& name, double delta) override {
+    metrics_.add_count(name, delta);
+  }
+
+  void observe(const std::string& name, double value) override {
+    metrics_.observe(name, value);
+  }
+
+  const MetricsRegistry& metrics() const { return metrics_; }
+
+ private:
+  Tracer recorder_;
+  MetricsRegistry metrics_;
+};
+
+/// Runs `run` into a Tracer teed beside an OnlineMetrics and checks that
+/// both print the same metrics CSV.  Returns false when the run stopped on
+/// a tarr::Error, a size its schedule refuses (2^k ranks or nodes); the
+/// events sent before it are compared all the same.
+bool folds_like_online(const std::function<void(TraceSink*)>& run) {
+  Tracer tracer;
+  OnlineMetrics online;
+  TeeSink tee({&tracer, &online});
+  bool completed = true;
+  try {
+    run(&tee);
+  } catch (const Error&) {
+    completed = false;
+  }
+  EXPECT_EQ(tracer.metrics().csv(), online.metrics().csv());
+  return completed;
+}
+
+/// A random order that keeps each node's ranks on consecutive new ranks, as
+/// hierarchical runners require: the nodes shuffled, and the ranks within
+/// each node.
+std::vector<Rank> node_block_shuffle(int nodes, int per_node, Rng& rng) {
+  std::vector<Rank> order;
+  for (const int n : fuzz::random_permutation(nodes, rng))
+    for (const int l : fuzz::random_permutation(per_node, rng))
+      order.push_back(n * per_node + l);
+  return order;
+}
+
+TEST(TraceOracle, EveryScheduleFoldsAtExportAsItDidOnline) {
+  // Every table schedule plus the allgatherv ring, in Timed and Data mode,
+  // with transient faults off and on, at the identity and shuffled, on GPC
+  // 1-4 full nodes.
+  struct Case {
+    std::string name;
+    bool hierarchical = false;
+    Bytes block = 1024;
+    std::function<int(int)> buf_blocks;
+    std::function<void(Engine&, const std::vector<Rank>&)> run;
+  };
+  std::vector<Case> cases;
+  for (const collectives::Schedule& s : collectives::schedules())
+    cases.push_back({s.name, s.hierarchical, 1024,
+                     [&s](int p) { return s.buf_blocks(p); },
+                     [&s](Engine& e, const std::vector<Rank>& oldrank) {
+                       (void)s.run(e, oldrank);
+                     }});
+  // One byte per block, a contribution of 1-4 bytes per rank.
+  const auto counts = [](int p) {
+    std::vector<int> c;
+    for (int r = 0; r < p; ++r) c.push_back(1 + r % 4);
+    return c;
+  };
+  cases.push_back({"allgatherv-ring", false, 1,
+                   [&](int p) {
+                     return collectives::allgatherv_displacements(
+                         counts(p))[static_cast<std::size_t>(p)];
+                   },
+                   [&](Engine& e, const std::vector<Rank>& oldrank) {
+                     (void)collectives::run_allgatherv_ring(
+                         e, counts(e.comm().size()), oldrank);
+                   }});
+  simmpi::TransientFaultConfig faults;
+  faults.drop_prob = 0.05;
+  faults.corrupt_prob = 0.02;
+  faults.seed = 7;
+  Rng rng(28);
+  int runs = 0, refused = 0;
+  for (int nodes = 1; nodes <= 4; ++nodes) {
+    const Machine m = Machine::gpc(nodes);
+    const int p = m.total_cores();
+    for (const Case& c : cases) {
+      const Communicator comm(
+          m, make_layout(m, p,
+                         c.hierarchical
+                             ? simmpi::LayoutSpec{}
+                             : simmpi::LayoutSpec{simmpi::NodeOrder::Cyclic,
+                                                  simmpi::SocketOrder::Bunch}));
+      for (const bool shuffled : {false, true}) {
+        const std::vector<Rank> oldrank =
+            !shuffled ? identity_permutation(p)
+            : c.hierarchical
+                ? node_block_shuffle(nodes, m.cores_per_node(), rng)
+                : fuzz::random_permutation(p, rng);
+        const Communicator use = fuzz::arbitrary_reorder(comm, oldrank);
+        for (const ExecMode mode : {ExecMode::Timed, ExecMode::Data})
+          for (const bool faulty : {false, true}) {
+            SCOPED_TRACE(c.name + " gpc" + std::to_string(nodes) +
+                         (shuffled ? " shuffled" : " identity") +
+                         (mode == ExecMode::Timed ? " timed" : " data") +
+                         (faulty ? " faults" : ""));
+            const bool ran = folds_like_online([&](TraceSink* sink) {
+              obs::Install traced(sink);
+              Engine eng(use, CostConfig{}, mode, c.block, c.buf_blocks(p));
+              if (faulty) eng.set_transient_faults(faults);
+              c.run(eng, oldrank);
+            });
+            ++(ran ? runs : refused);
+          }
+      }
+    }
+  }
+  // GPC 3's 24 ranks and 3 nodes are the one size the seven power-of-two
+  // schedules refuse, in each of their 8 runs there.
+  EXPECT_EQ(refused, 7 * 8);
+  EXPECT_EQ(runs + refused, 4 * static_cast<int>(cases.size()) * 8);
+}
+
+TEST(TraceOracle, TopoAllgatherFoldsAtExportAsItDidOnline) {
+  // Mapping counts, wall spans and selector picks reach the sink through a
+  // traced framework, beside the engines' stages.
+  for (const bool hierarchical : {false, true}) {
+    SCOPED_TRACE(hierarchical ? "hierarchical" : "flat");
+    EXPECT_TRUE(folds_like_online([&](TraceSink* sink) {
+      const Machine m = Machine::gpc(4);
+      core::ReorderFramework fw(m);
+      fw.set_trace_sink(sink);
+      const Communicator comm(m, make_layout(m, m.total_cores(), {}));
+      core::TopoAllgatherConfig cfg;
+      cfg.hierarchical = hierarchical;
+      core::TopoAllgather path(fw, comm, cfg);
+      path.set_trace_sink(sink);
+      for (const Bytes msg : {64, 4096, 262144}) (void)path.latency(msg);
+    }));
+  }
+}
+
+TEST(TraceOracle, FilteredReplaysFoldAtExportAsTheyDidOnline) {
+  // One 512-rank ring capture: a heuristic reordering under a traced
+  // framework, then a Timed ring with transient faults, which issues every
+  // stage and draws retransmissions.
+  const std::string path = testing::TempDir() + "tarr_trace_oracle.tlog";
+  {
+    tlog::TlogSink capture(path);
+    const Machine m = Machine::gpc(64);
+    const Communicator comm(m, make_layout(m, m.total_cores(), {}));
+    core::ReorderFramework fw(m);
+    fw.set_trace_sink(&capture);
+    const auto rc = fw.reorder(comm, mapping::Pattern::Ring);
+    obs::Install traced(&capture);
+    Engine eng(rc.comm, CostConfig{}, ExecMode::Timed, 256, rc.comm.size());
+    simmpi::TransientFaultConfig faults;
+    faults.drop_prob = 0.02;
+    faults.seed = 11;
+    eng.set_transient_faults(faults);
+    collectives::run_allgather(
+        eng, {collectives::AllgatherAlgo::Ring, collectives::OrderFix::None},
+        rc.oldrank);
+    capture.finish();
+  }
+  const auto kind = [](tlog::EventKind k) {
+    return 1u << static_cast<int>(k);
+  };
+  std::vector<std::pair<std::string, tlog::EventFilter>> filters;
+  filters.push_back({"--stages 3:5", {}});
+  filters.back().second.min_stage = 3;
+  filters.back().second.max_stage = 5;
+  filters.push_back({"--ranks 0:7", {}});
+  filters.back().second.min_rank = 0;
+  filters.back().second.max_rank = 7;
+  filters.push_back({"--kinds transfer", {}});
+  filters.back().second.kinds = kind(tlog::EventKind::Transfer);
+  filters.push_back({"--kinds stage", {}});
+  filters.back().second.kinds = kind(tlog::EventKind::Stage);
+  filters.push_back({"--stages 0:0 --kinds stage,transfer", {}});
+  filters.back().second.min_stage = 0;
+  filters.back().second.max_stage = 0;
+  filters.back().second.kinds =
+      kind(tlog::EventKind::Stage) | kind(tlog::EventKind::Transfer);
+  for (const auto& [name, filter] : filters) {
+    SCOPED_TRACE(name);
+    EXPECT_TRUE(folds_like_online([&](TraceSink* sink) {
+      tlog::replay(path, *sink, tlog::ReplayOptions{filter});
+    }));
+  }
+  // Every transfer of a transfer-only replay is unstaged, retransmissions
+  // included.
+  Tracer transfers_only;
+  tlog::replay(path, transfers_only, tlog::ReplayOptions{filters[2].second});
+  std::remove(path.c_str());
+  EXPECT_TRUE(transfers_only.record().empty());
+  EXPECT_EQ(transfers_only.unstaged().size(), 512u * 511u);
+  EXPECT_GT(transfers_only.metrics().count("fault.retransmissions"), 0.0);
 }
 
 }  // namespace

@@ -20,7 +20,7 @@
 #include "report/critical_path.hpp"
 #include "simmpi/engine.hpp"
 #include "simmpi/layout.hpp"
-#include "trace/record.hpp"
+#include "trace/tracer.hpp"
 #include "viz/html.hpp"
 #include "viz/matrix.hpp"
 #include "viz/timeline.hpp"
@@ -87,7 +87,7 @@ void expect_well_formed(const std::string& html) {
 /// Record one ring allgather over `comm` (identity order restore).
 trace::ScheduleRecord record_ring(const Communicator& comm,
                                   Bytes block = 1024) {
-  trace::ScheduleRecorder rec;
+  trace::Tracer rec;
   obs::Install traced(&rec);
   Engine eng(comm, CostConfig{}, ExecMode::Timed, block, comm.size());
   collectives::run_allgather(
@@ -293,7 +293,7 @@ TEST(EdgeCases, EmptyRecordRendersNotesNotCrashes) {
 TEST(EdgeCases, SingleRankRunRenders) {
   const Machine m = Machine::gpc(1);
   const Communicator comm(m, make_layout(m, 1, {}));
-  trace::ScheduleRecorder recorder;
+  trace::Tracer recorder;
   obs::Install traced(&recorder);
   Engine eng(comm, CostConfig{}, ExecMode::Timed, 64, 1);
   eng.begin_stage();
