@@ -113,7 +113,7 @@ namespace {
 /// Dual recursive bipartitioning: split the slot interval in half, bisect
 /// the vertex subset to match, recurse.  Slot ids sorted ascending encode
 /// the host hierarchy (node-major core numbering), as in a Scotch tleaf.
-void scotch_recurse(const graph::WeightedGraph& g, std::vector<int> vertices,
+void scotch_recurse(graph::Bisector& bisector, std::vector<int> vertices,
                     const std::vector<int>& slots, int lo, int hi,
                     Rng& rng, std::vector<int>& result) {
   const int n = hi - lo;
@@ -122,15 +122,15 @@ void scotch_recurse(const graph::WeightedGraph& g, std::vector<int> vertices,
     return;
   }
   const int half = n / 2;
-  const graph::BisectionResult bi =
-      graph::bisect_subset(g, vertices, half, rng);
+  const graph::BisectionResult bi = bisector.split(vertices, half, rng);
   std::vector<int> left, right;
   left.reserve(half);
   right.reserve(n - half);
   for (std::size_t i = 0; i < vertices.size(); ++i)
     (bi.side[i] == 0 ? left : right).push_back(vertices[i]);
-  scotch_recurse(g, std::move(left), slots, lo, lo + half, rng, result);
-  scotch_recurse(g, std::move(right), slots, lo + half, hi, rng, result);
+  scotch_recurse(bisector, std::move(left), slots, lo, lo + half, rng, result);
+  scotch_recurse(bisector, std::move(right), slots, lo + half, hi, rng,
+                 result);
 }
 
 }  // namespace
@@ -141,6 +141,7 @@ std::vector<int> scotch_like_map(const graph::WeightedGraph& g,
   const int p = static_cast<int>(rank_to_slot.size());
   TARR_REQUIRE(g.num_vertices() == p,
                "scotch_like_map: graph/rank size mismatch");
+  TARR_REQUIRE(p >= 1, "scotch_like_map: no ranks");
   std::vector<int> slots = rank_to_slot;
   std::sort(slots.begin(), slots.end());
   std::vector<int> vertices(p);
@@ -150,7 +151,8 @@ std::vector<int> scotch_like_map(const graph::WeightedGraph& g,
   int levels = 0;
   for (int n = p; n > 1; n = (n + 1) / 2) ++levels;
   obs::count("bisection.levels", static_cast<double>(levels));
-  scotch_recurse(g, std::move(vertices), slots, 0, p, rng, result);
+  graph::Bisector bisector(g);
+  scotch_recurse(bisector, std::move(vertices), slots, 0, p, rng, result);
   if constexpr (kSlowChecksEnabled)
     check::verify_mapping("scotch-like", rank_to_slot, result);
   return result;

@@ -98,6 +98,10 @@ TEST(GeneralMapping, MismatchedGraphRejected) {
       Error);
   EXPECT_THROW(mapping::scotch_like_map(stencil2d_pattern(2, 2), {0, 1}, rng),
                Error);
+  // No ranks: the halving recursion would never reach a single rank.
+  WeightedGraph empty(0);
+  empty.finalize();
+  EXPECT_THROW(mapping::scotch_like_map(empty, {}, rng), Error);
 }
 
 }  // namespace
