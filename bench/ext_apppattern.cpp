@@ -2,9 +2,13 @@
 // application patterns (§V's "general forms"), measured as the simulated
 // time of one halo-exchange round before and after reordering.  A 64x64
 // process grid (4096 processes) on the paper's machine, placed block and
-// cyclic.
+// cyclic.  Every cell is gated: per layout and message size the initial
+// time, <layout>.initial_<size>, and both mappers' improvements,
+// <layout>.bisection_improvement_<size> and <layout>.greedy_improvement_<size>.
 
 #include <cstdio>
+#include <string>
+#include <utility>
 
 #include "bench/fixtures.hpp"
 #include "bench/sweep.hpp"
@@ -37,6 +41,9 @@ int main() {
   using namespace tarr::bench;
 
   BenchWorld world(kPaperNodes);
+  SnapshotEmitter snapshot("ext_apppattern");
+  snapshot.set_meta("nodes", std::to_string(kPaperNodes));
+  snapshot.set_meta("procs", std::to_string(kPaperProcs));
   const int p = kPaperProcs;
   const auto pattern = graph::stencil2d_pattern(64, 64);
 
@@ -54,17 +61,23 @@ int main() {
         comm, pattern, core::ReorderFramework::GraphMapperKind::Bisection);
     const auto greedy = world.framework.reorder_for_graph(
         comm, pattern, core::ReorderFramework::GraphMapperKind::Greedy);
-    for (Bytes msg : {Bytes(4 * 1024), Bytes(64 * 1024)}) {
+    const std::pair<Bytes, const char*> sizes[] = {{4 * 1024, "4KiB"},
+                                                   {64 * 1024, "64KiB"}};
+    for (const auto& [msg, size] : sizes) {
       const Usec before = halo_round(comm, pattern, msg);
-      t.add_row({simmpi::to_string(spec), TextTable::bytes(msg),
-                 TextTable::num(before, 1),
-                 TextTable::num(improvement_percent(
-                                    before, halo_round(bis.comm, pattern, msg)),
-                                1),
-                 TextTable::num(
-                     improvement_percent(
-                         before, halo_round(greedy.comm, pattern, msg)),
-                     1)});
+      const double bis_impr =
+          improvement_percent(before, halo_round(bis.comm, pattern, msg));
+      const double greedy_impr =
+          improvement_percent(before, halo_round(greedy.comm, pattern, msg));
+      const std::string layout = simmpi::to_string(spec);
+      t.add_row({layout, TextTable::bytes(msg), TextTable::num(before, 1),
+                 TextTable::num(bis_impr, 1), TextTable::num(greedy_impr, 1)});
+      snapshot.add_metric(layout + ".initial_" + size, before, "usec",
+                          /*higher_is_better=*/false);
+      snapshot.add_metric(layout + ".bisection_improvement_" + size, bis_impr,
+                          "percent", /*higher_is_better=*/true);
+      snapshot.add_metric(layout + ".greedy_improvement_" + size, greedy_impr,
+                          "percent", /*higher_is_better=*/true);
     }
   }
   std::printf("%s", t.render().c_str());
@@ -72,5 +85,6 @@ int main() {
       "\nRecursive bipartitioning finds 2D tiles for the uniform stencil;\n"
       "the greedy heaviest-edge mapper packs rows, which only helps when\n"
       "the initial placement is worse than rows (cyclic layouts).\n");
+  snapshot.dump();
   return 0;
 }

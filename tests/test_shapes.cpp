@@ -158,12 +158,14 @@ TEST_F(Shapes, Fig7_HeuristicsNotSlowerThanScotchLike) {
   // A scan step is one free slot considered: read one by one (a distance
   // load and compare) or settled from its pool block's cluster free count,
   // plus its tie-break draw if it ties the minimum.  A swap evaluation
-  // prices a vertex pair against its adjacency.  At this size on an x86-64
-  // host (RelWithDebInfo) RDMH spends ~2.5-3.7 ns per scan step (36% of
-  // them reads) and the graph mapper ~54 ns per swap evaluation, graph
-  // build included.  Pricing a swap
-  // evaluation at a conservative 5 scan steps: same order of magnitude at
-  // worst, the graph mapper must not be cheaper by more than ~2x.
+  // prices a vertex pair, reading its edge weight from a dense row of one
+  // vertex's adjacency.  At this size on an x86-64
+  // host (RelWithDebInfo) RDMH spends ~3-5 ns per scan step (36% of them
+  // reads) and the graph mapper ~41-46 ns per swap evaluation for
+  // recursive doubling, ~16-18 ns for the ring, graph build included.
+  // Pricing a swap evaluation at a conservative 5 scan steps: same order
+  // of magnitude at worst, the graph mapper must not be cheaper by more
+  // than ~2x.
   constexpr double kScanStepsPerSwapEval = 5.0;
   EXPECT_LT(h, 2.0 * kScanStepsPerSwapEval * s);
 }
@@ -331,6 +333,29 @@ TEST(Baselines, ExtBruckAllreduceBkmhGainsAndRabenseifnerWins) {
   EXPECT_EQ(allreduce, 4);  // 1 KiB, 16 KiB, 256 KiB, 1 MiB
   EXPECT_GE(metric(s, "allreduce_1MiB.rd_rdmh"),
             20.0 * metric(s, "allreduce_1MiB.rabenseifner_rdmh"));
+}
+
+TEST(Baselines, ExtApppatternBisectionTilesTheStencil) {
+  // One 64x64 halo round over 4,096 ranks: recursive bipartitioning gains
+  // 68-70% on both cyclic layouts and never loses on the block ones, where
+  // the greedy mapper's row packing loses more than half.
+  const auto s = baseline("ext_apppattern");
+  for (const auto& spec : simmpi::all_layouts()) {
+    const std::string layout = simmpi::to_string(spec);
+    const bool cyclic = spec.node == NodeOrder::Cyclic;
+    for (const char* size : {"4KiB", "64KiB"}) {
+      const double bisection =
+          metric(s, layout + ".bisection_improvement_" + size);
+      if (cyclic) {
+        EXPECT_GE(bisection, 68.0) << layout << " " << size;
+        EXPECT_LE(bisection, 70.0) << layout << " " << size;
+        continue;
+      }
+      EXPECT_GE(bisection, 0.0) << layout << " " << size;
+      EXPECT_LT(metric(s, layout + ".greedy_improvement_" + size), 0.0)
+          << layout << " " << size;
+    }
+  }
 }
 
 TEST(Baselines, Fig5HeuristicNeverSlowerAndBeatsScotch) {
