@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/error.hpp"
+#include "trace/metrics.hpp"
 
 namespace tarr::tlog {
 
@@ -246,6 +247,7 @@ void TlogSink::on_time(const trace::TimeEvent& e) {
 }
 
 void TlogSink::add_count(const std::string& name, double delta) {
+  trace::require_storable(trace::MetricKind::Count, name, delta);
   if (!admit(EventKind::Count)) return;
   auto& c = ctx_[static_cast<std::size_t>(EventKind::Count)];
   std::string& out = begin_record(EventKind::Count, -1);
@@ -255,6 +257,7 @@ void TlogSink::add_count(const std::string& name, double delta) {
 }
 
 void TlogSink::observe(const std::string& name, double value) {
+  trace::require_storable(trace::MetricKind::Sample, name, value);
   if (!admit(EventKind::Observe)) return;
   auto& c = ctx_[static_cast<std::size_t>(EventKind::Observe)];
   std::string& out = begin_record(EventKind::Observe, -1);

@@ -46,11 +46,25 @@ void MetricsRegistry::observe_transfer(const TransferEvent& e,
             e.duration - serial, executions);
 }
 
+void require_storable(MetricKind kind, std::string_view name, double value) {
+  if (kind == MetricKind::Count) {
+    if (!std::isfinite(value))
+      throw Error("counter '" + std::string(name) +
+                  "': non-finite delta rejected (a NaN/Inf folded into a "
+                  "counter would poison every later delta)");
+    return;
+  }
+  if (!std::isfinite(value))
+    throw Error("distribution '" + std::string(name) +
+                "': non-finite sample rejected");
+  if (value < 0.0)
+    throw Error("distribution '" + std::string(name) +
+                "': negative sample rejected (distributions hold "
+                "durations, bytes and residuals, all >= 0)");
+}
+
 void MetricsRegistry::add_count(std::string_view name, double delta) {
-  if (!std::isfinite(delta))
-    throw Error("MetricsRegistry::add_count('" + std::string(name) +
-                "'): non-finite delta rejected (a NaN/Inf folded into a "
-                "counter would poison every later delta)");
+  require_storable(MetricKind::Count, name, delta);
   slot(counters_, name) += delta;
 }
 
@@ -60,13 +74,7 @@ void MetricsRegistry::observe(std::string_view name, double value) {
 
 void MetricsRegistry::observe_n(std::string_view name, double value,
                                 long long n) {
-  if (!std::isfinite(value))
-    throw Error("MetricsRegistry::observe('" + std::string(name) +
-                "'): non-finite sample rejected");
-  if (value < 0.0)
-    throw Error("MetricsRegistry::observe('" + std::string(name) +
-                "'): negative sample rejected (distributions hold "
-                "durations, bytes and residuals, all >= 0)");
+  require_storable(MetricKind::Sample, name, value);
   slot(dists_, name).record_n(value, n);
 }
 

@@ -41,6 +41,16 @@
 
 namespace tarr::trace {
 
+/// What a named metric value feeds: an additive counter or a distribution.
+enum class MetricKind { Count, Sample };
+
+/// The one check of a named metric value, which every store applies (the
+/// registry on add_count/observe, the tlog writer at emission), so nothing
+/// is stored that a replay would refuse: a counter delta must be finite, a
+/// distribution sample finite and >= 0.  Throws tarr::Error naming the
+/// metric.
+void require_storable(MetricKind kind, std::string_view name, double value);
+
 /// See file comment.
 class MetricsRegistry {
  public:
@@ -53,14 +63,14 @@ class MetricsRegistry {
   /// distributions.
   void observe_transfer(const TransferEvent& e, long long executions = 1);
 
-  /// Additive named counter.  Rejects non-finite deltas with a structured
-  /// tarr::Error naming the counter — a NaN folded in silently would poison
-  /// every later delta and the CSV bytes downstream.  Names are looked up
-  /// by view; a key string is built only on a name's first use.
+  /// Additive named counter.  Rejects non-finite deltas (require_storable)
+  /// — a NaN folded in silently would poison every later delta and the CSV
+  /// bytes downstream.  Names are looked up by view; a key string is built
+  /// only on a name's first use.
   void add_count(std::string_view name, double delta);
 
   /// One sample of the named distribution.  Rejects non-finite or negative
-  /// values with a structured tarr::Error naming the distribution.
+  /// values (require_storable).
   void observe(std::string_view name, double value);
 
   /// `n` identical samples (repeat-compressed stages fold in exactly).

@@ -15,9 +15,11 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <span>
 #include <string>
 #include <utility>
@@ -33,6 +35,7 @@
 #include "simmpi/layout.hpp"
 #include "simmpi/transient.hpp"
 #include "tlog/writer.hpp"
+#include "trace/metrics.hpp"
 #include "trace/record.hpp"
 #include "trace/tracer.hpp"
 
@@ -544,6 +547,40 @@ TEST(Writer, RejectsACopyThatDisagreesWithItsTransfer) {
       .stage = 1, .src_rank = 2, .dst_rank = 3, .copies = one});
   sink.finish();
   EXPECT_EQ(read_info(sink.path()).stored_events(), 1);
+}
+
+TEST(Writer, RejectsWhatEveryReplayRejects) {
+  // A NaN or Inf count and a negative sample would be refused by every
+  // replay into a Tracer; the writer throws the registry's error at the
+  // emission and stores nothing of them.
+  const std::string what = [] {
+    try {
+      trace::MetricsRegistry().add_count("n", std::nan(""));
+    } catch (const Error& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  }();
+  ASSERT_FALSE(what.empty());
+  TlogSink sink(tmp_path("rejects.tlog"));
+  const double inf = std::numeric_limits<double>::infinity();
+  try {
+    sink.add_count("n", std::nan(""));
+    FAIL() << "the writer stored a NaN count";
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()), what);
+  }
+  EXPECT_THROW(sink.add_count("n", inf), Error);
+  EXPECT_THROW(sink.add_count("n", -inf), Error);
+  EXPECT_THROW(sink.observe("d", -1.0), Error);
+  EXPECT_THROW(sink.observe("d", inf), Error);
+  sink.add_count("n", -2.0);  // a negative delta is a valid count
+  sink.observe("d", 0.0);
+  sink.finish();
+  EXPECT_EQ(read_info(sink.path()).stored_events(), 2);
+  trace::Tracer tracer;
+  replay(sink.path(), tracer);
+  EXPECT_EQ(tracer.metrics().count("n"), -2.0);
 }
 
 TEST(Writer, WriteFailureSurfacesAtFinish) {
