@@ -55,21 +55,21 @@ int main() {
   TextTable t;
   t.set_header({"layout", "msg", "initial(us)", "bisection impr %",
                 "greedy impr %"});
+  const std::pair<Bytes, const char*> sizes[] = {{4 * 1024, "4KiB"},
+                                                 {64 * 1024, "64KiB"}};
   for (const auto& spec : simmpi::all_layouts()) {
+    const std::string layout = simmpi::to_string(spec);
     const auto comm = world.comm(p, spec);
     const auto bis = world.framework.reorder_for_graph(
         comm, pattern, core::ReorderFramework::GraphMapperKind::Bisection);
     const auto greedy = world.framework.reorder_for_graph(
         comm, pattern, core::ReorderFramework::GraphMapperKind::Greedy);
-    const std::pair<Bytes, const char*> sizes[] = {{4 * 1024, "4KiB"},
-                                                   {64 * 1024, "64KiB"}};
     for (const auto& [msg, size] : sizes) {
       const Usec before = halo_round(comm, pattern, msg);
       const double bis_impr =
           improvement_percent(before, halo_round(bis.comm, pattern, msg));
       const double greedy_impr =
           improvement_percent(before, halo_round(greedy.comm, pattern, msg));
-      const std::string layout = simmpi::to_string(spec);
       t.add_row({layout, TextTable::bytes(msg), TextTable::num(before, 1),
                  TextTable::num(bis_impr, 1), TextTable::num(greedy_impr, 1)});
       snapshot.add_metric(layout + ".initial_" + size, before, "usec",

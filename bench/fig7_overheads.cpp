@@ -215,7 +215,9 @@ int main() {
       "and ~4 ms heuristic mapping at 4096 ranks on GPC hardware; absolute\n"
       "values here reflect this machine.  Extraction here fills N^2 + c^2\n"
       "cells, quadratic in nodes once N^2 dominates (the distance.cells\n"
-      "exponent above).  The reproduced shape is the ordering heuristic <=\n"
-      "greedy-graph <= scotch-like (EXPERIMENTS.md D5).\n");
+      "exponent above).  The reproduced shape is heuristic <= scotch-like:\n"
+      "by work counters at every size, by wall time for recursive doubling;\n"
+      "the ring's bisection is cheaper than RMH from 2048 ranks on\n"
+      "(EXPERIMENTS.md D5).\n");
   return 0;
 }

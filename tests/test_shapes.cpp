@@ -159,13 +159,12 @@ TEST_F(Shapes, Fig7_HeuristicsNotSlowerThanScotchLike) {
   // load and compare) or settled from its pool block's cluster free count,
   // plus its tie-break draw if it ties the minimum.  A swap evaluation
   // prices a vertex pair, reading its edge weight from a dense row of one
-  // vertex's adjacency.  At this size on an x86-64
-  // host (RelWithDebInfo) RDMH spends ~3-5 ns per scan step (36% of them
-  // reads) and the graph mapper ~41-46 ns per swap evaluation for
-  // recursive doubling, ~16-18 ns for the ring, graph build included.
-  // Pricing a swap evaluation at a conservative 5 scan steps: same order
-  // of magnitude at worst, the graph mapper must not be cheaper by more
-  // than ~2x.
+  // vertex's adjacency.  At this size on an x86-64 host (RelWithDebInfo)
+  // RDMH spends ~3-5 ns per scan step (36% of them reads) and the graph
+  // mapper ~41-46 ns per swap evaluation for recursive doubling, ~16-18 ns
+  // for the ring, graph build included.  Pricing a swap evaluation at a
+  // conservative 5 scan steps: same order of magnitude at worst, the graph
+  // mapper must not be cheaper by more than ~2x.
   constexpr double kScanStepsPerSwapEval = 5.0;
   EXPECT_LT(h, 2.0 * kScanStepsPerSwapEval * s);
 }

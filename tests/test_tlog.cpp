@@ -553,14 +553,12 @@ TEST(Writer, RejectsWhatEveryReplayRejects) {
   // A NaN or Inf count and a negative sample would be refused by every
   // replay into a Tracer; the writer throws the registry's error at the
   // emission and stores nothing of them.
-  const std::string what = [] {
-    try {
-      trace::MetricsRegistry().add_count("n", std::nan(""));
-    } catch (const Error& e) {
-      return std::string(e.what());
-    }
-    return std::string();
-  }();
+  std::string what;
+  try {
+    trace::MetricsRegistry().add_count("n", std::nan(""));
+  } catch (const Error& e) {
+    what = e.what();
+  }
   ASSERT_FALSE(what.empty());
   TlogSink sink(tmp_path("rejects.tlog"));
   const double inf = std::numeric_limits<double>::infinity();
