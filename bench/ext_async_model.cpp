@@ -5,6 +5,7 @@
 // stage-model approximation per algorithm.
 
 #include <cstdio>
+#include <string>
 
 #include "bench/fixtures.hpp"
 #include "bench/sweep.hpp"
@@ -18,6 +19,9 @@ int main() {
   using namespace tarr::bench;
 
   BenchWorld world(64);
+  SnapshotEmitter snapshot("ext_async_model");
+  snapshot.set_meta("nodes", "64");
+  snapshot.set_meta("procs", "512");
   const int p = 512;
   const auto comm = world.comm(p, simmpi::LayoutSpec{});
 
@@ -34,7 +38,18 @@ int main() {
   TextTable t;
   t.set_header({"algorithm", "msg", "stage-sync(us)", "async(us)",
                 "pipelining headroom %"});
-  for (Bytes msg : {Bytes(4 * 1024), Bytes(64 * 1024)}) {
+  const auto emit = [&](const std::string& row, Usec staged, Usec async) {
+    snapshot.add_metric(row + ".stage_sync", staged, "usec",
+                        /*higher_is_better=*/false);
+    snapshot.add_metric(row + ".async", async, "usec",
+                        /*higher_is_better=*/false);
+    snapshot.add_metric(row + ".headroom",
+                        improvement_percent(staged, async), "percent",
+                        /*higher_is_better=*/true);
+  };
+  const std::pair<Bytes, const char*> sizes[] = {{4 * 1024, "4KiB"},
+                                                 {64 * 1024, "64KiB"}};
+  for (const auto& [msg, size] : sizes) {
     {
       simmpi::Engine stage(comm, no_contention, simmpi::ExecMode::Timed,
                            msg, p);
@@ -47,6 +62,7 @@ int main() {
       t.add_row({"ring", TextTable::bytes(msg),
                  TextTable::num(stage.total(), 1), TextTable::num(a, 1),
                  TextTable::num(improvement_percent(stage.total(), a), 1)});
+      emit(std::string("ring_") + size, stage.total(), a);
     }
     {
       simmpi::Engine stage(comm, no_contention, simmpi::ExecMode::Timed,
@@ -61,6 +77,7 @@ int main() {
       t.add_row({"recursive-doubling", TextTable::bytes(msg),
                  TextTable::num(stage.total(), 1), TextTable::num(a, 1),
                  TextTable::num(improvement_percent(stage.total(), a), 1)});
+      emit(std::string("rd_") + size, stage.total(), a);
     }
   }
   std::printf("%s", t.render().c_str());
@@ -68,5 +85,6 @@ int main() {
       "\nThe ring leaves pipelining headroom the stage model rounds up;\n"
       "recursive doubling is globally synchronized, so the two models\n"
       "agree there (small negative = sender-overhead term).\n");
+  snapshot.dump();
   return 0;
 }

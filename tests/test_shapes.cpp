@@ -357,6 +357,20 @@ TEST(Baselines, ExtApppatternBisectionTilesTheStencil) {
   }
 }
 
+TEST(Baselines, ExtAsyncModelBoundsTheSynchronizationError) {
+  // The allgathers over 512 block-bunch ranks without contention, replayed
+  // on per-rank clocks: recursive doubling synchronizes globally, so both
+  // models agree within 0.1%; the ring pipelines, with positive headroom at
+  // both sizes and more of it at 4 KiB than at 64 KiB.
+  const auto s = baseline("ext_async_model");
+  for (const char* size : {"4KiB", "64KiB"}) {
+    const std::string at = size;
+    EXPECT_LE(std::fabs(metric(s, "rd_" + at + ".headroom")), 0.1) << size;
+    EXPECT_GT(metric(s, "ring_" + at + ".headroom"), 0.0) << size;
+  }
+  EXPECT_GT(metric(s, "ring_4KiB.headroom"), metric(s, "ring_64KiB.headroom"));
+}
+
 TEST(Baselines, Fig5HeuristicNeverSlowerAndBeatsScotch) {
   const auto s = baseline("fig5_app_nonhier");
   for (const auto& spec : simmpi::all_layouts()) {
