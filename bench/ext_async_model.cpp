@@ -2,17 +2,22 @@
 // execution models.  The stage model is exact for synchronized patterns
 // and carries the contention story; the async model exposes the pipelining
 // that stage synchronization rounds up.  Comparing both quantifies the
-// stage-model approximation per algorithm.
+// stage-model approximation per algorithm: each stage-synchronous run is
+// traced and its record replayed on per-rank clocks.  Its snapshot gates
+// every cell of the four rows.
 
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include "bench/fixtures.hpp"
 #include "bench/sweep.hpp"
 #include "collectives/allgather.hpp"
 #include "common/table.hpp"
+#include "prof/obs.hpp"
 #include "simmpi/async.hpp"
 #include "simmpi/engine.hpp"
+#include "trace/tracer.hpp"
 
 int main() {
   using namespace tarr;
@@ -38,46 +43,42 @@ int main() {
   TextTable t;
   t.set_header({"algorithm", "msg", "stage-sync(us)", "async(us)",
                 "pipelining headroom %"});
-  const auto emit = [&](const std::string& row, Usec staged, Usec async) {
-    snapshot.add_metric(row + ".stage_sync", staged, "usec",
-                        /*higher_is_better=*/false);
-    snapshot.add_metric(row + ".async", async, "usec",
-                        /*higher_is_better=*/false);
-    snapshot.add_metric(row + ".headroom",
-                        improvement_percent(staged, async), "percent",
-                        /*higher_is_better=*/true);
-  };
   const std::pair<Bytes, const char*> sizes[] = {{4 * 1024, "4KiB"},
                                                  {64 * 1024, "64KiB"}};
+  struct Algo {
+    collectives::AllgatherAlgo algo;
+    const char* name;  ///< table row
+    const char* key;   ///< metric prefix
+  };
+  const Algo algos[] = {
+      {collectives::AllgatherAlgo::Ring, "ring", "ring_"},
+      {collectives::AllgatherAlgo::RecursiveDoubling, "recursive-doubling",
+       "rd_"}};
   for (const auto& [msg, size] : sizes) {
-    {
-      simmpi::Engine stage(comm, no_contention, simmpi::ExecMode::Timed,
-                           msg, p);
-      collectives::run_allgather(
-          stage,
-          collectives::AllgatherOptions{collectives::AllgatherAlgo::Ring,
-                                        collectives::OrderFix::None});
-      simmpi::AsyncEngine async(comm, no_contention);
-      const Usec a = simmpi::run_allgather_ring_async(async, msg);
-      t.add_row({"ring", TextTable::bytes(msg),
-                 TextTable::num(stage.total(), 1), TextTable::num(a, 1),
-                 TextTable::num(improvement_percent(stage.total(), a), 1)});
-      emit(std::string("ring_") + size, stage.total(), a);
-    }
-    {
-      simmpi::Engine stage(comm, no_contention, simmpi::ExecMode::Timed,
-                           msg, p);
-      collectives::run_allgather(
-          stage,
-          collectives::AllgatherOptions{
-              collectives::AllgatherAlgo::RecursiveDoubling,
-              collectives::OrderFix::None});
-      simmpi::AsyncEngine async(comm, no_contention);
-      const Usec a = simmpi::run_allgather_rd_async(async, msg);
-      t.add_row({"recursive-doubling", TextTable::bytes(msg),
-                 TextTable::num(stage.total(), 1), TextTable::num(a, 1),
-                 TextTable::num(improvement_percent(stage.total(), a), 1)});
-      emit(std::string("rd_") + size, stage.total(), a);
+    for (const auto& [algo, name, key] : algos) {
+      trace::Tracer tracer;
+      Usec staged = 0.0;
+      {
+        obs::Install traced(&tracer);
+        simmpi::Engine stage(comm, no_contention, simmpi::ExecMode::Timed,
+                             msg, p);
+        collectives::run_allgather(
+            stage,
+            collectives::AllgatherOptions{algo, collectives::OrderFix::None});
+        staged = stage.total();
+      }
+      const Usec a =
+          simmpi::async_makespan(tracer.record(), p, no_contention);
+      const double headroom = improvement_percent(staged, a);
+      t.add_row({name, TextTable::bytes(msg), TextTable::num(staged, 1),
+                 TextTable::num(a, 1), TextTable::num(headroom, 1)});
+      const std::string row = std::string(key) + size;
+      snapshot.add_metric(row + ".stage_sync", staged, "usec",
+                          /*higher_is_better=*/false);
+      snapshot.add_metric(row + ".async", a, "usec",
+                          /*higher_is_better=*/false);
+      snapshot.add_metric(row + ".headroom", headroom, "percent",
+                          /*higher_is_better=*/true);
     }
   }
   std::printf("%s", t.render().c_str());
