@@ -66,4 +66,13 @@ double WeightedGraph::weighted_degree(int u) const {
   return wdeg_[u];
 }
 
+void WeightedGraph::set_unit_weights() {
+  TARR_REQUIRE(finalized_, "set_unit_weights: graph not finalized");
+  for (Edge& e : edges_) e.w = 1.0;
+  for (int u = 0; u < n_; ++u) {
+    for (Neighbor& nb : adj_[u]) nb.weight = 1.0;
+    wdeg_[u] = static_cast<double>(adj_[u].size());
+  }
+}
+
 }  // namespace tarr::graph

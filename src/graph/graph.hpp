@@ -51,6 +51,11 @@ class WeightedGraph {
   /// Sum of weights of edges incident to u (requires finalize()).
   double weighted_degree(int u) const;
 
+  /// Set every edge weight to 1 in place (requires finalize()): the
+  /// structure-only graph, with the same edges and adjacency order, equal
+  /// to re-adding each merged edge with weight 1 and finalizing again.
+  void set_unit_weights();
+
  private:
   int n_;
   bool finalized_ = false;

@@ -164,12 +164,7 @@ std::vector<int> ScotchLikeMapper::map(const std::vector<int>& rank_to_slot,
   (void)d;  // the host side is encoded by the sorted slot hierarchy
   const int p = static_cast<int>(rank_to_slot.size());
   graph::WeightedGraph g = build_pattern_graph(pattern_, p);
-  if (!use_edge_weights_) {
-    graph::WeightedGraph flat(p);
-    for (const auto& e : g.edges()) flat.add_edge(e.u, e.v, 1.0);
-    flat.finalize();
-    g = std::move(flat);
-  }
+  if (!use_edge_weights_) g.set_unit_weights();
   return scotch_like_map(g, rank_to_slot, rng);
 }
 
