@@ -111,13 +111,11 @@ ImbalanceReport analyze_imbalance(const trace::ScheduleRecord& record,
     rep.imbalance = max_busy / (sum_busy / static_cast<double>(participants));
 
   // Jain fairness over the run's directed resource loads.
-  std::vector<double> loads;
-  loads.reserve(record.link_bytes.size());
-  for (const auto& [key, bytes] : record.link_bytes) loads.push_back(bytes);
-  rep.jain_links = jain_index(loads);
-  loads.clear();
-  for (const auto& [key, bytes] : record.qpi_bytes) loads.push_back(bytes);
-  rep.jain_qpi = jain_index(loads);
+  std::vector<trace::Load> loads = record.load_totals();
+  std::vector<double> links, qpi;
+  for (const trace::Load& l : loads) (l.qpi ? qpi : links).push_back(l.bytes);
+  rep.jain_links = jain_index(links);
+  rep.jain_qpi = jain_index(qpi);
 
   // Top-K stragglers: busiest ranks, descending, lowest rank on ties.
   std::vector<RankLoad> order;
@@ -132,21 +130,15 @@ ImbalanceReport analyze_imbalance(const trace::ScheduleRecord& record,
   rep.stragglers = std::move(order);
 
   // Top-K hot resources: exact aggregate bytes, descending.
-  std::vector<trace::Load> hot;
-  hot.reserve(record.link_bytes.size() + record.qpi_bytes.size());
-  for (const auto& [key, bytes] : record.link_bytes)
-    hot.push_back({false, key.first, key.second, bytes});
-  for (const auto& [key, bytes] : record.qpi_bytes)
-    hot.push_back({true, key.first, key.second, bytes});
-  std::sort(hot.begin(), hot.end(), [](const trace::Load& a,
-                                       const trace::Load& b) {
+  std::sort(loads.begin(), loads.end(), [](const trace::Load& a,
+                                           const trace::Load& b) {
     if (a.bytes != b.bytes) return a.bytes > b.bytes;
     if (a.qpi != b.qpi) return a.qpi < b.qpi;
     if (a.id != b.id) return a.id < b.id;
     return a.dir < b.dir;
   });
-  if (static_cast<int>(hot.size()) > top_k) hot.resize(top_k);
-  rep.hot_resources = std::move(hot);
+  if (static_cast<int>(loads.size()) > top_k) loads.resize(top_k);
+  rep.hot_resources = std::move(loads);
 
   return rep;
 }

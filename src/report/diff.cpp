@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <tuple>
 
 namespace tarr::report {
 
@@ -13,36 +15,24 @@ std::string ResourceDelta::label() const {
 
 namespace {
 
-/// Merge the (id, dir) -> bytes maps of the two runs into per-resource
-/// deltas (resources absent from a run contribute zero).
-void collect_resources(const std::map<std::pair<int, int>, double>& a,
-                       const std::map<std::pair<int, int>, double>& b,
-                       bool qpi, std::vector<ResourceDelta>& out) {
-  auto ia = a.begin();
-  auto ib = b.begin();
-  while (ia != a.end() || ib != b.end()) {
-    ResourceDelta d;
-    d.qpi = qpi;
-    if (ib == b.end() || (ia != a.end() && ia->first < ib->first)) {
-      d.id = ia->first.first;
-      d.dir = ia->first.second;
-      d.bytes_a = ia->second;
-      ++ia;
-    } else if (ia == a.end() || ib->first < ia->first) {
-      d.id = ib->first.first;
-      d.dir = ib->first.second;
-      d.bytes_b = ib->second;
-      ++ib;
-    } else {
-      d.id = ia->first.first;
-      d.dir = ia->first.second;
-      d.bytes_a = ia->second;
-      d.bytes_b = ib->second;
-      ++ia;
-      ++ib;
-    }
+/// Merge the two runs' load totals into per-resource deltas, in (qpi, id,
+/// dir) order (resources absent from a run contribute zero).
+std::vector<ResourceDelta> collect_resources(const trace::ScheduleRecord& a,
+                                             const trace::ScheduleRecord& b) {
+  std::map<std::tuple<bool, int, int>, ResourceDelta> merged;
+  const auto entry = [&merged](const trace::Load& l) -> ResourceDelta& {
+    ResourceDelta& d = merged[{l.qpi, l.id, l.dir}];
+    d.qpi = l.qpi;
+    d.id = l.id;
+    d.dir = l.dir;
+    return d;
+  };
+  for (const trace::Load& l : a.load_totals()) entry(l).bytes_a = l.bytes;
+  for (const trace::Load& l : b.load_totals()) entry(l).bytes_b = l.bytes;
+  std::vector<ResourceDelta> out;
+  for (const auto& [key, d] : merged)
     if (d.delta() != 0.0) out.push_back(d);
-  }
+  return out;
 }
 
 }  // namespace
@@ -65,9 +55,7 @@ MappingDiff diff_runs(const trace::ScheduleRecord& a,
   for (const auto& [ch, f] : flows_a) diff.channels[ch].a = f;
   for (const auto& [ch, f] : flows_b) diff.channels[ch].b = f;
 
-  std::vector<ResourceDelta> deltas;
-  collect_resources(a.link_bytes, b.link_bytes, /*qpi=*/false, deltas);
-  collect_resources(a.qpi_bytes, b.qpi_bytes, /*qpi=*/true, deltas);
+  std::vector<ResourceDelta> deltas = collect_resources(a, b);
   // Deterministic ordering: magnitude first, then the (qpi, id, dir)
   // identity as a tie-break so equal-magnitude resources list stably.
   std::sort(deltas.begin(), deltas.end(),

@@ -1,9 +1,7 @@
 #pragma once
 
-#include <map>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "trace/sink.hpp"
@@ -104,11 +102,6 @@ struct ScheduleRecord {
   std::vector<EventRef> events;
   std::vector<PhaseEvent> phases;
 
-  /// Aggregate directed resource loads over the whole run: (id, dir) ->
-  /// total bytes, each stage's loads once per execution.
-  std::map<std::pair<int, int>, double> link_bytes;
-  std::map<std::pair<int, int>, double> qpi_bytes;
-
   /// Engine::total() as reconstructed from the event stream (bit-exact,
   /// see file comment).
   Usec total = 0.0;
@@ -130,6 +123,12 @@ struct ScheduleRecord {
     return {loads.data() + s.first_load,
             static_cast<std::size_t>(s.num_loads)};
   }
+
+  /// Aggregate directed resource loads over the whole run: one Load per
+  /// directed cable link, then one per QPI direction, each kind in
+  /// ascending (id, dir), with the bytes of every stage's loads summed in
+  /// stage order, once per execution.
+  std::vector<Load> load_totals() const;
 
   /// Innermost recorded phase containing simulated time `t`, or "" if none.
   std::string phase_at(Usec t) const;

@@ -91,14 +91,10 @@ void Tracer::on_stage(const StageEvent& e) {
     s.first_load = static_cast<int>(record_.loads.size());
     s.num_loads = static_cast<int>(e.loads.size());
     record_.loads.insert(record_.loads.end(), e.loads.begin(), e.loads.end());
-    for (const Load& l : e.loads)
-      (l.qpi ? record_.qpi_bytes : record_.link_bytes)[{l.id, l.dir}] +=
-          l.bytes;
     stage_entry_[e.stage] = static_cast<int>(record_.stages.size());
   } else {
     // Repeat compression re-executes the stage just ended: share its
-    // transfer/copy/load slices (the repeat event itself carries none) and
-    // replay its resource loads once per extra execution.
+    // transfer/copy/load slices (the repeat event itself carries none).
     const auto it = stage_entry_.find(e.stage);
     if (it != stage_entry_.end()) {
       const RecordedStage& orig = record_.stages[it->second];
@@ -108,9 +104,6 @@ void Tracer::on_stage(const StageEvent& e) {
       s.num_copies = orig.num_copies;
       s.first_load = orig.first_load;
       s.num_loads = orig.num_loads;
-      for (const Load& l : record_.loads_of(orig))
-        (l.qpi ? record_.qpi_bytes : record_.link_bytes)[{l.id, l.dir}] +=
-            l.bytes * static_cast<double>(e.repeats);
     }
   }
   record_.events.push_back(

@@ -152,18 +152,17 @@ TopoHeatmap build_topo_heatmap(const Machine& machine,
   heat.nodes.resize(machine.num_nodes());
   for (NodeId n = 0; n < machine.num_nodes(); ++n) heat.nodes[n].node = n;
 
-  // Verbatim copies of the recorded aggregates — the EXPECT_EQ contract.
-  for (const auto& [key, bytes] : record.link_bytes) {
-    const auto [id, dir] = key;
-    if (id < 0 || id >= net.num_links() || dir < 0 || dir > 1) continue;
-    heat.links[id].bytes[dir] = bytes;
-    heat.max_link_bytes = std::max(heat.max_link_bytes, bytes);
-  }
-  for (const auto& [key, bytes] : record.qpi_bytes) {
-    const auto [id, dir] = key;
-    if (id < 0 || id >= machine.num_nodes() || dir < 0 || dir > 1) continue;
-    heat.nodes[id].bytes[dir] = bytes;
-    heat.max_qpi_bytes = std::max(heat.max_qpi_bytes, bytes);
+  // Verbatim copies of the record's load totals — the EXPECT_EQ contract.
+  for (const trace::Load& l : record.load_totals()) {
+    const int ids = l.qpi ? machine.num_nodes() : net.num_links();
+    if (l.id < 0 || l.id >= ids || l.dir < 0 || l.dir > 1) continue;
+    if (l.qpi) {
+      heat.nodes[l.id].bytes[l.dir] = l.bytes;
+      heat.max_qpi_bytes = std::max(heat.max_qpi_bytes, l.bytes);
+    } else {
+      heat.links[l.id].bytes[l.dir] = l.bytes;
+      heat.max_link_bytes = std::max(heat.max_link_bytes, l.bytes);
+    }
   }
   return heat;
 }

@@ -15,11 +15,11 @@
 /// directions glow dark; after, the load migrates into the leaves and the
 /// sockets.
 ///
-/// The heatmap model is an exact copy of the recorded aggregate counters —
+/// The heatmap model is an exact copy of the record's load totals —
 /// `TopoHeatmap` byte values are taken verbatim from
-/// `ScheduleRecord::link_bytes` / `qpi_bytes` (no re-derivation, no
-/// floating-point re-summation), so tests can assert equality with the
-/// trace's counters via EXPECT_EQ, not a tolerance.
+/// `ScheduleRecord::load_totals()` (no re-derivation, no floating-point
+/// re-summation), so tests can assert equality with the record's totals via
+/// EXPECT_EQ, not a tolerance.
 
 namespace tarr::viz {
 

@@ -228,8 +228,7 @@ void expect_records_identical(const trace::ScheduleRecord& a,
     EXPECT_EQ(a.phases[i].start, b.phases[i].start);
     EXPECT_EQ(a.phases[i].duration, b.phases[i].duration);
   }
-  EXPECT_EQ(a.link_bytes, b.link_bytes);
-  EXPECT_EQ(a.qpi_bytes, b.qpi_bytes);
+  EXPECT_EQ(a.load_totals(), b.load_totals());
   EXPECT_EQ(a.total, b.total);  // bit-exact, the report invariant
 }
 

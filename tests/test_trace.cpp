@@ -686,7 +686,7 @@ TEST(Trace, RepeatCompressedStagesCountEveryExecution) {
   // Timed mode runs a ring's identical stages as one stage plus a repeat
   // event; Data mode runs every stage.  The link, QPI, channel and
   // transfer.* rows must not tell the two apart, and the link totals must
-  // be the record's repeat-weighted link_bytes.
+  // be the record's repeat-weighted cable load totals.
   const Machine m = Machine::gpc(4);
   const int p = m.total_cores();
   for (const char* name : {"allgather-ring", "allreduce-ring",
@@ -715,10 +715,10 @@ TEST(Trace, RepeatCompressedStagesCountEveryExecution) {
     EXPECT_NE(rows.find("link,"), std::string::npos);
     EXPECT_EQ(rows, transfer_and_load_rows(data.metrics().csv()));
     std::string totals;
-    for (const auto& [key, bytes] : timed.record().link_bytes)
-      totals += "cable " + std::to_string(key.first) + " d" +
-                std::to_string(key.second) + "," + format_number(bytes) +
-                "\n";
+    for (const Load& l : timed.record().load_totals())
+      if (!l.qpi)
+        totals += "cable " + std::to_string(l.id) + " d" +
+                  std::to_string(l.dir) + "," + format_number(l.bytes) + "\n";
     std::istringstream in(rows);
     std::string rows_totals;
     for (std::string line; std::getline(in, line);) {
@@ -931,10 +931,13 @@ TEST(Trace, TimelineAndMetricsMatchRecordedDigests) {
 // Differential oracle: the Tracer renders its metrics from the record at
 // export; OnlineMetrics folds the same events while the run executes, with
 // the handlers the Tracer had before it stopped folding.  Teed beside a
-// Tracer, both must print the same CSV byte for byte.
+// Tracer, both must print the same CSV byte for byte.  OnlineMetrics also
+// sums every directed resource's bytes per stage event, as the Tracer did
+// before the record's load_totals() summed them on demand; both must agree
+// bit for bit.
 
 /// The run-time fold: an inner Tracer for the record a repeat event reads
-/// back, and a registry fed by every handler.
+/// back, a registry fed by every handler, and the per-resource byte sums.
 class OnlineMetrics final : public TraceSink {
  public:
   void on_stage(const StageEvent& e) override {
@@ -949,7 +952,10 @@ class OnlineMetrics final : public TraceSink {
                        e.duration / static_cast<double>(e.repeats),
                        e.repeats);
     if (e.repeats == 1) {
-      for (const Load& l : e.loads) metrics_.observe_load(l);
+      for (const Load& l : e.loads) {
+        metrics_.observe_load(l);
+        (l.qpi ? qpi_bytes_ : link_bytes_)[{l.id, l.dir}] += l.bytes;
+      }
       return;
     }
     // A repeat-compressed event stands for `repeats` more executions of the
@@ -963,7 +969,11 @@ class OnlineMetrics final : public TraceSink {
                                  .duration = t.duration,
                                  .uncontended = t.uncontended},
                                 e.repeats);
-    for (const Load& l : rec.loads_of(s)) metrics_.observe_load(l, e.repeats);
+    for (const Load& l : rec.loads_of(s)) {
+      metrics_.observe_load(l, e.repeats);
+      (l.qpi ? qpi_bytes_ : link_bytes_)[{l.id, l.dir}] +=
+          l.bytes * static_cast<double>(e.repeats);
+    }
   }
 
   void on_transfer(const TransferEvent& e) override {
@@ -1000,13 +1010,27 @@ class OnlineMetrics final : public TraceSink {
 
   const MetricsRegistry& metrics() const { return metrics_; }
 
+  /// The sums as the record's load_totals() lists them: cable links, then
+  /// QPI directions, each in ascending (id, dir).
+  std::vector<Load> load_totals() const {
+    std::vector<Load> out;
+    for (const auto& [key, bytes] : link_bytes_)
+      out.push_back({false, key.first, key.second, bytes});
+    for (const auto& [key, bytes] : qpi_bytes_)
+      out.push_back({true, key.first, key.second, bytes});
+    return out;
+  }
+
  private:
   Tracer recorder_;
   MetricsRegistry metrics_;
+  std::map<std::pair<int, int>, double> link_bytes_;
+  std::map<std::pair<int, int>, double> qpi_bytes_;
 };
 
 /// Runs `run` into a Tracer teed beside an OnlineMetrics and checks that
-/// both print the same metrics CSV.  Returns false when the run stopped on
+/// both print the same metrics CSV and sum the same resource loads.
+/// Returns false when the run stopped on
 /// a tarr::Error, a size its schedule refuses (2^k ranks or nodes); the
 /// events sent before it are compared all the same.
 bool folds_like_online(const std::function<void(TraceSink*)>& run) {
@@ -1020,6 +1044,7 @@ bool folds_like_online(const std::function<void(TraceSink*)>& run) {
     completed = false;
   }
   EXPECT_EQ(tracer.metrics().csv(), online.metrics().csv());
+  EXPECT_EQ(tracer.record().load_totals(), online.load_totals());
   return completed;
 }
 

@@ -177,27 +177,29 @@ TEST(Topo, HeatmapCopiesRecordedCountersExactly) {
   const Machine m = Machine::gpc(4);
   const Communicator comm(m, make_layout(m, 32, {}));
   const trace::ScheduleRecord rec = record_ring(comm);
-  ASSERT_FALSE(rec.link_bytes.empty());  // a 4-node ring crosses the network
+  const std::vector<trace::Load> totals = rec.load_totals();
+  std::set<std::pair<int, int>> loaded_links;
+  for (const trace::Load& l : totals)
+    if (!l.qpi) loaded_links.insert({l.id, l.dir});
+  ASSERT_FALSE(loaded_links.empty());  // a 4-node ring crosses the network
 
   const TopoHeatmap heat = build_topo_heatmap(m, rec);
   ASSERT_EQ(heat.links.size(),
             static_cast<std::size_t>(m.network().num_links()));
   ASSERT_EQ(heat.nodes.size(), static_cast<std::size_t>(m.num_nodes()));
 
-  // Every recorded counter appears verbatim (bit-exact, no re-derivation).
-  for (const auto& [key, bytes] : rec.link_bytes) {
-    ASSERT_LT(static_cast<std::size_t>(key.first), heat.links.size());
-    EXPECT_EQ(heat.links[key.first].bytes[key.second], bytes);
-  }
-  for (const auto& [key, bytes] : rec.qpi_bytes) {
-    ASSERT_LT(static_cast<std::size_t>(key.first), heat.nodes.size());
-    EXPECT_EQ(heat.nodes[key.first].bytes[key.second], bytes);
+  // Every load total appears verbatim (bit-exact, no re-derivation).
+  for (const trace::Load& l : totals) {
+    const std::size_t ids = l.qpi ? heat.nodes.size() : heat.links.size();
+    ASSERT_LT(static_cast<std::size_t>(l.id), ids);
+    EXPECT_EQ(l.qpi ? heat.nodes[l.id].bytes[l.dir]
+                    : heat.links[l.id].bytes[l.dir],
+              l.bytes);
   }
   // And nothing else is loaded: unrecorded (id, dir) pairs stay zero.
   for (const auto& l : heat.links) {
     for (int dir = 0; dir < 2; ++dir) {
-      if (rec.link_bytes.find({static_cast<int>(l.link), dir}) ==
-          rec.link_bytes.end()) {
+      if (!loaded_links.contains({static_cast<int>(l.link), dir})) {
         EXPECT_EQ(l.bytes[dir], 0.0);
       }
     }
@@ -214,8 +216,9 @@ TEST(Topo, HeatmapCopiesRecordedCountersExactly) {
 TEST(Topo, OutOfRangeCounterIdsAreIgnored) {
   const Machine m = Machine::gpc(1);
   trace::ScheduleRecord rec;
-  rec.link_bytes[{9999, 0}] = 64.0;  // no such link on a 1-node machine
-  rec.qpi_bytes[{9999, 1}] = 64.0;
+  rec.loads = {{false, 9999, 0, 64.0},  // no such link on a 1-node machine
+               {true, 9999, 1, 64.0}};
+  rec.stages.push_back({.num_loads = 2});
   const TopoHeatmap heat = build_topo_heatmap(m, rec);
   EXPECT_EQ(heat.max_link_bytes, 0.0);
   EXPECT_EQ(heat.max_qpi_bytes, 0.0);
