@@ -1,8 +1,11 @@
 // Extension bench: phase-overlapped (pipelined) hierarchical allgather —
 // the related-work direction of Ma et al. [19] — vs the sequential
 // gather/exchange/broadcast phases, with and without rank reordering.
+// Its snapshot gates every cell of the table.
 
 #include <cstdio>
+#include <string>
+#include <utility>
 
 #include "bench/fixtures.hpp"
 #include "bench/sweep.hpp"
@@ -17,6 +20,9 @@ int main() {
   using namespace tarr::collectives;
 
   BenchWorld world(kPaperNodes);
+  SnapshotEmitter snapshot("ext_pipeline");
+  snapshot.set_meta("nodes", std::to_string(kPaperNodes));
+  snapshot.set_meta("procs", std::to_string(kPaperProcs));
   const int p = kPaperProcs;
   const auto comm = world.comm(p, simmpi::LayoutSpec{});
   const auto rc = world.framework.reorder_hierarchical(
@@ -52,17 +58,30 @@ int main() {
   TextTable t;
   t.set_header({"msg", "sequential(us)", "pipelined(us)", "overlap gain %",
                 "pipelined+Hrstc(us)"});
-  for (Bytes msg : {Bytes(4 * 1024), Bytes(16 * 1024), Bytes(64 * 1024),
-                    Bytes(256 * 1024)}) {
+  const std::pair<Bytes, const char*> sizes[] = {{4 * 1024, "4KiB"},
+                                                 {16 * 1024, "16KiB"},
+                                                 {64 * 1024, "64KiB"},
+                                                 {256 * 1024, "256KiB"}};
+  for (const auto& [msg, size] : sizes) {
     const Usec seq = sequential(comm, id, OrderFix::None, msg);
     const Usec pipe = pipelined(comm, id, OrderFix::None, msg);
     const Usec pipe_h =
         pipelined(rc.comm, rc.oldrank, OrderFix::InitComm, msg);
+    const double gain = improvement_percent(seq, pipe);
     t.add_row({TextTable::bytes(msg), TextTable::num(seq, 1),
-               TextTable::num(pipe, 1),
-               TextTable::num(improvement_percent(seq, pipe), 1),
+               TextTable::num(pipe, 1), TextTable::num(gain, 1),
                TextTable::num(pipe_h, 1)});
+    const std::string row = std::string("msg_") + size;
+    snapshot.add_metric(row + ".sequential", seq, "usec",
+                        /*higher_is_better=*/false);
+    snapshot.add_metric(row + ".pipelined", pipe, "usec",
+                        /*higher_is_better=*/false);
+    snapshot.add_metric(row + ".overlap_gain", gain, "percent",
+                        /*higher_is_better=*/true);
+    snapshot.add_metric(row + ".pipelined_hrstc", pipe_h, "usec",
+                        /*higher_is_better=*/false);
   }
   std::printf("%s", t.render().c_str());
+  snapshot.dump();
   return 0;
 }

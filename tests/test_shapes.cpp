@@ -371,6 +371,28 @@ TEST(Baselines, ExtAsyncModelBoundsTheSynchronizationError) {
   EXPECT_GT(metric(s, "ring_4KiB.headroom"), metric(s, "ring_64KiB.headroom"));
 }
 
+TEST(Baselines, ExtPipelineOverlapGainsAFurther41To45Percent) {
+  // The hierarchical allgather over 4,096 block-bunch ranks with ring
+  // leaders and binomial intra phases: overlapping the leader ring with the
+  // intra-node broadcasts gains 41-45% at every size from 4 KiB to 256 KiB,
+  // and the RMH+BBMH reordering keeps the pipelined run within 1%.
+  const auto s = baseline("ext_pipeline");
+  int sizes = 0;
+  for (const auto& m : s.metrics) {
+    if (!report::glob_match("*.overlap_gain", m.name)) continue;
+    EXPECT_GE(m.value, 41.0) << m.name;
+    EXPECT_LE(m.value, 45.0) << m.name;
+    const std::string size = m.name.substr(0, m.name.find('.'));
+    EXPECT_LE(std::fabs(metric(s, size + ".pipelined_hrstc") /
+                            metric(s, size + ".pipelined") -
+                        1.0),
+              0.01)
+        << size;
+    ++sizes;
+  }
+  EXPECT_EQ(sizes, 4);  // 4 KiB, 16 KiB, 64 KiB, 256 KiB
+}
+
 TEST(Baselines, Fig5HeuristicNeverSlowerAndBeatsScotch) {
   const auto s = baseline("fig5_app_nonhier");
   for (const auto& spec : simmpi::all_layouts()) {
