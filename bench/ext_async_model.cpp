@@ -85,7 +85,7 @@ int main() {
   std::printf(
       "\nThe ring leaves pipelining headroom the stage model rounds up;\n"
       "recursive doubling is globally synchronized, so the two models\n"
-      "agree there (small negative = sender-overhead term).\n");
+      "agree there within 0.1%%.\n");
   snapshot.dump();
   return 0;
 }
