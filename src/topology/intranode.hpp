@@ -80,21 +80,4 @@ inline IntraLevel intranode_level(const NodeShape& shape, int core_a,
              : IntraLevel::CrossComplex;
 }
 
-/// hwloc-style logical distance between two cores of the same node:
-///   0 - same core, 1 - same socket (shared L3), 2 - different sockets.
-/// Kept for the paper's flat-socket machines; deeper shapes should use
-/// intranode_level().
-inline int intranode_distance(const NodeShape& shape, int core_a, int core_b) {
-  switch (intranode_level(shape, core_a, core_b)) {
-    case IntraLevel::SameCore:
-      return 0;
-    case IntraLevel::SameComplex:
-    case IntraLevel::CrossComplex:
-      return 1;
-    case IntraLevel::CrossSocket:
-      return 2;
-  }
-  return 2;
-}
-
 }  // namespace tarr::topology

@@ -19,12 +19,12 @@ TEST(NodeShape, CoreLocation) {
   EXPECT_THROW(core_location(s, 8), Error);
 }
 
-TEST(NodeShape, IntranodeDistance) {
+TEST(NodeShape, IntranodeLevel) {
   const NodeShape s{2, 4};
-  EXPECT_EQ(intranode_distance(s, 2, 2), 0);
-  EXPECT_EQ(intranode_distance(s, 0, 3), 1);
-  EXPECT_EQ(intranode_distance(s, 0, 4), 2);
-  EXPECT_EQ(intranode_distance(s, 7, 6), 1);
+  EXPECT_EQ(intranode_level(s, 2, 2), IntraLevel::SameCore);
+  EXPECT_EQ(intranode_level(s, 0, 3), IntraLevel::SameComplex);
+  EXPECT_EQ(intranode_level(s, 0, 4), IntraLevel::CrossSocket);
+  EXPECT_EQ(intranode_level(s, 7, 6), IntraLevel::SameComplex);
 }
 
 TEST(Machine, CoreNumberingRoundtrip) {
