@@ -154,10 +154,9 @@ int cmd_log_info(const Flags& f) {
 
 int cmd_log_cat(const Flags& f) {
   std::string path;
-  tlog::ReplayOptions opts;
-  opts.filter = parse_filter(f, path);
+  const tlog::EventFilter filter = parse_filter(f, path);
   Obs obs(f, /*traced=*/true);
-  const tlog::ReplayStats stats = tlog::replay(path, *obs.tracer, opts);
+  const tlog::ReplayStats stats = tlog::replay(path, *obs.tracer, filter);
   if (!f.has("--json") && !f.has("--metrics"))
     std::fputs(obs.tracer->timeline_json().c_str(), stdout);
   if (const std::string p = obs.path("--json"); !p.empty())
@@ -173,8 +172,7 @@ int cmd_log_cat(const Flags& f) {
 
 int cmd_log_stats(const Flags& f) {
   std::string path;
-  tlog::ReplayOptions opts;
-  opts.filter = parse_filter(f, path);
+  tlog::EventFilter filter = parse_filter(f, path);
   const std::string by = f.str("--by");
   if (by.empty()) throw cli::UsageError("stats requires --by");
   StatsSink::By group;
@@ -190,9 +188,9 @@ int cmd_log_stats(const Flags& f) {
   }
   // Only transfers feed the aggregates; narrowing the kind mask is what
   // lets the reader skip transfer-free blocks outright.
-  opts.filter.kinds &= 1u << static_cast<int>(tlog::EventKind::Transfer);
+  filter.kinds &= 1u << static_cast<int>(tlog::EventKind::Transfer);
   StatsSink sink(group);
-  const tlog::ReplayStats stats = tlog::replay(path, sink, opts);
+  const tlog::ReplayStats stats = tlog::replay(path, sink, filter);
   std::fputs(sink.csv().c_str(), stdout);
   std::fprintf(stderr,
                "tarr log: decoded %lld/%lld blocks (%lld skipped via index)\n",

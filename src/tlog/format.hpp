@@ -74,7 +74,7 @@ const char* to_string(EventKind k);
 /// Returns false on an unknown name.
 bool parse_event_kind(const std::string& name, EventKind& out);
 
-/// Reader-side event predicate (ReplayOptions): which kinds to keep, and
+/// Reader-side event predicate (replay()'s filter): which kinds to keep, and
 /// for stage-tagged kinds (stage/transfer; a stage's loads and a
 /// transfer's copies go with it) and the rank-tagged kind (transfer) which
 /// stage/rank windows.  The default passes everything.  Filtering is

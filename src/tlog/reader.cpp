@@ -391,12 +391,12 @@ class BlockDecoder {
 FileInfo read_info(const std::string& path) { return parse(path).info; }
 
 ReplayStats replay(const std::string& path, trace::TraceSink& sink,
-                   const ReplayOptions& opts) {
+                   const EventFilter& filter) {
   const Parsed p = parse(path);
   ReplayStats stats;
   stats.blocks_total = static_cast<long long>(p.info.blocks.size());
   for (const BlockInfo& b : p.info.blocks) {
-    if (skip_block(b, opts.filter)) {
+    if (skip_block(b, filter)) {
       ++stats.blocks_skipped;
       continue;
     }
@@ -404,7 +404,7 @@ ReplayStats replay(const std::string& path, trace::TraceSink& sink,
     BlockDecoder dec(p, b);
     long long decoded = 0;
     EventKind kind{};
-    while (dec.step(sink, opts.filter, kind)) {
+    while (dec.step(sink, filter, kind)) {
       ++decoded;
       if (static_cast<int>(kind) < kNumEventKinds)
         ++stats.delivered[static_cast<std::size_t>(kind)];

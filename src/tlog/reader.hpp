@@ -60,11 +60,6 @@ struct FileInfo {
 /// any malformation.
 FileInfo read_info(const std::string& path);
 
-/// Reader-side selection for replay().
-struct ReplayOptions {
-  EventFilter filter;
-};
-
 /// What one replay() actually did — lets callers (and tests) see selective
 /// decode at work.
 struct ReplayStats {
@@ -80,11 +75,11 @@ struct ReplayStats {
   }
 };
 
-/// Decode `path` and deliver every stored event passing opts.filter to
+/// Decode `path` and deliver every stored event passing `filter` to
 /// `sink`, preserving the original emission order.  Throws tarr::Error on
 /// any malformation (including per-block checksum mismatches).
 ReplayStats replay(const std::string& path, trace::TraceSink& sink,
-                   const ReplayOptions& opts = ReplayOptions{});
+                   const EventFilter& filter = {});
 
 /// Rebuild the ScheduleRecord of the recorded run by replaying the full
 /// event stream into a fresh trace::Tracer.  The result is byte-identical

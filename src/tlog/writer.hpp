@@ -25,7 +25,7 @@
 /// trace::Tracer rebuilds a ScheduleRecord byte-identical to live
 /// recording and reproduces its JSON timeline and metrics CSV
 /// byte-for-byte.  Selecting events is the
-/// reader's job (ReplayOptions).
+/// reader's job (replay()'s EventFilter).
 ///
 /// Call finish() when the run is over — it flushes the last block and
 /// writes the footer index; a file without a footer is rejected by the

@@ -364,11 +364,11 @@ TEST(Bookkeeping, StoredCountsEqualTheBlockIndexAndTheReplay) {
 
 TEST(Filter, StageWindowKeepsExactlyTheWindow) {
   const auto [live, path] = record_both(kScenarios[1]);
-  ReplayOptions ropts;
-  ropts.filter.min_stage = 2;
-  ropts.filter.max_stage = 4;
+  EventFilter filter;
+  filter.min_stage = 2;
+  filter.max_stage = 4;
   trace::Tracer recorder;
-  const ReplayStats stats = replay(path, recorder, ropts);
+  const ReplayStats stats = replay(path, recorder, filter);
   const trace::ScheduleRecord rec = recorder.take();
   for (const auto& s : rec.stages) {
     EXPECT_GE(s.stage, 2);
@@ -404,11 +404,11 @@ TEST(Filter, StageWindowKeepsExactlyTheWindow) {
 
 TEST(Filter, RankWindowMatchesEitherEndpoint) {
   const auto [live, path] = record_both(kScenarios[0]);
-  ReplayOptions ropts;
-  ropts.filter.min_rank = 0;
-  ropts.filter.max_rank = 3;
+  EventFilter filter;
+  filter.min_rank = 0;
+  filter.max_rank = 3;
   trace::Tracer recorder;
-  replay(path, recorder, ropts);
+  replay(path, recorder, filter);
   const trace::ScheduleRecord rec = recorder.take();
   ASSERT_FALSE(rec.transfers.empty());
   EXPECT_LT(rec.transfers.size(), live.transfers.size());
@@ -426,10 +426,10 @@ TEST(Filter, RankWindowMatchesEitherEndpoint) {
 TEST(Filter, ReaderSideFilterSelectsWithoutRewriting) {
   // Write unfiltered once, then narrow at read time.
   const auto [live, path] = record_both(kScenarios[1]);
-  ReplayOptions ropts;
-  ropts.filter.kinds = 1u << static_cast<int>(EventKind::Transfer);
+  EventFilter filter;
+  filter.kinds = 1u << static_cast<int>(EventKind::Transfer);
   trace::Tracer recorder;
-  const ReplayStats stats = replay(path, recorder, ropts);
+  const ReplayStats stats = replay(path, recorder, filter);
   EXPECT_EQ(stats.delivered[static_cast<int>(EventKind::Transfer)],
             static_cast<long long>(live.transfers.size()));
   EXPECT_EQ(stats.delivered[static_cast<int>(EventKind::Stage)], 0);
@@ -471,10 +471,10 @@ TEST(Index, KindMaskSkipsBlocksWithoutDecodingThem) {
   opts.block_bytes = 512;
   const auto [live, path] = record_both(kScenarios[0], opts);
   (void)live;
-  ReplayOptions ropts;
-  ropts.filter.kinds = 1u << static_cast<int>(EventKind::WallSpan);
+  EventFilter filter;
+  filter.kinds = 1u << static_cast<int>(EventKind::WallSpan);
   trace::TraceSink null_sink;
-  const ReplayStats stats = replay(path, null_sink, ropts);
+  const ReplayStats stats = replay(path, null_sink, filter);
   EXPECT_GT(stats.blocks_total, 1);
   EXPECT_EQ(stats.blocks_decoded, 0);
   EXPECT_EQ(stats.blocks_skipped, stats.blocks_total);
@@ -489,18 +489,18 @@ TEST(Index, StageWindowSkipsDisjointBlocks) {
   const FileInfo info = read_info(path);
   // Restrict to the very first stage: blocks whose stage range starts
   // later — and carries nothing stage-less — can be skipped outright.
-  ReplayOptions ropts;
-  ropts.filter.kinds = (1u << static_cast<int>(EventKind::Stage)) |
-                       (1u << static_cast<int>(EventKind::Transfer));
-  ropts.filter.max_stage = 0;
+  EventFilter filter;
+  filter.kinds = (1u << static_cast<int>(EventKind::Stage)) |
+                 (1u << static_cast<int>(EventKind::Transfer));
+  filter.max_stage = 0;
   trace::TraceSink null_sink;
-  const ReplayStats stats = replay(path, null_sink, ropts);
+  const ReplayStats stats = replay(path, null_sink, filter);
   EXPECT_EQ(stats.blocks_total, static_cast<long long>(info.blocks.size()));
   EXPECT_GT(stats.blocks_skipped, 0);
   EXPECT_LT(stats.blocks_decoded, stats.blocks_total);
   // The decode was still correct: only stage-0 events came out.
   trace::Tracer recorder;
-  replay(path, recorder, ropts);
+  replay(path, recorder, filter);
   const trace::ScheduleRecord rec = recorder.take();
   for (const auto& s : rec.stages) EXPECT_EQ(s.stage, 0);
   for (const auto& c : rec.copies) EXPECT_EQ(c.stage, 0);

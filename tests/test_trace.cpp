@@ -833,7 +833,7 @@ void replayed_rd(TraceSink* sink, const tlog::EventFilter& filter,
     rd_reordered(&capture);
     capture.finish();
   }
-  tlog::replay(path, *sink, tlog::ReplayOptions{filter});
+  tlog::replay(path, *sink, filter);
   std::remove(path.c_str());
 }
 
@@ -1202,13 +1202,13 @@ TEST(TraceOracle, FilteredReplaysFoldAtExportAsTheyDidOnline) {
   for (const auto& [name, filter] : filters) {
     SCOPED_TRACE(name);
     EXPECT_TRUE(folds_like_online([&](TraceSink* sink) {
-      tlog::replay(path, *sink, tlog::ReplayOptions{filter});
+      tlog::replay(path, *sink, filter);
     }));
   }
   // Every transfer of a transfer-only replay is unstaged, retransmissions
   // included.
   Tracer transfers_only;
-  tlog::replay(path, transfers_only, tlog::ReplayOptions{filters[2].second});
+  tlog::replay(path, transfers_only, filters[2].second);
   std::remove(path.c_str());
   EXPECT_TRUE(transfers_only.record().empty());
   EXPECT_EQ(transfers_only.unstaged().size(), 512u * 511u);
