@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "collectives/orderfix.hpp"
+#include "collectives/patterns.hpp"
 #include "common/bits.hpp"
 #include "common/error.hpp"
 #include "common/permutation.hpp"
@@ -14,41 +15,27 @@ using simmpi::ExecMode;
 
 namespace detail {
 
-/// Recursive doubling (p a power of two): stage `dist` pairs j with
-/// j XOR dist, each sending its accumulated dist-block range; the range
-/// starts at j & ~(dist-1) because blocks are kept new-rank-contiguous.
+/// Recursive doubling (p a power of two): at stage `dist` rank j sends its
+/// accumulated dist-block range to j XOR dist; the range starts at
+/// j & ~(dist-1) because blocks are kept new-rank-contiguous.
 void rd_stages(Engine& eng) {
   const int p = eng.comm().size();
   TARR_REQUIRE(is_pow2(p), "recursive doubling requires power-of-two size");
-  for (int dist = 1; dist < p; dist <<= 1) {
-    eng.begin_stage();
-    for (Rank j = 0; j < p; ++j) {
-      const Rank peer = j ^ dist;
-      const int base = j & ~(dist - 1);
-      eng.copy(j, base, peer, base, dist);
-    }
-    eng.end_stage();
-  }
+  patterns::exchange(eng, p, [&eng](Rank j, Rank peer, int dist) {
+    const int base = j & ~(dist - 1);
+    eng.copy(j, base, peer, base, dist);
+  });
 }
 
 /// Ring with in-place order correction: the block that originated at new
 /// rank o always lives at slot oldrank[o], so the output is in original-rank
-/// order with no extra mechanism.  When the engine compresses repeats
-/// (Timed mode, no transient faults) only the first stage is evaluated and
-/// repeated p-2 more times (all ring stages are isomorphic).
+/// order with no extra mechanism.
 void ring_stages(Engine& eng, const std::vector<Rank>& oldrank) {
   const int p = eng.comm().size();
-  const int last_stage = eng.compresses_repeats() ? 1 : p - 1;
-  for (int s = 0; s < last_stage; ++s) {
-    eng.begin_stage();
-    for (Rank j = 0; j < p; ++j) {
-      const Rank origin = (j - s + p) % p;
-      const int slot = oldrank[origin];
-      eng.copy(j, slot, (j + 1) % p, slot, 1);
-    }
-    eng.end_stage();
-  }
-  if (eng.compresses_repeats() && p > 2) eng.repeat_last_stage(p - 2);
+  patterns::ring(eng, p, [&eng, &oldrank, p](Rank j, Rank next, int s) {
+    const int slot = oldrank[(j - s + p) % p];
+    eng.copy(j, slot, next, slot, 1);
+  });
 }
 
 }  // namespace detail
@@ -95,11 +82,7 @@ void bruck_stages(Engine& eng, const std::vector<Rank>& oldrank) {
 Usec run_allgather(simmpi::Engine& eng, const AllgatherOptions& opts,
                    const std::vector<Rank>& oldrank) {
   const int p = eng.comm().size();
-  TARR_REQUIRE(static_cast<int>(oldrank.size()) == p,
-               "run_allgather: oldrank size mismatch");
-  TARR_REQUIRE(is_permutation_of_iota(oldrank),
-               "run_allgather: oldrank is not a permutation");
-  TARR_REQUIRE(eng.buf_blocks() >= p, "run_allgather: buffer too small");
+  require_oldrank(eng, oldrank, p, "run_allgather");
   const Usec before = eng.total();
 
   switch (opts.algo) {

@@ -2,8 +2,8 @@
 
 #include <numeric>
 
+#include "collectives/orderfix.hpp"
 #include "common/error.hpp"
-#include "common/permutation.hpp"
 
 namespace tarr::collectives {
 
@@ -21,15 +21,10 @@ Usec run_allgatherv_ring(simmpi::Engine& eng, const std::vector<int>& counts,
   const int p = eng.comm().size();
   TARR_REQUIRE(static_cast<int>(counts.size()) == p,
                "run_allgatherv_ring: counts size mismatch");
-  TARR_REQUIRE(static_cast<int>(oldrank.size()) == p,
-               "run_allgatherv_ring: oldrank size mismatch");
-  TARR_REQUIRE(is_permutation_of_iota(oldrank),
-               "run_allgatherv_ring: oldrank is not a permutation");
+  const std::vector<int> displs = allgatherv_displacements(counts);
+  require_oldrank(eng, oldrank, displs[p], "run_allgatherv_ring");
   TARR_REQUIRE(eng.block_bytes() == 1,
                "run_allgatherv_ring: engine block must be one byte");
-  const std::vector<int> displs = allgatherv_displacements(counts);
-  TARR_REQUIRE(eng.buf_blocks() >= displs[p],
-               "run_allgatherv_ring: buffer too small");
   const Usec before = eng.total();
 
   // Seed: new rank j's contribution (original rank oldrank[j]) lands

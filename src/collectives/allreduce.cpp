@@ -2,6 +2,8 @@
 
 #include <vector>
 
+#include "collectives/allgather.hpp"
+#include "collectives/patterns.hpp"
 #include "common/bits.hpp"
 #include "common/error.hpp"
 
@@ -11,11 +13,9 @@ Usec run_allreduce_rd(simmpi::Engine& eng) {
   const int p = eng.comm().size();
   TARR_REQUIRE(is_pow2(p), "run_allreduce_rd: needs 2^k ranks");
   const Usec before = eng.total();
-  for (int dist = 1; dist < p; dist <<= 1) {
-    eng.begin_stage();
-    for (Rank j = 0; j < p; ++j) eng.combine(j, 0, j ^ dist, 0, 1);
-    eng.end_stage();
-  }
+  patterns::exchange(eng, p, [&eng](Rank j, Rank peer, int) {
+    eng.combine(j, 0, peer, 0, 1);
+  });
   return eng.total() - before;
 }
 
@@ -43,14 +43,7 @@ Usec run_allreduce_rabenseifner(simmpi::Engine& eng) {
   }
   // base[j] == j now; a plain recursive-doubling allgather distributes the
   // fully reduced blocks.
-  for (int dist = 1; dist < p; dist <<= 1) {
-    eng.begin_stage();
-    for (Rank j = 0; j < p; ++j) {
-      const int b = j & ~(dist - 1);
-      eng.copy(j, b, j ^ dist, b, dist);
-    }
-    eng.end_stage();
-  }
+  detail::rd_stages(eng);
   return eng.total() - before;
 }
 
@@ -60,37 +53,24 @@ Usec run_allreduce_ring(simmpi::Engine& eng) {
   const Usec before = eng.total();
   if (p == 1) return 0.0;
 
-  const bool compress = eng.compresses_repeats();
-  const int stages = compress ? 1 : p - 1;
-
   // Reduce-scatter ring: at step s rank j sends chunk (j - s) mod p to its
   // successor, which combines it in place; after p-1 steps rank j owns the
   // fully reduced chunk (j + 1) mod p.
   {
     simmpi::Engine::PhaseScope ps(eng, "ring-reduce-scatter");
-    for (int s = 0; s < stages; ++s) {
-      eng.begin_stage();
-      for (Rank j = 0; j < p; ++j) {
-        const int chunk = (j - s + p) % p;
-        eng.combine(j, chunk, (j + 1) % p, chunk, 1);
-      }
-      eng.end_stage();
-    }
-    if (compress && p > 2) eng.repeat_last_stage(p - 2);
+    patterns::ring(eng, p, [&eng, p](Rank j, Rank next, int s) {
+      const int chunk = (j - s + p) % p;
+      eng.combine(j, chunk, next, chunk, 1);
+    });
   }
   // Allgather ring: rank j starts by forwarding its reduced chunk
   // (j + 1) mod p; at step s it forwards chunk (j + 1 - s) mod p.
   {
     simmpi::Engine::PhaseScope ps(eng, "ring-allgather");
-    for (int s = 0; s < stages; ++s) {
-      eng.begin_stage();
-      for (Rank j = 0; j < p; ++j) {
-        const int chunk = (j + 1 - s + p) % p;
-        eng.copy(j, chunk, (j + 1) % p, chunk, 1);
-      }
-      eng.end_stage();
-    }
-    if (compress && p > 2) eng.repeat_last_stage(p - 2);
+    patterns::ring(eng, p, [&eng, p](Rank j, Rank next, int s) {
+      const int chunk = (j + 1 - s + p) % p;
+      eng.copy(j, chunk, next, chunk, 1);
+    });
   }
   return eng.total() - before;
 }

@@ -1,8 +1,8 @@
 #include "collectives/alltoall.hpp"
 
+#include "collectives/orderfix.hpp"
 #include "common/bits.hpp"
 #include "common/error.hpp"
-#include "common/permutation.hpp"
 
 namespace tarr::collectives {
 
@@ -23,11 +23,7 @@ void seed_alltoall(simmpi::Engine& eng, const std::vector<Rank>& oldrank) {
 Usec run_alltoall(simmpi::Engine& eng, AlltoallAlgo algo,
                   const std::vector<Rank>& oldrank) {
   const int p = eng.comm().size();
-  TARR_REQUIRE(static_cast<int>(oldrank.size()) == p,
-               "run_alltoall: oldrank size mismatch");
-  TARR_REQUIRE(is_permutation_of_iota(oldrank),
-               "run_alltoall: oldrank is not a permutation");
-  TARR_REQUIRE(eng.buf_blocks() >= 2 * p, "run_alltoall: buffer too small");
+  require_oldrank(eng, oldrank, 2 * p, "run_alltoall");
   TARR_REQUIRE(algo != AlltoallAlgo::PairwiseXor || is_pow2(p),
                "run_alltoall: pairwise-xor needs 2^k ranks");
   const Usec before = eng.total();

@@ -1,10 +1,8 @@
 #include "collectives/gather_bcast.hpp"
 
-#include <algorithm>
-
 #include "collectives/allgather.hpp"
 #include "collectives/orderfix.hpp"
-#include "common/bits.hpp"
+#include "collectives/patterns.hpp"
 #include "common/error.hpp"
 #include "common/permutation.hpp"
 
@@ -14,19 +12,14 @@ namespace {
 
 using simmpi::Engine;
 
-/// Binomial (halving-tree) gather stages to new rank 0: stage `dist` moves
-/// every subtree [t+dist, t+dist+size) into its parent t; ranges stay
-/// new-rank-contiguous throughout.
-void binomial_gather_stages(Engine& eng) {
-  const int p = eng.comm().size();
-  for (int dist = 1; dist < p; dist <<= 1) {
-    eng.begin_stage();
-    for (Rank t = 0; t + dist < p; t += 2 * dist) {
-      const int size = std::min(dist, p - (t + dist));
-      eng.copy(t + dist, t + dist, t, t + dist, size);
-    }
-    eng.end_stage();
-  }
+/// Binomial scatter from new rank 0 (the gather tree reversed): each parent
+/// hands a child the child's subtree's blocks, a new-rank-contiguous range
+/// starting at the child's own slot.
+void binomial_scatter(Engine& eng) {
+  patterns::tree_down(eng, eng.comm().size(), 1,
+                      [&eng](Rank parent, Rank child, int size) {
+                        eng.copy(parent, child, child, child, size);
+                      });
 }
 
 }  // namespace
@@ -34,11 +27,7 @@ void binomial_gather_stages(Engine& eng) {
 Usec run_gather(simmpi::Engine& eng, TreeAlgo algo, OrderFix fix,
                 const std::vector<Rank>& oldrank) {
   const int p = eng.comm().size();
-  TARR_REQUIRE(static_cast<int>(oldrank.size()) == p,
-               "run_gather: oldrank size mismatch");
-  TARR_REQUIRE(is_permutation_of_iota(oldrank),
-               "run_gather: oldrank is not a permutation");
-  TARR_REQUIRE(eng.buf_blocks() >= p, "run_gather: buffer too small");
+  require_oldrank(eng, oldrank, p, "run_gather");
   const Usec before = eng.total();
 
   if (algo == TreeAlgo::Linear) {
@@ -47,17 +36,19 @@ Usec run_gather(simmpi::Engine& eng, TreeAlgo algo, OrderFix fix,
     // mechanism is needed — the root addresses by the mapping array.
     for (Rank j = 0; j < p; ++j)
       eng.set_block(j, oldrank[j], static_cast<std::uint32_t>(oldrank[j]));
-    for (Rank t = 1; t < p; ++t) {
-      eng.begin_stage();
-      eng.copy(t, oldrank[t], 0, oldrank[t], 1);
-      eng.end_stage();
-    }
+    patterns::linear(eng, p, 1, [&eng, &oldrank](Rank root, Rank t) {
+      eng.copy(t, oldrank[t], root, oldrank[t], 1);
+    });
     return eng.total() - before;
   }
 
+  // Binomial: every subtree's range stays new-rank-contiguous on its way
+  // into the parent.
   seed_allgather_inputs(eng, oldrank);
   if (fix == OrderFix::InitComm) init_comm_exchange(eng, oldrank);
-  if (p > 1) binomial_gather_stages(eng);
+  patterns::tree_up(eng, p, 1, [&eng](Rank child, Rank parent, int size) {
+    eng.copy(child, child, parent, child, size);
+  });
   if (fix == OrderFix::EndShuffle) end_shuffle(eng, oldrank);
   return eng.total() - before;
 }
@@ -66,23 +57,16 @@ Usec run_bcast(simmpi::Engine& eng, TreeAlgo algo) {
   const int p = eng.comm().size();
   const Usec before = eng.total();
   eng.set_block(0, 0, kBcastMessageTag);
-
   if (algo == TreeAlgo::Linear) {
     // Root pushes the message to each rank in turn (sender serialization).
-    for (Rank t = 1; t < p; ++t) {
-      eng.begin_stage();
-      eng.copy(0, 0, t, 0, 1);
-      eng.end_stage();
-    }
-    return eng.total() - before;
-  }
-
-  // Binomial halving tree: the message size is constant across stages.
-  for (int dist = p >= 2 ? static_cast<int>(ceil_pow2(p) / 2) : 0; dist >= 1;
-       dist /= 2) {
-    eng.begin_stage();
-    for (Rank t = 0; t + dist < p; t += 2 * dist) eng.copy(t, 0, t + dist, 0, 1);
-    eng.end_stage();
+    patterns::linear(eng, p, 1, [&eng](Rank root, Rank t) {
+      eng.copy(root, 0, t, 0, 1);
+    });
+  } else {
+    // Binomial halving tree: the message size is constant across stages.
+    patterns::tree_down(eng, p, 1, [&eng](Rank parent, Rank child, int) {
+      eng.copy(parent, 0, child, 0, 1);
+    });
   }
   return eng.total() - before;
 }
@@ -95,17 +79,7 @@ Usec run_bcast_scatter_allgather(simmpi::Engine& eng, AllgatherAlgo ag) {
   for (int b = 0; b < p; ++b) eng.set_block(0, b, static_cast<std::uint32_t>(b));
   if (p == 1) return eng.total() - before;
 
-  // Binomial scatter (reverse halving-tree gather): parents hand each child
-  // the half of their current range that the child's subtree owns.
-  for (int dist = static_cast<int>(ceil_pow2(p) / 2); dist >= 1; dist /= 2) {
-    eng.begin_stage();
-    for (Rank t = 0; t + dist < p; t += 2 * dist) {
-      const int size = std::min(dist, p - (t + dist));
-      eng.copy(t, t + dist, t + dist, t + dist, size);
-    }
-    eng.end_stage();
-  }
-
+  binomial_scatter(eng);
   switch (ag) {
     case AllgatherAlgo::RecursiveDoubling:
       detail::rd_stages(eng);
@@ -123,11 +97,7 @@ Usec run_bcast_scatter_allgather(simmpi::Engine& eng, AllgatherAlgo ag) {
 Usec run_scatter(simmpi::Engine& eng, TreeAlgo algo,
                  const std::vector<Rank>& oldrank) {
   const int p = eng.comm().size();
-  TARR_REQUIRE(static_cast<int>(oldrank.size()) == p,
-               "run_scatter: oldrank size mismatch");
-  TARR_REQUIRE(is_permutation_of_iota(oldrank),
-               "run_scatter: oldrank is not a permutation");
-  TARR_REQUIRE(eng.buf_blocks() >= p, "run_scatter: buffer too small");
+  require_oldrank(eng, oldrank, p, "run_scatter");
   const Usec before = eng.total();
 
   // Root's send buffer in original-rank order.
@@ -138,11 +108,9 @@ Usec run_scatter(simmpi::Engine& eng, TreeAlgo algo,
   if (algo == TreeAlgo::Linear) {
     // Direct addressing: send original rank oldrank[j]'s block to new rank
     // j's slot j, one serialized departure per destination.
-    for (Rank j = 1; j < p; ++j) {
-      eng.begin_stage();
-      eng.copy(0, oldrank[j], j, j, 1);
-      eng.end_stage();
-    }
+    patterns::linear(eng, p, 1, [&eng, &oldrank](Rank root, Rank j) {
+      eng.copy(root, oldrank[j], j, j, 1);
+    });
     if (oldrank[0] != 0) {
       eng.begin_stage();
       eng.copy(0, oldrank[0], 0, 0, 1);  // root's own block into place
@@ -155,16 +123,8 @@ Usec run_scatter(simmpi::Engine& eng, TreeAlgo algo,
   // root first permutes its buffer into new-rank order (slot k <- block
   // oldrank[k]).  Only the root's buffer is meaningful; the permute models
   // its local shuffle.
-  const std::vector<Rank> inverse = invert_permutation(oldrank);
-  eng.local_permute_all(inverse);
-  for (int dist = static_cast<int>(ceil_pow2(p) / 2); dist >= 1; dist /= 2) {
-    eng.begin_stage();
-    for (Rank t = 0; t + dist < p; t += 2 * dist) {
-      const int size = std::min(dist, p - (t + dist));
-      eng.copy(t, t + dist, t + dist, t + dist, size);
-    }
-    eng.end_stage();
-  }
+  eng.local_permute_all(invert_permutation(oldrank));
+  binomial_scatter(eng);
   return eng.total() - before;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "collectives/orderfix.hpp"
+#include "collectives/patterns.hpp"
 #include "common/bits.hpp"
 #include "common/error.hpp"
 #include "common/permutation.hpp"
@@ -16,69 +17,41 @@ using simmpi::Engine;
 /// Phase 1: gather the node's cpn blocks into the leader (local rank 0 of
 /// each node block).  All nodes proceed concurrently, stage by stage.
 void intra_gather(Engine& eng, int cpn, IntraAlgo algo) {
-  const int p = eng.comm().size();
-  const int nodes = p / cpn;
+  const int nodes = eng.comm().size() / cpn;
+  // A member's range starts at its own slot.
+  const auto up = [&eng](Rank from, Rank to, int size) {
+    eng.copy(from, from, to, from, size);
+  };
   if (algo == IntraAlgo::Binomial) {
-    for (int dist = 1; dist < cpn; dist <<= 1) {
-      eng.begin_stage();
-      for (int b = 0; b < nodes; ++b) {
-        const Rank leader = b * cpn;
-        for (int t = 0; t + dist < cpn; t += 2 * dist) {
-          const int size = std::min(dist, cpn - (t + dist));
-          eng.copy(leader + t + dist, leader + t + dist, leader + t,
-                   leader + t + dist, size);
-        }
-      }
-      eng.end_stage();
-    }
+    patterns::tree_up(eng, cpn, nodes, up);
   } else {
-    // Linear: arrivals serialize at each leader; nodes run concurrently.
-    for (int t = 1; t < cpn; ++t) {
-      eng.begin_stage();
-      for (int b = 0; b < nodes; ++b) {
-        const Rank leader = b * cpn;
-        eng.copy(leader + t, leader + t, leader, leader + t, 1);
-      }
-      eng.end_stage();
-    }
+    // Linear: arrivals serialize at each leader.
+    patterns::linear(eng, cpn, nodes,
+                     [up](Rank leader, Rank t) { up(t, leader, 1); });
   }
 }
 
 /// Phase 2: allgather of node chunks (cpn blocks each) among the leaders.
 void leader_exchange(Engine& eng, int cpn, AllgatherAlgo algo) {
-  const int p = eng.comm().size();
-  const int nodes = p / cpn;
+  const int nodes = eng.comm().size() / cpn;
   if (nodes == 1) return;
 
   if (algo == AllgatherAlgo::RecursiveDoubling) {
     TARR_REQUIRE(is_pow2(nodes),
                  "hierarchical RD leader phase needs 2^k nodes");
-    for (int dist = 1; dist < nodes; dist <<= 1) {
-      eng.begin_stage();
-      for (int b = 0; b < nodes; ++b) {
-        const int peer = b ^ dist;
-        const int base = b & ~(dist - 1);
-        eng.copy(b * cpn, base * cpn, peer * cpn, base * cpn, dist * cpn);
-      }
-      eng.end_stage();
-    }
+    patterns::exchange(eng, nodes, [&eng, cpn](int b, int peer, int dist) {
+      const int base = (b & ~(dist - 1)) * cpn;
+      eng.copy(b * cpn, base, peer * cpn, base, dist * cpn);
+    });
     return;
   }
 
   TARR_REQUIRE(algo == AllgatherAlgo::Ring,
                "hierarchical leader phase supports RD or ring");
-  const int last_stage = eng.compresses_repeats() ? 1 : nodes - 1;
-  for (int s = 0; s < last_stage; ++s) {
-    eng.begin_stage();
-    for (int b = 0; b < nodes; ++b) {
-      const int origin = (b - s + nodes) % nodes;
-      eng.copy(b * cpn, origin * cpn, ((b + 1) % nodes) * cpn, origin * cpn,
-               cpn);
-    }
-    eng.end_stage();
-  }
-  if (eng.compresses_repeats() && nodes > 2)
-    eng.repeat_last_stage(nodes - 2);
+  patterns::ring(eng, nodes, [&eng, cpn, nodes](int b, int next, int s) {
+    const int chunk = (b - s + nodes) % nodes * cpn;
+    eng.copy(b * cpn, chunk, next * cpn, chunk, cpn);
+  });
 }
 
 /// Phase 3: broadcast the complete p-block output from every leader down
@@ -86,27 +59,15 @@ void leader_exchange(Engine& eng, int cpn, AllgatherAlgo algo) {
 void intra_bcast(Engine& eng, int cpn, IntraAlgo algo) {
   const int p = eng.comm().size();
   const int nodes = p / cpn;
-  if (cpn == 1) return;
-
+  const auto down = [&eng, p](Rank from, Rank to, int) {
+    eng.copy(from, 0, to, 0, p);
+  };
   if (algo == IntraAlgo::Binomial) {
-    for (int dist = static_cast<int>(ceil_pow2(cpn) / 2); dist >= 1;
-         dist /= 2) {
-      eng.begin_stage();
-      for (int b = 0; b < nodes; ++b) {
-        const Rank leader = b * cpn;
-        for (int t = 0; t + dist < cpn; t += 2 * dist)
-          eng.copy(leader + t, 0, leader + t + dist, 0, p);
-      }
-      eng.end_stage();
-    }
+    patterns::tree_down(eng, cpn, nodes, down);
   } else {
     // Linear: the leader pushes the full buffer to each local rank in turn.
-    for (int t = 1; t < cpn; ++t) {
-      eng.begin_stage();
-      for (int b = 0; b < nodes; ++b)
-        eng.copy(b * cpn, 0, b * cpn + t, 0, p);
-      eng.end_stage();
-    }
+    patterns::linear(eng, cpn, nodes,
+                     [down](Rank leader, Rank t) { down(leader, t, 1); });
   }
 }
 
@@ -115,12 +76,7 @@ void intra_bcast(Engine& eng, int cpn, IntraAlgo algo) {
 Usec run_hier_allgather(simmpi::Engine& eng, const HierAllgatherOptions& opts,
                         const std::vector<Rank>& oldrank) {
   const auto& comm = eng.comm();
-  const int p = comm.size();
-  TARR_REQUIRE(static_cast<int>(oldrank.size()) == p,
-               "run_hier_allgather: oldrank size mismatch");
-  TARR_REQUIRE(is_permutation_of_iota(oldrank),
-               "run_hier_allgather: oldrank is not a permutation");
-  TARR_REQUIRE(eng.buf_blocks() >= p, "run_hier_allgather: buffer too small");
+  require_oldrank(eng, oldrank, comm.size(), "run_hier_allgather");
   TARR_REQUIRE(comm.node_contiguous(),
                "run_hier_allgather: communicator must be node-contiguous "
                "(hierarchical allgather is not supported for cyclic layouts)");
@@ -160,12 +116,7 @@ Usec run_hier_allgather_pipelined(simmpi::Engine& eng, IntraAlgo gather_algo,
                                   const std::vector<Rank>& oldrank) {
   const auto& comm = eng.comm();
   const int p = comm.size();
-  TARR_REQUIRE(static_cast<int>(oldrank.size()) == p,
-               "run_hier_allgather_pipelined: oldrank size mismatch");
-  TARR_REQUIRE(is_permutation_of_iota(oldrank),
-               "run_hier_allgather_pipelined: oldrank not a permutation");
-  TARR_REQUIRE(eng.buf_blocks() >= p,
-               "run_hier_allgather_pipelined: buffer too small");
+  require_oldrank(eng, oldrank, p, "run_hier_allgather_pipelined");
   TARR_REQUIRE(comm.node_contiguous(),
                "run_hier_allgather_pipelined: needs node-contiguous ranks");
   const int cpn = comm.machine().cores_per_node();

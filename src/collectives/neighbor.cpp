@@ -1,7 +1,7 @@
 #include "collectives/neighbor.hpp"
 
+#include "collectives/orderfix.hpp"
 #include "common/error.hpp"
-#include "common/permutation.hpp"
 
 namespace tarr::collectives {
 
@@ -38,14 +38,9 @@ void send_group(Engine& eng, const std::vector<Rank>& oldrank, Rank i,
 Usec run_allgather_neighbor(simmpi::Engine& eng,
                             const std::vector<Rank>& oldrank) {
   const int p = eng.comm().size();
-  TARR_REQUIRE(static_cast<int>(oldrank.size()) == p,
-               "run_allgather_neighbor: oldrank size mismatch");
-  TARR_REQUIRE(is_permutation_of_iota(oldrank),
-               "run_allgather_neighbor: oldrank is not a permutation");
+  require_oldrank(eng, oldrank, p, "run_allgather_neighbor");
   TARR_REQUIRE(p % 2 == 0 || p == 1,
                "run_allgather_neighbor: needs an even number of ranks");
-  TARR_REQUIRE(eng.buf_blocks() >= p,
-               "run_allgather_neighbor: buffer too small");
   const Usec before = eng.total();
 
   for (Rank j = 0; j < p; ++j)

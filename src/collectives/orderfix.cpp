@@ -1,9 +1,22 @@
 #include "collectives/orderfix.hpp"
 
+#include <string>
+
 #include "common/error.hpp"
 #include "common/permutation.hpp"
 
 namespace tarr::collectives {
+
+void require_oldrank(const simmpi::Engine& eng,
+                     const std::vector<Rank>& oldrank, int min_blocks,
+                     const char* runner) {
+  TARR_REQUIRE(static_cast<int>(oldrank.size()) == eng.comm().size(),
+               std::string(runner) + ": oldrank size mismatch");
+  TARR_REQUIRE(is_permutation_of_iota(oldrank),
+               std::string(runner) + ": oldrank is not a permutation");
+  TARR_REQUIRE(eng.buf_blocks() >= min_blocks,
+               std::string(runner) + ": buffer too small");
+}
 
 void seed_allgather_inputs(simmpi::Engine& eng,
                            const std::vector<Rank>& oldrank) {

@@ -15,6 +15,13 @@
 
 namespace tarr::collectives {
 
+/// The input check of every runner that reads `oldrank`: it must hold one
+/// entry per rank, be a permutation, and the engine must have at least
+/// `min_blocks` blocks per rank.  Throws tarr::Error naming `runner`.
+void require_oldrank(const simmpi::Engine& eng,
+                     const std::vector<Rank>& oldrank, int min_blocks,
+                     const char* runner);
+
 /// Seed every rank's contribution at its own slot, tagged with its original
 /// rank — the canonical pre-collective state (Data mode; cost-free).
 void seed_allgather_inputs(simmpi::Engine& eng,

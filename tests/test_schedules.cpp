@@ -15,6 +15,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -52,6 +53,63 @@ TEST(Schedules, FindScheduleNamesAnUnknownOne) {
     EXPECT_NE(std::string(e.what()).find("allgather-bogus"),
               std::string::npos);
   }
+}
+
+/// The schedules whose runners ignore `oldrank`: broadcasts from new rank 0
+/// and reductions, whose outputs have no rank order (§V-B).
+bool ignores_oldrank(const Schedule& s) {
+  for (const char* name :
+       {"bcast-linear", "bcast-binomial", "bcast-scatter-allgather",
+        "bcast-scatter-allgather-ring", "allreduce-rd",
+        "allreduce-rabenseifner", "allreduce-ring", "reduce-binomial"})
+    if (std::string_view(s.name) == name) return true;
+  return false;
+}
+
+TEST(Schedules, EveryOldrankReaderRejectsABadInput) {
+  // Two whole 8-core nodes: every schedule runs on 16 ranks.
+  const topology::Machine m = topology::Machine::gpc(2);
+  const int p = m.total_cores();
+  const Communicator comm(m, simmpi::make_layout(m, p, {}));
+  RankVec short_by_one = identity_permutation(p - 1);
+  RankVec duplicate = identity_permutation(p);
+  duplicate[p - 1] = duplicate[0];
+  // The error a run throws, or "" when it completes.
+  const auto error = [&](const Schedule& s, int blocks, const RankVec& o) {
+    Engine eng(comm, simmpi::CostConfig{}, simmpi::ExecMode::Data, 64,
+               blocks);
+    try {
+      s.run(eng, o);
+    } catch (const Error& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  const auto rejects = [](const std::string& what, const char* why) {
+    return what.find(why) != std::string::npos;
+  };
+  int readers = 0;
+  for (const Schedule& s : schedules()) {
+    const int blocks = s.buf_blocks(p);
+    ASSERT_EQ(error(s, blocks, identity_permutation(p)), "") << s.name;
+    if (ignores_oldrank(s)) {
+      EXPECT_EQ(error(s, blocks, short_by_one), "") << s.name;
+      EXPECT_EQ(error(s, blocks, duplicate), "") << s.name;
+      continue;
+    }
+    // The shared check rejects each one before any stage runs.
+    EXPECT_TRUE(rejects(error(s, blocks, short_by_one),
+                        ": oldrank size mismatch"))
+        << s.name;
+    EXPECT_TRUE(rejects(error(s, blocks, duplicate),
+                        ": oldrank is not a permutation"))
+        << s.name;
+    EXPECT_TRUE(rejects(error(s, blocks - 1, identity_permutation(p)),
+                        ": buffer too small"))
+        << s.name;
+    ++readers;
+  }
+  EXPECT_EQ(readers, 16);
 }
 
 // ---------------------------------------------------------------------------
