@@ -15,9 +15,9 @@ using simmpi::ExecMode;
 
 namespace detail {
 
-/// Recursive doubling (p a power of two): at stage `dist` rank j sends its
-/// accumulated dist-block range to j XOR dist; the range starts at
-/// j & ~(dist-1) because blocks are kept new-rank-contiguous.
+/// Recursive doubling (p a power of two): stage `dist` pairs j with
+/// j XOR dist, each sending its accumulated dist-block range; the range
+/// starts at j & ~(dist-1) because blocks are kept new-rank-contiguous.
 void rd_stages(Engine& eng) {
   const int p = eng.comm().size();
   TARR_REQUIRE(is_pow2(p), "recursive doubling requires power-of-two size");

@@ -71,7 +71,7 @@ TEST(Schedules, EveryOldrankReaderRejectsABadInput) {
   const topology::Machine m = topology::Machine::gpc(2);
   const int p = m.total_cores();
   const Communicator comm(m, simmpi::make_layout(m, p, {}));
-  RankVec short_by_one = identity_permutation(p - 1);
+  const RankVec short_by_one = identity_permutation(p - 1);
   RankVec duplicate = identity_permutation(p);
   duplicate[p - 1] = duplicate[0];
   // The error a run throws, or "" when it completes.
@@ -97,7 +97,7 @@ TEST(Schedules, EveryOldrankReaderRejectsABadInput) {
       EXPECT_EQ(error(s, blocks, duplicate), "") << s.name;
       continue;
     }
-    // The shared check rejects each one before any stage runs.
+    // Each is rejected by the shared check, whose message names it.
     EXPECT_TRUE(rejects(error(s, blocks, short_by_one),
                         ": oldrank size mismatch"))
         << s.name;

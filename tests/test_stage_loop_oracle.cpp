@@ -18,10 +18,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
-#include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "collectives/allgather.hpp"
