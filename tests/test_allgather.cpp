@@ -112,6 +112,17 @@ TEST(Allgather, RdRejectsNonPowerOfTwo) {
                Error);
 }
 
+TEST(Allgather, RejectsBadPermutation) {
+  const Machine m = Machine::gpc(1);
+  const Communicator comm(m, make_layout(m, 4, LayoutSpec{}));
+  Engine eng(comm, simmpi::CostConfig{}, ExecMode::Data, 64, 4);
+  EXPECT_THROW(
+      run_allgather(eng, AllgatherOptions{}, std::vector<Rank>{0, 0, 1, 2}),
+      Error);
+  EXPECT_THROW(run_allgather(eng, AllgatherOptions{}, std::vector<Rank>{0}),
+               Error);
+}
+
 TEST(Allgather, TimedRingRepeatMatchesExplicitStages) {
   // The Timed-mode stage compression must account exactly the same time as
   // running all p-1 stages explicitly (Data mode prices stages identically).
