@@ -15,17 +15,6 @@
 #include "common/permutation.hpp"
 #include "simmpi/engine.hpp"
 
-namespace {
-
-/// Metric-name spelling of a power-of-two message size: 64B, 16KiB, 1MiB.
-std::string size_key(tarr::Bytes b) {
-  if (b >= (1 << 20)) return std::to_string(b >> 20) + "MiB";
-  if (b >= (1 << 10)) return std::to_string(b >> 10) + "KiB";
-  return std::to_string(b) + "B";
-}
-
-}  // namespace
-
 int main() {
   using namespace tarr;
   using namespace tarr::bench;

@@ -16,4 +16,10 @@ double improvement_percent(double baseline, double variant) {
   return 100.0 * (baseline - variant) / baseline;
 }
 
+std::string size_key(Bytes b) {
+  if (b >= (1 << 20)) return std::to_string(b >> 20) + "MiB";
+  if (b >= (1 << 10)) return std::to_string(b >> 10) + "KiB";
+  return std::to_string(b) + "B";
+}
+
 }  // namespace tarr::bench

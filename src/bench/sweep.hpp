@@ -1,5 +1,6 @@
 #pragma once
 
+#include <string>
 #include <vector>
 
 #include "common/types.hpp"
@@ -17,5 +18,8 @@ std::vector<Bytes> osu_message_sizes(Bytes min = 1, Bytes max = 256 * 1024);
 /// Percentage improvement of `variant` over `baseline` (positive = faster),
 /// as plotted in Figs 3-4.
 double improvement_percent(double baseline, double variant);
+
+/// Metric-name spelling of a power-of-two message size: 64B, 16KiB, 1MiB.
+std::string size_key(Bytes b);
 
 }  // namespace tarr::bench

@@ -393,6 +393,24 @@ TEST(Baselines, ExtPipelineOverlapGainsAFurther41To45Percent) {
   EXPECT_EQ(sizes, 4);  // 4 KiB, 16 KiB, 64 KiB, 256 KiB
 }
 
+TEST(Baselines, ExtBigsmpBbmhGainsAtEverySizeAndBeatsBgmh) {
+  // The hierarchical allgather over 4,096 block-scatter ranks on 32-core
+  // nodes (two sockets of four L3 complexes): BBMH intra gains 27.5-46.9%
+  // as printed (27.45% at 1 KiB) at all 13 sizes from 64 B to 256 KiB, and
+  // more than BGMH intra at every size.
+  const auto s = baseline("ext_bigsmp");
+  int sizes = 0;
+  for (const auto& m : s.metrics) {
+    if (!report::glob_match("*.bbmh_improvement", m.name)) continue;
+    EXPECT_GE(m.value, 27.4) << m.name;
+    EXPECT_LE(m.value, 46.9) << m.name;
+    const std::string size = m.name.substr(0, m.name.find('.'));
+    EXPECT_GT(m.value, metric(s, size + ".bgmh_improvement")) << size;
+    ++sizes;
+  }
+  EXPECT_EQ(sizes, 13);  // 64 B to 256 KiB
+}
+
 TEST(Baselines, Fig5HeuristicNeverSlowerAndBeatsScotch) {
   const auto s = baseline("fig5_app_nonhier");
   for (const auto& spec : simmpi::all_layouts()) {
