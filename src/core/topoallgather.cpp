@@ -105,8 +105,9 @@ Usec TopoAllgather::execute(simmpi::ExecMode mode, Bytes msg) {
     fix = OrderFix::EndShuffle;
   }
   const simmpi::Communicator& use_comm = rc ? rc->comm : comm_;
-  const std::vector<Rank> oldrank =
-      rc ? rc->oldrank : identity_permutation(p);
+  std::vector<Rank> identity;
+  if (rc == nullptr) identity = identity_permutation(p);
+  const std::vector<Rank>& oldrank = rc ? rc->oldrank : identity;
 
   simmpi::Engine eng(use_comm, cfg_.cost, mode, msg, p);
   if (cfg_.hierarchical) {

@@ -1,15 +1,48 @@
 #include "simmpi/costmodel.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <string>
 
 #include "common/error.hpp"
 #include "prof/profiler.hpp"
 
 namespace tarr::simmpi {
 
+namespace {
+
+const CostConfig& checked(const CostConfig& cfg) {
+  static constexpr struct {
+    const char* name;
+    double CostConfig::*field;
+  } kChannelParams[] = {
+      {"alpha_shm_socket", &CostConfig::alpha_shm_socket},
+      {"alpha_shm_cross", &CostConfig::alpha_shm_cross},
+      {"alpha_shm_complex", &CostConfig::alpha_shm_complex},
+      {"beta_shm_complex_pair", &CostConfig::beta_shm_complex_pair},
+      {"beta_shm_pair", &CostConfig::beta_shm_pair},
+      {"beta_mem_socket", &CostConfig::beta_mem_socket},
+      {"beta_qpi", &CostConfig::beta_qpi},
+      {"alpha_net", &CostConfig::alpha_net},
+      {"alpha_hop", &CostConfig::alpha_hop},
+      {"beta_net", &CostConfig::beta_net},
+      {"alpha_mem", &CostConfig::alpha_mem},
+      {"beta_mem", &CostConfig::beta_mem},
+  };
+  for (const auto& p : kChannelParams) {
+    const double v = cfg.*p.field;
+    if (!std::isfinite(v) || v < 0.0)
+      throw Error(std::string("CostConfig: ") + p.name +
+                  " must be finite and >= 0");
+  }
+  return cfg;
+}
+
+}  // namespace
+
 CostModel::CostModel(const topology::Machine& m, const CostConfig& cfg)
     : machine_(&m),
-      cfg_(cfg),
+      cfg_(checked(cfg)),
       last_pair_from_(static_cast<std::size_t>(m.num_nodes()), -1),
       links_(static_cast<std::size_t>(m.network().num_links()) * 2),
       qpi_(static_cast<std::size_t>(m.num_nodes()) * 2),
@@ -53,10 +86,16 @@ void CostModel::add_transfer(CoreId src, CoreId dst, Bytes bytes) {
       slot = static_cast<int>(pairs_.size());
       pairs_.push_back(NodePair{na, nb});
     }
-    pairs_[slot].bytes += b;
-    pending_.push_back(Pending{src, dst, bytes, na, slot});
+    NodePair& q = pairs_[slot];
+    q.bytes += b;
+    q.largest = std::max(q.largest, b);
+    ++stage_transfers_;
+    stage_bytes_ += b;
+    if (capture_details_) pending_.push_back(Pending{src, dst, bytes, na, slot});
     return;
   }
+  ++stage_transfers_;
+  stage_bytes_ += b;
   pending_.push_back(Pending{src, dst, bytes, na, -1});
   if (!cfg_.model_contention) return;
 
@@ -71,27 +110,38 @@ void CostModel::add_transfer(CoreId src, CoreId dst, Bytes bytes) {
   }
 }
 
+CostModel::NetworkPrice CostModel::network_price(const NodePair& q,
+                                                 double own) const {
+  const double bottleneck = std::max(own, q.peak);
+  const Usec alpha =
+      cfg_.alpha_net + cfg_.alpha_hop * static_cast<double>(q.hops);
+  return NetworkPrice{alpha + bottleneck * cfg_.beta_net,
+                      alpha + own * cfg_.beta_net,
+                      own > 0.0 ? bottleneck / own : 1.0};
+}
+
 Usec CostModel::finish_stage() {
   TARR_REQUIRE(stage_open_, "finish_stage: no open stage");
   const auto& m = *machine_;
   const auto& net = m.network();
-  const auto& router = m.router();
 
-  // Two passes over the node pairs, in first-submission order: the first
-  // loads each route with its pair's bytes, the second reads each route
-  // once every load on it is final.
+  // One walk per node pair, in first-submission order, lists its route's
+  // directed links; the pairs then load their routes in that order and read
+  // each route once every load on it is final.
+  for (NodePair& q : pairs_) {
+    q.first = static_cast<int>(route_.size());
+    q.hops = m.router().walk(q.src, q.dst, [&](topology::Hop h) {
+      route_.push_back(2 * h.link + h.dir);
+    });
+  }
   if (cfg_.model_contention) {
     for (const NodePair& q : pairs_)
-      router.walk(q.src, q.dst, [&](topology::Hop h) {
-        links_.add(2 * h.link + h.dir, q.bytes);
-      });
-  }
-  for (NodePair& q : pairs_) {
-    q.hops = router.walk(q.src, q.dst, [&](topology::Hop h) {
-      if (cfg_.model_contention)
-        q.peak = std::max(q.peak, links_.bytes[2 * h.link + h.dir] /
-                                      net.link(h.link).capacity);
-    });
+      for (int k = q.first; k < q.first + q.hops; ++k)
+        links_.add(route_[k], q.bytes);
+    for (NodePair& q : pairs_)
+      for (int k = q.first; k < q.first + q.hops; ++k)
+        q.peak = std::max(q.peak, links_.bytes[route_[k]] /
+                                      net.link(route_[k] / 2).capacity);
   }
 
   if (capture_details_) {
@@ -103,10 +153,11 @@ Usec CostModel::finish_stage() {
     detail_.transfers.reserve(pending_.size());
   }
 
+  // The stage costs its slowest transfer; a pair's slowest is its largest.
   Usec stage = 0.0;
-  double priced_bytes = 0.0;
+  for (const NodePair& q : pairs_)
+    stage = std::max(stage, network_price(q, q.largest).cost);
   for (const Pending& t : pending_) {
-    priced_bytes += static_cast<double>(t.bytes);
     const double own = static_cast<double>(t.bytes);
     Usec cost;
     Usec uncontended = 0.0;  ///< cost at contention factor 1.0
@@ -148,27 +199,25 @@ Usec CostModel::finish_stage() {
         uncontended = cfg_.alpha_shm_cross + floor;
         cost = cfg_.alpha_shm_cross + bw_time;
       }
+      stage = std::max(stage, cost);
     } else {
-      const NodePair& q = pairs_[t.pair];
-      const double bottleneck = std::max(own, q.peak);
-      if (own > 0.0) contention = bottleneck / own;
-      const Usec alpha =
-          cfg_.alpha_net + cfg_.alpha_hop * static_cast<double>(q.hops);
-      uncontended = alpha + own * cfg_.beta_net;
-      cost = alpha + bottleneck * cfg_.beta_net;
+      // Only under capture: its pair already counted in the stage cost.
+      const NetworkPrice price = network_price(pairs_[t.pair], own);
+      cost = price.cost;
+      uncontended = price.uncontended;
+      contention = price.contention;
     }
     if (capture_details_) {
       detail_.transfers.push_back(TransferRecord{
           t.src, t.dst, t.bytes, cost, channel, contention, uncontended});
     }
-    stage = std::max(stage, cost);
   }
 
   if (prof::Profiler* p = obs::ambient().prof) {
     p->count("cost.stages_priced", 1.0);
-    p->count("cost.transfers_priced", static_cast<double>(pending_.size()));
+    p->count("cost.transfers_priced", static_cast<double>(stage_transfers_));
     p->count("cost.routes_walked", static_cast<double>(pairs_.size()));
-    p->count("cost.bytes_priced", priced_bytes);
+    p->count("cost.bytes_priced", stage_bytes_);
   }
 
   if (capture_details_) {
@@ -183,8 +232,11 @@ Usec CostModel::finish_stage() {
   }
 
   pending_.clear();
+  stage_transfers_ = 0;
+  stage_bytes_ = 0.0;
   for (const NodePair& q : pairs_) last_pair_from_[q.src] = -1;
   pairs_.clear();
+  route_.clear();
   links_.clear();
   qpi_.clear();
   sockets_.clear();
@@ -194,7 +246,7 @@ Usec CostModel::finish_stage() {
   // every array, so only in TARR_SLOW_CHECKS builds.
   TARR_CHECK_SLOW(
       links_.is_clear() && qpi_.is_clear() && sockets_.is_clear() &&
-          pairs_.empty() &&
+          pairs_.empty() && route_.empty() &&
           std::all_of(last_pair_from_.begin(), last_pair_from_.end(),
                       [](int slot) { return slot == -1; }),
       "finish_stage: per-stage state left after the reset");

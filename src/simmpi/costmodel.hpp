@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "common/error.hpp"
 #include "simmpi/communicator.hpp"
 #include "topology/machine.hpp"
 #include "trace/sink.hpp"
@@ -26,16 +27,20 @@
 ///
 /// Inter-node transfers are priced per node pair.  All transfers between
 /// one (source node, destination node) pair share one route, so
-/// add_transfer() only sums their bytes into a NodePair, and finish_stage()
-/// walks each pair's route twice: once to add its summed bytes to every
-/// link, then, with every load final, once to read its hop count and its
-/// bottleneck load / capacity; each transfer then costs max(own bytes, its
-/// pair's bottleneck).  Route work scales with the stage's node pairs, not
-/// its transfers.  Every cost and record equals per-transfer pricing bit
-/// for bit: link loads are sums of integer byte counts, exact in a double
-/// (below 2^53) in any order, and pairs load in order of first submission,
-/// so every link is first touched by the same transfer as before and the
-/// link records keep their order.
+/// add_transfer() only sums their bytes into a NodePair and keeps its
+/// largest transfer.  finish_stage() walks each pair's route once, into a
+/// per-stage list of directed-link slots; it then adds every pair's summed
+/// bytes to its links and, with every load final, reads each pair's
+/// bottleneck load / capacity from the same list.  A network transfer costs
+/// alpha(hops) + max(own bytes, bottleneck) * beta_net, which never
+/// decreases as its own bytes grow, so each pair's largest transfer prices
+/// the pair for the stage cost, and a transfer of its own is priced only
+/// for a captured record.  Route work scales with the stage's node pairs,
+/// not its transfers.  Every cost and record equals per-transfer pricing
+/// bit for bit: link loads are sums of integer byte counts, exact in a
+/// double (below 2^53) in any order, and pairs load in order of first
+/// submission, so every link is first touched by the same transfer as
+/// before and the link records keep their order.
 
 namespace tarr::simmpi {
 
@@ -82,6 +87,9 @@ struct CostConfig {
 /// Stage-synchronous cost evaluator bound to one machine.
 class CostModel {
  public:
+  /// Throws tarr::Error naming the first latency or rate of `cfg` that is
+  /// negative or not finite: pricing a node pair by its largest transfer
+  /// relies on prices that never decrease as bytes grow.
   CostModel(const topology::Machine& m, const CostConfig& cfg);
 
   /// Start a new set of concurrent transfers.
@@ -116,8 +124,12 @@ class CostModel {
     std::vector<trace::Load> loads;
   };
 
-  /// Enable/disable detail capture (off by default).
-  void set_capture_details(bool on) { capture_details_ = on; }
+  /// Enable/disable detail capture (off by default), between stages only:
+  /// a network transfer keeps its own entry only under capture.
+  void set_capture_details(bool on) {
+    TARR_REQUIRE(!stage_open_, "set_capture_details: stage open");
+    capture_details_ = on;
+  }
   bool capture_details() const { return capture_details_; }
 
   /// Detail of the stage most recently finished; empty unless capture was
@@ -130,6 +142,7 @@ class CostModel {
   const CostConfig& config() const { return cfg_; }
 
  private:
+  /// An intra-node transfer, or, under detail capture, any transfer.
   struct Pending {
     CoreId src;
     CoreId dst;
@@ -142,10 +155,23 @@ class CostModel {
   struct NodePair {
     NodeId src;
     NodeId dst;
-    double bytes = 0.0;  ///< summed bytes of its transfers
+    double bytes = 0.0;    ///< summed bytes of its transfers
+    double largest = 0.0;  ///< bytes of its largest transfer
+    int first = 0;         ///< its route is route_[first, first + hops)
     int hops = 0;
     double peak = 0.0;  ///< max over its route of link load / capacity
   };
+
+  /// A network transfer's price over its pair's route.
+  struct NetworkPrice {
+    Usec cost;
+    Usec uncontended;   ///< cost at contention 1.0
+    double contention;  ///< slowdown over the uncontended floor
+  };
+
+  /// Prices a network transfer of `own` bytes between q's nodes; cost
+  /// never decreases as `own` grows.
+  NetworkPrice network_price(const NodePair& q, double own) const;
 
   /// Byte loads of one resource class, each slot marked on its first touch;
   /// `touched` lists the slots in first-touch order, for the stage records
@@ -182,6 +208,13 @@ class CostModel {
   /// Per source node, the index of the stage's most recent pair from it;
   /// -1 when it has none.
   std::vector<int> last_pair_from_;
+  /// The directed-link slots (2 * link + dir) of the stage's pair routes,
+  /// one span per entry of pairs_, in route order.
+  std::vector<int> route_;
+  /// Transfers and bytes submitted this stage, in submission order, for
+  /// the cost.transfers_priced and cost.bytes_priced counters.
+  int stage_transfers_ = 0;
+  double stage_bytes_ = 0.0;
   Loads links_;    ///< directed network links, slot 2 * link + dir
   Loads qpi_;      ///< QPI directions, slot 2 * node + dir
   Loads sockets_;  ///< socket memory subsystems, socket_slot(node, socket)

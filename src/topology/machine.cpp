@@ -12,6 +12,13 @@ Machine::Machine(NodeShape shape, SwitchGraph net, Router::HostPolicy policy)
                "Machine: node shape must be non-empty");
   TARR_REQUIRE(net_.num_hosts() >= 1, "Machine: network has no hosts");
   router_ = std::make_unique<Router>(net_, policy);
+  sites_.reserve(static_cast<std::size_t>(total_cores()));
+  for (NodeId n = 0; n < num_nodes(); ++n) {
+    for (int local = 0; local < cores_per_node(); ++local) {
+      const CoreLocation loc = core_location(shape_, local);
+      sites_.push_back(CoreSite{n, loc.socket, loc.complex_in_socket});
+    }
+  }
 }
 
 Machine Machine::gpc(int num_nodes, NodeShape shape) {

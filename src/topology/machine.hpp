@@ -1,7 +1,9 @@
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "topology/fattree.hpp"
@@ -46,21 +48,23 @@ class Machine {
 
   /// Node that hosts global core c.
   NodeId node_of_core(CoreId c) const {
-    TARR_REQUIRE(c >= 0 && c < total_cores(), "node_of_core: out of range");
-    return c / cores_per_node();
+    TARR_REQUIRE(in_range(c), "node_of_core: out of range");
+    return sites_[c].node;
   }
   /// Node-local index (0 .. cores_per_node-1) of global core c.
   int local_core(CoreId c) const {
-    TARR_REQUIRE(c >= 0 && c < total_cores(), "local_core: out of range");
+    TARR_REQUIRE(in_range(c), "local_core: out of range");
     return c % cores_per_node();
   }
   /// Socket of global core c within its node.
   SocketId socket_of_core(CoreId c) const {
-    return core_location(shape_, local_core(c)).socket;
+    TARR_REQUIRE(in_range(c), "socket_of_core: out of range");
+    return sites_[c].socket;
   }
   /// L3 complex of global core c within its socket (0 on flat sockets).
   int complex_of_core(CoreId c) const {
-    return core_location(shape_, local_core(c)).complex_in_socket;
+    TARR_REQUIRE(in_range(c), "complex_of_core: out of range");
+    return sites_[c].complex;
   }
   /// Global core id from (node, node-local core).
   CoreId core_id(NodeId node, int local) const;
@@ -72,9 +76,24 @@ class Machine {
   std::string describe() const;
 
  private:
+  /// Where one global core sits: its node, and its socket and L3 complex
+  /// within that node.
+  struct CoreSite {
+    NodeId node;
+    SocketId socket;
+    int complex;
+  };
+
+  bool in_range(CoreId c) const {
+    return c >= 0 && static_cast<std::size_t>(c) < sites_.size();
+  }
+
   NodeShape shape_;
   SwitchGraph net_;
   std::unique_ptr<Router> router_;
+  /// One site per global core, built once so the cost model's per-transfer
+  /// lookups read a table instead of dividing.
+  std::vector<CoreSite> sites_;
 };
 
 }  // namespace tarr::topology

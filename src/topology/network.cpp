@@ -59,11 +59,6 @@ const NetVertex& SwitchGraph::vertex(NetVertexId v) const {
   return vertices_[v];
 }
 
-const NetLink& SwitchGraph::link(LinkId l) const {
-  TARR_REQUIRE(l >= 0 && l < num_links(), "link: id out of range");
-  return links_[l];
-}
-
 const std::vector<LinkId>& SwitchGraph::incident(NetVertexId v) const {
   TARR_REQUIRE(v >= 0 && v < num_vertices(), "incident: id out of range");
   return incident_[v];

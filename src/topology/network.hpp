@@ -3,6 +3,7 @@
 #include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/types.hpp"
 
 /// \file network.hpp
@@ -51,7 +52,10 @@ class SwitchGraph {
   int num_links() const { return static_cast<int>(links_.size()); }
 
   const NetVertex& vertex(NetVertexId v) const;
-  const NetLink& link(LinkId l) const;
+  const NetLink& link(LinkId l) const {
+    TARR_REQUIRE(l >= 0 && l < num_links(), "link: id out of range");
+    return links_[l];
+  }
 
   /// Links incident to v (link ids).
   const std::vector<LinkId>& incident(NetVertexId v) const;

@@ -1,8 +1,10 @@
 // Differential oracle for simmpi::CostModel.  The model prices a stage's
-// inter-node transfers per (source node, destination node) pair: it loads
-// each pair's route once with the pair's summed bytes and reads it once.
-// The per-transfer model it replaced, copied below as the reference, walks
-// every transfer's route twice.  Both run side by side over the same random
+// inter-node transfers per (source node, destination node) pair: it walks
+// each pair's route once, loads it with the pair's summed bytes, reads it,
+// and prices the pair for the stage cost by its largest transfer.  The
+// per-transfer model it replaced, copied below as the reference, walks
+// every transfer's route twice.  The reference places each core by integer
+// division and core_location, not through the Machine's site table.  Both run side by side over the same random
 // stages, and every stage cost, transfer record and link and QPI load (order
 // included) must be equal, bit for bit, on fat-trees, a torus, a
 // dragonfly, deep nodes, a degraded fabric and a split one.
@@ -56,12 +58,12 @@ class ReferenceCostModel {
     if (!cfg_.model_contention) return;
 
     const auto& m = *machine_;
-    const NodeId na = m.node_of_core(src);
-    const NodeId nb = m.node_of_core(dst);
+    const NodeId na = node_of(src);
+    const NodeId nb = node_of(dst);
     const double b = static_cast<double>(bytes);
     if (na == nb) {
-      const SocketId sa = m.socket_of_core(src);
-      const SocketId sb = m.socket_of_core(dst);
+      const SocketId sa = site(src).socket;
+      const SocketId sb = site(dst).socket;
       auto touch_socket = [&](SocketId s, double load) {
         double& slot = socket_load(na, s);
         if (slot == 0.0)
@@ -98,20 +100,20 @@ class ReferenceCostModel {
 
     Usec stage = 0.0;
     for (const Pending& t : pending_) {
-      const NodeId na = m.node_of_core(t.src);
-      const NodeId nb = m.node_of_core(t.dst);
+      const NodeId na = node_of(t.src);
+      const NodeId nb = node_of(t.dst);
       const double own = static_cast<double>(t.bytes);
       Usec cost;
       Usec uncontended = 0.0;
       trace::Channel channel = trace::Channel::Network;
       double contention = 1.0;
       if (na == nb) {
-        const SocketId sa = m.socket_of_core(t.src);
-        const SocketId sb = m.socket_of_core(t.dst);
+        const SocketId sa = site(t.src).socket;
+        const SocketId sb = site(t.dst).socket;
         double bw_time = own * cfg_.beta_shm_pair;
         if (sa == sb) {
-          const bool same_complex =
-              m.complex_of_core(t.src) == m.complex_of_core(t.dst);
+          const bool same_complex = site(t.src).complex_in_socket ==
+                                    site(t.dst).complex_in_socket;
           if (same_complex) bw_time = own * cfg_.beta_shm_complex_pair;
           const double floor = bw_time;
           if (cfg_.model_contention) {
@@ -185,6 +187,12 @@ class ReferenceCostModel {
     CoreId dst;
     Bytes bytes;
   };
+
+  NodeId node_of(CoreId c) const { return c / machine_->cores_per_node(); }
+  topology::CoreLocation site(CoreId c) const {
+    return topology::core_location(machine_->shape(),
+                                   c % machine_->cores_per_node());
+  }
 
   double& qpi_load(NodeId n, int dir) {
     return qpi_bytes_[static_cast<std::size_t>(n) * 2 + dir];
@@ -337,7 +345,8 @@ void expect_same_pricing(const Machine& m, const CostConfig& cfg,
 /// Every stage shape over `cores`, contention on and off.
 void expect_same_pricing_on_cores(const Machine& m,
                                   const std::vector<CoreId>& cores,
-                                  std::uint64_t seed) {
+                                  std::uint64_t seed,
+                                  const CostConfig& base = CostConfig{}) {
   Rng rng(seed);
   std::vector<Stage> stages;
   const int p = static_cast<int>(cores.size());
@@ -347,19 +356,21 @@ void expect_same_pricing_on_cores(const Machine& m,
   for (int k = 0; k < 4; ++k) stages.push_back(collective_stage(rng, cores));
   for (bool contention : {true, false}) {
     SCOPED_TRACE(contention ? "contention on" : "contention off");
-    CostConfig cfg;
+    CostConfig cfg = base;
     cfg.model_contention = contention;
     expect_same_pricing(m, cfg, stages);
   }
 }
 
-void expect_same_pricing_on_layouts(const Machine& m, std::uint64_t seed) {
+void expect_same_pricing_on_layouts(const Machine& m, std::uint64_t seed,
+                                    const CostConfig& base = CostConfig{}) {
   for (NodeOrder order : {NodeOrder::Block, NodeOrder::Cyclic}) {
     SCOPED_TRACE(order == NodeOrder::Block ? "block cores" : "cyclic cores");
     // Not a whole number of nodes, so some nodes are only partly used.
     const int p = std::max(2, m.total_cores() - m.cores_per_node() + 3);
     expect_same_pricing_on_cores(
-        m, make_layout(m, p, LayoutSpec{order, SocketOrder::Scatter}), seed);
+        m, make_layout(m, p, LayoutSpec{order, SocketOrder::Scatter}), seed,
+        base);
   }
 }
 
@@ -387,9 +398,17 @@ TEST(CostOracle, DirectNetworks) {
 
 TEST(CostOracle, DeepNodes) {
   // Two sockets of 16 cores in L3 complexes of 4: same-complex,
-  // cross-complex and cross-socket copies all share the node's loads.
-  expect_same_pricing_on_layouts(
-      Machine(NodeShape{2, 16, 4}, topology::build_gpc_network(12)), 9);
+  // cross-complex and cross-socket copies all share the node's loads.  With
+  // the default channels the two same-socket classes price alike, so
+  // ext_bigsmp's faster complex channel also runs: a core placed in the
+  // wrong complex then changes a cost, not only a record's channel.
+  const Machine m(NodeShape{2, 16, 4}, topology::build_gpc_network(12));
+  expect_same_pricing_on_layouts(m, 9);
+  CostConfig fast_complex;
+  fast_complex.alpha_shm_complex = 0.25;
+  fast_complex.beta_shm_complex_pair = 1.0 / 9000.0;
+  SCOPED_TRACE("fast complex channel");
+  expect_same_pricing_on_layouts(m, 10, fast_complex);
 }
 
 TEST(CostOracle, DegradedGpc) {

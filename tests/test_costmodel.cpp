@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <string>
 
 #include "common/error.hpp"
 #include "prof/obs.hpp"
@@ -313,8 +315,58 @@ TEST(CostModel, ApiMisuseThrows) {
   EXPECT_THROW(cm.begin_stage(), Error);           // double open
   EXPECT_THROW(cm.add_transfer(0, 0, 8), Error);   // self transfer
   EXPECT_THROW(cm.add_transfer(0, 1, -1), Error);  // negative size
+  EXPECT_THROW(cm.set_capture_details(true), Error);  // mid-stage
   cm.finish_stage();
 }
+
+struct ChannelParam {
+  const char* name;
+  double CostConfig::*field;
+};
+
+class CostModelParam : public ::testing::TestWithParam<ChannelParam> {};
+
+TEST_P(CostModelParam, RejectsNegativeOrNonFiniteValue) {
+  // A node pair is priced by its largest transfer, which holds only while
+  // no price decreases as bytes grow.
+  const Machine m = Machine::gpc(2);
+  const ChannelParam& param = GetParam();
+  const std::string want =
+      std::string("CostConfig: ") + param.name + " must be finite and >= 0";
+  for (const double bad : {-1.0, -1e-300, std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    CostConfig cfg;
+    cfg.*param.field = bad;
+    try {
+      CostModel cm(m, cfg);
+      ADD_FAILURE() << param.name << " = " << bad << " accepted";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.what(), want) << bad;
+    }
+  }
+  CostConfig zero;
+  zero.*param.field = 0.0;
+  EXPECT_NO_THROW(CostModel(m, zero));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryLatencyAndRate, CostModelParam,
+    ::testing::Values(
+        ChannelParam{"alpha_shm_socket", &CostConfig::alpha_shm_socket},
+        ChannelParam{"alpha_shm_cross", &CostConfig::alpha_shm_cross},
+        ChannelParam{"alpha_shm_complex", &CostConfig::alpha_shm_complex},
+        ChannelParam{"beta_shm_complex_pair",
+                     &CostConfig::beta_shm_complex_pair},
+        ChannelParam{"beta_shm_pair", &CostConfig::beta_shm_pair},
+        ChannelParam{"beta_mem_socket", &CostConfig::beta_mem_socket},
+        ChannelParam{"beta_qpi", &CostConfig::beta_qpi},
+        ChannelParam{"alpha_net", &CostConfig::alpha_net},
+        ChannelParam{"alpha_hop", &CostConfig::alpha_hop},
+        ChannelParam{"beta_net", &CostConfig::beta_net},
+        ChannelParam{"alpha_mem", &CostConfig::alpha_mem},
+        ChannelParam{"beta_mem", &CostConfig::beta_mem}),
+    [](const ::testing::TestParamInfo<ChannelParam>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace tarr::simmpi

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/error.hpp"
 #include "prof/profiler.hpp"
 
@@ -62,6 +64,48 @@ TEST(Machine, OutOfRangeRejected) {
   EXPECT_THROW(m.node_of_core(16), Error);
   EXPECT_THROW(m.core_id(2, 0), Error);
   EXPECT_THROW(m.core_id(0, 8), Error);
+}
+
+TEST(Machine, SiteTableMatchesCoreLocation) {
+  // The node, socket and complex each core's site records at construction
+  // equal integer division and core_location on every core, and every
+  // accessor rejects a core out of range under its own name.
+  for (const NodeShape shape : {NodeShape{2, 4}, NodeShape{2, 16, 4},
+                                NodeShape{1, 8}, NodeShape{4, 2},
+                                NodeShape{4, 4, 2}}) {
+    const Machine m = Machine::gpc(5, shape);
+    const int cpn = m.cores_per_node();
+    SCOPED_TRACE(std::to_string(shape.sockets) + "x" +
+                 std::to_string(shape.cores_per_socket) + "/" +
+                 std::to_string(shape.cores_per_complex));
+    for (CoreId c = 0; c < m.total_cores(); ++c) {
+      const CoreLocation loc = core_location(shape, c % cpn);
+      EXPECT_EQ(m.node_of_core(c), c / cpn) << c;
+      EXPECT_EQ(m.socket_of_core(c), loc.socket) << c;
+      EXPECT_EQ(m.complex_of_core(c), loc.complex_in_socket) << c;
+    }
+    const auto error_of = [](auto&& read) {
+      try {
+        read();
+      } catch (const Error& e) {
+        return std::string(e.what());
+      }
+      return std::string("no error");
+    };
+    for (const CoreId c : {-1, m.total_cores()}) {
+      EXPECT_NE(error_of([&] { m.node_of_core(c); }).find("node_of_core"),
+                std::string::npos)
+          << c;
+      EXPECT_NE(
+          error_of([&] { m.socket_of_core(c); }).find("socket_of_core"),
+          std::string::npos)
+          << c;
+      EXPECT_NE(
+          error_of([&] { m.complex_of_core(c); }).find("complex_of_core"),
+          std::string::npos)
+          << c;
+    }
+  }
 }
 
 TEST(Machine, DescribeMentionsScale) {
