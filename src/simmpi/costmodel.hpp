@@ -211,8 +211,8 @@ class CostModel {
   /// The directed-link slots (2 * link + dir) of the stage's pair routes,
   /// one span per entry of pairs_, in route order.
   std::vector<int> route_;
-  /// Transfers and bytes submitted this stage, in submission order, for
-  /// the cost.transfers_priced and cost.bytes_priced counters.
+  /// Transfers and bytes submitted this stage, for the
+  /// cost.transfers_priced and cost.bytes_priced counters.
   int stage_transfers_ = 0;
   double stage_bytes_ = 0.0;
   Loads links_;    ///< directed network links, slot 2 * link + dir

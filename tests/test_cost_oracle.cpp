@@ -4,10 +4,11 @@
 // and prices the pair for the stage cost by its largest transfer.  The
 // per-transfer model it replaced, copied below as the reference, walks
 // every transfer's route twice.  The reference places each core by integer
-// division and core_location, not through the Machine's site table.  Both run side by side over the same random
-// stages, and every stage cost, transfer record and link and QPI load (order
-// included) must be equal, bit for bit, on fat-trees, a torus, a
-// dragonfly, deep nodes, a degraded fabric and a split one.
+// division and core_location, not through the Machine's site table.  Both
+// run side by side over the same random stages, and every stage cost,
+// transfer record and link and QPI load (order included) must be equal, bit
+// for bit, on fat-trees, a torus, a dragonfly, deep nodes, a degraded fabric
+// and a split one.
 
 #include "simmpi/costmodel.hpp"
 
