@@ -29,7 +29,7 @@ int main() {
       kPaperProcs);
 
   TextTable t;
-  t.set_header({"msg", "impr %% (contention)", "impr %% (no contention)"});
+  t.set_header({"msg", "impr % (contention)", "impr % (no contention)"});
   const auto sizes = osu_message_sizes(64, 256 * 1024);
 
   auto improvements = [&](bool contention) {

@@ -2,10 +2,14 @@
 // breaks distance ties randomly; the paper's results implicitly assume the
 // outcome does not hinge on which tied core gets picked.  This bench runs
 // RDMH and RMH under 16 different seeds and reports the spread of the
-// resulting improvements.
+// resulting improvements.  Its snapshot gates each seed's improvement, RDMH
+// at 1 KiB and RMH at 64 KiB (32 metrics).  It is the one bench that breaks
+// ties under many seeds.
 
 #include <cstdio>
+#include <string>
 
+#include "bench/fixtures.hpp"
 #include "bench/sweep.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -22,6 +26,9 @@ int main() {
   const int p = 4096;
   const simmpi::LayoutSpec cyclic{simmpi::NodeOrder::Cyclic,
                                   simmpi::SocketOrder::Scatter};
+  SnapshotEmitter snapshot("abl_seeds");
+  snapshot.set_meta("nodes", std::to_string(machine.num_nodes()));
+  snapshot.set_meta("procs", std::to_string(p));
 
   std::printf(
       "Ablation — sensitivity to the random tie-breaking seed,\n"
@@ -29,8 +36,11 @@ int main() {
       p);
 
   TextTable t;
-  t.set_header({"regime", "msg", "impr %% min", "mean", "max", "stddev"});
+  t.set_header({"regime", "msg", "impr % min", "mean", "max", "stddev"});
   for (Bytes msg : {Bytes(1024), Bytes(64 * 1024)}) {
+    const bool rd = msg < 32 * 1024;
+    std::string row = rd ? "rdmh_" : "rmh_";
+    row += size_key(msg) + ".seed_";
     StatAccumulator acc;
     for (std::uint64_t seed = 1; seed <= 16; ++seed) {
       core::ReorderFramework::Options opts;
@@ -45,9 +55,13 @@ int main() {
       heu.mapper = MapperKind::Heuristic;
       heu.fix = OrderFix::InitComm;
       core::TopoAllgather h(framework, comm, heu);
-      acc.add(improvement_percent(base.latency(msg), h.latency(msg)));
+      const double impr =
+          improvement_percent(base.latency(msg), h.latency(msg));
+      acc.add(impr);
+      snapshot.add_metric(row + std::to_string(seed), impr, "percent",
+                          /*higher_is_better=*/true);
     }
-    t.add_row({msg < 32 * 1024 ? "RDMH" : "RMH", TextTable::bytes(msg),
+    t.add_row({rd ? "RDMH" : "RMH", TextTable::bytes(msg),
                TextTable::num(acc.min(), 2), TextTable::num(acc.mean(), 2),
                TextTable::num(acc.max(), 2),
                TextTable::num(acc.stddev(), 3)});
@@ -56,5 +70,6 @@ int main() {
   std::printf(
       "\nA small spread means the heuristics' quality comes from their\n"
       "selection/reference rules, not from lucky tie resolution.\n");
+  snapshot.dump();
   return 0;
 }

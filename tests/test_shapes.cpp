@@ -12,6 +12,7 @@
 
 #include "bench/sweep.hpp"
 #include "common/error.hpp"
+#include "common/stats.hpp"
 #include "core/topoallgather.hpp"
 #include "prof/profiler.hpp"
 #include "report/snapshot.hpp"
@@ -240,6 +241,27 @@ TEST(Baselines, AblHierIntraBbmhIsTheIntraDefault) {
     }
   EXPECT_LT(metric(s, "block-bunch.bgmh_improvement_256KiB"), -10.0);
   EXPECT_LE(std::fabs(metric(s, "block-bunch.bbmh_improvement_256KiB")), 1.0);
+}
+
+TEST(Baselines, AblSeedsMoveRdmhUnderHalfAPointAndRmhNotAtAll) {
+  // 4,096 cyclic-scatter ranks under tie-break seeds 1-16: RDMH's 1 KiB gain
+  // stays within 66.7-67.9% with a standard deviation of at most 0.35 pp,
+  // and RMH's 64 KiB gain reads 78.41% under every seed.
+  StatAccumulator rdmh;
+  int rmh = 0;
+  for (const auto& m : baseline("abl_seeds").metrics) {
+    if (report::glob_match("rdmh_1KiB.seed_*", m.name)) {
+      EXPECT_GE(m.value, 66.7) << m.name;
+      EXPECT_LE(m.value, 67.9) << m.name;
+      rdmh.add(m.value);
+    } else if (report::glob_match("rmh_64KiB.seed_*", m.name)) {
+      EXPECT_NEAR(m.value, 78.41, 0.005) << m.name;
+      ++rmh;
+    }
+  }
+  EXPECT_EQ(rdmh.count(), 16);
+  EXPECT_LE(rdmh.stddev(), 0.35);
+  EXPECT_EQ(rmh, 16);
 }
 
 TEST(Baselines, AblRdmhRefcoreAdvancesEverySecondPlacement) {
