@@ -18,7 +18,54 @@ std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
 }
 
+/// One xoshiro256** step of the state s.
+std::uint64_t step(std::uint64_t* s) {
+  const std::uint64_t result = rotl(s[1] * 5, 7) * 9;
+  const std::uint64_t t = s[1] << 17;
+  s[2] ^= s[0];
+  s[3] ^= s[1];
+  s[1] ^= s[2];
+  s[0] ^= s[3];
+  s[2] ^= t;
+  s[3] = rotl(s[3], 45);
+  return result;
+}
+
+/// next_below's rejection rule: r is redrawn below the threshold
+/// 2^64 mod bound.  That threshold is below bound, so an r of at least bound
+/// is accepted without dividing for it.
+bool rejected(std::uint64_t r, std::uint64_t bound) {
+  return r < bound && r < -bound % bound;
+}
+
+/// One next_below(bound) draw on the state s, its test for 0 read from
+/// `bounds`.
+bool zero_draw(std::uint64_t* s, const DivisorTable& bounds,
+               std::uint64_t bound) {
+  std::uint64_t r = step(s);
+  while (rejected(r, bound)) r = step(s);
+  return bounds.divides(bound, r);
+}
+
+/// The inverse of an odd d mod 2^64.  d is its own inverse mod 8, and each
+/// Newton step doubles the number of correct low bits: 3, 6, ..., 96.
+std::uint64_t odd_inverse(std::uint64_t d) {
+  std::uint64_t x = d;
+  for (int i = 0; i < 5; ++i) x *= 2 - d * x;
+  return x;
+}
+
 }  // namespace
+
+DivisorTable::DivisorTable(std::uint64_t first, std::uint64_t size)
+    : first_(first) {
+  TARR_REQUIRE(first > 0, "DivisorTable: bounds must be positive");
+  TARR_REQUIRE(size <= -first, "DivisorTable: bounds exceed 64 bits");
+  entries_.reserve(size);
+  for (std::uint64_t t = first; t - first < size; ++t)
+    entries_.push_back(
+        Entry{odd_inverse(t >> std::countr_zero(t)), ~std::uint64_t{0} / t});
+}
 
 void Rng::reseed(std::uint64_t seed) {
   std::uint64_t sm = seed;
@@ -27,27 +74,36 @@ void Rng::reseed(std::uint64_t seed) {
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
 }
 
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
+std::uint64_t Rng::next_u64() { return step(s_); }
 
 std::uint64_t Rng::next_below(std::uint64_t bound) {
   TARR_REQUIRE(bound > 0, "next_below: bound must be positive");
-  // Rejection sampling to avoid modulo bias: r is rejected below the
-  // threshold 2^64 mod bound.  That threshold is below bound, so an r of at
-  // least bound is accepted without dividing for it.
+  // Rejection sampling avoids modulo bias.
   for (;;) {
     const std::uint64_t r = next_u64();
-    if (r >= bound || r >= -bound % bound) return r % bound;
+    if (!rejected(r, bound)) return r % bound;
   }
+}
+
+int Rng::last_zero_below(const DivisorTable& bounds, std::uint64_t first,
+                         int count) {
+  const std::uint64_t at = first - bounds.first();
+  TARR_REQUIRE(count >= 0 && first >= bounds.first() && at <= bounds.size() &&
+                   static_cast<std::uint64_t>(count) <= bounds.size() - at,
+               "last_zero_below: bound outside the table");
+  // The state lives in locals for the whole run of draws.
+  std::uint64_t s[4] = {s_[0], s_[1], s_[2], s_[3]};
+  int last = -1;
+  for (int j = 0; j < count; ++j)
+    if (zero_draw(s, bounds, first + static_cast<std::uint64_t>(j))) last = j;
+  for (int i = 0; i < 4; ++i) s_[i] = s[i];
+  return last;
+}
+
+bool Rng::zero_below(const DivisorTable& bounds, std::uint64_t bound) {
+  TARR_REQUIRE(bound - bounds.first() < bounds.size(),
+               "zero_below: bound outside the table");
+  return zero_draw(s_, bounds, bound);
 }
 
 double Rng::next_double() {

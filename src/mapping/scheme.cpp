@@ -28,7 +28,10 @@ struct BuildNode {
 
 MappingState::MappingState(const std::vector<int>& rank_to_slot,
                            const topology::DistanceMatrix& d, Rng& rng)
-    : p_(static_cast<int>(rank_to_slot.size())), d_(&d), rng_(&rng) {
+    : p_(static_cast<int>(rank_to_slot.size())),
+      d_(&d),
+      rng_(&rng),
+      tie_bounds_(1, rank_to_slot.size()) {
   TARR_REQUIRE(p_ >= 1, "MappingState: empty rank set");
   int max_slot = 0;
   for (int s : rank_to_slot) {
@@ -219,13 +222,15 @@ int MappingState::find_closest_to(Rank ref_rank) {
       if (c != own) {  // no free core of the reference's node here
         if (clusters_[c].height > best) continue;
         if (clusters_[c].height == best) {
-          const int at_best = block_free_[cell(c, b)];
-          for (int j = seeded; j < at_best; ++j)
-            if (rng_->next_below(static_cast<std::uint64_t>(++ties)) == 0) {
-              chosen = -1;
-              won = b;
-              ordinal = j;
-            }
+          const int draws = block_free_[cell(c, b)] - seeded;
+          const int last = rng_->last_zero_below(
+              tie_bounds_, static_cast<std::uint64_t>(ties) + 1, draws);
+          ties += draws;
+          if (last != -1) {
+            chosen = -1;
+            won = b;
+            ordinal = seeded + last;
+          }
           continue;
         }
       }
@@ -241,7 +246,7 @@ int MappingState::find_closest_to(Rank ref_rank) {
         chosen = s;
       } else if (dist == best) {
         ++ties;
-        if (rng_->next_below(static_cast<std::uint64_t>(ties)) == 0)
+        if (rng_->zero_below(tie_bounds_, static_cast<std::uint64_t>(ties)))
           chosen = s;
       }
     }

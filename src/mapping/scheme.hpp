@@ -109,6 +109,7 @@ class MappingState {
   int p_;
   const topology::DistanceMatrix* d_;
   Rng* rng_;
+  DivisorTable tie_bounds_;       // step 5's draw bounds, 1..p
   std::vector<int> assignment_;   // new_rank -> slot or -1
   std::vector<int> free_slots_;   // unordered pool, swap-remove
   std::vector<int> free_index_;   // slot -> index in free_slots_ or -1
