@@ -38,6 +38,13 @@
 /// nearest cluster is closer than the minimum, and in every block when the
 /// matrix is one-level, the pool spans one node, or the node matrix is not
 /// ultrametric over the pool's nodes (torus, dragonfly, probed matrices).
+///
+/// No draw divides.  The state builds a DivisorTable of the bounds 1..p
+/// once (16 B per rank), and each draw's test for 0 is a multiply, a
+/// rotate and a compare against it: one Rng::last_zero_below call per
+/// replayed block, one Rng::zero_below per tie among the entries read.
+/// Both make next_below's draws, rejected ones included, so the RNG stream
+/// is the one a next_below(ties) call per tie gives.
 
 namespace tarr::mapping {
 
