@@ -38,15 +38,6 @@ bool rejected(std::uint64_t r, std::uint64_t bound) {
   return r < bound && r < -bound % bound;
 }
 
-/// One next_below(bound) draw on the state s, its test for 0 read from
-/// `bounds`.
-bool zero_draw(std::uint64_t* s, const DivisorTable& bounds,
-               std::uint64_t bound) {
-  std::uint64_t r = step(s);
-  while (rejected(r, bound)) r = step(s);
-  return bounds.divides(bound, r);
-}
-
 /// The inverse of an odd d mod 2^64.  d is its own inverse mod 8, and each
 /// Newton step doubles the number of correct low bits: 3, 6, ..., 96.
 std::uint64_t odd_inverse(std::uint64_t d) {
@@ -94,16 +85,14 @@ int Rng::last_zero_below(const DivisorTable& bounds, std::uint64_t first,
   // The state lives in locals for the whole run of draws.
   std::uint64_t s[4] = {s_[0], s_[1], s_[2], s_[3]};
   int last = -1;
-  for (int j = 0; j < count; ++j)
-    if (zero_draw(s, bounds, first + static_cast<std::uint64_t>(j))) last = j;
+  for (int j = 0; j < count; ++j) {
+    const std::uint64_t bound = first + static_cast<std::uint64_t>(j);
+    std::uint64_t r = step(s);
+    while (rejected(r, bound)) r = step(s);
+    if (bounds.divides(bound, r)) last = j;
+  }
   for (int i = 0; i < 4; ++i) s_[i] = s[i];
   return last;
-}
-
-bool Rng::zero_below(const DivisorTable& bounds, std::uint64_t bound) {
-  TARR_REQUIRE(bound - bounds.first() < bounds.size(),
-               "zero_below: bound outside the table");
-  return zero_draw(s_, bounds, bound);
 }
 
 double Rng::next_double() {

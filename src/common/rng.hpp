@@ -67,10 +67,6 @@ class Rng {
   int last_zero_below(const DivisorTable& bounds, std::uint64_t first,
                       int count);
 
-  /// next_below(bound) == 0, the test read from `bounds`: the same single
-  /// draw as last_zero_below(bounds, bound, 1) == 0, without its loop.
-  bool zero_below(const DivisorTable& bounds, std::uint64_t bound);
-
   /// Uniform double in [0, 1).
   double next_double();
 

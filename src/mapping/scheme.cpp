@@ -246,7 +246,7 @@ int MappingState::find_closest_to(Rank ref_rank) {
         chosen = s;
       } else if (dist == best) {
         ++ties;
-        if (rng_->zero_below(tie_bounds_, static_cast<std::uint64_t>(ties)))
+        if (rng_->next_below(static_cast<std::uint64_t>(ties)) == 0)
           chosen = s;
       }
     }

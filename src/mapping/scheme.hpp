@@ -39,12 +39,13 @@
 /// matrix is one-level, the pool spans one node, or the node matrix is not
 /// ultrametric over the pool's nodes (torus, dragonfly, probed matrices).
 ///
-/// No draw divides.  The state builds a DivisorTable of the bounds 1..p
-/// once (16 B per rank), and each draw's test for 0 is a multiply, a
-/// rotate and a compare against it: one Rng::last_zero_below call per
-/// replayed block, one Rng::zero_below per tie among the entries read.
-/// Both make next_below's draws, rejected ones included, so the RNG stream
-/// is the one a next_below(ties) call per tie gives.
+/// A replayed block's draws do not divide.  The state builds a
+/// DivisorTable of the bounds 1..p once (16 B per rank), and one
+/// Rng::last_zero_below call per replayed block tests each draw for 0 by a
+/// multiply, a rotate and a compare against it.  That call makes
+/// next_below's draws, rejected ones included, so the RNG stream is the one
+/// a next_below(ties) call per tie gives.  A tie among the entries read one
+/// by one draws through next_below(ties) itself.
 
 namespace tarr::mapping {
 
@@ -116,7 +117,7 @@ class MappingState {
   int p_;
   const topology::DistanceMatrix* d_;
   Rng* rng_;
-  DivisorTable tie_bounds_;       // step 5's draw bounds, 1..p
+  DivisorTable tie_bounds_;       // replayed step-5 draw bounds, 1..p
   std::vector<int> assignment_;   // new_rank -> slot or -1
   std::vector<int> free_slots_;   // unordered pool, swap-remove
   std::vector<int> free_index_;   // slot -> index in free_slots_ or -1

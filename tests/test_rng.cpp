@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <set>
-#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -135,23 +134,6 @@ TEST(Rng, LastZeroBelowKeepsTheRejectedDraws) {
   EXPECT_GT(rejected, 16);
 }
 
-TEST(Rng, ZeroBelowKeepsTheStreamOfNextBelow) {
-  // One draw at each bound of a 7,680-rank mapping's tie counts and of the
-  // ranges around 2^63 and 2^64 - 1, where draws are rejected.
-  for (const auto& [lo, size] :
-       {std::pair{1ull, 7680ull}, std::pair{(1ull << 63) - 64, 128ull},
-        std::pair{~0ull - 127, 128ull}}) {
-    const DivisorTable bounds(lo, size);
-    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-      Rng lib(seed), ref(seed);
-      for (std::uint64_t t = lo; t - lo < size; ++t)
-        ASSERT_EQ(lib.zero_below(bounds, t), ref.next_below(t) == 0)
-            << "seed " << seed << " bound " << t;
-      EXPECT_EQ(lib.next_u64(), ref.next_u64()) << "seed " << seed;
-    }
-  }
-}
-
 TEST(Rng, LastZeroBelowRejectsBoundsOutsideTheTable) {
   const DivisorTable bounds(5, 8);  // 5..12
   Rng r(1);
@@ -160,8 +142,6 @@ TEST(Rng, LastZeroBelowRejectsBoundsOutsideTheTable) {
   EXPECT_THROW(r.last_zero_below(bounds, 5, -1), Error);
   EXPECT_NO_THROW(r.last_zero_below(bounds, 12, 1));
   EXPECT_EQ(r.last_zero_below(bounds, 13, 0), -1);  // no draw, no bound
-  EXPECT_THROW(r.zero_below(bounds, 4), Error);
-  EXPECT_THROW(r.zero_below(bounds, 13), Error);
   EXPECT_THROW(DivisorTable(0, 1), Error);
   EXPECT_THROW(DivisorTable(~0ull, 2), Error);
   EXPECT_EQ(DivisorTable(~0ull, 1).size(), 1u);
