@@ -43,9 +43,7 @@ int main() {
     row += size_key(msg) + ".seed_";
     StatAccumulator acc;
     for (std::uint64_t seed = 1; seed <= 16; ++seed) {
-      core::ReorderFramework::Options opts;
-      opts.seed = seed;
-      core::ReorderFramework framework(machine, opts);
+      core::ReorderFramework framework(machine, seed);
       const simmpi::Communicator comm(
           machine, simmpi::make_layout(machine, p, cyclic));
       core::TopoAllgatherConfig def;

@@ -14,6 +14,7 @@
 #include "bench/sweep.hpp"
 #include "common/table.hpp"
 #include "graph/apppattern.hpp"
+#include "mapping/comparators.hpp"
 #include "simmpi/engine.hpp"
 
 namespace {
@@ -60,10 +61,11 @@ int main() {
   for (const auto& spec : simmpi::all_layouts()) {
     const std::string layout = simmpi::to_string(spec);
     const auto comm = world.comm(p, spec);
-    const auto bis = world.framework.reorder_for_graph(
-        comm, pattern, core::ReorderFramework::GraphMapperKind::Bisection);
-    const auto greedy = world.framework.reorder_for_graph(
-        comm, pattern, core::ReorderFramework::GraphMapperKind::Greedy);
+    using mapping::GraphMapper;
+    const auto bis = world.framework.reorder_with(
+        comm, GraphMapper(pattern, GraphMapper::Engine::Bisection));
+    const auto greedy = world.framework.reorder_with(
+        comm, GraphMapper(pattern, GraphMapper::Engine::Greedy));
     for (const auto& [msg, size] : sizes) {
       const Usec before = halo_round(comm, pattern, msg);
       const double bis_impr =

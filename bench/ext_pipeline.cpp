@@ -25,9 +25,10 @@ int main() {
   snapshot.set_meta("procs", std::to_string(kPaperProcs));
   const int p = kPaperProcs;
   const auto comm = world.comm(p, simmpi::LayoutSpec{});
-  const auto rc = world.framework.reorder_hierarchical(
-      comm, *mapping::make_heuristic(mapping::Pattern::Ring),
-      mapping::make_heuristic(mapping::Pattern::BinomialBcast).get());
+  const auto rmh = mapping::make_heuristic(mapping::Pattern::Ring);
+  const auto bbmh = mapping::make_heuristic(mapping::Pattern::BinomialBcast);
+  const auto rc = world.framework.reorder_with(
+      comm, mapping::HierarchicalMapper(*rmh, bbmh.get()));
 
   std::printf(
       "Extension — pipelined hierarchical allgather (overlapping the\n"

@@ -14,6 +14,7 @@
 // in the perf snapshot; the fitted exponents are the empirical-complexity
 // baseline recorded in docs/OBSERVABILITY.md.
 
+#include <algorithm>
 #include <cstdio>
 #include <functional>
 #include <map>
@@ -23,7 +24,6 @@
 
 #include "bench/fixtures.hpp"
 #include "common/permutation.hpp"
-#include "common/stats.hpp"
 #include "common/table.hpp"
 #include "common/timer.hpp"
 #include "core/refine.hpp"
@@ -37,17 +37,24 @@ namespace {
 
 using namespace tarr;
 
+/// Median wall time of `reps` calls of `m`, seeds 1..reps, after one
+/// untimed warm-up call (seed 1).
 double time_mapper(const mapping::Mapper& m, const std::vector<int>& initial,
                    const topology::DistanceMatrix& d, int reps) {
-  StatAccumulator acc;
+  Rng warm_up(1);
+  // Every result is tested so that no call can be optimized away.
+  if (m.map(initial, d, warm_up).empty()) std::abort();
+  std::vector<double> seconds;
   for (int r = 0; r < reps; ++r) {
     Rng rng(1 + r);
     WallTimer t;
     const auto result = m.map(initial, d, rng);
-    acc.add(t.seconds());
-    if (result.empty()) std::abort();  // keep the call observable
+    seconds.push_back(t.seconds());
+    if (result.empty()) std::abort();
   }
-  return acc.mean();
+  std::nth_element(seconds.begin(), seconds.begin() + reps / 2,
+                   seconds.end());
+  return seconds[reps / 2];
 }
 
 /// Run `body` under a fresh ambient profiler and return its counter profile.
@@ -87,7 +94,9 @@ int main() {
   }
   std::printf("%s\n", ta.render().c_str());
 
-  std::printf("Fig 7(b) — mapping algorithm overhead (seconds, mean of 3)\n");
+  std::printf(
+      "Fig 7(b) — mapping algorithm overhead (seconds, median of 5 after a "
+      "warm-up)\n");
   TextTable tb;
   tb.set_header({"processes", "pattern", "heuristic", "greedy-graph",
                  "scotch-like"});
@@ -103,9 +112,9 @@ int main() {
       const auto heuristic = mapping::make_heuristic(pattern);
       const auto greedy = mapping::make_greedy_graph_mapper(pattern);
       const auto scotch = mapping::make_scotch_like_mapper(pattern);
-      const double h = time_mapper(*heuristic, initial, dist, 3);
-      const double g = time_mapper(*greedy, initial, dist, 3);
-      const double s = time_mapper(*scotch, initial, dist, 3);
+      const double h = time_mapper(*heuristic, initial, dist, 5);
+      const double g = time_mapper(*greedy, initial, dist, 5);
+      const double s = time_mapper(*scotch, initial, dist, 5);
       const std::string key = std::string(mapping::to_string(pattern)) + ".n" +
                               std::to_string(nodes);
       snapshot.add_metric("heuristic_s." + key, h, "seconds",

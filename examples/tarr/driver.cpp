@@ -122,9 +122,7 @@ simmpi::Communicator RunSpec::comm(const topology::Machine& m) const {
 }
 
 core::ReorderFramework RunSpec::framework(const topology::Machine& m) const {
-  core::ReorderFramework::Options opts;
-  opts.seed = seed;
-  return core::ReorderFramework(m, opts);
+  return core::ReorderFramework(m, seed);
 }
 
 std::string RunSpec::describe(int ranks) const {

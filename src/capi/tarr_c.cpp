@@ -106,10 +106,8 @@ int tarr_framework_create(tarr_machine_t m, uint64_t seed,
   return guarded([&] {
     TARR_REQUIRE(m != nullptr && out != nullptr,
                  "tarr_framework_create: null argument");
-    tarr::core::ReorderFramework::Options opts;
-    opts.seed = seed;
     *out = new tarr_framework_s{
-        tarr::core::ReorderFramework(m->machine, opts)};
+        tarr::core::ReorderFramework(m->machine, seed)};
   });
 }
 

@@ -42,9 +42,4 @@ void verify_mapping(const std::string& mapper, const std::vector<int>& input,
   }
 }
 
-void verify_hierarchical_composition(const std::vector<int>& original_cores,
-                                     const std::vector<int>& composed_cores) {
-  verify_mapping("hierarchical composition", original_cores, composed_cores);
-}
-
 }  // namespace tarr::check

@@ -24,12 +24,4 @@ namespace tarr::check {
 void verify_mapping(const std::string& mapper, const std::vector<int>& input,
                     const std::vector<int>& result);
 
-/// Hierarchical two-level composition check: the composed per-rank core
-/// assignment must still be a bijection onto the original communicator's
-/// core set (leader-level permutation of node blocks composed with per-node
-/// intra-level permutations preserves bijectivity; this verifies the
-/// composition code did not break it).
-void verify_hierarchical_composition(const std::vector<int>& original_cores,
-                                     const std::vector<int>& composed_cores);
-
 }  // namespace tarr::check

@@ -1,9 +1,9 @@
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
-#include "graph/graph.hpp"
 #include "mapping/mapper.hpp"
 #include "simmpi/communicator.hpp"
 #include "topology/distance.hpp"
@@ -34,20 +34,16 @@ struct ReorderedComm {
 /// See file comment.
 class ReorderFramework {
  public:
-  /// Framework options.
-  struct Options {
-    std::uint64_t seed = 1;  ///< tie-breaking seed (Algorithm 1 step 5)
-  };
-
-  /// The machine must outlive the framework.
-  explicit ReorderFramework(const topology::Machine& m);
-  ReorderFramework(const topology::Machine& m, Options opts);
+  /// The machine must outlive the framework.  Every reorder draws the
+  /// tie-breaking of Algorithm 1 step 5 from a fresh Rng(seed).
+  explicit ReorderFramework(const topology::Machine& m,
+                            std::uint64_t seed = 1);
 
   const topology::Machine& machine() const { return *machine_; }
-  const Options& options() const { return opts_; }
+  std::uint64_t seed() const { return seed_; }
 
-  /// Core-level distance matrix; extracted lazily once, then cached.  The
-  /// hierarchical reorders read its node level and intra level.
+  /// Core-level distance matrix; extracted lazily once, then cached.
+  /// mapping::HierarchicalMapper reads its node level and intra level.
   const topology::DistanceMatrix& distances();
 
   /// Wall-clock seconds the one-time distance extraction took (0 until the
@@ -68,38 +64,16 @@ class ReorderFramework {
   ReorderedComm reorder(const simmpi::Communicator& comm,
                         mapping::Pattern pattern);
 
-  /// Reorder `comm` with an arbitrary mapper (Scotch-like, greedy, ...).
+  /// Reorder `comm` with `mapper`, through Mapper::checked_map over the
+  /// cached distances: a heuristic, a comparator, a mapping::GraphMapper
+  /// for an application pattern graph (§V's general forms) or a
+  /// mapping::HierarchicalMapper (§VI-A2, node-contiguous `comm` only).
   ReorderedComm reorder_with(const simmpi::Communicator& comm,
                              const mapping::Mapper& mapper);
 
-  /// Mapping engines for arbitrary pattern graphs.  Bisection (recursive
-  /// bipartitioning) handles uniform-weight patterns such as halo stencils
-  /// well; Greedy (heaviest-frontier-edge-first, Hoefler-Snir style) suits
-  /// patterns with a pronounced weight hierarchy.
-  enum class GraphMapperKind { Bisection, Greedy };
-
-  /// General topology-aware mapping (§V's "general forms"): reorder `comm`
-  /// for an arbitrary application communication pattern supplied as a
-  /// weighted graph (vertex i = rank i, weights = relative traffic).  This
-  /// is the path an application with a custom pattern (halo stencil,
-  /// particle code, ...) uses; see graph/apppattern.hpp for ready-made
-  /// builders.
-  ReorderedComm reorder_for_graph(
-      const simmpi::Communicator& comm, const graph::WeightedGraph& pattern,
-      GraphMapperKind kind = GraphMapperKind::Bisection);
-
-  /// Hierarchical reorder (§VI-A2): `leader_mapper` rearranges whole node
-  /// blocks using node-to-node network distances, and `intra_mapper`
-  /// (nullptr for the linear intra phases, which admit no reordering)
-  /// rearranges each node's ranks using intra-node distances.  Requires a
-  /// node-contiguous communicator; the result is again node-contiguous.
-  ReorderedComm reorder_hierarchical(const simmpi::Communicator& comm,
-                                     const mapping::Mapper& leader_mapper,
-                                     const mapping::Mapper* intra_mapper);
-
  private:
   const topology::Machine* machine_;
-  Options opts_;
+  std::uint64_t seed_;
   std::optional<topology::DistanceMatrix> dist_;
   double extract_seconds_ = 0.0;
   trace::TraceSink* sink_ = nullptr;

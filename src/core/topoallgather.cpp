@@ -51,36 +51,38 @@ const ReorderedComm* TopoAllgather::entry_for(AllgatherAlgo algo) {
   if (const auto it = cache_.find(algo); it != cache_.end())
     return it->second ? &*it->second : nullptr;
 
+  // The one mapper this entry reorders with, if any.
   const int cpn = comm_.machine().cores_per_node();
-  std::optional<ReorderedComm> rc;
+  std::unique_ptr<mapping::Mapper> leader, intra, mapper;
   if (cfg_.mapper == MapperKind::None) {
     // MVAPICH's own internal block->cyclic reorder for recursive doubling
     // (§V-A1: "the rank reordering in MVAPICH just changes a block initial
     // layout of processes to a cyclic one") is part of the baseline.  Like
-    // the real library it fires only for node-contiguous layouts, and it is
-    // not an overhead this object introduced: the cyclic RD variant indexes
-    // blocks in place.
+    // the real library it fires only for node-contiguous layouts.
     if (!cfg_.hierarchical && algo == AllgatherAlgo::RecursiveDoubling &&
-        comm_.node_contiguous()) {
-      const auto cyclic =
+        comm_.node_contiguous())
+      mapper =
           mapper_row(MapperKind::MvapichCyclic).make(pattern_of(algo), cpn);
-      rc = framework_->reorder_with(comm_, *cyclic);
-      rc->mapping_seconds = 0.0;
-    }
   } else {
     const MapperRow& row = mapper_row(cfg_.mapper);
-    const auto leader = row.make(pattern_of(algo), cpn);
-    if (!cfg_.hierarchical) {
-      rc = framework_->reorder_with(comm_, *leader);
-    } else {
+    mapper = row.make(pattern_of(algo), cpn);
+    if (cfg_.hierarchical) {
       // Linear intra phases admit no reordering.
-      const auto intra = cfg_.intra == IntraAlgo::Binomial
-                             ? row.make(cfg_.hier_intra_pattern, cpn)
-                             : nullptr;
-      rc = framework_->reorder_hierarchical(comm_, *leader, intra.get());
+      if (cfg_.intra == IntraAlgo::Binomial)
+        intra = row.make(cfg_.hier_intra_pattern, cpn);
+      leader = std::move(mapper);
+      mapper = std::make_unique<mapping::HierarchicalMapper>(*leader,
+                                                             intra.get());
     }
   }
-  if (rc) mapping_seconds_ += rc->mapping_seconds;
+  std::optional<ReorderedComm> rc;
+  if (mapper) {
+    rc = framework_->reorder_with(comm_, *mapper);
+    // The baseline's reorder is not an overhead this object introduced:
+    // the cyclic RD variant indexes blocks in place.
+    if (cfg_.mapper == MapperKind::None) rc->mapping_seconds = 0.0;
+    mapping_seconds_ += rc->mapping_seconds;
+  }
   // Inserted only once the reorder returned: one that throws throws again
   // on the next call.
   const auto& entry = cache_.emplace(algo, std::move(rc)).first->second;

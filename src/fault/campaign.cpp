@@ -9,7 +9,6 @@
 #include "collectives/schedules.hpp"
 #include "common/bits.hpp"
 #include "common/error.hpp"
-#include "common/permutation.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "common/timer.hpp"
@@ -87,8 +86,7 @@ Usec price_run(const CampaignConfig& cfg, const DegradedTopology& topo,
     t.seed = transient_seed;
     eng.set_transient_faults(t);
   }
-  const Usec cost =
-      sched.run(eng, invert_permutation(slots.permutation_to(comm)));
+  const Usec cost = sched.run(eng, slots.oldrank_of(comm));
   accumulate(stats_out, eng.transient_stats());
   return cost;
 }

@@ -7,12 +7,6 @@
 
 namespace tarr::insight {
 
-Histogram::Histogram(int subbucket_bits) : subbucket_bits_(subbucket_bits) {
-  TARR_REQUIRE(subbucket_bits >= 0 && subbucket_bits <= 10,
-               "Histogram: subbucket_bits must be in [0, 10]");
-  subbuckets_ = 1 << subbucket_bits_;
-}
-
 void Histogram::record_n(double value, long long n) {
   TARR_REQUIRE(std::isfinite(value),
                "Histogram: refusing to record a non-finite value");
@@ -75,23 +69,23 @@ int Histogram::index_of(double value) const {
   // sub-buckets; the multiply is exact enough that values lying on a
   // sub-bucket boundary land in the bucket they open.
   const double frac = m * 2.0 - 1.0;  // [0, 1)
-  int sub = static_cast<int>(frac * static_cast<double>(subbuckets_));
-  if (sub >= subbuckets_) sub = subbuckets_ - 1;  // guard frac -> 1.0 rounding
-  return exp * subbuckets_ + sub;
+  int sub = static_cast<int>(frac * static_cast<double>(kSubbuckets));
+  if (sub >= kSubbuckets) sub = kSubbuckets - 1;  // guard frac -> 1 rounding
+  return exp * kSubbuckets + sub;
 }
 
 double Histogram::lower_bound(int index) const {
   // Floor division so negative exponents (values < 1) resolve correctly.
-  int exp = index / subbuckets_;
-  int sub = index % subbuckets_;
+  int exp = index / kSubbuckets;
+  int sub = index % kSubbuckets;
   if (sub < 0) {
-    sub += subbuckets_;
+    sub += kSubbuckets;
     exp -= 1;
   }
-  // 1 + sub/subbuckets is a dyadic rational (subbuckets is a power of two),
+  // 1 + sub/kSubbuckets is a dyadic rational (kSubbuckets is a power of 2),
   // so the boundary is an exact double.
   return std::ldexp(1.0 + static_cast<double>(sub) /
-                              static_cast<double>(subbuckets_),
+                              static_cast<double>(kSubbuckets),
                     exp - 1);
 }
 
@@ -104,8 +98,8 @@ std::vector<Histogram::Bucket> Histogram::buckets() const {
 }
 
 bool Histogram::operator==(const Histogram& other) const {
-  if (subbucket_bits_ != other.subbucket_bits_ || count_ != other.count_ ||
-      zero_count_ != other.zero_count_ || counts_ != other.counts_)
+  if (count_ != other.count_ || zero_count_ != other.zero_count_ ||
+      counts_ != other.counts_)
     return false;
   if (count_ == 0) return true;
   return min_ == other.min_ && max_ == other.max_;

@@ -17,7 +17,7 @@
 /// up the repo's byte-identity contract:
 ///
 ///  * Bucketing is log-linear: every power-of-two range (binade) is split
-///    into 2^subbucket_bits equal sub-buckets (32 by default), giving a
+///    into 2^kSubbucketBits = 32 equal sub-buckets, giving a
 ///    bounded relative width of 1/32 ~ 3.1% per bucket across the whole
 ///    double range.  Bucket boundaries are exact doubles (ldexp of a dyadic
 ///    rational), so index_of/lower_bound are pure integer/IEEE functions of
@@ -41,9 +41,6 @@ namespace tarr::insight {
 /// See file comment.
 class Histogram {
  public:
-  /// `subbucket_bits` in [0, 10]: each binade splits into 2^bits buckets.
-  explicit Histogram(int subbucket_bits = 5);
-
   /// Record one observation (throws tarr::Error on non-finite or negative
   /// values).
   void record(double value) { record_n(value, 1); }
@@ -66,8 +63,6 @@ class Histogram {
   /// See file comment for the exactness guarantee.
   double quantile(double q) const;
 
-  int subbucket_bits() const { return subbucket_bits_; }
-
   /// Bucket index of a positive value (pure function; exposed for tests
   /// and exporters).  value must be > 0, finite.
   int index_of(double value) const;
@@ -89,12 +84,14 @@ class Histogram {
   std::vector<Bucket> buckets() const;
   long long zero_count() const { return zero_count_; }
 
-  /// Structural equality (same resolution, same counts, same min/max).
+  /// Structural equality (same counts, same min/max).
   bool operator==(const Histogram& other) const;
 
  private:
-  int subbucket_bits_;
-  int subbuckets_;  ///< 1 << subbucket_bits_
+  /// Each binade splits into 2^kSubbucketBits buckets.
+  static constexpr int kSubbucketBits = 5;
+  static constexpr int kSubbuckets = 1 << kSubbucketBits;
+
   long long count_ = 0;
   long long zero_count_ = 0;
   double min_ = 0.0;  ///< valid iff count_ > 0

@@ -100,6 +100,14 @@ std::vector<int> greedy_graph_map(const graph::WeightedGraph& g,
   return finish_mapping(st, "greedy-graph", rank_to_slot);
 }
 
+std::vector<int> GraphMapper::map(const std::vector<int>& rank_to_slot,
+                                  const topology::DistanceMatrix& d,
+                                  Rng& rng) const {
+  return engine_ == Engine::Greedy
+             ? greedy_graph_map(*graph_, rank_to_slot, d, rng)
+             : scotch_like_map(*graph_, rank_to_slot, rng);
+}
+
 std::vector<int> GreedyGraphMapper::map(const std::vector<int>& rank_to_slot,
                                         const topology::DistanceMatrix& d,
                                         Rng& rng) const {

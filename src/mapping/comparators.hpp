@@ -32,6 +32,31 @@ std::vector<int> scotch_like_map(const graph::WeightedGraph& g,
                                  const std::vector<int>& rank_to_slot,
                                  Rng& rng);
 
+/// A mapper over an explicit application pattern graph (vertex i = rank i,
+/// weights = relative traffic): §V's "general forms", the path a custom
+/// pattern (halo stencil, particle code, ...; see graph/apppattern.hpp)
+/// takes.  Bisection runs scotch_like_map, which suits uniform-weight
+/// patterns such as halo stencils; Greedy runs greedy_graph_map, which
+/// suits patterns with a pronounced weight hierarchy.  The graph must have
+/// one vertex per rank and outlive the mapper.
+class GraphMapper : public Mapper {
+ public:
+  enum class Engine { Bisection, Greedy };
+  GraphMapper(const graph::WeightedGraph& g, Engine engine)
+      : graph_(&g), engine_(engine) {}
+  GraphMapper(graph::WeightedGraph&&, Engine) = delete;
+  std::string name() const override {
+    return engine_ == Engine::Greedy ? "greedy-graph" : "scotch-like";
+  }
+  std::vector<int> map(const std::vector<int>& rank_to_slot,
+                       const topology::DistanceMatrix& d,
+                       Rng& rng) const override;
+
+ private:
+  const graph::WeightedGraph* graph_;
+  Engine engine_;
+};
+
 /// MVAPICH's recursive-doubling "reordering": rewrite a block layout into a
 /// cyclic one.  It consults neither the distance matrix nor the initial
 /// mapping beyond grouping slots into nodes — the paper's point of contrast

@@ -62,6 +62,31 @@ class Mapper {
                                Rng& rng) const;
 };
 
+/// The two-level mapper of the hierarchical path (§VI-A2): `leader`
+/// rearranges whole node blocks over the node matrix (`d.node_level()`,
+/// slots = node ids), and `intra` (nullptr for the linear intra phases,
+/// which admit no reordering) rearranges each node's ranks over the
+/// intra-node template (`d.intra_level()`, slots = node-local cores).
+/// Blocks and local cores are read from `d`'s node-major numbering,
+/// slot = node * c + local, so the input must be node-contiguous: ranks
+/// fill whole nodes, c consecutive ranks per node.  The result is again
+/// node-contiguous.  Both mappers must outlive this one.
+class HierarchicalMapper : public Mapper {
+ public:
+  HierarchicalMapper(const Mapper& leader, const Mapper* intra)
+      : leader_(&leader), intra_(intra) {}
+  std::string name() const override {
+    return "hierarchical:" + leader_->name();
+  }
+  std::vector<int> map(const std::vector<int>& rank_to_slot,
+                       const topology::DistanceMatrix& d,
+                       Rng& rng) const override;
+
+ private:
+  const Mapper* leader_;
+  const Mapper* intra_;
+};
+
 /// The paper's fine-tuned heuristic for `p` (RDMH/RMH/BBMH/BGMH/BKMH).
 std::unique_ptr<Mapper> make_heuristic(Pattern p);
 

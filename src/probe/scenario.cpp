@@ -8,7 +8,6 @@
 #include "bench/csv.hpp"
 #include "collectives/schedules.hpp"
 #include "common/error.hpp"
-#include "common/permutation.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "common/timer.hpp"
@@ -73,7 +72,7 @@ Usec price_run(const fault::DegradedTopology& topo,
   const simmpi::Communicator comm(topo.machine(), mapping);
   simmpi::Engine eng(comm, simmpi::CostConfig{}, simmpi::ExecMode::Timed,
                      kBlockBytes, sched.buf_blocks(comm.size()));
-  return sched.run(eng, invert_permutation(slots.permutation_to(comm)));
+  return sched.run(eng, slots.oldrank_of(comm));
 }
 
 }  // namespace

@@ -56,16 +56,15 @@ Communicator Communicator::reordered(std::vector<CoreId> new_rank_to_core) const
   return Communicator(*machine_, std::move(new_rank_to_core));
 }
 
-std::vector<Rank> Communicator::permutation_to(
+std::vector<Rank> Communicator::oldrank_of(
     const Communicator& reordered) const {
-  TARR_REQUIRE(reordered.size() == size(), "permutation_to: size mismatch");
-  std::vector<Rank> perm(size());
-  for (Rank old = 0; old < size(); ++old) {
-    const Rank nr = reordered.rank_on_core(rank_to_core_[old]);
-    TARR_REQUIRE(nr != kNoRank, "permutation_to: core sets differ");
-    perm[old] = nr;
+  TARR_REQUIRE(reordered.size() == size(), "oldrank_of: size mismatch");
+  std::vector<Rank> oldrank(size());
+  for (Rank nr = 0; nr < size(); ++nr) {
+    oldrank[nr] = rank_on_core(reordered.core_of(nr));
+    TARR_REQUIRE(oldrank[nr] != kNoRank, "oldrank_of: core sets differ");
   }
-  return perm;
+  return oldrank;
 }
 
 }  // namespace tarr::simmpi

@@ -42,10 +42,10 @@ class Communicator {
   /// exactly this communicator's core set.
   Communicator reordered(std::vector<CoreId> new_rank_to_core) const;
 
-  /// Permutation old rank -> new rank implied by a reordered communicator
-  /// over the same cores (the process stays on its core; only its rank
-  /// changes).
-  std::vector<Rank> permutation_to(const Communicator& reordered) const;
+  /// The §V-B bookkeeping of a communicator over the same cores:
+  /// oldrank[new] is this communicator's rank of the process `reordered`
+  /// numbers `new` (the process stays on its core; only its rank changes).
+  std::vector<Rank> oldrank_of(const Communicator& reordered) const;
 
   /// True iff ranks are node-contiguous with exactly `ranks_per_node()` ranks
   /// per node in rank order — the precondition of the hierarchical path.

@@ -73,20 +73,25 @@ TEST(GeneralMapping, ScotchLikeMapsArbitraryGraph) {
   EXPECT_EQ(sorted_init, sorted_res);
 }
 
-TEST(GeneralMapping, FrameworkReorderForGraph) {
+TEST(GeneralMapping, FrameworkReordersWithAGraphMapper) {
   const topology::Machine m = topology::Machine::gpc(4);
   core::ReorderFramework fw(m);
   const simmpi::Communicator comm(
       m, simmpi::make_layout(
              m, 32, {simmpi::NodeOrder::Cyclic, simmpi::SocketOrder::Bunch}));
   const WeightedGraph pattern = stencil2d_pattern(8, 4);
-  const auto rc = fw.reorder_for_graph(comm, pattern);
+  using mapping::GraphMapper;
+  const auto rc = fw.reorder_with(
+      comm, GraphMapper(pattern, GraphMapper::Engine::Bisection));
   // Core set preserved, oldrank consistent.
   for (Rank j = 0; j < comm.size(); ++j)
     EXPECT_EQ(rc.comm.core_of(j), comm.core_of(rc.oldrank[j]));
   EXPECT_GE(rc.mapping_seconds, 0.0);
-  // Size mismatch is rejected.
-  EXPECT_THROW(fw.reorder_for_graph(comm, stencil2d_pattern(4, 4)), Error);
+  // A graph whose vertex count is not the rank count is rejected.
+  const WeightedGraph small = stencil2d_pattern(4, 4);
+  for (auto engine : {GraphMapper::Engine::Bisection,
+                      GraphMapper::Engine::Greedy})
+    EXPECT_THROW(fw.reorder_with(comm, GraphMapper(small, engine)), Error);
 }
 
 TEST(GeneralMapping, MismatchedGraphRejected) {

@@ -508,14 +508,16 @@ TEST(BisectionOracle, ScotchLikeMappingsAt512And4096) {
   }
 }
 
-TEST(BisectionOracle, ReorderForGraphBisectionOnAStencil) {
+TEST(BisectionOracle, GraphMapperBisectionOnAStencil) {
   const topology::Machine m = topology::Machine::gpc(64);
   core::ReorderFramework fw(m);
   const WeightedGraph pattern = graph::stencil2d_pattern(32, 16);
   for (const auto& spec : simmpi::all_layouts()) {
     const simmpi::Communicator comm(m, simmpi::make_layout(m, 512, spec));
-    const auto rc = fw.reorder_for_graph(comm, pattern);
-    Rng rng(fw.options().seed);
+    const auto rc = fw.reorder_with(
+        comm, mapping::GraphMapper(pattern,
+                                   mapping::GraphMapper::Engine::Bisection));
+    Rng rng(fw.seed());
     const std::vector<int> initial(comm.rank_to_core().begin(),
                                    comm.rank_to_core().end());
     const std::vector<int> reordered(rc.comm.rank_to_core().begin(),

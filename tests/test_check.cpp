@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -184,13 +185,6 @@ TEST(MappingVerifier, RejectsDuplicateInputSlot) {
       "hosts more than one rank");
 }
 
-TEST(MappingVerifier, HierarchicalCompositionDelegates) {
-  EXPECT_NO_THROW(verify_hierarchical_composition({0, 1, 2, 3}, {2, 3, 0, 1}));
-  expect_error_containing(
-      [] { verify_hierarchical_composition({0, 1, 2, 3}, {2, 3, 0, 0}); },
-      "hierarchical composition");
-}
-
 TEST(MappingVerifier, CheckedMapCatchesABrokenMapper) {
   // A deliberately broken Mapper: returns the first slot for every rank.
   class BrokenMapper final : public mapping::Mapper {
@@ -209,6 +203,18 @@ TEST(MappingVerifier, CheckedMapCatchesABrokenMapper) {
   expect_error_containing(
       [&] { BrokenMapper{}.checked_map(slots, d, rng); },
       "mapping invariant violated [broken]");
+  // Either level of a hierarchical mapper is checked the same way.
+  const BrokenMapper broken;
+  const auto rmh = mapping::make_heuristic(mapping::Pattern::Ring);
+  const Machine two = Machine::gpc(2);
+  const topology::DistanceMatrix d2 = topology::extract_distances(two);
+  std::vector<int> cores(two.total_cores());
+  std::iota(cores.begin(), cores.end(), 0);
+  for (const mapping::HierarchicalMapper& hier :
+       {mapping::HierarchicalMapper(broken, rmh.get()),
+        mapping::HierarchicalMapper(*rmh, &broken)})
+    expect_error_containing([&] { hier.checked_map(cores, d2, rng); },
+                            "mapping invariant violated [broken]");
 }
 
 TEST(MappingVerifier, RealHeuristicsPassTheCheckedPath) {

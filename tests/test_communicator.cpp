@@ -45,17 +45,29 @@ TEST(Communicator, ReorderedKeepsCoreSet) {
   EXPECT_THROW(c.reordered({0, 1, 2}), Error);
 }
 
-TEST(Communicator, PermutationToReordered) {
+TEST(Communicator, OldrankOfReordered) {
   const Machine m = Machine::gpc(1);
   const Communicator c(m, {0, 1, 2, 3});
   const Communicator r = c.reordered({3, 1, 0, 2});
-  // Process on core 0 had rank 0, now has rank 2 (r.core_of(2) == 0).
-  const auto perm = c.permutation_to(r);
-  EXPECT_EQ(perm, (std::vector<Rank>{2, 1, 3, 0}));
-  EXPECT_TRUE(is_permutation_of_iota(perm));
-  // Consistency: r.core_of(perm[old]) == c.core_of(old).
-  for (Rank old = 0; old < 4; ++old)
-    EXPECT_EQ(r.core_of(perm[old]), c.core_of(old));
+  // New rank 0 runs on core 3, where old rank 3 ran.
+  const auto oldrank = c.oldrank_of(r);
+  EXPECT_EQ(oldrank, (std::vector<Rank>{3, 1, 0, 2}));
+  EXPECT_TRUE(is_permutation_of_iota(oldrank));
+  // Consistency: c.core_of(oldrank[new]) == r.core_of(new).
+  for (Rank nr = 0; nr < 4; ++nr)
+    EXPECT_EQ(c.core_of(oldrank[nr]), r.core_of(nr));
+  // Sparse core sets: old ranks, not core ids.
+  const Communicator sparse(m, {6, 2, 4});
+  EXPECT_EQ(sparse.oldrank_of(sparse.reordered({2, 4, 6})),
+            (std::vector<Rank>{1, 2, 0}));
+}
+
+TEST(Communicator, OldrankOfRejectsAnotherSizeOrCoreSet) {
+  const Machine m = Machine::gpc(1);
+  const Communicator c(m, {0, 1, 2, 3});
+  EXPECT_THROW(c.oldrank_of(Communicator(m, {0, 1, 2})), Error);
+  EXPECT_THROW(c.oldrank_of(Communicator(m, {0, 1, 2, 3, 4})), Error);
+  EXPECT_THROW(c.oldrank_of(Communicator(m, {0, 1, 2, 5})), Error);
 }
 
 TEST(Communicator, NodeContiguity) {

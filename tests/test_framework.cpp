@@ -80,16 +80,14 @@ TEST(Framework, ReorderInvariants) {
 TEST(Framework, SeedChangesTieBreaking) {
   const Machine m = Machine::gpc(4);
   const Communicator comm(m, make_layout(m, 32, LayoutSpec{}));
-  ReorderFramework::Options o1;
-  o1.seed = 1;
-  ReorderFramework::Options o2;
-  o2.seed = 2;
-  ReorderFramework f1(m, o1), f2(m, o2);
+  ReorderFramework f1(m, 1), f2(m, 2);
+  EXPECT_EQ(f2.seed(), 2u);
+  EXPECT_EQ(ReorderFramework(m).seed(), 1u);
   const auto r1 = f1.reorder(comm, mapping::Pattern::RecursiveDoubling);
   const auto r2 = f2.reorder(comm, mapping::Pattern::RecursiveDoubling);
   // Same seed reproduces exactly; different seeds usually differ in the
   // tie-broken slots (we only require determinism, not difference).
-  ReorderFramework f1b(m, o1);
+  ReorderFramework f1b(m, 1);
   const auto r1b = f1b.reorder(comm, mapping::Pattern::RecursiveDoubling);
   EXPECT_EQ(r1.comm.rank_to_core(), r1b.comm.rank_to_core());
   (void)r2;
@@ -106,7 +104,8 @@ TEST(Framework, HierarchicalReorderKeepsNodeContiguity) {
   const auto bbmh = mapping::make_heuristic(mapping::Pattern::BinomialBcast);
   const mapping::Mapper* intras[] = {nullptr, bbmh.get()};
   for (const mapping::Mapper* intra : intras) {
-    const auto rc = fw.reorder_hierarchical(comm, *rmh, intra);
+    const auto rc =
+        fw.reorder_with(comm, mapping::HierarchicalMapper(*rmh, intra));
     EXPECT_TRUE(rc.comm.node_contiguous());
     EXPECT_TRUE(is_permutation_of_iota(rc.oldrank));
     for (Rank j = 0; j < comm.size(); ++j)
@@ -123,8 +122,9 @@ TEST(Framework, HierarchicalWithoutIntraKeepsLocalOrder) {
       m, make_layout(m, 32,
                      LayoutSpec{simmpi::NodeOrder::Block,
                                 simmpi::SocketOrder::Scatter}));
-  const auto rc = fw.reorder_hierarchical(
-      comm, *mapping::make_heuristic(mapping::Pattern::Ring), nullptr);
+  const auto rmh = mapping::make_heuristic(mapping::Pattern::Ring);
+  const auto rc =
+      fw.reorder_with(comm, mapping::HierarchicalMapper(*rmh, nullptr));
   const int cpn = m.cores_per_node();
   for (Rank j = 0; j < comm.size(); ++j) {
     EXPECT_EQ(m.local_core(rc.comm.core_of(j)),
@@ -141,7 +141,9 @@ TEST(Framework, HierarchicalRejectsCyclic) {
                                 simmpi::SocketOrder::Bunch}));
   const auto rmh = mapping::make_heuristic(mapping::Pattern::Ring);
   const auto bbmh = mapping::make_heuristic(mapping::Pattern::BinomialBcast);
-  EXPECT_THROW(fw.reorder_hierarchical(comm, *rmh, bbmh.get()), Error);
+  EXPECT_THROW(
+      fw.reorder_with(comm, mapping::HierarchicalMapper(*rmh, bbmh.get())),
+      Error);
 }
 
 TEST(Framework, ReorderWithCustomMapper) {

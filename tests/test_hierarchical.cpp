@@ -40,9 +40,10 @@ TEST_P(HierAllgather, OutputInOriginalRankOrder) {
                              ? mapping::Pattern::RecursiveDoubling
                              : mapping::Pattern::Ring;
     const auto bbmh = mapping::make_heuristic(mapping::Pattern::BinomialBcast);
-    auto rc = fw.reorder_hierarchical(
-        comm, *mapping::make_heuristic(pattern),
-        intra == IntraAlgo::Binomial ? bbmh.get() : nullptr);
+    auto rc = fw.reorder_with(
+        comm, mapping::HierarchicalMapper(
+                  *mapping::make_heuristic(pattern),
+                  intra == IntraAlgo::Binomial ? bbmh.get() : nullptr));
     use = rc.comm;
     oldrank = rc.oldrank;
   }

@@ -32,6 +32,7 @@
 #include "core/topoallgather.hpp"
 #include "fault/campaign.hpp"
 #include "graph/apppattern.hpp"
+#include "mapping/comparators.hpp"
 #include "probe/probe.hpp"
 #include "prof/export.hpp"
 #include "prof/obs.hpp"
@@ -162,8 +163,8 @@ std::string decisions_only(const std::string& stream) {
 
 /// Every run of the oracle, traced through `sink`.
 void run_all(trace::TraceSink* sink) {
+  using mapping::GraphMapper;
   using mapping::Pattern;
-  using GraphKind = core::ReorderFramework::GraphMapperKind;
   const topology::Machine m = topology::Machine::gpc(4);
   const simmpi::Communicator comm(
       m, simmpi::make_layout(m, m.total_cores(), simmpi::LayoutSpec{}));
@@ -174,11 +175,13 @@ void run_all(trace::TraceSink* sink) {
                     Pattern::BinomialBcast, Pattern::BinomialGather})
     (void)fw.reorder(comm, p);
   const graph::WeightedGraph stencil = graph::stencil2d_pattern(8, 4);
-  for (GraphKind kind : {GraphKind::Bisection, GraphKind::Greedy})
-    (void)fw.reorder_for_graph(comm, stencil, kind);
-  (void)fw.reorder_hierarchical(
-      comm, *mapping::make_heuristic(Pattern::RecursiveDoubling),
-      mapping::make_heuristic(Pattern::Ring).get());
+  for (auto engine : {GraphMapper::Engine::Bisection,
+                      GraphMapper::Engine::Greedy})
+    (void)fw.reorder_with(comm, GraphMapper(stencil, engine));
+  (void)fw.reorder_with(
+      comm, mapping::HierarchicalMapper(
+                *mapping::make_heuristic(Pattern::RecursiveDoubling),
+                mapping::make_heuristic(Pattern::Ring).get()));
   {
     // Core-id span of the ring over a node-cyclic layout: some random swaps
     // shorten it and some do not, so refinement both accepts and rejects.
@@ -457,8 +460,12 @@ TEST(ObsOracle, ProfileMatchesRecordedDigestAndDecisionCountersReachBoth) {
   // to 0xe2a581c4e06ff3a4, the digest recorded under per-transfer pricing.
   // Re-recorded when bisection growing moved from a scan of the subset to
   // a heap of the front (0x1f95e360a1d03a06 before): only the three
-  // bisection.grow_steps rows moved, 832 -> 174.
-  EXPECT_EQ(fnv1a(flat), 0x314ac0ac254f127cull);
+  // bisection.grow_steps rows moved, 832 -> 174.  Re-recorded when the
+  // graph and hierarchical reorders became mappers run through
+  // reorder_with (0x314ac0ac254f127c before, 53 rows, now 73): their
+  // counters moved under reorder/map:scotch-like, reorder/map:greedy-graph
+  // and reorder/map:hierarchical:RDMH, and no root or reorder total moved.
+  EXPECT_EQ(fnv1a(flat), 0x23f9229feab32301ull);
 
   // The adaptive controller's decisions, and the probe counts its re-probes
   // send to both legs, reach the profiler with the sink's totals.

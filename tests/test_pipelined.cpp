@@ -40,9 +40,10 @@ TEST_P(PipelinedHier, OutputInOriginalRankOrder) {
   std::vector<Rank> oldrank = identity_permutation(p);
   if (reorder) {
     ReorderFramework fw(m);
-    auto rc = fw.reorder_hierarchical(
-        comm, *mapping::make_heuristic(mapping::Pattern::Ring),
-        mapping::make_heuristic(mapping::Pattern::BinomialBcast).get());
+    const auto rmh = mapping::make_heuristic(mapping::Pattern::Ring);
+    const auto bbmh = mapping::make_heuristic(mapping::Pattern::BinomialBcast);
+    auto rc =
+        fw.reorder_with(comm, mapping::HierarchicalMapper(*rmh, bbmh.get()));
     use = rc.comm;
     oldrank = rc.oldrank;
   }

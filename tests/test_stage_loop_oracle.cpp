@@ -739,8 +739,8 @@ TEST(StageLoopOracle, EveryHierarchicalCombinationRunsAsBefore) {
       const int p = m.total_cores();
       const Communicator comm(m, simmpi::make_layout(m, p, {}));
       core::ReorderFramework fw(m);
-      const core::ReorderedComm rc =
-          fw.reorder_hierarchical(comm, *rmh, bbmh.get());
+      const core::ReorderedComm rc = fw.reorder_with(
+          comm, mapping::HierarchicalMapper(*rmh, bbmh.get()));
       const std::string at = " nodes=" + std::to_string(nodes) +
                              " cores=" + std::to_string(shape.cores_per_node());
       for (const Combo& c : combos)

@@ -170,11 +170,11 @@ class JsonChecker {
 /// framework and engine; returns the tracer-visible run.
 Usec traced_allgather(
     int nodes, int p, ExecMode mode, TraceSink* sink,
-    core::ReorderFramework::Options fw_opts = {},
+    std::uint64_t seed = 1,
     collectives::AllgatherAlgo algo = collectives::AllgatherAlgo::Ring) {
   const Machine m = Machine::gpc(nodes);
   const Communicator comm(m, make_layout(m, p, {}));
-  core::ReorderFramework fw(m, fw_opts);
+  core::ReorderFramework fw(m, seed);
   fw.set_trace_sink(sink);
   const auto rc = fw.reorder(comm, algo == collectives::AllgatherAlgo::Ring
                                        ? mapping::Pattern::Ring
@@ -285,17 +285,15 @@ TEST(Trace, TimedAndDataModesProduceIdenticalTimelines) {
   // which is Timed-only by design).
   Tracer timed, data;
   const auto rd = collectives::AllgatherAlgo::RecursiveDoubling;
-  traced_allgather(2, 16, ExecMode::Timed, &timed, {}, rd);
-  traced_allgather(2, 16, ExecMode::Data, &data, {}, rd);
+  traced_allgather(2, 16, ExecMode::Timed, &timed, 1, rd);
+  traced_allgather(2, 16, ExecMode::Data, &data, 1, rd);
   EXPECT_EQ(timed.timeline_json(), data.timeline_json());
 }
 
 TEST(Trace, SameSeedRunsAreByteIdentical) {
-  core::ReorderFramework::Options opts;
-  opts.seed = 7;
   Tracer a, b;
-  traced_allgather(2, 16, ExecMode::Timed, &a, opts);
-  traced_allgather(2, 16, ExecMode::Timed, &b, opts);
+  traced_allgather(2, 16, ExecMode::Timed, &a, 7);
+  traced_allgather(2, 16, ExecMode::Timed, &b, 7);
   const std::string ja = a.timeline_json();
   EXPECT_FALSE(ja.empty());
   EXPECT_EQ(ja, b.timeline_json());

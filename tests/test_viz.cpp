@@ -108,9 +108,7 @@ Pair make_pair(std::uint64_t seed) {
   const simmpi::LayoutSpec cyclic{simmpi::NodeOrder::Cyclic,
                                   simmpi::SocketOrder::Bunch};
   const Communicator comm(machine, make_layout(machine, 16, cyclic));
-  core::ReorderFramework::Options fopts;
-  fopts.seed = seed;
-  core::ReorderFramework fw(machine, fopts);
+  core::ReorderFramework fw(machine, seed);
   const core::ReorderedComm rc = fw.reorder(comm, mapping::Pattern::Ring);
   trace::ScheduleRecord baseline = record_ring(comm);
   trace::ScheduleRecord candidate = record_ring(rc.comm);
